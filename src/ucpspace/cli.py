@@ -24,6 +24,7 @@ from . import (
     synthesis,
 )
 from .errors import (
+    CapacityError,
     ConditioningUndefinedError,
     DecompositionError,
     ParseError,
@@ -69,6 +70,8 @@ def _load_polytope(space, states_arg):
     if states_arg == "full":
         return statespace.build_state_polytope(space)
     gens = fileio.parse_states(_read(states_arg))
+    if not gens:
+        raise ParseError("state file holds no states")
     for ix, g in enumerate(gens):
         ok, viol = statespace.is_state(space, g)
         if not ok:
@@ -114,10 +117,20 @@ def _verify_axioms(space, report, lines):
     return ax.passed
 
 
+def _generators(polytope):
+    """The polytope's generators; a FULL polytope past the vertex cap has none to check."""
+    if polytope.generators is None:
+        raise CapacityError(
+            f"the full state polytope of {polytope.space.n_events} events has no enumerated vertices "
+            f"(vertex enumeration is capped at {statespace._VERTEX_EVENT_CAP} events); nothing was checked"
+        )
+    return polytope.generators
+
+
 def _verify_uniqueness(space, polytope, report, lines):
     records = []
     all_unique = True
-    for ix, mu in enumerate(polytope.generators or []):
+    for ix, mu in enumerate(_generators(polytope)):
         for e in space.events():
             if e == space.zero or mu[e] == 0:
                 continue
@@ -152,7 +165,7 @@ def _verify_uniqueness(space, polytope, report, lines):
 
 
 def _verify_mixture(space, polytope, report, lines, rng, samples):
-    gens = polytope.generators or []
+    gens = _generators(polytope)
     if len(gens) < 2:
         report["mixture"] = {"checked": 0, "failures": 0}
         lines.append("mixture: skipped (needs at least two generator states)")
@@ -228,11 +241,11 @@ def cmd_replay(args):
             hit = orthospace.replay_axiom_witness(space, tag, tuple(w))
             reproduced += bool(hit)
             lines.append(f"axiom {tag} witness {w}: {'reproduced' if hit else 'STALE'}")
-    polytope = _load_polytope(space, args.states) if args.states else None
+    polytope = _load_polytope(space, args.states) if args.states not in (None, "full") else None
     for rec in prev.get("uniqueness") or []:
         total += 1
         if polytope is None:
-            polytope = statespace.build_state_polytope(space)
+            polytope = statespace.build_state_polytope(space, with_vertices=False)
         mu = statespace.State(tuple(fileio._parse_value(v, 0) for v in rec["state"]))
         verdict = statespace.check_conditional_uniqueness(polytope, mu, rec["event"])
         hit = verdict.verdict == rec["verdict"]
@@ -266,7 +279,7 @@ def _condition_abstract(args, report, lines):
     ok, viol = statespace.is_state(space, mu)
     if not ok:
         raise ParseError(f"first state is invalid: {viol[0]}")
-    polytope = statespace.build_state_polytope(space)
+    polytope = statespace.build_state_polytope(space, with_vertices=False)
     e = args.event
     verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
     report["slice_dim"] = verdict.slice_dim
@@ -401,10 +414,11 @@ def cmd_synthesize(args):
         model = synthesis.build_product_model(synth, oracle)
     except SynthesisError as exc:
         blocking = getattr(exc, "generator", None)
+        verdict = getattr(exc, "verdict", None)
         report["blocked"] = {
             "generator": blocking,
             "event": getattr(exc, "event", None),
-            "verdict": getattr(exc, "verdict", None),
+            "verdict": None if verdict is None else verdict.verdict,
         }
         report["passed"] = False
         lines.append(f"synthesis blocked: {exc}")

@@ -4,7 +4,8 @@ A state assigns a rational probability to every event: 1 on the unit, additive
 on orthogonal pairs, values in [0, 1].  Everything in this module runs over
 `fractions.Fraction`, so verdicts are exact: the full state polytope is cut
 out by equality rows plus box bounds, vertices are enumerated exactly, and
-uniqueness questions are settled by the in-repo rational simplex.
+uniqueness questions are settled by exact bound propagation where it pins the
+conditional, else by the in-repo rational simplex.
 
 Two polytope modes:
 
@@ -19,6 +20,7 @@ every monotone net of events is eventually constant.  That fact is documented
 here once; no runtime check exists for it.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -43,6 +45,10 @@ EMPTY = "EMPTY"
 _COMBO_CAP = 500_000
 _VERTEX_CAP = 1_000_000
 _VERTEX_EVENT_CAP = 64
+# Bound-propagation sweeps before a slice goes to the LPs.  Every conditional
+# of Boolean 3 and 4 atoms reaches its fixpoint in two; rows whose bounds only
+# shrink geometrically would otherwise sweep without end.
+_PROPAGATION_SWEEPS = 16
 
 
 def _frac(v):
@@ -132,15 +138,29 @@ class StatePolytope:
     mode: str
     eq_rows: list | None = None
     generators: list | None = field(default=None)
+    # FULL mode: eq_rows as (((event, coeff), ...), rhs) over the nonzero
+    # coefficients, built once here for the bound propagation of every slice.
+    sparse_rows: list | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.mode == FULL:
+            self.sparse_rows = [
+                (tuple((j, a) for j, a in enumerate(r) if a != 0), rhs) for r, rhs in self.eq_rows
+            ]
 
     @property
     def exact(self):
         return self.generators is None or all(g.exact for g in self.generators)
 
+    @functools.cached_property
+    def _parametrization(self):
+        """FULL mode: all solutions of eq_rows as (x0, nullspace basis), or None."""
+        return linsolve.solve_affine([list(r) for r, _ in self.eq_rows], [b for _, b in self.eq_rows])
+
     def affine_dim(self):
         """Dimension of the affine hull candidate (FULL mode: nullity of the rows)."""
         if self.mode == FULL:
-            sol = linsolve.solve_affine([list(r) for r, _ in self.eq_rows], [b for _, b in self.eq_rows])
+            sol = self._parametrization
             return -1 if sol is None else len(sol[1])
         pts = [g.values for g in self.generators]
         if not pts:
@@ -288,6 +308,53 @@ def _slice_rows(slc):
     return rows
 
 
+def _propagate(slc):
+    """Exact interval bound propagation over the slice rows inside [0, 1]^n.
+
+    LP presolve bound tightening (Andersen & Andersen, "Presolving in linear
+    programming", 1995): each equality row bounds every one of its coordinates
+    by the activity range of the others.  Returns the point when a fixpoint
+    pins every coordinate, else None: a contradiction, a coordinate left free,
+    or no fixpoint within _PROPAGATION_SWEEPS sweeps.
+    """
+    n = slc.polytope.space.n_events
+    lo = [Fraction(0)] * n
+    hi = [Fraction(1)] * n
+    for f, t in zip(slc.constraint_events, slc.targets):
+        if not (lo[f] <= t <= hi[f]):
+            return None
+        lo[f] = hi[f] = t
+    for _ in range(_PROPAGATION_SWEEPS):
+        changed = False
+        for terms, b in slc.polytope.sparse_rows:
+            amin = amax = 0
+            for j, a in terms:
+                if a > 0:
+                    amin, amax = amin + lo[j] * a, amax + hi[j] * a
+                else:
+                    amin, amax = amin + hi[j] * a, amax + lo[j] * a
+            if amin > b or amax < b:
+                return None
+            if amin == amax:
+                continue  # every coordinate of the row is pinned
+            # with the other coordinates in their bounds, a x_j = b - (their activity)
+            # lies in [b - amax + max(a lo_j, a hi_j), b - amin + min(a lo_j, a hi_j)]
+            for j, a in terms:
+                if a > 0:
+                    new_lo, new_hi = (b - amax) / a + hi[j], (b - amin) / a + lo[j]
+                else:
+                    new_lo, new_hi = (b - amin) / a + hi[j], (b - amax) / a + lo[j]
+                if new_lo > lo[j]:
+                    lo[j], changed = new_lo, True
+                if new_hi < hi[j]:
+                    hi[j], changed = new_hi, True
+                if lo[j] > hi[j]:
+                    return None
+        if not changed:
+            return lo if lo == hi else None
+    return None
+
+
 def _feasibility_certificate(rows, n):
     res = solve_lp([Fraction(0)] * n, [list(r) for r, _ in rows], [b for _, b in rows], bounds=[(0, 1)] * n)
     return res.farkas if res.status == INFEASIBLE else None
@@ -296,11 +363,17 @@ def _feasibility_certificate(rows, n):
 def check_conditional_uniqueness(polytope, mu, e, family=None):
     """Is the conditional of mu under e unique within the polytope?
 
-    FULL mode reduces the slice's equality system by exact elimination and
-    bounds each remaining free coordinate by exact LPs; the event evaluations
-    are affine and injective in those coordinates, so "every free coordinate
-    pinned" is equivalent to the per-event min = max criterion.  GENERATED mode
-    runs the per-event LPs in convex-coefficient space directly.
+    FULL mode first propagates interval bounds through the slice's equality
+    rows inside the [0, 1] box, exactly.  When that pins every event, the
+    pinned point is replayed against the slice (is_state plus the conditioning
+    targets) and returned as UNIQUE with no LP.  Otherwise (a contradiction or
+    a coordinate left free) it reduces the slice's equality system by exact
+    elimination and bounds each remaining free coordinate by exact LPs; the
+    event evaluations are affine and injective in those coordinates, so "every
+    free coordinate pinned" is equivalent to the per-event min = max criterion.
+    Only the LPs give MULTIPLE witnesses and EMPTY Farkas certificates.
+    `slice_dim` is the nullity of the slice's equality rows either way.
+    GENERATED mode runs the per-event LPs in convex-coefficient space directly.
     """
     slc = conditional_slice(polytope, mu, e, family)
     if polytope.mode == GENERATED:
@@ -308,7 +381,19 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     return _uc_full(slc)
 
 
+def _pinned_slice_dim(slc):
+    """Nullity of a consistent slice's rows: dim null(eq_rows) - rank(pin rows on that nullspace)."""
+    _, basis = slc.polytope._parametrization
+    return len(basis) - linsolve.rank([[v[f] for v in basis] for f in slc.constraint_events])
+
+
 def _uc_full(slc):
+    pinned = _propagate(slc)
+    if pinned is not None:
+        nu = State(tuple(pinned))
+        if not slc.satisfied_by(nu):
+            raise UcpError("bound propagation pinned a point outside the conditional slice")
+        return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=_pinned_slice_dim(slc))
     n = slc.polytope.space.n_events
     rows = _slice_rows(slc)
     a = [list(r) for r, _ in rows]

@@ -37,6 +37,11 @@ def bool3_poly(bool3):
 
 
 @pytest.fixture(scope="session")
+def bool4_poly(bool4):
+    return statespace.build_state_polytope(bool4)
+
+
+@pytest.fixture(scope="session")
 def mo2_poly(mo2):
     return statespace.build_state_polytope(mo2)
 

@@ -11,7 +11,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ucpspace import cli, fileio, instances, jordan, orthospace
+from ucpspace import cli, fileio, instances, jordan, orthospace, statespace
 
 
 def invoke(argv):
@@ -43,10 +43,13 @@ def files(tmp_path_factory):
         "bool3.txt", fileio.format_orthospace(orthospace.boolean_orthospace(3))
     )
     paths["mo2"] = put("mo2.txt", fileio.format_orthospace(instances.mo_orthospace(2)))
+    paths["mo3"] = put("mo3.txt", fileio.format_orthospace(instances.mo_orthospace(3)))
+    paths["mo32"] = put("mo32.txt", fileio.format_orthospace(instances.mo_orthospace(32)))
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
 
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
     paths["mu3"] = put("mu3.txt", fileio.format_states([mu]))
+    paths["no_states"] = put("no_states.txt", "states v1\nn_events 8\n")
 
     rho = complex_element([[0.5, 0], [0, 0.5]])
     e = complex_element([[1, 0], [0, 0]])
@@ -116,6 +119,22 @@ class TestVerify:
         assert "MULTIPLE" in out
         assert out.rstrip().endswith("verify: FAIL")
 
+    @pytest.mark.parametrize("check", ["uniqueness", "mixture"])
+    def test_past_vertex_cap_is_not_a_pass(self, files, check):
+        # MO_32 has 66 events, past the 64-event vertex cap: no generators to check
+        code, out, err = invoke(["verify", "--input", files["mo32"], "--states", "full", check])
+        assert code == 2
+        assert out == ""
+        assert "66 events" in err and "64 events" in err
+
+    def test_empty_state_file_is_not_a_pass(self, files):
+        code, out, err = invoke(
+            ["verify", "--input", files["bool3"], "--states", files["no_states"], "uniqueness"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "holds no states" in err
+
     def test_malformed_input(self, files):
         code, out, err = invoke(["verify", "--input", files["bad"]])
         assert code == 2
@@ -173,6 +192,16 @@ class TestReplay:
         assert "STALE" in out
         assert "replay: 7/8 witnesses reproduced" in out
 
+    def test_replay_enumerates_no_vertices(self, files, tmp_path, monkeypatch):
+        _, text = self.run_structured(files)
+        path = tmp_path / "report.json"
+        path.write_text(text)
+        monkeypatch.setattr(statespace, "_enumerate_vertices", None)
+        for states in ([], ["--states", "full"]):
+            code, out, _ = invoke(["verify", "--replay", str(path), "--input", files["mo2"], *states])
+            assert code == 0
+            assert "replay: 8/8 witnesses reproduced" in out
+
     def test_structured_output_is_deterministic(self, files):
         _, first = self.run_structured(files)
         _, second = self.run_structured(files)
@@ -205,6 +234,14 @@ class TestCondition:
         assert "conditional atoms: (0.4, 0.6, 0)" in out
         assert "mu(f|e) = 0.4" in out
         assert "slice dimension: 0" in out
+
+    def test_abstract_enumerates_no_vertices(self, files, monkeypatch):
+        monkeypatch.setattr(statespace, "_enumerate_vertices", None)
+        code, out, _ = invoke(
+            ["condition", "--input", files["bool3"], "--states", files["mu3"], "3", "1"]
+        )
+        assert code == 0
+        assert "mu(f|e) = 0.4" in out
 
     def test_zero_mass_event(self, files):
         code, _, err = invoke(
@@ -275,6 +312,16 @@ class TestSynthesize:
         assert code == 1
         assert "synthesis blocked" in out
         assert "MULTIPLE" in out
+
+    def test_blocked_synthesis_structured(self, files):
+        code, out, _ = invoke(
+            ["synthesize", "--input", files["mo3"], "--states", "full", "--format", "structured"]
+        )
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["blocked"]["verdict"] == "MULTIPLE"
+        assert isinstance(report["blocked"]["generator"], int)
 
     def test_projection_family(self, files):
         code, out, _ = invoke(["synthesize", "--input", files["qubit_projs"]])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucpspace import instances, statespace
+from ucpspace import exactlp, instances, statespace
 from ucpspace.errors import ConditioningUndefinedError, PreconditionError
 from ucpspace.statespace import (
     EMPTY,
@@ -173,14 +173,70 @@ class TestConditionalUniqueness:
         assert v.verdict == UNIQUE
         assert v.conditional[1] == F(2, 5)
 
-    def test_vertex_states_uc_boolean4(self, bool4):
-        poly = build_state_polytope(bool4)
-        for mu in poly.generators:
+    def test_vertex_states_uc_boolean4(self, bool4, bool4_poly):
+        for mu in bool4_poly.generators:
             for e in bool4.events():
                 if mu[e] == 0:
                     continue
-                v = check_conditional_uniqueness(poly, mu, e)
+                v = check_conditional_uniqueness(bool4_poly, mu, e)
                 assert v.verdict == UNIQUE
+
+
+@pytest.fixture(scope="module")
+def mo3_poly():
+    return build_state_polytope(instances.mo_orthospace(3))
+
+
+def _oracle_cases(space, poly):
+    """Every vertex and two rational mixtures, each with every event of nonzero mass."""
+    gens = poly.generators
+    states = list(gens)
+    states.append(mix_states(gens[0], gens[1], F(1, 3)))
+    states.append(mix_states(gens[-1], mix_states(gens[0], gens[1], F(2, 5)), F(3, 7)))
+    return [(mu, e) for mu in states for e in space.events() if e != space.zero and mu[e] != 0]
+
+
+class TestBoundPropagation:
+    """Propagation against the LP-only path, which a patched helper forces."""
+
+    @pytest.mark.parametrize("name", ["bool3", "bool4", "mo3"])
+    def test_same_verdicts_as_lp_only(self, name, request, monkeypatch):
+        poly = request.getfixturevalue(f"{name}_poly")
+        cases = _oracle_cases(poly.space, poly)
+        with_prop = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
+        decided = [statespace._propagate(statespace.conditional_slice(poly, mu, e)) is not None for mu, e in cases]
+        monkeypatch.setattr(statespace, "_propagate", lambda slc: None)
+        lp_only = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
+        for (mu, e), a, b in zip(cases, with_prop, lp_only):
+            assert (a.verdict, a.slice_dim, a.conditional) == (b.verdict, b.slice_dim, b.conditional), (mu, e)
+            assert a.witnesses == b.witnesses
+        if name == "mo3":
+            assert {v.verdict for v in lp_only} == {UNIQUE, MULTIPLE}
+        else:
+            # every classical conditional is pinned, including slices of positive dimension
+            assert all(decided)
+            assert any(v.slice_dim > 0 for v in lp_only)
+
+    def test_contradiction_still_gives_farkas_certificate(self, bool3, bool3_poly):
+        # not a state: mu(a + b) = 1/2 = mu(a), so conditioning on a + b targets
+        # x_a = 1, x_b = 1/2, x_{a+b} = 1, which additivity rejects; with the
+        # family cut to {a, b} the rows are consistent but put 3/2 on a + b
+        vals = [F(0)] * bool3.n_events
+        vals[1], vals[2], vals[3], vals[bool3.unit] = F(1, 2), F(1, 4), F(1, 2), F(1)
+        mu = State(tuple(vals))
+        for family, dim in ((None, -1), ([1, 2], 0)):
+            slc = statespace.conditional_slice(bool3_poly, mu, 3, family)
+            assert statespace._propagate(slc) is None
+            v = check_conditional_uniqueness(bool3_poly, mu, 3, family)
+            assert v.verdict == EMPTY and v.slice_dim == dim
+            assert exactlp.verify_farkas(v.certificate)
+
+    def test_unique_without_vertices(self, bool4):
+        poly = build_state_polytope(bool4, with_vertices=False)
+        mu = instances.boolean_state([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
+        v = check_conditional_uniqueness(poly, mu, 1)
+        assert v.verdict == UNIQUE and v.slice_dim == 2
+        assert v.conditional[1] == 1 and v.conditional[bool4.unit - 1] == 0
 
 
 class TestMassOne:
