@@ -117,10 +117,6 @@ def norm2(x):
     return np.einsum("...p,...p->...", x, x)
 
 
-def real_part(x):
-    return np.asarray(x, dtype=np.float64)[..., 0]
-
-
 def unit(k, index=0):
     """Basis element e_index as a coordinate vector."""
     e = np.zeros(k)

@@ -18,7 +18,6 @@ from . import (
     instances,
     jordan,
     lueders,
-    observables,
     orthospace,
     statespace,
     synthesis,
@@ -167,9 +166,9 @@ def _verify_uniqueness(space, polytope, report, lines):
 def _verify_mixture(space, polytope, report, lines, rng, samples):
     gens = _generators(polytope)
     if len(gens) < 2:
-        report["mixture"] = {"checked": 0, "failures": 0}
-        lines.append("mixture: skipped (needs at least two generator states)")
-        return True
+        raise PreconditionError(
+            f"mixture check needs at least two generator states, got {len(gens)}; nothing was checked"
+        )
     checked = failures = 0
     for _ in range(samples):
         mu = gens[int(rng.integers(len(gens)))]
@@ -186,6 +185,11 @@ def _verify_mixture(space, polytope, report, lines, rng, samples):
         checked += 1
         if not rep.passed:
             failures += 1
+    if checked == 0:
+        raise PreconditionError(
+            f"mixture check: none of {samples} sampled triples had positive mass and unique conditionals; "
+            "nothing was checked"
+        )
     report["mixture"] = {"checked": checked, "failures": failures}
     lines.append(f"mixture identity: {checked} sampled, {failures} failures")
     return failures == 0
@@ -397,14 +401,7 @@ def cmd_synthesize(args):
         oracle = synthesis.polytope_expansion_oracle(synth, polytope)
     elif header in (fileio.MATRIX_HEADER, fileio.PROJECTIONS_HEADER):
         tag, n, blocks = fileio.parse_elements(_read(args.input))
-        system = orthospace.projection_orthospace(blocks)
-        densities = []
-        for el in system.elements:
-            tr = jordan.trace(el)
-            if tr > 0.5:
-                densities.append(lueders.DensityState(el * (1.0 / tr)))
-        densities.extend(instances._spanning_densities(tag, n))
-        instance = instances.MatrixInstance(tag=tag, n=n, system=system, densities=densities)
+        instance = instances.instance_from_projections(tag, n, blocks)
         synth = synthesis.matrix_synthetic_space(instance)
         oracle = synthesis.lueders_expansion_oracle(synth, instance)
     else:

@@ -40,11 +40,6 @@ def mo_orthospace(k):
     )
 
 
-def mo_atom(k, i, primed=False):
-    """Event index of a_i (or a_i') in mo_orthospace(k)."""
-    return 1 + 2 * i + (1 if primed else 0)
-
-
 def boolean_state(weights):
     """Classical state on boolean_orthospace(len(weights)) from atom weights."""
     w = [Fraction(x) for x in weights]
@@ -101,15 +96,11 @@ def _spanning_densities(tag, n):
     return out
 
 
-def _instance_from_projections(tag, n, projections, extra_densities=(), tol=1e-8):
-    system = orthospace.projection_orthospace(projections, tol=tol)
-    densities = []
-    for el in system.elements:
-        tr = jordan.trace(el)
-        if tr > 0.5:
-            densities.append(lueders.DensityState(el * (1.0 / tr)))
+def instance_from_projections(tag, n, projections):
+    """Close a projection list into an event system; densities e / tr(e) plus a spanning family."""
+    system = orthospace.projection_orthospace(projections)
+    densities = [lueders.density_from(el) for el in system.elements if jordan.trace(el) > 0.5]
     densities.extend(_spanning_densities(tag, n))
-    densities.extend(extra_densities)
     return MatrixInstance(tag=tag, n=n, system=system, densities=densities)
 
 
@@ -132,7 +123,7 @@ def qubit_instance(bases=3):
     projections = [jordan.zero(tag, n), ident]
     for p in (pz, px, py)[:bases]:
         projections.extend([p, ident - p])
-    return _instance_from_projections(tag, n, projections)
+    return instance_from_projections(tag, n, projections)
 
 
 def qutrit_instance(generic_frames=3, seed=5):
@@ -144,19 +135,7 @@ def qutrit_instance(generic_frames=3, seed=5):
     projections.extend(_frame_events(diag_frame))
     for _ in range(generic_frames):
         projections.extend(_frame_events(jordan.random_frame(tag, n, rng)))
-    return _instance_from_projections(tag, n, projections)
-
-
-def real_symmetric_instance(generic_frames=3, seed=9):
-    """3x3 real symmetric analogue of the qutrit instance."""
-    tag, n = "R", 3
-    rng = np.random.default_rng(seed)
-    projections = [jordan.zero(tag, n), jordan.identity(tag, n)]
-    diag_frame = [jordan.diag(tag, [1.0 if i == j else 0.0 for i in range(n)]) for j in range(n)]
-    projections.extend(_frame_events(diag_frame))
-    for _ in range(generic_frames):
-        projections.extend(_frame_events(jordan.random_frame(tag, n, rng)))
-    return _instance_from_projections(tag, n, projections)
+    return instance_from_projections(tag, n, projections)
 
 
 def _rank1_from_vector(tag, v):
@@ -184,7 +163,7 @@ def sparse_conditioning_instance(seed=13):
     f = _rank1_from_vector(tag, v)
     ident = jordan.identity(tag, n)
     projections = [jordan.zero(tag, n), ident, e, ident - e, f, ident - f]
-    return _instance_from_projections(tag, n, projections)
+    return instance_from_projections(tag, n, projections)
 
 
 def enriched_conditioning_instance(seed=13):
@@ -205,7 +184,7 @@ def enriched_conditioning_instance(seed=13):
     # f is orthogonal to e - g (its overlap with e lies along g), so the sum
     # f + (e - g) and its complement are forced into the closure as well
     projections.extend([g, ident - g, g + ec, e - g, f + e - g, ident - (f + e - g)])
-    return _instance_from_projections(base.tag, base.n, projections)
+    return instance_from_projections(base.tag, base.n, projections)
 
 
 def sparse_sum_instance():
@@ -222,4 +201,4 @@ def enriched_sum_instance():
     projections = [el for el in base.elements]
     w = spec.frame[-1]
     projections.extend([w, ident - w])
-    return _instance_from_projections(base.tag, base.n, projections)
+    return instance_from_projections(base.tag, base.n, projections)

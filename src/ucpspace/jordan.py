@@ -423,7 +423,7 @@ def complement_projection(p):
 
 
 # ---------------------------------------------------------------------------
-# batched sweep helpers (these ride the compiled kernels; see kernels.py)
+# batched sweep helpers (stacked coordinate arrays through kernels.py)
 
 
 def batched_random_hermitian(tag, n, count, rng, scale=1.0):

@@ -1,73 +1,20 @@
 """Matrix arithmetic over the coordinate algebras: the hot numeric path.
 
 Everything here works on coordinate arrays of shape (n, n, k) or batched
-(B, n, n, k).  The default path compiles the inner loops with numba; set
-
-    UCPSPACE_NO_NUMBA=1
-
-to force the pure-numpy einsum fallback (same contractions, same results up to
-float addition order).  `benchmarks/bench_kernels.py` compares the two.
+(B, n, n, k).  Entries multiply through the algebra's structure tensor, so one
+einsum contraction serves every tag, the octonions included.
 """
-
-import os
 
 import numpy as np
 
 from . import cayley
 
-USE_NUMBA = os.environ.get("UCPSPACE_NO_NUMBA", "") != "1"
-if USE_NUMBA:
-    try:
-        import numba
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        numba = None
-        USE_NUMBA = False
 
-
-def matmul_numpy(a, b):
-    """Batched matrix product with coordinate-algebra entries, einsum path."""
+def matmul(a, b):
+    """Batched matrix product with coordinate-algebra entries."""
     k = a.shape[-1]
     t = cayley.structure_tensor(k)
     return np.einsum("...ijp,...jmq,pqr->...imr", a, b, t)
-
-
-if USE_NUMBA:
-
-    @numba.njit(cache=True)
-    def _matmul_loops(a, b, idx, sgn, out):
-        bb, n, _, k = a.shape
-        for t in range(bb):
-            for i in range(n):
-                for j in range(n):
-                    for p in range(k):
-                        x = a[t, i, j, p]
-                        if x == 0.0:
-                            continue
-                        for m in range(n):
-                            for q in range(k):
-                                y = b[t, j, m, q]
-                                if y == 0.0:
-                                    continue
-                                out[t, i, m, idx[p, q]] += sgn[p, q] * x * y
-        return out
-
-    def matmul_numba(a, b):
-        """Batched matrix product, compiled-loop path."""
-        k = a.shape[-1]
-        idx, sgn = cayley.mul_tables(k)
-        squeeze = a.ndim == 3
-        if squeeze:
-            a = a[None]
-            b = b[None]
-        out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-        a, b = np.broadcast_arrays(a, b)
-        _matmul_loops(np.ascontiguousarray(a), np.ascontiguousarray(b), idx, sgn, out)
-        return out[0] if squeeze else out
-
-    matmul = matmul_numba
-else:
-    matmul_numba = None
-    matmul = matmul_numpy
 
 
 def jordan_mul(a, b):

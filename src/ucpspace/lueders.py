@@ -83,12 +83,17 @@ def density_from(el):
 
 
 def condition(rho, e, threshold=MASS_THRESHOLD):
-    """Lüders conditional rho_e = {e, rho, e} / <rho, e>."""
+    """Lüders conditional rho_e = {e, rho, e} / <rho, e>.
+
+    The compression is normalized by its own trace, which equals the mass
+    <rho, e> in exact arithmetic; dividing by the separately rounded mass
+    leaves a trace error that grows as the mass shrinks.
+    """
     _require_idempotent(e)
     mass = rho.expect(e)
     if mass <= threshold:
         raise ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {threshold:.0e}")
-    return DensityState(jordan.triple_product(e, rho.element, e) * (1.0 / mass))
+    return density_from(jordan.triple_product(e, rho.element, e))
 
 
 def conditional_probability(rho, f, e, threshold=MASS_THRESHOLD):

@@ -60,14 +60,6 @@ def primitive(space, terms):
     return PrimitiveElement(terms=terms)
 
 
-def primitive_coords(synth, p):
-    """Dual-space coordinates of a primitive element."""
-    x = synth.zeros()
-    for c, e in p.terms:
-        x = x + synth.pi(e) * c
-    return x
-
-
 @dataclass(frozen=True)
 class FiniteObservable:
     """Spectral measure with finite support: distinct values on an event partition."""

@@ -283,18 +283,30 @@ def maximal_orthogonal_families(space):
     """Maximal pairwise-orthogonal families of nonzero events, sorted.
 
     Zero is excluded (it is orthogonal to everything and carries no weight);
-    isolated events come back as singleton families.
+    isolated events come back as singleton families.  The families are the
+    maximal cliques of the orthogonality graph (read from the upper triangle
+    of `ortho`, no self-loops), listed by Bron-Kerbosch with pivoting (Bron &
+    Kerbosch, CACM 16(9), 1973).
     """
-    import networkx as nx
-
-    g = nx.Graph()
     nodes = [e for e in space.events() if e != space.zero]
-    g.add_nodes_from(nodes)
-    for i in nodes:
-        for j in nodes:
-            if i < j and space.ortho[i, j]:
-                g.add_edge(i, j)
-    return sorted(sorted(c) for c in nx.find_cliques(g))
+    upper = np.triu(space.ortho, 1)
+    adj = upper | upper.T
+    adj[space.zero, :] = adj[:, space.zero] = False
+    nbrs = {v: set(np.flatnonzero(adj[v]).tolist()) for v in nodes}
+    families = []
+
+    def expand(clique, cand, excl):
+        if not cand and not excl:
+            families.append(sorted(clique))
+            return
+        pivot = max(cand | excl, key=lambda u: len(cand & nbrs[u]))
+        for v in cand - nbrs[pivot]:
+            expand(clique + [v], cand & nbrs[v], excl & nbrs[v])
+            cand.remove(v)
+            excl.add(v)
+
+    expand([], set(nodes), set())
+    return sorted(families)
 
 
 def iterated_sum(space, events):
@@ -323,11 +335,6 @@ def boolean_orthospace(n_atoms):
     st = np.where(ortho, ids[:, None] | ids[None, :], -1).astype(np.int64)
     comp = (n - 1) ^ ids
     return OrthoSpace(n, 0, n - 1, ortho, st, comp)
-
-
-def atoms_of(space_n_atoms, event):
-    """Atom indices contained in a boolean event (bitmask helper)."""
-    return [i for i in range(space_n_atoms) if event >> i & 1]
 
 
 def horizontal_sum(blocks):

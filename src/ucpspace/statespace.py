@@ -555,12 +555,3 @@ def check_mixture_identity(polytope, mu, nu, s, e):
                 acc[i] += w * _frac(cond[i])
     rhs = State(tuple(v / total for v in acc))
     return MixtureReport(lhs.values == rhs.values, mix, lhs, rhs)
-
-
-def conditional_oracle(polytope):
-    """Closure suitable for the synthesis layer: state, event -> conditional."""
-
-    def oracle(mu, e):
-        return unique_conditional(polytope, mu, e)
-
-    return oracle

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import jordan, kernels, linsolve, lueders, orthospace, statespace
+from . import jordan, linsolve, lueders, orthospace, statespace
 from .errors import SynthesisError
 from .exactlp import OPTIMAL, solve_lp
 
@@ -639,30 +639,6 @@ def hull_membership(synth, x):
     return res.status == OPTIMAL
 
 
-def _base_norm_lp(synth, x):
-    """Exact lane: inf{r >= 0 : x in r conv(S u -S)}.
-
-    x is given by its values on the events (one entry per event id) and must
-    be a signed combination of the generator rows.  Internal helper; the
-    public norm on the dual side is SyntheticSpace.norm.
-    """
-    if not synth.exact:
-        raise SynthesisError("the base norm LP needs the exact lane")
-    pairing = synth.pairing
-    n_states, n_events = pairing.shape
-    a_eq = []
-    for j in range(n_events):
-        a_eq.append(
-            [pairing[m, j] for m in range(n_states)] + [-pairing[m, j] for m in range(n_states)]
-        )
-    b_eq = [Fraction(v) for v in x]
-    c = [Fraction(1)] * (2 * n_states)
-    res = solve_lp(c, a_eq, b_eq, [(0, None)] * (2 * n_states))
-    if res.status != OPTIMAL:
-        raise SynthesisError("element lies outside the span of the generators")
-    return res.objective
-
-
 # ---------------------------------------------------------------------------
 # canonical comparison against a matrix instance
 
@@ -671,14 +647,6 @@ def evaluation_of(instance, x):
     """Evaluation vector of a hermitian element against the instance densities."""
     flat = np.stack([d.element.coords.reshape(-1) for d in instance.densities])
     return flat @ np.asarray(x.coords, dtype=np.float64).reshape(-1)
-
-
-def hermitian_of(instance, coords):
-    """Hermitian element whose evaluations match the given A-coordinates."""
-    flat = np.stack([d.element.coords.reshape(-1) for d in instance.densities])
-    sol, *_ = np.linalg.lstsq(flat, np.asarray(coords, dtype=np.float64), rcond=None)
-    shape = instance.elements[0].coords.shape
-    return jordan.JordanElement(instance.tag, instance.n, kernels.hermitize(sol.reshape(shape)))
 
 
 def compare_with_lueders(model, instance):

@@ -52,19 +52,6 @@ def qutrit_model(qutrit):
     )
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # first call into the jitted kernels pays compilation; keep that cost out
-    # of the timed criteria
-    rng = np.random.default_rng(0)
-    e = jordan.random_projection("C", 2, rng)
-    f = jordan.random_projection("C", 2, rng)
-    lueders.batched_symmetry_residual(
-        "C", e.coords[np.newaxis], f.coords[np.newaxis]
-    )
-    jordan.spectral_decomposition(jordan.random_hermitian("C", 2, rng))
-
-
 def test_01_orthospace_axioms(capfd, qubit, qutrit):
     start = time.perf_counter()
     failures = []

@@ -135,6 +135,24 @@ class TestVerify:
         assert out == ""
         assert "holds no states" in err
 
+    @pytest.mark.parametrize(
+        "input_name, states, extra",
+        [
+            # a single state has nothing to mix
+            ("bool3", "mu3", []),
+            # every sampled MO_2 triple has zero mass or a MULTIPLE conditional
+            ("mo2", "full", ["--seed", "2", "--samples", "5"]),
+        ],
+    )
+    def test_unchecked_mixture_is_not_a_pass(self, files, input_name, states, extra):
+        states = files.get(states, states)
+        code, out, err = invoke(
+            ["verify", "--input", files[input_name], "--states", states, *extra, "mixture"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "nothing was checked" in err
+
     def test_malformed_input(self, files):
         code, out, err = invoke(["verify", "--input", files["bad"]])
         assert code == 2
@@ -359,6 +377,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "verify: PASS" in proc.stdout
+
+    def test_numpy_is_the_only_dependency_imported(self):
+        # the CLI, the clique search and the matrix kernel import nothing
+        # outside the standard library, numpy and the package itself
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import numpy as np\n"
+            "from ucpspace import cli, kernels, orthospace\n"
+            "orthospace.maximal_orthogonal_families(orthospace.boolean_orthospace(3))\n"
+            "kernels.matmul(np.ones((2, 2, 8)), np.ones((2, 2, 8)))\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(sorted(loaded - set(sys.stdlib_module_names) - {'numpy', 'ucpspace'}))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ucpspace import jordan, lueders
+from ucpspace import instances, jordan, lueders
 from ucpspace.errors import ConditioningUndefinedError, PreconditionError
 from ucpspace.lueders import (
     DensityState,
@@ -88,6 +88,22 @@ class TestConditioning:
         rho = DensityState(jordan.diag("C", [0, 1]))
         with pytest.raises(ConditioningUndefinedError):
             condition(rho, qubit_e())
+
+    def test_small_mass_conditionals_have_unit_trace(self):
+        # this qutrit family has an event of mass 4.2e-6 under one density;
+        # dividing the compression by the separately rounded mass left a trace
+        # 7e-12 off one, which the density check rejects
+        inst = instances.qutrit_instance(seed=7671)
+        worst, masses = 0.0, []
+        for rho in inst.densities:
+            for e in inst.elements:
+                mass = rho.expect(e)
+                if mass <= lueders.MASS_THRESHOLD:
+                    continue
+                masses.append(mass)
+                worst = max(worst, abs(jordan.trace(condition(rho, e).element) - 1.0))
+        assert min(masses) < 1e-5
+        assert worst <= 1e-14
 
     def test_probability_matches_conditioned_state(self, rng):
         rho = density_from(lueders.random_positive("C", 3, rng))

@@ -18,6 +18,20 @@ from ucpspace.orthospace import (
 )
 
 
+def subset_scan_families(space):
+    """Maximal pairwise-orthogonal sets of nonzero events, by scanning every subset."""
+    nodes = [e for e in space.events() if e != space.zero]
+    m = len(nodes)
+    adj = [sum(1 << b for b, u in enumerate(nodes) if u != v and space.ortho[v, u]) for v in nodes]
+    cliques = {
+        s
+        for s in range(1, 1 << m)
+        if all(s & ~adj[a] == 1 << a for a in range(m) if s >> a & 1)
+    }
+    maximal = [s for s in cliques if not any(s | 1 << a in cliques for a in range(m) if not s >> a & 1)]
+    return sorted(sorted(nodes[a] for a in range(m) if s >> a & 1) for s in maximal)
+
+
 def assert_all_pass(report):
     assert not report.structural
     assert report.passed, report.failing()
@@ -175,6 +189,25 @@ class TestQueries:
         fams = maximal_orthogonal_families(mo2)
         # the two atom pairs plus the isolated unit
         assert [1, 2] in fams and [3, 4] in fams and [mo2.unit] in fams
+
+    @pytest.mark.parametrize(
+        "make_space",
+        [
+            lambda: boolean_orthospace(4),
+            lambda: instances.mo_orthospace(3),
+            lambda: instances.mo_orthospace(5),
+            lambda: instances.qubit_instance().space,
+        ],
+        ids=["B4", "MO_3", "MO_5", "qubit"],
+    )
+    def test_maximal_families_match_subset_scan(self, make_space):
+        space = make_space()
+        assert maximal_orthogonal_families(space) == subset_scan_families(space)
+
+    @pytest.mark.parametrize("n_atoms, bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203)])
+    def test_maximal_families_boolean_are_partitions(self, n_atoms, bell):
+        # a maximal disjoint family of nonempty subsets is a partition of the atoms
+        assert len(maximal_orthogonal_families(boolean_orthospace(n_atoms))) == bell
 
     def test_iterated_sum(self, bool3):
         assert iterated_sum(bool3, [1, 2, 4]) == bool3.unit
