@@ -117,12 +117,14 @@ def _verify_axioms(space, report, lines):
 
 
 def _generators(polytope):
-    """The polytope's generators; a FULL polytope past the vertex cap has none to check."""
+    """The polytope's generators; a FULL polytope past the vertex cap, or of no states, has none to check."""
     if polytope.generators is None:
         raise CapacityError(
             f"the full state polytope of {polytope.space.n_events} events has no enumerated vertices "
             f"(vertex enumeration is capped at {statespace._VERTEX_EVENT_CAP} events); nothing was checked"
         )
+    if not polytope.generators:
+        raise PreconditionError("the orthospace has no states; nothing was checked")
     return polytope.generators
 
 
@@ -211,6 +213,7 @@ def cmd_verify(args):
     if "separation" in checks:
         if polytope is None:
             raise ParseError("separation check needs --states")
+        _generators(polytope)
         sep = statespace.check_separation(polytope)
         report["separation"] = {"passed": sep.passed, "witness": _clean(sep.witness)}
         lines.append("separation: pass" if sep.passed else f"separation: FAIL {sep.witness[:2]}")

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import linsolve, orthospace, statespace, synthesis
 from .errors import PreconditionError, StructuralError, SynthesisError
-from .exactlp import INFEASIBLE, OPTIMAL, solve_lp
+# solve_lp is not called here; perfbench/tracing.py rebinds observables.solve_lp by name
+from .exactlp import INFEASIBLE, OPTIMAL, solve_lp  # noqa: F401
 
 REPRESENTABLE = "REPRESENTABLE"
 NOT_REPRESENTABLE = "NOT-REPRESENTABLE"
@@ -325,21 +326,15 @@ class CertaintyOrderVerdict:
 def check_certainty_order(synth, polytope, e, f, tol=synthesis.FLOAT_TOL):
     """If every state certain of e is certain of f, the order must agree.
 
-    Full polytopes run an exact LP minimizing mu(f) over {mu : mu(e) = 1};
+    Full polytopes minimize mu(f) over {mu : mu(e) = 1} by an exact LP over
+    the polytope's parametrization with e pinned (`statespace.optimize`);
     generator families scan their vertices, which convexity makes equivalent.
     """
     space = synth.space
     if polytope.mode == statespace.FULL:
-        n = space.n_events
-        rows = [list(r) for r, _ in polytope.eq_rows]
-        rhs = [b for _, b in polytope.eq_rows]
-        pin = [Fraction(0)] * n
-        pin[e] = Fraction(1)
-        rows.append(pin)
-        rhs.append(Fraction(1))
-        c = [Fraction(0)] * n
-        c[f] = Fraction(1)
-        res = solve_lp(c, rows, rhs, bounds=[(0, 1)] * n)
+        c = [0] * space.n_events
+        c[f] = 1
+        res = statespace.optimize(polytope.pin([e], [Fraction(1)]), c)
         if res.status == INFEASIBLE:
             return CertaintyOrderVerdict(
                 e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True
@@ -414,9 +409,7 @@ def observable_leq(synth, polytope, obs_x, obs_y, tol=synthesis.FLOAT_TOL):
     for v, e in obs_y.support:
         cy[e] += v
     if polytope.mode == statespace.FULL:
-        rows = [list(r) for r, _ in polytope.eq_rows]
-        rhs = [b for _, b in polytope.eq_rows]
-        res = solve_lp(cy, rows, rhs, bounds=[(0, 1)] * space.n_events)
+        res = statespace.optimize(polytope.pin(), cy)
         if res.status != OPTIMAL:
             raise SynthesisError(f"expectation LP ended {res.status}")
         min_gap = res.objective

@@ -7,6 +7,11 @@ out by equality rows plus box bounds, vertices are enumerated exactly, and
 uniqueness questions are settled by exact bound propagation where it pins the
 conditional, else by the in-repo rational simplex.
 
+A full polytope has one parametrization x = x0 + B t, its equality rows
+reduced once; pins substitute into it, and vertex enumeration and every exact
+LP run over its [0, 1] box rows in t.  Only the Farkas certificate of an EMPTY
+slice uses rows in event coordinates, so it replays without a row reduction.
+
 Two polytope modes:
 
     FULL       all states of the orthospace (equality rows + [0,1] box), with
@@ -33,7 +38,7 @@ from .errors import (
     PreconditionError,
     UcpError,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, solve_lp
+from .exactlp import INFEASIBLE, OPTIMAL, LpResult, solve_lp
 
 FULL = "FULL"
 GENERATED = "GENERATED"
@@ -157,6 +162,22 @@ class StatePolytope:
         """FULL mode: all solutions of eq_rows as (x0, nullspace basis), or None."""
         return linsolve.solve_affine([list(r) for r, _ in self.eq_rows], [b for _, b in self.eq_rows])
 
+    def pin(self, events=(), values=()):
+        """FULL mode: (x0, B) of the solutions with x_f = v on the given events, or None.
+
+        Row reduction is canonical: this equals reducing eq_rows plus the pin rows.
+        """
+        sol = self._parametrization
+        if sol is None or not events:
+            return sol
+        x0, basis = sol
+        rows = [[v[f] for v in basis] for f in events]
+        sub = linsolve.solve_affine(rows, [t - x0[f] for f, t in zip(events, values)])
+        if sub is None:
+            return None
+        t0, dirs = sub
+        return _point(x0, basis, t0), [_point([0] * len(x0), basis, c) for c in dirs]
+
     def affine_dim(self):
         """Dimension of the affine hull candidate (FULL mode: nullity of the rows)."""
         if self.mode == FULL:
@@ -173,7 +194,7 @@ def build_state_polytope(space, with_vertices=True):
     """FULL polytope; vertices enumerated exactly when the space is small enough."""
     poly = StatePolytope(space=space, mode=FULL, eq_rows=equality_rows(space))
     if with_vertices and space.n_events <= _VERTEX_EVENT_CAP:
-        poly.generators = [State(tuple(v)) for v in _enumerate_vertices(poly.eq_rows, space.n_events)]
+        poly.generators = [State(tuple(v)) for v in _enumerate_vertices(poly._parametrization)]
     return poly
 
 
@@ -182,9 +203,56 @@ def generated_polytope(space, states):
     return StatePolytope(space=space, mode=GENERATED, generators=list(states))
 
 
-def _enumerate_vertices(eq_rows, n):
-    """Exact vertex enumeration of {x in [0,1]^n : rows}. Order is deterministic."""
-    if not eq_rows:
+def _point(x0, basis, t):
+    """x0 + B t, in event coordinates (most entries of B and t are zero)."""
+    terms = [(bvec, tv) for bvec, tv in zip(basis, t) if tv]
+    return [x0[i] + sum(bvec[i] * tv for bvec, tv in terms if bvec[i]) for i in range(len(x0))]
+
+
+def _box_rows(x0, basis):
+    """The [0, 1] box as rows alpha.t <= beta over t; None when a fixed coordinate leaves it."""
+    ineq = []
+    for i in range(len(x0)):
+        coeffs = tuple(bvec[i] for bvec in basis)
+        if all(c == 0 for c in coeffs):
+            if not (0 <= x0[i] <= 1):
+                return None
+            continue
+        ineq.append((coeffs, 1 - x0[i]))
+        ineq.append((tuple(-c for c in coeffs), x0[i]))
+    return ineq
+
+
+def optimize(param, cost, maximize=False):
+    """Exact LP: minimize (or maximize) cost.x over {x = x0 + B t in [0, 1]^n}.
+
+    `param` is (x0, B), or None for an empty set.  The variables are t (free)
+    plus one slack per box row; the LpResult carries x and the objective in
+    event coordinates, and no certificate.
+    """
+    ineq = None if param is None else _box_rows(*param)
+    if ineq is None:
+        return LpResult(INFEASIBLE, None, None)
+    x0, basis = param
+    cost = [Fraction(c) for c in cost]
+    d, m = len(basis), len(ineq)
+    a_eq = [list(coeffs) + [Fraction(int(j == r)) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
+    c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [Fraction(0)] * m
+    res = solve_lp(c_t, a_eq, [beta for _, beta in ineq], [(None, None)] * d + [(0, None)] * m, maximize=maximize)
+    if res.status != OPTIMAL:
+        return LpResult(res.status, None, None)
+    offset = sum(c * v for c, v in zip(cost, x0) if c)
+    return LpResult(OPTIMAL, _point(x0, basis, res.x[:d]), res.objective + offset)
+
+
+def _enumerate_vertices(param):
+    """Exact vertex enumeration of {x0 + B t in [0,1]^n}. Order is deterministic."""
+    ineq = None if param is None else _box_rows(*param)
+    if ineq is None:
+        return []
+    x0, basis = param
+    n, d = len(x0), len(basis)
+    if d == n:
         # no constraints beyond the box itself: the vertices are the corners
         if 2**n > _VERTEX_CAP:
             raise CapacityError("vertex count exceeds the cap")
@@ -192,25 +260,8 @@ def _enumerate_vertices(eq_rows, n):
             tuple(Fraction((mask >> i) & 1) for i in range(n))
             for mask in range(2**n)
         ]
-    a = [list(r) for r, _ in eq_rows]
-    b = [rhs for _, rhs in eq_rows]
-    sol = linsolve.solve_affine(a, b)
-    if sol is None:
-        return []
-    x0, basis = sol
-    d = len(basis)
     if d == 0:
-        return [x0] if all(0 <= v <= 1 for v in x0) else []
-    # inequality rows alpha.t <= beta from the box bounds of each coordinate
-    ineq = []
-    for i in range(n):
-        coeffs = tuple(bvec[i] for bvec in basis)
-        if all(c == 0 for c in coeffs):
-            if not (0 <= x0[i] <= 1):
-                return []
-            continue
-        ineq.append((coeffs, 1 - x0[i]))
-        ineq.append((tuple(-c for c in coeffs), x0[i]))
+        return [tuple(x0)]
     m = len(ineq)
     if math.comb(m, d) > _COMBO_CAP:
         raise CapacityError(f"vertex enumeration over C({m},{d}) combinations exceeds the cap")
@@ -224,7 +275,7 @@ def _enumerate_vertices(eq_rows, n):
             continue
         if any(sum(c * tv for c, tv in zip(coeffs, t)) > beta for coeffs, beta in ineq):
             continue
-        x = tuple(x0[i] + sum(bvec[i] * tv for bvec, tv in zip(basis, t)) for i in range(n))
+        x = tuple(_point(x0, basis, t))
         if x not in seen:
             seen.add(x)
             out.append(x)
@@ -367,12 +418,13 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     rows inside the [0, 1] box, exactly.  When that pins every event, the
     pinned point is replayed against the slice (is_state plus the conditioning
     targets) and returned as UNIQUE with no LP.  Otherwise (a contradiction or
-    a coordinate left free) it reduces the slice's equality system by exact
-    elimination and bounds each remaining free coordinate by exact LPs; the
-    event evaluations are affine and injective in those coordinates, so "every
-    free coordinate pinned" is equivalent to the per-event min = max criterion.
-    Only the LPs give MULTIPLE witnesses and EMPTY Farkas certificates.
-    `slice_dim` is the nullity of the slice's equality rows either way.
+    a coordinate left free) it pins the targets in the polytope's one
+    parametrization and bounds each remaining free coordinate by exact LPs;
+    the event evaluations are affine and injective in those coordinates, so
+    "every free coordinate pinned" is equivalent to the per-event min = max
+    criterion.  Only the LPs give MULTIPLE witnesses; EMPTY carries a Farkas
+    certificate over the slice's rows in event coordinates.  `slice_dim` is
+    the nullity of the slice's equality rows either way.
     GENERATED mode runs the per-event LPs in convex-coefficient space directly.
     """
     slc = conditional_slice(polytope, mu, e, family)
@@ -381,80 +433,33 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     return _uc_full(slc)
 
 
-def _pinned_slice_dim(slc):
-    """Nullity of a consistent slice's rows: dim null(eq_rows) - rank(pin rows on that nullspace)."""
-    _, basis = slc.polytope._parametrization
-    return len(basis) - linsolve.rank([[v[f] for v in basis] for f in slc.constraint_events])
-
-
 def _uc_full(slc):
+    sub = slc.polytope.pin(slc.constraint_events, slc.targets)
+    d = -1 if sub is None else len(sub[1])
     pinned = _propagate(slc)
     if pinned is not None:
         nu = State(tuple(pinned))
         if not slc.satisfied_by(nu):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
-        return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=_pinned_slice_dim(slc))
+        return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=d)
     n = slc.polytope.space.n_events
-    rows = _slice_rows(slc)
-    a = [list(r) for r, _ in rows]
-    b = [rhs for _, rhs in rows]
-    sol = linsolve.solve_affine(a, b)
-    if sol is None:
-        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(rows, n), slice_dim=-1)
-    x0, basis = sol
-    d = len(basis)
-    if d == 0:
-        if all(0 <= v <= 1 for v in x0):
-            return ConditionalVerdict(UNIQUE, conditional=State(tuple(x0)), slice_dim=0)
-        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(rows, n), slice_dim=0)
-
-    # t-space LP data: box rows over the free coordinates
-    ineq = []
-    for i in range(n):
-        coeffs = tuple(bvec[i] for bvec in basis)
-        if all(c == 0 for c in coeffs):
-            if not (0 <= x0[i] <= 1):
-                return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(rows, n), slice_dim=d)
-            continue
-        ineq.append((coeffs, 1 - x0[i]))
-        ineq.append((tuple(-c for c in coeffs), x0[i]))
-
-    m = len(ineq)
-    # variables: t (free) then one slack per inequality row
-    def lp(cvec, maximize):
-        c = list(cvec) + [Fraction(0)] * m
-        a_eq = []
-        b_eq = []
-        for r, (coeffs, beta) in enumerate(ineq):
-            row = list(coeffs) + [Fraction(0)] * m
-            row[d + r] = Fraction(1)
-            a_eq.append(row)
-            b_eq.append(beta)
-        bounds = [(None, None)] * d + [(0, None)] * m
-        return solve_lp(c, a_eq, b_eq, bounds, maximize=maximize)
-
-    feas = lp([Fraction(0)] * d, False)
+    feas = optimize(sub, [0] * n)
     if feas.status == INFEASIBLE:
-        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(rows, n), slice_dim=d)
-
-    def to_state(t):
-        return State(tuple(x0[i] + sum(bvec[i] * tv for bvec, tv in zip(basis, t)) for i in range(n)))
-
-    pinned = []
-    for j in range(d):
-        cvec = [Fraction(0)] * d
-        cvec[j] = Fraction(1)
-        lo = lp(cvec, False)
-        hi = lp(cvec, True)
+        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(_slice_rows(slc), n), slice_dim=d)
+    for bvec in sub[1]:
+        # an rref direction is 1 on its own free event, which is its last nonzero entry
+        cost = [0] * n
+        cost[max(i for i, v in enumerate(bvec) if v != 0)] = 1
+        lo = optimize(sub, cost)
+        hi = optimize(sub, cost, maximize=True)
         if lo.status != OPTIMAL or hi.status != OPTIMAL:
             raise UcpError("bounded slice reported unbounded; inconsistent tables")
         if lo.objective != hi.objective:
-            nu1 = to_state(lo.x[:d])
-            nu2 = to_state(hi.x[:d])
+            nu1, nu2 = State(tuple(lo.x)), State(tuple(hi.x))
             g = next(i for i in range(n) if nu1[i] != nu2[i])
             return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
-        pinned.append(lo.objective)
-    return ConditionalVerdict(UNIQUE, conditional=to_state(pinned), slice_dim=d)
+    # every free coordinate is pinned, so the slice is the single point found
+    return ConditionalVerdict(UNIQUE, conditional=State(tuple(feas.x)), slice_dim=d)
 
 
 def _uc_generated(slc):
@@ -499,11 +504,7 @@ def state_with_mass_one(polytope, e):
     """Some state giving event e probability 1, or None (exact feasibility LP)."""
     n = polytope.space.n_events
     if polytope.mode == FULL:
-        rows = list(polytope.eq_rows)
-        row = [Fraction(0)] * n
-        row[e] = Fraction(1)
-        rows.append((tuple(row), Fraction(1)))
-        res = solve_lp([Fraction(0)] * n, [list(r) for r, _ in rows], [b for _, b in rows], bounds=[(0, 1)] * n)
+        res = optimize(polytope.pin([e], [Fraction(1)]), [0] * n)
         return State(tuple(res.x)) if res.status == OPTIMAL else None
     gens = polytope.generators
     g = len(gens)

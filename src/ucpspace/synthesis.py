@@ -611,10 +611,9 @@ def check_box_equality(synth):
         raise SynthesisError("box equality needs the exact lane")
     pairing = synth.pairing
     n_states, n_events = pairing.shape
-    rows = [[pairing[l, j] for l in range(n_states)] for j in range(n_events)]
-    null = linsolve.solve_affine([list(r) for r in rows], [Fraction(0)] * n_events)[1]
-    hom = [(tuple(v), Fraction(0)) for v in null]
-    verts = statespace._enumerate_vertices(hom, n_states)
+    # the box points of span pi(E): x = 0 + B t over the independent event columns
+    span = ([Fraction(0)] * n_states, [list(synth.pi(e)) for e in synth.basis_events])
+    verts = statespace._enumerate_vertices(span)
     cols = {tuple(pairing[l, e] for l in range(n_states)) for e in range(n_events)}
     on_events = sum(1 for v in verts if tuple(v) in cols)
     events_in_box = all(0 <= pairing[l, e] <= 1 for l in range(n_states) for e in range(n_events))

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, worked examples, replay round trips."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -50,6 +51,10 @@ def files(tmp_path_factory):
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
     paths["mu3"] = put("mu3.txt", fileio.format_states([mu]))
     paths["no_states"] = put("no_states.txt", "states v1\nn_events 8\n")
+    # Boolean 2 with the unit 3 orthogonal to itself and 3 + 3 = 3: additivity
+    # forces mu(3) = 0 against the unit row, so no state exists
+    stateless = fileio.format_orthospace(orthospace.boolean_orthospace(2)).rstrip("\n")
+    paths["stateless"] = put("stateless.txt", stateless + "\northo 3 3\nsum 3 3 3\n")
 
     rho = complex_element([[0.5, 0], [0, 0.5]])
     e = complex_element([[1, 0], [0, 0]])
@@ -134,6 +139,13 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "holds no states" in err
+
+    @pytest.mark.parametrize("check", ["uniqueness", "separation", "mixture"])
+    def test_space_without_states_is_not_a_pass(self, files, check):
+        code, out, err = invoke(["verify", "--input", files["stateless"], "--states", "full", check])
+        assert code == 2
+        assert out == ""
+        assert "has no states; nothing was checked" in err
 
     @pytest.mark.parametrize(
         "input_name, states, extra",
@@ -224,6 +236,16 @@ class TestReplay:
         _, first = self.run_structured(files)
         _, second = self.run_structured(files)
         assert first == second
+
+    def test_mo3_uniqueness_block_is_unchanged(self, files):
+        # the MULTIPLE records and witnesses of MO_3; a refactor of the exact lane keeps them byte-identical
+        code, out, _ = invoke(
+            ["verify", "--input", files["mo3"], "--states", "full", "uniqueness", "--format", "structured"]
+        )
+        assert code == 1
+        block = json.dumps(json.loads(out)["uniqueness"], sort_keys=True)
+        digest = hashlib.sha256(block.encode()).hexdigest()
+        assert digest == "342be6d1b74216ba5c2ffd360031936045bb97ab98b8e22e771da964c15ace00"
 
 
 class TestCondition:

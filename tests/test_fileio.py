@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucpspace import fileio, instances, jordan, statespace, synthesis
+from ucpspace import fileio, instances, jordan, synthesis
 from ucpspace.errors import ParseError
 from ucpspace.statespace import build_state_polytope
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ucpspace import cayley, jordan
-from ucpspace.errors import DecompositionError, SizeError
+from ucpspace.errors import SizeError
 from ucpspace.jordan import (
     check_norm_laws,
     diag,

@@ -10,7 +10,6 @@ from ucpspace.lueders import (
     check_compression_identities,
     check_compression_system,
     classify_pair,
-    compression_matrix,
     condition,
     conditional_probability,
     density_from,

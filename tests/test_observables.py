@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucpspace import instances, jordan, observables, statespace, synthesis
-from ucpspace.errors import PreconditionError, StructuralError, SynthesisError
+from ucpspace import instances, jordan
+from ucpspace.errors import PreconditionError, StructuralError
 from ucpspace.observables import (
     NOT_REPRESENTABLE,
     check_certainty_order,

@@ -6,7 +6,6 @@ import pytest
 from ucpspace import instances, orthospace
 from ucpspace.errors import SizeError, StructuralError
 from ucpspace.orthospace import (
-    AXIOMS,
     OrthoSpace,
     boolean_orthospace,
     horizontal_sum,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucpspace import instances, jordan, statespace, synthesis
+from ucpspace import instances, jordan, orthospace, statespace
 from ucpspace.errors import SynthesisError
 from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
@@ -247,6 +247,19 @@ class TestHull:
     def test_bool2_box_equals_hull(self, bool2_session):
         synth, _ = bool2_session
         rep = check_box_equality(synth)
+        assert rep.equal
+
+    @pytest.mark.parametrize(
+        "space",
+        [orthospace.boolean_orthospace(2), orthospace.boolean_orthospace(3), instances.mo_orthospace(2),
+         instances.mo_orthospace(3)],
+        ids=["bool2", "bool3", "mo2", "mo3"],
+    )
+    def test_box_vertices_are_the_events(self, space):
+        # Boolean: the 2^k corners of [0, 1]^k; MO_k: the 2k + 2 event images
+        synth = abstract_synthetic_space(space, build_state_polytope(space).generators)
+        rep = check_box_equality(synth)
+        assert rep.vertices == rep.vertices_on_events == space.n_events
         assert rep.equal
 
     def test_bool2_membership(self, bool2_session):
