@@ -21,9 +21,11 @@ which for associative tags collapses to (abc + cba) / 2.  Spectral theory:
             comes from Lagrange interpolation in a (single-element
             subalgebras are associative, so the polynomials are unambiguous)
 
-Nearby eigenvalues merge at `cluster_tol` (default 1e-9); if the frame fails
-to reconstruct the element within `residual_tol` (default 1e-7) the
-decomposition raises DecompositionError rather than returning junk.
+Both tolerances are relative to the element's spectral radius, so a
+decomposition behaves the same at every scale: nearby eigenvalues merge
+within `cluster_tol` (default 1e-9) of it; if the frame fails to reconstruct
+the element within `residual_tol` (default 1e-7) of it the decomposition
+raises DecompositionError rather than returning junk.
 """
 
 from dataclasses import dataclass
@@ -208,12 +210,16 @@ def _cluster(sorted_vals, tol):
     return groups
 
 
+def _radius(sorted_vals):
+    return max(abs(float(sorted_vals[0])), abs(float(sorted_vals[-1])))
+
+
 def _check_residual(a, spectrum, residual_tol):
     acc = np.zeros_like(a.coords)
     for v, p in zip(spectrum.values, spectrum.frame):
         acc += v * p.coords
     resid = float(np.max(np.abs(acc - a.coords)))
-    if resid > residual_tol:
+    if resid > residual_tol * _radius(spectrum.values):
         raise DecompositionError(f"frame reconstruction residual {resid:.2e}")
     return spectrum
 
@@ -227,9 +233,8 @@ def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, residual_tol=RESIDUAL_TOL
     diag_imag = a.coords[np.arange(n), np.arange(n), 1:]
     if np.max(np.abs(off)) == 0.0 and (diag_imag.size == 0 or np.max(np.abs(diag_imag)) == 0.0):
         return _spectral_diagonal(a, cluster_tol)
-    if a.tag == "O3":
-        return _check_residual(a, _spectral_octonion(a, cluster_tol), residual_tol)
-    return _check_residual(a, _spectral_embedded(a, cluster_tol), residual_tol)
+    spectral = _spectral_octonion if a.tag == "O3" else _spectral_embedded
+    return _check_residual(a, spectral(a, cluster_tol), residual_tol)
 
 
 def _spectral_diagonal(a, cluster_tol):
@@ -238,7 +243,7 @@ def _spectral_diagonal(a, cluster_tol):
     order = np.argsort(d, kind="stable")
     svals = d[order]
     values, frame, mult = [], [], []
-    for s, e in _cluster(svals, cluster_tol):
+    for s, e in _cluster(svals, cluster_tol * _radius(svals)):
         members = order[s:e]
         c = np.zeros_like(a.coords)
         for i in members:
@@ -254,7 +259,7 @@ def _spectral_embedded(a, cluster_tol):
     m = kernels.embed_real(a.coords)
     w, v = np.linalg.eigh(m)
     values, frame, mult = [], [], []
-    for s, e in _cluster(w, cluster_tol):
+    for s, e in _cluster(w, cluster_tol * _radius(w)):
         if (e - s) % k:
             # eigenvalues of the embedding always arrive k-fold; a ragged
             # cluster means two true eigenvalues straddle the tolerance
@@ -295,8 +300,9 @@ def _cubic_roots(t1, s2, d3):
     p = s2 - t1 * t1 / 3.0
     q = -2.0 * t1**3 / 27.0 + t1 * s2 / 3.0 - d3
     shift = t1 / 3.0
-    if p > -1e-14:
-        # (near-)triple root
+    # p = -sum_{i<j} (l_i - l_j)^2 / 6 while t1^2 - 2 s2 = sum_i l_i^2: a
+    # (near-)triple root is a spread that vanishes relative to the scale
+    if p >= -1e-14 * (t1 * t1 - 2.0 * s2):
         return np.array([shift, shift, shift])
     r = np.sqrt(-p / 3.0)
     arg = np.clip(3.0 * q / (2.0 * p * r), -1.0, 1.0)
@@ -304,9 +310,9 @@ def _cubic_roots(t1, s2, d3):
     ys = 2.0 * r * np.cos((phi - 2.0 * np.pi * np.arange(3)) / 3.0)
     roots = np.sort(ys + shift)
     # coefficient noise splits a double root symmetrically by the square root
-    # of the noise; the pair mean cancels the split to first order
-    scale = max(1.0, abs(roots[0]), abs(roots[2]))
-    close = 32.0 * np.sqrt(np.finfo(np.float64).eps) * scale
+    # of the noise, relative to the spectral radius; the pair mean cancels
+    # the split to first order
+    close = 32.0 * np.sqrt(np.finfo(np.float64).eps) * _radius(roots)
     if roots[2] - roots[0] <= close:
         roots[:] = np.mean(roots)
     elif roots[1] - roots[0] <= close:
@@ -319,7 +325,7 @@ def _cubic_roots(t1, s2, d3):
 def _spectral_octonion(a, cluster_tol):
     t1, s2, d3 = characteristic_cubic(a)
     roots = _cubic_roots(t1, s2, d3)
-    groups = _cluster(roots, cluster_tol)
+    groups = _cluster(roots, cluster_tol * _radius(roots))
     ident = identity(a.tag, a.n)
     reps = [float(np.mean(roots[s:e])) for s, e in groups]
     mult = [e - s for s, e in groups]

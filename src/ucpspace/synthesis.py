@@ -15,6 +15,10 @@ LP-based unique conditional of the state polytope (exact lane, Fractions
 end-to-end) or the closed-form Lüders conditional of a matrix instance
 (float lane).  Event multipliers T_e = (I + U_e - U_e')/2 then recover the
 product: x o y = T_y x extended bilinearly from the events, symmetrized.
+Both linear maps the product needs are built once per model: the left inverse
+of the basis-event columns (coordinates of x over basis_events) and the
+structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
+x o y = sum_kl cx_k cy_l S[k, l] is one contraction per product.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
@@ -63,6 +67,21 @@ def _independent_columns_float(mat, tol=FLOAT_TOL):
     return picked
 
 
+def _left_inverse(cols, exact):
+    """(rows, inv) with inv @ cols[rows] = I, so inv @ x[rows] gives the coordinates of x.
+
+    Float lane: the pseudoinverse over every row.  Exact lane: the Fraction
+    inverse of an independent block of rows.
+    """
+    if not exact:
+        return slice(None), np.linalg.pinv(cols)
+    dim = cols.shape[1]
+    rows = linsolve.independent_subset([list(r) for r in cols])
+    aug = [list(cols[i]) + [Fraction(int(i == j)) for j in rows] for i in rows]
+    red, _ = linsolve.rref(aug)
+    return rows, np.array([r[dim:] for r in red], dtype=object)
+
+
 @dataclass
 class SyntheticSpace:
     """Finite event system modeled in the dual of its state span."""
@@ -72,6 +91,8 @@ class SyntheticSpace:
     exact: bool
     dim: int  # rank of the pairing matrix
     basis_events: tuple  # event ids whose pi-columns are independent
+    basis_cols: np.ndarray  # (n_states, dim): the pi-columns of basis_events
+    coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols)
     degenerate_pairs: list = field(default_factory=list)  # events no generator separates
 
     @property
@@ -109,18 +130,19 @@ class SyntheticSpace:
 
     def event_coords(self, x, tol=FLOAT_TOL):
         """Coefficients over basis_events reproducing x, or SynthesisError."""
-        cols = self.pairing[:, list(self.basis_events)]
+        x = np.asarray(x) if self.exact else np.asarray(x, dtype=np.float64)
+        rows, inv = self.coord_map
+        c = inv @ x[rows]
+        back = self.basis_cols @ c
         if self.exact:
-            a_rows = [[cols[i, j] for j in range(cols.shape[1])] for i in range(cols.shape[0])]
-            sol = linsolve.solve_affine(a_rows, list(x))
-            if sol is None:
-                raise SynthesisError("element lies outside the event span")
-            return sol[0]
-        b = np.asarray(x, dtype=np.float64)
-        s, *_ = np.linalg.lstsq(cols, b, rcond=None)
-        if np.linalg.norm(cols @ s - b) > tol * max(1.0, np.linalg.norm(b)):
+            outside = any(back != x)
+        else:
+            # ||back - x|| > tol * max(1, ||x||), compared in squares
+            r = back - x
+            outside = r @ r > tol * tol * max(1.0, x @ x)
+        if outside:
             raise SynthesisError("element lies outside the event span")
-        return s
+        return c
 
 
 def _check_state_rows(space, rows, exact):
@@ -167,12 +189,15 @@ def build_synthetic_space(space, value_rows, exact=None):
                 same = bool(np.max(np.abs(pairing[:, e] - pairing[:, f])) <= FLOAT_TOL)
             if same:
                 degenerate.append((e, f))
+    basis_cols = pairing[:, picked]
     return SyntheticSpace(
         space=space,
         pairing=pairing,
         exact=exact,
         dim=dim,
         basis_events=tuple(picked),
+        basis_cols=basis_cols,
+        coord_map=_left_inverse(basis_cols, exact),
         degenerate_pairs=degenerate,
     )
 
@@ -212,9 +237,14 @@ def polytope_expansion_oracle(synth, polytope):
     return oracle
 
 
+def density_matrix(instance):
+    """The instance's densities as rows of flattened coordinates: evaluation is one matvec."""
+    return np.stack([d.element.coords.reshape(-1) for d in instance.densities])
+
+
 def lueders_expansion_oracle(synth, instance):
     """Float-lane oracle: closed-form Lüders conditional, expanded over densities."""
-    flat = np.stack([d.element.coords.reshape(-1) for d in instance.densities])
+    flat = density_matrix(instance)
     pinv = np.linalg.pinv(flat.T)
 
     def oracle(l, e_id):
@@ -289,6 +319,7 @@ class ProductModel:
     synth: SyntheticSpace
     compressions: dict  # event -> CompressionReport
     multipliers: dict  # event -> T_e matrix
+    structure: np.ndarray  # (dim, dim, n_states): S[k, l] = b_k o b_l over basis_events
 
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
@@ -296,19 +327,19 @@ class ProductModel:
     def t_apply(self, e, x):
         return self.multipliers[e] @ x
 
-    def t_for(self, y):
-        """Multiplier of an arbitrary element of the event span."""
-        coeffs = self.synth.event_coords(y)
-        acc = None
-        for c, e in zip(coeffs, self.synth.basis_events):
-            term = self.multipliers[e] * c
-            acc = term if acc is None else acc + term
-        return acc
-
     def product(self, x, y):
-        """Reconstructed x o y, symmetrized over the two multiplier readings."""
-        half = Fraction(1, 2) if self.synth.exact else 0.5
-        return (self.t_for(y) @ x + self.t_for(x) @ y) * half
+        """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], from the event coordinates of x and y."""
+        synth = self.synth
+        cx, cy = synth.event_coords(x), synth.event_coords(y)
+        if not synth.exact:
+            return np.einsum("k,l,kls->s", cx, cy, self.structure)
+        acc = synth.zeros()
+        for k, a in enumerate(cx):
+            if a:
+                for l, b in enumerate(cy):
+                    if b:
+                        acc = acc + self.structure[k, l] * (a * b)
+        return acc
 
     def power(self, x, m):
         acc = x
@@ -329,20 +360,19 @@ class ProductModel:
         return worst, arg
 
 
-def build_product_model(synth, oracle, events=None):
-    """Compressions for every requested event (plus complements) and their multipliers."""
+def build_product_model(synth, oracle):
+    """Compressions and multipliers of every event, and the structure constants of the product."""
     space = synth.space
-    wanted = set(events if events is not None else space.events())
-    for e in list(wanted):
-        wanted.add(space.comp(e))
-    comps = {}
-    for e in sorted(wanted):
-        comps[e] = build_compression(synth, e, oracle)
+    comps = {e: build_compression(synth, e, oracle) for e in space.events()}
     mults = {
         e: multiplier_matrix(synth, comps[e].matrix, comps[space.comp(e)].matrix)
-        for e in sorted(wanted)
+        for e in space.events()
     }
-    return ProductModel(synth=synth, compressions=comps, multipliers=mults)
+    # a[k, l] = T_{b_k} pi(b_l); S is its symmetrization over (k, l)
+    a = (np.stack([mults[e] for e in synth.basis_events]) @ synth.basis_cols).transpose(0, 2, 1)
+    half = Fraction(1, 2) if synth.exact else 0.5
+    structure = (a + a.transpose(1, 0, 2)) * half
+    return ProductModel(synth=synth, compressions=comps, multipliers=mults, structure=structure)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +396,7 @@ def check_well_definedness(model, samples=50, rng=None):
     synth = model.synth
     space = synth.space
     worst_triple = 0.0
-    basis_cols = [synth.pi(g) for g in synth.basis_events]
+    basis_cols = synth.basis_cols.T
     for e in space.events():
         for f in range(e, space.n_events):
             s = space.sum_of(e, f)
@@ -612,7 +642,7 @@ def check_box_equality(synth):
     pairing = synth.pairing
     n_states, n_events = pairing.shape
     # the box points of span pi(E): x = 0 + B t over the independent event columns
-    span = ([Fraction(0)] * n_states, [list(synth.pi(e)) for e in synth.basis_events])
+    span = ([Fraction(0)] * n_states, [list(col) for col in synth.basis_cols.T])
     verts = statespace._enumerate_vertices(span)
     cols = {tuple(pairing[l, e] for l in range(n_states)) for e in range(n_events)}
     on_events = sum(1 for v in verts if tuple(v) in cols)
@@ -642,33 +672,34 @@ def hull_membership(synth, x):
 # canonical comparison against a matrix instance
 
 
-def evaluation_of(instance, x):
-    """Evaluation vector of a hermitian element against the instance densities."""
-    flat = np.stack([d.element.coords.reshape(-1) for d in instance.densities])
-    return flat @ np.asarray(x.coords, dtype=np.float64).reshape(-1)
+def evaluation_of(densities, x):
+    """Evaluation vector of a hermitian element against a density_matrix."""
+    return densities @ np.asarray(x.coords, dtype=np.float64).reshape(-1)
 
 
 def compare_with_lueders(model, instance):
     """Worst gap between synthetic compressions and {e, ., e} on a spanning set."""
+    densities = density_matrix(instance)
     worst = 0.0
     basis = jordan.hermitian_basis(instance.tag, instance.n)
     for e_id, e in enumerate(instance.elements):
         u = model.compressions[e_id].matrix
         for h in basis:
-            lhs = u @ evaluation_of(instance, h)
-            rhs = evaluation_of(instance, jordan.triple_product(e, h, e))
+            lhs = u @ evaluation_of(densities, h)
+            rhs = evaluation_of(densities, jordan.triple_product(e, h, e))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
 def compare_products(model, instance):
     """Worst gap between the reconstructed product and the Jordan product on pi(E) pairs."""
+    densities = density_matrix(instance)
     synth = model.synth
     worst = 0.0
     for i, a in enumerate(instance.elements):
         for j, b in enumerate(instance.elements):
             got = model.product(synth.pi(i), synth.pi(j))
-            want = evaluation_of(instance, jordan.jordan_product(a, b))
+            want = evaluation_of(densities, jordan.jordan_product(a, b))
             worst = max(worst, float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want))))
     return worst
 

@@ -147,6 +147,22 @@ class TestVerify:
         assert out == ""
         assert "has no states; nothing was checked" in err
 
+    def test_axiom_failure_survives_a_blocked_check(self, files):
+        # the stateless space fails two axioms; the uniqueness check it cannot
+        # run is marked not checked and the verdict stays FAIL
+        argv = ["verify", "--input", files["stateless"], "--states", "full", "axioms", "uniqueness"]
+        code, out, _ = invoke(argv)
+        assert code == 1
+        assert "axiom difference-characterization: FAIL" in out
+        assert "axiom unique-complement: FAIL" in out
+        assert "not checked (uniqueness)" in out
+        assert out.rstrip().endswith("verify: FAIL")
+        code, out, _ = invoke(argv + ["--format", "structured"])
+        report = json.loads(out)
+        assert code == 1 and report["passed"] is False
+        assert report["not_checked"]["checks"] == ["uniqueness"]
+        assert not report["axioms"]["unique-complement"]["passed"]
+
     @pytest.mark.parametrize(
         "input_name, states, extra",
         [
@@ -388,6 +404,18 @@ class TestSynthesize:
         code_b, out_b, _ = invoke(argv)
         assert code_a == code_b == 0
         assert out_a == out_b
+
+    def test_boolean3_report_is_unchanged(self, files):
+        # the whole exact-lane report (laws, density, dump) but the input path;
+        # a change to the product model or the exact lane keeps it byte-identical
+        code, out, _ = invoke(
+            ["synthesize", "--input", files["bool3"], "--states", "full", "--seed", "7", "--format", "structured"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "f383f56db5a6ffaeb71cf47532dbdcccd0bdcdc68b62a29b2c0ac4cab42ddd4d"
 
 
 class TestEntryPoint:

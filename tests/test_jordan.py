@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucpspace import cayley, jordan
 from ucpspace.errors import SizeError
@@ -266,3 +268,54 @@ class TestCubicDeterminant:
             p = jordan.random_frame("O3", 3, rng)[0]
             vals = np.sort(eigenvalues(p))
             assert np.max(np.abs(vals - [0.0, 0.0, 1.0])) <= 1e-12
+
+
+# scales 1e-9 .. 1e6, log-uniform
+scales = st.floats(min_value=-9.0, max_value=6.0).map(lambda e: 10.0**e)
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def complex_as_octonion(c):
+    """A 3x3 complex hermitian element inside the Albert algebra (first two coordinates of eight)."""
+    coords = np.zeros((3, 3, 8))
+    coords[..., :2] = c.coords
+    return element("O3", coords)
+
+
+class TestSpectraAtEveryScale:
+    def test_small_octonion_keeps_three_eigenvalues(self):
+        a = random_hermitian("O3", 3, np.random.default_rng(0))
+        s = spectral_decomposition(a * 1e-8)
+        assert s.multiplicity == [1, 1, 1]
+        assert np.allclose(s.values * 1e8, eigenvalues(a), rtol=1e-9, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(jordan.TAGS), seeds, scales)
+    def test_spectrum_scales_with_the_element(self, tag, seed, scale):
+        a = random_hermitian(tag, 3, np.random.default_rng(seed))
+        ref = spectral_decomposition(a)
+        got = spectral_decomposition(a * scale)
+        radius = np.max(np.abs(ref.values))
+        assert got.multiplicity == ref.multiplicity
+        assert np.max(np.abs(got.values / scale - ref.values)) <= 1e-9 * radius
+        assert np.max(np.abs(eigenvalues(a * scale) / scale - eigenvalues(a))) <= 1e-9 * radius
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(jordan.TAGS), seeds, scales)
+    def test_scaled_projection_keeps_its_double_eigenvalue(self, tag, seed, scale):
+        p = random_projection(tag, 3, np.random.default_rng(seed), rank=1) * scale
+        s = spectral_decomposition(p)
+        assert s.multiplicity == [2, 1]
+        assert np.max(np.abs(s.values - [0.0, scale])) <= 1e-9 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, scales)
+    def test_octonion_cubic_matches_the_complex_path(self, seed, scale):
+        c = random_hermitian("C", 3, np.random.default_rng(seed)) * scale
+        o = complex_as_octonion(c)
+        want = spectral_decomposition(c)
+        got = spectral_decomposition(o)
+        radius = np.max(np.abs(want.values))
+        assert got.multiplicity == want.multiplicity
+        assert np.max(np.abs(got.values - want.values)) <= 1e-9 * radius
+        assert np.max(np.abs(eigenvalues(o) - eigenvalues(c))) <= 1e-9 * radius

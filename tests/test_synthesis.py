@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucpspace import instances, jordan, orthospace, statespace
+from ucpspace import instances, jordan, linsolve, orthospace, statespace
 from ucpspace.errors import SynthesisError
 from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
@@ -23,6 +23,7 @@ from ucpspace.synthesis import (
     lueders_expansion_oracle,
     matrix_synthetic_space,
     polytope_expansion_oracle,
+    random_primitive,
     scan_compression_fixed_points,
     scan_random_event_systems,
     verify_matrix_witness,
@@ -127,6 +128,19 @@ class TestSpaceConstruction:
         with pytest.raises(SynthesisError):
             synth.event_coords(bad)
 
+    def test_event_coords_rejects_outside_float(self, qubit_synth):
+        # 12 generators over a 4-dimensional event span: the left singular
+        # vectors past the span are off it
+        cols = qubit_synth.pairing[:, list(qubit_synth.basis_events)]
+        off = np.linalg.svd(cols)[0][:, qubit_synth.dim]
+        with pytest.raises(SynthesisError):
+            qubit_synth.event_coords(off)
+        x = qubit_synth.pi(3) * 1e6
+        # the residual tolerance is relative to the element's norm
+        assert np.allclose(cols @ qubit_synth.event_coords(x + off * 1e-6), x, rtol=1e-12, atol=1e-6)
+        with pytest.raises(SynthesisError):
+            qubit_synth.event_coords(x + off * 1.0)
+
 
 class TestCompressions:
     def test_unit_compression_is_identity(self, bool3_model):
@@ -185,6 +199,55 @@ class TestProduct:
         assert worst == 0
         worst_q, _ = qubit_model.worst_symmetry()
         assert worst_q <= 1e-9
+
+
+def reference_product(model, x, y):
+    """x o y by the per-call formula: fresh coordinates of each factor, T = sum c_k T_{b_k}, symmetrized."""
+    synth = model.synth
+    cols = synth.pairing[:, list(synth.basis_events)]
+
+    def multiplier_of(z):
+        if synth.exact:
+            coeffs = linsolve.solve_affine([list(r) for r in cols], list(z))[0]
+        else:
+            coeffs = np.linalg.lstsq(cols, np.asarray(z, dtype=np.float64), rcond=None)[0]
+        return sum(model.multipliers[e] * c for c, e in zip(coeffs, synth.basis_events))
+
+    half = F(1, 2) if synth.exact else 0.5
+    return (multiplier_of(y) @ x + multiplier_of(x) @ y) * half
+
+
+def product_pairs(model, rng, samples=15):
+    """Every pair of event images, then random primitives and products of them."""
+    synth = model.synth
+    pis = [synth.pi(e) for e in synth.space.events()]
+    pairs = [(a, b) for a in pis for b in pis]
+    for _ in range(samples):
+        x, _ = random_primitive(synth, rng)
+        y, _ = random_primitive(synth, rng)
+        pairs += [(x, y), (model.product(x, x), y), (x, model.product(y, x))]
+    return pairs
+
+
+class TestProductEquivalence:
+    """The structure-constant contraction against the per-call formula it replaces."""
+
+    @pytest.mark.parametrize("model_name", ["bool2_model", "bool3_model"])
+    def test_exact_lane_is_identical(self, request, model_name, rng):
+        model = request.getfixturevalue(model_name)
+        for x, y in product_pairs(model, rng):
+            got, want = model.product(x, y), reference_product(model, x, y)
+            assert all(isinstance(v, F) for v in got)
+            assert list(got) == list(want)
+
+    @pytest.mark.parametrize("family_seed", [None, 11, 7671])
+    def test_float_lane_within_rounding(self, family_seed, rng):
+        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+        synth = matrix_synthetic_space(inst)
+        model = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        for x, y in product_pairs(model, rng):
+            got, want = model.product(x, y), reference_product(model, x, y)
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 class TestWellDefinedness:
