@@ -214,11 +214,12 @@ def cmd_verify(args):
         if c not in _CHECKS:
             raise ParseError(f"unknown check '{c}' (choose from {', '.join(_CHECKS)})")
     report["checks"] = checks
-    # the axioms need no states, so they run (and their witnesses stand) before the polytope is loaded
+    # the axioms need no states, so they run (and their witnesses stand) before the polytope is
+    # loaded, and with no other check pending it is not loaded at all
     ok = _verify_axioms(space, report, lines) if "axioms" in checks else True
     pending = [c for c in _CHECKS if c != "axioms" and c in checks]
     try:
-        polytope = _load_polytope(space, args.states) if args.states else None
+        polytope = _load_polytope(space, args.states) if args.states and pending else None
         while pending:
             c = pending[0]
             if polytope is None:

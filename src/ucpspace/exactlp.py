@@ -13,10 +13,23 @@ minimizes (or maximizes) c.x subject to A x = b and per-variable bounds
 (lo, hi), either of which may be None.  An infeasible problem carries a Farkas
 certificate y for the standardized system (y.A <= 0 on every standard-form
 column while y.b > 0), replayable via `verify_farkas`.
+
+The start is the slack basis.  After rows with b < 0 are negated, a
+standard-form column that is a unit vector on a row starts basic on that row
+(the lowest such column wins): a slack of the caller's inequality rows, or the
+slack of an upper-bound row.  Only the remaining rows get an artificial, and
+phase 1 minimizes their sum; with none, phase 1 is skipped.  A negated row's
+slack reads -1, so that row keeps its artificial.  At an infeasible phase-1
+optimum the objective row holds cost - y.A, so y is read off each row's
+starting column: y_i = 1 - (reduced cost of its artificial), or
+y_i = -(reduced cost of the column it started on).  A certificate that fails
+`verify_farkas` raises UcpError; exact arithmetic never produces one.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .errors import UcpError
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -174,31 +187,39 @@ def solve_lp(c, a_eq, b_eq, bounds=None, maximize=False):
             a[i] = [-v for v in a[i]]
             b[i] = -b[i]
 
-    # phase 1: artificial basis
+    # starting basis: a unit column on a row (lowest index first) starts basic
+    # there; every other row gets an artificial, which phase 1 drives to zero
     ncols = std.n_std
-    tab = []
-    for i in range(m):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        tab.append(a[i] + art + [b[i]])
-    # phase-1 objective: sum of artificials, expressed over nonbasic columns
-    obj = [Fraction(0)] * (ncols + m) + [Fraction(0)]
-    for i in range(m):
-        obj = [o - v for o, v in zip(obj, tab[i])]
-    for j in range(ncols, ncols + m):
-        obj[j] = Fraction(0)
-    tab.append(obj)
-    basis = list(range(ncols, ncols + m))
-    _simplex(tab, basis, ncols + m)
-    w = -tab[-1][-1]
-    if w > 0:
-        # the objective row keeps the form cost_row - y.rows, so the entry under
-        # artificial column i (original cost 1) is 1 - y_i
-        y = [Fraction(1) - tab[-1][ncols + i] for i in range(m)]
-        cert = Farkas(a_rows=a, b=b, y=y)
-        if not verify_farkas(cert):
-            cert = None
-        return LpResult(INFEASIBLE, None, None, cert)
+    start = [None] * m
+    for j in range(ncols):
+        hits = [i for i in range(m) if a[i][j] != 0]
+        if len(hits) == 1 and a[hits[0]][j] == 1 and start[hits[0]] is None:
+            start[hits[0]] = j
+    art_rows = [i for i in range(m) if start[i] is None]
+    for k, i in enumerate(art_rows):
+        start[i] = ncols + k
+    width = ncols + len(art_rows)
+    tab = [a[i] + [Fraction(int(start[i] == k)) for k in range(ncols, width)] + [b[i]] for i in range(m)]
+    basis = list(start)
+    if art_rows:
+        # phase-1 objective: sum of artificials, expressed over nonbasic columns
+        obj = [Fraction(0)] * (width + 1)
+        for i in art_rows:
+            obj = [o - v for o, v in zip(obj, tab[i])]
+        for j in range(ncols, width):
+            obj[j] = Fraction(0)
+        tab.append(obj)
+        _simplex(tab, basis, width)
+        w = -tab[-1][-1]
+        if w > 0:
+            # the objective row keeps the form cost_row - y.rows, so y_i is read
+            # off row i's starting column: 1 - entry under an artificial (cost 1),
+            # minus the entry under an original column (cost 0)
+            y = [int(j >= ncols) - tab[-1][j] for j in start]
+            cert = Farkas(a_rows=a, b=b, y=y)
+            if not verify_farkas(cert):
+                raise UcpError("phase 1 produced a Farkas certificate that does not verify")
+            return LpResult(INFEASIBLE, None, None, cert)
 
     # drive artificials out of the basis where possible
     for i in range(m):

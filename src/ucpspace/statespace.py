@@ -408,7 +408,9 @@ def _propagate(slc):
 
 def _feasibility_certificate(rows, n):
     res = solve_lp([Fraction(0)] * n, [list(r) for r, _ in rows], [b for _, b in rows], bounds=[(0, 1)] * n)
-    return res.farkas if res.status == INFEASIBLE else None
+    if res.status != INFEASIBLE:
+        raise UcpError("an empty slice is feasible in event coordinates; inconsistent tables")
+    return res.farkas
 
 
 def check_conditional_uniqueness(polytope, mu, e, family=None):
@@ -422,9 +424,10 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     parametrization and bounds each remaining free coordinate by exact LPs;
     the event evaluations are affine and injective in those coordinates, so
     "every free coordinate pinned" is equivalent to the per-event min = max
-    criterion.  Only the LPs give MULTIPLE witnesses; EMPTY carries a Farkas
-    certificate over the slice's rows in event coordinates.  `slice_dim` is
-    the nullity of the slice's equality rows either way.
+    criterion.  Only the LPs give MULTIPLE witnesses.  The slice is EMPTY when
+    a fixed coordinate leaves [0, 1] or the first LP is infeasible; EMPTY
+    carries a Farkas certificate over the slice's rows in event coordinates.
+    `slice_dim` is the nullity of the slice's equality rows either way.
     GENERATED mode runs the per-event LPs in convex-coefficient space directly.
     """
     slc = conditional_slice(polytope, mu, e, family)
@@ -443,14 +446,17 @@ def _uc_full(slc):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
         return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=d)
     n = slc.polytope.space.n_events
-    feas = optimize(sub, [0] * n)
-    if feas.status == INFEASIBLE:
-        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(_slice_rows(slc), n), slice_dim=d)
-    for bvec in sub[1]:
+    # a fixed coordinate outside [0, 1] empties the slice; with no free direction
+    # that decides it, since the slice is x0 alone
+    x = sub[0] if sub is not None and _box_rows(*sub) is not None else None
+    for bvec in sub[1] if x is not None else ():
         # an rref direction is 1 on its own free event, which is its last nonzero entry
         cost = [0] * n
         cost[max(i for i, v in enumerate(bvec) if v != 0)] = 1
         lo = optimize(sub, cost)
+        if lo.status == INFEASIBLE:
+            x = None
+            break
         hi = optimize(sub, cost, maximize=True)
         if lo.status != OPTIMAL or hi.status != OPTIMAL:
             raise UcpError("bounded slice reported unbounded; inconsistent tables")
@@ -458,8 +464,11 @@ def _uc_full(slc):
             nu1, nu2 = State(tuple(lo.x)), State(tuple(hi.x))
             g = next(i for i in range(n) if nu1[i] != nu2[i])
             return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
+        x = lo.x
+    if x is None:
+        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(_slice_rows(slc), n), slice_dim=d)
     # every free coordinate is pinned, so the slice is the single point found
-    return ConditionalVerdict(UNIQUE, conditional=State(tuple(feas.x)), slice_dim=d)
+    return ConditionalVerdict(UNIQUE, conditional=State(tuple(x)), slice_dim=d)
 
 
 def _uc_generated(slc):

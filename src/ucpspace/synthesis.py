@@ -82,6 +82,14 @@ def _left_inverse(cols, exact):
     return rows, np.array([r[dim:] for r in red], dtype=object)
 
 
+def _exact_matvec(mat, v):
+    """mat @ v over Fractions, skipping zero terms (exact coordinate maps are mostly zeros)."""
+    terms = [(k, vk) for k, vk in enumerate(v) if vk]
+    out = np.empty(len(mat), dtype=object)
+    out[:] = [sum((row[k] * vk for k, vk in terms if row[k]), Fraction(0)) for row in mat]
+    return out
+
+
 @dataclass
 class SyntheticSpace:
     """Finite event system modeled in the dual of its state span."""
@@ -132,11 +140,12 @@ class SyntheticSpace:
         """Coefficients over basis_events reproducing x, or SynthesisError."""
         x = np.asarray(x) if self.exact else np.asarray(x, dtype=np.float64)
         rows, inv = self.coord_map
-        c = inv @ x[rows]
-        back = self.basis_cols @ c
         if self.exact:
-            outside = any(back != x)
+            c = _exact_matvec(inv, x[rows])
+            outside = any(_exact_matvec(self.basis_cols, c) != x)
         else:
+            c = inv @ x[rows]
+            back = self.basis_cols @ c
             # ||back - x|| > tol * max(1, ||x||), compared in squares
             r = back - x
             outside = r @ r > tol * tol * max(1.0, x @ x)

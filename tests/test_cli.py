@@ -181,6 +181,15 @@ class TestVerify:
         assert out == ""
         assert "nothing was checked" in err
 
+    @pytest.mark.parametrize("states", ["full", "mu3"])
+    def test_axioms_alone_load_no_states(self, files, monkeypatch, states):
+        base = ["verify", "--input", files["bool3"], "--format", "structured"]
+        code, plain, _ = invoke(base + ["axioms"])
+        monkeypatch.setattr(cli, "_load_polytope", None)
+        argv = base + ["--states", files.get(states, states), "axioms"]
+        assert code == 0
+        assert invoke(argv) == (code, plain, "")
+
     def test_malformed_input(self, files):
         code, out, err = invoke(["verify", "--input", files["bad"]])
         assert code == 2

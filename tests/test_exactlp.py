@@ -1,8 +1,12 @@
-"""Exact rational simplex: optима, certificates, and the classic cycling trap."""
+"""Exact rational simplex: optima, certificates, the slack start, and the classic cycling trap."""
 
 from fractions import Fraction
 
-from ucpspace import exactlp
+import numpy as np
+import pytest
+
+from ucpspace import exactlp, instances, statespace
+from ucpspace.errors import UcpError
 
 F = Fraction
 
@@ -41,6 +45,10 @@ def test_infeasible_with_farkas():
     assert res.status == exactlp.INFEASIBLE
     assert res.farkas is not None
     assert exactlp.verify_farkas(res.farkas)
+    # the two upper-bound rows start on their slacks, and the certificate needs them
+    starts = _slack_start_rows(res.farkas.a_rows)
+    assert starts == [1, 2]
+    assert all(res.farkas.y[i] != 0 for i in starts)
 
 
 def test_unbounded():
@@ -106,3 +114,143 @@ def test_objective_exactness():
     assert res.status == exactlp.OPTIMAL
     assert res.objective == F(1, 7)
     assert res.x == [F(0), F(1)]
+
+
+def _slack_start_rows(a_rows):
+    """Rows of a standard-form matrix that hold a unit column, so start on it."""
+    return [
+        i
+        for i, row in enumerate(a_rows)
+        if any(v == 1 and all(r[j] == 0 for k, r in enumerate(a_rows) if k != i) for j, v in enumerate(row))
+    ]
+
+
+def _all_artificial_lp(c, a_eq, b_eq, bounds, maximize):
+    """Reference: the textbook two-phase simplex with one artificial on every row.
+
+    Returns (status, objective); standardization, pivots and Bland's rule are shared
+    with `solve_lp`, only the starting basis differs.
+    """
+    std = exactlp._Standardizer(len(c), bounds)
+    rows = [std.row(coeffs, rhs) for coeffs, rhs in zip(a_eq, b_eq)]
+    for coeffs_map, rhs in std.extra_rows:
+        rows.append(([coeffs_map.get(j, F(0)) for j in range(std.n_std)], rhs))
+    sign = -1 if maximize else 1
+    c_std = [F(0)] * std.n_std
+    const = F(0)
+    for j, cj in enumerate(c):
+        for std_j, s, _ in std.mapping[j]:
+            c_std[std_j] += sign * cj * s
+        const += sign * cj * std.mapping[j][0][2]
+    ncols, m = std.n_std, len(rows)
+    tab = []
+    for i, (row, rhs) in enumerate(rows):
+        flip = -1 if rhs < 0 else 1
+        tab.append([flip * v for v in row] + [F(int(k == i)) for k in range(m)] + [flip * rhs])
+    tab.append([-sum(col) for col in zip(*tab)])
+    tab[-1][ncols : ncols + m] = [F(0)] * m
+    basis = list(range(ncols, ncols + m))
+    exactlp._simplex(tab, basis, ncols + m)
+    if tab[-1][-1] != 0:
+        return exactlp.INFEASIBLE, None
+    for i in range(m):
+        if basis[i] >= ncols:
+            j = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            if j is not None:
+                exactlp._pivot(tab, basis, i, j)
+    keep = [i for i in range(m) if basis[i] < ncols]
+    tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    obj = c_std + [F(0)]
+    for i, bi in enumerate(basis):
+        f = obj[bi]
+        obj = [o - f * v for o, v in zip(obj, tab[i])]
+    tab.append(obj)
+    if exactlp._simplex(tab, basis, ncols) == exactlp.UNBOUNDED:
+        return exactlp.UNBOUNDED, None
+    return exactlp.OPTIMAL, sign * (-tab[-1][-1] + const)
+
+
+_BOUND_KINDS = ("free", "lower", "upper", "box")
+
+
+def _random_lp(rng):
+    """A small LP over a mix of bound kinds; some rows carry a slack column of their own."""
+    n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    bounds = []
+    for _ in range(n):
+        lo, width = int(rng.integers(-2, 2)), int(rng.integers(0, 3))
+        kind = _BOUND_KINDS[int(rng.integers(4))]
+        bounds.append({"free": (None, None), "lower": (lo, None), "upper": (None, lo), "box": (lo, lo + width)}[kind])
+    a_eq = [[F(int(v)) for v in rng.integers(-2, 3, size=n)] for _ in range(m)]
+    b_eq = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(m)]
+    # a slack on row i: a fresh variable >= 0 with coefficient 1 on that row only
+    slacked = [i for i in range(m) if rng.integers(2)]
+    for i in slacked:
+        for r, row in enumerate(a_eq):
+            row.append(F(int(r == i)))
+        bounds.append((0, None))
+    c = [F(int(v)) for v in rng.integers(-2, 3, size=len(bounds))]
+    return c, a_eq, b_eq, bounds, bool(rng.integers(2)), slacked
+
+
+def test_slack_start_matches_all_artificial_reference():
+    rng = np.random.default_rng(20261018)
+    seen = {exactlp.OPTIMAL: 0, exactlp.INFEASIBLE: 0, exactlp.UNBOUNDED: 0}
+    slack_start = flipped = mixed = slack_y = 0
+    for _ in range(400):
+        c, a_eq, b_eq, bounds, maximize, slacked = _random_lp(rng)
+        res = exactlp.solve_lp(c, a_eq, b_eq, bounds, maximize=maximize)
+        assert (res.status, res.objective) == _all_artificial_lp(c, a_eq, b_eq, bounds, maximize), (c, a_eq, b_eq, bounds)
+        seen[res.status] += 1
+        # a slack row with rhs < 0 is flipped, so its slack reads -1 and it keeps an artificial
+        starts = [i for i in slacked if b_eq[i] >= 0]
+        slack_start += bool(starts)
+        flipped += len(starts) < len(slacked)
+        mixed += 0 < len(starts) < len(a_eq)
+        n_std = exactlp._Standardizer(len(c), bounds).n_std
+        if res.status == exactlp.INFEASIBLE:
+            assert exactlp.verify_farkas(res.farkas)
+            assert len(res.farkas.a_rows[0]) == n_std
+            slack_y += any(res.farkas.y[i] != 0 for i in _slack_start_rows(res.farkas.a_rows))
+        elif res.status == exactlp.OPTIMAL:
+            assert sum(ci * xi for ci, xi in zip(c, res.x)) == res.objective
+            assert all(sum(a * x for a, x in zip(row, res.x)) == b for row, b in zip(a_eq, b_eq))
+            assert all((lo is None or lo <= x) and (hi is None or x <= hi) for (lo, hi), x in zip(bounds, res.x))
+    assert min(seen.values()) >= 20, seen
+    assert min(slack_start, flipped, mixed, slack_y) >= 20, (slack_start, flipped, mixed, slack_y)
+
+
+def test_unverifiable_certificate_is_an_error(monkeypatch):
+    monkeypatch.setattr(exactlp, "verify_farkas", lambda cert: False)
+    with pytest.raises(UcpError, match="does not verify"):
+        exactlp.solve_lp([F(0)], [[F(1)]], [F(2)], bounds=[(0, 1)])
+
+
+def test_feasible_slack_start_skips_phase_one(monkeypatch):
+    # the MO_4 uniqueness sweep: every LP slice holds x0 inside the box, so each
+    # solve_lp starts on the slacks and runs the simplex once, for phase 2
+    space = instances.mo_orthospace(4)
+    poly = statespace.build_state_polytope(space)
+    runs = []
+    simplex = exactlp._simplex
+
+    def counting_simplex(*args):
+        runs[-1] += 1
+        return simplex(*args)
+
+    def counting_solve_lp(*args, **kwargs):
+        runs.append(0)
+        return exactlp.solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(exactlp, "_simplex", counting_simplex)
+    monkeypatch.setattr(statespace, "solve_lp", counting_solve_lp)
+    verdicts = [
+        statespace.check_conditional_uniqueness(poly, mu, e).verdict
+        for mu in poly.generators
+        for e in space.events()
+        if mu[e] != 0
+    ]
+    assert set(verdicts) == {statespace.UNIQUE, statespace.MULTIPLE}
+    assert len(runs) == 128
+    assert set(runs) == {1}

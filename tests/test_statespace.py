@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucpspace import exactlp, instances, statespace
-from ucpspace.errors import ConditioningUndefinedError, PreconditionError
+from ucpspace import exactlp, instances, orthospace, statespace
+from ucpspace.errors import ConditioningUndefinedError, PreconditionError, UcpError
 from ucpspace.statespace import (
     EMPTY,
     MULTIPLE,
@@ -230,6 +230,40 @@ class TestBoundPropagation:
             v = check_conditional_uniqueness(bool3_poly, mu, 3, family)
             assert v.verdict == EMPTY and v.slice_dim == dim
             assert exactlp.verify_farkas(v.certificate)
+
+    def test_certificate_never_dropped(self, bool3, bool3_poly, monkeypatch):
+        # an event-coordinate LP that disagrees with the EMPTY verdict is an error, not a missing certificate
+        vals = [F(0)] * bool3.n_events
+        vals[1], vals[2], vals[3], vals[bool3.unit] = F(1, 2), F(1, 4), F(1, 2), F(1)
+        monkeypatch.setattr(statespace, "solve_lp", lambda *a, **kw: exactlp.LpResult(exactlp.OPTIMAL, [], F(0)))
+        with pytest.raises(UcpError, match="inconsistent tables"):
+            check_conditional_uniqueness(bool3_poly, State(tuple(vals)), 3, [1, 2])
+
+    def test_first_lp_decides_empty(self, monkeypatch):
+        # Boolean 5 atoms, events as atom bitmasks: x_{ab} = x_{bc} = 3/4 needs
+        # x_b >= 1/2, while x_{bd} = 1/4 caps it at 1/4.  Every fixed coordinate
+        # stays in [0, 1] and one direction is free, so only an LP sees it.
+        space = orthospace.boolean_orthospace(5)
+        poly = build_state_polytope(space, with_vertices=False)
+        vals = [F(0)] * space.n_events
+        vals[space.unit], vals[0b00011], vals[0b00110], vals[0b01010] = F(1), F(3, 4), F(3, 4), F(1, 4)
+        mu, family = State(tuple(vals)), [0b00011, 0b00110, 0b01010]
+        slc = statespace.conditional_slice(poly, mu, space.unit, family)
+        assert statespace._propagate(slc) is None
+        assert statespace._box_rows(*poly.pin(family, slc.targets)) is not None
+        costs = []
+        optimize = statespace.optimize
+
+        def recording_optimize(param, cost, maximize=False):
+            costs.append(cost)
+            return optimize(param, cost, maximize)
+
+        monkeypatch.setattr(statespace, "optimize", recording_optimize)
+        v = check_conditional_uniqueness(poly, mu, space.unit, family)
+        assert v.verdict == EMPTY and v.slice_dim == 1
+        assert exactlp.verify_farkas(v.certificate)
+        # the min LP of the one free coordinate reported it; no feasibility LP ran first
+        assert len(costs) == 1 and any(costs[0])
 
     def test_unique_without_vertices(self, bool4):
         poly = build_state_polytope(bool4, with_vertices=False)
