@@ -198,10 +198,11 @@ def _verify_mixture(space, polytope, report, lines, rng, samples):
 
 
 def _verify_separation(polytope, report, lines):
-    _generators(polytope)
+    gens = _generators(polytope)
     sep = statespace.check_separation(polytope)
     report["separation"] = {"passed": sep.passed, "witness": _clean(sep.witness)}
-    lines.append("separation: pass" if sep.passed else f"separation: FAIL {sep.witness[:2]}")
+    verdict = "pass" if sep.passed else f"FAIL {sep.witness[:2]}"
+    lines.append(f"separation: {verdict} ({len(gens)} generators)")
     return sep.passed
 
 

@@ -80,14 +80,6 @@ def solve_affine(a_rows, b, tol=0):
     return x0, basis
 
 
-def solve_unique(a_rows, b, tol=0):
-    """Unique solution of A x = b, or None if inconsistent or underdetermined."""
-    sol = solve_affine(a_rows, b, tol)
-    if sol is None or sol[1]:
-        return None
-    return sol[0]
-
-
 def in_span(vectors, target, tol=0):
     """Coefficients c with sum c_i vectors[i] = target, or None."""
     if not vectors:

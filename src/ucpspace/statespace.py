@@ -9,8 +9,11 @@ conditional, else by the in-repo rational simplex.
 
 A full polytope has one parametrization x = x0 + B t, its equality rows
 reduced once; pins substitute into it, and vertex enumeration and every exact
-LP run over its [0, 1] box rows in t.  Only the Farkas certificate of an EMPTY
-slice uses rows in event coordinates, so it replays without a row reduction.
+LP run over its [0, 1] box rows in t.  Vertices come from the double
+description method over those rows, in integer arithmetic, and are listed in
+the order of each vertex's lexicographically smallest independent set of
+tight box rows.  Only the Farkas certificate of an EMPTY slice uses rows in
+event coordinates, so it replays without a row reduction.
 
 Two polytope modes:
 
@@ -26,7 +29,6 @@ here once; no runtime check exists for it.
 """
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -47,7 +49,6 @@ UNIQUE = "UNIQUE"
 MULTIPLE = "MULTIPLE"
 EMPTY = "EMPTY"
 
-_COMBO_CAP = 500_000
 _VERTEX_CAP = 1_000_000
 _VERTEX_EVENT_CAP = 64
 # Bound-propagation sweeps before a slice goes to the LPs.  Every conditional
@@ -245,8 +246,98 @@ def optimize(param, cost, maximize=False):
     return LpResult(OPTIMAL, _point(x0, basis, res.x[:d]), res.objective + offset)
 
 
+def _primitive(vals):
+    """The positive multiple of a nonzero rational vector with coprime integer entries."""
+    den = math.lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (den // v.denominator) for v in vals]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
+
+
+def _independent_prefix(vectors, k):
+    """Positions of the first k linearly independent vectors, taken greedily in order.
+
+    On a matroid the greedy choice is the lexicographically smallest basis.
+    Fraction-free elimination over integer vectors.
+    """
+    echelon, picked = [], []
+    for i, v in enumerate(vectors):
+        for p, b in echelon:
+            if v[p]:
+                f = v[p]
+                v = [b[p] * x - f * y for x, y in zip(v, b)]
+        p = next((j for j, x in enumerate(v) if x), None)
+        if p is not None:
+            echelon.append((p, _primitive(v)))
+            picked.append(i)
+            if len(picked) == k:
+                break
+    return picked
+
+
+def _double_description(rows, dim):
+    """Extreme rays of the pointed cone {y : h.y <= 0 for every h in rows} in Z^dim.
+
+    Double description (Motzkin et al. 1953; Fukuda & Prodon, "Double
+    description method revisited", 1996).  The rays of the first dim
+    independent rows are the columns of -R^-1; every other row is then added in
+    turn.  Rays on its positive side go, rays on its hyperplane stay, and each
+    adjacent pair across it gives a ray on the hyperplane.  Adjacency is the
+    combinatorial test: the two zero sets share at least dim - 2 rows and no
+    third ray's zero set contains their intersection.  Returns (ray, zero set)
+    pairs, the zero set a bitmask over row indices.
+    """
+    first = _independent_prefix(rows, dim)
+    red, _ = linsolve.rref([[Fraction(v) for v in rows[i]] + [Fraction(int(r == c)) for c in range(dim)]
+                            for r, i in enumerate(first)])
+    tight = sum(1 << i for i in first)
+    rays = [(_primitive([-red[r][dim + j] for r in range(dim)]), tight & ~(1 << i)) for j, i in enumerate(first)]
+    chosen = set(first)
+    for i, h in enumerate(rows):
+        if i in chosen:
+            continue
+        bit = 1 << i
+        pos, neg, kept = [], [], []
+        for ray, z in rays:
+            v = sum(a * b for a, b in zip(h, ray) if a)
+            if v > 0:
+                pos.append((ray, z, v))
+            elif v < 0:
+                neg.append((ray, z, v))
+                kept.append((ray, z))
+            else:
+                kept.append((ray, z | bit))
+        # each pair across the row may give a new ray, so the cap bounds the pairs as well as the rays
+        if len(pos) * len(neg) > _VERTEX_CAP:
+            raise CapacityError("vertex enumeration: ray pairs across one row exceed the cap")
+        zeros = [z for _, z in rays]
+        for p, zp, vp in pos:
+            for q, zq, vq in neg:
+                common = zp & zq
+                if common.bit_count() < dim - 2:
+                    continue
+                if any(z & common == common for z in zeros if z != zp and z != zq):
+                    continue
+                ray = [vp * b - vq * a for a, b in zip(p, q)]
+                g = math.gcd(*ray)
+                kept.append((tuple(v // g for v in ray), common | bit))
+        if len(kept) > _VERTEX_CAP:
+            raise CapacityError("vertex enumeration: ray count exceeds the cap")
+        rays = kept
+    return rays
+
+
 def _enumerate_vertices(param):
-    """Exact vertex enumeration of {x0 + B t in [0,1]^n}. Order is deterministic."""
+    """Exact vertex enumeration of {x0 + B t in [0,1]^n}, by double description.
+
+    The box rows, scaled to primitive integer rows with repeats dropped, are
+    homogenized with s >= 0: a.t - beta s <= 0.  The box is bounded, so this
+    cone is pointed, and every extreme ray has s > 0 and is a vertex
+    t = y[:d] / s (an empty box leaves the cone {0}, with no rays).  Vertices
+    come in the order of their lexicographically smallest independent d-subset
+    of tight box rows: the order in which a scan of all d-subsets of the box
+    rows, solving each, first meets them.
+    """
     ineq = None if param is None else _box_rows(*param)
     if ineq is None:
         return []
@@ -262,26 +353,17 @@ def _enumerate_vertices(param):
         ]
     if d == 0:
         return [tuple(x0)]
-    m = len(ineq)
-    if math.comb(m, d) > _COMBO_CAP:
-        raise CapacityError(f"vertex enumeration over C({m},{d}) combinations exceeds the cap")
-    seen = set()
-    out = []
-    for combo in itertools.combinations(range(m), d):
-        rows = [list(ineq[i][0]) for i in combo]
-        rhs = [ineq[i][1] for i in combo]
-        t = linsolve.solve_unique(rows, rhs)
-        if t is None:
-            continue
-        if any(sum(c * tv for c, tv in zip(coeffs, t)) > beta for coeffs, beta in ineq):
-            continue
-        x = tuple(_point(x0, basis, t))
-        if x not in seen:
-            seen.add(x)
-            out.append(x)
-            if len(out) > _VERTEX_CAP:
-                raise CapacityError("vertex count exceeds the cap")
-    return out
+    index, row_of = {}, []
+    for coeffs, beta in ineq:
+        row_of.append(index.setdefault(_primitive((*coeffs, -beta)), len(index)))
+    rows = list(index) + [(0,) * d + (-1,)]
+    keyed = []
+    for y, z in _double_description(rows, d + 1):
+        tight = [k for k, j in enumerate(row_of) if z >> j & 1]
+        picked = _independent_prefix([rows[row_of[k]][:d] for k in tight], d)
+        keyed.append(([tight[i] for i in picked], [Fraction(v, y[d]) for v in y[:d]]))
+    keyed.sort(key=lambda kt: kt[0])
+    return [tuple(_point(x0, basis, t)) for _, t in keyed]
 
 
 @dataclass

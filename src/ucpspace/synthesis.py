@@ -329,6 +329,8 @@ class ProductModel:
     compressions: dict  # event -> CompressionReport
     multipliers: dict  # event -> T_e matrix
     structure: np.ndarray  # (dim, dim, n_states): S[k, l] = b_k o b_l over basis_events
+    # exact lane: terms[k][l] = ((s, S[k, l, s]), ...) over the nonzero entries only
+    terms: list | None = None
 
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
@@ -347,7 +349,9 @@ class ProductModel:
             if a:
                 for l, b in enumerate(cy):
                     if b:
-                        acc = acc + self.structure[k, l] * (a * b)
+                        ab = a * b
+                        for s, v in self.terms[k][l]:
+                            acc[s] += v * ab
         return acc
 
     def power(self, x, m):
@@ -381,7 +385,8 @@ def build_product_model(synth, oracle):
     a = (np.stack([mults[e] for e in synth.basis_events]) @ synth.basis_cols).transpose(0, 2, 1)
     half = Fraction(1, 2) if synth.exact else 0.5
     structure = (a + a.transpose(1, 0, 2)) * half
-    return ProductModel(synth=synth, compressions=comps, multipliers=mults, structure=structure)
+    terms = [[tuple((s, v) for s, v in enumerate(sv) if v) for sv in row] for row in structure] if synth.exact else None
+    return ProductModel(synth=synth, compressions=comps, multipliers=mults, structure=structure, terms=terms)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ def files(tmp_path_factory):
     paths["mo2"] = put("mo2.txt", fileio.format_orthospace(instances.mo_orthospace(2)))
     paths["mo3"] = put("mo3.txt", fileio.format_orthospace(instances.mo_orthospace(3)))
     paths["mo32"] = put("mo32.txt", fileio.format_orthospace(instances.mo_orthospace(32)))
+    paths["bool5"] = put("bool5.txt", fileio.format_orthospace(orthospace.boolean_orthospace(5)))
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
 
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
@@ -131,6 +132,13 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "66 events" in err and "64 events" in err
+
+    def test_boolean5_full_polytope(self, files):
+        # C(60, 4) subsets of box rows under the old enumeration (about 200 s); double description is one pass
+        code, out, _ = invoke(["verify", "--input", files["bool5"], "--states", "full", "axioms", "separation"])
+        assert code == 0
+        assert "separation: pass (5 generators)" in out
+        assert out.rstrip().endswith("verify: PASS")
 
     def test_empty_state_file_is_not_a_pass(self, files):
         code, out, err = invoke(

@@ -23,12 +23,6 @@ def test_rank():
     assert linsolve.rank([]) == 0
 
 
-def test_solve_unique():
-    a = [[F(1), F(1)], [F(1), F(-1)]]
-    x = linsolve.solve_unique(a, [F(3), F(1)])
-    assert x == [F(2), F(1)]
-
-
 def test_solve_affine_underdetermined():
     a = [[F(1), F(1), F(0)]]
     sol = linsolve.solve_affine(a, [F(1)])
@@ -66,7 +60,8 @@ def test_float_mode_pivoting():
     # tiny off-diagonal noise must not create rank
     a = [[1.0, 0.0], [1e-14, 0.0]]
     assert linsolve.rank(a, tol=1e-9) == 1
-    x = linsolve.solve_unique([[1.0, 0.0], [0.0, 2.0]], [1.0, 4.0], tol=1e-9)
+    x, basis = linsolve.solve_affine([[1.0, 0.0], [0.0, 2.0]], [1.0, 4.0], tol=1e-9)
+    assert basis == []
     assert abs(x[0] - 1.0) < 1e-12 and abs(x[1] - 2.0) < 1e-12
 
 

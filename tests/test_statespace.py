@@ -1,13 +1,14 @@
 """Exact state polytopes, conditionals, and the uniqueness verdicts."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucpspace import exactlp, instances, orthospace, statespace
-from ucpspace.errors import ConditioningUndefinedError, PreconditionError, UcpError
+from ucpspace import exactlp, fileio, instances, linsolve, orthospace, statespace, synthesis
+from ucpspace.errors import CapacityError, ConditioningUndefinedError, PreconditionError, UcpError
 from ucpspace.statespace import (
     EMPTY,
     MULTIPLE,
@@ -95,6 +96,116 @@ class TestPolytope:
             ok, _ = is_state(mo2, g)
             assert ok
 
+
+
+def reference_vertices(param):
+    """The enumeration before double description, caps aside: the C(m, d) subset loop.
+
+    Every d box rows with a unique solution inside the box give a vertex, in subset order.
+    """
+    ineq = None if param is None else statespace._box_rows(*param)
+    if ineq is None:
+        return []
+    x0, basis = param
+    n, d = len(x0), len(basis)
+    if d == n:
+        return [tuple(F((mask >> i) & 1) for i in range(n)) for mask in range(2**n)]
+    if d == 0:
+        return [tuple(x0)]
+    seen, out = set(), []
+    for combo in itertools.combinations(range(len(ineq)), d):
+        sol = linsolve.solve_affine([list(ineq[i][0]) for i in combo], [ineq[i][1] for i in combo])
+        if sol is None or sol[1]:
+            continue
+        t = sol[0]
+        if any(sum(c * tv for c, tv in zip(coeffs, t)) > beta for coeffs, beta in ineq):
+            continue
+        x = tuple(statespace._point(x0, basis, t))
+        if x not in seen:
+            seen.add(x)
+            out.append(x)
+    return out
+
+
+def _full_param(space):
+    return build_state_polytope(space, with_vertices=False)._parametrization
+
+
+def _box_span(space, monkeypatch):
+    # the span that check_box_equality enumerates, recorded on its way in
+    spans = []
+    enumerate_vertices = statespace._enumerate_vertices
+
+    def recording(param):
+        spans.append(param)
+        return enumerate_vertices(param)
+
+    synth = synthesis.abstract_synthetic_space(space, build_state_polytope(space).generators)
+    with monkeypatch.context() as m:
+        m.setattr(statespace, "_enumerate_vertices", recording)
+        synthesis.check_box_equality(synth)
+    (span,) = spans
+    return span
+
+
+def _b4_pinned():
+    # mu({a, b}) = 0: the box then forces x_a = x_b = 0, an equality no row states
+    return build_state_polytope(orthospace.boolean_orthospace(4), with_vertices=False).pin([0b0011], [F(0)])
+
+
+def _b5_empty_slice():
+    # the slice of TestBoundPropagation.test_first_lp_decides_empty
+    space = orthospace.boolean_orthospace(5)
+    family, targets = [0b00011, 0b00110, 0b01010], [F(3, 4), F(3, 4), F(1, 4)]
+    return build_state_polytope(space, with_vertices=False).pin(family, targets)
+
+
+def _stateless():
+    text = fileio.format_orthospace(orthospace.boolean_orthospace(2)).rstrip("\n") + "\northo 3 3\nsum 3 3 3\n"
+    return _full_param(fileio.parse_orthospace(text))
+
+
+class TestVertexEnumeration:
+    """Double description against the subset loop it replaced: same vertices, same order."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda k=k: _full_param(orthospace.boolean_orthospace(k)) for k in (2, 3, 4)]
+        + [lambda k=k: _full_param(instances.mo_orthospace(k)) for k in (2, 3, 4, 5)]
+        + [_b4_pinned, _b5_empty_slice, _stateless],
+        ids=["bool2", "bool3", "bool4", "mo2", "mo3", "mo4", "mo5", "bool4-pinned", "bool5-empty", "stateless"],
+    )
+    def test_same_vertices_as_subset_loop(self, make):
+        param = make()
+        assert statespace._enumerate_vertices(param) == reference_vertices(param)
+
+    @pytest.mark.parametrize(
+        "space",
+        [orthospace.boolean_orthospace(2), orthospace.boolean_orthospace(3), instances.mo_orthospace(2),
+         instances.mo_orthospace(3)],
+        ids=["bool2", "bool3", "mo2", "mo3"],
+    )
+    def test_box_span_same_as_subset_loop(self, space, monkeypatch):
+        span = _box_span(space, monkeypatch)
+        assert statespace._enumerate_vertices(span) == reference_vertices(span)
+
+    def test_special_cases(self):
+        assert len(statespace._enumerate_vertices(_b4_pinned())) == 2
+        assert statespace._enumerate_vertices(_b5_empty_slice()) == []
+        assert _stateless() is None
+
+    @pytest.mark.parametrize("space, count", [(orthospace.boolean_orthospace(5), 5), (instances.mo_orthospace(8), 256)],
+                             ids=["bool5", "mo8"])
+    def test_past_the_subset_loop(self, space, count):
+        verts = statespace._enumerate_vertices(_full_param(space))
+        assert len(verts) == len(set(verts)) == count
+        assert all(is_state(space, State(v))[0] for v in verts)
+
+    def test_ray_cap(self, monkeypatch):
+        param = _full_param(instances.mo_orthospace(3))
+        monkeypatch.setattr(statespace, "_VERTEX_CAP", 3)
+        with pytest.raises(CapacityError):
+            statespace._enumerate_vertices(param)
 
 class TestSeparation:
     def test_boolean2_full(self, bool2_poly):
