@@ -254,25 +254,13 @@ def _primitive(vals):
     return tuple(v // g for v in ints)
 
 
-def _independent_prefix(vectors, k):
+def _first_independent(vectors, k):
     """Positions of the first k linearly independent vectors, taken greedily in order.
 
-    On a matroid the greedy choice is the lexicographically smallest basis.
-    Fraction-free elimination over integer vectors.
+    They are the pivot columns of the transposed vectors; on a matroid the
+    greedy choice is the lexicographically smallest basis.
     """
-    echelon, picked = [], []
-    for i, v in enumerate(vectors):
-        for p, b in echelon:
-            if v[p]:
-                f = v[p]
-                v = [b[p] * x - f * y for x, y in zip(v, b)]
-        p = next((j for j, x in enumerate(v) if x), None)
-        if p is not None:
-            echelon.append((p, _primitive(v)))
-            picked.append(i)
-            if len(picked) == k:
-                break
-    return picked
+    return linsolve.rref([[Fraction(x) for x in col] for col in zip(*vectors)])[1][:k]
 
 
 def _double_description(rows, dim):
@@ -285,14 +273,16 @@ def _double_description(rows, dim):
     adjacent pair across it gives a ray on the hyperplane.  Adjacency is the
     combinatorial test: the two zero sets share at least dim - 2 rows and no
     third ray's zero set contains their intersection.  Returns (ray, zero set)
-    pairs, the zero set a bitmask over row indices.
+    pairs, the zero set a bitmask over row indices.  Raises CapacityError
+    before a row's pair scan would take the total work, pairs times rays summed
+    over the rows, past _VERTEX_CAP.
     """
-    first = _independent_prefix(rows, dim)
+    first = _first_independent(rows, dim)
     red, _ = linsolve.rref([[Fraction(v) for v in rows[i]] + [Fraction(int(r == c)) for c in range(dim)]
                             for r, i in enumerate(first)])
     tight = sum(1 << i for i in first)
     rays = [(_primitive([-red[r][dim + j] for r in range(dim)]), tight & ~(1 << i)) for j, i in enumerate(first)]
-    chosen = set(first)
+    chosen, work = set(first), 0
     for i, h in enumerate(rows):
         if i in chosen:
             continue
@@ -307,9 +297,10 @@ def _double_description(rows, dim):
                 kept.append((ray, z))
             else:
                 kept.append((ray, z | bit))
-        # each pair across the row may give a new ray, so the cap bounds the pairs as well as the rays
-        if len(pos) * len(neg) > _VERTEX_CAP:
-            raise CapacityError("vertex enumeration: ray pairs across one row exceed the cap")
+        # each pair across the row scans every ray and may add one, so capping this work caps the rays too
+        work += len(pos) * len(neg) * len(rays)
+        if work > _VERTEX_CAP:
+            raise CapacityError("vertex enumeration: ray adjacency work exceeds the cap")
         zeros = [z for _, z in rays]
         for p, zp, vp in pos:
             for q, zq, vq in neg:
@@ -321,8 +312,6 @@ def _double_description(rows, dim):
                 ray = [vp * b - vq * a for a, b in zip(p, q)]
                 g = math.gcd(*ray)
                 kept.append((tuple(v // g for v in ray), common | bit))
-        if len(kept) > _VERTEX_CAP:
-            raise CapacityError("vertex enumeration: ray count exceeds the cap")
         rays = kept
     return rays
 
@@ -360,7 +349,7 @@ def _enumerate_vertices(param):
     keyed = []
     for y, z in _double_description(rows, d + 1):
         tight = [k for k, j in enumerate(row_of) if z >> j & 1]
-        picked = _independent_prefix([rows[row_of[k]][:d] for k in tight], d)
+        picked = _first_independent([rows[row_of[k]][:d] for k in tight], d)
         keyed.append(([tight[i] for i in picked], [Fraction(v, y[d]) for v in y[:d]]))
     keyed.sort(key=lambda kt: kt[0])
     return [tuple(_point(x0, basis, t)) for _, t in keyed]

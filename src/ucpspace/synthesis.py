@@ -329,8 +329,12 @@ class ProductModel:
     compressions: dict  # event -> CompressionReport
     multipliers: dict  # event -> T_e matrix
     structure: np.ndarray  # (dim, dim, n_states): S[k, l] = b_k o b_l over basis_events
-    # exact lane: terms[k][l] = ((s, S[k, l, s]), ...) over the nonzero entries only
-    terms: list | None = None
+    # exact lane: terms[k][l] = ((s, S[k, l, s]), ...) over the nonzero entries of structure
+    terms: list | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.synth.exact:
+            self.terms = [[tuple((s, v) for s, v in enumerate(sv) if v) for sv in row] for row in self.structure]
 
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
@@ -385,8 +389,7 @@ def build_product_model(synth, oracle):
     a = (np.stack([mults[e] for e in synth.basis_events]) @ synth.basis_cols).transpose(0, 2, 1)
     half = Fraction(1, 2) if synth.exact else 0.5
     structure = (a + a.transpose(1, 0, 2)) * half
-    terms = [[tuple((s, v) for s, v in enumerate(sv) if v) for sv in row] for row in structure] if synth.exact else None
-    return ProductModel(synth=synth, compressions=comps, multipliers=mults, structure=structure, terms=terms)
+    return ProductModel(synth=synth, compressions=comps, multipliers=mults, structure=structure)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -45,6 +46,7 @@ def files(tmp_path_factory):
     )
     paths["mo2"] = put("mo2.txt", fileio.format_orthospace(instances.mo_orthospace(2)))
     paths["mo3"] = put("mo3.txt", fileio.format_orthospace(instances.mo_orthospace(3)))
+    paths["mo31"] = put("mo31.txt", fileio.format_orthospace(instances.mo_orthospace(31)))
     paths["mo32"] = put("mo32.txt", fileio.format_orthospace(instances.mo_orthospace(32)))
     paths["bool5"] = put("bool5.txt", fileio.format_orthospace(orthospace.boolean_orthospace(5)))
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
@@ -132,6 +134,15 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "66 events" in err and "64 events" in err
+
+    def test_past_ray_work_cap_exits_promptly(self, files):
+        # MO_31 has 64 events, inside the event cap, and 2^31 vertices: the adjacency work cap refuses it
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--input", files["mo31"], "--states", "full"])
+        assert time.perf_counter() - start < 30
+        assert code == 2
+        assert out == ""
+        assert "vertex enumeration" in err and "cap" in err
 
     def test_boolean5_full_polytope(self, files):
         # C(60, 4) subsets of box rows under the old enumeration (about 200 s); double description is one pass

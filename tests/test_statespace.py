@@ -201,6 +201,11 @@ class TestVertexEnumeration:
         assert len(verts) == len(set(verts)) == count
         assert all(is_state(space, State(v))[0] for v in verts)
 
+    def test_work_cap(self):
+        # MO_11's pair scans sum to 1.4M ray visits, past the cap of 1M; MO_10's (351k) are not
+        with pytest.raises(CapacityError, match="work"):
+            statespace._enumerate_vertices(_full_param(instances.mo_orthospace(11)))
+
     def test_ray_cap(self, monkeypatch):
         param = _full_param(instances.mo_orthospace(3))
         monkeypatch.setattr(statespace, "_VERTEX_CAP", 3)
