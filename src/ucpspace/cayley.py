@@ -11,9 +11,9 @@ e_1 e_2 = e_3).  The full octonion table is written out in
 docs/octonion-table.md and locked by a golden test.
 
 Basis products are precomputed into index/sign tables; the dense structure
-tensor T[p, q, r] (+-1 where e_p e_q = +-e_r, else 0) drives the vectorized
-paths, and left-multiplication matrices drive the real symmetric embedding of
-hermitian matrices.
+tensor T[p, q, r] (+-1 where e_p e_q = +-e_r, else 0) drives products of
+coordinate numbers, and left-multiplication matrices drive the coordinate
+matrix kernels and the real symmetric embedding of hermitian matrices.
 """
 
 from functools import lru_cache

@@ -40,8 +40,13 @@ def _g(v):
     return f"{float(v):g}"
 
 
+_NATIVE = frozenset((float, int, str, bool, type(None)))
+
+
 def _clean(obj):
     """JSON-safe copy: Fractions to p/q strings, numpy scalars to natives."""
+    if type(obj) in _NATIVE:
+        return obj
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

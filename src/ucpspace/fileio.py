@@ -283,7 +283,11 @@ def _jsonable(v):
 
 
 def _matrix_payload(mat):
-    return [[_jsonable(v) for v in row] for row in np.asarray(mat).tolist()]
+    """Nested lists of JSON values; a float array's `tolist()` is already native."""
+    mat = np.asarray(mat)
+    if mat.dtype != object:
+        return mat.tolist()
+    return [[_jsonable(v) for v in row] for row in mat.tolist()]
 
 
 def synth_dump(model):

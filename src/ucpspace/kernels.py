@@ -1,8 +1,12 @@
 """Matrix arithmetic over the coordinate algebras: the hot numeric path.
 
 Everything here works on coordinate arrays of shape (n, n, k) or batched
-(B, n, n, k).  Entries multiply through the algebra's structure tensor, so one
-einsum contraction serves every tag, the octonions included.
+(B, n, n, k).  A coordinate matrix a acts on the left as a real (n k, n k)
+block matrix whose (i, j) block is left multiplication by the entry a_ij, so
+the product ab is that block matrix times b laid out as an (n k, n) real
+matrix: one batched `@`.  The product is bilinear in the entries, so the
+same path serves every tag, the octonions included.  An unbatched left
+factor against a batched right one builds its block matrix once.
 """
 
 import numpy as np
@@ -10,11 +14,23 @@ import numpy as np
 from . import cayley
 
 
+def _left_blocks(a):
+    """(..., n k, n k) real matrix of left multiplication by the coordinate matrix a.
+
+    Block (i, j) is sum_c a_ij,c L[c] with L = `cayley.left_mult_mats`.
+    """
+    n, k = a.shape[-2], a.shape[-1]
+    lead = a.shape[:-3]
+    blocks = np.matmul(a, cayley.left_mult_mats(k).reshape(k, k * k)).reshape(lead + (n, n, k, k))
+    return blocks.swapaxes(-3, -2).reshape(lead + (n * k, n * k))
+
+
 def matmul(a, b):
     """Batched matrix product with coordinate-algebra entries."""
-    k = a.shape[-1]
-    t = cayley.structure_tensor(k)
-    return np.einsum("...ijp,...jmq,pqr->...imr", a, b, t)
+    n, m, k = b.shape[-3:]
+    cols = b.swapaxes(-1, -2).reshape(b.shape[:-3] + (n * k, m))
+    out = np.matmul(_left_blocks(a), cols)
+    return out.reshape(out.shape[:-2] + (n, k, m)).swapaxes(-1, -2)
 
 
 def jordan_mul(a, b):
@@ -40,9 +56,7 @@ def embed_real(a):
     k = a.shape[-1]
     if k > 4:
         raise ValueError("real embedding requires an associative coordinate algebra")
-    mats = cayley.left_mult_mats(k)
-    blocks = np.einsum("...ijc,cpq->...ipjq", a, mats)
-    return blocks.reshape(a.shape[:-3] + (a.shape[-3] * k, a.shape[-2] * k))
+    return _left_blocks(a)
 
 
 def extract_from_real(m, n, k):

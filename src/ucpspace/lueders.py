@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jordan, kernels
-from .errors import ConditioningUndefinedError, PreconditionError
+from .errors import ConditioningUndefinedError, PreconditionError, SizeError
 
 IDEMPOTENT_TOL = 1e-8
 MASS_THRESHOLD = 1e-12
@@ -43,6 +43,25 @@ def compression_matrix(e):
     return jordan.operator_matrix(lambda x: jordan.triple_product(e, x, e), e.tag, e.n)
 
 
+def _density_errors(tag, coords):
+    """Per density of a stack: the PreconditionError of its first failed check, or None.
+
+    A density has trace 1 within 1e-12 and no eigenvalue below -1e-10.
+    """
+    d = np.arange(coords.shape[-2])
+    traces = coords[:, d, d, 0].sum(axis=1).tolist()
+    floors = jordan.batched_eigenvalues(tag, coords)[:, 0].tolist()
+    errors = []
+    for tr, w in zip(traces, floors):
+        if abs(tr - 1.0) > 1e-12:
+            errors.append(PreconditionError(f"density trace is {tr!r}, not 1"))
+        elif w < -1e-10:
+            errors.append(PreconditionError(f"density has negative eigenvalue {w:.2e}"))
+        else:
+            errors.append(None)
+    return errors
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Positive trace-one element pairing with the algebra via the trace form."""
@@ -51,12 +70,9 @@ class DensityState:
 
     def __post_init__(self):
         el = self.element
-        tr = jordan.trace(el)
-        if abs(tr - 1.0) > 1e-12:
-            raise PreconditionError(f"density trace is {tr!r}, not 1")
-        w = jordan.eigenvalues(el)
-        if w.size and float(w[0]) < -1e-10:
-            raise PreconditionError(f"density has negative eigenvalue {float(w[0]):.2e}")
+        error = _density_errors(el.tag, el.coords[None])[0]
+        if error is not None:
+            raise error
 
     @property
     def tag(self):
@@ -82,18 +98,44 @@ def density_from(el):
     return DensityState(el * (1.0 / tr))
 
 
-def condition(rho, e, threshold=MASS_THRESHOLD):
-    """Lüders conditional rho_e = {e, rho, e} / <rho, e>.
+def condition_stack(coords, e, threshold=MASS_THRESHOLD):
+    """Lüders conditionals of a (B, n, n, k) stack of densities under one event e.
 
-    The compression is normalized by its own trace, which equals the mass
-    <rho, e> in exact arithmetic; dividing by the separately rounded mass
-    leaves a trace error that grows as the mass shrinks.
+    Returns (conditionals, errors): the stacked {e, rho, e} / tr, from one
+    `kernels.triple` call, and per density the exception of its first failed
+    check, or None.  In order the checks are: mass <rho, e> above
+    `threshold`, compression trace above MASS_THRESHOLD, and the density
+    checks of the result.  The idempotency of e is checked once and raises.
+    Each compression is normalized by its own trace, which equals the mass in
+    exact arithmetic; dividing by the separately rounded mass leaves a trace
+    error that grows as the mass shrinks.
     """
     _require_idempotent(e)
-    mass = rho.expect(e)
-    if mass <= threshold:
-        raise ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {threshold:.0e}")
-    return density_from(jordan.triple_product(e, rho.element, e))
+    if coords.shape[1:] != e.coords.shape:
+        raise SizeError("operands live in different algebras")
+    masses = np.sum(coords * e.coords, axis=(1, 2, 3))
+    comp = kernels.triple(e.coords, coords, e.coords)
+    d = np.arange(e.n)
+    traces = comp[:, d, d, 0].sum(axis=1)
+    live = (masses > threshold) & (traces > MASS_THRESHOLD)
+    conds = comp * (1.0 / np.where(live, traces, 1.0))[:, None, None, None]
+    errors = _density_errors(e.tag, conds)
+    for l in range(len(coords)):
+        if masses[l] <= threshold:
+            errors[l] = ConditioningUndefinedError(
+                f"event mass {masses[l]:.2e} at or below threshold {threshold:.0e}"
+            )
+        elif traces[l] <= MASS_THRESHOLD:
+            errors[l] = ConditioningUndefinedError("element has (near-)zero trace")
+    return conds, errors
+
+
+def condition(rho, e, threshold=MASS_THRESHOLD):
+    """Lüders conditional rho_e = {e, rho, e} / <rho, e>: `condition_stack` on one density."""
+    conds, errors = condition_stack(rho.element.coords[None], e, threshold)
+    if errors[0] is not None:
+        raise errors[0]
+    return DensityState(jordan.JordanElement(e.tag, e.n, conds[0]))
 
 
 def conditional_probability(rho, f, e, threshold=MASS_THRESHOLD):

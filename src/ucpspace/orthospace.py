@@ -26,6 +26,9 @@ import numpy as np
 from .errors import SizeError, StructuralError
 
 MAX_EVENTS = 4096
+# pairwise sums per stacked kernel call in projection_orthospace, so a family near
+# MAX_EVENTS does not build one stack of millions of sums
+_PAIR_BLOCK = 4096
 _MAX_WITNESSES = 32
 
 AXIOMS = (
@@ -402,7 +405,7 @@ def projection_orthospace(elements, tol=1e-8):
     of p and q is "p + q is idempotent" (equivalently the Jordan product
     vanishes).  Violations raise StructuralError; tolerance is entrywise.
     """
-    from . import jordan  # local import: jordan is a heavier module
+    from . import jordan, kernels  # local import: jordan is a heavier module
 
     if not elements:
         raise StructuralError("empty projection family")
@@ -434,14 +437,18 @@ def projection_orthospace(elements, tol=1e-8):
     if zero is None or unit is None:
         raise StructuralError("family must contain 0 and the identity")
 
-    st = np.full((n, n), -1, dtype=np.int64)
+    # p _|_ q iff p + q is idempotent; the pairwise sums are squared _PAIR_BLOCK at a time
     ortho = np.zeros((n, n), dtype=bool)
+    step = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, step):
+        sums = (coords[lo : lo + step, None] + coords[None, :]).reshape((-1,) + coords.shape[1:])
+        defect = np.max(np.abs(kernels.jordan_mul(sums, sums) - sums), axis=(1, 2, 3))
+        ortho[lo : lo + step] = (defect <= tol).reshape(-1, n)
+    st = np.full((n, n), -1, dtype=np.int64)
     for i in range(n):
         for j in range(n):
-            s = coords[i] + coords[j]
-            if jordan.is_idempotent(jordan.JordanElement(tag, dim, s), tol):
-                ortho[i, j] = True
-                k = match(s)
+            if ortho[i, j]:
+                k = match(coords[i] + coords[j])
                 if k is None:
                     raise StructuralError(f"sum of orthogonal pair ({i}, {j}) missing from family")
                 st[i, j] = k

@@ -10,10 +10,13 @@ sum t_k pi(e_k) over an orthogonal family.
 
 Compressions are assembled row by row from conditionals: row l of U_e is
 mu_l(e) times the expansion of the conditional of mu_l under e in the
-generators.  The conditional comes from an injected oracle, either the
-LP-based unique conditional of the state polytope (exact lane, Fractions
-end-to-end) or the closed-form Lüders conditional of a matrix instance
-(float lane).  Event multipliers T_e = (I + U_e - U_e')/2 then recover the
+generators.  The conditionals come from an injected oracle called once per
+event, `oracle(e, generators)`, with the generators of nonzero mass on e in
+order; it returns their expansions in that order, and the first generator
+whose conditional fails raises.  The exact-lane oracle takes the LP-based
+unique conditional of the state polytope for one generator at a time
+(Fractions end-to-end); the float-lane oracle conditions the whole stack of
+densities by the closed-form Lüders rule in one kernel call.  Event multipliers T_e = (I + U_e - U_e')/2 then recover the
 product: x o y = T_y x extended bilinearly from the events, symmetrized.
 Both linear maps the product needs are built once per model: the left inverse
 of the basis-event columns (coordinates of x over basis_events) and the
@@ -31,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import jordan, linsolve, lueders, orthospace, statespace
+from . import jordan, kernels, linsolve, lueders, orthospace, statespace
 from .errors import SynthesisError
 from .exactlp import OPTIMAL, solve_lp
 
@@ -224,12 +227,12 @@ def matrix_synthetic_space(instance):
 
 
 def polytope_expansion_oracle(synth, polytope):
-    """Exact-lane oracle: LP-unique conditional, expanded over the generators."""
+    """Exact-lane oracle: LP-unique conditionals, expanded over the generators one at a time."""
     pairing = synth.pairing
     n_states, n_events = pairing.shape
     a_rows = [[pairing[m, j] for m in range(n_states)] for j in range(n_events)]
 
-    def oracle(l, e):
+    def expand(l, e):
         mu = statespace.State(tuple(pairing[l, j] for j in range(n_events)))
         verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
         if verdict.verdict != statespace.UNIQUE:
@@ -243,6 +246,9 @@ def polytope_expansion_oracle(synth, polytope):
             raise SynthesisError(f"conditional of generator {l} lies outside the generator span")
         return sol[0]
 
+    def oracle(e, generators):
+        return [expand(l, e) for l in generators]
+
     return oracle
 
 
@@ -252,19 +258,28 @@ def density_matrix(instance):
 
 
 def lueders_expansion_oracle(synth, instance):
-    """Float-lane oracle: closed-form Lüders conditional, expanded over densities."""
-    flat = density_matrix(instance)
-    pinv = np.linalg.pinv(flat.T)
+    """Float-lane oracle: closed-form Lüders conditionals, expanded over densities.
 
-    def oracle(l, e_id):
-        cond = lueders.condition(instance.densities[l], instance.elements[e_id])
-        target = cond.element.coords.reshape(-1)
-        c = pinv @ target
-        if np.linalg.norm(flat.T @ c - target) > FLOAT_TOL:
-            raise SynthesisError(
-                f"conditional of generator {l} lies outside the density span"
-            )
-        return c
+    One call conditions the whole stack of generators in one
+    `lueders.condition_stack` and expands every conditional with one
+    pseudoinverse product.  The first generator, in order, whose conditioning
+    or span check fails is the one that raises.
+    """
+    coords = np.stack([d.element.coords for d in instance.densities])
+    flat = coords.reshape(len(coords), -1)
+    pinv_t = np.linalg.pinv(flat.T).T
+
+    def oracle(e_id, generators):
+        conds, errors = lueders.condition_stack(coords[generators], instance.elements[e_id])
+        targets = conds.reshape(len(generators), -1)
+        expansions = targets @ pinv_t
+        residuals = np.linalg.norm(expansions @ flat - targets, axis=1)
+        for l, error, r in zip(generators, errors, residuals):
+            if error is not None:
+                raise error
+            if r > FLOAT_TOL:
+                raise SynthesisError(f"conditional of generator {l} lies outside the density span")
+        return expansions
 
     return oracle
 
@@ -290,22 +305,18 @@ def _max_abs(arr):
 
 
 def build_compression(synth, e, oracle):
-    """U_e over A-coordinates: row l is mu_l(e) times the conditional expansion."""
+    """U_e over A-coordinates: row l is mu_l(e) times the conditional expansion.
+
+    The oracle is called once, for every generator with nonzero mass on e.
+    """
     pairing = synth.pairing
     n_states = synth.n_states
     zero_mass = (lambda m: m == 0) if synth.exact else (lambda m: m <= MASS_THRESHOLD)
-    rows = []
-    for l in range(n_states):
-        mass = pairing[l, e]
-        if zero_mass(mass):
-            rows.append(synth.zeros())
-        else:
-            c = oracle(l, e)
-            row = np.empty(n_states, dtype=object) if synth.exact else np.empty(n_states)
-            for m in range(n_states):
-                row[m] = mass * c[m]
-            rows.append(row)
-    u = np.stack(rows)
+    live = [l for l in range(n_states) if not zero_mass(pairing[l, e])]
+    u = np.stack([synth.zeros() for _ in range(n_states)])
+    if live:
+        for l, c in zip(live, oracle(e, live)):
+            u[l] = pairing[l, e] * np.asarray(c, dtype=u.dtype)
     idem = _max_abs(u @ u - u)
     unit_image = _max_abs(u @ synth.unit_coords() - synth.pi(e))
     drift = 0.0
@@ -689,35 +700,38 @@ def hull_membership(synth, x):
 # canonical comparison against a matrix instance
 
 
-def evaluation_of(densities, x):
-    """Evaluation vector of a hermitian element against a density_matrix."""
-    return densities @ np.asarray(x.coords, dtype=np.float64).reshape(-1)
-
-
 def compare_with_lueders(model, instance):
-    """Worst gap between synthetic compressions and {e, ., e} on a spanning set."""
+    """Worst gap between synthetic compressions and {e, ., e} on a spanning set.
+
+    Per event, the whole basis is compressed in one `kernels.triple` call.
+    """
     densities = density_matrix(instance)
+    basis = np.stack([h.coords for h in jordan.hermitian_basis(instance.tag, instance.n)])
+    basis_evals = densities @ basis.reshape(len(basis), -1).T
     worst = 0.0
-    basis = jordan.hermitian_basis(instance.tag, instance.n)
     for e_id, e in enumerate(instance.elements):
-        u = model.compressions[e_id].matrix
-        for h in basis:
-            lhs = u @ evaluation_of(densities, h)
-            rhs = evaluation_of(densities, jordan.triple_product(e, h, e))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+        lhs = model.compressions[e_id].matrix @ basis_evals
+        rhs = densities @ kernels.triple(e.coords, basis, e.coords).reshape(len(basis), -1).T
+        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     return worst
 
 
 def compare_products(model, instance):
-    """Worst gap between the reconstructed product and the Jordan product on pi(E) pairs."""
+    """Worst gap between the reconstructed product and the Jordan product on pi(E) pairs.
+
+    The Jordan products of all pairs are one `kernels.jordan_mul` call.
+    """
     densities = density_matrix(instance)
     synth = model.synth
+    coords = np.stack([el.coords for el in instance.elements])
+    n = len(coords)
+    pairs = kernels.jordan_mul(np.repeat(coords, n, axis=0), np.tile(coords, (n, 1, 1, 1)))
+    want = pairs.reshape(n * n, -1) @ densities.T
     worst = 0.0
-    for i, a in enumerate(instance.elements):
-        for j, b in enumerate(instance.elements):
-            got = model.product(synth.pi(i), synth.pi(j))
-            want = evaluation_of(densities, jordan.jordan_product(a, b))
-            worst = max(worst, float(np.max(np.abs(np.asarray(got, dtype=np.float64) - want))))
+    for i in range(n):
+        for j in range(n):
+            got = np.asarray(model.product(synth.pi(i), synth.pi(j)), dtype=np.float64)
+            worst = max(worst, float(np.max(np.abs(got - want[i * n + j]))))
     return worst
 
 

@@ -445,6 +445,12 @@ class TestSynthesize:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "f383f56db5a6ffaeb71cf47532dbdcccd0bdcdc68b62a29b2c0ac4cab42ddd4d"
 
+    def test_clean_keeps_natives_and_converts_the_rest(self):
+        report = {"a": [1.5, 2, "x", None, True], "b": np.float64(0.25), "c": F(1, 3), "d": np.arange(2), 3: (F(2),)}
+        clean = cli._clean(report)
+        assert clean == {"a": [1.5, 2, "x", None, True], "b": 0.25, "c": "1/3", "d": [0, 1], "3": ["2"]}
+        assert type(clean["b"]) is float and type(clean["d"][0]) is int
+
 
 class TestEntryPoint:
     def test_module_invocation(self, files):

@@ -156,3 +156,16 @@ class TestSynthDump:
         key = next(iter(back["compressions"]))
         mat = np.array(back["compressions"][key], dtype=np.float64)
         assert mat.shape == (synth.n_states, synth.n_states)
+
+
+class TestMatrixPayload:
+    def test_float_array_is_native_tolist(self, rng):
+        mat = rng.normal(size=(4, 5))
+        payload = fileio._matrix_payload(mat)
+        assert payload == [[float(v) for v in row] for row in mat]
+        assert all(type(v) is float for row in payload for v in row)
+
+    def test_fraction_array_becomes_strings(self):
+        mat = np.empty((2, 2), dtype=object)
+        mat[:] = [[Fraction(1, 3), Fraction(0)], [Fraction(-2), Fraction(5, 7)]]
+        assert fileio._matrix_payload(mat) == [["1/3", "0"], ["-2", "5/7"]]

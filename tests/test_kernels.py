@@ -20,6 +20,50 @@ def reference_matmul(a, b):
     return out
 
 
+def einsum_matmul(a, b):
+    """The former kernel: one three-operand einsum through the structure tensor."""
+    return np.einsum("...ijp,...jmq,pqr->...imr", a, b, cayley.structure_tensor(a.shape[-1]))
+
+
+def einsum_jordan_mul(a, b):
+    return 0.5 * (einsum_matmul(a, b) + einsum_matmul(b, a))
+
+
+def einsum_triple(a, b, c):
+    j = einsum_jordan_mul
+    return j(a, j(b, c)) - j(b, j(c, a)) + j(c, j(a, b))
+
+
+# (batch of a, batch of b): single, batched, and each side broadcast against the other
+SHAPES = [((), ()), ((5,), (5,)), ((), (5,)), ((5,), ())]
+
+
+def assert_matches(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize("batches", SHAPES)
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+def test_matmul_and_jordan_match_einsum(k, batches, scale, rng):
+    a = scale * random_coord_matrix(rng, 3, k, batch=batches[0])
+    b = scale * random_coord_matrix(rng, 3, k, batch=batches[1])
+    assert_matches(kernels.matmul(a, b), einsum_matmul(a, b))
+    assert_matches(kernels.matmul(b, a), einsum_matmul(b, a))
+    assert_matches(kernels.jordan_mul(a, b), einsum_jordan_mul(a, b))
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+@pytest.mark.parametrize("batches", SHAPES)
+def test_triple_matches_einsum(k, batches, rng):
+    # the conditioning shape: an unbatched event around a batched or single middle
+    e = kernels.hermitize(random_coord_matrix(rng, 3, k, batch=batches[0]))
+    x = kernels.hermitize(random_coord_matrix(rng, 3, k, batch=batches[1]))
+    assert_matches(kernels.triple(e, x, e), einsum_triple(e, x, e))
+    assert_matches(kernels.triple(x, e, x), einsum_triple(x, e, x))
+
+
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 @pytest.mark.parametrize("n", [2, 3])
 def test_matmul_paths_agree(k, n, rng):

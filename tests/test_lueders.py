@@ -113,6 +113,72 @@ class TestConditioning:
         assert direct == pytest.approx(via_state, abs=1e-10)
 
 
+def complex_matrix(coords):
+    return coords[..., 0] + 1j * coords[..., 1]
+
+
+class TestConditionStack:
+    """The stacked conditioning against a per-density e rho e / tr in complex matrices."""
+
+    def densities(self, rng, count):
+        return np.stack([density_from(lueders.random_positive("C", 3, rng)).element.coords for _ in range(count)])
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_per_density_reference(self, rank, rng):
+        e = jordan.random_projection("C", 3, rng, rank=rank)
+        stack = self.densities(rng, 7)
+        conds, errors = lueders.condition_stack(stack, e)
+        assert errors == [None] * 7
+        em = complex_matrix(e.coords)
+        for rho, cond in zip(stack, conds):
+            ref = em @ complex_matrix(rho) @ em
+            ref /= np.trace(ref).real
+            assert np.max(np.abs(complex_matrix(cond) - ref)) <= 1e-13
+
+    def test_single_density_is_condition(self, rng):
+        e = jordan.random_projection("C", 3, rng)
+        stack = self.densities(rng, 4)
+        conds, _ = lueders.condition_stack(stack, e)
+        for rho, cond in zip(stack, conds):
+            one = condition(DensityState(jordan.JordanElement("C", 3, rho)), e)
+            assert np.max(np.abs(one.element.coords - cond)) <= 1e-15
+
+    def test_zero_mass_density_flagged_in_place(self, rng):
+        e = jordan.diag("C", [1, 0, 0])
+        stack = self.densities(rng, 3)
+        stack[1] = jordan.diag("C", [0, 0.5, 0.5]).coords
+        conds, errors = lueders.condition_stack(stack, e)
+        assert errors[0] is None and errors[2] is None
+        assert isinstance(errors[1], ConditioningUndefinedError)
+        assert "event mass" in str(errors[1])
+
+    def test_zero_mass_density_raises_through_the_oracle(self):
+        from ucpspace import synthesis
+
+        inst = instances.qubit_instance()
+        synth = synthesis.matrix_synthetic_space(inst)
+        oracle = synthesis.lueders_expansion_oracle(synth, inst)
+        e = 2  # pz: the density of its complement has zero mass on it
+        zero = [l for l in range(synth.n_states) if synth.pairing[l, e] <= lueders.MASS_THRESHOLD]
+        live = [l for l in range(synth.n_states) if l not in zero]
+        assert zero and live
+        assert len(oracle(e, live)) == len(live)
+        with pytest.raises(ConditioningUndefinedError, match="event mass"):
+            oracle(e, [live[0], zero[0], live[-1]])
+
+    def test_idempotency_checked_once_and_raises(self, rng):
+        with pytest.raises(PreconditionError, match="idempotent"):
+            lueders.condition_stack(self.densities(rng, 2), 0.5 * jordan.identity("C", 3))
+
+    def test_density_checks_per_entry(self):
+        stack = np.stack([jordan.diag("C", [0.5, 0.5]).coords, jordan.diag("C", [1.5, -0.5]).coords,
+                          jordan.diag("C", [1.0, 1.0]).coords])
+        errors = lueders._density_errors("C", stack)
+        assert errors[0] is None
+        assert str(errors[1]).startswith("density has negative eigenvalue")
+        assert str(errors[2]) == "density trace is 2.0, not 1"
+
+
 class TestPairClassification:
     def test_comparable(self):
         e = jordan.diag("C", [1, 0, 0])

@@ -273,3 +273,27 @@ class TestProjectionDerived:
         system = projection_orthospace(els)
         assert system.space.n_events == 8
         assert_all_pass(verify_orthospace(system.space))
+
+    @pytest.mark.parametrize("family_seed", [5, 11, 7671])
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 60])
+    def test_stacked_orthogonality_matches_pairwise_idempotency(self, family_seed, block, monkeypatch):
+        from ucpspace import jordan
+
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)  # 60: two events' pairs per block
+        els = instances.qutrit_instance(seed=family_seed).system.elements
+        space = projection_orthospace(els).space
+        for i, p in enumerate(els):
+            for j, q in enumerate(els):
+                assert space.ortho[i, j] == jordan.is_idempotent(p + q)
+                if space.ortho[i, j]:
+                    assert jordan.max_abs(els[space.sum_table[i, j]] - (p + q)) <= 1e-8
+
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 3])
+    def test_missing_orthogonal_sum_names_first_pair(self, block, monkeypatch):
+        from ucpspace import jordan
+
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+        els = [jordan.diag("R", [float(mask >> i & 1) for i in range(3)]) for mask in range(8)]
+        del els[3]  # diag(1, 1, 0): the sum of the first orthogonal pair of atoms (1, 2)
+        with pytest.raises(StructuralError, match=r"^sum of orthogonal pair \(1, 2\) missing from family$"):
+            projection_orthospace(els)

@@ -5,10 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucpspace import instances, jordan, linsolve, orthospace, statespace
+from ucpspace import instances, jordan, linsolve, lueders, orthospace, statespace
 from ucpspace.errors import SynthesisError
 from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
+    FLOAT_TOL,
+    MASS_THRESHOLD,
     abstract_synthetic_space,
     build_product_model,
     check_box_equality,
@@ -377,3 +379,104 @@ class TestBlockedSynthesis:
         assert err.value.verdict.verdict == statespace.MULTIPLE
         assert err.value.event is not None
         assert err.value.generator is not None
+
+
+def reference_lueders_expansions(instance, e_id):
+    """Per-generator Lüders oracle: {e, rho_l, e} / tr, one density at a time, expanded by pinv.
+
+    Returns {generator: expansion} over the generators with mass on the event, in order, and
+    the first generator whose conditional lies outside the density span (or None).
+    """
+    flat = np.stack([d.element.coords.reshape(-1) for d in instance.densities])
+    pinv = np.linalg.pinv(flat.T)
+    e = instance.elements[e_id]
+    out, outside = {}, None
+    for l, rho in enumerate(instance.densities):
+        if rho.expect(e) <= MASS_THRESHOLD:
+            continue
+        comp = jordan.triple_product(e, rho.element, e)
+        target = (comp * (1.0 / jordan.trace(comp))).coords.reshape(-1)
+        c = pinv @ target
+        if np.linalg.norm(flat.T @ c - target) > FLOAT_TOL and outside is None:
+            outside = l
+        out[l] = c
+    return out, outside
+
+
+class TestStackedLuedersOracle:
+    """Compressions from the stacked oracle against the per-generator reference."""
+
+    @pytest.mark.parametrize("family_seed", [None, 11, 7671])
+    def test_compressions_match_per_generator_reference(self, family_seed):
+        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+        synth = matrix_synthetic_space(inst)
+        model = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        for e_id in synth.space.events():
+            expansions, outside = reference_lueders_expansions(inst, e_id)
+            assert outside is None
+            want = np.zeros((synth.n_states, synth.n_states))
+            for l, c in expansions.items():
+                want[l] = synth.pairing[l, e_id] * c
+            got = model.compressions[e_id].matrix
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_one_oracle_call_per_event_with_mass(self, qubit):
+        synth = matrix_synthetic_space(qubit)
+        oracle = lueders_expansion_oracle(synth, qubit)
+        calls = []
+
+        def counted(e, generators):
+            calls.append((e, list(generators)))
+            return oracle(e, generators)
+
+        build_product_model(synth, counted)
+        massive = [e for e in synth.space.events() if np.max(synth.pairing[:, e]) > MASS_THRESHOLD]
+        assert [e for e, _ in calls] == massive
+        for e, generators in calls:
+            assert generators == [l for l in range(synth.n_states) if synth.pairing[l, e] > MASS_THRESHOLD]
+
+    @pytest.mark.parametrize("drop", ["spanning", "last3"])
+    def test_outside_span_names_first_generator(self, drop):
+        base = instances.sparse_conditioning_instance()
+        spanning = len(instances._spanning_densities(base.tag, base.n))
+        keep = len(base.densities) - (spanning if drop == "spanning" else 3)
+        inst = instances.MatrixInstance(base.tag, base.n, base.system, base.densities[:keep])
+        expected = None
+        for e_id in inst.space.events():
+            _, outside = reference_lueders_expansions(inst, e_id)
+            if outside is not None:
+                expected = outside
+                break
+        assert expected is not None
+        synth = matrix_synthetic_space(inst)
+        with pytest.raises(SynthesisError) as err:
+            build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        assert str(err.value) == f"conditional of generator {expected} lies outside the density span"
+
+    def test_first_failing_generator_in_order_raises(self, monkeypatch):
+        # a conditioning failure and a span failure in one stack: whichever generator
+        # comes first in the call's order is the one that raises
+        base = instances.sparse_conditioning_instance()
+        spanning = len(instances._spanning_densities(base.tag, base.n))
+        inst = instances.MatrixInstance(base.tag, base.n, base.system, base.densities[: len(base.densities) - spanning])
+        synth = matrix_synthetic_space(inst)
+        oracle = lueders_expansion_oracle(synth, inst)
+        e_id, outside = next(
+            (e, out) for e in inst.space.events() if (out := reference_lueders_expansions(inst, e)[1]) is not None
+        )
+        other = next(l for l in range(synth.n_states) if l != outside and synth.pairing[l, e_id] > MASS_THRESHOLD)
+        stack = lueders.condition_stack
+        failing = {}
+
+        def with_failure(coords, e, threshold=lueders.MASS_THRESHOLD):
+            conds, errors = stack(coords, e, threshold)
+            errors[failing["at"]] = lueders.ConditioningUndefinedError("stand-in failure")
+            return conds, errors
+
+        monkeypatch.setattr(lueders, "condition_stack", with_failure)
+        failing["at"] = 0
+        with pytest.raises(lueders.ConditioningUndefinedError, match="stand-in"):
+            oracle(e_id, [other, outside])
+        failing["at"] = 1
+        with pytest.raises(SynthesisError, match=f"generator {outside} lies outside"):
+            oracle(e_id, [outside, other])
