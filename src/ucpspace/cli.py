@@ -7,6 +7,7 @@ platform; reports named by --replay are re-verified witness by witness.
 """
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -38,28 +39,6 @@ PASS, FAIL, BAD_INPUT = 0, 1, 2
 def _g(v):
     """Compact numeric formatting for text reports."""
     return f"{float(v):g}"
-
-
-_NATIVE = frozenset((float, int, str, bool, type(None)))
-
-
-def _clean(obj):
-    """JSON-safe copy: Fractions to p/q strings, numpy scalars to natives."""
-    if type(obj) in _NATIVE:
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
-    return obj
 
 
 def _read(path):
@@ -205,7 +184,7 @@ def _verify_mixture(space, polytope, report, lines, rng, samples):
 def _verify_separation(polytope, report, lines):
     gens = _generators(polytope)
     sep = statespace.check_separation(polytope)
-    report["separation"] = {"passed": sep.passed, "witness": _clean(sep.witness)}
+    report["separation"] = {"passed": sep.passed, "witness": sep.witness}
     verdict = "pass" if sep.passed else f"FAIL {sep.witness[:2]}"
     lines.append(f"separation: {verdict} ({len(gens)} generators)")
     return sep.passed
@@ -348,7 +327,7 @@ def _condition_matrix(args, report, lines):
         val = lueders.conditional_probability(rho, f, e)
         report["observed"] = float(val)
         lines.append(f"mu(f|e) = {_g(val)}")
-    report["conditional"] = _clean(cond.element.coords)
+    report["conditional"] = cond.element.coords
     return PASS
 
 
@@ -541,6 +520,7 @@ def cmd_spectrum(args):
 # entry point
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="ucpspace",
@@ -604,7 +584,7 @@ def main(argv=None):
         return BAD_INPUT
 
     if args.format == "structured":
-        print(json.dumps(_clean(report), sort_keys=True, indent=2))
+        print(fileio.json_text(report))
     else:
         for line in lines:
             print(line)

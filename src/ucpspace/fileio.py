@@ -308,8 +308,63 @@ def synth_dump(model):
     }
 
 
+_NATIVE = frozenset((float, int, str, bool, type(None)))
+_ROW_SCALARS = _NATIVE - {str}
+# With indent unset the standard encoder runs in C: one call per scalar or per row of numbers.
+_encode = json.JSONEncoder().encode
+
+
+def json_text(obj):
+    """`json.dumps(obj, sort_keys=True, indent=2)`, with Fractions as p/q strings and numpy values as natives.
+
+    Dict keys go through `str` before they are sorted; tuples and arrays are
+    written as lists.  A row of plain numbers is encoded in one call and the
+    indented separators are spliced in: no number's repr contains ", ".
+    Anything else raises json's TypeError.
+    """
+    out = []
+    _write_json(obj, "\n", out)
+    return "".join(out)
+
+
+def _write_json(obj, nl, out):
+    """Append obj's text to out; nl is the newline plus the indent of obj's own line."""
+    if type(obj) in _NATIVE:
+        out.append(_encode(obj))
+    elif isinstance(obj, dict):
+        items = {str(k): v for k, v in obj.items()}
+        if not items:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(items):
+            out.append(sep + _encode(k) + ": ")
+            _write_json(items[k], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        if _ROW_SCALARS.issuperset(map(type, obj)):
+            out.append("[" + inner + _encode(obj)[1:-1].replace(", ", "," + inner) + nl + "]")
+            return
+        sep = "[" + inner
+        for v in obj:
+            out.append(sep)
+            _write_json(v, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif isinstance(obj, np.ndarray):
+        _write_json(obj.tolist(), nl, out)
+    else:
+        out.append(_encode(_jsonable(obj)))
+
+
 def dump_to_json(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json_text(payload) + "\n"
 
 
 def _entry(v):

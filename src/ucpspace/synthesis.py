@@ -21,7 +21,9 @@ product: x o y = T_y x extended bilinearly from the events, symmetrized.
 Both linear maps the product needs are built once per model: the left inverse
 of the basis-event columns (coordinates of x over basis_events) and the
 structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
-x o y = sum_kl cx_k cy_l S[k, l] is one contraction per product.
+x o y = sum_kl cx_k cy_l S[k, l].  The product takes one pair or a stack of
+pairs; on the float lane a stack is one coordinate map and one contraction,
+and the law sweep and the product comparison pass every sampled pair at once.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
@@ -117,6 +119,12 @@ class SyntheticSpace:
         return self.pi(self.space.unit)
 
     def norm(self, x):
+        """Order-unit norm max_l |x_l| of x (n,), or of each row of a stack (P, n) as an array."""
+        if np.ndim(x) == 2:
+            x = np.asarray(x)
+            if x.dtype == object:
+                return np.array([self.norm(r) for r in x], dtype=np.float64)
+            return np.max(np.abs(x), axis=-1, initial=0.0)
         return float(max(abs(v) for v in x)) if len(x) else 0.0
 
     def is_positive(self, x, tol=FLOAT_TOL):
@@ -140,38 +148,49 @@ class SyntheticSpace:
         return np.eye(self.n_states)
 
     def event_coords(self, x, tol=FLOAT_TOL):
-        """Coefficients over basis_events reproducing x, or SynthesisError."""
-        x = np.asarray(x) if self.exact else np.asarray(x, dtype=np.float64)
+        """Coefficients over basis_events reproducing x (n,), or each row of a stack (P, n).
+
+        Raises SynthesisError if x, or any one row of the stack, lies outside the span.
+        """
         rows, inv = self.coord_map
         if self.exact:
+            x = np.asarray(x)
+            if x.ndim == 2:
+                return np.array([self.event_coords(r) for r in x], dtype=object).reshape(len(x), self.dim)
             c = _exact_matvec(inv, x[rows])
             outside = any(_exact_matvec(self.basis_cols, c) != x)
         else:
-            c = inv @ x[rows]
-            back = self.basis_cols @ c
-            # ||back - x|| > tol * max(1, ||x||), compared in squares
-            r = back - x
-            outside = r @ r > tol * tol * max(1.0, x @ x)
+            x = np.asarray(x, dtype=np.float64)
+            c = x[..., rows] @ inv.T
+            # ||back - x|| > tol * max(1, ||x||) row by row, compared in squares
+            r = c @ self.basis_cols.T - x
+            outside = np.any(np.sum(r * r, axis=-1) > tol * tol * np.maximum(1.0, np.sum(x * x, axis=-1)))
         if outside:
             raise SynthesisError("element lies outside the event span")
         return c
 
 
 def _check_state_rows(space, rows, exact):
-    for ix, row in enumerate(rows):
-        if exact:
+    if exact:
+        for ix, row in enumerate(rows):
             ok, viol = statespace.is_state(space, statespace.State(tuple(Fraction(v) for v in row)))
             if not ok:
                 raise SynthesisError(f"generator {ix} is not a state: {viol[0]}")
-        else:
-            r = np.asarray(row, dtype=np.float64)
-            if abs(r[space.unit] - 1.0) > FLOAT_TOL or r.min() < -FLOAT_TOL or r.max() > 1 + FLOAT_TOL:
-                raise SynthesisError(f"generator {ix} is not a state (mass or range)")
-            for e in space.events():
-                for f in space.events():
-                    s = space.sum_of(e, f)
-                    if s is not None and abs(r[e] + r[f] - r[s]) > FLOAT_TOL:
-                        raise SynthesisError(f"generator {ix} is not additive on ({e}, {f})")
+        return
+    r = np.asarray(rows, dtype=np.float64)
+    out_of_range = (
+        (np.abs(r[:, space.unit] - 1.0) > FLOAT_TOL) | (r.min(axis=1) < -FLOAT_TOL) | (r.max(axis=1) > 1 + FLOAT_TOL)
+    )
+    # every defined sum e + f = s, in (e, f) order
+    e, f = np.nonzero(space.sum_table >= 0)
+    s = space.sum_table[e, f]
+    not_additive = np.abs(r[:, e] + r[:, f] - r[:, s]) > FLOAT_TOL
+    for ix in range(len(r)):
+        if out_of_range[ix]:
+            raise SynthesisError(f"generator {ix} is not a state (mass or range)")
+        if not_additive[ix].any():
+            t = int(np.argmax(not_additive[ix]))
+            raise SynthesisError(f"generator {ix} is not additive on ({e[t]}, {f[t]})")
 
 
 def build_synthetic_space(space, value_rows, exact=None):
@@ -301,7 +320,10 @@ class CompressionReport:
 
 
 def _max_abs(arr):
-    return float(max((abs(v) for v in np.asarray(arr, dtype=object).ravel()), default=0))
+    arr = np.asarray(arr)
+    if arr.dtype != object:
+        return float(np.max(np.abs(arr), initial=0.0))
+    return float(max((abs(v) for v in arr.ravel()), default=0))
 
 
 def build_compression(synth, e, oracle):
@@ -354,12 +376,22 @@ class ProductModel:
         return self.multipliers[e] @ x
 
     def product(self, x, y):
-        """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], from the event coordinates of x and y."""
+        """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n)."""
         synth = self.synth
         cx, cy = synth.event_coords(x), synth.event_coords(y)
         if not synth.exact:
-            return np.einsum("k,l,kls->s", cx, cy, self.structure)
-        acc = synth.zeros()
+            # the outer products cx cy^T against S flattened over (k, l): one matmul for the whole stack
+            outer = cx[..., :, None] * cy[..., None, :]
+            return outer.reshape(*outer.shape[:-2], -1) @ self.structure.reshape(-1, synth.n_states)
+        if cx.ndim == 2:
+            out = np.empty((len(cx), synth.n_states), dtype=object)
+            for p, (a, b) in enumerate(zip(cx, cy)):
+                out[p] = self._exact_contraction(a, b)
+            return out
+        return self._exact_contraction(cx, cy)
+
+    def _exact_contraction(self, cx, cy):
+        acc = self.synth.zeros()
         for k, a in enumerate(cx):
             if a:
                 for l, b in enumerate(cy):
@@ -424,15 +456,13 @@ def check_well_definedness(model, samples=50, rng=None):
     synth = model.synth
     space = synth.space
     worst_triple = 0.0
-    basis_cols = synth.basis_cols.T
     for e in space.events():
         for f in range(e, space.n_events):
             s = space.sum_of(e, f)
             if s is None or e == space.zero or f == space.zero:
                 continue
             delta = model.multipliers[e] + model.multipliers[f] - model.multipliers[s]
-            for col in basis_cols:
-                worst_triple = max(worst_triple, synth.norm(delta @ col))
+            worst_triple = max(worst_triple, _max_abs(delta @ synth.basis_cols))
     families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
     worst_regroup, used, skipped = 0.0, 0, 0
     menu = [Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
@@ -459,9 +489,7 @@ def check_well_definedness(model, samples=50, rng=None):
         scale = (lambda v: v) if synth.exact else float
         direct = sum((model.multipliers[g] * scale(c) for g, c in zip(fam, coeffs)))
         grouped = sum((model.multipliers[g] * scale(c) for c, g in merged))
-        delta = direct - grouped
-        for col in basis_cols:
-            worst_regroup = max(worst_regroup, synth.norm(delta @ col))
+        worst_regroup = max(worst_regroup, _max_abs((direct - grouped) @ synth.basis_cols))
     return WellDefinednessReport(
         sum_triple_residual=worst_triple,
         regroup_residual=worst_regroup,
@@ -501,34 +529,36 @@ class SyntheticLawReport:
 
 
 def check_laws_on_reconstruction(model, pairs=200, rng=None):
-    """Jordan identity, norm laws, power associativity on sampled primitives."""
+    """Jordan identity, norm laws, power associativity on sampled primitives.
+
+    All pairs are drawn first (x then y, pair by pair); each law term is then
+    one product over the (pairs, n) stacks, and each residual a row-wise norm.
+    """
     rng = rng or np.random.default_rng(0)
     synth = model.synth
     fams = orthospace.maximal_orthogonal_families(synth.space)
-    unit = synth.unit_coords()
-    worst_ji = worst_sq = worst_pa = worst_unit = 0.0
-    slack = float("inf")
-    for _ in range(pairs):
-        x, _ = random_primitive(synth, rng, fams)
-        y, _ = random_primitive(synth, rng, fams)
-        x2 = model.product(x, x)
-        y2 = model.product(y, y)
-        lhs = model.product(x2, model.product(x, y))
-        rhs = model.product(x, model.product(x2, y))
-        worst_ji = max(worst_ji, synth.norm(lhs - rhs))
-        worst_sq = max(worst_sq, abs(synth.norm(y2) - synth.norm(y) ** 2))
-        slack = min(slack, synth.norm(x2 + y2) - synth.norm(x2))
-        x4 = model.product(x2, x2)
-        worst_pa = max(worst_pa, synth.norm(x4 - model.power(x, 4)))
-        x6 = model.product(model.power(x, 3), model.power(x, 3))
-        worst_pa = max(worst_pa, synth.norm(x6 - model.power(x, 6)))
-        worst_unit = max(worst_unit, synth.norm(model.product(unit, x) - x))
+    draws = [random_primitive(synth, rng, fams)[0] for _ in range(2 * pairs)]
+    x = np.array(draws[0::2]).reshape(pairs, synth.n_states)
+    y = np.array(draws[1::2]).reshape(pairs, synth.n_states)
+    unit = np.broadcast_to(synth.unit_coords(), x.shape)
+    norm = synth.norm
+    x2, y2 = model.product(x, x), model.product(y, y)
+    lhs = model.product(x2, model.product(x, y))
+    rhs = model.product(x, model.product(x2, y))
+    x3 = model.power(x, 3)
+    x4_gap = norm(model.product(x2, x2) - model.power(x, 4))
+    x6_gap = norm(model.product(x3, x3) - model.power(x, 6))
+    slack = norm(x2 + y2) - norm(x2)
+
+    def worst(rows):
+        return float(np.max(rows, initial=0.0))
+
     return SyntheticLawReport(
-        jordan_identity=worst_ji,
-        square_norm=worst_sq,
-        square_sum_slack=slack if slack != float("inf") else 0.0,
-        power_associativity=worst_pa,
-        unit_residual=worst_unit,
+        jordan_identity=worst(norm(lhs - rhs)),
+        square_norm=worst(np.abs(norm(y2) - norm(y) ** 2)),
+        square_sum_slack=float(slack.min()) if pairs else 0.0,
+        power_associativity=max(worst(x4_gap), worst(x6_gap)),
+        unit_residual=worst(norm(model.product(unit, x) - x)),
         pairs=pairs,
     )
 
@@ -719,20 +749,17 @@ def compare_with_lueders(model, instance):
 def compare_products(model, instance):
     """Worst gap between the reconstructed product and the Jordan product on pi(E) pairs.
 
-    The Jordan products of all pairs are one `kernels.jordan_mul` call.
+    The Jordan products of all pairs are one `kernels.jordan_mul` call, and the
+    reconstructed products one `ProductModel.product` call on the same stacks.
     """
     densities = density_matrix(instance)
-    synth = model.synth
     coords = np.stack([el.coords for el in instance.elements])
     n = len(coords)
     pairs = kernels.jordan_mul(np.repeat(coords, n, axis=0), np.tile(coords, (n, 1, 1, 1)))
     want = pairs.reshape(n * n, -1) @ densities.T
-    worst = 0.0
-    for i in range(n):
-        for j in range(n):
-            got = np.asarray(model.product(synth.pi(i), synth.pi(j)), dtype=np.float64)
-            worst = max(worst, float(np.max(np.abs(got - want[i * n + j]))))
-    return worst
+    pis = model.synth.pairing[:, :n].T
+    got = model.product(np.repeat(pis, n, axis=0), np.tile(pis, (n, 1)))
+    return float(np.max(np.abs(got - want)))
 
 
 @dataclass

@@ -445,12 +445,6 @@ class TestSynthesize:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "f383f56db5a6ffaeb71cf47532dbdcccd0bdcdc68b62a29b2c0ac4cab42ddd4d"
 
-    def test_clean_keeps_natives_and_converts_the_rest(self):
-        report = {"a": [1.5, 2, "x", None, True], "b": np.float64(0.25), "c": F(1, 3), "d": np.arange(2), 3: (F(2),)}
-        clean = cli._clean(report)
-        assert clean == {"a": [1.5, 2, "x", None, True], "b": 0.25, "c": "1/3", "d": [0, 1], "3": ["2"]}
-        assert type(clean["b"]) is float and type(clean["d"][0]) is int
-
 
 class TestEntryPoint:
     def test_module_invocation(self, files):
@@ -478,6 +472,24 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_one_parser_serves_back_to_back_calls(self, files):
+        # the parser is built once per process, so no parsed value may carry
+        # over: each call must print what it prints with a freshly built parser
+        calls = [
+            ["verify", "--input", files["bool3"], "--states", "full", "--seed", "3", "--samples", "4",
+             "--format", "structured", "axioms", "mixture"],
+            ["condition", "--input", files["qubit_cond"], "--format", "structured", "1", "2"],
+            ["synthesize", "--input", files["qubit_projs"], "--seed", "5", "--format", "structured"],
+            ["verify", "--input", files["bool3"], "--format", "structured"],
+            ["condition", "--input", files["qubit_cond"], "3"],
+        ]
+        back_to_back = [invoke(argv) for argv in calls]
+        assert cli.build_parser() is cli.build_parser()
+        for argv, got in zip(calls, back_to_back):
+            cli.build_parser.cache_clear()
+            assert invoke(argv) == got
+        assert [code for code, _, _ in back_to_back] == [0, 0, 0, 0, 0]
 
     def test_command_required(self):
         with pytest.raises(SystemExit):

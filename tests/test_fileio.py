@@ -1,5 +1,6 @@
 """Structured text formats must round-trip bit-exactly and fail with line numbers."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -169,3 +170,71 @@ class TestMatrixPayload:
         mat = np.empty((2, 2), dtype=object)
         mat[:] = [[Fraction(1, 3), Fraction(0)], [Fraction(-2), Fraction(5, 7)]]
         assert fileio._matrix_payload(mat) == [["1/3", "0"], ["-2", "5/7"]]
+
+
+def reference_clean(obj):
+    """JSON-safe copy that json.dumps takes: Fractions to p/q strings, numpy values to natives."""
+    if type(obj) in (float, int, str, bool, type(None)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): reference_clean(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [reference_clean(v) for v in obj]
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    if isinstance(obj, np.ndarray):
+        return reference_clean(obj.tolist())
+    return obj
+
+
+CORPUS = [
+    {2: "two", 10: "ten", 1: [1, 2]},
+    {"b": F(1, 3), "a": [F(-2), F(0), F(5, 7)], F(1, 2): "half"},
+    {"i": np.int64(-7), "f": np.float64(0.1), "row": [np.int64(3), np.float64(2.5)]},
+    {"scalar": np.array(1.25), "int_scalar": np.array(4), "matrix": np.arange(6.0).reshape(2, 3) / 7},
+    {"object": np.array([[F(1, 3), F(2)], [F(0), F(-1, 4)]], dtype=object)},
+    [float("nan"), float("inf"), -float("inf"), 0.0, -0.0, 1e-300, 1e300],
+    {"empty_list": [], "empty_dict": {}, "nested": [[], {}, [[]]], "": None},
+    {"text": "Lüders \u2014 \"quoted\", comma", "flags": [True, False, None]},
+    ("tuple", (1, 2.5), ((F(1, 2),),)),
+    [[0.1, 2, True, None], [1.5, "mixed", 2.0], [[0.25, 0.5]]],
+    3.5,
+    "plain",
+    None,
+    F(7, 3),
+]
+
+
+class TestJsonText:
+    @pytest.mark.parametrize("obj", CORPUS, ids=range(len(CORPUS)))
+    def test_matches_json_dumps_of_the_clean_copy(self, obj):
+        assert fileio.json_text(obj) == json.dumps(reference_clean(obj), sort_keys=True, indent=2)
+
+    def test_float_rows_match(self, rng):
+        report = {"rows": rng.normal(size=(5, 7)) * 10.0 ** rng.integers(-20, 20, size=(5, 7)), "n": 3}
+        assert fileio.json_text(report) == json.dumps(reference_clean(report), sort_keys=True, indent=2)
+
+    def test_keeps_natives_and_converts_the_rest(self):
+        report = {"a": [1.5, 2, "x", None, True], "b": np.float64(0.25), "c": F(1, 3), "d": np.arange(2), 3: (F(2),)}
+        back = json.loads(fileio.json_text(report))
+        assert back == {"a": [1.5, 2, "x", None, True], "b": 0.25, "c": "1/3", "d": [0, 1], "3": ["2"]}
+        assert type(back["b"]) is float and type(back["d"][0]) is int
+
+    @pytest.mark.parametrize("bad", [object(), np.bool_(True), {"k": [1, {"deep": object()}]}])
+    def test_unserializable_raises_like_json(self, bad):
+        with pytest.raises(TypeError) as want:
+            json.dumps(reference_clean(bad), sort_keys=True, indent=2)
+        with pytest.raises(TypeError) as got:
+            fileio.json_text(bad)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).endswith("is not JSON serializable")
+
+    def test_dump_to_json_is_the_same_text(self, qubit):
+        synth = synthesis.matrix_synthetic_space(qubit)
+        model = synthesis.build_product_model(synth, synthesis.lueders_expansion_oracle(synth, qubit))
+        payload = fileio.synth_dump(model)
+        assert fileio.dump_to_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"

@@ -11,8 +11,10 @@ from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
     FLOAT_TOL,
     MASS_THRESHOLD,
+    SyntheticLawReport,
     abstract_synthetic_space,
     build_product_model,
+    build_synthetic_space,
     check_box_equality,
     check_extreme_points,
     check_hull_density,
@@ -129,6 +131,12 @@ class TestSpaceConstruction:
         bad[0] = F(1)  # evaluation row pattern no affine event combination hits
         with pytest.raises(SynthesisError):
             synth.event_coords(bad)
+        # a stack maps row by row, and one row outside fails the whole stack
+        stack = np.array([synth.pi(e) * F(k + 1, 3) for k, e in enumerate(synth.space.events())])
+        coords = synth.event_coords(stack)
+        assert [list(c) for c in coords] == [list(synth.event_coords(x)) for x in stack]
+        with pytest.raises(SynthesisError):
+            synth.event_coords(np.array(list(stack) + [bad] + list(stack)))
 
     def test_event_coords_rejects_outside_float(self, qubit_synth):
         # 12 generators over a 4-dimensional event span: the left singular
@@ -142,6 +150,58 @@ class TestSpaceConstruction:
         assert np.allclose(cols @ qubit_synth.event_coords(x + off * 1e-6), x, rtol=1e-12, atol=1e-6)
         with pytest.raises(SynthesisError):
             qubit_synth.event_coords(x + off * 1.0)
+
+    def test_event_coords_stack_checks_every_row(self, qubit_synth, rng):
+        cols = qubit_synth.pairing[:, list(qubit_synth.basis_events)]
+        off = np.linalg.svd(cols)[0][:, qubit_synth.dim]
+        stack = rng.uniform(-1.0, 1.0, size=(50, qubit_synth.dim)) @ cols.T
+        coords = qubit_synth.event_coords(stack)
+        assert coords.shape == (50, qubit_synth.dim)
+        assert np.allclose(coords @ cols.T, stack, rtol=0, atol=1e-12)
+        stack[37] += off
+        with pytest.raises(SynthesisError):
+            qubit_synth.event_coords(stack)
+
+    def test_event_coords_stack_scales_each_row(self, qubit_synth):
+        # a 1e-6 off-span part is inside the tolerance of a 1e6-scale row and
+        # outside that of a 1e-6-scale row, wherever the rows sit in the stack
+        cols = qubit_synth.pairing[:, list(qubit_synth.basis_events)]
+        off = np.linalg.svd(cols)[0][:, qubit_synth.dim]
+        big, small = qubit_synth.pi(3) * 1e6, qubit_synth.pi(5) * 1e-6
+        qubit_synth.event_coords(np.stack([big + off * 1e-6, small]))
+        for stack in ([big, small + off * 1e-6], [small + off * 1e-6, big]):
+            with pytest.raises(SynthesisError):
+                qubit_synth.event_coords(np.stack(stack))
+
+
+def reference_state_row_error(space, rows):
+    """The first problem the per-event-pair loop reports for float generator rows, or None."""
+    for ix, row in enumerate(rows):
+        r = np.asarray(row, dtype=np.float64)
+        if abs(r[space.unit] - 1.0) > FLOAT_TOL or r.min() < -FLOAT_TOL or r.max() > 1 + FLOAT_TOL:
+            return f"generator {ix} is not a state (mass or range)"
+        for e in space.events():
+            for f in space.events():
+                s = space.sum_of(e, f)
+                if s is not None and abs(r[e] + r[f] - r[s]) > FLOAT_TOL:
+                    return f"generator {ix} is not additive on ({e}, {f})"
+    return None
+
+
+class TestStateRows:
+    @pytest.mark.parametrize(
+        "edits",
+        [[(4, 3, 0.01)], [(2, 5, -0.02), (6, 1, 5.0)], [(1, 2, 2.0), (3, 4, 0.01)], [(7, 0, 0.5)], [(5, 6, 1e-3)]],
+    )
+    def test_float_rows_report_the_first_problem_in_order(self, qubit, edits):
+        rows = np.array(qubit.value_rows(), dtype=np.float64)
+        for ix, e, delta in edits:
+            rows[ix, e] += delta
+        want = reference_state_row_error(qubit.space, rows)
+        assert want is not None
+        with pytest.raises(SynthesisError) as got:
+            build_synthetic_space(qubit.space, rows, exact=False)
+        assert str(got.value) == want
 
 
 class TestCompressions:
@@ -231,6 +291,12 @@ def product_pairs(model, rng, samples=15):
     return pairs
 
 
+def float_model(family_seed):
+    inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+    synth = matrix_synthetic_space(inst)
+    return build_product_model(synth, lueders_expansion_oracle(synth, inst))
+
+
 class TestProductEquivalence:
     """The structure-constant contraction against the per-call formula it replaces."""
 
@@ -244,12 +310,34 @@ class TestProductEquivalence:
 
     @pytest.mark.parametrize("family_seed", [None, 11, 7671])
     def test_float_lane_within_rounding(self, family_seed, rng):
-        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
-        synth = matrix_synthetic_space(inst)
-        model = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        model = float_model(family_seed)
         for x, y in product_pairs(model, rng):
             got, want = model.product(x, y), reference_product(model, x, y)
             assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+class TestStackedProduct:
+    """One product call on a stack of pairs against the same pairs one at a time."""
+
+    @pytest.mark.parametrize("model_name", ["bool2_model", "bool3_model"])
+    def test_exact_lane_rows_are_identical(self, request, model_name, rng):
+        model = request.getfixturevalue(model_name)
+        pairs = product_pairs(model, rng)
+        got = model.product(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]))
+        assert got.shape == (len(pairs), model.synth.n_states)
+        for row, (x, y) in zip(got, pairs):
+            assert all(isinstance(v, F) for v in row)
+            assert list(row) == list(model.product(x, y))
+
+    @pytest.mark.parametrize("family_seed", [None, 11, 7671])
+    def test_float_lane_rows_within_rounding(self, family_seed, rng):
+        model = float_model(family_seed)
+        pairs = product_pairs(model, rng)
+        got = model.product(np.array([x for x, _ in pairs]), np.array([y for _, y in pairs]))
+        assert got.shape == (len(pairs), model.synth.n_states)
+        for row, (x, y) in zip(got, pairs):
+            want = model.product(x, y)
+            assert np.max(np.abs(row - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
 
 
 class TestWellDefinedness:
@@ -262,7 +350,51 @@ class TestWellDefinedness:
         assert rep.passed(1e-8)
 
 
+def reference_laws(model, pairs, rng):
+    """The per-pair law sweep that the stacked sweep replaces."""
+    synth = model.synth
+    fams = orthospace.maximal_orthogonal_families(synth.space)
+    unit = synth.unit_coords()
+    worst_ji = worst_sq = worst_pa = worst_unit = 0.0
+    slack = float("inf")
+    for _ in range(pairs):
+        x, _ = random_primitive(synth, rng, fams)
+        y, _ = random_primitive(synth, rng, fams)
+        x2 = model.product(x, x)
+        y2 = model.product(y, y)
+        lhs = model.product(x2, model.product(x, y))
+        rhs = model.product(x, model.product(x2, y))
+        worst_ji = max(worst_ji, synth.norm(lhs - rhs))
+        worst_sq = max(worst_sq, abs(synth.norm(y2) - synth.norm(y) ** 2))
+        slack = min(slack, synth.norm(x2 + y2) - synth.norm(x2))
+        x4 = model.product(x2, x2)
+        worst_pa = max(worst_pa, synth.norm(x4 - model.power(x, 4)))
+        x6 = model.product(model.power(x, 3), model.power(x, 3))
+        worst_pa = max(worst_pa, synth.norm(x6 - model.power(x, 6)))
+        worst_unit = max(worst_unit, synth.norm(model.product(unit, x) - x))
+    return SyntheticLawReport(
+        jordan_identity=worst_ji,
+        square_norm=worst_sq,
+        square_sum_slack=slack if slack != float("inf") else 0.0,
+        power_associativity=worst_pa,
+        unit_residual=worst_unit,
+        pairs=pairs,
+    )
+
+
 class TestLaws:
+    @pytest.mark.parametrize("model_name, tol", [("bool3_model", 0), ("qubit_model", 1e-12), ("qutrit_model", 1e-12)])
+    def test_stacked_sweep_matches_per_pair_reference(self, request, model_name, tol):
+        model = request.getfixturevalue(model_name)
+        rng_stacked, rng_reference = np.random.default_rng(5), np.random.default_rng(5)
+        got = check_laws_on_reconstruction(model, pairs=25, rng=rng_stacked)
+        want = reference_laws(model, 25, rng_reference)
+        for name in ("jordan_identity", "square_norm", "square_sum_slack", "power_associativity", "unit_residual"):
+            assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
+        assert got.pairs == want.pairs == 25
+        # the sweep consumed exactly the reference's draws
+        assert rng_stacked.integers(1 << 62) == rng_reference.integers(1 << 62)
+
     def test_boolean_laws_exact(self, bool3_model, rng):
         rep = check_laws_on_reconstruction(bool3_model, pairs=40, rng=rng)
         assert rep.passed(0)
