@@ -9,6 +9,7 @@ platform; reports named by --replay are re-verified witness by witness.
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -215,7 +216,7 @@ def cmd_verify(args):
                 ok &= _verify_uniqueness(space, polytope, report, lines)
             else:
                 rng = np.random.default_rng(args.seed)
-                ok &= _verify_mixture(space, polytope, report, lines, rng, args.samples or 50)
+                ok &= _verify_mixture(space, polytope, report, lines, rng, args.samples)
             pending.pop(0)
     except (CapacityError, PreconditionError) as exc:
         if ok:
@@ -434,7 +435,7 @@ def cmd_synthesize(args):
     report["well_definedness"] = float(wd_worst)
     lines.append(f"well-definedness worst: {_g(wd_worst)}")
 
-    laws = synthesis.check_laws_on_reconstruction(model, pairs=args.samples or 60, rng=rng)
+    laws = synthesis.check_laws_on_reconstruction(model, pairs=args.samples, rng=rng)
     report["laws"] = {
         "jordan_identity": float(laws.jordan_identity),
         "square_norm": float(laws.square_norm),
@@ -452,7 +453,7 @@ def cmd_synthesize(args):
     lines.append(f"compression residual worst: {_g(max(comp_worsts))}")
 
     ok = _density_summary(synth, instance, rng, report, lines)
-    tol = args.tol or synthesis.FLOAT_TOL
+    tol = args.tol
     if instance is not None:
         lue = synthesis.compare_with_lueders(model, instance)
         prod = synthesis.compare_products(model, instance)
@@ -520,34 +521,64 @@ def cmd_spectrum(args):
 # entry point
 
 
+def _checked(kind, ok, expected):
+    """An argparse type: kind(text) when ok(value) holds, else a usage error."""
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+
+    return parse
+
+
 @functools.cache
 def build_parser():
+    """Each subcommand takes only the options it reads."""
     p = argparse.ArgumentParser(
         prog="ucpspace",
         description="Event systems, their states, and synthetic order-unit models.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, event_args=False, extra=False):
+    def command(name, help, states=True):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--input", help="primary input file")
-        sp.add_argument("--states", help="state file, or 'full' for the whole polytope")
-        sp.add_argument("--tol", type=float, default=None, help="tolerance override")
-        sp.add_argument("--seed", type=int, default=0, help="random seed")
-        sp.add_argument("--samples", type=int, default=None, help="sample count override")
+        if states:
+            sp.add_argument("--states", help="state file, or 'full' for the whole polytope")
         sp.add_argument(
             "--format", choices=("text", "structured"), default="text", help="output format"
         )
-        sp.add_argument("--replay", help="re-verify witnesses from a structured report")
-        if event_args:
-            sp.add_argument("event", type=int, nargs="?", help="conditioning event")
-            sp.add_argument("observe", type=int, nargs="?", help="observed event")
-        if extra:
-            sp.add_argument("extra", nargs="*", help="checks to run")
+        return sp
 
-    common(sub.add_parser("verify", help="axioms, separation, uniqueness, mixture"), extra=True)
-    common(sub.add_parser("condition", help="conditional states"), event_args=True)
-    common(sub.add_parser("synthesize", help="build and check the synthetic model"))
-    common(sub.add_parser("spectrum", help="eigenvalues or spectral radius"))
+    def sampled(sp, samples):
+        sp.add_argument(
+            "--seed", type=_checked(int, lambda v: v >= 0, "a non-negative integer"), default=0,
+            help="random seed",
+        )
+        sp.add_argument(
+            "--samples", type=_checked(int, lambda v: v > 0, "a positive integer"), default=samples,
+            help="sample count (default %(default)s)",
+        )
+
+    verify = command("verify", "axioms, separation, uniqueness, mixture")
+    sampled(verify, 50)
+    verify.add_argument("--replay", help="re-verify witnesses from a structured report")
+    verify.add_argument("extra", nargs="*", help="checks to run")
+    condition = command("condition", "conditional states")
+    condition.add_argument("event", type=int, nargs="?", help="conditioning event")
+    condition.add_argument("observe", type=int, nargs="?", help="observed event")
+    synthesize = command("synthesize", "build and check the synthetic model")
+    sampled(synthesize, 60)
+    synthesize.add_argument(
+        "--tol", type=_checked(float, lambda v: 0 < v < math.inf, "a positive finite number"),
+        default=synthesis.FLOAT_TOL, help="tolerance (default %(default)s)",
+    )
+    command("spectrum", "eigenvalues or spectral radius", states=False)
     return p
 
 

@@ -21,23 +21,7 @@ from . import cayley, jordan, lueders, orthospace, statespace
 
 def mo_orthospace(k):
     """MO_k: events [0, a_1, a_1', ..., a_k, a_k', unit]; only complements are orthogonal."""
-    n = 2 * k + 2
-    zero, unit = 0, n - 1
-    ortho = np.zeros((n, n), dtype=bool)
-    sums = -np.ones((n, n), dtype=np.int64)
-    comp = np.zeros(n, dtype=np.int64)
-    comp[zero], comp[unit] = unit, zero
-    for e in range(n):
-        ortho[zero, e] = ortho[e, zero] = True
-        sums[zero, e] = sums[e, zero] = e
-    for i in range(k):
-        a, b = 1 + 2 * i, 2 + 2 * i
-        comp[a], comp[b] = b, a
-        ortho[a, b] = ortho[b, a] = True
-        sums[a, b] = sums[b, a] = unit
-    return orthospace.OrthoSpace(
-        n_events=n, zero=zero, unit=unit, ortho=ortho, sum_table=sums, complement=comp
-    )
+    return orthospace.horizontal_sum([orthospace.boolean_orthospace(2)] * k)
 
 
 def boolean_state(weights):

@@ -173,13 +173,6 @@ def basis_coords(a, basis):
     return np.array([inner(b, a) for b in basis])
 
 
-def from_basis_coords(vec, basis):
-    c = np.zeros_like(basis[0].coords)
-    for v, b in zip(vec, basis):
-        c += float(v) * b.coords
-    return JordanElement(basis[0].tag, basis[0].n, c)
-
-
 def operator_matrix(fn, tag, n):
     """Real matrix of a linear map on hermitian space, over `hermitian_basis`."""
     basis = hermitian_basis(tag, n)
@@ -432,11 +425,6 @@ def complement_projection(p):
 # batched sweep helpers (stacked coordinate arrays through kernels.py)
 
 
-def batched_random_hermitian(tag, n, count, rng, scale=1.0):
-    k = coord_dim(tag)
-    return kernels.hermitize(rng.uniform(-scale, scale, size=(count, n, n, k)))
-
-
 def batched_eigenvalues(tag, coords):
     """(B, n) ascending eigenvalues for a stacked coordinate array."""
     if tag == "O3":
@@ -458,21 +446,3 @@ def batched_eigenvalues(tag, coords):
 
 def batched_operator_norm(tag, coords):
     return np.max(np.abs(batched_eigenvalues(tag, coords)), axis=-1)
-
-
-def batched_random_projections(tag, n, count, rng, ranks=None):
-    """Stacked random idempotents via batched eigendecomposition of the embedding."""
-    k = coord_dim(tag)
-    if tag == "O3":
-        raise SizeError("batched projections use the associative embedding")
-    herm = batched_random_hermitian(tag, n, count, rng)
-    w, v = np.linalg.eigh(kernels.embed_real(herm))
-    if ranks is None:
-        ranks = rng.integers(1, n, size=count) if n > 1 else np.ones(count, dtype=int)
-    out = np.empty((count, n, n, k))
-    for i in range(count):
-        r = int(ranks[i])
-        vecs = v[i][:, : r * k]  # ascending eigenvalues: take the bottom block
-        p = vecs @ vecs.T
-        out[i] = kernels.extract_from_real(p, n, k)
-    return out

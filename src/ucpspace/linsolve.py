@@ -80,18 +80,6 @@ def solve_affine(a_rows, b, tol=0):
     return x0, basis
 
 
-def in_span(vectors, target, tol=0):
-    """Coefficients c with sum c_i vectors[i] = target, or None."""
-    if not vectors:
-        return None if any(not _is_zero(t, tol) for t in target) else []
-    cols = [list(v) for v in vectors]
-    a_rows = [[cols[j][i] for j in range(len(cols))] for i in range(len(target))]
-    sol = solve_affine(a_rows, list(target), tol)
-    if sol is None:
-        return None
-    return sol[0]
-
-
 def independent_subset(vectors, tol=0):
     """Indices of a maximal linearly independent subset, scanned in order."""
     chosen = []

@@ -15,7 +15,7 @@ and the two-sided conditioning symmetry says {e,f,e} + {e',f',e'} equals the
 same expression with e and f exchanged.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -242,204 +242,3 @@ def random_positive(tag, n, rng, scale=1.0):
     """Random element of the positive cone (a square)."""
     h = jordan.random_hermitian(tag, n, rng, scale)
     return jordan.jordan_product(h, h)
-
-
-@dataclass
-class EventAudit:
-    """Per-event results of the compression-system conditions."""
-
-    event: int
-    idempotency: float  # ||U_e^2 - U_e|| over the basis
-    unit_image: float  # ||U_e(identity) - e||
-    positivity_floor: float  # min eigenvalue of U_e x over the positive sample
-    range_residual: float  # worst distance of U_e(basis) from span{f in E : f <= e}
-    sub_events: list = field(default_factory=list)
-    invariance: dict = field(default_factory=dict)  # state index -> sup |rho - rho o U_e| on basis
-
-    def passed(self, tol=1e-8):
-        inv = max(self.invariance.values(), default=0.0)
-        return (
-            self.idempotency <= tol
-            and self.unit_image <= tol
-            and self.positivity_floor >= -1e-9
-            and self.range_residual <= tol
-            and inv <= 1e-10
-        )
-
-
-@dataclass
-class SystemAudit:
-    """Closure and compression conditions for a projection list with states.
-
-    Mirrors the order-unit-space conditions: the events must form a closed
-    system (unit, complements, orthogonal sums), span when claimed, and every
-    compression must be a positive projection whose range sits inside the span
-    of its sub-events, fixing the states concentrated on the event.
-    """
-
-    closure_unit: bool
-    closure_complement: list  # indices lacking a complement
-    closure_sums: list  # orthogonal pairs lacking a sum
-    span_rank: int
-    span_expected: int
-    spanning: bool
-    events: list  # EventAudit per nonzero event
-    range_caveat: str = ""
-
-    def passed(self, tol=1e-8, require_spanning=True):
-        return (
-            self.closure_unit
-            and not self.closure_complement
-            and not self.closure_sums
-            and (self.spanning or not require_spanning)
-            and all(a.passed(tol) for a in self.events)
-        )
-
-
-def _match_index(elements, target, tol):
-    for i, el in enumerate(elements):
-        if jordan.max_abs(el - target) <= tol:
-            return i
-    return None
-
-
-def check_compression_system(
-    elements,
-    states=(),
-    expect_spanning=True,
-    full_lattice=False,
-    samples=100,
-    rng=None,
-    tol=IDEMPOTENT_TOL,
-):
-    """Audit a projection list (plus optional density states) as a compression system.
-
-    `full_lattice` records whether the supplied events are claimed to exhaust
-    the projection lattice; when they do not, the range condition is only
-    checked against the sub-events present and a caveat is recorded.
-    """
-    rng = rng or np.random.default_rng(0)
-    tag, n = elements[0].tag, elements[0].n
-    ident = jordan.identity(tag, n)
-    for el in elements:
-        if not jordan.is_idempotent(el, tol):
-            raise PreconditionError("all events must be idempotent")
-
-    unit_ix = _match_index(elements, ident, tol)
-    comp_missing, sum_missing = [], []
-    for i, el in enumerate(elements):
-        if _match_index(elements, ident - el, tol) is None:
-            comp_missing.append(i)
-    for i, a in enumerate(elements):
-        for j in range(i + 1, len(elements)):
-            b = elements[j]
-            if jordan.max_abs(jordan.jordan_product(a, b)) <= tol:
-                if _match_index(elements, a + b, tol) is None:
-                    sum_missing.append((i, j))
-
-    flat = np.stack([el.coords.reshape(-1) for el in elements])
-    span_expected = n + n * (n - 1) * jordan.coord_dim(tag) // 2
-    span_rank = int(np.linalg.matrix_rank(flat, tol=1e-8))
-
-    basis = jordan.hermitian_basis(tag, n)
-    positive_sample = [random_positive(tag, n, rng) for _ in range(samples)]
-    audits = []
-    for i, e in enumerate(elements):
-        if jordan.max_abs(e) <= tol:
-            continue
-        ue = compression_matrix(e)
-        idem = float(np.linalg.norm(ue @ ue - ue, 2))
-        unit_image = jordan.operator_norm(jordan.triple_product(e, ident, e) - e)
-        floor = 0.0
-        for x in positive_sample:
-            w = jordan.eigenvalues(jordan.triple_product(e, x, e))
-            floor = min(floor, float(w[0]))
-        subs = [
-            j
-            for j, f in enumerate(elements)
-            if float(jordan.eigenvalues(e - f)[0]) >= -tol
-        ]
-        sub_cols = [elements[j].coords.reshape(-1) for j in subs]
-        if full_lattice:
-            # the listed events stand in for the whole lattice: harvest extra
-            # sub-events from spectral frames of compressed basis elements,
-            # keeping only frame projections verified to sit below e
-            for b in basis:
-                img = jordan.triple_product(e, b, e)
-                if jordan.max_abs(img) <= tol:
-                    continue
-                spec = jordan.spectral_decomposition(img)
-                for val, p in zip(spec.values, spec.frame):
-                    if abs(val) <= tol:
-                        continue
-                    if float(jordan.eigenvalues(e - p)[0]) >= -tol:
-                        sub_cols.append(p.coords.reshape(-1))
-        sub_mat = np.stack(sub_cols, axis=1)
-        worst_range = 0.0
-        for b in basis:
-            img = jordan.triple_product(e, b, e).coords.reshape(-1)
-            sol = np.linalg.lstsq(sub_mat, img, rcond=None)[0]
-            worst_range = max(worst_range, float(np.linalg.norm(sub_mat @ sol - img)))
-        invariance = {}
-        for s_ix, rho in enumerate(states):
-            if abs(rho.expect(e) - 1.0) <= 1e-10:
-                worst = max(
-                    abs(rho.expect(b) - rho.expect(jordan.triple_product(e, b, e))) for b in basis
-                )
-                invariance[s_ix] = worst
-        audits.append(
-            EventAudit(
-                event=i,
-                idempotency=idem,
-                unit_image=unit_image,
-                positivity_floor=floor,
-                range_residual=worst_range,
-                sub_events=subs,
-                invariance=invariance,
-            )
-        )
-
-    caveat = "" if full_lattice else "range condition checked against listed sub-events only"
-    return SystemAudit(
-        closure_unit=unit_ix is not None,
-        closure_complement=comp_missing,
-        closure_sums=sum_missing,
-        span_rank=span_rank,
-        span_expected=span_expected,
-        spanning=span_rank == span_expected,
-        events=audits,
-        range_caveat=caveat,
-    )
-
-
-def compression_gap_witnesses(e, samples=50, rng=None, tol=1e-9):
-    """Elements annihilated by U_e yet not fixed by the complement compression.
-
-    Returns (x, ||U_e x||, ||U_e' x - x||) triples drawn from the kernel of
-    U_e; empty only when the kernel itself is trivial.
-    """
-    rng = rng or np.random.default_rng(0)
-    ue = compression_matrix(e)
-    ec = jordan.complement_projection(e)
-    uc = compression_matrix(ec)
-    basis = jordan.hermitian_basis(e.tag, e.n)
-    w, v = np.linalg.eigh(ue.T @ ue)
-    null = v[:, w < tol]
-    out = []
-    if null.shape[1] == 0:
-        return out
-    for _ in range(samples):
-        coef = null @ rng.normal(size=null.shape[1])
-        nrm = np.linalg.norm(coef)
-        if nrm < 1e-12:
-            continue
-        coef = coef / nrm
-        x = jordan.from_basis_coords(coef, basis)
-        out.append(
-            (
-                x,
-                float(np.linalg.norm(ue @ coef)),
-                float(np.linalg.norm(uc @ coef - coef)),
-            )
-        )
-    return out

@@ -151,12 +151,6 @@ def expectation(x, mu):
     return sum(v * mu[e] for v, e in x.support)
 
 
-def distribution(x, mu):
-    """The induced value distribution: (value, probability) pairs."""
-    _check_state(x, mu)
-    return tuple((v, mu[e]) for v, e in x.support)
-
-
 def representing_element(synth, x, tol=synthesis.FLOAT_TOL):
     """Dual-space element with matching expectations; norm = spectral radius.
 
@@ -370,58 +364,3 @@ def check_certainty_order_all(synth, polytope, tol=synthesis.FLOAT_TOL):
                 continue
             verdicts.append(check_certainty_order(synth, polytope, e, f, tol=tol))
     return verdicts, all(v.passed for v in verdicts)
-
-
-# ---------------------------------------------------------------------------
-# comparison of observables
-
-
-@dataclass
-class ObservableOrderReport:
-    """x <= y tested two ways: state expectations and the synthetic order."""
-
-    expectation_route: bool
-    order_route: bool
-    min_gap: object
-
-    @property
-    def agree(self):
-        return self.expectation_route == self.order_route
-
-    @property
-    def holds(self):
-        return self.expectation_route and self.order_route
-
-
-def observable_leq(synth, polytope, obs_x, obs_y, tol=synthesis.FLOAT_TOL):
-    """Expectation dominance versus positivity of the representing difference.
-
-    Both routes are computed independently and reported; they must agree on
-    every instance where both are available.
-    """
-    space = synth.space
-    cx = [Fraction(0) if polytope.exact else 0.0] * space.n_events
-    for v, e in obs_x.support:
-        cx[e] += v
-    cy = list(cx)
-    for i in range(space.n_events):
-        cy[i] = -cy[i]
-    for v, e in obs_y.support:
-        cy[e] += v
-    if polytope.mode == statespace.FULL:
-        res = statespace.optimize(polytope.pin(), cy)
-        if res.status != OPTIMAL:
-            raise SynthesisError(f"expectation LP ended {res.status}")
-        min_gap = res.objective
-        exp_route = min_gap >= (0 if polytope.exact else -tol)
-    else:
-        gaps = [
-            expectation(obs_y, g) - expectation(obs_x, g) for g in polytope.generators
-        ]
-        min_gap = min(gaps)
-        exp_route = float(min_gap) >= -tol
-    diff = representing_element(synth, obs_y) - representing_element(synth, obs_x)
-    order_route = synth.is_positive(diff, tol=tol)
-    return ObservableOrderReport(
-        expectation_route=exp_route, order_route=order_route, min_gap=min_gap
-    )

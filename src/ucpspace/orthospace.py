@@ -243,8 +243,7 @@ def replay_axiom_witness(space, tag, witness):
         return len(cands) != 1 or space.complement[e] != cands[0]
     if tag == "difference-characterization":
         e, f = witness
-        ds = np.flatnonzero(ortho[e] & (st[e] >= 0))
-        exists = bool(len(ds)) and bool((st[e, ds] == f).any())
+        exists = bool(difference(space, e, f))
         c = space.comp(f)
         return exists != bool(ortho[e, c]) if 0 <= c < n else True
     raise ValueError(f"unknown axiom tag {tag!r}")
@@ -259,27 +258,6 @@ def difference(space, e, f):
     """All d with e ortho d and e + d = f. Singleton on well-behaved spaces."""
     ds = np.flatnonzero(space.ortho[e] & (space.sum_table[e] >= 0))
     return [int(d) for d in ds if space.sum_table[e, d] == f]
-
-
-def precedes_matrix(space):
-    return space.ortho[:, space.complement]
-
-
-def precedes_transitivity_violations(space, limit=32):
-    """Triples (e, f, g) with e < f < g in the precedence sense but not e < g.
-
-    Exploratory: no bundled instance is known to produce any; the helper exists
-    so larger searches do not have to re-derive the scan.
-    """
-    p = precedes_matrix(space)
-    reach = p @ p
-    viol = []
-    for e, g in np.argwhere(reach & ~p):
-        for f in np.flatnonzero(p[e] & p[:, g]):
-            viol.append((int(e), int(f), int(g)))
-            if len(viol) >= limit:
-                return viol
-    return viol
 
 
 def maximal_orthogonal_families(space):

@@ -580,22 +580,6 @@ def unique_conditional(polytope, mu, e):
     raise PreconditionError(f"conditional of the given state under event {e} is {v.verdict}")
 
 
-def state_with_mass_one(polytope, e):
-    """Some state giving event e probability 1, or None (exact feasibility LP)."""
-    n = polytope.space.n_events
-    if polytope.mode == FULL:
-        res = optimize(polytope.pin([e], [Fraction(1)]), [0] * n)
-        return State(tuple(res.x)) if res.status == OPTIMAL else None
-    gens = polytope.generators
-    g = len(gens)
-    a_eq = [[Fraction(1)] * g, [_frac(gen[e]) for gen in gens]]
-    b_eq = [Fraction(1), Fraction(1)]
-    res = solve_lp([Fraction(0)] * g, a_eq, b_eq, [(0, None)] * g)
-    if res.status != OPTIMAL:
-        return None
-    return State(tuple(sum(_frac(gen[i]) * l for gen, l in zip(gens, res.x)) for i in range(n)))
-
-
 @dataclass
 class MixtureReport:
     """Conditioning a mixture: weights rescale by the conditioned masses."""

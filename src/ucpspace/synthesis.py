@@ -670,21 +670,6 @@ def check_matrix_extremes(instance, events=None, tol=FLOAT_TOL):
     return out
 
 
-def verify_matrix_witness(instance, verdict, tol=FLOAT_TOL):
-    """Confirm a non-extreme verdict: both x + d and x - d lie in [0, 1]."""
-    if verdict.direction is None:
-        return False
-    x = instance.elements[verdict.event]
-    d = verdict.direction
-    if jordan.max_abs(d) <= tol:
-        return False
-    for y in (x + d, x - d):
-        vals = jordan.eigenvalues(y)
-        if vals.min() < -tol or vals.max() > 1 + tol:
-            return False
-    return True
-
-
 @dataclass
 class BoxReport:
     vertices: int
@@ -864,130 +849,3 @@ def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL
     if report.box.equal and report.samples_outside:
         raise SynthesisError("box equality contradicts a failed membership sample")
     return report
-
-
-# ---------------------------------------------------------------------------
-# exploratory scans
-
-
-@dataclass
-class FixedPointWitness:
-    event: int
-    coords: np.ndarray
-    annihilation: float  # norm of U_e' x
-    fixed_gap: float  # norm of U_e x - x
-
-
-@dataclass
-class FixedPointScan:
-    checked: int
-    witnesses: list
-
-
-def scan_compression_fixed_points(model, samples=40, rng=None, tol=1e-9):
-    """Hunt for positive x killed by U_e' yet moved by U_e.
-
-    In matrix models annihilation by the complement forces invariance under
-    the event, so witnesses signal genuinely non-matrix behavior; the scan
-    reports whatever it finds and asserts nothing.
-    """
-    rng = np.random.default_rng(0) if rng is None else rng
-    synth = model.synth
-    candidates = [synth.pi(e) for e in synth.space.events()]
-    for _ in range(samples):
-        x = synth.zeros()
-        for e in synth.basis_events:
-            if synth.exact:
-                c = Fraction(int(rng.integers(0, 9)), 4)
-            else:
-                c = float(rng.uniform(0.0, 2.0))
-            x = x + synth.pi(e) * c
-        candidates.append(x)
-    checked = 0
-    witnesses = []
-    for e in sorted(model.compressions):
-        e_prime = synth.space.comp(e)
-        if e_prime not in model.compressions:
-            continue
-        for x in candidates:
-            if not synth.is_positive(x):
-                continue
-            checked += 1
-            ann = synth.norm(model.u_apply(e_prime, x))
-            if ann > tol:
-                continue
-            gap = synth.norm(model.u_apply(e, x) - x)
-            if gap > max(100 * tol, 1e-6):
-                witnesses.append(
-                    FixedPointWitness(event=e, coords=x, annihilation=ann, fixed_gap=gap)
-                )
-    return FixedPointScan(checked=checked, witnesses=witnesses)
-
-
-@dataclass
-class EventSystemRecord:
-    blocks: tuple
-    mutated: bool
-    axioms_passed: bool
-    conditionals_unique: bool = False
-    worst_symmetry: float = None
-
-
-_BLOCK_MENU = ((2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2))
-
-
-def scan_random_event_systems(trials=12, seed=0, uc_events=None):
-    """Generate small event systems, filter by axioms and conditional uniqueness.
-
-    Candidates are horizontal sums of Boolean blocks, occasionally corrupted
-    by a single directed table mutation (those must fail the axioms and show
-    the filter working).  Survivors with unique conditionals get a synthetic
-    product model and report their worst multiplier-symmetry residual; the
-    scan looks for commutativity failures but asserts nothing about finding
-    one.
-    """
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(trials):
-        blocks = _BLOCK_MENU[int(rng.integers(len(_BLOCK_MENU)))]
-        space = orthospace.horizontal_sum(
-            [orthospace.boolean_orthospace(k) for k in blocks]
-        )
-        mutated = bool(rng.uniform() < 0.25)
-        if mutated:
-            i = int(rng.integers(1, space.n_events))
-            j = int(rng.integers(1, space.n_events))
-            ortho = space.ortho.copy()
-            ortho[i, j] = not ortho[i, j]
-            space = orthospace.OrthoSpace(
-                n_events=space.n_events,
-                zero=space.zero,
-                unit=space.unit,
-                ortho=ortho,
-                sum_table=space.sum_table,
-                complement=space.complement,
-            )
-        record = EventSystemRecord(blocks=blocks, mutated=mutated, axioms_passed=False)
-        out.append(record)
-        if not orthospace.verify_orthospace(space).passed:
-            continue
-        record.axioms_passed = True
-        polytope = statespace.build_state_polytope(space)
-        unique = True
-        for mu in polytope.generators:
-            for e in uc_events if uc_events is not None else space.events():
-                if e == space.zero or mu[e] == 0:
-                    continue
-                verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
-                if verdict.verdict != statespace.UNIQUE:
-                    unique = False
-                    break
-            if not unique:
-                break
-        record.conditionals_unique = unique
-        if not unique:
-            continue
-        synth = abstract_synthetic_space(space, polytope.generators)
-        model = build_product_model(synth, polytope_expansion_oracle(synth, polytope))
-        record.worst_symmetry = float(model.worst_symmetry()[0])
-    return out

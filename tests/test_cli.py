@@ -446,6 +446,51 @@ class TestSynthesize:
         assert digest == "f383f56db5a6ffaeb71cf47532dbdcccd0bdcdc68b62a29b2c0ac4cab42ddd4d"
 
 
+class TestOptions:
+    # argparse ends a call with bad options by exiting 2 after a usage message
+    def usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "input_name, extra, message",
+        [
+            ("bool3", ["--samples", "-3"], "--samples: expected a positive integer"),
+            ("qubit_projs", ["--samples", "-3"], "--samples: expected a positive integer"),
+            ("bool3", ["--samples", "0"], "--samples: expected a positive integer"),
+            ("bool3", ["--tol", "0"], "--tol: expected a positive finite number"),
+            ("bool3", ["--tol", "-1"], "--tol: expected a positive finite number"),
+            ("bool3", ["--tol", "nan"], "--tol: expected a positive finite number"),
+            ("bool3", ["--seed", "-1"], "--seed: expected a non-negative integer"),
+        ],
+    )
+    def test_bad_synthesize_value(self, files, capsys, input_name, extra, message):
+        states = ["--states", "full"] if input_name == "bool3" else []
+        err = self.usage_error(capsys, ["synthesize", "--input", files[input_name], *states, *extra])
+        assert message in err and "Traceback" not in err
+
+    def test_bad_verify_samples(self, files, capsys):
+        argv = ["verify", "--input", files["bool3"], "--states", "full", "--samples", "0", "mixture"]
+        assert "--samples: expected a positive integer" in self.usage_error(capsys, argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--input", "x", "--tol", "-1", "--replay", "nowhere.json", "--samples", "-9",
+             "--states", "full"],
+            ["spectrum", "--input", "x", "--seed", "1"],
+            ["condition", "--input", "x", "1", "2", "--replay", "f.json"],
+            ["condition", "--input", "x", "--samples", "5", "1"],
+            ["verify", "--input", "x", "--tol", "1e-6"],
+        ],
+        ids=["spectrum-all", "spectrum-seed", "condition-replay", "condition-samples", "verify-tol"],
+    )
+    def test_unread_option(self, capsys, argv):
+        assert "unrecognized arguments" in self.usage_error(capsys, argv)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, files):
         proc = subprocess.run(

@@ -1,4 +1,5 @@
-"""Every name a module imports is referenced in that module."""
+"""Every name a module imports is referenced in that module, and every
+module-level definition of the package is reached from outside its tests."""
 
 import ast
 from pathlib import Path
@@ -60,3 +61,68 @@ def test_the_one_exception_is_still_needed():
         tree = ast.parse((ROOT / rel).read_text(encoding="utf-8"))
         assert name in dict(imported_names(tree))
         assert name not in referenced_names(tree)
+
+
+PACKAGE = ROOT / "src" / "ucpspace"
+# Besides the package's own modules, the code that may reach its definitions:
+# the benchmark and the acceptance gate.
+REACHING = sorted((ROOT / "perfbench").rglob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+
+# Definitions kept although only unit tests reach them, each because a test
+# uses it to pin another artifact to the code.
+KEPT = {
+    ("fileio", "parse_dump"): "test_cli reads back the .synth.json dumps that synthesize writes",
+    ("fileio", "format_observable"): (
+        "test_cli writes its observable fixtures with it; test_fileio round-trips parse_observable"
+    ),
+    ("cayley", "table_text"): "test_cayley pins docs/octonion-table.md to the multiplication table",
+}
+
+
+def loaded_names(node):
+    """Every bare name and attribute name used under the node."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def unreached_definitions(kept):
+    """(module, name) of each module-level def or class of the package that
+    nothing reaches: no other package module (the __init__ re-exports do not
+    count), no REACHING file, no module-level statement of its own module and
+    no reached definition of its own module.  `kept` counts as reached."""
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py") if p.stem != "__init__"
+    }
+    outside = set().union(*(loaded_names(ast.parse(p.read_text(encoding="utf-8"))) for p in REACHING))
+    defs = {}
+    used = {}
+    for module, tree in trees.items():
+        used[module] = outside.union(*(loaded_names(t) for m, t in trees.items() if m != module))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+                used[module].update(*(loaded_names(d) for d in node.decorator_list))
+            else:
+                used[module].update(loaded_names(node))
+    reached = set()
+    grown = True
+    while grown:
+        grown = False
+        for key, node in defs.items():
+            if key not in reached and (key in kept or key[1] in used[key[0]]):
+                reached.add(key)
+                used[key[0]].update(loaded_names(node))
+                grown = True
+    return sorted(set(defs) - reached)
+
+
+def test_no_unreached_library_surface():
+    assert [f"{m}.{name}" for m, name in unreached_definitions(KEPT)] == []
+
+
+def test_each_kept_definition_is_still_needed():
+    # an entry goes once its definition is deleted or something else reaches it
+    assert set(KEPT) <= set(unreached_definitions(()))

@@ -42,15 +42,6 @@ def test_solve_affine_empty_rows():
     assert linsolve.solve_affine([], []) is None
 
 
-def test_in_span():
-    vecs = [[F(1), F(0)], [F(1), F(1)]]
-    c = linsolve.in_span(vecs, [F(3), F(2)])
-    assert c == [F(1), F(2)]
-    assert linsolve.in_span([[F(1), F(0)]], [F(0), F(1)]) is None
-    assert linsolve.in_span([], [F(0), F(0)]) == []
-    assert linsolve.in_span([], [F(1)]) is None
-
-
 def test_independent_subset():
     vecs = [[F(1), F(0)], [F(2), F(0)], [F(0), F(1)], [F(1), F(1)]]
     assert linsolve.independent_subset(vecs) == [0, 2]

@@ -8,7 +8,6 @@ from ucpspace.errors import ConditioningUndefinedError, PreconditionError
 from ucpspace.lueders import (
     DensityState,
     check_compression_identities,
-    check_compression_system,
     classify_pair,
     condition,
     conditional_probability,
@@ -254,81 +253,11 @@ class TestSymmetry:
             assert symmetry_residual(e, f) <= 1e-9
 
     def test_batched_matches_loop(self, rng):
-        es = jordan.batched_random_projections("C", 3, 10, rng)
-        fs = jordan.batched_random_projections("C", 3, 10, rng)
+        es = np.stack([jordan.random_projection("C", 3, rng).coords for _ in range(10)])
+        fs = np.stack([jordan.random_projection("C", 3, rng).coords for _ in range(10)])
         batch = lueders.batched_symmetry_residual("C", es, fs)
         for i in range(10):
             e = jordan.JordanElement("C", 3, es[i])
             f = jordan.JordanElement("C", 3, fs[i])
             assert batch[i] == pytest.approx(symmetry_residual(e, f), abs=1e-10)
 
-
-class TestSystemAudit:
-    def test_full_qutrit_lattice_passes(self, qutrit, rng):
-        audit = check_compression_system(
-            qutrit.system.elements,
-            states=qutrit.densities,
-            full_lattice=True,
-            samples=40,
-            rng=rng,
-        )
-        assert audit.closure_unit
-        assert audit.closure_complement == []
-        assert audit.closure_sums == []
-        assert audit.spanning
-        assert audit.passed(1e-8)
-
-    def test_sparse_sublist_range_caveat(self, qutrit, rng):
-        # without the full-lattice claim the range condition can only see the
-        # listed sub-events, and rank-2 corners are under-spanned
-        audit = check_compression_system(
-            qutrit.system.elements,
-            states=qutrit.densities,
-            full_lattice=False,
-            samples=10,
-            rng=rng,
-        )
-        assert audit.range_caveat != ""
-        assert any(a.range_residual > 1e-3 for a in audit.events)
-
-    def test_missing_unit_detected(self):
-        els = [jordan.zero("C", 2), jordan.diag("C", [1, 0]), jordan.diag("C", [0, 1])]
-        audit = check_compression_system(els, expect_spanning=False)
-        assert not audit.closure_unit
-        assert not audit.passed(require_spanning=False)
-
-    def test_invariance_of_concentrated_states(self, rng):
-        e = jordan.diag("C", [1, 1, 0])
-        els = [
-            jordan.zero("C", 3),
-            jordan.identity("C", 3),
-            e,
-            jordan.complement_projection(e),
-        ]
-        rho = DensityState(jordan.diag("C", [0.5, 0.5, 0.0]))
-        audit = check_compression_system(els, states=[rho], expect_spanning=False, rng=rng)
-        target = [a for a in audit.events if a.event == 2]
-        assert target and 0 in target[0].invariance
-        assert target[0].invariance[0] <= 1e-10
-
-    def test_gap_witnesses_verify(self, rng):
-        # the kernel of U_e holds sign-indefinite elements the complement
-        # compression moves; each reported triple must replay
-        out = lueders.compression_gap_witnesses(qubit_e(), samples=30, rng=rng)
-        assert out
-        e = qubit_e()
-        ec = jordan.complement_projection(e)
-        basis = jordan.hermitian_basis("C", 2)
-        for x, ue_norm, gap in out:
-            assert ue_norm <= 1e-9
-            assert jordan.operator_norm(u_e(e, x)) <= 1e-8
-            diff = u_e(ec, x) - x
-            moved = float(np.linalg.norm(jordan.basis_coords(diff, basis)))
-            assert gap > 1e-6 and moved == pytest.approx(gap, abs=1e-9)
-
-    def test_gap_witnesses_empty_for_unit(self, rng):
-        # U_identity has trivial kernel: nothing to report
-        out = lueders.compression_gap_witnesses(
-            jordan.identity("C", 2), samples=10, rng=rng
-        )
-        assert out == []

@@ -13,11 +13,9 @@ from ucpspace.observables import (
     check_certainty_order_all,
     check_conditioned_representability,
     check_sum_representability,
-    distribution,
     expectation,
     indicator,
     observable,
-    observable_leq,
     representing_element,
     spectral_radius,
 )
@@ -109,12 +107,6 @@ class TestExpectation:
         mu = instances.boolean_state([F(1, 5), F(3, 10), F(1, 2)])
         for e in bool3.events():
             assert expectation(indicator(bool3, e), mu) == mu[e]
-
-    def test_distribution_sums_to_one(self, bool3):
-        mu = instances.boolean_state([F(1, 5), F(3, 10), F(1, 2)])
-        x = observable(bool3, ((F(1), 1), (F(2), 2), (F(3), 4)))
-        d = distribution(x, mu)
-        assert sum(p for _, p in d) == 1
 
     def test_state_length_guard(self, bool3, bool2):
         mu = instances.boolean_state([F(1, 2), F(1, 2)])
@@ -259,33 +251,3 @@ class TestCertaintyOrder:
         synth = abstract_synthetic_space(mo2, poly.generators)
         verdicts, all_passed = check_certainty_order_all(synth, poly)
         assert all_passed
-
-
-class TestObservableOrder:
-    def test_dominating_pair(self, bool3_setup):
-        synth, poly, _ = bool3_setup
-        x = observable(synth.space, ((F(1), 1), (F(2), 2)))
-        y = observable(synth.space, ((F(2), 1), (F(3), 2), (F(1), 4)))
-        rep = observable_leq(synth, poly, x, y)
-        assert rep.agree
-        assert rep.holds
-
-    def test_incomparable_pair(self, bool3_setup):
-        synth, poly, _ = bool3_setup
-        x = observable(synth.space, ((F(5), 1),))
-        y = observable(synth.space, ((F(3), 2),))
-        rep = observable_leq(synth, poly, x, y)
-        assert rep.agree
-        assert not rep.holds
-
-    def test_routes_agree_random(self, bool3_setup, rng):
-        synth, poly, _ = bool3_setup
-        atoms = [1, 2, 4]
-        for _ in range(20):
-            vx = [F(int(rng.integers(-4, 5)), 2) for _ in atoms]
-            vy = [F(int(rng.integers(-4, 5)), 2) for _ in atoms]
-            x = observable(synth.space, tuple(zip(vx, atoms)))
-            y = observable(synth.space, tuple(zip(vy, atoms)))
-            rep = observable_leq(synth, poly, x, y)
-            assert rep.agree
-            assert rep.holds == all(a <= b for a, b in zip(vx, vy))

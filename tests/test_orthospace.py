@@ -174,10 +174,6 @@ class TestQueries:
         # atoms: difference(a, a+b) = b with bitmask events
         assert orthospace.difference(bool3, 1, 3) == [2]
 
-    def test_no_transitivity_violations_on_instances(self, bool3, mo2):
-        assert orthospace.precedes_transitivity_violations(bool3) == []
-        assert orthospace.precedes_transitivity_violations(mo2) == []
-
     def test_maximal_families_boolean(self, bool2):
         fams = maximal_orthogonal_families(bool2)
         assert [1, 2] in fams
@@ -226,9 +222,18 @@ class TestConstructions:
         with pytest.raises(SizeError):
             boolean_orthospace(0)
 
-    def test_horizontal_sum_is_mo2(self, bool2, mo2):
-        glued = horizontal_sum([bool2, bool2])
-        assert glued == mo2
+    def test_mo_layout(self):
+        # events [0, a_1, a_1', ..., a_k, a_k', unit]; only complements are orthogonal
+        for k in (1, 2, 5):
+            mo = instances.mo_orthospace(k)
+            assert (mo.n_events, mo.zero, mo.unit) == (2 * k + 2, 0, 2 * k + 1)
+            pairs = {(2 * i + 1, 2 * i + 2) for i in range(k)}
+            with_zero = {(0, e) for e in mo.events()}
+            expected = with_zero | pairs | {(f, e) for e, f in with_zero | pairs}
+            assert {(int(e), int(f)) for e, f in np.argwhere(mo.ortho)} == expected
+            for a, b in pairs:
+                assert (mo.complement[a], mo.complement[b]) == (b, a)
+                assert mo.sum_of(a, b) == mo.sum_of(b, a) == mo.unit
 
     def test_horizontal_sum_passes_axioms(self, bool2, bool3):
         glued = horizontal_sum([bool2, bool3, bool2])

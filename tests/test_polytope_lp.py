@@ -7,12 +7,11 @@ rows of the orthospace plus one row per pinned event, inside [0, 1]^n.
 
 from fractions import Fraction as F
 
-import numpy as np
 import pytest
 
 from ucpspace import instances, orthospace, statespace
 from ucpspace.exactlp import INFEASIBLE, OPTIMAL, solve_lp
-from ucpspace.observables import check_certainty_order, observable, observable_leq
+from ucpspace.observables import check_certainty_order
 from ucpspace.synthesis import abstract_synthetic_space
 
 
@@ -49,43 +48,3 @@ def test_certainty_order_matches_reference(setup):
                 assert v.hypothesis_holds == (ref.objective == 1), (e, f)
             vacuous += v.hypothesis_vacuous
     assert vacuous == space.n_events  # only the zero event is never certain
-
-
-def test_observable_leq_matches_reference():
-    space = orthospace.boolean_orthospace(3)
-    poly = statespace.build_state_polytope(space)
-    synth = abstract_synthetic_space(space, poly.generators)
-    rng = np.random.default_rng(314)
-    atoms = [1, 2, 4]
-    signs = set()
-    for _ in range(20):
-        # equal values merge their atoms, so the support events are not only atoms
-        x = observable(space, [(F(int(rng.integers(-3, 4)), 2), a) for a in atoms])
-        y = observable(space, [(F(int(rng.integers(-3, 4)), 2), a) for a in atoms])
-        cost = [F(0)] * space.n_events
-        for v, g in y.support:
-            cost[g] += v
-        for v, g in x.support:
-            cost[g] -= v
-        ref = reference_lp(space, cost)
-        rep = observable_leq(synth, poly, x, y)
-        assert rep.min_gap == ref.objective
-        assert rep.expectation_route == (ref.objective >= 0)
-        signs.add(ref.objective >= 0)
-    assert signs == {True, False}
-
-
-@pytest.mark.parametrize(
-    "space",
-    [orthospace.boolean_orthospace(3), instances.mo_orthospace(2), instances.mo_orthospace(3)],
-    ids=["bool3", "mo2", "mo3"],
-)
-def test_state_with_mass_one_matches_reference(space):
-    poly = statespace.build_state_polytope(space, with_vertices=False)
-    for e in space.events():
-        ref = reference_lp(space, [F(0)] * space.n_events, [(e, F(1))])
-        nu = statespace.state_with_mass_one(poly, e)
-        assert (nu is not None) == (ref.status == OPTIMAL), e
-        if nu is not None:
-            assert statespace.is_state(space, nu)[0]
-            assert nu[e] == 1

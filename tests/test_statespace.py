@@ -21,7 +21,6 @@ from ucpspace.statespace import (
     generated_polytope,
     is_state,
     mix_states,
-    state_with_mass_one,
     unique_conditional,
 )
 
@@ -387,15 +386,6 @@ class TestBoundPropagation:
         v = check_conditional_uniqueness(poly, mu, 1)
         assert v.verdict == UNIQUE and v.slice_dim == 2
         assert v.conditional[1] == 1 and v.conditional[bool4.unit - 1] == 0
-
-
-class TestMassOne:
-    def test_exists_for_atoms(self, mo2, mo2_poly):
-        nu = state_with_mass_one(mo2_poly, MO2_A)
-        assert nu is not None and nu[MO2_A] == 1
-
-    def test_zero_event_infeasible(self, mo2, mo2_poly):
-        assert state_with_mass_one(mo2_poly, mo2.zero) is None
 
 
 class TestMixture:

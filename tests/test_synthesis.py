@@ -28,9 +28,6 @@ from ucpspace.synthesis import (
     matrix_synthetic_space,
     polytope_expansion_oracle,
     random_primitive,
-    scan_compression_fixed_points,
-    scan_random_event_systems,
-    verify_matrix_witness,
 )
 
 F = Fraction
@@ -427,18 +424,6 @@ class TestExtremePoints:
         assert not verdict.extreme
         assert verdict.direction is not None
 
-    def test_matrix_witness_replays(self, qubit):
-        # build a non-extreme element by blending two events, then verify the witness
-        import types
-
-        e = jordan.diag("C", [1, 0])
-        blend = 0.3 * e + 0.7 * jordan.jordan_product(e, e)  # still a projection: stays extreme
-        soft = 0.5 * e + 0.25 * jordan.identity("C", 2)
-        stub = types.SimpleNamespace(tag="C", n=2, elements=[soft], densities=[])
-        verdicts = check_matrix_extremes(stub, events=[0])
-        assert not verdicts[0].extreme
-        assert verify_matrix_witness(stub, verdicts[0])
-
 
 class TestHull:
     def test_bool2_box_equals_hull(self, bool2_session):
@@ -477,28 +462,6 @@ class TestHull:
         assert rep.lane == "matrix"
         assert not rep.extreme_failures()
         assert "limit" in rep.note
-
-
-class TestScans:
-    def test_no_fixed_point_witnesses_on_qubit(self, qubit_model, rng):
-        scan = scan_compression_fixed_points(qubit_model, samples=25, rng=rng)
-        assert scan.checked > 0
-        assert scan.witnesses == []
-
-    def test_no_fixed_point_witnesses_on_boolean(self, bool3_model, rng):
-        scan = scan_compression_fixed_points(bool3_model, samples=25, rng=rng)
-        assert scan.witnesses == []
-
-    def test_random_event_system_scan(self):
-        records = scan_random_event_systems(trials=6, seed=11)
-        assert records
-        for rec in records:
-            if rec.mutated:
-                assert not rec.axioms_passed
-            if rec.worst_symmetry is not None:
-                # survivors got through uniqueness, so a product model existed
-                assert rec.conditionals_unique
-                assert rec.worst_symmetry <= 1e-9
 
 
 class TestBlockedSynthesis:
