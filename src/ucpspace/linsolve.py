@@ -1,18 +1,13 @@
-"""Dense Gaussian elimination over exact rationals or floats.
+"""Dense Gaussian elimination over exact rationals.
 
-Matrices are lists of lists.  With Fraction entries comparisons are exact
-(tol=0); with float entries pass a tolerance and pivoting goes by magnitude.
-Sizes here are tiny (tens of rows), so clarity beats asymptotics.
+Matrices are lists of lists of Fractions.  Zero tests are exact, and a
+column's pivot is its first nonzero entry.
 """
 
 from fractions import Fraction
 
 
-def _is_zero(x, tol):
-    return x == 0 if tol == 0 else abs(x) <= tol
-
-
-def rref(rows, tol=0):
+def rref(rows):
     """Reduced row echelon form (in place on a copy). Returns (rows, pivot_cols)."""
     m = [list(r) for r in rows]
     if not m:
@@ -23,15 +18,7 @@ def rref(rows, tol=0):
     for c in range(ncols):
         if r >= len(m):
             break
-        # choose pivot: exact mode takes the first nonzero, float mode the largest
-        best = None
-        for i in range(r, len(m)):
-            if not _is_zero(m[i][c], tol):
-                if tol == 0:
-                    best = i
-                    break
-                if best is None or abs(m[i][c]) > abs(m[best][c]):
-                    best = i
+        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
         if best is None:
             continue
         m[r], m[best] = m[best], m[r]
@@ -46,47 +33,43 @@ def rref(rows, tol=0):
     return m, pivots
 
 
-def rank(rows, tol=0):
-    return len(rref(rows, tol)[1])
+def rank(rows):
+    return len(rref(rows)[1])
 
 
-def solve_affine(a_rows, b, tol=0):
+def solve_affine(a_rows, b):
     """All solutions of A x = b as (x0, nullspace_basis), or None if inconsistent.
 
     x0 is a particular solution; the basis is a list of vectors spanning the
-    solution directions.  Exact with Fractions, tolerance-pivoted with floats.
+    solution directions.
     """
     if not a_rows:
         return None
     n = len(a_rows[0])
     aug = [list(r) + [bi] for r, bi in zip(a_rows, b)]
-    red, pivots = rref(aug, tol)
+    red, pivots = rref(aug)
     if n in pivots:
         return None  # pivot in the rhs column: inconsistent
-    zero = Fraction(0) if tol == 0 else 0.0
-    one = Fraction(1) if tol == 0 else 1.0
-    x0 = [zero] * n
+    x0 = [Fraction(0)] * n
     piv_rows = {c: i for i, c in enumerate(pivots)}
     for c, i in piv_rows.items():
         x0[c] = red[i][n]
     free = [c for c in range(n) if c not in piv_rows]
     basis = []
     for fc in free:
-        v = [zero] * n
-        v[fc] = one
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
         for c, i in piv_rows.items():
             v[c] = -red[i][fc]
         basis.append(v)
     return x0, basis
 
 
-def independent_subset(vectors, tol=0):
-    """Indices of a maximal linearly independent subset, scanned in order."""
-    chosen = []
-    rows = []
-    for i, v in enumerate(vectors):
-        trial = rows + [list(v)]
-        if rank(trial, tol) == len(trial):
-            chosen.append(i)
-            rows = trial
-    return chosen
+def independent_subset(vectors):
+    """Indices of the first maximal linearly independent subset, taken greedily in order.
+
+    They are the pivot columns of the vectors set side by side as columns; on
+    a matroid the greedy choice is the lexicographically smallest basis.
+    Entries are converted to Fractions first, so integer vectors stay exact.
+    """
+    return rref([[Fraction(x) for x in col] for col in zip(*vectors)])[1]

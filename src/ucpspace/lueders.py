@@ -220,14 +220,6 @@ def symmetry_sides(e, f):
     return lhs, rhs
 
 
-def symmetry_residual(e, f):
-    """Operator norm of the two-sided conditioning symmetry defect."""
-    _require_idempotent(e)
-    _require_idempotent(f)
-    lhs, rhs = symmetry_sides(e, f)
-    return jordan.operator_norm(lhs - rhs)
-
-
 def batched_symmetry_residual(tag, es, fs):
     """Symmetry defect norms for stacked projection coordinate arrays."""
     n = es.shape[-3]

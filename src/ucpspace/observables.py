@@ -11,6 +11,11 @@ images and sums of observables may admit no spectral resolution over the
 events at hand.  NOT-REPRESENTABLE is a first-class verdict here, never an
 error, and the sparse/enriched instance pairs exist to exhibit both answers.
 
+The certainty order asks whether every state certain of e is certain of f,
+and if so whether pi(f) - pi(e) is positive in the model.  The states certain
+of e form a face of the state polytope, so the generator list (the vertices,
+for a full polytope) answers the first question without an LP.
+
 At finite dimension a bounded monotone sequence of primitive elements has
 finitely many distinct terms, so the countable monotone-continuity variants
 of the state axioms hold vacuously; no runtime check exists for them.
@@ -24,7 +29,7 @@ import numpy as np
 from . import linsolve, orthospace, statespace, synthesis
 from .errors import PreconditionError, StructuralError, SynthesisError
 # solve_lp is not called here; perfbench/tracing.py rebinds observables.solve_lp by name
-from .exactlp import INFEASIBLE, OPTIMAL, solve_lp  # noqa: F401
+from .exactlp import solve_lp  # noqa: F401
 
 REPRESENTABLE = "REPRESENTABLE"
 NOT_REPRESENTABLE = "NOT-REPRESENTABLE"
@@ -320,37 +325,22 @@ class CertaintyOrderVerdict:
 def check_certainty_order(synth, polytope, e, f, tol=synthesis.FLOAT_TOL):
     """If every state certain of e is certain of f, the order must agree.
 
-    Full polytopes minimize mu(f) over {mu : mu(e) = 1} by an exact LP over
-    the polytope's parametrization with e pinned (`statespace.optimize`);
-    generator families scan their vertices, which convexity makes equivalent.
+    mu(e) <= 1 holds on the whole polytope, so {mu : mu(e) = 1} is a face of
+    it, and mu(f) takes its minimum over that face at a vertex: a scan of the
+    generators decides the hypothesis in either polytope mode.  Exact
+    generators compare exactly; `tol` applies to float generators only.
     """
-    space = synth.space
-    if polytope.mode == statespace.FULL:
-        c = [0] * space.n_events
-        c[f] = 1
-        res = statespace.optimize(polytope.pin([e], [Fraction(1)]), c)
-        if res.status == INFEASIBLE:
-            return CertaintyOrderVerdict(
-                e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True
-            )
-        if res.status != OPTIMAL:
-            raise SynthesisError(f"certainty LP ended {res.status}")
-        holds = res.objective == 1
-        verdict = CertaintyOrderVerdict(
-            e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False, min_value=res.objective
-        )
-    else:
-        certain = [g for g in polytope.generators if float(g[e]) >= 1 - tol]
-        if not certain:
-            return CertaintyOrderVerdict(
-                e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True
-            )
-        vals = [g[f] for g in certain]
-        holds = all(float(v) >= 1 - tol for v in vals)
-        verdict = CertaintyOrderVerdict(
-            e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False, min_value=min(vals)
-        )
-    if verdict.hypothesis_holds:
+    gens = polytope.generators
+    if gens is None:
+        raise PreconditionError("certainty order needs generators (vertices or an explicit list)")
+    exact = polytope.exact
+    certain = [g for g in gens if (g[e] == 1 if exact else float(g[e]) >= 1 - tol)]
+    if not certain:
+        return CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True)
+    low = min(g[f] for g in certain)
+    holds = low == 1 if exact else float(low) >= 1 - tol
+    verdict = CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False, min_value=low)
+    if holds:
         verdict.order_holds = synth.is_positive(synth.pi(f) - synth.pi(e), tol=tol)
     return verdict
 

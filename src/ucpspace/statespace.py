@@ -254,15 +254,6 @@ def _primitive(vals):
     return tuple(v // g for v in ints)
 
 
-def _first_independent(vectors, k):
-    """Positions of the first k linearly independent vectors, taken greedily in order.
-
-    They are the pivot columns of the transposed vectors; on a matroid the
-    greedy choice is the lexicographically smallest basis.
-    """
-    return linsolve.rref([[Fraction(x) for x in col] for col in zip(*vectors)])[1][:k]
-
-
 def _double_description(rows, dim):
     """Extreme rays of the pointed cone {y : h.y <= 0 for every h in rows} in Z^dim.
 
@@ -277,7 +268,7 @@ def _double_description(rows, dim):
     before a row's pair scan would take the total work, pairs times rays summed
     over the rows, past _VERTEX_CAP.
     """
-    first = _first_independent(rows, dim)
+    first = linsolve.independent_subset(rows)
     red, _ = linsolve.rref([[Fraction(v) for v in rows[i]] + [Fraction(int(r == c)) for c in range(dim)]
                             for r, i in enumerate(first)])
     tight = sum(1 << i for i in first)
@@ -349,7 +340,7 @@ def _enumerate_vertices(param):
     keyed = []
     for y, z in _double_description(rows, d + 1):
         tight = [k for k, j in enumerate(row_of) if z >> j & 1]
-        picked = _first_independent([rows[row_of[k]][:d] for k in tight], d)
+        picked = linsolve.independent_subset([rows[row_of[k]][:d] for k in tight])
         keyed.append(([tight[i] for i in picked], [Fraction(v, y[d]) for v in y[:d]]))
     keyed.sort(key=lambda kt: kt[0])
     return [tuple(_point(x0, basis, t)) for _, t in keyed]

@@ -372,9 +372,6 @@ class ProductModel:
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
 
-    def t_apply(self, e, x):
-        return self.multipliers[e] @ x
-
     def product(self, x, y):
         """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n)."""
         synth = self.synth
@@ -407,17 +404,17 @@ class ProductModel:
             acc = self.product(acc, x)
         return acc
 
-    def symmetry_residual(self, e, f):
-        return self.synth.norm(self.t_apply(e, self.synth.pi(f)) - self.t_apply(f, self.synth.pi(e)))
-
     def worst_symmetry(self):
-        worst, arg = 0.0, None
-        for e in self.synth.space.events():
-            for f in range(e + 1, self.synth.space.n_events):
-                r = self.symmetry_residual(e, f)
-                if r > worst:
-                    worst, arg = r, (e, f)
-        return worst, arg
+        """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""
+        synth = self.synth
+        # images[e, :, f] = T_e pi(f), for every pair in one stacked product
+        images = np.stack([self.multipliers[e] for e in synth.space.events()]) @ synth.pairing
+        es, fs = np.triu_indices(synth.space.n_events, 1)
+        residuals = synth.norm(images[es, :, fs] - images[fs, :, es])
+        if not (residuals > 0).any():
+            return 0.0, None
+        i = int(np.argmax(residuals))
+        return float(residuals[i]), (int(es[i]), int(fs[i]))
 
 
 def build_product_model(synth, oracle):

@@ -2,6 +2,7 @@
 module-level definition of the package is reached from outside its tests."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -126,3 +127,44 @@ def test_no_unreached_library_surface():
 def test_each_kept_definition_is_still_needed():
     # an entry goes once its definition is deleted or something else reaches it
     assert set(KEPT) <= set(unreached_definitions(()))
+
+
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def traced_names():
+    """(module, dotted attribute) of every name the benchmark's tracer rebinds,
+    read from perfbench/tracing.py by AST, without importing it."""
+    tree = ast.parse(TRACING.read_text(encoding="utf-8"))
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]
+    )
+    install = next(n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "install")
+    # the literal tuples install loops over: the modules whose solve_lp it
+    # rebinds and the oracle factories whose closures it wraps
+    loops = {
+        node.target.id: [elt.id if isinstance(elt, ast.Name) else elt.value for elt in node.iter.elts]
+        for node in ast.walk(install)
+        if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)
+    }
+    # synthesis.oracle names the closures the factories return, not an attribute
+    names = [tuple(name.split(".", 1)) for name in layers if name != "synthesis.oracle"]
+    names += [(mod, "solve_lp") for mod in loops["mod"]]
+    names += [("synthesis", factory) for factory in loops["factory"]]
+    return names
+
+
+def test_traced_names_resolve():
+    # deleting a name the tracer rebinds would break `python3 -m pytest perfbench` and the benchmark
+    names = traced_names()
+    assert ("observables", "solve_lp") in names and ("linsolve", "rref") in names
+    missing = []
+    for module, dotted in names:
+        owner = importlib.import_module(f"ucpspace.{module}")
+        for attr in dotted.split("."):
+            owner = getattr(owner, attr, None)
+        if owner is None:
+            missing.append(f"{module}.{dotted}")
+    assert missing == []

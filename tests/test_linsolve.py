@@ -1,4 +1,4 @@
-"""Exact and tolerance-pivoted linear algebra over lists."""
+"""Exact linear algebra over lists of Fractions."""
 
 from fractions import Fraction
 
@@ -47,15 +47,6 @@ def test_independent_subset():
     assert linsolve.independent_subset(vecs) == [0, 2]
 
 
-def test_float_mode_pivoting():
-    # tiny off-diagonal noise must not create rank
-    a = [[1.0, 0.0], [1e-14, 0.0]]
-    assert linsolve.rank(a, tol=1e-9) == 1
-    x, basis = linsolve.solve_affine([[1.0, 0.0], [0.0, 2.0]], [1.0, 4.0], tol=1e-9)
-    assert basis == []
-    assert abs(x[0] - 1.0) < 1e-12 and abs(x[1] - 2.0) < 1e-12
-
-
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=10)
 
 
@@ -86,3 +77,39 @@ def test_solutions_verify(a, x_true):
         assert sum(ri * xi for ri, xi in zip(r, x0)) == bi
         for v in basis:
             assert sum(ri * vi for ri, vi in zip(r, v)) == 0
+
+
+def greedy_by_rank(vectors):
+    """The per-candidate loop independent_subset replaced: keep a vector when it raises the rank."""
+    chosen, rows = [], []
+    for i, v in enumerate(vectors):
+        trial = rows + [[F(x) for x in v]]
+        if linsolve.rank(trial) == len(trial):
+            chosen.append(i)
+            rows = trial
+    return chosen
+
+
+@st.composite
+def vector_lists(draw, entries):
+    """Vectors of one length, with integer combinations of earlier ones inserted among them."""
+    dim = draw(st.integers(1, 5))
+    vecs = draw(st.lists(st.lists(entries, min_size=dim, max_size=dim), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=len(vecs), max_size=len(vecs)))
+        combo = [sum(c * v[j] for c, v in zip(coeffs, vecs)) for j in range(dim)]
+        vecs.insert(draw(st.integers(0, len(vecs))), combo)
+    return vecs
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_lists(fractions))
+def test_independent_subset_matches_rank_loop_on_fractions(vecs):
+    assert linsolve.independent_subset(vecs) == greedy_by_rank(vecs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(vector_lists(st.integers(-9, 9)))
+def test_independent_subset_matches_rank_loop_on_ints(vecs):
+    # plain ints, as the double-description rows are: int / int division would leave the exact lane
+    assert linsolve.independent_subset(vecs) == greedy_by_rank(vecs)

@@ -19,7 +19,7 @@ from ucpspace.observables import (
     representing_element,
     spectral_radius,
 )
-from ucpspace.statespace import build_state_polytope
+from ucpspace.statespace import build_state_polytope, generated_polytope
 from ucpspace.synthesis import (
     abstract_synthetic_space,
     build_product_model,
@@ -251,3 +251,20 @@ class TestCertaintyOrder:
         synth = abstract_synthetic_space(mo2, poly.generators)
         verdicts, all_passed = check_certainty_order_all(synth, poly)
         assert all_passed
+
+    def test_near_certain_exact_state_is_not_certain(self, bool3):
+        # mass 1 - 10^-9 on atom 0 lies within FLOAT_TOL of 1, but is not 1
+        eps = Fraction(1, 10**9)
+        gens = [instances.boolean_state([1 - eps, eps, 0])] + instances.boolean_vertex_states(3)[1:]
+        poly = generated_polytope(bool3, gens)
+        synth = abstract_synthetic_space(bool3, gens)
+        v = check_certainty_order(synth, poly, 0b001, 0b010)
+        assert v.hypothesis_vacuous and not v.hypothesis_holds and v.min_value is None
+        # the atom-1 vertex is certain of atom 1 exactly, and of every event above it
+        v = check_certainty_order(synth, poly, 0b010, 0b011)
+        assert v.hypothesis_holds and not v.hypothesis_vacuous and v.min_value == 1 and v.order_holds
+
+    def test_full_polytope_without_vertices_is_refused(self, bool3_setup, bool3):
+        synth, _, _ = bool3_setup
+        with pytest.raises(PreconditionError):
+            check_certainty_order(synth, build_state_polytope(bool3, with_vertices=False), 1, 3)

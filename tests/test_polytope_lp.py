@@ -27,9 +27,16 @@ def reference_lp(space, cost, pins=()):
     return solve_lp(list(cost), a_eq, b_eq, bounds=[(0, 1)] * n)
 
 
-@pytest.fixture(scope="module", params=["bool3", "mo3"])
+SPACES = {
+    "bool3": lambda: orthospace.boolean_orthospace(3),
+    "mo3": lambda: instances.mo_orthospace(3),
+    "mo4": lambda: instances.mo_orthospace(4),
+}
+
+
+@pytest.fixture(scope="module", params=list(SPACES))
 def setup(request):
-    space = orthospace.boolean_orthospace(3) if request.param == "bool3" else instances.mo_orthospace(3)
+    space = SPACES[request.param]()
     poly = statespace.build_state_polytope(space)
     return space, poly, abstract_synthetic_space(space, poly.generators)
 

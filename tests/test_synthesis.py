@@ -1,5 +1,6 @@
 """Rebuilding the product from conditionals, on exact and matrix lanes."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -258,6 +259,26 @@ class TestProduct:
         assert worst == 0
         worst_q, _ = qubit_model.worst_symmetry()
         assert worst_q <= 1e-9
+
+    def test_worst_symmetry_matches_pairwise_scan(self, qubit_model, bool3_model):
+        def pairwise(model):
+            synth, worst, arg = model.synth, 0.0, None
+            for e in synth.space.events():
+                for f in range(e + 1, synth.space.n_events):
+                    r = synth.norm(model.multipliers[e] @ synth.pi(f) - model.multipliers[f] @ synth.pi(e))
+                    if r > worst:
+                        worst, arg = r, (e, f)
+            return worst, arg
+
+        assert bool3_model.worst_symmetry() == pairwise(bool3_model) == (0.0, None)
+        worst, _ = qubit_model.worst_symmetry()
+        assert worst == pytest.approx(pairwise(qubit_model)[0], abs=1e-15)
+        # T_a = I and every other T_e = 0: the residual of (e, a) is |pi(e)|, with many exact ties
+        synth = bool3_model.synth
+        for a in (1, 5):
+            mults = {e: synth.identity_matrix() * int(e == a) for e in synth.space.events()}
+            tied = dataclasses.replace(bool3_model, multipliers=mults)
+            assert tied.worst_symmetry() == pairwise(tied) == (1.0, (1, a) if a > 1 else (1, 2))
 
 
 def reference_product(model, x, y):
