@@ -116,7 +116,11 @@ def _generators(polytope):
 def _verify_uniqueness(space, polytope, report, lines):
     records = []
     all_unique = True
+    # each state is formatted once, and so are the witnesses of each verdict: the polytope hands
+    # out one verdict object per distinct slice, shared by every record on that slice
+    witness_values = {}
     for ix, mu in enumerate(_generators(polytope)):
+        state = None
         for e in space.events():
             if e == space.zero or mu[e] == 0:
                 continue
@@ -124,18 +128,19 @@ def _verify_uniqueness(space, polytope, report, lines):
             if verdict.verdict == statespace.UNIQUE:
                 continue
             all_unique = False
+            if state is None:
+                state = [fileio._format_value(v) for v in mu.values]
             rec = {
-                "state": [fileio._format_value(v) for v in mu.values],
+                "state": state,
                 "state_index": ix,
                 "event": e,
                 "verdict": verdict.verdict,
             }
             if verdict.witnesses:
-                nu1, nu2, at = verdict.witnesses
-                rec["witnesses"] = [
-                    [fileio._format_value(v) for v in nu1.values],
-                    [fileio._format_value(v) for v in nu2.values],
-                ]
+                *nus, at = verdict.witnesses
+                if id(verdict) not in witness_values:
+                    witness_values[id(verdict)] = [[fileio._format_value(v) for v in nu.values] for nu in nus]
+                rec["witnesses"] = witness_values[id(verdict)]
                 rec["witness_event"] = at
                 lines.append(
                     f"uniqueness: state {ix} under event {e} is {verdict.verdict}; "

@@ -147,6 +147,8 @@ class StatePolytope:
     # FULL mode: eq_rows as (((event, coeff), ...), rhs) over the nonzero
     # coefficients, built once here for the bound propagation of every slice.
     sparse_rows: list | None = field(default=None, init=False, repr=False)
+    # check_conditional_uniqueness verdicts by (event, constraint events, targets): one per slice
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode == FULL:
@@ -371,10 +373,13 @@ def check_separation(polytope):
 
 @dataclass
 class ConditionalSlice:
-    """States compatible with conditioning mu on e: nu(f) = mu(f)/mu(e) on f < e."""
+    """States compatible with conditioning mu on e: nu(f) = mu(f)/mu(e) on f < e.
+
+    It holds mu only through those targets, so every verdict on it is a function of
+    (event, constraint_events, targets).
+    """
 
     polytope: StatePolytope
-    mu: State
     event: int
     constraint_events: list
     targets: list
@@ -399,10 +404,10 @@ def conditional_slice(polytope, mu, e, family=None):
     if family is None:
         family = [f for f in range(space.n_events) if orthospace.precedes(space, f, e)]
     targets = [_frac(mu[f]) / me for f in family]
-    return ConditionalSlice(polytope, mu, e, list(family), targets)
+    return ConditionalSlice(polytope, e, list(family), targets)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConditionalVerdict:
     verdict: str
     conditional: State | None = None
@@ -491,11 +496,20 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     carries a Farkas certificate over the slice's rows in event coordinates.
     `slice_dim` is the nullity of the slice's equality rows either way.
     GENERATED mode runs the per-event LPs in convex-coefficient space directly.
+
+    The verdict, with its conditional, witnesses, certificate and `slice_dim`,
+    is a function of the slice: of e, the constrained events and their targets
+    mu(f)/mu(e), and of mu through nothing else.  So each distinct slice is
+    decided once per polytope, and every later call on it returns the same
+    frozen verdict.
     """
     slc = conditional_slice(polytope, mu, e, family)
-    if polytope.mode == GENERATED:
-        return _uc_generated(slc)
-    return _uc_full(slc)
+    key = (e, tuple(slc.constraint_events), tuple(slc.targets))
+    verdict = polytope._verdicts.get(key)
+    if verdict is None:
+        verdict = _uc_generated(slc) if polytope.mode == GENERATED else _uc_full(slc)
+        polytope._verdicts[key] = verdict
+    return verdict
 
 
 def _uc_full(slc):

@@ -229,7 +229,9 @@ def test_unverifiable_certificate_is_an_error(monkeypatch):
 
 def test_feasible_slack_start_skips_phase_one(monkeypatch):
     # the MO_4 uniqueness sweep: every LP slice holds x0 inside the box, so each
-    # solve_lp starts on the slacks and runs the simplex once, for phase 2
+    # solve_lp starts on the slacks and runs the simplex once, for phase 2; the
+    # polytope decides each slice once, so only its 8 distinct MULTIPLE atom slices
+    # reach the LPs, a min and a max each
     space = instances.mo_orthospace(4)
     poly = statespace.build_state_polytope(space)
     runs = []
@@ -252,5 +254,5 @@ def test_feasible_slack_start_skips_phase_one(monkeypatch):
         if mu[e] != 0
     ]
     assert set(verdicts) == {statespace.UNIQUE, statespace.MULTIPLE}
-    assert len(runs) == 128
+    assert len(runs) == 16
     assert set(runs) == {1}

@@ -1,5 +1,6 @@
 """Exact state polytopes, conditionals, and the uniqueness verdicts."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -321,7 +322,9 @@ class TestBoundPropagation:
         with_prop = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
         decided = [statespace._propagate(statespace.conditional_slice(poly, mu, e)) is not None for mu, e in cases]
         monkeypatch.setattr(statespace, "_propagate", lambda slc: None)
-        lp_only = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
+        # a fresh polytope: the first one would return the verdicts it has already decided
+        fresh = build_state_polytope(poly.space)
+        lp_only = [check_conditional_uniqueness(fresh, mu, e) for mu, e in cases]
         for (mu, e), a, b in zip(cases, with_prop, lp_only):
             assert (a.verdict, a.slice_dim, a.conditional) == (b.verdict, b.slice_dim, b.conditional), (mu, e)
             assert a.witnesses == b.witnesses
@@ -346,13 +349,15 @@ class TestBoundPropagation:
             assert v.verdict == EMPTY and v.slice_dim == dim
             assert exactlp.verify_farkas(v.certificate)
 
-    def test_certificate_never_dropped(self, bool3, bool3_poly, monkeypatch):
-        # an event-coordinate LP that disagrees with the EMPTY verdict is an error, not a missing certificate
+    def test_certificate_never_dropped(self, bool3, monkeypatch):
+        # an event-coordinate LP that disagrees with the EMPTY verdict is an error, not a missing certificate;
+        # a fresh polytope, since the shared one has already decided this slice
+        poly = build_state_polytope(bool3)
         vals = [F(0)] * bool3.n_events
         vals[1], vals[2], vals[3], vals[bool3.unit] = F(1, 2), F(1, 4), F(1, 2), F(1)
         monkeypatch.setattr(statespace, "solve_lp", lambda *a, **kw: exactlp.LpResult(exactlp.OPTIMAL, [], F(0)))
         with pytest.raises(UcpError, match="inconsistent tables"):
-            check_conditional_uniqueness(bool3_poly, State(tuple(vals)), 3, [1, 2])
+            check_conditional_uniqueness(poly, State(tuple(vals)), 3, [1, 2])
 
     def test_first_lp_decides_empty(self, monkeypatch):
         # Boolean 5 atoms, events as atom bitmasks: x_{ab} = x_{bc} = 3/4 needs
@@ -386,6 +391,54 @@ class TestBoundPropagation:
         v = check_conditional_uniqueness(poly, mu, 1)
         assert v.verdict == UNIQUE and v.slice_dim == 2
         assert v.conditional[1] == 1 and v.conditional[bool4.unit - 1] == 0
+
+
+def _fields(v):
+    return v.verdict, v.conditional, v.witnesses, v.slice_dim, v.certificate
+
+
+class TestSliceCache:
+    """A polytope decides each distinct conditional slice once and hands the verdict to every caller."""
+
+    @pytest.mark.parametrize("space", [orthospace.boolean_orthospace(4), instances.mo_orthospace(3),
+                                       instances.mo_orthospace(5)], ids=["bool4", "mo3", "mo5"])
+    def test_cached_verdict_equals_fresh(self, space):
+        poly = build_state_polytope(space)
+        cases = _oracle_cases(space, poly)
+        cached = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
+        fresh = build_state_polytope(space, with_vertices=False)
+        for (mu, e), v in zip(cases, cached):
+            assert _fields(v) == _fields(statespace._uc_full(statespace.conditional_slice(fresh, mu, e))), (mu, e)
+        # some slices repeat (every state conditioned on an atom of a Boolean space has the same one),
+        # so some of those verdicts came from the cache
+        assert len({id(v) for v in cached}) < len(cases)
+
+    def test_same_frozen_object(self, mo2, mo2_poly):
+        v = check_conditional_uniqueness(mo2_poly, uniform_mo2(mo2), MO2_A)
+        before = _fields(v)
+        assert check_conditional_uniqueness(mo2_poly, uniform_mo2(mo2), MO2_A) is v
+        assert _fields(v) == before and v.verdict == MULTIPLE
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            v.verdict = UNIQUE
+        assert _fields(v) == before
+
+    @pytest.mark.parametrize("k, pairs, slices", [(4, 80, 24), (5, 192, 42), (6, 448, 76)])
+    def test_one_decision_per_slice(self, k, pairs, slices, monkeypatch):
+        space = instances.mo_orthospace(k)
+        poly = build_state_polytope(space)
+        decided = []
+        uc_full = statespace._uc_full
+
+        def counting_uc_full(slc):
+            decided.append(slc)
+            return uc_full(slc)
+
+        monkeypatch.setattr(statespace, "_uc_full", counting_uc_full)
+        swept = [(mu, e) for mu in poly.generators for e in space.events() if e != space.zero and mu[e] != 0]
+        for mu, e in swept:
+            check_conditional_uniqueness(poly, mu, e)
+        assert (len(swept), len(decided)) == (pairs, slices)
+        assert len({(s.event, tuple(s.constraint_events), tuple(s.targets)) for s in decided}) == slices
 
 
 class TestMixture:
