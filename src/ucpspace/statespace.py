@@ -33,6 +33,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 from . import linsolve, orthospace
 from .errors import (
     CapacityError,
@@ -402,7 +404,8 @@ def conditional_slice(polytope, mu, e, family=None):
     if me == 0:
         raise ConditioningUndefinedError(f"event {e} has zero probability under the given state")
     if family is None:
-        family = [f for f in range(space.n_events) if orthospace.precedes(space, f, e)]
+        # f precedes e iff f is orthogonal to the complement of e: one column of the table
+        family = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
     targets = [_frac(mu[f]) / me for f in family]
     return ConditionalSlice(polytope, e, list(family), targets)
 

@@ -22,8 +22,10 @@ Both linear maps the product needs are built once per model: the left inverse
 of the basis-event columns (coordinates of x over basis_events) and the
 structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
 x o y = sum_kl cx_k cy_l S[k, l].  The product takes one pair or a stack of
-pairs; on the float lane a stack is one coordinate map and one contraction,
-and the law sweep and the product comparison pass every sampled pair at once.
+pairs; a stack is one coordinate map and one contraction, and the law sweep
+and the product comparison pass every sampled pair at once.  The exact lane
+keeps both maps as integer numerators over one common denominator, contracts
+integer numerators, and turns the result back into Fractions once.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
@@ -31,6 +33,7 @@ multiplier symmetry, and the well-definedness of T_y across different
 orthogonal decompositions of the same element.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -50,11 +53,7 @@ def _exact_rows(rows):
 
 def _pairing_array(rows, exact):
     if exact:
-        arr = np.empty((len(rows), len(rows[0])), dtype=object)
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                arr[i, j] = Fraction(v)
-        return arr
+        return np.frompyfunc(Fraction, 1, 1)(np.array(rows, dtype=object))
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -72,11 +71,22 @@ def _independent_columns_float(mat, tol=FLOAT_TOL):
     return picked
 
 
+def _scaled(arr):
+    """(numerators, d): arr's entries as Python ints over the lcm d of their denominators, in an object array."""
+    arr = np.asarray(arr, dtype=object)
+    d = math.lcm(*(v.denominator for v in arr.flat))
+    return np.frompyfunc(lambda v: v.numerator * (d // v.denominator), 1, 1)(arr), d
+
+
+# _unscaled(numerators, d): the Fraction array numerators / d
+_unscaled = np.frompyfunc(Fraction, 2, 1)
+
+
 def _left_inverse(cols, exact):
     """(rows, inv) with inv @ cols[rows] = I, so inv @ x[rows] gives the coordinates of x.
 
-    Float lane: the pseudoinverse over every row.  Exact lane: the Fraction
-    inverse of an independent block of rows.
+    Float lane: the pseudoinverse over every row.  Exact lane: the inverse of
+    an independent block of rows, as _scaled numerators and denominator.
     """
     if not exact:
         return slice(None), np.linalg.pinv(cols)
@@ -84,15 +94,7 @@ def _left_inverse(cols, exact):
     rows = linsolve.independent_subset([list(r) for r in cols])
     aug = [list(cols[i]) + [Fraction(int(i == j)) for j in rows] for i in rows]
     red, _ = linsolve.rref(aug)
-    return rows, np.array([r[dim:] for r in red], dtype=object)
-
-
-def _exact_matvec(mat, v):
-    """mat @ v over Fractions, skipping zero terms (exact coordinate maps are mostly zeros)."""
-    terms = [(k, vk) for k, vk in enumerate(v) if vk]
-    out = np.empty(len(mat), dtype=object)
-    out[:] = [sum((row[k] * vk for k, vk in terms if row[k]), Fraction(0)) for row in mat]
-    return out
+    return rows, _scaled([r[dim:] for r in red])
 
 
 @dataclass
@@ -105,8 +107,14 @@ class SyntheticSpace:
     dim: int  # rank of the pairing matrix
     basis_events: tuple  # event ids whose pi-columns are independent
     basis_cols: np.ndarray  # (n_states, dim): the pi-columns of basis_events
-    coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols)
+    coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols); exact lane: inv as _scaled numerators and denominator
     degenerate_pairs: list = field(default_factory=list)  # events no generator separates
+    # exact lane: basis_cols as _scaled numerators and denominator
+    scaled_cols: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.exact:
+            self.scaled_cols = _scaled(self.basis_cols)
 
     @property
     def n_states(self):
@@ -132,42 +140,37 @@ class SyntheticSpace:
         return all(v >= bound for v in x)
 
     def zeros(self):
-        if self.exact:
-            z = np.empty(self.n_states, dtype=object)
-            z[:] = Fraction(0)
-            return z
-        return np.zeros(self.n_states)
+        return _unscaled(np.zeros(self.n_states, dtype=object), 1) if self.exact else np.zeros(self.n_states)
 
     def identity_matrix(self):
-        if self.exact:
-            m = np.empty((self.n_states, self.n_states), dtype=object)
-            for i in range(self.n_states):
-                for j in range(self.n_states):
-                    m[i, j] = Fraction(1 if i == j else 0)
-            return m
-        return np.eye(self.n_states)
+        return _unscaled(np.eye(self.n_states, dtype=object), 1) if self.exact else np.eye(self.n_states)
 
     def event_coords(self, x, tol=FLOAT_TOL):
         """Coefficients over basis_events reproducing x (n,), or each row of a stack (P, n).
 
         Raises SynthesisError if x, or any one row of the stack, lies outside the span.
         """
-        rows, inv = self.coord_map
         if self.exact:
-            x = np.asarray(x)
-            if x.ndim == 2:
-                return np.array([self.event_coords(r) for r in x], dtype=object).reshape(len(x), self.dim)
-            c = _exact_matvec(inv, x[rows])
-            outside = any(_exact_matvec(self.basis_cols, c) != x)
-        else:
-            x = np.asarray(x, dtype=np.float64)
-            c = x[..., rows] @ inv.T
-            # ||back - x|| > tol * max(1, ||x||) row by row, compared in squares
-            r = c @ self.basis_cols.T - x
-            outside = np.any(np.sum(r * r, axis=-1) > tol * tol * np.maximum(1.0, np.sum(x * x, axis=-1)))
-        if outside:
+            return _unscaled(*self.scaled_coords(x))
+        rows, inv = self.coord_map
+        x = np.asarray(x, dtype=np.float64)
+        c = x[..., rows] @ inv.T
+        # ||back - x|| > tol * max(1, ||x||) row by row, compared in squares
+        r = c @ self.basis_cols.T - x
+        if np.any(np.sum(r * r, axis=-1) > tol * tol * np.maximum(1.0, np.sum(x * x, axis=-1))):
             raise SynthesisError("element lies outside the event span")
         return c
+
+    def scaled_coords(self, x):
+        """Exact-lane event_coords of x (n,) or a stack (P, n) as (integer numerators, common denominator)."""
+        rows, (inv_n, d_inv) = self.coord_map
+        cols_n, d_cols = self.scaled_cols
+        xn, dx = _scaled(x)
+        cn = xn[..., rows] @ inv_n.T
+        # basis_cols @ c == x, cleared of the denominators d_cols and dx * d_inv
+        if np.any(cn @ cols_n.T != xn * (d_inv * d_cols)):
+            raise SynthesisError("element lies outside the event span")
+        return cn, dx * d_inv
 
 
 def _check_state_rows(space, rows, exact):
@@ -362,12 +365,12 @@ class ProductModel:
     compressions: dict  # event -> CompressionReport
     multipliers: dict  # event -> T_e matrix
     structure: np.ndarray  # (dim, dim, n_states): S[k, l] = b_k o b_l over basis_events
-    # exact lane: terms[k][l] = ((s, S[k, l, s]), ...) over the nonzero entries of structure
-    terms: list | None = field(default=None, init=False, repr=False)
+    # exact lane: structure flattened over (k, l), as _scaled numerators and denominator
+    scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.synth.exact:
-            self.terms = [[tuple((s, v) for s, v in enumerate(sv) if v) for sv in row] for row in self.structure]
+            self.scaled = _scaled(self.structure.reshape(-1, self.synth.n_states))
 
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
@@ -375,28 +378,17 @@ class ProductModel:
     def product(self, x, y):
         """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n)."""
         synth = self.synth
-        cx, cy = synth.event_coords(x), synth.event_coords(y)
-        if not synth.exact:
-            # the outer products cx cy^T against S flattened over (k, l): one matmul for the whole stack
-            outer = cx[..., :, None] * cy[..., None, :]
-            return outer.reshape(*outer.shape[:-2], -1) @ self.structure.reshape(-1, synth.n_states)
-        if cx.ndim == 2:
-            out = np.empty((len(cx), synth.n_states), dtype=object)
-            for p, (a, b) in enumerate(zip(cx, cy)):
-                out[p] = self._exact_contraction(a, b)
-            return out
-        return self._exact_contraction(cx, cy)
-
-    def _exact_contraction(self, cx, cy):
-        acc = self.synth.zeros()
-        for k, a in enumerate(cx):
-            if a:
-                for l, b in enumerate(cy):
-                    if b:
-                        ab = a * b
-                        for s, v in self.terms[k][l]:
-                            acc[s] += v * ab
-        return acc
+        if synth.exact:
+            (cx, dx), (cy, dy) = synth.scaled_coords(x), synth.scaled_coords(y)
+            table, d = self.scaled
+        else:
+            cx, cy = synth.event_coords(x), synth.event_coords(y)
+            table = self.structure.reshape(-1, synth.n_states)
+        # the outer products cx cy^T against S flattened over (k, l): one matmul for the whole stack;
+        # the exact lane contracts integer numerators and divides by their common denominator once
+        outer = cx[..., :, None] * cy[..., None, :]
+        out = outer.reshape(*outer.shape[:-2], -1) @ table
+        return _unscaled(out, dx * dy * d) if synth.exact else out
 
     def power(self, x, m):
         acc = x

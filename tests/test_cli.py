@@ -48,6 +48,7 @@ def files(tmp_path_factory):
     paths["mo3"] = put("mo3.txt", fileio.format_orthospace(instances.mo_orthospace(3)))
     paths["mo31"] = put("mo31.txt", fileio.format_orthospace(instances.mo_orthospace(31)))
     paths["mo32"] = put("mo32.txt", fileio.format_orthospace(instances.mo_orthospace(32)))
+    paths["bool4"] = put("bool4.txt", fileio.format_orthospace(orthospace.boolean_orthospace(4)))
     paths["bool5"] = put("bool5.txt", fileio.format_orthospace(orthospace.boolean_orthospace(5)))
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
 
@@ -444,6 +445,18 @@ class TestSynthesize:
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "f383f56db5a6ffaeb71cf47532dbdcccd0bdcdc68b62a29b2c0ac4cab42ddd4d"
+
+    def test_boolean4_report_is_unchanged(self, files):
+        # dimension 4 and larger denominators than Boolean 3: a second pin on
+        # the exact-lane product and coordinate map
+        code, out, _ = invoke(
+            ["synthesize", "--input", files["bool4"], "--states", "full", "--seed", "7", "--format", "structured"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "6b9bf86a9b1e3dee9463489d3b115f227fe33e84f7b64798755a0c2b07ddffca"
 
 
 class TestOptions:

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucpspace import instances, jordan, linsolve, lueders, orthospace, statespace
 from ucpspace.errors import SynthesisError
@@ -356,6 +358,62 @@ class TestStackedProduct:
         for row, (x, y) in zip(got, pairs):
             want = model.product(x, y)
             assert np.max(np.abs(row - want)) <= 1e-13 * max(1.0, np.max(np.abs(want)))
+
+
+# coefficients p/q far from 1 on both sides: |p| <= 10^18, 1 <= q <= 10^12
+far_fractions = st.builds(F, st.integers(-(10**18), 10**18), st.integers(1, 10**12))
+
+
+@pytest.fixture(scope="module")
+def redundant_models(bool2, bool3):
+    """Vertex generators plus one mixture of the first two, so the evaluation space outgrows the event span."""
+    models = []
+    for space in (bool2, bool3):
+        poly = build_state_polytope(space)
+        gens = list(poly.generators)
+        synth = abstract_synthetic_space(space, gens + [statespace.mix_states(gens[0], gens[1], F(1, 3))])
+        models.append(build_product_model(synth, polytope_expansion_oracle(synth, poly)))
+    return models
+
+
+class TestExactLaneFarScales:
+    """Integer-numerator products and coordinates of primitives at scales far from 1, against Fraction formulas."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_stack_matches_reference(self, bool2_model, bool3_model, redundant_models, data):
+        model = data.draw(st.sampled_from([bool2_model, bool3_model, *redundant_models]))
+        synth = model.synth
+        fams = orthospace.maximal_orthogonal_families(synth.space)
+
+        def primitive():
+            x = synth.zeros()
+            for g in data.draw(st.sampled_from(fams)):
+                x = x + synth.pi(g) * data.draw(far_fractions)
+            return x
+
+        size = data.draw(st.integers(1, 4))
+        xs = np.array([primitive() for _ in range(size)])
+        ys = np.array([primitive() for _ in range(size)])
+        got = model.product(xs, ys)
+        assert got.shape == xs.shape
+        for row, x, y in zip(got, xs, ys):
+            assert all(isinstance(v, F) for v in row)
+            assert list(row) == list(reference_product(model, x, y))
+        coords = synth.event_coords(xs)
+        assert coords.shape == (size, synth.dim)
+        assert all(isinstance(v, F) for v in coords.flat)
+        assert (coords @ synth.basis_cols.T == xs).all()
+        if synth.n_states > synth.dim:
+            # the mixture's value is fixed by the vertices' on the span, so moving it leaves the span
+            bad = xs[0].copy()
+            bad[-1] += data.draw(far_fractions.filter(bool))
+            rows = list(xs)
+            rows.insert(data.draw(st.integers(0, size)), bad)
+            with pytest.raises(SynthesisError):
+                synth.event_coords(np.array(rows))
+            with pytest.raises(SynthesisError):
+                model.product(np.array(rows), np.array(rows))
 
 
 class TestWellDefinedness:
