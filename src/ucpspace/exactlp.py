@@ -10,18 +10,19 @@ Interface:
     solve_lp(c, a_eq, b_eq, bounds, maximize=False) -> LpResult
 
 minimizes (or maximizes) c.x subject to A x = b and per-variable bounds
-(lo, hi), either of which may be None.  An infeasible problem carries a Farkas
-certificate y for the standardized system (y.A <= 0 on every standard-form
-column while y.b > 0), replayable via `verify_farkas`.
+(lo, None) for x >= lo, or (None, None) for a free x; a finite upper bound
+raises ValueError (write x <= hi as a row x + s = hi, s >= 0).  An infeasible
+problem carries a Farkas certificate y for the standardized system (y.A <= 0
+on every standard-form column while y.b > 0), replayable via `verify_farkas`.
 
 The start is the slack basis.  After rows with b < 0 are negated, a
 standard-form column that is a unit vector on a row starts basic on that row
-(the lowest such column wins): a slack of the caller's inequality rows, or the
-slack of an upper-bound row.  Only the remaining rows get an artificial, and
-phase 1 minimizes their sum; with none, phase 1 is skipped.  A negated row's
-slack reads -1, so that row keeps its artificial.  At an infeasible phase-1
-optimum the objective row holds cost - y.A, so y is read off each row's
-starting column: y_i = 1 - (reduced cost of its artificial), or
+(the lowest such column wins), such as a slack of the caller's inequality
+rows.  Only the remaining rows get an artificial, and phase 1 minimizes their
+sum; with none, phase 1 is skipped.  A negated row's slack reads -1, so that
+row keeps its artificial.  At an infeasible phase-1 optimum the objective row
+holds cost - y.A, so y is read off each row's starting column:
+y_i = 1 - (reduced cost of its artificial), or
 y_i = -(reduced cost of the column it started on).  A certificate that fails
 `verify_farkas` raises UcpError; exact arithmetic never produces one.
 """
@@ -71,32 +72,20 @@ def _to_fraction(v):
 
 
 class _Standardizer:
-    """Rewrites bounded free variables into standard form x >= 0, Ax = b."""
+    """Rewrites free and lower-bounded variables into standard form x >= 0, Ax = b."""
 
     def __init__(self, n, bounds):
-        self.n = n
-        self.bounds = [(None, None)] * n if bounds is None else list(bounds)
         # per original variable: list of (std_index, sign, shift) contributions
         self.mapping = []
-        self.extra_rows = []  # (coeffs dict over std vars, rhs) for upper bounds
         std = 0
-        for lo, hi in self.bounds:
-            lo = None if lo is None else _to_fraction(lo)
-            hi = None if hi is None else _to_fraction(hi)
-            if lo is None and hi is None:
+        for lo, hi in [(None, None)] * n if bounds is None else bounds:
+            if hi is not None:
+                raise ValueError("finite upper bound: write x <= hi as a row x + s = hi with a slack s >= 0")
+            if lo is None:
                 self.mapping.append([(std, 1, Fraction(0)), (std + 1, -1, Fraction(0))])
                 std += 2
-            elif lo is not None:
-                self.mapping.append([(std, 1, lo)])
-                if hi is not None:
-                    # (x - lo) + slack = hi - lo
-                    self.extra_rows.append(({std: Fraction(1), std + 1: Fraction(1)}, hi - lo))
-                    std += 2
-                else:
-                    std += 1
             else:
-                # only an upper bound: x = hi - x', x' >= 0
-                self.mapping.append([(std, -1, hi)])
+                self.mapping.append([(std, 1, _to_fraction(lo))])
                 std += 1
         self.n_std = std
 
@@ -161,11 +150,6 @@ def solve_lp(c, a_eq, b_eq, bounds=None, maximize=False):
     rows = []
     for coeffs, rhs in zip(a_eq, b_eq):
         rows.append(std.row(coeffs, rhs))
-    for coeffs_map, rhs in std.extra_rows:
-        row = [Fraction(0)] * std.n_std
-        for j, v in coeffs_map.items():
-            row[j] = v
-        rows.append((row, rhs))
 
     # objective over standard variables
     c_std = [Fraction(0)] * std.n_std

@@ -41,9 +41,6 @@ class PrimitiveElement:
 
     terms: tuple  # (coefficient, event) pairs
 
-    def coefficients(self):
-        return tuple(c for c, _ in self.terms)
-
     def events(self):
         return tuple(e for _, e in self.terms)
 

@@ -78,9 +78,6 @@ class OrthoSpace:
             and np.array_equal(self.complement, other.complement)
         )
 
-    def is_ortho(self, e, f):
-        return bool(self.ortho[e, f])
-
     def sum_of(self, e, f):
         """Partial sum, or None where undefined."""
         s = int(self.sum_table[e, f])
@@ -107,9 +104,6 @@ class AxiomReport:
     @property
     def passed(self):
         return not self.structural and all(v.passed for v in self.axioms.values())
-
-    def failing(self):
-        return sorted(tag for tag, v in self.axioms.items() if not v.passed)
 
 
 def _add_witness(verdict, w):

@@ -12,8 +12,8 @@ reduced once; pins substitute into it, and vertex enumeration and every exact
 LP run over its [0, 1] box rows in t.  Vertices come from the double
 description method over those rows, in integer arithmetic, and are listed in
 the order of each vertex's lexicographically smallest independent set of
-tight box rows.  Only the Farkas certificate of an EMPTY slice uses rows in
-event coordinates, so it replays without a row reduction.
+tight box rows.  The LP that finds a slice EMPTY also gives its Farkas
+certificate, moved into event coordinates so it replays without a row reduction.
 
 Two polytope modes:
 
@@ -42,7 +42,7 @@ from .errors import (
     PreconditionError,
     UcpError,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, LpResult, solve_lp
+from .exactlp import INFEASIBLE, OPTIMAL, Farkas, LpResult, solve_lp, verify_farkas
 
 FULL = "FULL"
 GENERATED = "GENERATED"
@@ -84,10 +84,6 @@ class State:
     @property
     def exact(self):
         return all(isinstance(v, (Fraction, int)) for v in self.values)
-
-    @staticmethod
-    def exact_from(values):
-        return State(tuple(_frac(v) for v in values))
 
 
 def is_state(space, state):
@@ -183,17 +179,6 @@ class StatePolytope:
         t0, dirs = sub
         return _point(x0, basis, t0), [_point([0] * len(x0), basis, c) for c in dirs]
 
-    def affine_dim(self):
-        """Dimension of the affine hull candidate (FULL mode: nullity of the rows)."""
-        if self.mode == FULL:
-            sol = self._parametrization
-            return -1 if sol is None else len(sol[1])
-        pts = [g.values for g in self.generators]
-        if not pts:
-            return -1
-        diffs = [[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]
-        return linsolve.rank(diffs) if diffs else 0
-
 
 def build_state_polytope(space, with_vertices=True):
     """FULL polytope; vertices enumerated exactly when the space is small enough."""
@@ -232,8 +217,8 @@ def optimize(param, cost, maximize=False):
     """Exact LP: minimize (or maximize) cost.x over {x = x0 + B t in [0, 1]^n}.
 
     `param` is (x0, B), or None for an empty set.  The variables are t (free)
-    plus one slack per box row; the LpResult carries x and the objective in
-    event coordinates, and no certificate.
+    plus one slack per box row, slacks last; the LpResult carries x and the
+    objective in event coordinates, or the Farkas vector of an infeasible LP.
     """
     ineq = None if param is None else _box_rows(*param)
     if ineq is None:
@@ -245,7 +230,7 @@ def optimize(param, cost, maximize=False):
     c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [Fraction(0)] * m
     res = solve_lp(c_t, a_eq, [beta for _, beta in ineq], [(None, None)] * d + [(0, None)] * m, maximize=maximize)
     if res.status != OPTIMAL:
-        return LpResult(res.status, None, None)
+        return LpResult(res.status, None, None, res.farkas)
     offset = sum(c * v for c, v in zip(cost, x0) if c)
     return LpResult(OPTIMAL, _point(x0, basis, res.x[:d]), res.objective + offset)
 
@@ -476,11 +461,46 @@ def _propagate(slc):
     return None
 
 
-def _feasibility_certificate(rows, n):
-    res = solve_lp([Fraction(0)] * n, [list(r) for r, _ in rows], [b for _, b in rows], bounds=[(0, 1)] * n)
-    if res.status != INFEASIBLE:
-        raise UcpError("an empty slice is feasible in event coordinates; inconsistent tables")
-    return res.farkas
+def _empty_verdict(slc, sub, farkas, d):
+    """EMPTY, with a Farkas certificate in event coordinates for what emptied the slice.
+
+    Multipliers up_i, down_i >= 0 on the box rows x_i <= 1 and -x_i <= 0: none
+    for inconsistent pins (`sub` None), a 1 on a fixed coordinate outside
+    [0, 1], else the first LP's Farkas vector `farkas`.  u = up - down is
+    orthogonal to every direction of `sub`, so one exact solve over the slice
+    rows A x = b gives y with A^T y = u and b.y = u.x0 (b.y = 1 for inconsistent
+    pins).  Then y.b - sum(up) > 0, and (y, -up) certifies {A x = b, x + s = 1,
+    x, s >= 0} empty (Farkas' lemma; Schrijver 1986, 7.3).  A certificate that
+    cannot be built or does not verify raises UcpError.
+    """
+    rows = _slice_rows(slc)
+    n = slc.polytope.space.n_events
+    up, down = [Fraction(0)] * n, [Fraction(0)] * n
+    yb = Fraction(1)
+    if sub is not None:
+        x0, basis = sub
+        free = [i for i in range(n) if any(bvec[i] for bvec in basis)]
+        if farkas is None:
+            i = next(i for i, v in enumerate(x0) if not 0 <= v <= 1 and i not in free)
+            (up if x0[i] > 1 else down)[i] = Fraction(1)
+        else:
+            # solve_lp negates the rows with beta_r < 0, so lambda_r = -y_r times row r's slack
+            # entry; the slacks are the last columns, and the box rows come in (up, down) pairs
+            m = len(farkas.y)
+            lam = [-yr * row[r - m] for r, (yr, row) in enumerate(zip(farkas.y, farkas.a_rows))]
+            for k, i in enumerate(free):
+                up[i], down[i] = lam[2 * k], lam[2 * k + 1]
+        yb = sum((a - b) * v for a, b, v in zip(up, down, x0))
+    a_t = [*zip(*(r for r, _ in rows)), [b for _, b in rows]]
+    sol = linsolve.solve_affine(a_t, [a - b for a, b in zip(up, down)] + [yb])
+    if sol is not None:
+        unit = [[Fraction(int(j == i)) for j in range(n)] * 2 for i in range(n)]
+        cert = Farkas(a_rows=[list(r) + [Fraction(0)] * n for r, _ in rows] + unit,
+                      b=[b for _, b in rows] + [Fraction(1)] * n,
+                      y=sol[0] + [-v for v in up])
+        if verify_farkas(cert):
+            return ConditionalVerdict(EMPTY, certificate=cert, slice_dim=d)
+    raise UcpError("an empty slice has no Farkas certificate in event coordinates; inconsistent tables")
 
 
 def check_conditional_uniqueness(polytope, mu, e, family=None):
@@ -495,8 +515,9 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     the event evaluations are affine and injective in those coordinates, so
     "every free coordinate pinned" is equivalent to the per-event min = max
     criterion.  Only the LPs give MULTIPLE witnesses.  The slice is EMPTY when
-    a fixed coordinate leaves [0, 1] or the first LP is infeasible; EMPTY
-    carries a Farkas certificate over the slice's rows in event coordinates.
+    the pins are inconsistent, a fixed coordinate leaves [0, 1] or the first
+    LP is infeasible; EMPTY carries a Farkas certificate over the slice's rows
+    and the box in event coordinates, derived from that LP with one exact solve.
     `slice_dim` is the nullity of the slice's equality rows either way.
     GENERATED mode runs the per-event LPs in convex-coefficient space directly.
 
@@ -525,17 +546,18 @@ def _uc_full(slc):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
         return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=d)
     n = slc.polytope.space.n_events
-    # a fixed coordinate outside [0, 1] empties the slice; with no free direction
-    # that decides it, since the slice is x0 alone
-    x = sub[0] if sub is not None and _box_rows(*sub) is not None else None
-    for bvec in sub[1] if x is not None else ():
+    # inconsistent pins or a fixed coordinate outside [0, 1] empty the slice with no
+    # LP; with no free direction the slice is x0 alone
+    if sub is None or _box_rows(*sub) is None:
+        return _empty_verdict(slc, sub, None, d)
+    x = sub[0]
+    for bvec in sub[1]:
         # an rref direction is 1 on its own free event, which is its last nonzero entry
         cost = [0] * n
         cost[max(i for i, v in enumerate(bvec) if v != 0)] = 1
         lo = optimize(sub, cost)
         if lo.status == INFEASIBLE:
-            x = None
-            break
+            return _empty_verdict(slc, sub, lo.farkas, d)
         hi = optimize(sub, cost, maximize=True)
         if lo.status != OPTIMAL or hi.status != OPTIMAL:
             raise UcpError("bounded slice reported unbounded; inconsistent tables")
@@ -544,8 +566,6 @@ def _uc_full(slc):
             g = next(i for i in range(n) if nu1[i] != nu2[i])
             return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
         x = lo.x
-    if x is None:
-        return ConditionalVerdict(EMPTY, certificate=_feasibility_certificate(_slice_rows(slc), n), slice_dim=d)
     # every free coordinate is pinned, so the slice is the single point found
     return ConditionalVerdict(UNIQUE, conditional=State(tuple(x)), slice_dim=d)
 

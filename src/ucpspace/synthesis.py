@@ -791,9 +791,6 @@ class DensityReport:
     separation: SeparationCertificate = None
     note: str = ""
 
-    def extreme_failures(self):
-        return [v for v in self.extremes if not v.extreme]
-
 
 def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL):
     """Interval-versus-hull report: extreme points plus coverage or its failure.

@@ -11,36 +11,40 @@ from ucpspace.errors import UcpError
 F = Fraction
 
 
+# x + s_x = 1 and y + s_y = 1 over (x, y, s_x, s_y): the rows of x, y <= 1 with their slacks
+UNIT_BOX = [[F(1), F(0), F(1), F(0)], [F(0), F(1), F(0), F(1)]]
+
+
 def test_simple_optimum():
-    # min x + y on the segment x + y = 1, 0 <= x, y <= 1
+    # min x + 2y on the segment x + y = 1, 0 <= x, y <= 1
     res = exactlp.solve_lp(
-        [F(1), F(2)], [[F(1), F(1)]], [F(1)], bounds=[(0, 1), (0, 1)]
+        [F(1), F(2), F(0), F(0)], [[F(1), F(1), F(0), F(0)]] + UNIT_BOX, [F(1), F(1), F(1)], bounds=[(0, None)] * 4
     )
     assert res.status == exactlp.OPTIMAL
     assert res.objective == 1
-    assert res.x == [F(1), F(0)]
+    assert res.x[:2] == [F(1), F(0)]
 
 
 def test_maximize():
     res = exactlp.solve_lp(
-        [F(1), F(2)],
-        [[F(1), F(1)]],
-        [F(1)],
-        bounds=[(0, 1), (0, 1)],
+        [F(1), F(2), F(0), F(0)],
+        [[F(1), F(1), F(0), F(0)]] + UNIT_BOX,
+        [F(1), F(1), F(1)],
+        bounds=[(0, None)] * 4,
         maximize=True,
     )
     assert res.status == exactlp.OPTIMAL
     assert res.objective == 2
-    assert res.x == [F(0), F(1)]
+    assert res.x[:2] == [F(0), F(1)]
 
 
 def test_infeasible_with_farkas():
-    # x + y = 2 inside the unit box of total mass at most... x,y in [0,1/2]
+    # x + y = 2 with x, y in [0, 1/2]
     res = exactlp.solve_lp(
-        [F(0), F(0)],
-        [[F(1), F(1)]],
-        [F(2)],
-        bounds=[(0, F(1, 2)), (0, F(1, 2))],
+        [F(0)] * 4,
+        [[F(1), F(1), F(0), F(0)]] + UNIT_BOX,
+        [F(2), F(1, 2), F(1, 2)],
+        bounds=[(0, None)] * 4,
     )
     assert res.status == exactlp.INFEASIBLE
     assert res.farkas is not None
@@ -58,21 +62,23 @@ def test_unbounded():
 
 
 def test_free_variable_split():
-    # min |shape|: x free, y >= 0, x + y = -3 forces x = -3 at y = 0 when minimizing y - x... keep simple:
-    # min x subject to x + y = -3, y in [0, 1], x free -> x = -4 at y = 1
+    # min x subject to x + y = -3, y in [0, 1] (y + s = 1), x free -> x = -4 at y = 1
     res = exactlp.solve_lp(
-        [F(1), F(0)], [[F(1), F(1)]], [F(-3)], bounds=[(None, None), (0, 1)]
+        [F(1), F(0), F(0)],
+        [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
+        [F(-3), F(1)],
+        bounds=[(None, None), (0, None), (0, None)],
     )
     assert res.status == exactlp.OPTIMAL
     assert res.objective == -4
-    assert res.x == [F(-4), F(1)]
+    assert res.x == [F(-4), F(1), F(0)]
 
 
 def test_upper_bound_only():
-    # x <= 2 with min -x -> x = 2
-    res = exactlp.solve_lp([F(-1)], [], [], bounds=[(None, 2)])
-    assert res.status == exactlp.OPTIMAL
-    assert res.x == [F(2)]
+    # a finite upper bound raises, alone or with a lower bound; x <= hi is a row x + s = hi
+    for bound in ((None, 2), (0, 1)):
+        with pytest.raises(ValueError, match="finite upper bound"):
+            exactlp.solve_lp([F(-1)], [], [], bounds=[bound])
 
 
 def test_beale_cycling_example_terminates():
@@ -90,15 +96,16 @@ def test_beale_cycling_example_terminates():
 
 
 def test_degenerate_vertex():
-    # three planes through one vertex: redundancy must not break phase 2
-    c = [F(1), F(1), F(1)]
+    # three planes through one vertex: redundancy must not break phase 2; the
+    # last three rows are x_i + s_i = 1
+    c = [F(1), F(1), F(1)] + [F(0)] * 3
     a = [
-        [F(1), F(0), F(0)],
-        [F(0), F(1), F(0)],
-        [F(1), F(1), F(0)],
-    ]
-    b = [F(0), F(0), F(0)]
-    res = exactlp.solve_lp(c, a, b, bounds=[(0, 1)] * 3)
+        [F(1), F(0), F(0)] + [F(0)] * 3,
+        [F(0), F(1), F(0)] + [F(0)] * 3,
+        [F(1), F(1), F(0)] + [F(0)] * 3,
+    ] + [[F(int(j == i)) for j in range(3)] * 2 for i in range(3)]
+    b = [F(0), F(0), F(0)] + [F(1)] * 3
+    res = exactlp.solve_lp(c, a, b, bounds=[(0, None)] * 6)
     assert res.status == exactlp.OPTIMAL
     assert res.objective == 0
 
@@ -133,8 +140,6 @@ def _all_artificial_lp(c, a_eq, b_eq, bounds, maximize):
     """
     std = exactlp._Standardizer(len(c), bounds)
     rows = [std.row(coeffs, rhs) for coeffs, rhs in zip(a_eq, b_eq)]
-    for coeffs_map, rhs in std.extra_rows:
-        rows.append(([coeffs_map.get(j, F(0)) for j in range(std.n_std)], rhs))
     sign = -1 if maximize else 1
     c_std = [F(0)] * std.n_std
     const = F(0)
@@ -175,13 +180,19 @@ _BOUND_KINDS = ("free", "lower", "upper", "box")
 
 
 def _random_lp(rng):
-    """A small LP over a mix of bound kinds; some rows carry a slack column of their own."""
+    """A small LP over a mix of bound kinds; some rows carry a slack column of their own.
+
+    An upper bound x <= hi is the row x + s = hi with a slack s >= 0 of its own,
+    after the m random rows; "upper" leaves x free below, "box" bounds it by lo.
+    Returns the LP, the maximize flag, the random rows given a slack, and m."""
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    bounds = []
-    for _ in range(n):
+    bounds, uppers = [], []
+    for j in range(n):
         lo, width = int(rng.integers(-2, 2)), int(rng.integers(0, 3))
         kind = _BOUND_KINDS[int(rng.integers(4))]
-        bounds.append({"free": (None, None), "lower": (lo, None), "upper": (None, lo), "box": (lo, lo + width)}[kind])
+        bounds.append({"free": (None, None), "lower": (lo, None), "upper": (None, None), "box": (lo, None)}[kind])
+        if kind in ("upper", "box"):
+            uppers.append((j, lo + width if kind == "box" else lo))
     a_eq = [[F(int(v)) for v in rng.integers(-2, 3, size=n)] for _ in range(m)]
     b_eq = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(m)]
     # a slack on row i: a fresh variable >= 0 with coefficient 1 on that row only
@@ -191,7 +202,14 @@ def _random_lp(rng):
             row.append(F(int(r == i)))
         bounds.append((0, None))
     c = [F(int(v)) for v in rng.integers(-2, 3, size=len(bounds))]
-    return c, a_eq, b_eq, bounds, bool(rng.integers(2)), slacked
+    for j, hi in uppers:
+        for row in a_eq:
+            row.append(F(0))
+        a_eq.append([F(int(k == j)) for k in range(len(bounds))] + [F(1)])
+        b_eq.append(F(hi))
+        bounds.append((0, None))
+        c.append(F(0))
+    return c, a_eq, b_eq, bounds, bool(rng.integers(2)), slacked, m
 
 
 def test_slack_start_matches_all_artificial_reference():
@@ -199,7 +217,7 @@ def test_slack_start_matches_all_artificial_reference():
     seen = {exactlp.OPTIMAL: 0, exactlp.INFEASIBLE: 0, exactlp.UNBOUNDED: 0}
     slack_start = flipped = mixed = slack_y = 0
     for _ in range(400):
-        c, a_eq, b_eq, bounds, maximize, slacked = _random_lp(rng)
+        c, a_eq, b_eq, bounds, maximize, slacked, m = _random_lp(rng)
         res = exactlp.solve_lp(c, a_eq, b_eq, bounds, maximize=maximize)
         assert (res.status, res.objective) == _all_artificial_lp(c, a_eq, b_eq, bounds, maximize), (c, a_eq, b_eq, bounds)
         seen[res.status] += 1
@@ -207,7 +225,7 @@ def test_slack_start_matches_all_artificial_reference():
         starts = [i for i in slacked if b_eq[i] >= 0]
         slack_start += bool(starts)
         flipped += len(starts) < len(slacked)
-        mixed += 0 < len(starts) < len(a_eq)
+        mixed += 0 < len(starts) < m
         n_std = exactlp._Standardizer(len(c), bounds).n_std
         if res.status == exactlp.INFEASIBLE:
             assert exactlp.verify_farkas(res.farkas)
@@ -216,7 +234,7 @@ def test_slack_start_matches_all_artificial_reference():
         elif res.status == exactlp.OPTIMAL:
             assert sum(ci * xi for ci, xi in zip(c, res.x)) == res.objective
             assert all(sum(a * x for a, x in zip(row, res.x)) == b for row, b in zip(a_eq, b_eq))
-            assert all((lo is None or lo <= x) and (hi is None or x <= hi) for (lo, hi), x in zip(bounds, res.x))
+            assert all(lo is None or lo <= x for (lo, _), x in zip(bounds, res.x))
     assert min(seen.values()) >= 20, seen
     assert min(slack_start, flipped, mixed, slack_y) >= 20, (slack_start, flipped, mixed, slack_y)
 
@@ -224,7 +242,8 @@ def test_slack_start_matches_all_artificial_reference():
 def test_unverifiable_certificate_is_an_error(monkeypatch):
     monkeypatch.setattr(exactlp, "verify_farkas", lambda cert: False)
     with pytest.raises(UcpError, match="does not verify"):
-        exactlp.solve_lp([F(0)], [[F(1)]], [F(2)], bounds=[(0, 1)])
+        # x = 2 with x + s = 1, x, s >= 0
+        exactlp.solve_lp([F(0), F(0)], [[F(1), F(0)], [F(1), F(1)]], [F(2), F(1)], bounds=[(0, None)] * 2)
 
 
 def test_feasible_slack_start_skips_phase_one(monkeypatch):

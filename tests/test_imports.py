@@ -89,33 +89,50 @@ def loaded_names(node):
     }
 
 
+def is_method(node):
+    """A def in a class body that code reaches by name: a method or property, not a dunder."""
+    return isinstance(node, ast.FunctionDef) and not (node.name.startswith("__") and node.name.endswith("__"))
+
+
 def unreached_definitions(kept):
-    """(module, name) of each module-level def or class of the package that
-    nothing reaches: no other package module (the __init__ re-exports do not
-    count), no REACHING file, no module-level statement of its own module and
-    no reached definition of its own module.  `kept` counts as reached."""
+    """(module, name) of each definition of the package that nothing reaches.
+
+    The definitions are each module-level def or class, and each method or
+    property of a module-level class, named "Class.method".  A definition is
+    reached when its name is loaded in another package module (the __init__
+    re-exports do not count), in a REACHING file, in a module-level statement
+    of its own module or in a reached definition of its own module; a method
+    needs its class reached as well.  A class brings in its bases and its body
+    less those methods.  `kept` counts as reached."""
     trees = {
         p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py") if p.stem != "__init__"
     }
     outside = set().union(*(loaded_names(ast.parse(p.read_text(encoding="utf-8"))) for p in REACHING))
+    # (module, name) -> (the name that reaches it, its class's key or None, the nodes it brings in)
     defs = {}
     used = {}
     for module, tree in trees.items():
         used[module] = outside.union(*(loaded_names(t) for m, t in trees.items() if m != module))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs[module, node.name] = node
-                used[module].update(*(loaded_names(d) for d in node.decorator_list))
-            else:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 used[module].update(loaded_names(node))
+                continue
+            used[module].update(*(loaded_names(d) for d in node.decorator_list))
+            if isinstance(node, ast.FunctionDef):
+                defs[module, node.name] = (node.name, None, [node])
+                continue
+            methods = [m for m in node.body if is_method(m)]
+            defs[module, node.name] = (node.name, None, node.bases + [s for s in node.body if s not in methods])
+            for m in methods:
+                defs[module, f"{node.name}.{m.name}"] = (m.name, (module, node.name), [m])
     reached = set()
     grown = True
     while grown:
         grown = False
-        for key, node in defs.items():
-            if key not in reached and (key in kept or key[1] in used[key[0]]):
+        for key, (name, owner, nodes) in defs.items():
+            if key not in reached and owner in reached | {None} and (key in kept or name in used[key[0]]):
                 reached.add(key)
-                used[key[0]].update(loaded_names(node))
+                used[key[0]].update(*(loaded_names(n) for n in nodes))
                 grown = True
     return sorted(set(defs) - reached)
 

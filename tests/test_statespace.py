@@ -42,12 +42,12 @@ def uniform_mo2(mo2):
 
 class TestIsState:
     def test_uniform_on_two_atoms(self, bool2):
-        mu = State.exact_from([0, F(1, 2), F(1, 2), 1])
+        mu = State(tuple(F(v) for v in [0, F(1, 2), F(1, 2), 1]))
         ok, viol = is_state(bool2, mu)
         assert ok and viol == []
 
     def test_unit_mass_violation(self, bool2):
-        mu = State.exact_from([0, F(1, 2), F(1, 2), F(9, 10)])
+        mu = State(tuple(F(v) for v in [0, F(1, 2), F(1, 2), F(9, 10)]))
         ok, viol = is_state(bool2, mu)
         assert not ok
         assert any(v[0] == "unit" for v in viol)
@@ -66,30 +66,30 @@ class TestIsState:
         assert any(v[0] == "additivity" for v in viol)
 
     def test_range_violation(self, bool2):
-        mu = State.exact_from([0, 2, -1, 1])
+        mu = State(tuple(F(v) for v in [0, 2, -1, 1]))
         ok, viol = is_state(bool2, mu)
         assert not ok
         assert any(v[0] == "range" for v in viol)
 
     def test_length_violation(self, bool2):
-        ok, viol = is_state(bool2, State.exact_from([0, 1]))
+        ok, viol = is_state(bool2, State(tuple(F(v) for v in [0, 1])))
         assert not ok and viol[0][0] == "length"
 
 
 class TestPolytope:
     def test_segment_two_vertices(self, bool2_poly):
         assert len(bool2_poly.generators) == 2
-        assert bool2_poly.affine_dim() == 1
+        assert len(bool2_poly._parametrization[1]) == 1
 
     def test_mo2_square(self, mo2_poly):
         assert len(mo2_poly.generators) == 4
-        assert mo2_poly.affine_dim() == 2
+        assert len(mo2_poly._parametrization[1]) == 2
         corners = {(g[MO2_A], g[MO2_B]) for g in mo2_poly.generators}
         assert corners == {(F(0), F(0)), (F(0), F(1)), (F(1), F(0)), (F(1), F(1))}
 
     def test_boolean3_simplex(self, bool3_poly):
         assert len(bool3_poly.generators) == 3
-        assert bool3_poly.affine_dim() == 2
+        assert len(bool3_poly._parametrization[1]) == 2
 
     def test_vertices_are_states(self, mo2, mo2_poly):
         for g in mo2_poly.generators:
@@ -153,11 +153,19 @@ def _b4_pinned():
     return build_state_polytope(orthospace.boolean_orthospace(4), with_vertices=False).pin([0b0011], [F(0)])
 
 
+def _b5_empty_case():
+    # Boolean 5 atoms with a state whose conditional under the unit on these three
+    # events is empty, though only an LP sees it (TestBoundPropagation.test_first_lp_decides_empty)
+    space = orthospace.boolean_orthospace(5)
+    vals = [F(0)] * space.n_events
+    vals[space.unit], vals[0b00011], vals[0b00110], vals[0b01010] = F(1), F(3, 4), F(3, 4), F(1, 4)
+    return space, State(tuple(vals)), [0b00011, 0b00110, 0b01010]
+
+
 def _b5_empty_slice():
     # the slice of TestBoundPropagation.test_first_lp_decides_empty
-    space = orthospace.boolean_orthospace(5)
-    family, targets = [0b00011, 0b00110, 0b01010], [F(3, 4), F(3, 4), F(1, 4)]
-    return build_state_polytope(space, with_vertices=False).pin(family, targets)
+    space, mu, family = _b5_empty_case()
+    return build_state_polytope(space, with_vertices=False).pin(family, [mu[f] for f in family])
 
 
 def _stateless():
@@ -350,40 +358,45 @@ class TestBoundPropagation:
             assert exactlp.verify_farkas(v.certificate)
 
     def test_certificate_never_dropped(self, bool3, monkeypatch):
-        # an event-coordinate LP that disagrees with the EMPTY verdict is an error, not a missing certificate;
-        # a fresh polytope, since the shared one has already decided this slice
-        poly = build_state_polytope(bool3)
+        # a certificate that does not verify is an error, not a missing certificate, for each
+        # source of EMPTY: inconsistent pins, a fixed coordinate outside [0, 1], the first LP;
+        # fresh polytopes, since the shared one has already decided the first two slices
         vals = [F(0)] * bool3.n_events
         vals[1], vals[2], vals[3], vals[bool3.unit] = F(1, 2), F(1, 4), F(1, 2), F(1)
-        monkeypatch.setattr(statespace, "solve_lp", lambda *a, **kw: exactlp.LpResult(exactlp.OPTIMAL, [], F(0)))
-        with pytest.raises(UcpError, match="inconsistent tables"):
-            check_conditional_uniqueness(poly, State(tuple(vals)), 3, [1, 2])
+        mu = State(tuple(vals))
+        b5, mu5, family5 = _b5_empty_case()
+        cases = [(build_state_polytope(bool3), mu, 3, None), (build_state_polytope(bool3), mu, 3, [1, 2]),
+                 (build_state_polytope(b5, with_vertices=False), mu5, b5.unit, family5)]
+        monkeypatch.setattr(statespace, "verify_farkas", lambda cert: False)
+        for poly, m, e, family in cases:
+            with pytest.raises(UcpError, match="no Farkas certificate"):
+                check_conditional_uniqueness(poly, m, e, family)
 
     def test_first_lp_decides_empty(self, monkeypatch):
         # Boolean 5 atoms, events as atom bitmasks: x_{ab} = x_{bc} = 3/4 needs
         # x_b >= 1/2, while x_{bd} = 1/4 caps it at 1/4.  Every fixed coordinate
         # stays in [0, 1] and one direction is free, so only an LP sees it.
-        space = orthospace.boolean_orthospace(5)
+        space, mu, family = _b5_empty_case()
         poly = build_state_polytope(space, with_vertices=False)
-        vals = [F(0)] * space.n_events
-        vals[space.unit], vals[0b00011], vals[0b00110], vals[0b01010] = F(1), F(3, 4), F(3, 4), F(1, 4)
-        mu, family = State(tuple(vals)), [0b00011, 0b00110, 0b01010]
         slc = statespace.conditional_slice(poly, mu, space.unit, family)
         assert statespace._propagate(slc) is None
         assert statespace._box_rows(*poly.pin(family, slc.targets)) is not None
-        costs = []
-        optimize = statespace.optimize
+        costs, calls = [], []
+        optimize, solve = statespace.optimize, statespace.solve_lp
 
         def recording_optimize(param, cost, maximize=False):
             costs.append(cost)
             return optimize(param, cost, maximize)
 
         monkeypatch.setattr(statespace, "optimize", recording_optimize)
+        monkeypatch.setattr(statespace, "solve_lp", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
         v = check_conditional_uniqueness(poly, mu, space.unit, family)
         assert v.verdict == EMPTY and v.slice_dim == 1
         assert exactlp.verify_farkas(v.certificate)
-        # the min LP of the one free coordinate reported it; no feasibility LP ran first
+        # the min LP of the one free coordinate reported it and certified it; no
+        # feasibility LP ran first and no certificate LP after
         assert len(costs) == 1 and any(costs[0])
+        assert len(calls) == 1
 
     def test_unique_without_vertices(self, bool4):
         poly = build_state_polytope(bool4, with_vertices=False)
@@ -491,7 +504,7 @@ class TestMixture:
 
 
 def test_mix_states_convexity():
-    a = State.exact_from([0, 1])
-    b = State.exact_from([1, 0])
+    a = State(tuple(F(v) for v in [0, 1]))
+    b = State(tuple(F(v) for v in [1, 0]))
     m = mix_states(a, b, F(1, 4))
     assert m.values == (F(3, 4), F(1, 4))

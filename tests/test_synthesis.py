@@ -533,13 +533,13 @@ class TestHull:
         synth, _ = bool2_session
         rep = check_hull_density(synth, samples=10, rng=rng)
         assert rep.lane == "exact"
-        assert not rep.extreme_failures()
+        assert all(v.extreme for v in rep.extremes)
         assert rep.box is not None and rep.box.equal
 
     def test_density_report_matrix(self, qubit, qubit_synth, rng):
         rep = check_hull_density(qubit_synth, samples=10, rng=rng, instance=qubit)
         assert rep.lane == "matrix"
-        assert not rep.extreme_failures()
+        assert all(v.extreme for v in rep.extremes)
         assert "limit" in rep.note
 
 
