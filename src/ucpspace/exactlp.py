@@ -60,8 +60,9 @@ def verify_farkas(cert):
     if yb <= 0:
         return False
     ncols = len(cert.a_rows[0]) if cert.a_rows else 0
+    weighted = [(yi, row) for yi, row in zip(cert.y, cert.a_rows) if yi]
     for j in range(ncols):
-        col = sum(yi * row[j] for yi, row in zip(cert.y, cert.a_rows))
+        col = sum(yi * row[j] for yi, row in weighted if row[j])
         if col > 0:
             return False
     return True
@@ -113,12 +114,15 @@ class _Standardizer:
 
 
 def _pivot(tab, basis, r, c):
+    """Pivot on (r, c); the other rows change only in the pivot row's nonzero columns."""
     piv = tab[r][c]
-    tab[r] = [v / piv for v in tab[r]]
+    prow = tab[r] = [v / piv if v else v for v in tab[r]]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
     for i, row in enumerate(tab):
-        if i != r and row[c] != 0:
-            f = row[c]
-            tab[i] = [a - f * b for a, b in zip(row, tab[r])]
+        f = row[c]
+        if i != r and f:
+            for j, v in nonzero:
+                row[j] -= f * v
     basis[r] = c
 
 

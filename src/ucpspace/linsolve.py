@@ -1,68 +1,135 @@
-"""Dense Gaussian elimination over exact rationals.
+"""Exact row reduction: one fraction-free Gauss-Jordan elimination on sparse integer rows.
 
-Matrices are lists of lists of Fractions.  Zero tests are exact, and a
-column's pivot is its first nonzero entry.
+`rref`, `rank`, `solve_affine` and `independent_subset` all run `_eliminate`.
+Each input row is scaled once to coprime integers and kept as a dict over its
+nonzero columns.  Rows join one at a time: a row is cleared in the pivot
+columns found so far, its leading column becomes a new pivot, and that column
+is cleared from the earlier pivot rows.  An update r <- a r - b p touches only
+the nonzero entries of the pivot row p (and scales r when a is not 1), and the
+updated row is divided by the gcd of its entries, so no fraction is ever
+formed (the integer-preserving elimination of Bareiss 1968, with gcd division
+in place of his exact divisor).  Fractions are built once, from the reduced
+rows.  The reduced row echelon form is canonical, so the order in which rows
+join does not change it, and a column's pivot is the leading entry of a row.
+
+Entries must be exact: int or Fraction (any `numbers.Rational`); any other
+entry raises TypeError.  There is no float mode.
 """
 
+import math
 from fractions import Fraction
+from numbers import Rational
+
+_ZERO = Fraction(0)
+
+
+def _int_row(row):
+    """The row scaled to coprime integers, as {column: entry} over its nonzero entries."""
+    nz = {}
+    for j, v in enumerate(row):
+        if not isinstance(v, Rational):
+            raise TypeError(f"exact rational required, got {type(v).__name__}")
+        if v:
+            nz[j] = (int(v.numerator), int(v.denominator))
+    den = math.lcm(*(q for _, q in nz.values()))
+    out = {j: p * (den // q) for j, (p, q) in nz.items()}
+    return _primitive(out)
+
+
+def _primitive(row):
+    g = math.gcd(*row.values())
+    return row if g <= 1 else {j: v // g for j, v in row.items()}
+
+
+def _clear(r, p, c):
+    """r <- a r - b p with coprime a > 0 and b, so that r[c] = 0; returned primitive."""
+    g = math.gcd(r[c], p[c])
+    a, b = p[c] // g, r[c] // g
+    if a != 1:
+        for j in r:
+            r[j] *= a
+    for j, v in p.items():
+        w = r.get(j, 0) - b * v
+        if w:
+            r[j] = w
+        else:
+            del r[j]
+    return _primitive(r)
+
+
+def _eliminate(rows):
+    """Gauss-Jordan on the rows.  Returns (pivots, kept).
+
+    `pivots` maps each pivot column to its reduced row: coprime integers, positive
+    at that column and zero at every other pivot column.  `kept` lists the indices
+    of the rows that added a pivot, each independent of the rows before it.
+    """
+    pivots, kept = {}, []
+    for i, row in enumerate(rows):
+        r = _int_row(row)
+        for c in [c for c in r if c in pivots]:
+            r = _clear(r, pivots[c], c)
+        if not r:
+            continue
+        c = min(r)
+        if r[c] < 0:
+            r = {j: -v for j, v in r.items()}
+        for k, p in pivots.items():
+            if c in p:
+                pivots[k] = _clear(p, r, c)
+        pivots[c] = r
+        kept.append(i)
+    return pivots, kept
 
 
 def rref(rows):
-    """Reduced row echelon form (in place on a copy). Returns (rows, pivot_cols)."""
-    m = [list(r) for r in rows]
-    if not m:
-        return m, []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(m):
-            break
-        best = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if best is None:
-            continue
-        m[r], m[best] = m[best], m[r]
-        piv = m[r][c]
-        m[r] = [v / piv for v in m[r]]
-        for i in range(len(m)):
-            f = m[i][c]
-            if i != r and f != 0:
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    """Reduced row echelon form as (rows, pivot_cols): the pivot rows in column order, then zero rows."""
+    rows = list(rows)
+    if not rows:
+        return [], []
+    ncols = len(rows[0])
+    pivots, _ = _eliminate(rows)
+    cols = sorted(pivots)
+    out = []
+    for c in cols:
+        row, q = [_ZERO] * ncols, pivots[c][c]
+        for j, v in pivots[c].items():
+            row[j] = Fraction(v, q)
+        out.append(row)
+    out += [[_ZERO] * ncols for _ in range(len(rows) - len(cols))]
+    return out, cols
 
 
 def rank(rows):
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[0])
 
 
 def solve_affine(a_rows, b):
     """All solutions of A x = b as (x0, nullspace_basis), or None if inconsistent.
 
-    x0 is a particular solution; the basis is a list of vectors spanning the
-    solution directions.
+    x0 is a particular solution, zero on the free columns; the basis has one
+    vector per free column, 1 there and 0 on the other free columns.
     """
     if not a_rows:
         return None
     n = len(a_rows[0])
-    aug = [list(r) + [bi] for r, bi in zip(a_rows, b)]
-    red, pivots = rref(aug)
+    pivots, _ = _eliminate([list(r) + [bi] for r, bi in zip(a_rows, b)])
     if n in pivots:
         return None  # pivot in the rhs column: inconsistent
-    x0 = [Fraction(0)] * n
-    piv_rows = {c: i for i, c in enumerate(pivots)}
-    for c, i in piv_rows.items():
-        x0[c] = red[i][n]
-    free = [c for c in range(n) if c not in piv_rows]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for c, i in piv_rows.items():
-            v[c] = -red[i][fc]
-        basis.append(v)
-    return x0, basis
+    x0 = [_ZERO] * n
+    basis = {}
+    for fc in range(n):
+        if fc not in pivots:
+            basis[fc] = [_ZERO] * n
+            basis[fc][fc] = Fraction(1)
+    for c, row in pivots.items():
+        q = row[c]
+        for j, v in row.items():
+            if j == n:
+                x0[c] = Fraction(v, q)
+            elif j != c:
+                basis[j][c] = Fraction(-v, q)
+    return x0, list(basis.values())
 
 
 def independent_subset(vectors):
@@ -70,6 +137,5 @@ def independent_subset(vectors):
 
     They are the pivot columns of the vectors set side by side as columns; on
     a matroid the greedy choice is the lexicographically smallest basis.
-    Entries are converted to Fractions first, so integer vectors stay exact.
     """
-    return rref([[Fraction(x) for x in col] for col in zip(*vectors)])[1]
+    return _eliminate(vectors)[1]

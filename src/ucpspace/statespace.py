@@ -1,18 +1,20 @@
 """States on an orthospace, exactly.
 
 A state assigns a rational probability to every event: 1 on the unit, additive
-on orthogonal pairs, values in [0, 1].  Everything in this module runs over
-`fractions.Fraction`, so verdicts are exact: the full state polytope is cut
-out by equality rows plus box bounds, vertices are enumerated exactly, and
-uniqueness questions are settled by exact bound propagation where it pins the
-conditional, else by the in-repo rational simplex.
+on orthogonal pairs, values in [0, 1].  Everything in this module is exact:
+states are `fractions.Fraction` vectors, the full state polytope is cut out by
+equality rows plus box bounds, vertices are enumerated exactly, and uniqueness
+questions are settled by bound propagation where it pins the conditional, else
+by the in-repo rational simplex.  The equality rows have coefficients +-1, so
+bound propagation runs on integers, in units of the lcm of a slice's target
+denominators; row reductions are the integer eliminations of `linsolve`.
 
 A full polytope has one parametrization x = x0 + B t, its equality rows
-reduced once; pins substitute into it, and vertex enumeration and every exact
-LP run over its [0, 1] box rows in t.  Vertices come from the double
-description method over those rows, in integer arithmetic, and are listed in
-the order of each vertex's lexicographically smallest independent set of
-tight box rows.  The LP that finds a slice EMPTY also gives its Farkas
+reduced once; pins substitute into it (only for a slice that propagation leaves
+open), and vertex enumeration and every exact LP run over its [0, 1] box rows
+in t.  Vertices come from the double description method over those rows, in
+integer arithmetic, and are listed in the order of each vertex's
+lexicographically smallest independent set of tight box rows.  The LP that finds a slice EMPTY also gives its Farkas
 certificate, moved into event coordinates so it replays without a row reduction.
 
 Two polytope modes:
@@ -142,16 +144,19 @@ class StatePolytope:
     mode: str
     eq_rows: list | None = None
     generators: list | None = field(default=None)
-    # FULL mode: eq_rows as (((event, coeff), ...), rhs) over the nonzero
-    # coefficients, built once here for the bound propagation of every slice.
-    sparse_rows: list | None = field(default=None, init=False, repr=False)
+    # FULL mode: eq_rows as (events at +1, events at -1, integer rhs), built once here
+    # for the integer bound propagation of every slice.  None when a row has another
+    # coefficient: only a nonzero event e orthogonal to itself with e + e != e gives
+    # one (the row 2 x_e - x_{e+e} = 0), and then the LPs decide every slice.
+    sign_rows: list | None = field(default=None, init=False, repr=False)
     # check_conditional_uniqueness verdicts by (event, constraint events, targets): one per slice
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode == FULL:
-            self.sparse_rows = [
-                (tuple((j, a) for j, a in enumerate(r) if a != 0), rhs) for r, rhs in self.eq_rows
+        if self.mode == FULL and all(set(r) <= {-1, 0, 1} and b == int(b) for r, b in self.eq_rows):
+            self.sign_rows = [
+                (tuple(j for j, a in enumerate(r) if a == 1), tuple(j for j, a in enumerate(r) if a == -1), int(b))
+                for r, b in self.eq_rows
             ]
 
     @property
@@ -258,8 +263,7 @@ def _double_description(rows, dim):
     over the rows, past _VERTEX_CAP.
     """
     first = linsolve.independent_subset(rows)
-    red, _ = linsolve.rref([[Fraction(v) for v in rows[i]] + [Fraction(int(r == c)) for c in range(dim)]
-                            for r, i in enumerate(first)])
+    red, _ = linsolve.rref([list(rows[i]) + [int(r == c) for c in range(dim)] for r, i in enumerate(first)])
     tight = sum(1 << i for i in first)
     rays = [(_primitive([-red[r][dim + j] for r in range(dim)]), tight & ~(1 << i)) for j, i in enumerate(first)]
     chosen, work = set(first), 0
@@ -415,49 +419,56 @@ def _slice_rows(slc):
 
 
 def _propagate(slc):
-    """Exact interval bound propagation over the slice rows inside [0, 1]^n.
+    """Exact interval bound propagation over the slice rows inside [0, 1]^n, on integers.
 
     LP presolve bound tightening (Andersen & Andersen, "Presolving in linear
-    programming", 1995): each equality row bounds every one of its coordinates
-    by the activity range of the others.  Returns the point when a fixpoint
-    pins every coordinate, else None: a contradiction, a coordinate left free,
-    or no fixpoint within _PROPAGATION_SWEEPS sweeps.
+    programming", 1995; Achterberg et al., "Presolve reductions in mixed integer
+    programming", 2020): each equality row bounds every one of its coordinates
+    by the activity range of the others.  Bounds are integers in units of 1/D,
+    D the lcm of the targets' denominators; every row has coefficients +-1, so
+    each update is an integer add and nothing rounds.  Returns the point when a
+    fixpoint pins every coordinate, else None: a contradiction, a coordinate
+    left free, no fixpoint within _PROPAGATION_SWEEPS sweeps, or a polytope
+    whose rows are not all +-1 (`sign_rows` None).
     """
+    rows = slc.polytope.sign_rows
+    if rows is None:
+        return None
+    scale = math.lcm(*(t.denominator for t in slc.targets))
     n = slc.polytope.space.n_events
-    lo = [Fraction(0)] * n
-    hi = [Fraction(1)] * n
+    lo = [0] * n
+    hi = [scale] * n
     for f, t in zip(slc.constraint_events, slc.targets):
+        t = t.numerator * (scale // t.denominator)
         if not (lo[f] <= t <= hi[f]):
             return None
         lo[f] = hi[f] = t
     for _ in range(_PROPAGATION_SWEEPS):
         changed = False
-        for terms, b in slc.polytope.sparse_rows:
-            amin = amax = 0
-            for j, a in terms:
-                if a > 0:
-                    amin, amax = amin + lo[j] * a, amax + hi[j] * a
-                else:
-                    amin, amax = amin + hi[j] * a, amax + lo[j] * a
-            if amin > b or amax < b:
+        for plus, minus, b in rows:
+            # the row's activity range, less its rhs
+            amin = amax = -b * scale
+            for j in plus:
+                amin, amax = amin + lo[j], amax + hi[j]
+            for j in minus:
+                amin, amax = amin - hi[j], amax - lo[j]
+            if amin > 0 or amax < 0:
                 return None
             if amin == amax:
                 continue  # every coordinate of the row is pinned
-            # with the other coordinates in their bounds, a x_j = b - (their activity)
-            # lies in [b - amax + max(a lo_j, a hi_j), b - amin + min(a lo_j, a hi_j)]
-            for j, a in terms:
-                if a > 0:
-                    new_lo, new_hi = (b - amax) / a + hi[j], (b - amin) / a + lo[j]
-                else:
-                    new_lo, new_hi = (b - amin) / a + hi[j], (b - amax) / a + lo[j]
-                if new_lo > lo[j]:
-                    lo[j], changed = new_lo, True
-                if new_hi < hi[j]:
-                    hi[j], changed = new_hi, True
-                if lo[j] > hi[j]:
-                    return None
+            # with the other coordinates in their bounds, x_j lies in
+            # [hi_j - amax, lo_j - amin] at +1 and in [hi_j + amin, lo_j + amax] at -1
+            for events, dlo, dhi in ((plus, -amax, -amin), (minus, amin, amax)):
+                for j in events:
+                    new_lo, new_hi = hi[j] + dlo, lo[j] + dhi
+                    if new_lo > lo[j]:
+                        lo[j], changed = new_lo, True
+                    if new_hi < hi[j]:
+                        hi[j], changed = new_hi, True
+                    if lo[j] > hi[j]:
+                        return None
         if not changed:
-            return lo if lo == hi else None
+            return [Fraction(v, scale) for v in lo] if lo == hi else None
     return None
 
 
@@ -507,10 +518,12 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     """Is the conditional of mu under e unique within the polytope?
 
     FULL mode first propagates interval bounds through the slice's equality
-    rows inside the [0, 1] box, exactly.  When that pins every event, the
+    rows inside the [0, 1] box, in integers.  When that pins every event, the
     pinned point is replayed against the slice (is_state plus the conditioning
-    targets) and returned as UNIQUE with no LP.  Otherwise (a contradiction or
-    a coordinate left free) it pins the targets in the polytope's one
+    targets) and returned as UNIQUE with no LP and no pinned parametrization:
+    `slice_dim` is then the rank deficit of the pin rows over the polytope's
+    nullspace basis.  Otherwise (a contradiction, a coordinate left free, or
+    rows that are not all +-1) it pins the targets in the polytope's one
     parametrization and bounds each remaining free coordinate by exact LPs;
     the event evaluations are affine and injective in those coordinates, so
     "every free coordinate pinned" is equivalent to the per-event min = max
@@ -537,14 +550,18 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
 
 
 def _uc_full(slc):
-    sub = slc.polytope.pin(slc.constraint_events, slc.targets)
-    d = -1 if sub is None else len(sub[1])
     pinned = _propagate(slc)
     if pinned is not None:
         nu = State(tuple(pinned))
         if not slc.satisfied_by(nu):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
+        # the pins are consistent, so the slice's nullity is the parametrization's
+        # less the rank of the pin rows over it
+        basis = slc.polytope._parametrization[1]
+        d = len(basis) - linsolve.rank([[v[f] for v in basis] for f in slc.constraint_events])
         return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=d)
+    sub = slc.polytope.pin(slc.constraint_events, slc.targets)
+    d = -1 if sub is None else len(sub[1])
     n = slc.polytope.space.n_events
     # inconsistent pins or a fixed coordinate outside [0, 1] empty the slice with no
     # LP; with no free direction the slice is x0 alone

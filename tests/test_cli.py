@@ -292,6 +292,19 @@ class TestReplay:
         digest = hashlib.sha256(block.encode()).hexdigest()
         assert digest == "342be6d1b74216ba5c2ffd360031936045bb97ab98b8e22e771da964c15ace00"
 
+    def test_boolean4_report_is_unchanged(self, files):
+        # every check on Boolean 4: the conditionals that bound propagation pins, in the
+        # mixture block, and their slices; the whole report but the input path
+        code, out, _ = invoke(
+            ["verify", "--input", files["bool4"], "--states", "full", "--seed", "0", "--samples", "10",
+             "axioms", "separation", "uniqueness", "mixture", "--format", "structured"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "5e2a50b4afeefeb312322b3765fe64c4058ea2490a2e30a65a46a97a12115267"
+
 
 class TestCondition:
     def test_matrix_worked_example(self, files):

@@ -1,6 +1,7 @@
 """Exact state polytopes, conditionals, and the uniqueness verdicts."""
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -404,6 +405,157 @@ class TestBoundPropagation:
         v = check_conditional_uniqueness(poly, mu, 1)
         assert v.verdict == UNIQUE and v.slice_dim == 2
         assert v.conditional[1] == 1 and v.conditional[bool4.unit - 1] == 0
+
+
+def fraction_propagate(slc):
+    """The Fraction bound propagation the integer one replaced, as a reference; any row coefficients."""
+    n = slc.polytope.space.n_events
+    rows = [(tuple((j, a) for j, a in enumerate(r) if a != 0), rhs) for r, rhs in slc.polytope.eq_rows]
+    lo, hi = [F(0)] * n, [F(1)] * n
+    for f, t in zip(slc.constraint_events, slc.targets):
+        if not (lo[f] <= t <= hi[f]):
+            return None
+        lo[f] = hi[f] = t
+    for _ in range(statespace._PROPAGATION_SWEEPS):
+        changed = False
+        for terms, b in rows:
+            amin = amax = 0
+            for j, a in terms:
+                if a > 0:
+                    amin, amax = amin + lo[j] * a, amax + hi[j] * a
+                else:
+                    amin, amax = amin + hi[j] * a, amax + lo[j] * a
+            if amin > b or amax < b:
+                return None
+            if amin == amax:
+                continue
+            for j, a in terms:
+                if a > 0:
+                    new_lo, new_hi = (b - amax) / a + hi[j], (b - amin) / a + lo[j]
+                else:
+                    new_lo, new_hi = (b - amin) / a + hi[j], (b - amax) / a + lo[j]
+                if new_lo > lo[j]:
+                    lo[j], changed = new_lo, True
+                if new_hi < hi[j]:
+                    hi[j], changed = new_hi, True
+                if lo[j] > hi[j]:
+                    return None
+        if not changed:
+            return lo if lo == hi else None
+    return None
+
+
+PROPAGATION_SPACES = {
+    "bool3": lambda: orthospace.boolean_orthospace(3),
+    "bool4": lambda: orthospace.boolean_orthospace(4),
+    "mo3": lambda: instances.mo_orthospace(3),
+    "mo4": lambda: instances.mo_orthospace(4),
+}
+
+
+@functools.cache
+def _propagation_poly(name):
+    return build_state_polytope(PROPAGATION_SPACES[name]())
+
+
+@st.composite
+def propagation_slices(draw):
+    """A conditional slice of a random state, or random pins; targets may leave [0, 1], denominators to 10^12."""
+    poly = _propagation_poly(draw(st.sampled_from(sorted(PROPAGATION_SPACES))))
+    space, gens = poly.space, poly.generators
+    # small weights give coordinates of unlike denominators, large ones denominators near 10^7
+    weights = draw(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 10**6)), min_size=len(gens),
+                            max_size=len(gens)).filter(any))
+    mu = State(tuple(sum(F(w, sum(weights)) * g[i] for w, g in zip(weights, gens)) for i in range(space.n_events)))
+    if draw(st.booleans()):
+        e = draw(st.sampled_from([e for e in space.events() if mu[e] != 0]))
+        return statespace.conditional_slice(poly, mu, e)
+    events = draw(st.lists(st.integers(0, space.n_events - 1), unique=True, max_size=space.n_events))
+    targets = []
+    for f in events:
+        kind = draw(st.sampled_from(["state", "state", "state", "shifted", "random"]))
+        if kind == "state":
+            targets.append(mu[f])
+        elif kind == "shifted":
+            targets.append(mu[f] + draw(st.sampled_from([F(-1), F(1), F(1, 10**12), F(-1, 10**12)])))
+        else:
+            targets.append(draw(st.fractions(min_value=-1, max_value=2, max_denominator=10**12)))
+    return statespace.ConditionalSlice(poly, space.unit, events, targets)
+
+
+class TestIntegerPropagation:
+    """Integer bound propagation against the Fraction propagation it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(propagation_slices())
+    def test_equals_fraction_propagation(self, slc):
+        assert statespace._propagate(slc) == fraction_propagate(slc)
+
+    @pytest.mark.parametrize("name", sorted(PROPAGATION_SPACES))
+    def test_equals_fraction_propagation_on_oracle_cases(self, name):
+        poly = _propagation_poly(name)
+        slices = [statespace.conditional_slice(poly, mu, e) for mu, e in _oracle_cases(poly.space, poly)]
+        results = [statespace._propagate(slc) for slc in slices]
+        assert results == [fraction_propagate(slc) for slc in slices]
+        # both outcomes occur: pinned points and slices left to the LPs
+        assert any(r is None for r in results) == name.startswith("mo")
+        assert any(r is not None for r in results)
+
+    def test_targets_of_unlike_denominators(self, bool3_poly):
+        # atoms 1/2 and 1/3 pin the third at 1/6: the unit of the integer bounds is 1/6,
+        # a multiple of neither target's denominator
+        slc = statespace.ConditionalSlice(bool3_poly, 7, [1, 2], [F(1, 2), F(1, 3)])
+        point = statespace._propagate(slc)
+        assert point == fraction_propagate(slc)
+        assert point[1:5] == [F(1, 2), F(1, 3), F(5, 6), F(1, 6)]
+
+    def test_row_other_than_unit_coefficients_leaves_slices_to_the_lps(self, monkeypatch):
+        # Boolean 3 with atom 1 orthogonal to itself and 1 + 1 = 6: the row 2 x_1 - x_6 = 0
+        text = fileio.format_orthospace(orthospace.boolean_orthospace(3)).rstrip("\n") + "\northo 1 1\nsum 1 1 6\n"
+        space = fileio.parse_orthospace(text)
+        poly = build_state_polytope(space)
+        assert poly.sign_rows is None
+        cases = _oracle_cases(space, poly)
+        verdicts = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
+        pinned = []
+        for (mu, e), v in zip(cases, verdicts):
+            slc = statespace.conditional_slice(poly, mu, e)
+            assert statespace._propagate(slc) is None
+            # where the Fraction propagation pins a point, the LPs find the same one
+            point = fraction_propagate(slc)
+            if point is not None:
+                pinned.append(point)
+                assert v.verdict == UNIQUE and list(v.conditional.values) == point
+        assert pinned
+        monkeypatch.setattr(statespace, "_propagate", lambda slc: None)
+        fresh = build_state_polytope(space)
+        assert [_fields(check_conditional_uniqueness(fresh, mu, e)) for mu, e in cases] == [_fields(v) for v in verdicts]
+        assert {v.verdict for v in verdicts} == {UNIQUE, EMPTY}
+
+    @pytest.mark.parametrize("space, some_open", [(orthospace.boolean_orthospace(4), False),
+                                                  (instances.mo_orthospace(5), True)], ids=["bool4", "mo5"])
+    def test_pin_only_where_propagation_leaves_the_slice_open(self, space, some_open, monkeypatch):
+        # the slices of `verify --states full`: every vertex under every event of nonzero mass
+        poly = build_state_polytope(space)
+        pin, calls = statespace.StatePolytope.pin, []
+        monkeypatch.setattr(statespace.StatePolytope, "pin", lambda self, *a: calls.append(a) or pin(self, *a))
+        open_slices = set()
+        for mu in poly.generators:
+            for e in space.events():
+                if e == space.zero or mu[e] == 0:
+                    continue
+                slc = statespace.conditional_slice(poly, mu, e)
+                before = len(calls)
+                v = check_conditional_uniqueness(poly, mu, e)
+                if statespace._propagate(slc) is not None:
+                    assert len(calls) == before
+                else:
+                    open_slices.add((e, tuple(slc.targets)))
+                    assert len(calls) - before <= 1
+                sub = pin(poly, slc.constraint_events, slc.targets)
+                assert v.slice_dim == (-1 if sub is None else len(sub[1]))
+        assert len(calls) == len(open_slices)
+        assert bool(open_slices) == some_open
 
 
 def _fields(v):
