@@ -234,6 +234,21 @@ def cmd_verify(args):
     return (PASS if ok else FAIL), report, lines
 
 
+def _witnesses_hold(slc, rec):
+    """A MULTIPLE record's two witnesses are states, meet the slice's targets and differ at its
+    witness_event; checked with is_state and the targets alone, no solver."""
+    space = slc.polytope.space
+    nus = [statespace.State(tuple(fileio._parse_value(v, 0) for v in w)) for w in rec.get("witnesses", [])]
+    at = rec.get("witness_event")
+    return (
+        len(nus) == 2
+        and all(statespace.is_state(space, nu)[0] for nu in nus)
+        and all(nu[f] == t for nu in nus for f, t in zip(slc.constraint_events, slc.targets))
+        and isinstance(at, int) and 0 <= at < space.n_events
+        and nus[0][at] != nus[1][at]
+    )
+
+
 def cmd_replay(args):
     report = {"command": "replay", "input": args.replay}
     lines = []
@@ -258,6 +273,8 @@ def cmd_replay(args):
         mu = statespace.State(tuple(fileio._parse_value(v, 0) for v in rec["state"]))
         verdict = statespace.check_conditional_uniqueness(polytope, mu, rec["event"])
         hit = verdict.verdict == rec["verdict"]
+        if hit and verdict.verdict == statespace.MULTIPLE:
+            hit = _witnesses_hold(statespace.conditional_slice(polytope, mu, rec["event"]), rec)
         reproduced += bool(hit)
         lines.append(
             f"uniqueness witness (state {rec.get('state_index')}, event {rec['event']}): "

@@ -3,13 +3,13 @@
 A state assigns a rational probability to every event: 1 on the unit, additive
 on orthogonal pairs, values in [0, 1].  Everything in this module is exact:
 states are `fractions.Fraction` vectors, the full state polytope is cut out by
-equality rows plus box bounds, vertices are enumerated exactly, and uniqueness
-questions are settled by bound propagation where it pins the conditional, else
-by the in-repo rational simplex.  The equality rows have coefficients +-1, so
-bound propagation runs on integers, in units of the lcm of a slice's target
-denominators; row reductions are the integer eliminations of `linsolve`.
+the state equations plus box bounds, vertices are enumerated exactly, and
+uniqueness questions are settled by bound propagation where it pins the
+conditional, else by the in-repo rational simplex.  The state equations are
+integer rows of events at +1 and at -1 (`state_rows`), so bound propagation and
+the replay of its point run on integers; row reductions are `linsolve`'s.
 
-A full polytope has one parametrization x = x0 + B t, its equality rows
+A full polytope has one parametrization x = x0 + B t, its state equations
 reduced once; pins substitute into it (only for a slice that propagation leaves
 open), and vertex enumeration and every exact LP run over its [0, 1] box rows
 in t.  Vertices come from the double description method over those rows, in
@@ -19,7 +19,7 @@ certificate, moved into event coordinates so it replays without a row reduction.
 
 Two polytope modes:
 
-    FULL       all states of the orthospace (equality rows + [0,1] box), with
+    FULL       all states of the orthospace (state equations + [0,1] box), with
                optional exact vertex enumeration (event count <= 64)
     GENERATED  the convex hull of an explicit list of states (restricted
                state-space models)
@@ -114,50 +114,42 @@ def is_state(space, state):
     return not viol, viol
 
 
-def equality_rows(space):
-    """Defining equalities of the state set: unit mass plus additivity rows."""
-    n = space.n_events
-    rows = []
-    unit_row = [Fraction(0)] * n
-    unit_row[space.unit] = Fraction(1)
-    rows.append((tuple(unit_row), Fraction(1)))
-    seen = set()
+def state_rows(space):
+    """The state equations as integer rows (events at +1, events at -1, rhs).
+
+    The unit row x_unit = 1, then x_e + x_f - x_{e+f} = 0 for each orthogonal
+    pair e <= f with a defined sum, cancelled within the row and kept at its
+    first occurrence.  An event at coefficient 2 is listed twice: only a nonzero
+    event orthogonal to itself with e + e != e gives one.
+    """
     st = space.sum_table
-    for e in range(n):
-        for f in range(e, n):
-            if space.ortho[e, f] and st[e, f] >= 0:
-                s = int(st[e, f])
-                row = [Fraction(0)] * n
-                row[e] += 1
-                row[f] += 1
-                row[s] -= 1
-                key = tuple(row)
-                if any(v != 0 for v in key) and key not in seen:
-                    seen.add(key)
-                    rows.append((key, Fraction(0)))
-    return rows
+    es, fs = np.nonzero(np.triu(space.ortho & (st >= 0)))
+    # when e + f is e or f itself, x_e + x_f - x_{e+f} cancels to the other one
+    additivity = dict.fromkeys(((e, f), (s,)) if s not in (e, f) else ((f if s == e else e,), ())
+                               for e, f, s in zip(es.tolist(), fs.tolist(), st[es, fs].tolist()))
+    return [((space.unit,), (), 1)] + [(plus, minus, 0) for plus, minus in additivity]
+
+
+def _dense(plus, minus, n):
+    """A state equation as a dense integer row over the n events."""
+    row = [0] * n
+    for j in plus:
+        row[j] += 1
+    for j in minus:
+        row[j] -= 1
+    return row
 
 
 @dataclass
 class StatePolytope:
     space: orthospace.OrthoSpace
     mode: str
-    eq_rows: list | None = None
+    # FULL mode: the state equations, as state_rows gives them; dense rows are built
+    # only for a row reduction (_parametrization) and an EMPTY certificate (_slice_rows)
+    rows: list | None = None
     generators: list | None = field(default=None)
-    # FULL mode: eq_rows as (events at +1, events at -1, integer rhs), built once here
-    # for the integer bound propagation of every slice.  None when a row has another
-    # coefficient: only a nonzero event e orthogonal to itself with e + e != e gives
-    # one (the row 2 x_e - x_{e+e} = 0), and then the LPs decide every slice.
-    sign_rows: list | None = field(default=None, init=False, repr=False)
     # check_conditional_uniqueness verdicts by (event, constraint events, targets): one per slice
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.mode == FULL and all(set(r) <= {-1, 0, 1} and b == int(b) for r, b in self.eq_rows):
-            self.sign_rows = [
-                (tuple(j for j, a in enumerate(r) if a == 1), tuple(j for j, a in enumerate(r) if a == -1), int(b))
-                for r, b in self.eq_rows
-            ]
 
     @property
     def exact(self):
@@ -165,13 +157,15 @@ class StatePolytope:
 
     @functools.cached_property
     def _parametrization(self):
-        """FULL mode: all solutions of eq_rows as (x0, nullspace basis), or None."""
-        return linsolve.solve_affine([list(r) for r, _ in self.eq_rows], [b for _, b in self.eq_rows])
+        """FULL mode: all solutions of the state equations as (x0, nullspace basis), or None."""
+        n = self.space.n_events
+        return linsolve.solve_affine([_dense(plus, minus, n) for plus, minus, _ in self.rows],
+                                     [b for *_, b in self.rows])
 
     def pin(self, events=(), values=()):
         """FULL mode: (x0, B) of the solutions with x_f = v on the given events, or None.
 
-        Row reduction is canonical: this equals reducing eq_rows plus the pin rows.
+        Row reduction is canonical: this equals reducing the state equations plus the pin rows.
         """
         sol = self._parametrization
         if sol is None or not events:
@@ -187,7 +181,7 @@ class StatePolytope:
 
 def build_state_polytope(space, with_vertices=True):
     """FULL polytope; vertices enumerated exactly when the space is small enough."""
-    poly = StatePolytope(space=space, mode=FULL, eq_rows=equality_rows(space))
+    poly = StatePolytope(space=space, mode=FULL, rows=state_rows(space))
     if with_vertices and space.n_events <= _VERTEX_EVENT_CAP:
         poly.generators = [State(tuple(v)) for v in _enumerate_vertices(poly._parametrization)]
     return poly
@@ -376,10 +370,16 @@ class ConditionalSlice:
     targets: list
 
     def satisfied_by(self, nu):
-        ok, _ = is_state(self.polytope.space, nu)
-        if not ok:
-            return False
-        return all(nu[f] == t for f, t in zip(self.constraint_events, self.targets))
+        """Exact membership, in integers: nu times the lcm of its denominators is in
+        [0, lcm] and meets every state equation and every target."""
+        vals = [_frac(v) for v in nu.values]
+        scale = math.lcm(*(v.denominator for v in vals))
+        x = [v.numerator * (scale // v.denominator) for v in vals]
+        return (len(x) == self.polytope.space.n_events and all(0 <= v <= scale for v in x)
+                and all(sum(x[j] for j in plus) - sum(x[j] for j in minus) == b * scale
+                        for plus, minus, b in self.polytope.rows)
+                and all(x[f] * t.denominator == t.numerator * scale
+                        for f, t in zip(self.constraint_events, self.targets)))
 
 
 def conditional_slice(polytope, mu, e, family=None):
@@ -409,12 +409,10 @@ class ConditionalVerdict:
 
 
 def _slice_rows(slc):
-    rows = list(slc.polytope.eq_rows)
+    """The slice's equations as dense (row, rhs) pairs: the state equations, then one pin row per target."""
     n = slc.polytope.space.n_events
-    for f, t in zip(slc.constraint_events, slc.targets):
-        row = [Fraction(0)] * n
-        row[f] = Fraction(1)
-        rows.append((tuple(row), t))
+    rows = [(_dense(plus, minus, n), b) for plus, minus, b in slc.polytope.rows]
+    rows += [(_dense((f,), (), n), t) for f, t in zip(slc.constraint_events, slc.targets)]
     return rows
 
 
@@ -425,15 +423,14 @@ def _propagate(slc):
     programming", 1995; Achterberg et al., "Presolve reductions in mixed integer
     programming", 2020): each equality row bounds every one of its coordinates
     by the activity range of the others.  Bounds are integers in units of 1/D,
-    D the lcm of the targets' denominators; every row has coefficients +-1, so
-    each update is an integer add and nothing rounds.  Returns the point when a
-    fixpoint pins every coordinate, else None: a contradiction, a coordinate
-    left free, no fixpoint within _PROPAGATION_SWEEPS sweeps, or a polytope
-    whose rows are not all +-1 (`sign_rows` None).
+    D the lcm of the targets' denominators; each row lists its events at +1 and
+    at -1, so each update is an integer add and nothing rounds.  An event listed
+    twice (coefficient 2) is bounded as two variables with the same bounds: that
+    relaxes the row, so every bound it derives still holds for the event.
+    Returns the point when a fixpoint pins every coordinate, else None: a
+    contradiction, a coordinate left free, or no fixpoint within
+    _PROPAGATION_SWEEPS sweeps.
     """
-    rows = slc.polytope.sign_rows
-    if rows is None:
-        return None
     scale = math.lcm(*(t.denominator for t in slc.targets))
     n = slc.polytope.space.n_events
     lo = [0] * n
@@ -445,7 +442,7 @@ def _propagate(slc):
         lo[f] = hi[f] = t
     for _ in range(_PROPAGATION_SWEEPS):
         changed = False
-        for plus, minus, b in rows:
+        for plus, minus, b in slc.polytope.rows:
             # the row's activity range, less its rhs
             amin = amax = -b * scale
             for j in plus:
@@ -517,13 +514,13 @@ def _empty_verdict(slc, sub, farkas, d):
 def check_conditional_uniqueness(polytope, mu, e, family=None):
     """Is the conditional of mu under e unique within the polytope?
 
-    FULL mode first propagates interval bounds through the slice's equality
-    rows inside the [0, 1] box, in integers.  When that pins every event, the
-    pinned point is replayed against the slice (is_state plus the conditioning
-    targets) and returned as UNIQUE with no LP and no pinned parametrization:
-    `slice_dim` is then the rank deficit of the pin rows over the polytope's
-    nullspace basis.  Otherwise (a contradiction, a coordinate left free, or
-    rows that are not all +-1) it pins the targets in the polytope's one
+    FULL mode first propagates interval bounds through the state equations
+    and the conditioning targets inside the [0, 1] box, in integers.  When that
+    pins every event, the pinned point is replayed against the slice in integers
+    (range, every state equation, the targets) and returned as UNIQUE with no LP
+    and no pinned parametrization: `slice_dim` is then the rank deficit of the
+    pin rows over the polytope's nullspace basis.  Otherwise (a contradiction,
+    a coordinate left free, or no fixpoint) it pins the targets in the polytope's one
     parametrization and bounds each remaining free coordinate by exact LPs;
     the event evaluations are affine and injective in those coordinates, so
     "every free coordinate pinned" is equivalent to the per-event min = max

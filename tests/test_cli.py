@@ -50,6 +50,9 @@ def files(tmp_path_factory):
     paths["mo32"] = put("mo32.txt", fileio.format_orthospace(instances.mo_orthospace(32)))
     paths["bool4"] = put("bool4.txt", fileio.format_orthospace(orthospace.boolean_orthospace(4)))
     paths["bool5"] = put("bool5.txt", fileio.format_orthospace(orthospace.boolean_orthospace(5)))
+    paths["bool6"] = put("bool6.txt", fileio.format_orthospace(orthospace.boolean_orthospace(6)))
+    coefficient_two = fileio.format_orthospace(orthospace.boolean_orthospace(3)).rstrip("\n")
+    paths["coefficient_two"] = put("coefficient_two.txt", coefficient_two + "\northo 1 1\nsum 1 1 6\n")
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
 
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
@@ -135,6 +138,17 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "66 events" in err and "64 events" in err
+
+    def test_boolean10_past_vertex_cap_exits_promptly(self, tmp_path):
+        # 1,024 events: the state equations are built, but no vertex enumeration or row reduction runs
+        path = tmp_path / "bool10.txt"
+        path.write_text(fileio.format_orthospace(orthospace.boolean_orthospace(10)))
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--input", str(path), "--states", "full", "uniqueness"])
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert "1024 events" in err and "64 events" in err
 
     def test_past_ray_work_cap_exits_promptly(self, files):
         # MO_31 has 64 events, inside the event cap, and 2^31 vertices: the adjacency work cap refuses it
@@ -257,15 +271,36 @@ class TestReplay:
         assert "replay: 8/8 witnesses reproduced" in out
         assert "STALE" not in out
 
-    def test_tampered_report_goes_stale(self, files, tmp_path):
+    def replay_tampered(self, files, tmp_path, tamper):
         report, _ = self.run_structured(files)
-        report["uniqueness"][0]["verdict"] = "UNIQUE"
+        tamper(report["uniqueness"][0])
         path = tmp_path / "tampered.json"
         path.write_text(json.dumps(report))
         code, out, _ = invoke(["verify", "--replay", str(path), "--input", files["mo2"]])
         assert code == 1
         assert "STALE" in out
         assert "replay: 7/8 witnesses reproduced" in out
+
+    def test_tampered_report_goes_stale(self, files, tmp_path):
+        self.replay_tampered(files, tmp_path, lambda rec: rec.update(verdict="UNIQUE"))
+
+    def test_witness_that_is_not_a_state_goes_stale(self, files, tmp_path):
+        # the verdict string still matches, and no target constrains the unit
+        unit = instances.mo_orthospace(2).unit
+        self.replay_tampered(files, tmp_path, lambda rec: rec["witnesses"][0].__setitem__(unit, "7"))
+
+    def test_witness_off_the_slice_goes_stale(self, files, tmp_path):
+        # a state, but not in the slice: mass 1/2 on every proper event misses the target 1 on the event
+        mo2 = instances.mo_orthospace(2)
+        uniform = ["0" if e == mo2.zero else "1" if e == mo2.unit else "1/2" for e in mo2.events()]
+        self.replay_tampered(files, tmp_path, lambda rec: rec["witnesses"].__setitem__(0, uniform))
+
+    def test_witness_event_at_an_equal_coordinate_goes_stale(self, files, tmp_path):
+        def tamper(rec):
+            nu1, nu2 = rec["witnesses"]
+            rec["witness_event"] = next(i for i, (a, b) in enumerate(zip(nu1, nu2)) if a == b)
+
+        self.replay_tampered(files, tmp_path, tamper)
 
     def test_replay_enumerates_no_vertices(self, files, tmp_path, monkeypatch):
         _, text = self.run_structured(files)
@@ -304,6 +339,21 @@ class TestReplay:
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "5e2a50b4afeefeb312322b3765fe64c4058ea2490a2e30a65a46a97a12115267"
+
+    @pytest.mark.parametrize("input_name, checks, code, want", [
+        # Boolean 3 with a state equation of coefficient 2 (2 x_1 - x_6 = 0): EMPTY and UNIQUE slices
+        ("coefficient_two", ["uniqueness", "mixture"], 1,
+         "ecd09ea5d574c93affefa5dac2ee287ece8ceb0625c42e94f6e3645946435006"),
+        ("bool6", ["axioms", "separation", "uniqueness", "mixture"], 0,
+         "b74df1f1c62181e57bf3daddc913382f15ce947c46f28737c7df714e594226c5"),
+    ], ids=["coefficient-two", "bool6"])
+    def test_report_is_unchanged(self, files, input_name, checks, code, want):
+        got, out, _ = invoke(["verify", "--input", files[input_name], "--states", "full", "--seed", "0",
+                              "--samples", "10", *checks, "--format", "structured"])
+        assert got == code
+        report = json.loads(out)
+        del report["input"]
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
 
 
 class TestCondition:

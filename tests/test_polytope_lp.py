@@ -10,6 +10,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from reference import equality_rows
 from ucpspace import instances, orthospace, statespace
 from ucpspace.exactlp import INFEASIBLE, OPTIMAL, solve_lp, verify_farkas
 from ucpspace.observables import check_certainty_order
@@ -19,7 +20,7 @@ from ucpspace.synthesis import abstract_synthetic_space
 def reference_system(space, pins=()):
     """The rows of `reference_lp` over (x, s): the state equations, one row per pin (e, v), then x_i + s_i = 1."""
     n = space.n_events
-    rows = statespace.equality_rows(space)
+    rows = equality_rows(space)
     a_eq = [list(r) + [F(0)] * n for r, _ in rows]
     b_eq = [b for _, b in rows]
     for e, v in pins:

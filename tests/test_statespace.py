@@ -3,12 +3,14 @@
 import dataclasses
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import equality_rows
 from ucpspace import exactlp, fileio, instances, linsolve, orthospace, statespace, synthesis
 from ucpspace.errors import CapacityError, ConditioningUndefinedError, PreconditionError, UcpError
 from ucpspace.statespace import (
@@ -410,7 +412,7 @@ class TestBoundPropagation:
 def fraction_propagate(slc):
     """The Fraction bound propagation the integer one replaced, as a reference; any row coefficients."""
     n = slc.polytope.space.n_events
-    rows = [(tuple((j, a) for j, a in enumerate(r) if a != 0), rhs) for r, rhs in slc.polytope.eq_rows]
+    rows = [(tuple((j, a) for j, a in enumerate(r) if a != 0), rhs) for r, rhs in equality_rows(slc.polytope.space)]
     lo, hi = [F(0)] * n, [F(1)] * n
     for f, t in zip(slc.constraint_events, slc.targets):
         if not (lo[f] <= t <= hi[f]):
@@ -443,6 +445,12 @@ def fraction_propagate(slc):
         if not changed:
             return lo if lo == hi else None
     return None
+
+
+def coefficient_two_space():
+    """Boolean 3 with atom 1 orthogonal to itself and 1 + 1 = 6: the row 2 x_1 - x_6 = 0, event 1 listed twice."""
+    text = fileio.format_orthospace(orthospace.boolean_orthospace(3)).rstrip("\n") + "\northo 1 1\nsum 1 1 6\n"
+    return fileio.parse_orthospace(text)
 
 
 PROPAGATION_SPACES = {
@@ -509,23 +517,24 @@ class TestIntegerPropagation:
         assert point == fraction_propagate(slc)
         assert point[1:5] == [F(1, 2), F(1, 3), F(5, 6), F(1, 6)]
 
-    def test_row_other_than_unit_coefficients_leaves_slices_to_the_lps(self, monkeypatch):
-        # Boolean 3 with atom 1 orthogonal to itself and 1 + 1 = 6: the row 2 x_1 - x_6 = 0
-        text = fileio.format_orthospace(orthospace.boolean_orthospace(3)).rstrip("\n") + "\northo 1 1\nsum 1 1 6\n"
-        space = fileio.parse_orthospace(text)
+    def test_row_with_coefficient_two_is_propagated(self, monkeypatch):
+        space = coefficient_two_space()
         poly = build_state_polytope(space)
-        assert poly.sign_rows is None
+        assert ((1, 1), (6,), 0) in poly.rows
         cases = _oracle_cases(space, poly)
         verdicts = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
-        pinned = []
+        pinned = 0
         for (mu, e), v in zip(cases, verdicts):
             slc = statespace.conditional_slice(poly, mu, e)
-            assert statespace._propagate(slc) is None
-            # where the Fraction propagation pins a point, the LPs find the same one
-            point = fraction_propagate(slc)
+            point, reference = statespace._propagate(slc), fraction_propagate(slc)
+            # where the Fraction propagation pins a point, the verdict has the same one
+            if reference is not None:
+                assert v.verdict == UNIQUE and list(v.conditional.values) == reference
+            # the relaxed row derives only sound bounds, so a point the integer propagation
+            # pins is the Fraction propagation's point too
             if point is not None:
-                pinned.append(point)
-                assert v.verdict == UNIQUE and list(v.conditional.values) == point
+                pinned += 1
+                assert point == reference
         assert pinned
         monkeypatch.setattr(statespace, "_propagate", lambda slc: None)
         fresh = build_state_polytope(space)
@@ -556,6 +565,73 @@ class TestIntegerPropagation:
                 assert v.slice_dim == (-1 if sub is None else len(sub[1]))
         assert len(calls) == len(open_slices)
         assert bool(open_slices) == some_open
+
+
+ROW_SPACES = {
+    **{f"bool{k}": functools.partial(orthospace.boolean_orthospace, k) for k in range(1, 7)},
+    **{f"mo{k}": functools.partial(instances.mo_orthospace, k) for k in range(1, 9)},
+    "qubit": lambda: instances.qubit_instance().space,
+    "qutrit": lambda: instances.qutrit_instance().space,
+    "coefficient-two": coefficient_two_space,
+}
+
+MEMBERSHIP_SPACES = {**PROPAGATION_SPACES, "coefficient-two": coefficient_two_space}
+
+
+@functools.cache
+def _membership_poly(name):
+    return build_state_polytope(MEMBERSHIP_SPACES[name]())
+
+
+@st.composite
+def points_near_slices(draw):
+    """A slice with targets read off an affine combination mu of the vertices, and a point near mu.
+
+    mu is a state, or, with a negative weight, may meet every state equation and
+    leave [0, 1].  The point is mu, mu with one coordinate off by one unit of its
+    common denominator or by 10^-12, with one coordinate outside [0, 1], or with
+    one random coordinate of denominator up to 10^12; a target may be off too.
+    """
+    poly = _membership_poly(draw(st.sampled_from(sorted(MEMBERSHIP_SPACES))))
+    space, gens = poly.space, poly.generators
+    weights = draw(st.lists(st.one_of(st.integers(0, 6), st.integers(0, 10**12), st.integers(-2, 0)),
+                            min_size=len(gens), max_size=len(gens)).filter(sum))
+    mu = [sum(F(w, sum(weights)) * g[i] for w, g in zip(weights, gens)) for i in range(space.n_events)]
+    events = draw(st.lists(st.integers(0, space.n_events - 1), unique=True, max_size=4))
+    targets = [mu[f] for f in events]
+    if events and draw(st.booleans()):
+        targets[draw(st.integers(0, len(events) - 1))] += draw(st.sampled_from([F(1, 10**12), F(-1, 3)]))
+    nu = list(mu)
+    i = draw(st.integers(0, space.n_events - 1))
+    kind = draw(st.sampled_from(["state", "unit", "tiny", "outside", "random"]))
+    if kind == "unit":
+        nu[i] += draw(st.sampled_from([1, -1])) * F(1, math.lcm(*(v.denominator for v in mu)))
+    elif kind == "tiny":
+        nu[i] += draw(st.sampled_from([F(1, 10**12), F(-1, 10**12)]))
+    elif kind == "outside":
+        nu[i] = draw(st.sampled_from([F(-1, 2), F(3, 2), F(-1, 10**12), 1 + F(1, 10**12)]))
+    elif kind == "random":
+        nu[i] = draw(st.fractions(min_value=-1, max_value=2, max_denominator=10**12))
+    return statespace.ConditionalSlice(poly, space.unit, events, targets), State(tuple(nu))
+
+
+class TestStateRows:
+    """The integer state equations against the dense Fraction rows they replaced."""
+
+    @pytest.mark.parametrize("name", list(ROW_SPACES))
+    def test_dense_rows_equal_reference(self, name):
+        space = ROW_SPACES[name]()
+        dense = [(tuple(statespace._dense(plus, minus, space.n_events)), b) for plus, minus, b in
+                 statespace.state_rows(space)]
+        assert dense == equality_rows(space)
+
+    @settings(max_examples=300, deadline=None)
+    @given(points_near_slices())
+    def test_membership_equals_is_state_and_targets(self, case):
+        slc, nu = case
+        expected = is_state(slc.polytope.space, nu)[0] and all(nu[f] == t for f, t in zip(slc.constraint_events,
+                                                                                             slc.targets))
+        assert slc.satisfied_by(nu) == expected
 
 
 def _fields(v):
