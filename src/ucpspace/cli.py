@@ -467,15 +467,14 @@ def cmd_synthesize(args):
     }
     _law_lines(laws, lines)
 
-    comp_worsts = [
-        max(float(c.idempotency), float(c.unit_image), float(c.invariance))
-        for c in model.compressions.values()
-    ]
-    report["compression_worst"] = max(comp_worsts)
-    lines.append(f"compression residual worst: {_g(max(comp_worsts))}")
+    comp_worst = max(max(c.idempotency, c.unit_image, c.invariance) for c in model.compressions.values())
+    report["compression_worst"] = float(comp_worst)
+    lines.append(f"compression residual worst: {_g(comp_worst)}")
 
     ok = _density_summary(synth, instance, rng, report, lines)
-    tol = args.tol
+    # the exact lane keeps every residual exact and passes only on exact zeros
+    # (and a nonnegative square-sum slack); the float lane allows --tol
+    tol = 0 if synth.exact else args.tol
     if instance is not None:
         lue = synthesis.compare_with_lueders(model, instance)
         prod = synthesis.compare_products(model, instance)
@@ -483,7 +482,7 @@ def cmd_synthesize(args):
         report["match_product"] = prod
         lines.append(f"matches: lueders {_g(lue)}, product {_g(prod)}")
         ok &= lue <= tol and prod <= tol
-    ok &= worst_sym <= tol and wd_worst <= tol and max(comp_worsts) <= tol
+    ok &= worst_sym <= tol and wd_worst <= tol and comp_worst <= tol
     ok &= laws.passed(tol)
 
     payload = fileio.synth_dump(model)
@@ -598,7 +597,7 @@ def build_parser():
     sampled(synthesize, 60)
     synthesize.add_argument(
         "--tol", type=_checked(float, lambda v: 0 < v < math.inf, "a positive finite number"),
-        default=synthesis.FLOAT_TOL, help="tolerance (default %(default)s)",
+        default=synthesis.FLOAT_TOL, help="float-lane tolerance (default %(default)s); the exact lane needs exact zeros",
     )
     command("spectrum", "eigenvalues or spectral radius", states=False)
     return p

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jordan, kernels
+from . import jordan, kernels, orthospace
 from .errors import ConditioningUndefinedError, PreconditionError, SizeError
 
 IDEMPOTENT_TOL = 1e-8
@@ -98,44 +98,52 @@ def density_from(el):
     return DensityState(el * (1.0 / tr))
 
 
-def condition_stack(coords, e, threshold=MASS_THRESHOLD):
-    """Lüders conditionals of a (B, n, n, k) stack of densities under one event e.
+def condition_stack(coords, events, threshold=MASS_THRESHOLD):
+    """Lüders conditionals of a (B, n, n, k) stack of densities under each of a list of events.
 
-    Returns (conditionals, errors): the stacked {e, rho, e} / tr, from one
-    `kernels.triple` call, and per density the exception of its first failed
-    check, or None.  In order the checks are: mass <rho, e> above
-    `threshold`, compression trace above MASS_THRESHOLD, and the density
-    checks of the result.  The idempotency of e is checked once and raises.
-    Each compression is normalized by its own trace, which equals the mass in
-    exact arithmetic; dividing by the separately rounded mass leaves a trace
-    error that grows as the mass shrinks.
+    Returns (conditionals, errors): the (E, B, n, n, k) stack of {e, rho, e} / tr
+    over every (event, density) pair, and errors[i][l], the exception of the
+    first failed check of density l under event i, or None.  The pairs are
+    compressed by `kernels.triple` calls over blocks of events, each block
+    holding at most `orthospace._PAIR_BLOCK` pairs (or one event).  In order
+    the checks are: mass <rho, e> above `threshold`, compression trace above
+    MASS_THRESHOLD, and the density checks of the result.  The idempotency of
+    each event is checked once and raises.  Each compression is normalized by
+    its own trace, which equals the mass in exact arithmetic; dividing by the
+    separately rounded mass leaves a trace error that grows as the mass shrinks.
     """
-    _require_idempotent(e)
-    if coords.shape[1:] != e.coords.shape:
-        raise SizeError("operands live in different algebras")
-    masses = np.sum(coords * e.coords, axis=(1, 2, 3))
-    comp = kernels.triple(e.coords, coords, e.coords)
-    d = np.arange(e.n)
-    traces = comp[:, d, d, 0].sum(axis=1)
+    for e in events:
+        _require_idempotent(e)
+        if coords.shape[1:] != e.coords.shape:
+            raise SizeError("operands live in different algebras")
+    es = np.stack([e.coords for e in events])[:, None]
+    masses = np.sum(coords * es, axis=(2, 3, 4))
+    comp = np.empty(masses.shape + coords.shape[1:])
+    for block in orthospace.pair_blocks(len(es), len(coords)):
+        comp[block] = kernels.triple(es[block], coords, es[block])
+    d = np.arange(coords.shape[1])
+    traces = comp[:, :, d, d, 0].sum(axis=-1)
     live = (masses > threshold) & (traces > MASS_THRESHOLD)
-    conds = comp * (1.0 / np.where(live, traces, 1.0))[:, None, None, None]
-    errors = _density_errors(e.tag, conds)
-    for l in range(len(coords)):
-        if masses[l] <= threshold:
-            errors[l] = ConditioningUndefinedError(
-                f"event mass {masses[l]:.2e} at or below threshold {threshold:.0e}"
+    conds = comp * (1.0 / np.where(live, traces, 1.0))[..., None, None, None]
+    checked = ~(masses <= threshold) & ~(traces <= MASS_THRESHOLD)
+    errors = np.full(masses.shape, None, dtype=object)
+    errors[checked] = _density_errors(events[0].tag, conds[checked])
+    for i, l in zip(*np.nonzero(~checked)):
+        if masses[i, l] <= threshold:
+            errors[i, l] = ConditioningUndefinedError(
+                f"event mass {masses[i, l]:.2e} at or below threshold {threshold:.0e}"
             )
-        elif traces[l] <= MASS_THRESHOLD:
-            errors[l] = ConditioningUndefinedError("element has (near-)zero trace")
-    return conds, errors
+        else:
+            errors[i, l] = ConditioningUndefinedError("element has (near-)zero trace")
+    return conds, errors.tolist()
 
 
 def condition(rho, e, threshold=MASS_THRESHOLD):
-    """Lüders conditional rho_e = {e, rho, e} / <rho, e>: `condition_stack` on one density."""
-    conds, errors = condition_stack(rho.element.coords[None], e, threshold)
-    if errors[0] is not None:
-        raise errors[0]
-    return DensityState(jordan.JordanElement(e.tag, e.n, conds[0]))
+    """Lüders conditional rho_e = {e, rho, e} / <rho, e>: `condition_stack` on one event and one density."""
+    conds, errors = condition_stack(rho.element.coords[None], [e], threshold)
+    if errors[0][0] is not None:
+        raise errors[0][0]
+    return DensityState(jordan.JordanElement(e.tag, e.n, conds[0, 0]))
 
 
 def conditional_probability(rho, f, e, threshold=MASS_THRESHOLD):

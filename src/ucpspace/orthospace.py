@@ -26,8 +26,9 @@ import numpy as np
 from .errors import SizeError, StructuralError
 
 MAX_EVENTS = 4096
-# pairwise sums per stacked kernel call in projection_orthospace, so a family near
-# MAX_EVENTS does not build one stack of millions of sums
+# items per stacked kernel call or comparison (pairwise sums in projection_orthospace,
+# event-by-density pairs in Lüders conditioning, ...), so a family near MAX_EVENTS
+# does not build one stack of millions of them
 _PAIR_BLOCK = 4096
 _MAX_WITNESSES = 32
 
@@ -368,6 +369,35 @@ class ProjectionEventSystem:
     elements: list
 
 
+def pair_blocks(count, width):
+    """Slices covering range(count) in order, each of max(1, _PAIR_BLOCK // width) items or fewer.
+
+    A block of items that each pair with `width` others holds at most
+    _PAIR_BLOCK pairs (or one item).
+    """
+    step = max(1, _PAIR_BLOCK // width)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
+
+
+def _distances(targets, coords):
+    """(T, n) entrywise max |target - member| of every target against every family member."""
+    return np.max(np.abs(targets[:, None] - coords[None]), axis=(2, 3, 4))
+
+
+def _matches(coords, count, targets, tol):
+    """Per target t < count: the first family member closest to it, or -1 if none is within tol.
+
+    `targets(block)` builds the targets of a slice of range(count); each block
+    compares at most _PAIR_BLOCK (target, member) pairs.
+    """
+    out = np.empty(count, dtype=np.int64)
+    for block in pair_blocks(count, len(coords)):
+        d = _distances(targets(block), coords)
+        i = np.argmin(d, axis=1)
+        out[block] = np.where(d[np.arange(len(i)), i] <= tol, i, -1)
+    return out
+
+
 def projection_orthospace(elements, tol=1e-8):
     """Build the event tables of a finite family of projections.
 
@@ -375,7 +405,10 @@ def projection_orthospace(elements, tol=1e-8):
     identity, closed under complement, under sums of orthogonal pairs, and
     under triple sums whenever all pairwise sums are present.  Orthogonality
     of p and q is "p + q is idempotent" (equivalently the Jordan product
-    vanishes).  Violations raise StructuralError; tolerance is entrywise.
+    vanishes).  Violations raise StructuralError, naming the first offending
+    index, pair or triple in row-major order; tolerance is entrywise.  Every
+    check is a stacked comparison against the whole family, _PAIR_BLOCK
+    (element, member) pairs at a time.
     """
     from . import jordan, kernels  # local import: jordan is a heavier module
 
@@ -385,62 +418,58 @@ def projection_orthospace(elements, tol=1e-8):
     if n > MAX_EVENTS:
         raise SizeError(f"projection family exceeds {MAX_EVENTS} events")
     tag, dim = elements[0].tag, elements[0].n
-    for p in elements:
-        if p.tag != tag or p.n != dim:
-            raise StructuralError("mixed algebra tags or sizes in projection family")
-        if not jordan.is_idempotent(p, tol):
+    # the elements before the first of another algebra must all be idempotent
+    same = next((i for i, p in enumerate(elements) if p.tag != tag or p.n != dim), n)
+    coords = np.stack([p.coords for p in elements[:same]])
+    for block in pair_blocks(same, 1):
+        sq = kernels.jordan_mul(coords[block], coords[block])
+        if not np.all(np.max(np.abs(sq - coords[block]), axis=(1, 2, 3)) <= tol):
             raise StructuralError("family contains a non-idempotent element")
+    if same < n:
+        raise StructuralError("mixed algebra tags or sizes in projection family")
 
-    coords = np.stack([p.coords for p in elements])
+    ids = np.arange(n)
+    for block in pair_blocks(n, n):
+        dup = np.argwhere((_distances(coords[block], coords) <= tol) & (ids[block, None] < ids))
+        if len(dup):
+            i, j = dup[0]
+            raise StructuralError(f"duplicate projections at {ids[block][i]} and {j}")
 
-    def match(mat):
-        d = np.max(np.abs(coords - mat[None]), axis=(1, 2, 3))
-        i = int(np.argmin(d))
-        return i if d[i] <= tol else None
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.max(np.abs(coords[i] - coords[j])) <= tol:
-                raise StructuralError(f"duplicate projections at {i} and {j}")
-
-    zero = match(np.zeros_like(coords[0]))
-    ident = jordan.identity(tag, dim)
-    unit = match(ident.coords)
-    if zero is None or unit is None:
+    ident = jordan.identity(tag, dim).coords
+    ends = np.stack([np.zeros_like(ident), ident])
+    zero, unit = _matches(coords, 2, lambda b: ends[b], tol).tolist()
+    if zero < 0 or unit < 0:
         raise StructuralError("family must contain 0 and the identity")
 
     # p _|_ q iff p + q is idempotent; the pairwise sums are squared _PAIR_BLOCK at a time
     ortho = np.zeros((n, n), dtype=bool)
-    step = max(1, _PAIR_BLOCK // n)
-    for lo in range(0, n, step):
-        sums = (coords[lo : lo + step, None] + coords[None, :]).reshape((-1,) + coords.shape[1:])
+    for block in pair_blocks(n, n):
+        sums = (coords[block, None] + coords[None, :]).reshape((-1,) + coords.shape[1:])
         defect = np.max(np.abs(kernels.jordan_mul(sums, sums) - sums), axis=(1, 2, 3))
-        ortho[lo : lo + step] = (defect <= tol).reshape(-1, n)
+        ortho[block] = (defect <= tol).reshape(-1, n)
     st = np.full((n, n), -1, dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            if ortho[i, j]:
-                k = match(coords[i] + coords[j])
-                if k is None:
-                    raise StructuralError(f"sum of orthogonal pair ({i}, {j}) missing from family")
-                st[i, j] = k
+    pi, pj = np.nonzero(ortho)
+    found = _matches(coords, len(pi), lambda b: coords[pi[b]] + coords[pj[b]], tol)
+    if (found < 0).any():
+        t = int(np.argmax(found < 0))
+        raise StructuralError(f"sum of orthogonal pair ({pi[t]}, {pj[t]}) missing from family")
+    st[pi, pj] = found
 
-    comp = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        k = match(ident.coords - coords[i])
-        if k is None:
-            raise StructuralError(f"complement of projection {i} missing from family")
-        comp[i] = k
+    comp = _matches(coords, n, lambda b: ident - coords[b], tol)
+    if (comp < 0).any():
+        raise StructuralError(f"complement of projection {int(np.argmax(comp < 0))} missing from family")
 
-    # triple-sum closure: whenever all pairwise sums exist, the triple sum must too
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not ortho[i, j]:
-                continue
-            for k in range(j + 1, n):
-                if ortho[i, k] and ortho[j, k]:
-                    if match(coords[i] + coords[j] + coords[k]) is None:
-                        raise StructuralError(f"triple sum ({i}, {j}, {k}) missing from family")
+    # triple-sum closure: whenever all pairwise sums exist, the triple sum must too;
+    # triples i < j < k are listed from blocks of the pairs i < j
+    pi, pj = np.nonzero(np.triu(ortho, 1))
+    for block in pair_blocks(len(pi), n):
+        i, j = pi[block], pj[block]
+        p, k = np.nonzero(ortho[i] & ortho[j] & (ids > j[:, None]))
+        i, j = i[p], j[p]
+        found = _matches(coords, len(k), lambda b: coords[i[b]] + coords[j[b]] + coords[k[b]], tol)
+        if (found < 0).any():
+            t = int(np.argmax(found < 0))
+            raise StructuralError(f"triple sum ({i[t]}, {j[t]}, {k[t]}) missing from family")
 
     space = OrthoSpace(n, zero, unit, ortho, st, comp)
     return ProjectionEventSystem(space, list(elements))

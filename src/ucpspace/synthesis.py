@@ -11,13 +11,17 @@ sum t_k pi(e_k) over an orthogonal family.
 Compressions are assembled row by row from conditionals: row l of U_e is
 mu_l(e) times the expansion of the conditional of mu_l under e in the
 generators.  The conditionals come from an injected oracle called once per
-event, `oracle(e, generators)`, with the generators of nonzero mass on e in
-order; it returns their expansions in that order, and the first generator
-whose conditional fails raises.  The exact-lane oracle takes the LP-based
-unique conditional of the state polytope for one generator at a time
-(Fractions end-to-end); the float-lane oracle conditions the whole stack of
-densities by the closed-form Lüders rule in one kernel call.  Event multipliers T_e = (I + U_e - U_e')/2 then recover the
-product: x o y = T_y x extended bilinearly from the events, symmetrized.
+model, `oracle(requests)`, with requests [(e, generators), ...] in event
+order, one per event that some generator gives nonzero mass, listing those
+generators in order.  It returns, per request, the expansions of its
+generators in that order; the first failure in (event, generator) order
+raises.  The exact-lane oracle takes the LP-based unique conditional of the
+state polytope for one generator at a time (Fractions end-to-end); the
+float-lane oracle conditions every density under every requested event by
+the closed-form Lüders rule in one `lueders.condition_stack` call and expands
+all requested conditionals with one pseudoinverse product.  Event
+multipliers T_e = (I + U_e - U_e')/2 then recover the product: x o y = T_y x
+extended bilinearly from the events, symmetrized.
 Both linear maps the product needs are built once per model: the left inverse
 of the basis-event columns (coordinates of x over basis_events) and the
 structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
@@ -108,7 +112,6 @@ class SyntheticSpace:
     basis_events: tuple  # event ids whose pi-columns are independent
     basis_cols: np.ndarray  # (n_states, dim): the pi-columns of basis_events
     coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols); exact lane: inv as _scaled numerators and denominator
-    degenerate_pairs: list = field(default_factory=list)  # events no generator separates
     # exact lane: basis_cols as _scaled numerators and denominator
     scaled_cols: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -127,13 +130,18 @@ class SyntheticSpace:
         return self.pi(self.space.unit)
 
     def norm(self, x):
-        """Order-unit norm max_l |x_l| of x (n,), or of each row of a stack (P, n) as an array."""
+        """Order-unit norm max_l |x_l| of x (n,), or of each row of a stack (P, n) as an array.
+
+        Exact on the exact lane: a Fraction, or an object array of them.
+        """
         if np.ndim(x) == 2:
             x = np.asarray(x)
             if x.dtype == object:
-                return np.array([self.norm(r) for r in x], dtype=np.float64)
+                return np.fromiter((self.norm(r) for r in x), dtype=object, count=len(x))
             return np.max(np.abs(x), axis=-1, initial=0.0)
-        return float(max(abs(v) for v in x)) if len(x) else 0.0
+        if not self.exact:
+            return float(max(abs(v) for v in x)) if len(x) else 0.0
+        return max((abs(v) for v in x), default=0)
 
     def is_positive(self, x, tol=FLOAT_TOL):
         bound = 0 if self.exact else -tol
@@ -213,16 +221,6 @@ def build_synthetic_space(space, value_rows, exact=None):
     dim = len(picked)
     if dim == 0:
         raise SynthesisError("pairing matrix has rank 0")
-    degenerate = []
-    n = space.n_events
-    for e in range(n):
-        for f in range(e + 1, n):
-            if exact:
-                same = all(pairing[l, e] == pairing[l, f] for l in range(pairing.shape[0]))
-            else:
-                same = bool(np.max(np.abs(pairing[:, e] - pairing[:, f])) <= FLOAT_TOL)
-            if same:
-                degenerate.append((e, f))
     basis_cols = pairing[:, picked]
     return SyntheticSpace(
         space=space,
@@ -232,7 +230,6 @@ def build_synthetic_space(space, value_rows, exact=None):
         basis_events=tuple(picked),
         basis_cols=basis_cols,
         coord_map=_left_inverse(basis_cols, exact),
-        degenerate_pairs=degenerate,
     )
 
 
@@ -268,8 +265,8 @@ def polytope_expansion_oracle(synth, polytope):
             raise SynthesisError(f"conditional of generator {l} lies outside the generator span")
         return sol[0]
 
-    def oracle(e, generators):
-        return [expand(l, e) for l in generators]
+    def oracle(requests):
+        return [[expand(l, e) for l in generators] for e, generators in requests]
 
     return oracle
 
@@ -282,26 +279,30 @@ def density_matrix(instance):
 def lueders_expansion_oracle(synth, instance):
     """Float-lane oracle: closed-form Lüders conditionals, expanded over densities.
 
-    One call conditions the whole stack of generators in one
-    `lueders.condition_stack` and expands every conditional with one
-    pseudoinverse product.  The first generator, in order, whose conditioning
-    or span check fails is the one that raises.
+    One call conditions every density under every requested event in one
+    `lueders.condition_stack` and expands the requested conditionals with one
+    pseudoinverse product.  The first (event, generator) pair, in request
+    order, whose conditioning or span check fails is the one that raises.
     """
     coords = np.stack([d.element.coords for d in instance.densities])
     flat = coords.reshape(len(coords), -1)
     pinv_t = np.linalg.pinv(flat.T).T
 
-    def oracle(e_id, generators):
-        conds, errors = lueders.condition_stack(coords[generators], instance.elements[e_id])
-        targets = conds.reshape(len(generators), -1)
+    def oracle(requests):
+        if not requests:
+            return []
+        conds, errors = lueders.condition_stack(coords, [instance.elements[e] for e, _ in requests])
+        pairs = [(i, l) for i, (_, generators) in enumerate(requests) for l in generators]
+        picked = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        targets = conds[picked[:, 0], picked[:, 1]].reshape(len(pairs), flat.shape[1])
         expansions = targets @ pinv_t
         residuals = np.linalg.norm(expansions @ flat - targets, axis=1)
-        for l, error, r in zip(generators, errors, residuals):
-            if error is not None:
-                raise error
+        for (i, l), r in zip(pairs, residuals):
+            if errors[i][l] is not None:
+                raise errors[i][l]
             if r > FLOAT_TOL:
                 raise SynthesisError(f"conditional of generator {l} lies outside the density span")
-        return expansions
+        return np.split(expansions, np.cumsum([len(generators) for _, generators in requests])[:-1])
 
     return oracle
 
@@ -323,32 +324,30 @@ class CompressionReport:
 
 
 def _max_abs(arr):
+    """max |entry| of arr: a float, or on an object array the exact maximum."""
     arr = np.asarray(arr)
     if arr.dtype != object:
         return float(np.max(np.abs(arr), initial=0.0))
-    return float(max((abs(v) for v in arr.ravel()), default=0))
+    return max((abs(v) for v in arr.ravel()), default=0)
 
 
-def build_compression(synth, e, oracle):
-    """U_e over A-coordinates: row l is mu_l(e) times the conditional expansion.
+def build_compression(synth, e, generators, expansions):
+    """U_e over A-coordinates: row l is mu_l(e) times the expansion of the conditional of mu_l under e.
 
-    The oracle is called once, for every generator with nonzero mass on e.
+    `expansions` holds those of `generators`, in order; the rows of the other
+    generators (zero mass on e) stay zero.
     """
     pairing = synth.pairing
     n_states = synth.n_states
-    zero_mass = (lambda m: m == 0) if synth.exact else (lambda m: m <= MASS_THRESHOLD)
-    live = [l for l in range(n_states) if not zero_mass(pairing[l, e])]
     u = np.stack([synth.zeros() for _ in range(n_states)])
-    if live:
-        for l, c in zip(live, oracle(e, live)):
-            u[l] = pairing[l, e] * np.asarray(c, dtype=u.dtype)
+    if generators:
+        u[generators] = pairing[generators, e][:, None] * np.asarray(expansions, dtype=u.dtype)
     idem = _max_abs(u @ u - u)
     unit_image = _max_abs(u @ synth.unit_coords() - synth.pi(e))
+    mass_one = pairing[:, e] == 1 if synth.exact else np.abs(pairing[:, e] - 1.0) <= 1e-10
     drift = 0.0
-    one = Fraction(1) if synth.exact else 1.0
-    for l in range(n_states):
-        if pairing[l, e] == one or (not synth.exact and abs(pairing[l, e] - 1.0) <= 1e-10):
-            drift = max(drift, _max_abs(u[l] @ pairing - pairing[l]))
+    for l in np.flatnonzero(mass_one):
+        drift = max(drift, _max_abs(u[l] @ pairing - pairing[l]))
     return CompressionReport(event=e, matrix=u, idempotency=idem, unit_image=unit_image, invariance=drift)
 
 
@@ -397,7 +396,7 @@ class ProductModel:
         return acc
 
     def worst_symmetry(self):
-        """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""
+        """Largest |T_e pi(f) - T_f pi(e)| over e < f (exact on the exact lane), and its first pair in row-major order."""
         synth = self.synth
         # images[e, :, f] = T_e pi(f), for every pair in one stacked product
         images = np.stack([self.multipliers[e] for e in synth.space.events()]) @ synth.pairing
@@ -406,13 +405,20 @@ class ProductModel:
         if not (residuals > 0).any():
             return 0.0, None
         i = int(np.argmax(residuals))
-        return float(residuals[i]), (int(es[i]), int(fs[i]))
+        worst = residuals[i] if synth.exact else float(residuals[i])
+        return worst, (int(es[i]), int(fs[i]))
 
 
 def build_product_model(synth, oracle):
-    """Compressions and multipliers of every event, and the structure constants of the product."""
+    """Compressions and multipliers of every event, and the structure constants of the product.
+
+    The oracle is called once, for every event on which some generator has nonzero mass.
+    """
     space = synth.space
-    comps = {e: build_compression(synth, e, oracle) for e in space.events()}
+    massive = synth.pairing != 0 if synth.exact else ~(synth.pairing <= MASS_THRESHOLD)
+    requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in space.events() if massive[:, e].any()]
+    answers = {e: (generators, expansions) for (e, generators), expansions in zip(requests, oracle(requests))}
+    comps = {e: build_compression(synth, e, *answers.get(e, ([], []))) for e in space.events()}
     mults = {
         e: multiplier_matrix(synth, comps[e].matrix, comps[space.comp(e)].matrix)
         for e in space.events()
@@ -444,14 +450,17 @@ def check_well_definedness(model, samples=50, rng=None):
     rng = rng or np.random.default_rng(0)
     synth = model.synth
     space = synth.space
+    # (T_e + T_f - T_{e+f}) pi(b) over every defined sum e + f, e <= f, both nonzero,
+    # stacked _PAIR_BLOCK sums at a time
+    mults = np.stack([model.multipliers[e] for e in space.events()])
+    es, fs = np.nonzero(np.triu(space.sum_table >= 0))
+    keep = (es != space.zero) & (fs != space.zero)
+    es, fs = es[keep], fs[keep]
+    ss = space.sum_table[es, fs]
     worst_triple = 0.0
-    for e in space.events():
-        for f in range(e, space.n_events):
-            s = space.sum_of(e, f)
-            if s is None or e == space.zero or f == space.zero:
-                continue
-            delta = model.multipliers[e] + model.multipliers[f] - model.multipliers[s]
-            worst_triple = max(worst_triple, _max_abs(delta @ synth.basis_cols))
+    for b in orthospace.pair_blocks(len(es), 1):
+        delta = mults[es[b]] + mults[fs[b]] - mults[ss[b]]
+        worst_triple = max(worst_triple, _max_abs(delta @ synth.basis_cols))
     families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
     worst_regroup, used, skipped = 0.0, 0, 0
     menu = [Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
@@ -539,13 +548,15 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
     x6_gap = norm(model.product(x3, x3) - model.power(x, 6))
     slack = norm(x2 + y2) - norm(x2)
 
+    value = (lambda v: v) if synth.exact else float  # the exact lane keeps its residuals exact
+
     def worst(rows):
-        return float(np.max(rows, initial=0.0))
+        return value(np.max(rows, initial=0))
 
     return SyntheticLawReport(
         jordan_identity=worst(norm(lhs - rhs)),
         square_norm=worst(np.abs(norm(y2) - norm(y) ** 2)),
-        square_sum_slack=float(slack.min()) if pairs else 0.0,
+        square_sum_slack=value(slack.min()) if pairs else 0.0,
         power_associativity=max(worst(x4_gap), worst(x6_gap)),
         unit_residual=worst(norm(model.product(unit, x) - x)),
         pairs=pairs,
@@ -707,16 +718,20 @@ def hull_membership(synth, x):
 def compare_with_lueders(model, instance):
     """Worst gap between synthetic compressions and {e, ., e} on a spanning set.
 
-    Per event, the whole basis is compressed in one `kernels.triple` call.
+    Every (event, basis element) pair is compressed by `kernels.triple` calls
+    over blocks of events, each holding at most `orthospace._PAIR_BLOCK` pairs
+    (or one event), and each block is compared in one stacked product.
     """
     densities = density_matrix(instance)
     basis = np.stack([h.coords for h in jordan.hermitian_basis(instance.tag, instance.n)])
     basis_evals = densities @ basis.reshape(len(basis), -1).T
+    es = np.stack([e.coords for e in instance.elements])[:, None]
+    us = np.stack([model.compressions[e].matrix for e in range(len(es))])
     worst = 0.0
-    for e_id, e in enumerate(instance.elements):
-        lhs = model.compressions[e_id].matrix @ basis_evals
-        rhs = densities @ kernels.triple(e.coords, basis, e.coords).reshape(len(basis), -1).T
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    for block in orthospace.pair_blocks(len(es), len(basis)):
+        comp = kernels.triple(es[block], basis, es[block])
+        rhs = densities @ comp.reshape(comp.shape[:2] + (-1,)).swapaxes(1, 2)
+        worst = max(worst, float(np.max(np.abs(us[block] @ basis_evals - rhs))))
     return worst
 
 

@@ -521,6 +521,26 @@ class TestSynthesize:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "6b9bf86a9b1e3dee9463489d3b115f227fe33e84f7b64798755a0c2b07ddffca"
 
+    @pytest.mark.parametrize("residual", ["symmetry", "slack"])
+    def test_exact_lane_passes_only_on_exact_zeros(self, files, monkeypatch, residual):
+        # a residual of 1e-9 is within the float tolerance but not zero: the exact lane fails it
+        from ucpspace import synthesis
+
+        if residual == "symmetry":
+            monkeypatch.setattr(synthesis.ProductModel, "worst_symmetry", lambda self: (F(1, 10**9), (1, 2)))
+        else:
+            laws = synthesis.check_laws_on_reconstruction
+
+            def nudged(model, **kwargs):
+                report = laws(model, **kwargs)
+                report.square_sum_slack = F(-1, 10**9)
+                return report
+
+            monkeypatch.setattr(synthesis, "check_laws_on_reconstruction", nudged)
+        code, out, _ = invoke(["synthesize", "--input", files["bool3"], "--states", "full", "--format", "structured"])
+        assert code == 1
+        assert json.loads(out)["passed"] is False
+
 
 class TestOptions:
     # argparse ends a call with bad options by exiting 2 after a usage message

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ucpspace import instances, jordan, lueders
+from ucpspace import instances, jordan, lueders, orthospace
 from ucpspace.errors import ConditioningUndefinedError, PreconditionError
 from ucpspace.lueders import (
     DensityState,
@@ -125,10 +125,10 @@ class TestConditionStack:
     def test_matches_per_density_reference(self, rank, rng):
         e = jordan.random_projection("C", 3, rng, rank=rank)
         stack = self.densities(rng, 7)
-        conds, errors = lueders.condition_stack(stack, e)
-        assert errors == [None] * 7
+        conds, errors = lueders.condition_stack(stack, [e])
+        assert errors == [[None] * 7]
         em = complex_matrix(e.coords)
-        for rho, cond in zip(stack, conds):
+        for rho, cond in zip(stack, conds[0]):
             ref = em @ complex_matrix(rho) @ em
             ref /= np.trace(ref).real
             assert np.max(np.abs(complex_matrix(cond) - ref)) <= 1e-13
@@ -136,8 +136,8 @@ class TestConditionStack:
     def test_single_density_is_condition(self, rng):
         e = jordan.random_projection("C", 3, rng)
         stack = self.densities(rng, 4)
-        conds, _ = lueders.condition_stack(stack, e)
-        for rho, cond in zip(stack, conds):
+        conds, _ = lueders.condition_stack(stack, [e])
+        for rho, cond in zip(stack, conds[0]):
             one = condition(DensityState(jordan.JordanElement("C", 3, rho)), e)
             assert np.max(np.abs(one.element.coords - cond)) <= 1e-15
 
@@ -145,7 +145,7 @@ class TestConditionStack:
         e = jordan.diag("C", [1, 0, 0])
         stack = self.densities(rng, 3)
         stack[1] = jordan.diag("C", [0, 0.5, 0.5]).coords
-        conds, errors = lueders.condition_stack(stack, e)
+        (errors,) = lueders.condition_stack(stack, [e])[1]
         assert errors[0] is None and errors[2] is None
         assert isinstance(errors[1], ConditioningUndefinedError)
         assert "event mass" in str(errors[1])
@@ -160,13 +160,15 @@ class TestConditionStack:
         zero = [l for l in range(synth.n_states) if synth.pairing[l, e] <= lueders.MASS_THRESHOLD]
         live = [l for l in range(synth.n_states) if l not in zero]
         assert zero and live
-        assert len(oracle(e, live)) == len(live)
+        unit = [(inst.space.unit, live)]
+        assert [len(x) for x in oracle(unit + [(e, live)])] == [len(live), len(live)]
         with pytest.raises(ConditioningUndefinedError, match="event mass"):
-            oracle(e, [live[0], zero[0], live[-1]])
+            oracle(unit + [(e, [live[0], zero[0], live[-1]])])
 
     def test_idempotency_checked_once_and_raises(self, rng):
+        e = jordan.random_projection("C", 3, rng)
         with pytest.raises(PreconditionError, match="idempotent"):
-            lueders.condition_stack(self.densities(rng, 2), 0.5 * jordan.identity("C", 3))
+            lueders.condition_stack(self.densities(rng, 2), [e, 0.5 * jordan.identity("C", 3)])
 
     def test_density_checks_per_entry(self):
         stack = np.stack([jordan.diag("C", [0.5, 0.5]).coords, jordan.diag("C", [1.5, -0.5]).coords,
@@ -175,6 +177,41 @@ class TestConditionStack:
         assert errors[0] is None
         assert str(errors[1]).startswith("density has negative eigenvalue")
         assert str(errors[2]) == "density trace is 2.0, not 1"
+
+
+class TestStackedEvents:
+    """Conditioning under a stack of events against one event at a time, in every algebra."""
+
+    def family(self, tag, rng):
+        densities = np.stack([density_from(lueders.random_positive(tag, 3, rng)).element.coords for _ in range(5)])
+        events = [jordan.random_projection(tag, 3, rng, rank=1 + i % 2) for i in range(4)]
+        # a density inside the complement of the first event: zero mass on it
+        densities[0] = (jordan.complement_projection(events[0]) * 0.5).coords
+        return densities, events
+
+    @staticmethod
+    def messages(errors):
+        return [[None if x is None else (type(x), str(x)) for x in row] for row in errors]
+
+    @pytest.mark.parametrize("tag", jordan.TAGS)
+    def test_stack_equals_per_event_bit_for_bit(self, tag, rng):
+        densities, events = self.family(tag, rng)
+        conds, errors = lueders.condition_stack(densities, events)
+        assert conds.shape == (len(events),) + densities.shape
+        assert errors[0][0] is not None
+        for i, e in enumerate(events):
+            one, one_errors = lueders.condition_stack(densities, [e])
+            assert np.array_equal(conds[i], one[0])
+            assert self.messages(errors[i : i + 1]) == self.messages(one_errors)
+
+    @pytest.mark.parametrize("tag", ["C", "O3"])
+    def test_blocks_equal_one_block(self, tag, rng, monkeypatch):
+        densities, events = self.family(tag, rng)
+        whole, whole_errors = lueders.condition_stack(densities, events)
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", 2 * len(densities) - 1)  # one event per block
+        blocked, blocked_errors = lueders.condition_stack(densities, events)
+        assert np.array_equal(whole, blocked)
+        assert self.messages(whole_errors) == self.messages(blocked_errors)
 
 
 class TestPairClassification:

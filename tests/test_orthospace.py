@@ -302,3 +302,56 @@ class TestProjectionDerived:
         del els[3]  # diag(1, 1, 0): the sum of the first orthogonal pair of atoms (1, 2)
         with pytest.raises(StructuralError, match=r"^sum of orthogonal pair \(1, 2\) missing from family$"):
             projection_orthospace(els)
+
+    @pytest.mark.parametrize("family_seed", [5, 11, 7671])
+    def test_tables_equal_across_block_sizes(self, family_seed, monkeypatch):
+        els = instances.qutrit_instance(seed=family_seed).system.elements
+        whole = projection_orthospace(els).space
+        for block in (1, 60):
+            monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+            assert projection_orthospace(els).space == whole
+
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 1])
+    def test_missing_complement_names_projection(self, block, monkeypatch):
+        from ucpspace import jordan
+
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+        # a complementary pair, then a projection orthogonal to neither whose complement is left out
+        tilted = jordan.element("R", np.array([[0.5, 0.5, 0], [0.5, 0.5, 0], [0, 0, 0]])[..., None])
+        els = [jordan.zero("R", 3), jordan.identity("R", 3), jordan.diag("R", [1, 0, 0]), jordan.diag("R", [0, 1, 1]),
+               tilted]
+        with pytest.raises(StructuralError, match=r"^complement of projection 4 missing from family$"):
+            projection_orthospace(els)
+
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 1])
+    def test_missing_triple_sum_names_first_triple(self, block, monkeypatch):
+        from ucpspace import jordan
+
+        # every element, pair sum and complement matches within tol = 1e-8, but
+        # near-zero + a + b lands 1.8e-8 from the near-identity
+        eps = 0.9e-8
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+        els = [jordan.diag("R", [-eps, 0]), jordan.diag("R", [1 + eps, 1]), jordan.diag("R", [1, 0]),
+               jordan.diag("R", [0, 1])]
+        with pytest.raises(StructuralError, match=r"^triple sum \(0, 2, 3\) missing from family$"):
+            projection_orthospace(els)
+
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 1])
+    def test_duplicate_names_first_pair(self, block, monkeypatch):
+        from ucpspace import jordan
+
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+        els = [jordan.diag("R", [float(mask >> i & 1) for i in range(3)]) for mask in range(8)]
+        els[6] = els[5] + jordan.diag("R", [0, 0, 1e-9])
+        # duplicate pairs (2, 8), (5, 6) and (5, 9): the first in row-major order is named
+        with pytest.raises(StructuralError, match=r"^duplicate projections at 2 and 8$"):
+            projection_orthospace(els + [els[2], els[5]])
+
+    def test_first_bad_element_decides_the_error(self):
+        from ucpspace import jordan
+
+        ok, half, other = jordan.identity("R", 2), 0.5 * jordan.identity("R", 2), jordan.identity("R", 3)
+        with pytest.raises(StructuralError, match="non-idempotent"):
+            projection_orthospace([ok, half, other])
+        with pytest.raises(StructuralError, match="mixed algebra"):
+            projection_orthospace([ok, other, half])

@@ -425,6 +425,23 @@ class TestWellDefinedness:
         rep = check_well_definedness(qubit_model, samples=30, rng=rng)
         assert rep.passed(1e-8)
 
+    @pytest.mark.parametrize("model_name", ["bool3_model", "qubit_model", "qutrit_model"])
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 1])
+    def test_sum_triple_equals_pairwise_sweep(self, model_name, block, request, monkeypatch):
+        model = request.getfixturevalue(model_name)
+        synth, space = model.synth, model.synth.space
+        want = 0.0
+        for e in space.events():
+            for f in range(e, space.n_events):
+                s = space.sum_of(e, f)
+                if s is None or space.zero in (e, f):
+                    continue
+                delta = (model.multipliers[e] + model.multipliers[f] - model.multipliers[s]) @ synth.basis_cols
+                want = max(want, max(abs(v) for v in delta.ravel()))
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+        got = check_well_definedness(model, samples=0).sum_triple_residual
+        assert got == want
+
 
 def reference_laws(model, pairs, rng):
     """The per-pair law sweep that the stacked sweep replaces."""
@@ -594,20 +611,26 @@ class TestStackedLuedersOracle:
             got = model.compressions[e_id].matrix
             assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_one_oracle_call_per_event_with_mass(self, qubit):
-        synth = matrix_synthetic_space(qubit)
-        oracle = lueders_expansion_oracle(synth, qubit)
-        calls = []
+    def test_one_oracle_call_per_event_with_mass(self, qubit, bool3_session):
+        # one call per model, whose requests list every event with mass, in order
+        synth_q = matrix_synthetic_space(qubit)
+        synth_b, poly = bool3_session
+        for synth, oracle in (
+            (synth_q, lueders_expansion_oracle(synth_q, qubit)),
+            (synth_b, polytope_expansion_oracle(synth_b, poly)),
+        ):
+            calls = []
 
-        def counted(e, generators):
-            calls.append((e, list(generators)))
-            return oracle(e, generators)
+            def counted(requests):
+                calls.append([(e, list(generators)) for e, generators in requests])
+                return oracle(requests)
 
-        build_product_model(synth, counted)
-        massive = [e for e in synth.space.events() if np.max(synth.pairing[:, e]) > MASS_THRESHOLD]
-        assert [e for e, _ in calls] == massive
-        for e, generators in calls:
-            assert generators == [l for l in range(synth.n_states) if synth.pairing[l, e] > MASS_THRESHOLD]
+            build_product_model(synth, counted)
+            assert len(calls) == 1
+            massive = [e for e in synth.space.events() if np.max(synth.pairing[:, e]) > MASS_THRESHOLD]
+            assert [e for e, _ in calls[0]] == massive
+            for e, generators in calls[0]:
+                assert generators == [l for l in range(synth.n_states) if synth.pairing[l, e] > MASS_THRESHOLD]
 
     @pytest.mark.parametrize("drop", ["spanning", "last3"])
     def test_outside_span_names_first_generator(self, drop):
@@ -628,8 +651,8 @@ class TestStackedLuedersOracle:
         assert str(err.value) == f"conditional of generator {expected} lies outside the density span"
 
     def test_first_failing_generator_in_order_raises(self, monkeypatch):
-        # a conditioning failure and a span failure in one stack: whichever generator
-        # comes first in the call's order is the one that raises
+        # a conditioning failure and a span failure in one call: whichever (event, generator)
+        # comes first in the requests' order is the one that raises
         base = instances.sparse_conditioning_instance()
         spanning = len(instances._spanning_densities(base.tag, base.n))
         inst = instances.MatrixInstance(base.tag, base.n, base.system, base.densities[: len(base.densities) - spanning])
@@ -639,18 +662,47 @@ class TestStackedLuedersOracle:
             (e, out) for e in inst.space.events() if (out := reference_lueders_expansions(inst, e)[1]) is not None
         )
         other = next(l for l in range(synth.n_states) if l != outside and synth.pairing[l, e_id] > MASS_THRESHOLD)
+        unit = (inst.space.unit, [other])  # conditions cleanly on its own
         stack = lueders.condition_stack
         failing = {}
 
-        def with_failure(coords, e, threshold=lueders.MASS_THRESHOLD):
-            conds, errors = stack(coords, e, threshold)
-            errors[failing["at"]] = lueders.ConditioningUndefinedError("stand-in failure")
+        def with_failure(coords, events, threshold=lueders.MASS_THRESHOLD):
+            conds, errors = stack(coords, events, threshold)
+            i, l = failing["at"]
+            errors[i][l] = lueders.ConditioningUndefinedError("stand-in failure")
             return conds, errors
 
         monkeypatch.setattr(lueders, "condition_stack", with_failure)
-        failing["at"] = 0
+        failing["at"] = (1, other)
         with pytest.raises(lueders.ConditioningUndefinedError, match="stand-in"):
-            oracle(e_id, [other, outside])
-        failing["at"] = 1
+            oracle([unit, (e_id, [other, outside])])
         with pytest.raises(SynthesisError, match=f"generator {outside} lies outside"):
-            oracle(e_id, [outside, other])
+            oracle([unit, (e_id, [outside, other])])
+        # an earlier event's failure raises before a later event's
+        failing["at"] = (0, other)
+        with pytest.raises(lueders.ConditioningUndefinedError, match="stand-in"):
+            oracle([unit, (e_id, [outside, other])])
+        with pytest.raises(SynthesisError, match=f"generator {outside} lies outside"):
+            oracle([(e_id, [outside, other]), unit])
+
+    @pytest.mark.parametrize("family_seed", [None, 11, 7671])
+    def test_compare_with_lueders_blocks_equal_one_block(self, family_seed, monkeypatch):
+        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+        synth = matrix_synthetic_space(inst)
+        model = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        whole = compare_with_lueders(model, inst)
+        basis = len(jordan.hermitian_basis(inst.tag, inst.n))
+        for block in (basis, 2 * basis + 1):  # one and two events per block
+            monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+            assert compare_with_lueders(model, inst) == whole
+        assert whole <= 1e-9
+
+    @pytest.mark.parametrize("family_seed", [None, 11])
+    def test_oracle_blocks_equal_one_block(self, family_seed, monkeypatch):
+        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+        synth = matrix_synthetic_space(inst)
+        whole = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", 1)
+        blocked = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        for e in synth.space.events():
+            assert np.array_equal(whole.compressions[e].matrix, blocked.compressions[e].matrix)
