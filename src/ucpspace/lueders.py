@@ -31,12 +31,6 @@ def _require_idempotent(e, tol=IDEMPOTENT_TOL):
         raise PreconditionError("compression requires an idempotent element")
 
 
-def u_e(e, x):
-    """Compression {e, x, e}; equals exe for associative tags."""
-    _require_idempotent(e)
-    return jordan.triple_product(e, x, e)
-
-
 def compression_matrix(e):
     """U_e as a real matrix over the orthonormal hermitian basis."""
     _require_idempotent(e)

@@ -150,6 +150,8 @@ class StatePolytope:
     generators: list | None = field(default=None)
     # check_conditional_uniqueness verdicts by (event, constraint events, targets): one per slice
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # FULL mode: rank of the pin rows over the parametrization's nullspace basis, by constraint events
+    _pin_ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self):
@@ -553,9 +555,13 @@ def _uc_full(slc):
         if not slc.satisfied_by(nu):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
         # the pins are consistent, so the slice's nullity is the parametrization's
-        # less the rank of the pin rows over it
+        # less the rank of the pin rows over it, which depends on the constrained events only
         basis = slc.polytope._parametrization[1]
-        d = len(basis) - linsolve.rank([[v[f] for v in basis] for f in slc.constraint_events])
+        family = tuple(slc.constraint_events)
+        ranks = slc.polytope._pin_ranks
+        if family not in ranks:
+            ranks[family] = linsolve.rank([[v[f] for v in basis] for f in family])
+        d = len(basis) - ranks[family]
         return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=d)
     sub = slc.polytope.pin(slc.constraint_events, slc.targets)
     d = -1 if sub is None else len(sub[1])

@@ -27,9 +27,16 @@ of the basis-event columns (coordinates of x over basis_events) and the
 structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
 x o y = sum_kl cx_k cy_l S[k, l].  The product takes one pair or a stack of
 pairs; a stack is one coordinate map and one contraction, and the law sweep
-and the product comparison pass every sampled pair at once.  The exact lane
-keeps both maps as integer numerators over one common denominator, contracts
-integer numerators, and turns the result back into Fractions once.
+and the product comparison pass every sampled pair at once.
+
+The exact lane runs on integers end to end.  The pairing, the compressions,
+the stacked multipliers, the coordinate map and the structure constants are
+each held as Python-int numerators over one common denominator (`_scaled`).
+The law sweep draws its primitives as integer numerators and chains every law
+term as products on numerators, each reduced by one gcd.  The
+well-definedness sweep, the symmetry residuals and the compression residuals
+are integer matrix products too.  A norm is the largest |numerator| over the
+denominator, and a Fraction is built only for a value that is reported.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
@@ -86,6 +93,39 @@ def _scaled(arr):
 _unscaled = np.frompyfunc(Fraction, 2, 1)
 
 
+def _reduced(numerators, d):
+    """(numerators, d) divided by the gcd of d and every numerator: the same values, in lowest common terms."""
+    g = math.gcd(d, *numerators.flat)
+    return (numerators, d) if g == 1 else (numerators // g, d // g)
+
+
+def _top(numerators, axis=None):
+    """max |numerator| of an integer object array, or of each slice along axis (0 when empty)."""
+    return np.max(np.abs(numerators), axis=axis, initial=0)
+
+
+def _sub(a, b):
+    """a - b of two (numerators, denominator) pairs."""
+    (an, ad), (bn, bd) = a, b
+    return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
+
+
+def _add(a, b):
+    """a + b of two (numerators, denominator) pairs."""
+    (an, ad), (bn, bd) = a, b
+    return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
+
+
+def _row_norms(a):
+    """Order-unit norm of each row of a (numerators, denominator) stack, as a pair over the same denominator."""
+    return _top(a[0], axis=-1), a[1]
+
+
+def _worst(a):
+    """max |entry| of a (numerators, denominator) pair, as the Fraction that is reported."""
+    return Fraction(_top(a[0]), a[1])
+
+
 def _left_inverse(cols, exact):
     """(rows, inv) with inv @ cols[rows] = I, so inv @ x[rows] gives the coordinates of x.
 
@@ -112,12 +152,12 @@ class SyntheticSpace:
     basis_events: tuple  # event ids whose pi-columns are independent
     basis_cols: np.ndarray  # (n_states, dim): the pi-columns of basis_events
     coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols); exact lane: inv as _scaled numerators and denominator
-    # exact lane: basis_cols as _scaled numerators and denominator
-    scaled_cols: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # exact lane: the pairing as _scaled numerators and denominator; basis_cols are its basis_events columns
+    scaled_pairing: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.exact:
-            self.scaled_cols = _scaled(self.basis_cols)
+            self.scaled_pairing = _scaled(self.pairing)
 
     @property
     def n_states(self):
@@ -132,16 +172,9 @@ class SyntheticSpace:
     def norm(self, x):
         """Order-unit norm max_l |x_l| of x (n,), or of each row of a stack (P, n) as an array.
 
-        Exact on the exact lane: a Fraction, or an object array of them.
+        Exact on a Fraction array.
         """
-        if np.ndim(x) == 2:
-            x = np.asarray(x)
-            if x.dtype == object:
-                return np.fromiter((self.norm(r) for r in x), dtype=object, count=len(x))
-            return np.max(np.abs(x), axis=-1, initial=0.0)
-        if not self.exact:
-            return float(max(abs(v) for v in x)) if len(x) else 0.0
-        return max((abs(v) for v in x), default=0)
+        return np.max(np.abs(x), axis=-1, initial=0)
 
     def is_positive(self, x, tol=FLOAT_TOL):
         bound = 0 if self.exact else -tol
@@ -150,16 +183,13 @@ class SyntheticSpace:
     def zeros(self):
         return _unscaled(np.zeros(self.n_states, dtype=object), 1) if self.exact else np.zeros(self.n_states)
 
-    def identity_matrix(self):
-        return _unscaled(np.eye(self.n_states, dtype=object), 1) if self.exact else np.eye(self.n_states)
-
     def event_coords(self, x, tol=FLOAT_TOL):
         """Coefficients over basis_events reproducing x (n,), or each row of a stack (P, n).
 
         Raises SynthesisError if x, or any one row of the stack, lies outside the span.
         """
         if self.exact:
-            return _unscaled(*self.scaled_coords(x))
+            return _unscaled(*self.scaled_coords(_scaled(x)))
         rows, inv = self.coord_map
         x = np.asarray(x, dtype=np.float64)
         c = x[..., rows] @ inv.T
@@ -170,13 +200,13 @@ class SyntheticSpace:
         return c
 
     def scaled_coords(self, x):
-        """Exact-lane event_coords of x (n,) or a stack (P, n) as (integer numerators, common denominator)."""
+        """Exact-lane event_coords of a _scaled pair x, one row (n,) or a stack (P, n), as a _scaled pair."""
+        xn, dx = x
         rows, (inv_n, d_inv) = self.coord_map
-        cols_n, d_cols = self.scaled_cols
-        xn, dx = _scaled(x)
+        pairing_n, d_pairing = self.scaled_pairing
         cn = xn[..., rows] @ inv_n.T
-        # basis_cols @ c == x, cleared of the denominators d_cols and dx * d_inv
-        if np.any(cn @ cols_n.T != xn * (d_inv * d_cols)):
+        # basis_cols @ c == x, cleared of the denominators d_pairing and dx * d_inv
+        if np.any(cn @ pairing_n[:, list(self.basis_events)].T != xn * (d_inv * d_pairing)):
             raise SynthesisError("element lies outside the event span")
         return cn, dx * d_inv
 
@@ -314,29 +344,30 @@ def lueders_expansion_oracle(synth, instance):
 @dataclass
 class CompressionReport:
     event: int
-    matrix: np.ndarray
-    idempotency: float  # max |U^2 - U|
-    unit_image: float  # max |U pi(1) - pi(e)|
-    invariance: float  # worst mass-one generator drift on the events
+    matrix: np.ndarray  # U_e: Fractions on the exact lane
+    # each residual: a float on the float lane, an exact Fraction on the exact lane
+    idempotency: float | Fraction  # max |U^2 - U|
+    unit_image: float | Fraction  # max |U pi(1) - pi(e)|
+    invariance: float | Fraction  # worst mass-one generator drift on the events
 
     def passed(self, tol=1e-10):
         return max(self.idempotency, self.unit_image, self.invariance) <= tol
 
 
 def _max_abs(arr):
-    """max |entry| of arr: a float, or on an object array the exact maximum."""
-    arr = np.asarray(arr)
-    if arr.dtype != object:
-        return float(np.max(np.abs(arr), initial=0.0))
-    return max((abs(v) for v in arr.ravel()), default=0)
+    """max |entry| of a float array."""
+    return float(np.max(np.abs(arr), initial=0.0))
 
 
 def build_compression(synth, e, generators, expansions):
     """U_e over A-coordinates: row l is mu_l(e) times the expansion of the conditional of mu_l under e.
 
     `expansions` holds those of `generators`, in order; the rows of the other
-    generators (zero mass on e) stay zero.
+    generators (zero mass on e) stay zero.  The exact lane builds U_e and its
+    residuals on integer numerators.
     """
+    if synth.exact:
+        return _exact_compression(synth, e, generators, expansions)
     pairing = synth.pairing
     n_states = synth.n_states
     u = np.stack([synth.zeros() for _ in range(n_states)])
@@ -344,16 +375,30 @@ def build_compression(synth, e, generators, expansions):
         u[generators] = pairing[generators, e][:, None] * np.asarray(expansions, dtype=u.dtype)
     idem = _max_abs(u @ u - u)
     unit_image = _max_abs(u @ synth.unit_coords() - synth.pi(e))
-    mass_one = pairing[:, e] == 1 if synth.exact else np.abs(pairing[:, e] - 1.0) <= 1e-10
+    mass_one = np.abs(pairing[:, e] - 1.0) <= 1e-10
     drift = 0.0
     for l in np.flatnonzero(mass_one):
         drift = max(drift, _max_abs(u[l] @ pairing - pairing[l]))
     return CompressionReport(event=e, matrix=u, idempotency=idem, unit_image=unit_image, invariance=drift)
 
 
-def multiplier_matrix(synth, u_e, u_comp):
-    half = Fraction(1, 2) if synth.exact else 0.5
-    return (synth.identity_matrix() + u_e - u_comp) * half
+def _exact_compression(synth, e, generators, expansions):
+    pn, dp = synth.scaled_pairing
+    n_states = synth.n_states
+    # U_e = un / du
+    un, du = np.zeros((n_states, n_states), dtype=object), dp
+    if generators:
+        xn, dx = _scaled(expansions)
+        un[generators] = pn[generators, e][:, None] * xn
+        du = dp * dx
+    mass_one = pn[:, e] == dp
+    return CompressionReport(
+        event=e,
+        matrix=_unscaled(un, du),
+        idempotency=Fraction(_top(un @ un - un * du), du * du),
+        unit_image=Fraction(_top(un @ pn[:, synth.space.unit] - pn[:, e] * du), du * dp),
+        invariance=Fraction(_top(un[mass_one] @ pn - pn[mass_one] * du), du * dp),
+    )
 
 
 @dataclass
@@ -362,32 +407,51 @@ class ProductModel:
 
     synth: SyntheticSpace
     compressions: dict  # event -> CompressionReport
-    multipliers: dict  # event -> T_e matrix
-    structure: np.ndarray  # (dim, dim, n_states): S[k, l] = b_k o b_l over basis_events
-    # exact lane: structure flattened over (k, l), as _scaled numerators and denominator
-    scaled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    multipliers: dict  # event -> T_e matrix; Fractions on the exact lane
+    # S[k, l] = b_k o b_l over basis_events, flattened over (k, l): (dim * dim, n_states);
+    # built from the multipliers; exact lane: a _scaled pair in lowest terms
+    table: np.ndarray | tuple = field(default=None, init=False, repr=False, compare=False)
+    # exact lane: the T_e stacked in event order, as _scaled numerators (n_events, n, n) and denominator
+    scaled_multipliers: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.synth.exact:
-            self.scaled = _scaled(self.structure.reshape(-1, self.synth.n_states))
+        synth = self.synth
+        basis = list(synth.basis_events)
+        if synth.exact:
+            self.scaled_multipliers = tn, dt = _scaled(np.stack([self.multipliers[e] for e in synth.space.events()]))
+            pn, dp = synth.scaled_pairing
+            # a[k, l] = T_{b_k} pi(b_l) = an[k, l] / (dt dp); S is its symmetrization over (k, l)
+            an = (tn[basis] @ pn[:, basis]).transpose(0, 2, 1)
+            self.table = _reduced((an + an.transpose(1, 0, 2)).reshape(-1, synth.n_states), 2 * dt * dp)
+        else:
+            a = (np.stack([self.multipliers[e] for e in basis]) @ synth.basis_cols).transpose(0, 2, 1)
+            self.table = ((a + a.transpose(1, 0, 2)) * 0.5).reshape(-1, synth.n_states)
 
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
 
     def product(self, x, y):
-        """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n)."""
+        """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n).
+
+        On the exact lane x and y are Fraction arrays, or both _scaled pairs
+        (numerators, denominator); the product comes back in the same form.
+        """
         synth = self.synth
+        scaled = isinstance(x, tuple)
         if synth.exact:
-            (cx, dx), (cy, dy) = synth.scaled_coords(x), synth.scaled_coords(y)
-            table, d = self.scaled
+            (cx, dx), (cy, dy) = (synth.scaled_coords(v if scaled else _scaled(v)) for v in (x, y))
+            table, d = self.table
         else:
             cx, cy = synth.event_coords(x), synth.event_coords(y)
-            table = self.structure.reshape(-1, synth.n_states)
+            table = self.table
         # the outer products cx cy^T against S flattened over (k, l): one matmul for the whole stack;
-        # the exact lane contracts integer numerators and divides by their common denominator once
+        # the exact lane contracts integer numerators and reduces by one gcd
         outer = cx[..., :, None] * cy[..., None, :]
         out = outer.reshape(*outer.shape[:-2], -1) @ table
-        return _unscaled(out, dx * dy * d) if synth.exact else out
+        if not synth.exact:
+            return out
+        out = _reduced(out, dx * dy * d)
+        return out if scaled else _unscaled(*out)
 
     def power(self, x, m):
         acc = x
@@ -398,19 +462,24 @@ class ProductModel:
     def worst_symmetry(self):
         """Largest |T_e pi(f) - T_f pi(e)| over e < f (exact on the exact lane), and its first pair in row-major order."""
         synth = self.synth
-        # images[e, :, f] = T_e pi(f), for every pair in one stacked product
-        images = np.stack([self.multipliers[e] for e in synth.space.events()]) @ synth.pairing
         es, fs = np.triu_indices(synth.space.n_events, 1)
-        residuals = synth.norm(images[es, :, fs] - images[fs, :, es])
+        # images[e, :, f] = T_e pi(f), for every pair in one stacked product
+        if synth.exact:
+            (tn, dt), (pn, dp) = self.scaled_multipliers, synth.scaled_pairing
+            images = tn @ pn
+            residuals = _top(images[es, :, fs] - images[fs, :, es], axis=-1)
+        else:
+            images = np.stack([self.multipliers[e] for e in synth.space.events()]) @ synth.pairing
+            residuals = synth.norm(images[es, :, fs] - images[fs, :, es])
         if not (residuals > 0).any():
-            return 0.0, None
+            return (Fraction(0) if synth.exact else 0.0), None
         i = int(np.argmax(residuals))
-        worst = residuals[i] if synth.exact else float(residuals[i])
+        worst = Fraction(residuals[i], dt * dp) if synth.exact else float(residuals[i])
         return worst, (int(es[i]), int(fs[i]))
 
 
 def build_product_model(synth, oracle):
-    """Compressions and multipliers of every event, and the structure constants of the product.
+    """Compressions and multipliers of every event; the model builds the structure constants from them.
 
     The oracle is called once, for every event on which some generator has nonzero mass.
     """
@@ -419,15 +488,14 @@ def build_product_model(synth, oracle):
     requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in space.events() if massive[:, e].any()]
     answers = {e: (generators, expansions) for (e, generators), expansions in zip(requests, oracle(requests))}
     comps = {e: build_compression(synth, e, *answers.get(e, ([], []))) for e in space.events()}
-    mults = {
-        e: multiplier_matrix(synth, comps[e].matrix, comps[space.comp(e)].matrix)
-        for e in space.events()
-    }
-    # a[k, l] = T_{b_k} pi(b_l); S is its symmetrization over (k, l)
-    a = (np.stack([mults[e] for e in synth.basis_events]) @ synth.basis_cols).transpose(0, 2, 1)
-    half = Fraction(1, 2) if synth.exact else 0.5
-    structure = (a + a.transpose(1, 0, 2)) * half
-    return ProductModel(synth=synth, compressions=comps, multipliers=mults, structure=structure)
+    # T_e = (I + U_e - U_e')/2; the exact lane forms it on the compressions' numerators, stacked over the events
+    if synth.exact:
+        un, du = _scaled(np.stack([comps[e].matrix for e in space.events()]))
+        comp = [space.comp(e) for e in space.events()]
+        mults = dict(zip(space.events(), _unscaled(np.eye(synth.n_states, dtype=object) * du + un - un[comp], 2 * du)))
+    else:
+        mults = {e: (np.eye(synth.n_states) + comps[e].matrix - comps[space.comp(e)].matrix) * 0.5 for e in space.events()}
+    return ProductModel(synth=synth, compressions=comps, multipliers=mults)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +504,9 @@ def build_product_model(synth, oracle):
 
 @dataclass
 class WellDefinednessReport:
-    sum_triple_residual: float  # worst ||(T_e + T_f - T_{e+f}) pi(g)||
-    regroup_residual: float  # worst two-decomposition disagreement
+    # each residual: a float on the float lane, an exact Fraction on the exact lane
+    sum_triple_residual: float | Fraction  # worst ||(T_e + T_f - T_{e+f}) pi(g)||
+    regroup_residual: float | Fraction  # worst two-decomposition disagreement
     samples: int
     skipped: int
 
@@ -446,24 +515,32 @@ class WellDefinednessReport:
 
 
 def check_well_definedness(model, samples=50, rng=None):
-    """Multipliers must not care how an element is cut into orthogonal pieces."""
+    """Multipliers must not care how an element is cut into orthogonal pieces.
+
+    The exact lane works on the multipliers' integer numerators.
+    """
     rng = rng or np.random.default_rng(0)
     synth = model.synth
     space = synth.space
+    if synth.exact:
+        (mults, dt), (pn, dp) = model.scaled_multipliers, synth.scaled_pairing
+        cols, top, zero, coeff = pn[:, list(synth.basis_events)], _top, 0, (lambda c: c)
+    else:
+        mults = np.stack([model.multipliers[e] for e in space.events()])
+        cols, top, zero, coeff = synth.basis_cols, _max_abs, 0.0, (lambda c: c / 2)
     # (T_e + T_f - T_{e+f}) pi(b) over every defined sum e + f, e <= f, both nonzero,
     # stacked _PAIR_BLOCK sums at a time
-    mults = np.stack([model.multipliers[e] for e in space.events()])
     es, fs = np.nonzero(np.triu(space.sum_table >= 0))
     keep = (es != space.zero) & (fs != space.zero)
     es, fs = es[keep], fs[keep]
     ss = space.sum_table[es, fs]
-    worst_triple = 0.0
+    worst_triple = zero
     for b in orthospace.pair_blocks(len(es), 1):
         delta = mults[es[b]] + mults[fs[b]] - mults[ss[b]]
-        worst_triple = max(worst_triple, _max_abs(delta @ synth.basis_cols))
+        worst_triple = max(worst_triple, top(delta @ cols))
     families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
-    worst_regroup, used, skipped = 0.0, 0, 0
-    menu = [Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
+    worst_regroup, used, skipped = zero, 0, 0
+    menu = [2, 2, -2, 1, 4]  # twice {1, 1, -1, 1/2, 2}: integers on the exact lane, halved on the float lane
     for _ in range(samples):
         if not families:
             break
@@ -484,10 +561,11 @@ def check_well_definedness(model, samples=50, rng=None):
             skipped += 1
             continue
         used += 1
-        scale = (lambda v: v) if synth.exact else float
-        direct = sum((model.multipliers[g] * scale(c) for g, c in zip(fam, coeffs)))
-        grouped = sum((model.multipliers[g] * scale(c) for c, g in merged))
-        worst_regroup = max(worst_regroup, _max_abs((direct - grouped) @ synth.basis_cols))
+        direct = sum((mults[g] * coeff(c) for g, c in zip(fam, coeffs)))
+        grouped = sum((mults[g] * coeff(c) for c, g in merged))
+        worst_regroup = max(worst_regroup, top((direct - grouped) @ cols))
+    if synth.exact:
+        worst_triple, worst_regroup = Fraction(worst_triple, dt * dp), Fraction(worst_regroup, 2 * dt * dp)
     return WellDefinednessReport(
         sum_triple_residual=worst_triple,
         regroup_residual=worst_regroup,
@@ -512,11 +590,12 @@ def random_primitive(synth, rng, families=None):
 
 @dataclass
 class SyntheticLawReport:
-    jordan_identity: float
-    square_norm: float
-    square_sum_slack: float  # min of ||x^2+y^2|| - ||x^2||, should be >= -tol
-    power_associativity: float
-    unit_residual: float
+    # each residual: a float on the float lane, an exact Fraction on the exact lane
+    jordan_identity: float | Fraction
+    square_norm: float | Fraction
+    square_sum_slack: float | Fraction  # min of ||x^2+y^2|| - ||x^2||, should be >= -tol
+    power_associativity: float | Fraction
+    unit_residual: float | Fraction
     pairs: int
 
     def passed(self, tol=FLOAT_TOL):
@@ -535,6 +614,8 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
     rng = rng or np.random.default_rng(0)
     synth = model.synth
     fams = orthospace.maximal_orthogonal_families(synth.space)
+    if synth.exact:
+        return _exact_laws(model, pairs, rng, fams)
     draws = [random_primitive(synth, rng, fams)[0] for _ in range(2 * pairs)]
     x = np.array(draws[0::2]).reshape(pairs, synth.n_states)
     y = np.array(draws[1::2]).reshape(pairs, synth.n_states)
@@ -548,17 +629,47 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
     x6_gap = norm(model.product(x3, x3) - model.power(x, 6))
     slack = norm(x2 + y2) - norm(x2)
 
-    value = (lambda v: v) if synth.exact else float  # the exact lane keeps its residuals exact
-
     def worst(rows):
-        return value(np.max(rows, initial=0))
+        return float(np.max(rows, initial=0))
 
     return SyntheticLawReport(
         jordan_identity=worst(norm(lhs - rhs)),
         square_norm=worst(np.abs(norm(y2) - norm(y) ** 2)),
-        square_sum_slack=value(slack.min()) if pairs else 0.0,
+        square_sum_slack=float(slack.min()) if pairs else 0.0,
         power_associativity=max(worst(x4_gap), worst(x6_gap)),
         unit_residual=worst(norm(model.product(unit, x) - x)),
+        pairs=pairs,
+    )
+
+
+def _exact_laws(model, pairs, rng, fams):
+    """The law sweep on (numerators, denominator) stacks, with random_primitive's draws in its order."""
+    synth = model.synth
+    pn, dp = synth.scaled_pairing
+
+    def draw():
+        # random_primitive's sum of (k/4) pi(g) over a random family, as numerators over 4 dp
+        fam = fams[rng.integers(len(fams))]
+        return sum(int(rng.integers(-8, 9)) * pn[:, g] for g in fam)
+
+    draws = np.array([draw() for _ in range(2 * pairs)], dtype=object).reshape(2 * pairs, synth.n_states)
+    x, y = (draws[0::2], 4 * dp), (draws[1::2], 4 * dp)
+    unit = (np.broadcast_to(pn[:, synth.space.unit], x[0].shape), dp)
+    product, power = model.product, model.power
+    x2, y2 = product(x, x), product(y, y)
+    lhs = product(x2, product(x, y))
+    rhs = product(x, product(x2, y))
+    x3 = power(x, 3)
+    x4_gap = _sub(product(x2, x2), power(x, 4))
+    x6_gap = _sub(product(x3, x3), power(x, 6))
+    ny = _row_norms(y)
+    slack_n, slack_d = _sub(_row_norms(_add(x2, y2)), _row_norms(x2))
+    return SyntheticLawReport(
+        jordan_identity=_worst(_sub(lhs, rhs)),
+        square_norm=_worst(_sub(_row_norms(y2), (ny[0] * ny[0], ny[1] * ny[1]))),
+        square_sum_slack=Fraction(min(slack_n, default=0), slack_d),
+        power_associativity=max(_worst(x4_gap), _worst(x6_gap)),
+        unit_residual=_worst(_sub(product(unit, x), x)),
         pairs=pairs,
     )
 

@@ -2,6 +2,10 @@
 
 from fractions import Fraction
 
+import numpy as np
+
+from ucpspace import orthospace, synthesis
+
 
 def equality_rows(space):
     """The state equations as dense (row, rhs) Fraction pairs: unit mass, then the additivity rows.
@@ -29,3 +33,101 @@ def equality_rows(space):
                     seen.add(key)
                     rows.append((key, Fraction(0)))
     return rows
+
+
+# The exact-lane synthesis sweeps in Fraction arithmetic, on the model's Fraction
+# multipliers and pairing: the integer-numerator sweeps must give the same values
+# and consume the same draws.
+
+
+def _max_abs(arr):
+    """The exact max |entry| of a Fraction array."""
+    return max((abs(v) for v in np.ravel(arr)), default=0)
+
+
+def compression(synth, e, generators, expansions):
+    """(U_e, idempotency, unit image, invariance) of build_compression, in Fractions."""
+    pairing = synth.pairing
+    u = np.stack([synth.zeros() for _ in range(synth.n_states)])
+    if generators:
+        u[generators] = pairing[generators, e][:, None] * np.asarray(expansions, dtype=object)
+    drift = 0
+    for l in np.flatnonzero(pairing[:, e] == 1):
+        drift = max(drift, _max_abs(u[l] @ pairing - pairing[l]))
+    return u, _max_abs(u @ u - u), _max_abs(u @ synth.unit_coords() - synth.pi(e)), drift
+
+
+def worst_symmetry(model):
+    """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""
+    synth = model.synth
+    images = np.stack([model.multipliers[e] for e in synth.space.events()]) @ synth.pairing
+    es, fs = np.triu_indices(synth.space.n_events, 1)
+    residuals = [_max_abs(r) for r in images[es, :, fs] - images[fs, :, es]]
+    if not any(r > 0 for r in residuals):
+        return 0, None
+    i = int(np.argmax(residuals))
+    return residuals[i], (int(es[i]), int(fs[i]))
+
+
+def well_definedness(model, samples, rng):
+    """check_well_definedness with the menu {1, 1, -1, 1/2, 2} on the Fraction multipliers."""
+    synth = model.synth
+    space = synth.space
+    mults = model.multipliers
+    worst_triple = 0
+    for e in space.events():
+        for f in range(e, space.n_events):
+            s = space.sum_of(e, f)
+            if s is None or space.zero in (e, f):
+                continue
+            worst_triple = max(worst_triple, _max_abs((mults[e] + mults[f] - mults[s]) @ synth.basis_cols))
+    families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
+    worst_regroup, used, skipped = 0, 0, 0
+    menu = [Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
+    for _ in range(samples):
+        if not families:
+            break
+        fam = families[rng.integers(len(families))]
+        coeffs = [menu[rng.integers(len(menu))] for _ in fam]
+        groups = {}
+        for g, c in zip(fam, coeffs):
+            groups.setdefault(c, []).append(g)
+        merged = [(c, orthospace.iterated_sum(space, members)) for c, members in groups.items()]
+        if any(total is None for _, total in merged) or len(merged) == len(fam):
+            skipped += 1
+            continue
+        used += 1
+        direct = sum(mults[g] * c for g, c in zip(fam, coeffs))
+        grouped = sum(mults[g] * c for c, g in merged)
+        worst_regroup = max(worst_regroup, _max_abs((direct - grouped) @ synth.basis_cols))
+    return synthesis.WellDefinednessReport(
+        sum_triple_residual=worst_triple, regroup_residual=worst_regroup, samples=used, skipped=skipped
+    )
+
+
+def laws(model, pairs, rng):
+    """The stacked law sweep on Fraction arrays: random_primitive's draws, each law term one product."""
+    synth = model.synth
+    fams = orthospace.maximal_orthogonal_families(synth.space)
+    draws = [synthesis.random_primitive(synth, rng, fams)[0] for _ in range(2 * pairs)]
+    x = np.array(draws[0::2], dtype=object).reshape(pairs, synth.n_states)
+    y = np.array(draws[1::2], dtype=object).reshape(pairs, synth.n_states)
+    unit = np.broadcast_to(synth.unit_coords(), x.shape)
+    norm = synth.norm
+    x2, y2 = model.product(x, x), model.product(y, y)
+    lhs = model.product(x2, model.product(x, y))
+    rhs = model.product(x, model.product(x2, y))
+    x3 = model.power(x, 3)
+
+    def worst(rows):
+        return max(rows, default=0)
+
+    return synthesis.SyntheticLawReport(
+        jordan_identity=worst(norm(lhs - rhs)),
+        square_norm=worst(abs(norm(y2) - norm(y) ** 2)),
+        square_sum_slack=min(norm(x2 + y2) - norm(x2), default=0),
+        power_associativity=max(worst(norm(model.product(x2, x2) - model.power(x, 4))),
+                                worst(norm(model.product(x3, x3) - model.power(x, 6)))),
+        unit_residual=worst(norm(model.product(unit, x) - x)),
+        pairs=pairs,
+    )

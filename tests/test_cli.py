@@ -521,6 +521,17 @@ class TestSynthesize:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "6b9bf86a9b1e3dee9463489d3b115f227fe33e84f7b64798755a0c2b07ddffca"
 
+    def test_boolean5_report_is_unchanged(self, files):
+        # dimension 5 and larger numerators again: a third pin on the exact lane's integer sweeps
+        code, out, _ = invoke(
+            ["synthesize", "--input", files["bool5"], "--states", "full", "--seed", "7", "--format", "structured"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "fce7ae895c89924c9501d16fb2824f90f78922466e998758779407c3fac25515"
+
     @pytest.mark.parametrize("residual", ["symmetry", "slack"])
     def test_exact_lane_passes_only_on_exact_zeros(self, files, monkeypatch, residual):
         # a residual of 1e-9 is within the float tolerance but not zero: the exact lane fails it

@@ -13,7 +13,6 @@ from ucpspace.lueders import (
     conditional_probability,
     density_from,
     maximally_mixed,
-    u_e,
 )
 
 
@@ -30,22 +29,22 @@ def qubit_f():
 class TestCompression:
     def test_unit_argument(self):
         e = qubit_e()
-        out = u_e(e, jordan.identity("C", 2))
+        out = jordan.triple_product(e, jordan.identity("C", 2), e)
         assert np.allclose(out.coords, e.coords, atol=1e-12)
 
     def test_worked_compression(self):
-        out = u_e(qubit_e(), qubit_f())
+        out = jordan.triple_product(qubit_e(), qubit_f(), qubit_e())
         expect = np.zeros((2, 2, 2))
         expect[0, 0, 0] = 0.5
         assert np.allclose(out.coords, expect, atol=1e-12)
 
     def test_fixed_point(self):
         e = qubit_e()
-        assert np.allclose(u_e(e, e).coords, e.coords, atol=1e-12)
+        assert np.allclose(jordan.triple_product(e, e, e).coords, e.coords, atol=1e-12)
 
     def test_requires_idempotent(self):
         with pytest.raises(PreconditionError):
-            u_e(0.5 * jordan.identity("C", 2), qubit_f())
+            lueders.compression_matrix(0.5 * jordan.identity("C", 2))
 
 
 class TestDensity:

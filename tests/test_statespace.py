@@ -681,6 +681,33 @@ class TestSliceCache:
         assert (len(swept), len(decided)) == (pairs, slices)
         assert len({(s.event, tuple(s.constraint_events), tuple(s.targets)) for s in decided}) == slices
 
+    @pytest.mark.parametrize("space", [instances.mo_orthospace(4), orthospace.boolean_orthospace(4)],
+                             ids=["mo4", "bool4"])
+    def test_one_pin_rank_per_constraint_family(self, space, monkeypatch):
+        # slice_dim of a propagated slice depends on its constrained events only: one rank each
+        poly = build_state_polytope(space)
+        gens = poly.generators
+        states = list(gens) + [statespace.mix_states(a, b, F(1, 3)) for a, b in zip(gens, gens[1:])]
+        swept = [(mu, e) for mu in states for e in space.events() if e != space.zero and mu[e] != 0]
+        slices = [statespace.conditional_slice(poly, mu, e) for mu, e in swept]
+        propagated = [slc for slc in slices if statespace._propagate(slc) is not None]
+        families = {tuple(slc.constraint_events) for slc in propagated}
+        calls = []
+        rank = linsolve.rank
+
+        def counting_rank(rows):
+            calls.append(len(rows))
+            return rank(rows)
+
+        monkeypatch.setattr(linsolve, "rank", counting_rank)
+        verdicts = [check_conditional_uniqueness(poly, mu, e) for mu, e in swept]
+        monkeypatch.setattr(linsolve, "rank", rank)
+        assert len(calls) == len(families) == len(poly._pin_ranks)
+        assert len(families) < len({(s.event, tuple(s.constraint_events), tuple(s.targets)) for s in propagated})
+        # every slice_dim equals the nullity of the slice rows, computed fresh by pinning the targets
+        for slc, v in zip(slices, verdicts):
+            assert v.slice_dim == len(poly.pin(slc.constraint_events, slc.targets)[1]), slc
+
 
 class TestMixture:
     def test_identical_components(self, bool3_poly):

@@ -1,6 +1,7 @@
 """Rebuilding the product from conditionals, on exact and matrix lanes."""
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ucpspace import instances, jordan, linsolve, lueders, orthospace, statespace
 from ucpspace.errors import SynthesisError
 from ucpspace.statespace import build_state_polytope
@@ -16,6 +18,7 @@ from ucpspace.synthesis import (
     MASS_THRESHOLD,
     SyntheticLawReport,
     abstract_synthetic_space,
+    build_compression,
     build_product_model,
     build_synthetic_space,
     check_box_equality,
@@ -207,7 +210,7 @@ class TestStateRows:
 class TestCompressions:
     def test_unit_compression_is_identity(self, bool3_model):
         rep = bool3_model.compressions[bool3_model.synth.space.unit]
-        assert np.array_equal(rep.matrix, bool3_model.synth.identity_matrix())
+        assert np.array_equal(rep.matrix, np.eye(bool3_model.synth.n_states, dtype=int))
 
     def test_zero_compression_is_zero(self, bool3_model):
         rep = bool3_model.compressions[bool3_model.synth.space.zero]
@@ -278,7 +281,7 @@ class TestProduct:
         # T_a = I and every other T_e = 0: the residual of (e, a) is |pi(e)|, with many exact ties
         synth = bool3_model.synth
         for a in (1, 5):
-            mults = {e: synth.identity_matrix() * int(e == a) for e in synth.space.events()}
+            mults = {e: np.eye(synth.n_states, dtype=object) * F(int(e == a)) for e in synth.space.events()}
             tied = dataclasses.replace(bool3_model, multipliers=mults)
             assert tied.worst_symmetry() == pairwise(tied) == (1.0, (1, a) if a > 1 else (1, 2))
 
@@ -499,6 +502,116 @@ class TestLaws:
     def test_qutrit_laws(self, qutrit_model, rng):
         rep = check_laws_on_reconstruction(qutrit_model, pairs=40, rng=rng)
         assert rep.passed(1e-8)
+
+
+EXACT_SPACES = {
+    "bool3": lambda: orthospace.boolean_orthospace(3),
+    "bool4": lambda: orthospace.boolean_orthospace(4),
+    "bool5": lambda: orthospace.boolean_orthospace(5),
+    "mo1": lambda: instances.mo_orthospace(1),
+}
+
+
+@functools.cache
+def exact_model(name):
+    """The exact-lane model of a named space; "<space>-tampered" adds k/7 to every third multiplier.
+
+    Every exact model built from states has zero residuals; the tampered ones
+    have nonzero residuals of every kind, so a wrong magnitude shows.
+    "<space>-mixed" adds the mixture 1/3 g_0 + 2/3 g_1 to the vertex generators,
+    so the pairing has a denominator other than 1.
+    """
+    base, _, variant = name.partition("-")
+    if variant == "mixed":
+        space = EXACT_SPACES[base]()
+        poly = build_state_polytope(space)
+        gens = list(poly.generators)
+        synth = abstract_synthetic_space(space, gens + [statespace.mix_states(gens[0], gens[1], F(1, 3))])
+        return build_product_model(synth, polytope_expansion_oracle(synth, poly))
+    if variant == "tampered":
+        model = exact_model(base)
+        rng = np.random.default_rng(17)
+        n = model.synth.n_states
+        mults = {
+            e: t + np.array(rng.integers(-3, 4, size=(n, n)), dtype=object) * F(1, 7) if e % 3 == 1 else t
+            for e, t in model.multipliers.items()
+        }
+        return dataclasses.replace(model, multipliers=mults)
+    space = EXACT_SPACES[base]()
+    poly = build_state_polytope(space)
+    synth = abstract_synthetic_space(space, poly.generators)
+    return build_product_model(synth, polytope_expansion_oracle(synth, poly))
+
+
+def assert_exact_report(got, want, fields):
+    """Each residual of got is a Fraction equal to want's; the counts are equal."""
+    for name in fields:
+        assert type(getattr(got, name)) is F, name
+        assert getattr(got, name) == getattr(want, name), name
+    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+EXACT_NAMES = ["bool3", "bool4", "bool5", "mo1", "bool3-mixed", "bool3-tampered", "bool4-tampered"]
+LAW_FIELDS = ("jordan_identity", "square_norm", "square_sum_slack", "power_associativity", "unit_residual")
+
+
+class TestExactSweepsMatchFractionReferences:
+    """The integer-numerator sweeps against the Fraction sweeps they replace: equal values, equal draws."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("name", EXACT_NAMES)
+    def test_laws(self, name, seed):
+        model = exact_model(name)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = check_laws_on_reconstruction(model, pairs=8, rng=rng_got)
+        assert_exact_report(got, reference.laws(model, 8, rng_want), LAW_FIELDS)
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("name", EXACT_NAMES)
+    def test_well_definedness(self, name, seed):
+        model = exact_model(name)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = check_well_definedness(model, samples=30, rng=rng_got)
+        want = reference.well_definedness(model, 30, rng_want)
+        assert_exact_report(got, want, ("sum_triple_residual", "regroup_residual"))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("name", EXACT_NAMES)
+    def test_worst_symmetry(self, name):
+        model = exact_model(name)
+        worst, arg = model.worst_symmetry()
+        assert type(worst) is F
+        assert (worst, arg) == reference.worst_symmetry(model)
+
+    def test_tampered_residuals_are_nonzero(self):
+        for name in ("bool3-tampered", "bool4-tampered"):
+            model = exact_model(name)
+            laws = check_laws_on_reconstruction(model, pairs=8, rng=np.random.default_rng(0))
+            wd = check_well_definedness(model, samples=30, rng=np.random.default_rng(0))
+            assert min(getattr(laws, f) for f in LAW_FIELDS if f != "square_sum_slack") > 0, name
+            assert laws.square_sum_slack != 0
+            assert min(wd.sum_triple_residual, wd.regroup_residual) > 0, name
+            assert model.worst_symmetry()[0] > 0, name
+
+    @pytest.mark.parametrize("name", ["bool3", "bool4", "mo1", "bool3-mixed"])
+    def test_compression_residuals(self, name):
+        # the oracle's expansions give zero residuals; random ones give nonzero residuals of every kind
+        synth = exact_model(name).synth
+        rng = np.random.default_rng(3)
+        seen = []
+        for e in synth.space.events():
+            generators = [l for l in range(synth.n_states) if synth.pairing[l, e] != 0]
+            expansions = [[F(int(rng.integers(-5, 6)), int(rng.integers(1, 9))) for _ in range(synth.n_states)]
+                          for _ in generators]
+            got = build_compression(synth, e, generators, expansions)
+            matrix, *want = reference.compression(synth, e, generators, expansions)
+            assert np.array_equal(got.matrix, matrix)
+            residuals = [got.idempotency, got.unit_image, got.invariance]
+            assert all(type(v) is F for v in residuals)
+            assert residuals == want
+            seen.append(residuals)
+        assert all(max(kind) > 0 for kind in zip(*seen))
 
 
 class TestExtremePoints:
