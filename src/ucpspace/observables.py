@@ -41,27 +41,6 @@ class PrimitiveElement:
 
     terms: tuple  # (coefficient, event) pairs
 
-    def events(self):
-        return tuple(e for _, e in self.terms)
-
-
-def primitive(space, terms):
-    """Validated primitive element; events must be pairwise orthogonal."""
-    terms = tuple((c, int(e)) for c, e in terms)
-    events = [e for _, e in terms]
-    if len(set(events)) != len(events):
-        raise StructuralError("repeated event in a primitive element")
-    for c, e in terms:
-        if not (0 <= e < space.n_events):
-            raise StructuralError(f"event {e} out of range")
-        if not np.isfinite(float(c)):
-            raise StructuralError("non-finite coefficient")
-    for i, e in enumerate(events):
-        for f in events[i + 1 :]:
-            if not space.ortho[e, f]:
-                raise StructuralError(f"events {e} and {f} are not orthogonal")
-    return PrimitiveElement(terms=terms)
-
 
 @dataclass(frozen=True)
 class FiniteObservable:
@@ -72,9 +51,6 @@ class FiniteObservable:
 
     def values(self):
         return tuple(v for v, _ in self.support)
-
-    def events(self):
-        return tuple(e for _, e in self.support)
 
 
 def observable(space, support):

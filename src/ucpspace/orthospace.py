@@ -160,10 +160,8 @@ def verify_orthospace(space):
         f_ids = cand[ff]
         s_ef = st[e_ids, f_ids]
         s_ge = st[g, e_ids]
-        have = (s_ef >= 0) & (s_ge >= 0)
-        good = np.zeros(len(e_ids), dtype=bool)
-        h = np.flatnonzero(have)
-        good[h] = ok[g, s_ef[h]] & ok[f_ids[h], s_ge[h]]
+        # g + (e + f) and (g + e) + f defined; the same cells replay_axiom_witness reads
+        good = ok[g, s_ef] & ok[s_ge, f_ids]
         for t in np.flatnonzero(~good)[:_MAX_WITNESSES]:
             _add_witness(axioms["sum-associativity"], (int(g), int(e_ids[t]), int(f_ids[t])))
         idx = np.flatnonzero(good)
@@ -216,14 +214,16 @@ def replay_axiom_witness(space, tag, witness):
         return bool(ortho[e, f] and st[f, e] >= 0 and st[e, f] != st[f, e])
     if tag == "sum-associativity":
         g, e, f = witness
-        if not (ortho[g, e] and ortho[g, f] and ortho[e, f]):
+
+        def ok(a, b):
+            return bool(ortho[a, b] and st[a, b] >= 0)
+
+        # the cells verify_orthospace reads: g + e, g + f and e + f defined,
+        # then g + (e + f) and (g + e) + f defined and equal
+        if not (ok(g, e) and ok(g, f) and ok(e, f)):
             return False
         s_ef, s_ge = st[e, f], st[g, e]
-        if s_ef < 0 or s_ge < 0:
-            return True
-        if not (ortho[g, s_ef] and st[g, s_ef] >= 0):
-            return True
-        if not (ortho[f, s_ge] and st[s_ge, f] >= 0):
+        if not (ok(g, s_ef) and ok(s_ge, f)):
             return True
         return bool(st[g, s_ef] != st[s_ge, f])
     if tag == "zero-event":

@@ -16,10 +16,14 @@ order, one per event that some generator gives nonzero mass, listing those
 generators in order.  It returns, per request, the expansions of its
 generators in that order; the first failure in (event, generator) order
 raises.  The exact-lane oracle takes the LP-based unique conditional of the
-state polytope for one generator at a time (Fractions end-to-end); the
-float-lane oracle conditions every density under every requested event by
-the closed-form Lüders rule in one `lueders.condition_stack` call and expands
-all requested conditionals with one pseudoinverse product.  Event
+state polytope for one generator at a time and expands it through
+`SyntheticSpace.generator_coords`: the transpose of the coordinate map's
+integer inverse, checked exactly on integers.  The same map writes every
+generator over the first independent ones for the extreme-point test, so one
+inverse per model serves every exact expansion.  The float-lane oracle
+conditions every density under every requested event by the closed-form
+Lüders rule in one `lueders.condition_stack` call and expands all requested
+conditionals with one pseudoinverse product.  Event
 multipliers T_e = (I + U_e - U_e')/2 then recover the product: x o y = T_y x
 extended bilinearly from the events, symmetrized.
 Both linear maps the product needs are built once per model: the left inverse
@@ -56,10 +60,6 @@ from .exactlp import OPTIMAL, solve_lp
 
 FLOAT_TOL = 1e-8
 MASS_THRESHOLD = 1e-12
-
-
-def _exact_rows(rows):
-    return all(isinstance(v, (Fraction, int)) for row in rows for v in row)
 
 
 def _pairing_array(rows, exact):
@@ -210,6 +210,24 @@ class SyntheticSpace:
             raise SynthesisError("element lies outside the event span")
         return cn, dx * d_inv
 
+    def generator_coords(self, x):
+        """Exact-lane coefficients over the generators of a _scaled pair x over the events, one row or a stack.
+
+        The coefficients are inv.T @ x[basis_events] on the rows of coord_map and
+        zero elsewhere, as a _scaled pair: the solution of c @ pairing = x that
+        is zero off the first independent generators.  Raises SynthesisError if
+        x, or any one row of the stack, lies outside the generator span.
+        """
+        xn, dx = x
+        rows, (inv_n, d_inv) = self.coord_map
+        pairing_n, d_pairing = self.scaled_pairing
+        cn = np.zeros((*xn.shape[:-1], self.n_states), dtype=object)
+        cn[..., rows] = xn[..., list(self.basis_events)] @ inv_n
+        # c @ pairing == x, cleared of the denominators d_pairing and dx * d_inv
+        if np.any(cn[..., rows] @ pairing_n[rows] != xn * (d_inv * d_pairing)):
+            raise SynthesisError("element lies outside the generator span")
+        return cn, dx * d_inv
+
 
 def _check_state_rows(space, rows, exact):
     if exact:
@@ -234,13 +252,11 @@ def _check_state_rows(space, rows, exact):
             raise SynthesisError(f"generator {ix} is not additive on ({e[t]}, {f[t]})")
 
 
-def build_synthetic_space(space, value_rows, exact=None):
+def build_synthetic_space(space, value_rows, exact):
     """Model from explicit generator value rows (one row per state, over all events)."""
     rows = [list(r) for r in value_rows]
     if not rows:
         raise SynthesisError("no state generators")
-    if exact is None:
-        exact = _exact_rows(rows)
     _check_state_rows(space, rows, exact)
     pairing = _pairing_array(rows, exact)
     if exact:
@@ -276,24 +292,21 @@ def matrix_synthetic_space(instance):
 
 
 def polytope_expansion_oracle(synth, polytope):
-    """Exact-lane oracle: LP-unique conditionals, expanded over the generators one at a time."""
+    """Exact-lane oracle: LP-unique conditionals, each expanded over the generators by `generator_coords`."""
     pairing = synth.pairing
-    n_states, n_events = pairing.shape
-    a_rows = [[pairing[m, j] for m in range(n_states)] for j in range(n_events)]
 
     def expand(l, e):
-        mu = statespace.State(tuple(pairing[l, j] for j in range(n_events)))
-        verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
+        verdict = statespace.check_conditional_uniqueness(polytope, statespace.State(tuple(pairing[l])), e)
         if verdict.verdict != statespace.UNIQUE:
             err = SynthesisError(
                 f"conditional of generator {l} under event {e} is {verdict.verdict}"
             )
             err.generator, err.event, err.verdict = l, e, verdict
             raise err
-        sol = linsolve.solve_affine(a_rows, list(verdict.conditional.values))
-        if sol is None:
-            raise SynthesisError(f"conditional of generator {l} lies outside the generator span")
-        return sol[0]
+        try:
+            return _unscaled(*synth.generator_coords(_scaled(verdict.conditional.values)))
+        except SynthesisError:
+            raise SynthesisError(f"conditional of generator {l} lies outside the generator span") from None
 
     def oracle(requests):
         return [[expand(l, e) for l in generators] for e, generators in requests]
@@ -679,24 +692,10 @@ def _exact_laws(model, pairs, rng, fams):
 
 
 def _span_representation(synth):
-    """(independent row ids, B) with row_l = sum_i B[l, i] row_{ids[i]}."""
-    pairing = synth.pairing
-    n_states, n_events = pairing.shape
-    rows = [[pairing[l, j] for j in range(n_events)] for l in range(n_states)]
-    if synth.exact:
-        ids = linsolve.independent_subset(rows)
-        a_rows = [[rows[i][j] for i in ids] for j in range(n_events)]
-        b_mat = np.empty((n_states, len(ids)), dtype=object)
-        for l in range(n_states):
-            sol = linsolve.solve_affine(a_rows, rows[l])
-            for i, v in enumerate(sol[0]):
-                b_mat[l, i] = v
-        return ids, b_mat
-    mat = np.asarray(pairing, dtype=np.float64)
-    ids = _independent_columns_float(mat.T)
-    base = mat[ids]
-    b_mat, *_ = np.linalg.lstsq(base.T, mat.T, rcond=None)
-    return ids, b_mat.T
+    """(independent row ids, B) with row_l = sum_i B[l, i] row_{ids[i]}: the pairing's rows through generator_coords."""
+    ids = synth.coord_map[0]
+    cn, d = synth.generator_coords(synth.scaled_pairing)
+    return ids, _unscaled(cn[:, ids], d)
 
 
 @dataclass
@@ -706,35 +705,25 @@ class ExtremeVerdict:
     direction: np.ndarray = None  # evaluation vector of a feasible perturbation
 
 
-def check_extreme_points(synth, events=None, tol=FLOAT_TOL):
-    """Each pi(e) must admit no two-sided perturbation inside [0, 1] within A."""
+def check_extreme_points(synth, events=None):
+    """Exact lane: each pi(e) must admit no two-sided perturbation inside [0, 1] within A."""
+    if not synth.exact:
+        raise SynthesisError("extreme points in the generator box need the exact lane")
     ids, b_mat = _span_representation(synth)
     r = len(ids)
     out = []
     for e in events if events is not None else synth.space.events():
         x = synth.pi(e)
         direction = None
-        if synth.exact:
-            binding = [l for l in range(synth.n_states) if x[l] == 0 or x[l] == 1]
-            rows = [[b_mat[l, i] for i in range(r)] for l in binding]
-            extreme = bool(binding) and linsolve.rank(rows) == r
-            if not extreme:
-                if binding:
-                    t = linsolve.solve_affine(rows, [Fraction(0)] * len(binding))[1][0]
-                else:
-                    t = [Fraction(1 if i == 0 else 0) for i in range(r)]
-                direction = b_mat @ np.array(t, dtype=object)
-        else:
-            binding = [l for l in range(synth.n_states) if x[l] <= tol or x[l] >= 1 - tol]
-            rows = b_mat[binding]
-            extreme = bool(binding) and int(np.linalg.matrix_rank(rows, tol=tol)) == r
-            if not extreme:
-                if len(binding):
-                    _, s, vh = np.linalg.svd(rows)
-                    null = vh[np.sum(s > tol):].T
-                else:
-                    null = np.eye(r)
-                direction = b_mat @ null[:, 0]
+        binding = [l for l in range(synth.n_states) if x[l] == 0 or x[l] == 1]
+        rows = b_mat[binding].tolist()
+        extreme = bool(binding) and linsolve.rank(rows) == r
+        if not extreme:
+            if binding:
+                t = linsolve.solve_affine(rows, [Fraction(0)] * len(binding))[1][0]
+            else:
+                t = [Fraction(1 if i == 0 else 0) for i in range(r)]
+            direction = b_mat @ np.array(t, dtype=object)
         out.append(ExtremeVerdict(event=e, extreme=extreme, direction=direction))
     return out
 
@@ -923,9 +912,11 @@ def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL
 
     Exact lane: vertex comparison of [0, 1] against conv(pi(E)), LP membership
     for rejection-sampled interval points, extremality of every pi(e) in the
-    generator box.  Matrix lane: extremality in the operator interval, plus a
-    support-function certificate that a fresh projection escapes the hull of
-    the finitely many sampled events, so density holds only in the limit.
+    generator box.  Matrix lane (an instance given): extremality in the
+    operator interval, plus a support-function certificate that a fresh
+    projection escapes the hull of the finitely many sampled events, so density
+    holds only in the limit.  A float-lane model without its instance raises
+    SynthesisError.
     """
     rng = np.random.default_rng(0) if rng is None else rng
     if instance is not None:
@@ -940,11 +931,9 @@ def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL
                 report.note = "finite event sample: interval density holds only in the limit"
                 break
         return report
-    report = DensityReport(lane="exact", extremes=check_extreme_points(synth, tol=tol))
     if not synth.exact:
-        report.lane = "float"
-        report.note = "box comparison and LP membership need the exact lane or a matrix instance"
-        return report
+        raise SynthesisError("hull density needs the exact lane or a matrix instance")
+    report = DensityReport(lane="exact", extremes=check_extreme_points(synth))
     report.box = check_box_equality(synth)
     r = len(synth.basis_events)
     for _ in range(samples):

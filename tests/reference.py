@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from ucpspace import orthospace, synthesis
+from ucpspace import linsolve, orthospace, statespace, synthesis
+from ucpspace.errors import SynthesisError
 
 
 def equality_rows(space):
@@ -131,3 +132,44 @@ def laws(model, pairs, rng):
         unit_residual=worst(norm(model.product(unit, x) - x)),
         pairs=pairs,
     )
+
+
+# Expansions over the generators by one row reduction each: the coefficient
+# vectors that SyntheticSpace.generator_coords must reproduce.
+
+
+def generator_expansion(synth, x):
+    """The solve_affine solution c of c @ pairing = x that is zero on the free generators, or None."""
+    pairing = synth.pairing
+    a_rows = [[pairing[m, j] for m in range(synth.n_states)] for j in range(synth.space.n_events)]
+    sol = linsolve.solve_affine(a_rows, list(x))
+    return None if sol is None else sol[0]
+
+
+def expansion_oracle(synth, polytope):
+    """polytope_expansion_oracle with one solve_affine per (event, generator)."""
+
+    def expand(l, e):
+        verdict = statespace.check_conditional_uniqueness(polytope, statespace.State(tuple(synth.pairing[l])), e)
+        if verdict.verdict != statespace.UNIQUE:
+            err = SynthesisError(f"conditional of generator {l} under event {e} is {verdict.verdict}")
+            err.generator, err.event, err.verdict = l, e, verdict
+            raise err
+        sol = generator_expansion(synth, verdict.conditional.values)
+        if sol is None:
+            raise SynthesisError(f"conditional of generator {l} lies outside the generator span")
+        return sol
+
+    def oracle(requests):
+        return [[expand(l, e) for l in generators] for e, generators in requests]
+
+    return oracle
+
+
+def span_representation(synth):
+    """(independent generator ids, B) with row_l = sum_i B[l, i] row_{ids[i]}, one solve_affine per generator."""
+    pairing = synth.pairing
+    rows = [list(pairing[l]) for l in range(synth.n_states)]
+    ids = linsolve.independent_subset(rows)
+    a_rows = [[rows[i][j] for i in ids] for j in range(synth.space.n_events)]
+    return ids, np.array([linsolve.solve_affine(a_rows, row)[0] for row in rows], dtype=object)

@@ -134,6 +134,39 @@ class TestWitnessReplay:
             for w in verdict.witnesses:
                 assert replay_axiom_witness(mutant, tag, w)
 
+    def test_checker_and_replay_read_the_same_sum_cells(self):
+        # with 1 + 2 undefined and 2 + 1 defined, (0 + 2) + 1 is defined
+        space = boolean_orthospace(2)
+        st = space.sum_table.copy()
+        st[1, 2] = -1
+        mutant = OrthoSpace(space.n_events, space.zero, space.unit, space.ortho, st, space.complement)
+        report = verify_orthospace(mutant)
+        assert report.axioms["partial-sum"].witnesses == [(1, 2)]
+        assert report.axioms["sum-associativity"].witnesses == []
+        assert not replay_axiom_witness(mutant, "sum-associativity", (0, 2, 1))
+
+    @pytest.mark.parametrize("atoms", [2, 3])
+    def test_every_reported_witness_replays_after_random_edits(self, atoms):
+        # one to three edits of the sum table, orthogonality or complement per trial
+        base = boolean_orthospace(atoms)
+        n = base.n_events
+        rng = np.random.default_rng(atoms)
+        for _ in range(150):
+            st, ortho, comp = base.sum_table.copy(), base.ortho.copy(), base.complement.copy()
+            for _ in range(int(rng.integers(1, 4))):
+                e, f = (int(v) for v in rng.integers(n, size=2))
+                kind = int(rng.integers(3))
+                if kind == 0:
+                    st[e, f] = int(rng.integers(-1, n))
+                elif kind == 1:
+                    ortho[e, f] = not ortho[e, f]
+                else:
+                    comp[e] = f
+            mutant = OrthoSpace(n, base.zero, base.unit, ortho, st, comp)
+            for tag, verdict in verify_orthospace(mutant).axioms.items():
+                for w in verdict.witnesses:
+                    assert replay_axiom_witness(mutant, tag, w), (tag, w)
+
     def test_clean_space_has_no_witnesses(self, bool3):
         report = verify_orthospace(bool3)
         for verdict in report.axioms.values():

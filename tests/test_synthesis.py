@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ucpspace import instances, jordan, linsolve, lueders, orthospace, statespace
+from ucpspace import instances, jordan, linsolve, lueders, orthospace, statespace, synthesis
 from ucpspace.errors import SynthesisError
 from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
@@ -620,6 +620,32 @@ class TestExtremePoints:
         for v in check_extreme_points(synth):
             assert v.extreme, v
 
+    @pytest.mark.parametrize(
+        "weights",
+        [[(F(3, 4), F(1, 4)), (F(1, 4), F(3, 4))], [(F(1), F(0)), (F(1, 2), F(1, 2))],
+         [(F(2, 3), F(1, 3)), (F(1, 3), F(2, 3)), (F(1, 2), F(1, 2))]],
+        ids=["mixed", "vertex-and-mixture", "mixed-dependent"],
+    )
+    def test_atoms_of_mixed_generators_are_not_extreme(self, bool2, weights):
+        # only 0 and the unit are extreme; each atom image moves both ways along
+        # a direction that keeps every binding generator at equality
+        synth = abstract_synthetic_space(bool2, [instances.boolean_state(w) for w in weights])
+        verdicts = check_extreme_points(synth)
+        assert [v.extreme for v in verdicts] == [True, False, False, True]
+        for v in verdicts[1:3]:
+            x, d = synth.pi(v.event), v.direction
+            assert any(d != 0)
+            assert all(d[l] == 0 for l in range(synth.n_states) if x[l] in (0, 1))
+            synth.event_coords(d)  # an element of the model
+            eps = min(min(x[l], 1 - x[l]) / abs(d[l]) for l in range(synth.n_states) if d[l] != 0)
+            assert eps > 0
+            for y in (x + eps * d, x - eps * d):
+                assert all(0 <= val <= 1 for val in y)
+
+    def test_float_lane_raises(self, qubit_synth):
+        with pytest.raises(SynthesisError, match="exact lane"):
+            check_extreme_points(qubit_synth)
+
     def test_matrix_events_extreme(self, qubit):
         for v in check_matrix_extremes(qubit):
             assert v.extreme
@@ -672,6 +698,10 @@ class TestHull:
         assert all(v.extreme for v in rep.extremes)
         assert "limit" in rep.note
 
+    def test_density_report_float_without_instance_raises(self, qubit_synth, rng):
+        with pytest.raises(SynthesisError, match="exact lane or a matrix instance"):
+            check_hull_density(qubit_synth, samples=10, rng=rng)
+
 
 class TestBlockedSynthesis:
     def test_mo2_expansion_blocked(self, mo2):
@@ -683,6 +713,90 @@ class TestBlockedSynthesis:
         assert err.value.verdict.verdict == statespace.MULTIPLE
         assert err.value.event is not None
         assert err.value.generator is not None
+
+
+@functools.cache
+def generated_session(name):
+    """(synth, polytope) of a named generator set.
+
+    "<space>": the vertices of the full state polytope.  "<space>-dependent":
+    the vertices plus mixtures of them, over the polytope they generate.
+    "bool3-pair": the mixture (g_0 + g_1)/2 and g_2 of B3 over the FULL
+    polytope, so a conditional leaves the generator span.
+    """
+    space = {"bool3": orthospace.boolean_orthospace(3), "bool4": orthospace.boolean_orthospace(4),
+             "mo3": instances.mo_orthospace(3)}[name.partition("-")[0]]
+    poly = build_state_polytope(space)
+    gens = list(poly.generators)
+    if name.endswith("-dependent"):
+        gens += [statespace.mix_states(gens[0], gens[1], F(1, 3)), statespace.mix_states(gens[1], gens[2], F(1, 2))]
+        poly = statespace.generated_polytope(space, gens)
+    elif name == "bool3-pair":
+        gens = [statespace.mix_states(gens[0], gens[1], F(1, 2)), gens[2]]
+    return abstract_synthetic_space(space, gens), poly
+
+
+def oracle_outcome(oracle, synth):
+    """The oracle's expansions on build_product_model's requests, or the message and blocking pair it raises."""
+    massive = synth.pairing != 0
+    requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in synth.space.events() if massive[:, e].any()]
+    try:
+        expansions = oracle(requests)
+    except SynthesisError as exc:
+        return str(exc), getattr(exc, "generator", None), getattr(exc, "event", None)
+    for row in expansions:
+        for c in row:
+            assert all(type(v) is F for v in c)
+    return [[list(c) for c in row] for row in expansions]
+
+
+GENERATED_NAMES = ["bool3", "bool4", "mo3", "bool3-dependent", "bool4-dependent", "mo3-dependent", "bool3-pair"]
+
+
+class TestGeneratorExpansion:
+    """generator_coords, the oracle and _span_representation against one solve_affine per expansion."""
+
+    @pytest.mark.parametrize("name", GENERATED_NAMES)
+    def test_oracle_matches_per_pair_solve(self, name):
+        synth, poly = generated_session(name)
+        got = oracle_outcome(polytope_expansion_oracle(synth, poly), synth)
+        assert got == oracle_outcome(reference.expansion_oracle(synth, poly), synth)
+        blocked = {"mo3": "is MULTIPLE", "mo3-dependent": "is MULTIPLE", "bool3-pair": "outside the generator span"}
+        assert (name in blocked) == isinstance(got, tuple)
+        if name in blocked:
+            assert blocked[name] in got[0]
+
+    @pytest.mark.parametrize("name", GENERATED_NAMES)
+    def test_span_representation_matches_per_generator_solve(self, name):
+        synth, _ = generated_session(name)
+        ids, b_mat = synthesis._span_representation(synth)
+        want_ids, want = reference.span_representation(synth)
+        assert ids == want_ids
+        assert b_mat.shape == want.shape and all(type(v) is F for v in b_mat.flat)
+        assert np.array_equal(b_mat, want)
+
+    @pytest.mark.parametrize("name", GENERATED_NAMES)
+    def test_stack_rows_match_per_row_solve(self, name, rng):
+        synth, _ = generated_session(name)
+        pn, dp = synth.scaled_pairing
+        k = np.array(rng.integers(-4, 5, size=(6, synth.n_states)), dtype=object)
+        cn, d = synth.generator_coords((k @ pn, 5 * dp))
+        assert cn.shape == (6, synth.n_states)
+        for x, c in zip(k @ synth.pairing / 5, cn):
+            assert [F(v, d) for v in c] == reference.generator_expansion(synth, x)
+
+    @pytest.mark.parametrize("name", ["bool3", "bool3-dependent", "mo3-dependent"])
+    def test_outside_the_span_raises(self, name):
+        synth, _ = generated_session(name)
+        pn, dp = synth.scaled_pairing
+        # one event indicator off the row span: more events than independent generators
+        off = next(np.eye(synth.space.n_events, dtype=int)[j].astype(object) for j in synth.space.events()
+                   if reference.generator_expansion(synth, [F(int(j == i)) for i in synth.space.events()]) is None)
+        with pytest.raises(SynthesisError, match="outside the generator span"):
+            synth.generator_coords((off, 1))
+        # one row outside fails the whole stack
+        with pytest.raises(SynthesisError, match="outside the generator span"):
+            synth.generator_coords((np.stack([pn[0], off * dp, pn[-1]]), dp))
 
 
 def reference_lueders_expansions(instance, e_id):
