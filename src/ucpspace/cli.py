@@ -249,35 +249,68 @@ def _witnesses_hold(slc, rec):
     )
 
 
+def _event_index(space, value, what):
+    """`value` as an event of the space: an int in 0..n_events-1, else a ParseError."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < space.n_events:
+        raise ParseError(f"{what} must be in 0..{space.n_events - 1}, got {value!r}")
+    return value
+
+
+def _report_records(prev, space):
+    """A --replay report's (tag, witness) pairs and (state, event, verdict, record) tuples.
+
+    A report of any other shape is a ParseError, so exit 1 stays for witnesses that
+    do not reproduce.
+    """
+    try:
+        axioms = [(tag, tuple(w)) for tag, data in (prev.get("axioms") or {}).items() for w in data.get("witnesses", [])]
+        records = [(statespace.State(tuple(fileio._parse_value(v, 0) for v in rec["state"])), rec["event"],
+                    rec["verdict"], rec) for rec in prev.get("uniqueness") or []]
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from None
+    for tag, _ in axioms:
+        if tag not in orthospace.AXIOMS:
+            raise ParseError(f"unknown axiom tag {tag!r} in the report")
+    for mu, e, *_ in records:
+        _event_index(space, e, "uniqueness record event")
+        if len(mu) != space.n_events:
+            raise ParseError(f"uniqueness record state has {len(mu)} values for {space.n_events} events")
+    return axioms, records
+
+
 def cmd_replay(args):
     report = {"command": "replay", "input": args.replay}
     lines = []
-    prev = json.loads(_read(args.replay))
-    space = fileio.parse_orthospace(_read(args.input)) if args.input else None
-    if space is None and "input" in prev:
-        space = fileio.parse_orthospace(_read(prev["input"]))
-    if space is None:
+    try:
+        prev = json.loads(_read(args.replay))
+        path = args.input or prev.get("input")
+    except (json.JSONDecodeError, AttributeError) as exc:
+        raise ParseError(f"report {args.replay} is not a JSON object: {exc}") from None
+    if path is None:
         raise ParseError("replay needs --input or an input path inside the report")
+    space = fileio.parse_orthospace(_read(path))
+    axioms, records = _report_records(prev, space)
     total = reproduced = 0
-    for tag, data in (prev.get("axioms") or {}).items():
-        for w in data.get("witnesses", []):
-            total += 1
-            hit = orthospace.replay_axiom_witness(space, tag, tuple(w))
-            reproduced += bool(hit)
-            lines.append(f"axiom {tag} witness {w}: {'reproduced' if hit else 'STALE'}")
+    for tag, w in axioms:
+        total += 1
+        try:
+            hit = orthospace.replay_axiom_witness(space, tag, w)
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"malformed {tag} witness {list(w)}: {exc}") from None
+        reproduced += bool(hit)
+        lines.append(f"axiom {tag} witness {list(w)}: {'reproduced' if hit else 'STALE'}")
     polytope = _load_polytope(space, args.states) if args.states not in (None, "full") else None
-    for rec in prev.get("uniqueness") or []:
+    for mu, e, want, rec in records:
         total += 1
         if polytope is None:
             polytope = statespace.build_state_polytope(space, with_vertices=False)
-        mu = statespace.State(tuple(fileio._parse_value(v, 0) for v in rec["state"]))
-        verdict = statespace.check_conditional_uniqueness(polytope, mu, rec["event"])
-        hit = verdict.verdict == rec["verdict"]
+        verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
+        hit = verdict.verdict == want
         if hit and verdict.verdict == statespace.MULTIPLE:
-            hit = _witnesses_hold(statespace.conditional_slice(polytope, mu, rec["event"]), rec)
+            hit = _witnesses_hold(statespace.conditional_slice(polytope, mu, e), rec)
         reproduced += bool(hit)
         lines.append(
-            f"uniqueness witness (state {rec.get('state_index')}, event {rec['event']}): "
+            f"uniqueness witness (state {rec.get('state_index')}, event {e}): "
             f"{'reproduced' if hit else 'STALE'}"
         )
     report["witnesses"] = total
@@ -305,8 +338,10 @@ def _condition_abstract(args, report, lines):
     ok, viol = statespace.is_state(space, mu)
     if not ok:
         raise ParseError(f"first state is invalid: {viol[0]}")
+    e = _event_index(space, args.event, "event index")
+    if args.observe is not None:
+        _event_index(space, args.observe, "observe index")
     polytope = statespace.build_state_polytope(space, with_vertices=False)
-    e = args.event
     verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
     report["slice_dim"] = verdict.slice_dim
     if verdict.verdict != statespace.UNIQUE:

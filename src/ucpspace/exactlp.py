@@ -7,16 +7,16 @@ dense tableau is the right tool.
 
 Interface:
 
-    solve_lp(c, a_eq, b_eq, bounds, maximize=False) -> LpResult
+    solve_lp(c, a_eq, b_eq, maximize=False) -> LpResult
 
-minimizes (or maximizes) c.x subject to A x = b and per-variable bounds
-(lo, None) for x >= lo, or (None, None) for a free x; a finite upper bound
-raises ValueError (write x <= hi as a row x + s = hi, s >= 0).  An infeasible
-problem carries a Farkas certificate y for the standardized system (y.A <= 0
-on every standard-form column while y.b > 0), replayable via `verify_farkas`.
+minimizes (or maximizes) c.x subject to A x = b and x >= 0, the one form it
+takes: write a free variable as x+ - x-, a lower bound x >= lo as lo + x', and
+an upper bound x <= hi as a row x + s = hi with a slack s >= 0.  An infeasible
+problem carries a Farkas certificate y (y.A <= 0 on every column while
+y.b > 0), replayable via `verify_farkas`.
 
 The start is the slack basis.  After rows with b < 0 are negated, a
-standard-form column that is a unit vector on a row starts basic on that row
+column that is a unit vector on a row starts basic on that row
 (the lowest such column wins), such as a slack of the caller's inequality
 rows.  Only the remaining rows get an artificial, and phase 1 minimizes their
 sum; with none, phase 1 is skipped.  A negated row's slack reads -1, so that
@@ -39,7 +39,7 @@ UNBOUNDED = "UNBOUNDED"
 
 @dataclass
 class Farkas:
-    """Infeasibility certificate: y.b > 0, y.A <= 0 for the standardized Ax=b, x>=0."""
+    """Infeasibility certificate: y.b > 0, y.A <= 0 for Ax=b, x>=0 (rows with b < 0 negated)."""
 
     a_rows: list
     b: list
@@ -70,47 +70,6 @@ def verify_farkas(cert):
 
 def _to_fraction(v):
     return v if isinstance(v, Fraction) else Fraction(v)
-
-
-class _Standardizer:
-    """Rewrites free and lower-bounded variables into standard form x >= 0, Ax = b."""
-
-    def __init__(self, n, bounds):
-        # per original variable: list of (std_index, sign, shift) contributions
-        self.mapping = []
-        std = 0
-        for lo, hi in [(None, None)] * n if bounds is None else bounds:
-            if hi is not None:
-                raise ValueError("finite upper bound: write x <= hi as a row x + s = hi with a slack s >= 0")
-            if lo is None:
-                self.mapping.append([(std, 1, Fraction(0)), (std + 1, -1, Fraction(0))])
-                std += 2
-            else:
-                self.mapping.append([(std, 1, _to_fraction(lo))])
-                std += 1
-        self.n_std = std
-
-    def row(self, coeffs, rhs):
-        """Map an equality row over original variables into standard form."""
-        out = [Fraction(0)] * self.n_std
-        r = _to_fraction(rhs)
-        for j, cj in enumerate(coeffs):
-            cj = _to_fraction(cj)
-            if cj == 0:
-                continue
-            for std_j, sign, shift in self.mapping[j]:
-                out[std_j] += cj * sign
-            r -= cj * self.mapping[j][0][2]
-        return out, r
-
-    def recover(self, x_std):
-        out = []
-        for contribs in self.mapping:
-            v = Fraction(0)
-            for std_j, sign, shift in contribs:
-                v += sign * x_std[std_j]
-            out.append(v + contribs[0][2])
-        return out
 
 
 def _pivot(tab, basis, r, c):
@@ -147,29 +106,13 @@ def _simplex(tab, basis, ncols):
         _pivot(tab, basis, leave, enter)
 
 
-def solve_lp(c, a_eq, b_eq, bounds=None, maximize=False):
-    """Exact LP over Fractions. See module docstring."""
-    n = len(c)
-    std = _Standardizer(n, bounds)
-    rows = []
-    for coeffs, rhs in zip(a_eq, b_eq):
-        rows.append(std.row(coeffs, rhs))
-
-    # objective over standard variables
-    c_std = [Fraction(0)] * std.n_std
-    const = Fraction(0)
-    sign = Fraction(-1) if maximize else Fraction(1)
-    for j, cj in enumerate(c):
-        cj = sign * _to_fraction(cj)
-        if cj == 0:
-            continue
-        for std_j, s, shift in std.mapping[j]:
-            c_std[std_j] += cj * s
-        const += cj * std.mapping[j][0][2]
-
-    m = len(rows)
-    a = [list(r[0]) for r in rows]
-    b = [r[1] for r in rows]
+def solve_lp(c, a_eq, b_eq, maximize=False):
+    """Exact LP over Fractions: min (or max) c.x with A x = b, x >= 0. See module docstring."""
+    sign = -1 if maximize else 1
+    cost = [sign * _to_fraction(cj) for cj in c]
+    ncols, m = len(c), len(a_eq)
+    a = [[_to_fraction(v) for v in coeffs] for coeffs in a_eq]
+    b = [_to_fraction(rhs) for rhs in b_eq]
     for i in range(m):
         if b[i] < 0:
             a[i] = [-v for v in a[i]]
@@ -177,7 +120,6 @@ def solve_lp(c, a_eq, b_eq, bounds=None, maximize=False):
 
     # starting basis: a unit column on a row (lowest index first) starts basic
     # there; every other row gets an artificial, which phase 1 drives to zero
-    ncols = std.n_std
     start = [None] * m
     for j in range(ncols):
         hits = [i for i in range(m) if a[i][j] != 0]
@@ -221,7 +163,7 @@ def solve_lp(c, a_eq, b_eq, bounds=None, maximize=False):
     basis = [basis[i] for i in keep]
 
     # phase 2
-    obj = list(c_std) + [Fraction(0)]
+    obj = cost + [Fraction(0)]
     tab.append(obj)
     for i, bi in enumerate(basis):
         f = tab[-1][bi]
@@ -230,11 +172,7 @@ def solve_lp(c, a_eq, b_eq, bounds=None, maximize=False):
     status = _simplex(tab, basis, ncols)
     if status == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
-    x_std = [Fraction(0)] * ncols
+    x = [Fraction(0)] * ncols
     for i, bi in enumerate(basis):
-        x_std[bi] = tab[i][-1]
-    x = std.recover(x_std)
-    objective = -tab[-1][-1] + const
-    if maximize:
-        objective = -objective
-    return LpResult(OPTIMAL, x, objective)
+        x[bi] = tab[i][-1]
+    return LpResult(OPTIMAL, x, -sign * tab[-1][-1])

@@ -217,9 +217,13 @@ def _box_rows(x0, basis):
 def optimize(param, cost, maximize=False):
     """Exact LP: minimize (or maximize) cost.x over {x = x0 + B t in [0, 1]^n}.
 
-    `param` is (x0, B), or None for an empty set.  The variables are t (free)
-    plus one slack per box row, slacks last; the LpResult carries x and the
-    objective in event coordinates, or the Farkas vector of an infeasible LP.
+    `param` is (x0, B), or None for an empty set.  The variables are t plus one
+    slack per box row, slacks last, all >= 0 as `solve_lp` takes them.  That
+    adds no constraint: each t_k is the event coordinate at the k-th free
+    column, where direction k is 1 and x0 and the other directions are 0 (the
+    form `pin` keeps), so the box row -x_f <= 0 already bounds t_k below.  The
+    LpResult carries x and the objective in event coordinates, or the Farkas
+    vector of an infeasible LP.
     """
     ineq = None if param is None else _box_rows(*param)
     if ineq is None:
@@ -229,7 +233,7 @@ def optimize(param, cost, maximize=False):
     d, m = len(basis), len(ineq)
     a_eq = [list(coeffs) + [Fraction(int(j == r)) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
     c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [Fraction(0)] * m
-    res = solve_lp(c_t, a_eq, [beta for _, beta in ineq], [(None, None)] * d + [(0, None)] * m, maximize=maximize)
+    res = solve_lp(c_t, a_eq, [beta for _, beta in ineq], maximize=maximize)
     if res.status != OPTIMAL:
         return LpResult(res.status, None, None, res.farkas)
     offset = sum(c * v for c, v in zip(cost, x0) if c)
@@ -601,9 +605,8 @@ def _uc_generated(slc):
     for f, t in zip(slc.constraint_events, slc.targets):
         a_eq.append([_frac(gen[f]) for gen in gens])
         b_eq.append(t)
-    bounds = [(0, None)] * g
 
-    feas = solve_lp([Fraction(0)] * g, a_eq, b_eq, bounds)
+    feas = solve_lp([Fraction(0)] * g, a_eq, b_eq)
     if feas.status == INFEASIBLE:
         return ConditionalVerdict(EMPTY, certificate=feas.farkas, slice_dim=None)
 
@@ -612,8 +615,8 @@ def _uc_generated(slc):
 
     for ev in range(n):
         c = [_frac(gen[ev]) for gen in gens]
-        lo = solve_lp(c, a_eq, b_eq, bounds)
-        hi = solve_lp(c, a_eq, b_eq, bounds, maximize=True)
+        lo = solve_lp(c, a_eq, b_eq)
+        hi = solve_lp(c, a_eq, b_eq, maximize=True)
         if lo.objective != hi.objective:
             nu1, nu2 = to_state(lo.x), to_state(hi.x)
             return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, ev), slice_dim=None)

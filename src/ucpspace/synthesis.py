@@ -807,7 +807,7 @@ def hull_membership(synth, x):
     a_eq = [[pairing[l, e] for e in range(n_events)] for l in range(n_states)]
     a_eq.append([Fraction(1)] * n_events)
     b_eq = [Fraction(v) for v in x] + [Fraction(1)]
-    res = solve_lp([Fraction(0)] * n_events, a_eq, b_eq, [(0, None)] * n_events)
+    res = solve_lp([Fraction(0)] * n_events, a_eq, b_eq)
     return res.status == OPTIMAL
 
 

@@ -302,6 +302,23 @@ class TestReplay:
 
         self.replay_tampered(files, tmp_path, tamper)
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda report: "{not json",
+        lambda report: json.dumps(report | {"uniqueness": [{k: v for k, v in report["uniqueness"][0].items() if k != "event"}]}),
+        lambda report: json.dumps(report | {"uniqueness": [report["uniqueness"][0] | {"event": 99}]}),
+        lambda report: json.dumps(report | {"axioms": {"no-such-axiom": {"passed": False, "witnesses": [[1, 2]]}}}),
+        lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[1, 99]]}}}),
+    ], ids=["not-json", "record-without-event", "event-out-of-range", "unknown-axiom-tag", "witness-out-of-range"])
+    def test_malformed_report_is_bad_input(self, files, tmp_path, corrupt):
+        # exit 1 is for witnesses that do not reproduce; a report that cannot be read is exit 2
+        report, _ = self.run_structured(files)
+        path = tmp_path / "malformed.json"
+        path.write_text(corrupt(report))
+        code, out, err = invoke(["verify", "--replay", str(path), "--input", files["mo2"]])
+        assert code == 2
+        assert out == ""
+        assert "input error" in err
+
     def test_replay_enumerates_no_vertices(self, files, tmp_path, monkeypatch):
         _, text = self.run_structured(files)
         path = tmp_path / "report.json"
@@ -402,6 +419,19 @@ class TestCondition:
         code, _, err = invoke(["condition", "--input", files["qubit_cond"], "9"])
         assert code == 2
         assert "event block index" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["-1"], "event index must be in 0..7, got -1"),
+        (["99"], "event index must be in 0..7, got 99"),
+        (["3", "-2"], "observe index must be in 0..7, got -2"),
+        (["3", "8"], "observe index must be in 0..7, got 8"),
+    ], ids=["event-negative", "event-past-last", "observe-negative", "observe-past-last"])
+    def test_abstract_index_out_of_range(self, files, argv, message):
+        # an index outside the events is bad input, never wrapped around or left to crash
+        code, out, err = invoke(["condition", "--input", files["bool3"], "--states", files["mu3"], *argv])
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_event_argument_required(self, files):
         code, _, err = invoke(

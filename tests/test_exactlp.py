@@ -17,9 +17,7 @@ UNIT_BOX = [[F(1), F(0), F(1), F(0)], [F(0), F(1), F(0), F(1)]]
 
 def test_simple_optimum():
     # min x + 2y on the segment x + y = 1, 0 <= x, y <= 1
-    res = exactlp.solve_lp(
-        [F(1), F(2), F(0), F(0)], [[F(1), F(1), F(0), F(0)]] + UNIT_BOX, [F(1), F(1), F(1)], bounds=[(0, None)] * 4
-    )
+    res = exactlp.solve_lp([F(1), F(2), F(0), F(0)], [[F(1), F(1), F(0), F(0)]] + UNIT_BOX, [F(1), F(1), F(1)])
     assert res.status == exactlp.OPTIMAL
     assert res.objective == 1
     assert res.x[:2] == [F(1), F(0)]
@@ -30,7 +28,6 @@ def test_maximize():
         [F(1), F(2), F(0), F(0)],
         [[F(1), F(1), F(0), F(0)]] + UNIT_BOX,
         [F(1), F(1), F(1)],
-        bounds=[(0, None)] * 4,
         maximize=True,
     )
     assert res.status == exactlp.OPTIMAL
@@ -44,7 +41,6 @@ def test_infeasible_with_farkas():
         [F(0)] * 4,
         [[F(1), F(1), F(0), F(0)]] + UNIT_BOX,
         [F(2), F(1, 2), F(1, 2)],
-        bounds=[(0, None)] * 4,
     )
     assert res.status == exactlp.INFEASIBLE
     assert res.farkas is not None
@@ -56,29 +52,9 @@ def test_infeasible_with_farkas():
 
 
 def test_unbounded():
-    # min -x with x free in [0, inf), no constraints binding it
-    res = exactlp.solve_lp([F(-1), F(0)], [[F(0), F(1)]], [F(0)], bounds=[(0, None), (0, None)])
+    # min -x over x >= 0, no constraint binding it
+    res = exactlp.solve_lp([F(-1), F(0)], [[F(0), F(1)]], [F(0)])
     assert res.status == exactlp.UNBOUNDED
-
-
-def test_free_variable_split():
-    # min x subject to x + y = -3, y in [0, 1] (y + s = 1), x free -> x = -4 at y = 1
-    res = exactlp.solve_lp(
-        [F(1), F(0), F(0)],
-        [[F(1), F(1), F(0)], [F(0), F(1), F(1)]],
-        [F(-3), F(1)],
-        bounds=[(None, None), (0, None), (0, None)],
-    )
-    assert res.status == exactlp.OPTIMAL
-    assert res.objective == -4
-    assert res.x == [F(-4), F(1), F(0)]
-
-
-def test_upper_bound_only():
-    # a finite upper bound raises, alone or with a lower bound; x <= hi is a row x + s = hi
-    for bound in ((None, 2), (0, 1)):
-        with pytest.raises(ValueError, match="finite upper bound"):
-            exactlp.solve_lp([F(-1)], [], [], bounds=[bound])
 
 
 def test_beale_cycling_example_terminates():
@@ -90,7 +66,7 @@ def test_beale_cycling_example_terminates():
         [F(0), F(0), F(1), F(0), F(0), F(0), F(1)],
     ]
     b = [F(0), F(0), F(1)]
-    res = exactlp.solve_lp(c, a, b, bounds=[(0, None)] * 7)
+    res = exactlp.solve_lp(c, a, b)
     assert res.status == exactlp.OPTIMAL
     assert res.objective == F(-1, 20)
 
@@ -105,7 +81,7 @@ def test_degenerate_vertex():
         [F(1), F(1), F(0)] + [F(0)] * 3,
     ] + [[F(int(j == i)) for j in range(3)] * 2 for i in range(3)]
     b = [F(0), F(0), F(0)] + [F(1)] * 3
-    res = exactlp.solve_lp(c, a, b, bounds=[(0, None)] * 6)
+    res = exactlp.solve_lp(c, a, b)
     assert res.status == exactlp.OPTIMAL
     assert res.objective == 0
 
@@ -116,7 +92,6 @@ def test_objective_exactness():
         [F(1, 3), F(1, 7)],
         [[F(1), F(1)]],
         [F(1)],
-        bounds=[(0, None), (0, None)],
     )
     assert res.status == exactlp.OPTIMAL
     assert res.objective == F(1, 7)
@@ -132,24 +107,16 @@ def _slack_start_rows(a_rows):
     ]
 
 
-def _all_artificial_lp(c, a_eq, b_eq, bounds, maximize):
+def _all_artificial_lp(c, a_eq, b_eq, maximize):
     """Reference: the textbook two-phase simplex with one artificial on every row.
 
-    Returns (status, objective); standardization, pivots and Bland's rule are shared
-    with `solve_lp`, only the starting basis differs.
+    Returns (status, objective); pivots and Bland's rule are shared with `solve_lp`,
+    only the starting basis differs.
     """
-    std = exactlp._Standardizer(len(c), bounds)
-    rows = [std.row(coeffs, rhs) for coeffs, rhs in zip(a_eq, b_eq)]
     sign = -1 if maximize else 1
-    c_std = [F(0)] * std.n_std
-    const = F(0)
-    for j, cj in enumerate(c):
-        for std_j, s, _ in std.mapping[j]:
-            c_std[std_j] += sign * cj * s
-        const += sign * cj * std.mapping[j][0][2]
-    ncols, m = std.n_std, len(rows)
+    ncols, m = len(c), len(a_eq)
     tab = []
-    for i, (row, rhs) in enumerate(rows):
+    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
         flip = -1 if rhs < 0 else 1
         tab.append([flip * v for v in row] + [F(int(k == i)) for k in range(m)] + [flip * rhs])
     tab.append([-sum(col) for col in zip(*tab)])
@@ -166,50 +133,60 @@ def _all_artificial_lp(c, a_eq, b_eq, bounds, maximize):
     keep = [i for i in range(m) if basis[i] < ncols]
     tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    obj = c_std + [F(0)]
+    obj = [sign * cj for cj in c] + [F(0)]
     for i, bi in enumerate(basis):
         f = obj[bi]
         obj = [o - f * v for o, v in zip(obj, tab[i])]
     tab.append(obj)
     if exactlp._simplex(tab, basis, ncols) == exactlp.UNBOUNDED:
         return exactlp.UNBOUNDED, None
-    return exactlp.OPTIMAL, sign * (-tab[-1][-1] + const)
+    return exactlp.OPTIMAL, -sign * tab[-1][-1]
 
 
 _BOUND_KINDS = ("free", "lower", "upper", "box")
 
 
 def _random_lp(rng):
-    """A small LP over a mix of bound kinds; some rows carry a slack column of their own.
+    """A small LP over x >= 0, drawn over variables of mixed bound kinds; some rows carry a slack of their own.
 
-    An upper bound x <= hi is the row x + s = hi with a slack s >= 0 of its own,
-    after the m random rows; "upper" leaves x free below, "box" bounds it by lo.
+    Each drawn variable v gets columns of its own: a free v is x+ - x-, and v >= lo is
+    lo + x' with lo moved to the right-hand sides (the objective's constant is dropped).
+    An upper bound v <= hi is the row v + s = hi with a slack s >= 0 of its own, after
+    the m random rows; "upper" leaves v free below, "box" bounds it by lo.
     Returns the LP, the maximize flag, the random rows given a slack, and m."""
     n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-    bounds, uppers = [], []
+    signs, shifts, uppers = [], [], []
     for j in range(n):
         lo, width = int(rng.integers(-2, 2)), int(rng.integers(0, 3))
         kind = _BOUND_KINDS[int(rng.integers(4))]
-        bounds.append({"free": (None, None), "lower": (lo, None), "upper": (None, None), "box": (lo, None)}[kind])
+        free = kind in ("free", "upper")
+        signs.append((1, -1) if free else (1,))
+        shifts.append(0 if free else lo)
         if kind in ("upper", "box"):
             uppers.append((j, lo + width if kind == "box" else lo))
-    a_eq = [[F(int(v)) for v in rng.integers(-2, 3, size=n)] for _ in range(m)]
-    b_eq = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) for _ in range(m)]
+
+    def columns(coeffs):
+        """A row over the drawn variables as (its entries over their columns, its value at the shifts)."""
+        return [F(int(cj) * s) for cj, ss in zip(coeffs, signs) for s in ss], sum(int(cj) * lo for cj, lo in zip(coeffs, shifts))
+
+    drawn = [columns(rng.integers(-2, 3, size=n)) for _ in range(m)]
+    a_eq = [row for row, _ in drawn]
+    b_eq = [F(int(rng.integers(-3, 4)), int(rng.integers(1, 3))) - shift for _, shift in drawn]
     # a slack on row i: a fresh variable >= 0 with coefficient 1 on that row only
     slacked = [i for i in range(m) if rng.integers(2)]
     for i in slacked:
         for r, row in enumerate(a_eq):
             row.append(F(int(r == i)))
-        bounds.append((0, None))
-    c = [F(int(v)) for v in rng.integers(-2, 3, size=len(bounds))]
+    c_drawn = rng.integers(-2, 3, size=n + len(slacked))
+    c = columns(c_drawn[:n])[0] + [F(int(v)) for v in c_drawn[n:]]
     for j, hi in uppers:
         for row in a_eq:
             row.append(F(0))
-        a_eq.append([F(int(k == j)) for k in range(len(bounds))] + [F(1)])
-        b_eq.append(F(hi))
-        bounds.append((0, None))
+        row, shift = columns([int(k == j) for k in range(n)])
+        a_eq.append(row + [F(0)] * (len(c) - len(row)) + [F(1)])
+        b_eq.append(F(hi - shift))
         c.append(F(0))
-    return c, a_eq, b_eq, bounds, bool(rng.integers(2)), slacked, m
+    return c, a_eq, b_eq, bool(rng.integers(2)), slacked, m
 
 
 def test_slack_start_matches_all_artificial_reference():
@@ -217,24 +194,23 @@ def test_slack_start_matches_all_artificial_reference():
     seen = {exactlp.OPTIMAL: 0, exactlp.INFEASIBLE: 0, exactlp.UNBOUNDED: 0}
     slack_start = flipped = mixed = slack_y = 0
     for _ in range(400):
-        c, a_eq, b_eq, bounds, maximize, slacked, m = _random_lp(rng)
-        res = exactlp.solve_lp(c, a_eq, b_eq, bounds, maximize=maximize)
-        assert (res.status, res.objective) == _all_artificial_lp(c, a_eq, b_eq, bounds, maximize), (c, a_eq, b_eq, bounds)
+        c, a_eq, b_eq, maximize, slacked, m = _random_lp(rng)
+        res = exactlp.solve_lp(c, a_eq, b_eq, maximize=maximize)
+        assert (res.status, res.objective) == _all_artificial_lp(c, a_eq, b_eq, maximize), (c, a_eq, b_eq)
         seen[res.status] += 1
         # a slack row with rhs < 0 is flipped, so its slack reads -1 and it keeps an artificial
         starts = [i for i in slacked if b_eq[i] >= 0]
         slack_start += bool(starts)
         flipped += len(starts) < len(slacked)
         mixed += 0 < len(starts) < m
-        n_std = exactlp._Standardizer(len(c), bounds).n_std
         if res.status == exactlp.INFEASIBLE:
             assert exactlp.verify_farkas(res.farkas)
-            assert len(res.farkas.a_rows[0]) == n_std
+            assert len(res.farkas.a_rows[0]) == len(c)
             slack_y += any(res.farkas.y[i] != 0 for i in _slack_start_rows(res.farkas.a_rows))
         elif res.status == exactlp.OPTIMAL:
             assert sum(ci * xi for ci, xi in zip(c, res.x)) == res.objective
             assert all(sum(a * x for a, x in zip(row, res.x)) == b for row, b in zip(a_eq, b_eq))
-            assert all(lo is None or lo <= x for (lo, _), x in zip(bounds, res.x))
+            assert all(x >= 0 for x in res.x)
     assert min(seen.values()) >= 20, seen
     assert min(slack_start, flipped, mixed, slack_y) >= 20, (slack_start, flipped, mixed, slack_y)
 
@@ -243,7 +219,7 @@ def test_unverifiable_certificate_is_an_error(monkeypatch):
     monkeypatch.setattr(exactlp, "verify_farkas", lambda cert: False)
     with pytest.raises(UcpError, match="does not verify"):
         # x = 2 with x + s = 1, x, s >= 0
-        exactlp.solve_lp([F(0), F(0)], [[F(1), F(0)], [F(1), F(1)]], [F(2), F(1)], bounds=[(0, None)] * 2)
+        exactlp.solve_lp([F(0), F(0)], [[F(1), F(0)], [F(1), F(1)]], [F(2), F(1)])
 
 
 def test_feasible_slack_start_skips_phase_one(monkeypatch):

@@ -38,7 +38,7 @@ def reference_lp(space, cost, pins=()):
     """
     n = space.n_events
     a_eq, b_eq = reference_system(space, pins)
-    return solve_lp(list(cost) + [F(0)] * n, a_eq, b_eq, bounds=[(0, None)] * (2 * n))
+    return solve_lp(list(cost) + [F(0)] * n, a_eq, b_eq)
 
 
 SPACES = {

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,45 @@ class TestVertexEnumeration:
         monkeypatch.setattr(statespace, "_VERTEX_CAP", 3)
         with pytest.raises(CapacityError):
             statespace._enumerate_vertices(param)
+
+
+FORM_SPACES = {
+    **{f"bool{k}": functools.partial(orthospace.boolean_orthospace, k) for k in range(2, 6)},
+    **{f"mo{k}": functools.partial(instances.mo_orthospace, k) for k in range(2, 6)},
+    "coefficient-two": lambda: coefficient_two_space(),
+}
+
+
+def _assert_unit_free_columns(x0, basis):
+    """Each direction is 1 at its last nonzero event, which is 0 in x0 and in every other direction."""
+    for k, bvec in enumerate(basis):
+        f = max(i for i, v in enumerate(bvec) if v)
+        assert bvec[f] == 1
+        assert x0[f] == 0
+        assert all(other[f] == 0 for j, other in enumerate(basis) if j != k)
+
+
+class TestParametrizationForm:
+    """t_k is the event coordinate at direction k's free event, so optimize may take t >= 0 as its LP form,
+    and _uc_full's cost on that event bounds t_k."""
+
+    @pytest.mark.parametrize("name", list(FORM_SPACES))
+    def test_directions_are_unit_on_their_free_events(self, name):
+        poly = build_state_polytope(FORM_SPACES[name]())
+        space, gens = poly.space, poly.generators
+        _assert_unit_free_columns(*poly._parametrization)
+        rng = random.Random(name)
+        for _ in range(25):
+            # targets read off an affine combination of the vertices meet the state equations,
+            # so the pins are consistent, though they may leave [0, 1]
+            weights = [rng.randint(-2, 6) for _ in gens]
+            weights[rng.randrange(len(gens))] += 1 - sum(weights)
+            family = rng.sample(range(space.n_events), rng.randint(1, 4))
+            targets = [sum(w * g[f] for w, g in zip(weights, gens)) for f in family]
+            sub = poly.pin(family, targets)
+            assert sub is not None, (family, targets)
+            _assert_unit_free_columns(*sub)
+
 
 class TestSeparation:
     def test_boolean2_full(self, bool2_poly):
