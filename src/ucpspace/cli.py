@@ -268,9 +268,14 @@ def _report_records(prev, space):
                     rec["verdict"], rec) for rec in prev.get("uniqueness") or []]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from None
-    for tag, _ in axioms:
+    for tag, w in axioms:
         if tag not in orthospace.AXIOMS:
             raise ParseError(f"unknown axiom tag {tag!r} in the report")
+        length, events = orthospace.WITNESS_SHAPES[tag]
+        if len(w) != length:
+            raise ParseError(f"{tag} witness {list(w)} must have {length} entries")
+        for v in w[:events]:
+            _event_index(space, v, f"{tag} witness entry")
     for mu, e, *_ in records:
         _event_index(space, e, "uniqueness record event")
         if len(mu) != space.n_events:
@@ -293,10 +298,7 @@ def cmd_replay(args):
     total = reproduced = 0
     for tag, w in axioms:
         total += 1
-        try:
-            hit = orthospace.replay_axiom_witness(space, tag, w)
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"malformed {tag} witness {list(w)}: {exc}") from None
+        hit = orthospace.replay_axiom_witness(space, tag, w)
         reproduced += bool(hit)
         lines.append(f"axiom {tag} witness {list(w)}: {'reproduced' if hit else 'STALE'}")
     polytope = _load_polytope(space, args.states) if args.states not in (None, "full") else None

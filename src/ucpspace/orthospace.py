@@ -41,6 +41,17 @@ AXIOMS = (
     "difference-characterization",
 )
 
+# the length of each axiom's witness, and how many of its leading entries are events;
+# a unique-complement witness ends with its list of complement candidates
+WITNESS_SHAPES = {
+    "ortho-symmetry": (2, 2),
+    "partial-sum": (2, 2),
+    "sum-associativity": (3, 3),
+    "zero-event": (1, 1),
+    "unique-complement": (2, 1),
+    "difference-characterization": (2, 2),
+}
+
 
 @dataclass
 class OrthoSpace:

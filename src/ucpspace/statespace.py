@@ -480,10 +480,13 @@ def _empty_verdict(slc, sub, farkas, d):
 
     Multipliers up_i, down_i >= 0 on the box rows x_i <= 1 and -x_i <= 0: none
     for inconsistent pins (`sub` None), a 1 on a fixed coordinate outside
-    [0, 1], else the first LP's Farkas vector `farkas`.  u = up - down is
-    orthogonal to every direction of `sub`, so one exact solve over the slice
-    rows A x = b gives y with A^T y = u and b.y = u.x0 (b.y = 1 for inconsistent
-    pins).  Then y.b - sum(up) > 0, and (y, -up) certifies {A x = b, x + s = 1,
+    [0, 1], else the first LP's Farkas vector `farkas`.  That vector leaves
+    u = up - down with u.B_k >= 0 on each direction k of `sub`, the surplus
+    resting on the LP's t_k >= 0; since t_k is x at direction k's free event
+    f_k, where x0 is 0, adding u.B_k to down_{f_k} makes u orthogonal to every
+    direction and keeps u.x0.  So one exact solve over the slice rows A x = b
+    gives y with A^T y = u and b.y = u.x0 (b.y = 1 for inconsistent pins).
+    Then y.b - sum(up) > 0, and (y, -up) certifies {A x = b, x + s = 1,
     x, s >= 0} empty (Farkas' lemma; Schrijver 1986, 7.3).  A certificate that
     cannot be built or does not verify raises UcpError.
     """
@@ -504,6 +507,11 @@ def _empty_verdict(slc, sub, farkas, d):
             lam = [-yr * row[r - m] for r, (yr, row) in enumerate(zip(farkas.y, farkas.a_rows))]
             for k, i in enumerate(free):
                 up[i], down[i] = lam[2 * k], lam[2 * k + 1]
+            # the LP's t_k >= 0 may carry part of the proof, u.B_k >= 0; t_k is x at
+            # direction k's free event, where x0 is 0, so it moves to that event's down row
+            for bvec in basis:
+                f = max(i for i, v in enumerate(bvec) if v != 0)
+                down[f] += sum((a - b) * v for a, b, v in zip(up, down, bvec) if v)
         yb = sum((a - b) * v for a, b, v in zip(up, down, x0))
     a_t = [*zip(*(r for r, _ in rows)), [b for _, b in rows]]
     sol = linsolve.solve_affine(a_t, [a - b for a, b in zip(up, down)] + [yb])

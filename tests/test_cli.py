@@ -308,7 +308,10 @@ class TestReplay:
         lambda report: json.dumps(report | {"uniqueness": [report["uniqueness"][0] | {"event": 99}]}),
         lambda report: json.dumps(report | {"axioms": {"no-such-axiom": {"passed": False, "witnesses": [[1, 2]]}}}),
         lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[1, 99]]}}}),
-    ], ids=["not-json", "record-without-event", "event-out-of-range", "unknown-axiom-tag", "witness-out-of-range"])
+        lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[-1, 2]]}}}),
+        lambda report: json.dumps(report | {"axioms": {"sum-associativity": {"passed": False, "witnesses": [[1, 2]]}}}),
+    ], ids=["not-json", "record-without-event", "event-out-of-range", "unknown-axiom-tag", "witness-out-of-range",
+            "witness-negative", "witness-short"])
     def test_malformed_report_is_bad_input(self, files, tmp_path, corrupt):
         # exit 1 is for witnesses that do not reproduce; a report that cannot be read is exit 2
         report, _ = self.run_structured(files)

@@ -6,6 +6,7 @@ import pytest
 from ucpspace import instances, orthospace
 from ucpspace.errors import SizeError, StructuralError
 from ucpspace.orthospace import (
+    WITNESS_SHAPES,
     OrthoSpace,
     boolean_orthospace,
     horizontal_sum,
@@ -166,6 +167,9 @@ class TestWitnessReplay:
             for tag, verdict in verify_orthospace(mutant).axioms.items():
                 for w in verdict.witnesses:
                     assert replay_axiom_witness(mutant, tag, w), (tag, w)
+                    # the shape a --replay report is checked against
+                    length, events = WITNESS_SHAPES[tag]
+                    assert len(w) == length and all(0 <= v < n for v in w[:events]), (tag, w)
 
     def test_clean_space_has_no_witnesses(self, bool3):
         report = verify_orthospace(bool3)

@@ -441,6 +441,37 @@ class TestBoundPropagation:
         assert len(costs) == 1 and any(costs[0])
         assert len(calls) == 1
 
+    def test_certificate_resting_on_free_coordinate_sign(self, monkeypatch):
+        # the LP's t >= 0 is part of its system, so its Farkas vector may lean on it
+        # rather than on the box row -x_f <= 0 at the free event f.  Add to the first
+        # LP's certificate half its margin on the row x_f <= 1: still a valid Farkas
+        # vector of that LP, with y.A < 0 on t.  EMPTY must still carry a certificate
+        # in event coordinates.
+        space, mu, family = _b5_empty_case()
+        poly = build_state_polytope(space, with_vertices=False)
+        x0, (bvec,) = poly.pin(family, [mu[f] for f in family])
+        free = [i for i, v in enumerate(bvec) if v]
+        up_row = 2 * free.index(free[-1])  # the box rows come in (up, down) pairs
+        optimize = statespace.optimize
+        leaning = []
+
+        def leaning_optimize(param, cost, maximize=False):
+            res = optimize(param, cost, maximize)
+            cert = res.farkas
+            y = list(cert.y)
+            assert cert.a_rows[up_row][0] == 1 and cert.b[up_row] == 1
+            y[up_row] -= sum(yi * bi for yi, bi in zip(y, cert.b)) / 2
+            cert = exactlp.Farkas(a_rows=cert.a_rows, b=cert.b, y=y)
+            assert exactlp.verify_farkas(cert)
+            leaning.append(sum(yi * row[0] for yi, row in zip(y, cert.a_rows)))
+            return dataclasses.replace(res, farkas=cert)
+
+        monkeypatch.setattr(statespace, "optimize", leaning_optimize)
+        v = check_conditional_uniqueness(poly, mu, space.unit, family)
+        assert leaning[0] < 0
+        assert v.verdict == EMPTY and v.slice_dim == 1
+        assert exactlp.verify_farkas(v.certificate)
+
     def test_unique_without_vertices(self, bool4):
         poly = build_state_polytope(bool4, with_vertices=False)
         mu = instances.boolean_state([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
