@@ -280,6 +280,9 @@ def _report_records(prev, space):
         _event_index(space, e, "uniqueness record event")
         if len(mu) != space.n_events:
             raise ParseError(f"uniqueness record state has {len(mu)} values for {space.n_events} events")
+        if mu[e] == 0:
+            # `verify` writes no record for an event of zero mass: nothing to condition on
+            raise ParseError(f"uniqueness record event {e} has zero mass under its state")
     return axioms, records
 
 

@@ -318,9 +318,10 @@ def json_text(obj):
     """`json.dumps(obj, sort_keys=True, indent=2)`, with Fractions as p/q strings and numpy values as natives.
 
     Dict keys go through `str` before they are sorted; tuples and arrays are
-    written as lists.  A row of plain numbers is encoded in one call and the
-    indented separators are spliced in: no number's repr contains ", ".
-    Anything else raises json's TypeError.
+    written as lists.  A row of plain numbers, and a list of non-empty such
+    rows, is encoded in one call and the indented separators are spliced in:
+    no number's text contains ", " or "], [".  Anything else raises json's
+    TypeError.
     """
     out = []
     _write_json(obj, "\n", out)
@@ -350,6 +351,16 @@ def _write_json(obj, nl, out):
         inner = nl + "  "
         if _ROW_SCALARS.issuperset(map(type, obj)):
             out.append("[" + inner + _encode(obj)[1:-1].replace(", ", "," + inner) + nl + "]")
+            return
+        # a matrix of plain numbers; the first entry turns away the lists of records and of string rows cheaply
+        head = obj[0]
+        if type(head) in (list, tuple) and head and type(head[0]) in _ROW_SCALARS and all(
+            type(row) in (list, tuple) and row and _ROW_SCALARS.issuperset(map(type, row)) for row in obj
+        ):
+            # "[[a, b], [c, d]]": the separators between rows first, then those between entries
+            row = inner + "  "
+            body = _encode(obj)[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
+            out.append("[" + inner + "[" + row + body + inner + "]" + nl + "]")
             return
         sep = "[" + inner
         for v in obj:

@@ -51,7 +51,7 @@ class MatrixInstance:
     tag: str
     n: int
     system: orthospace.ProjectionEventSystem
-    densities: list
+    densities: lueders.DensityStack
 
     @property
     def space(self):
@@ -64,27 +64,37 @@ class MatrixInstance:
     def value_rows(self):
         """(n_states, n_events) array of tr(rho e)."""
         flat_e = np.stack([el.coords.reshape(-1) for el in self.elements])
-        flat_s = np.stack([d.element.coords.reshape(-1) for d in self.densities])
-        return flat_s @ flat_e.T
+        return self.densities.coords.reshape(len(self.densities), -1) @ flat_e.T
 
 
 def _spanning_densities(tag, n):
-    """Identity perturbed along traceless basis directions; spans with the mixed state."""
-    out = [lueders.maximally_mixed(tag, n)]
+    """Identity perturbed along traceless basis directions, as a (B, n, n, k) stack; spans with the mixed state.
+
+    The first entry is the maximally mixed state.  `instance_from_projections`
+    checks the stack as densities.
+    """
     ident = jordan.identity(tag, n)
+    out = [ident * (1.0 / n)]
     for b in jordan.hermitian_basis(tag, n):
         traceless = b - (jordan.trace(b) / n) * ident
         if jordan.max_abs(traceless) < 1e-12:
             continue
-        out.append(lueders.DensityState((ident + 0.4 * traceless) * (1.0 / n)))
-    return out
+        out.append((ident + 0.4 * traceless) * (1.0 / n))
+    return np.stack([el.coords for el in out])
 
 
 def instance_from_projections(tag, n, projections):
-    """Close a projection list into an event system; densities e / tr(e) plus a spanning family."""
+    """Close a projection list into an event system; densities e / tr(e) plus a spanning family.
+
+    All densities are checked once, as one DensityStack.
+    """
     system = orthospace.projection_orthospace(projections)
-    densities = [lueders.density_from(el) for el in system.elements if jordan.trace(el) > 0.5]
-    densities.extend(_spanning_densities(tag, n))
+    events = np.stack([el.coords for el in system.elements])
+    d = np.arange(n)
+    traces = events[:, d, d, 0].sum(axis=1)
+    massive = traces > 0.5
+    normalized = events[massive] * (1.0 / traces[massive])[:, None, None, None]
+    densities = lueders.DensityStack(tag, np.concatenate([normalized, _spanning_densities(tag, n)]))
     return MatrixInstance(tag=tag, n=n, system=system, densities=densities)
 
 

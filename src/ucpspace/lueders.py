@@ -15,6 +15,7 @@ and the two-sided conditioning symmetry says {e,f,e} + {e',f',e'} equals the
 same expression with e and f exchanged.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,13 @@ def _density_errors(tag, coords):
     return errors
 
 
+def _check_densities(tag, coords):
+    """Raise the error of the first density of a (B, n, n, k) stack that fails: one `_density_errors` call."""
+    first = next((error for error in _density_errors(tag, coords) if error is not None), None)
+    if first is not None:
+        raise first
+
+
 @dataclass(frozen=True)
 class DensityState:
     """Positive trace-one element pairing with the algebra via the trace form."""
@@ -63,10 +71,14 @@ class DensityState:
     element: jordan.JordanElement
 
     def __post_init__(self):
-        el = self.element
-        error = _density_errors(el.tag, el.coords[None])[0]
-        if error is not None:
-            raise error
+        _check_densities(self.element.tag, self.element.coords[None])
+
+    @classmethod
+    def _checked(cls, element):
+        """The DensityState of an element already checked as part of a DensityStack."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "element", element)
+        return state
 
     @property
     def tag(self):
@@ -80,8 +92,30 @@ class DensityState:
         return jordan.inner(self.element, x)
 
 
-def maximally_mixed(tag, n):
-    return DensityState(jordan.identity(tag, n) * (1.0 / n))
+class DensityStack(Sequence):
+    """Densities of one algebra as a (B, n, n, k) coordinate stack, checked once as a stack.
+
+    The constructor makes one `_density_errors` call and raises the first
+    failure with the message DensityState gives it.  Item l is the DensityState
+    of coords[l], not checked again; a slice is a DensityStack.
+    """
+
+    def __init__(self, tag, coords):
+        coords = np.asarray(coords, dtype=np.float64)
+        _check_densities(tag, coords)
+        self.tag, self.coords = tag, coords
+
+    @property
+    def n(self):
+        return self.coords.shape[1]
+
+    def __len__(self):
+        return len(self.coords)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DensityStack(self.tag, self.coords[i])
+        return DensityState._checked(jordan.JordanElement(self.tag, self.n, self.coords[i]))
 
 
 def density_from(el):
@@ -90,6 +124,36 @@ def density_from(el):
     if tr <= MASS_THRESHOLD:
         raise ConditioningUndefinedError("element has (near-)zero trace")
     return DensityState(el * (1.0 / tr))
+
+
+def _compressions(coords, events, threshold):
+    """(conditionals, masses, traces) over every (event, density) pair; see `condition_stack`.
+
+    The conditionals are {e, rho, e} / tr, not yet checked as densities, and
+    hold the unnormalized compression where `_undefined` names an error.
+    """
+    for e in events:
+        _require_idempotent(e)
+        if coords.shape[1:] != e.coords.shape:
+            raise SizeError("operands live in different algebras")
+    es = np.stack([e.coords for e in events])[:, None]
+    masses = np.sum(coords * es, axis=(2, 3, 4))
+    comp = np.empty(masses.shape + coords.shape[1:])
+    for block in orthospace.pair_blocks(len(es), len(coords)):
+        comp[block] = kernels.triple(es[block], coords, es[block])
+    d = np.arange(coords.shape[1])
+    traces = comp[:, :, d, d, 0].sum(axis=-1)
+    live = (masses > threshold) & (traces > MASS_THRESHOLD)
+    return comp * (1.0 / np.where(live, traces, 1.0))[..., None, None, None], masses, traces
+
+
+def _undefined(mass, trace, threshold):
+    """The ConditioningUndefinedError of a pair with this mass and compression trace, or None."""
+    if mass <= threshold:
+        return ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {threshold:.0e}")
+    if trace <= MASS_THRESHOLD:
+        return ConditioningUndefinedError("element has (near-)zero trace")
+    return None
 
 
 def condition_stack(coords, events, threshold=MASS_THRESHOLD):
@@ -106,38 +170,22 @@ def condition_stack(coords, events, threshold=MASS_THRESHOLD):
     its own trace, which equals the mass in exact arithmetic; dividing by the
     separately rounded mass leaves a trace error that grows as the mass shrinks.
     """
-    for e in events:
-        _require_idempotent(e)
-        if coords.shape[1:] != e.coords.shape:
-            raise SizeError("operands live in different algebras")
-    es = np.stack([e.coords for e in events])[:, None]
-    masses = np.sum(coords * es, axis=(2, 3, 4))
-    comp = np.empty(masses.shape + coords.shape[1:])
-    for block in orthospace.pair_blocks(len(es), len(coords)):
-        comp[block] = kernels.triple(es[block], coords, es[block])
-    d = np.arange(coords.shape[1])
-    traces = comp[:, :, d, d, 0].sum(axis=-1)
-    live = (masses > threshold) & (traces > MASS_THRESHOLD)
-    conds = comp * (1.0 / np.where(live, traces, 1.0))[..., None, None, None]
-    checked = ~(masses <= threshold) & ~(traces <= MASS_THRESHOLD)
+    conds, masses, traces = _compressions(coords, events, threshold)
+    undefined = (masses <= threshold) | (traces <= MASS_THRESHOLD)
     errors = np.full(masses.shape, None, dtype=object)
-    errors[checked] = _density_errors(events[0].tag, conds[checked])
-    for i, l in zip(*np.nonzero(~checked)):
-        if masses[i, l] <= threshold:
-            errors[i, l] = ConditioningUndefinedError(
-                f"event mass {masses[i, l]:.2e} at or below threshold {threshold:.0e}"
-            )
-        else:
-            errors[i, l] = ConditioningUndefinedError("element has (near-)zero trace")
+    errors[~undefined] = _density_errors(events[0].tag, conds[~undefined])
+    for i, l in zip(*np.nonzero(undefined)):
+        errors[i, l] = _undefined(masses[i, l], traces[i, l], threshold)
     return conds, errors.tolist()
 
 
 def condition(rho, e, threshold=MASS_THRESHOLD):
-    """Lüders conditional rho_e = {e, rho, e} / <rho, e>: `condition_stack` on one event and one density."""
-    conds, errors = condition_stack(rho.element.coords[None], [e], threshold)
-    if errors[0][0] is not None:
-        raise errors[0][0]
-    return DensityState(jordan.JordanElement(e.tag, e.n, conds[0, 0]))
+    """Lüders conditional rho_e = {e, rho, e} / <rho, e>, checked once, as a one-density DensityStack."""
+    conds, masses, traces = _compressions(rho.element.coords[None], [e], threshold)
+    error = _undefined(masses[0, 0], traces[0, 0], threshold)
+    if error is not None:
+        raise error
+    return DensityStack(e.tag, conds[0])[0]
 
 
 def conditional_probability(rho, f, e, threshold=MASS_THRESHOLD):

@@ -316,7 +316,7 @@ def polytope_expansion_oracle(synth, polytope):
 
 def density_matrix(instance):
     """The instance's densities as rows of flattened coordinates: evaluation is one matvec."""
-    return np.stack([d.element.coords.reshape(-1) for d in instance.densities])
+    return instance.densities.coords.reshape(len(instance.densities), -1)
 
 
 def lueders_expansion_oracle(synth, instance):
@@ -327,8 +327,8 @@ def lueders_expansion_oracle(synth, instance):
     pseudoinverse product.  The first (event, generator) pair, in request
     order, whose conditioning or span check fails is the one that raises.
     """
-    coords = np.stack([d.element.coords for d in instance.densities])
-    flat = coords.reshape(len(coords), -1)
+    coords = instance.densities.coords
+    flat = density_matrix(instance)
     pinv_t = np.linalg.pinv(flat.T).T
 
     def oracle(requests):
@@ -372,27 +372,37 @@ def _max_abs(arr):
     return float(np.max(np.abs(arr), initial=0.0))
 
 
-def build_compression(synth, e, generators, expansions):
-    """U_e over A-coordinates: row l is mu_l(e) times the expansion of the conditional of mu_l under e.
+def build_compression(synth, requests, expansions):
+    """U_e of every event, as {event: CompressionReport}.
 
-    `expansions` holds those of `generators`, in order; the rows of the other
-    generators (zero mass on e) stay zero.  The exact lane builds U_e and its
+    Row l of U_e is mu_l(e) times the expansion of the conditional of mu_l under e.
+    `requests` lists (e, generators) as the oracle took them and `expansions`
+    its answers, in the same order; every other row (zero mass on e) stays
+    zero.  The float lane builds all U_e as one (E, n, n) stack and takes each
+    residual from stacked products.  The exact lane builds each U_e and its
     residuals on integer numerators.
     """
+    events = synth.space.events()
     if synth.exact:
-        return _exact_compression(synth, e, generators, expansions)
+        answers = {e: (generators, x) for (e, generators), x in zip(requests, expansions)}
+        return {e: _exact_compression(synth, e, *answers.get(e, ([], []))) for e in events}
     pairing = synth.pairing
-    n_states = synth.n_states
-    u = np.stack([synth.zeros() for _ in range(n_states)])
-    if generators:
-        u[generators] = pairing[generators, e][:, None] * np.asarray(expansions, dtype=u.dtype)
-    idem = _max_abs(u @ u - u)
-    unit_image = _max_abs(u @ synth.unit_coords() - synth.pi(e))
-    mass_one = np.abs(pairing[:, e] - 1.0) <= 1e-10
-    drift = 0.0
-    for l in np.flatnonzero(mass_one):
-        drift = max(drift, _max_abs(u[l] @ pairing - pairing[l]))
-    return CompressionReport(event=e, matrix=u, idempotency=idem, unit_image=unit_image, invariance=drift)
+    us = np.zeros((len(events), synth.n_states, synth.n_states))
+    rows = [(e, l) for e, generators in requests for l in generators]
+    if rows:
+        es, ls = np.array(rows).T
+        us[es, ls] = pairing[ls, es][:, None] * np.concatenate(expansions)
+    idem = np.max(np.abs(us @ us - us), axis=(1, 2), initial=0.0)
+    unit_image = np.max(np.abs(us @ synth.unit_coords() - pairing.T), axis=1, initial=0.0)
+    # row l of U_e @ pairing - pairing[l] on the generators of mass one on e
+    mass_one = (np.abs(pairing - 1.0) <= 1e-10).T
+    drifts = np.max(np.abs(us @ pairing - pairing), axis=2, initial=0.0)
+    invariance = np.max(drifts, axis=1, where=mass_one, initial=0.0)
+    return {
+        e: CompressionReport(event=e, matrix=us[e], idempotency=float(idem[e]), unit_image=float(unit_image[e]),
+                             invariance=float(invariance[e]))
+        for e in events
+    }
 
 
 def _exact_compression(synth, e, generators, expansions):
@@ -499,15 +509,15 @@ def build_product_model(synth, oracle):
     space = synth.space
     massive = synth.pairing != 0 if synth.exact else ~(synth.pairing <= MASS_THRESHOLD)
     requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in space.events() if massive[:, e].any()]
-    answers = {e: (generators, expansions) for (e, generators), expansions in zip(requests, oracle(requests))}
-    comps = {e: build_compression(synth, e, *answers.get(e, ([], []))) for e in space.events()}
-    # T_e = (I + U_e - U_e')/2; the exact lane forms it on the compressions' numerators, stacked over the events
+    comps = build_compression(synth, requests, oracle(requests))
+    # T_e = (I + U_e - U_e')/2, stacked over the events; the exact lane forms it on the compressions' numerators
+    us = np.stack([comps[e].matrix for e in space.events()])
+    comp = [space.comp(e) for e in space.events()]
     if synth.exact:
-        un, du = _scaled(np.stack([comps[e].matrix for e in space.events()]))
-        comp = [space.comp(e) for e in space.events()]
+        un, du = _scaled(us)
         mults = dict(zip(space.events(), _unscaled(np.eye(synth.n_states, dtype=object) * du + un - un[comp], 2 * du)))
     else:
-        mults = {e: (np.eye(synth.n_states) + comps[e].matrix - comps[space.comp(e)].matrix) * 0.5 for e in space.events()}
+        mults = dict(zip(space.events(), (np.eye(synth.n_states) + us - us[comp]) * 0.5))
     return ProductModel(synth=synth, compressions=comps, multipliers=mults)
 
 
@@ -591,10 +601,10 @@ def random_primitive(synth, rng, families=None):
     """Random coefficient combination over a random maximal orthogonal family."""
     fams = families if families is not None else orthospace.maximal_orthogonal_families(synth.space)
     fam = fams[rng.integers(len(fams))]
-    if synth.exact:
-        coeffs = [Fraction(int(rng.integers(-8, 9)), 4) for _ in fam]
-    else:
+    if not synth.exact:
         coeffs = rng.uniform(-1.0, 1.0, size=len(fam))
+        return synth.pairing[:, fam] @ coeffs, list(zip(coeffs, fam))
+    coeffs = [Fraction(int(rng.integers(-8, 9)), 4) for _ in fam]
     x = synth.zeros()
     for c, g in zip(coeffs, fam):
         x = x + synth.pi(g) * c
@@ -732,7 +742,6 @@ def check_extreme_points(synth, events=None):
 class MatrixExtremeVerdict:
     event: int
     extreme: bool
-    eigenvalues: np.ndarray
     direction: "jordan.JordanElement" = None  # perturbation with x +- d still in [0, 1]
 
 
@@ -744,29 +753,24 @@ def check_matrix_extremes(instance, events=None, tol=FLOAT_TOL):
     is extreme: perturbing along a direction traceless against every sampled
     density keeps all the binding evaluations at equality.  The test therefore
     runs against the operator interval itself, where the extreme elements are
-    exactly those with spectrum in {0, 1}.
+    exactly those with spectrum in {0, 1}.  The spectra of all events are one
+    `jordan.batched_eigenvalues` call; only an event with an eigenvalue in
+    (tol, 1 - tol) is decomposed, for the eigenprojection of its first such
+    eigenvalue, which gives the direction.
     """
+    events = list(events if events is not None else range(len(instance.elements)))
+    values = jordan.batched_eigenvalues(instance.tag, np.stack([instance.elements[e].coords for e in events]))
+    middle = ((values > tol) & (values < 1 - tol)).any(axis=1)
+    extreme = ~middle & ((np.abs(values) <= tol) | (np.abs(values - 1) <= tol)).all(axis=1)
     out = []
-    for e in events if events is not None else range(len(instance.elements)):
-        x = instance.elements[e]
-        spec = jordan.spectral_decomposition(x)
+    for e, is_middle, is_extreme in zip(events, middle.tolist(), extreme.tolist()):
         direction = None
-        middle = None
-        for i, lam in enumerate(spec.values):
-            if tol < lam < 1 - tol:
-                middle = (i, lam)
-                break
-        extreme = middle is None and all(
-            abs(lam) <= tol or abs(lam - 1) <= tol for lam in spec.values
-        )
-        if middle is not None:
-            i, lam = middle
-            direction = min(lam, 1 - lam) * spec.frame[i]
-        out.append(
-            MatrixExtremeVerdict(
-                event=e, extreme=extreme, eigenvalues=spec.values, direction=direction
-            )
-        )
+        if is_middle:
+            spec = jordan.spectral_decomposition(instance.elements[e])
+            i, lam = next(((i, lam) for i, lam in enumerate(spec.values) if tol < lam < 1 - tol), (None, None))
+            if i is not None:
+                direction = min(lam, 1 - lam) * spec.frame[i]
+        out.append(MatrixExtremeVerdict(event=e, extreme=is_extreme, direction=direction))
     return out
 
 

@@ -58,6 +58,15 @@ def files(tmp_path_factory):
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
     paths["mu3"] = put("mu3.txt", fileio.format_states([mu]))
     paths["no_states"] = put("no_states.txt", "states v1\nn_events 8\n")
+    # GENERATED states on MO_3: the six cross-polytope states (one block at (1, 0) or (0, 1),
+    # the others at (1/2, 1/2)), then the vertex (1, 1, 1) and the point (1, 0, 1/2)
+    def mo3_state(ps):
+        return statespace.State((F(0), *(v for p in ps for v in (F(p), 1 - F(p))), F(1)))
+
+    half = F(1, 2)
+    cross = [mo3_state([half] * i + [v] + [half] * (2 - i)) for i in range(3) for v in (1, 0)]
+    paths["mo3_generated"] = put("mo3_generated.txt", fileio.format_states(
+        cross + [mo3_state([1, 1, 1]), mo3_state([1, 0, half])]))
     # Boolean 2 with the unit 3 orthogonal to itself and 3 + 3 = 3: additivity
     # forces mu(3) = 0 against the unit row, so no state exists
     stateless = fileio.format_orthospace(orthospace.boolean_orthospace(2)).rstrip("\n")
@@ -306,12 +315,13 @@ class TestReplay:
         lambda report: "{not json",
         lambda report: json.dumps(report | {"uniqueness": [{k: v for k, v in report["uniqueness"][0].items() if k != "event"}]}),
         lambda report: json.dumps(report | {"uniqueness": [report["uniqueness"][0] | {"event": 99}]}),
+        lambda report: json.dumps(report | {"uniqueness": [report["uniqueness"][0] | {"event": 0}]}),
         lambda report: json.dumps(report | {"axioms": {"no-such-axiom": {"passed": False, "witnesses": [[1, 2]]}}}),
         lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[1, 99]]}}}),
         lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[-1, 2]]}}}),
         lambda report: json.dumps(report | {"axioms": {"sum-associativity": {"passed": False, "witnesses": [[1, 2]]}}}),
-    ], ids=["not-json", "record-without-event", "event-out-of-range", "unknown-axiom-tag", "witness-out-of-range",
-            "witness-negative", "witness-short"])
+    ], ids=["not-json", "record-without-event", "event-out-of-range", "event-zero-mass", "unknown-axiom-tag",
+            "witness-out-of-range", "witness-negative", "witness-short"])
     def test_malformed_report_is_bad_input(self, files, tmp_path, corrupt):
         # exit 1 is for witnesses that do not reproduce; a report that cannot be read is exit 2
         report, _ = self.run_structured(files)
@@ -374,6 +384,22 @@ class TestReplay:
         report = json.loads(out)
         del report["input"]
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
+
+    def test_generated_report_is_unchanged(self, files):
+        # GENERATED mode (states from a file): MULTIPLE records with their witnesses, and the
+        # (state, event) pairs that have no record are UNIQUE; the whole report but the input path
+        code, out, _ = invoke(["verify", "--input", files["mo3"], "--states", files["mo3_generated"],
+                               "uniqueness", "--format", "structured"])
+        assert code == 1
+        report = json.loads(out)
+        del report["input"]
+        with open(files["mo3_generated"], encoding="utf-8") as fh:
+            states = fileio.parse_states(fh.read())
+        pairs = sum(1 for mu in states for e in range(1, len(mu.values)) if mu[e] != 0)
+        verdicts = [rec["verdict"] for rec in report["uniqueness"]]
+        assert set(verdicts) == {"MULTIPLE"} and 0 < len(verdicts) < pairs
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "b63133fbf5f8daa3ffa04db239298241066250221dddb5aad809912101237575"
 
 
 class TestCondition:

@@ -206,6 +206,15 @@ CORPUS = [
     "plain",
     None,
     F(7, 3),
+    # lists of rows: a matrix of plain numbers is encoded in one call, anything else row by row
+    {"m": [[1.5, -2.0], [3, 0.25]], "t": ((1, 2), (3, 4)), "empty_row": [[1.5, 2], []], "leading": [[], [1]]},
+    [[0.1, 0.2, 0.3, 1e-300]],
+    [[0.1], [2], [-3.5]],
+    [[1, True, None], [False, 2, 0.5]],
+    [[float("nan"), float("inf")], [-float("inf"), -0.0]],
+    [[1, 2], ["a, b", 3]],
+    [[0.5, F(1, 2)], [1, 2]],
+    {"nested": {"matrix": [[1e300, -1e-300], [7, 8]]}, "arrays": [np.arange(2.0), np.arange(2.0) / 3]},
 ]
 
 

@@ -12,7 +12,6 @@ from ucpspace.lueders import (
     condition,
     conditional_probability,
     density_from,
-    maximally_mixed,
 )
 
 
@@ -67,7 +66,7 @@ class TestDensity:
 
 class TestConditioning:
     def test_worked_conditional_state(self):
-        rho = maximally_mixed("C", 2)
+        rho = density_from(jordan.identity("C", 2))
         out = condition(rho, qubit_e())
         assert np.allclose(out.element.coords, qubit_e().coords, atol=1e-12)
 
@@ -77,7 +76,7 @@ class TestConditioning:
         assert np.allclose(out.element.coords, rho.element.coords, atol=1e-12)
 
     def test_worked_probability(self):
-        rho = maximally_mixed("C", 2)
+        rho = density_from(jordan.identity("C", 2))
         assert conditional_probability(rho, qubit_f(), qubit_e()) == pytest.approx(0.5)
 
     def test_zero_mass_raises(self):
@@ -176,6 +175,62 @@ class TestConditionStack:
         assert errors[0] is None
         assert str(errors[1]).startswith("density has negative eigenvalue")
         assert str(errors[2]) == "density trace is 2.0, not 1"
+
+
+class TestDensityStack:
+    """One check over the stack against DensityState on one density at a time."""
+
+    @staticmethod
+    def first_error(tag, coords):
+        for c in coords:
+            try:
+                DensityState(jordan.JordanElement(tag, c.shape[0], c))
+            except PreconditionError as exc:
+                return exc
+        return None
+
+    @pytest.mark.parametrize("tag", jordan.TAGS)
+    @pytest.mark.parametrize("order", ["trace-first", "eigenvalue-first"])
+    def test_raises_the_first_error_of_a_per_density_loop(self, tag, order, rng):
+        good = [density_from(lueders.random_positive(tag, 3, rng)).element.coords for _ in range(6)]
+        wrong_trace = 1.5 * good[0]
+        negative = jordan.diag(tag, [1.2, 0.1, -0.3]).coords
+        bad = [wrong_trace, negative] if order == "trace-first" else [negative, wrong_trace]
+        coords = np.stack(good[:2] + bad[:1] + good[2:4] + bad[1:] + good[4:])
+        want = self.first_error(tag, coords)
+        with pytest.raises(PreconditionError) as got:
+            lueders.DensityStack(tag, coords)
+        assert type(got.value) is type(want)
+        assert str(got.value) == str(want)
+        assert str(want).startswith("density trace is" if order == "trace-first" else "density has negative eigenvalue")
+
+    @pytest.fixture()
+    def checked(self, monkeypatch):
+        """The size of each stack that `_density_errors` checks, in call order."""
+        sizes = []
+        errors = lueders._density_errors
+        monkeypatch.setattr(lueders, "_density_errors", lambda tag, c: sizes.append(len(c)) or errors(tag, c))
+        return sizes
+
+    def test_checks_once_and_hands_out_its_densities(self, rng, checked):
+        coords = np.stack([density_from(lueders.random_positive("C", 3, rng)).element.coords for _ in range(5)])
+        checked.clear()
+        stack = lueders.DensityStack("C", coords)
+        rhos = list(stack)
+        assert checked == [5]
+        assert len(stack) == 5 and stack.n == 3
+        assert all(np.array_equal(rho.element.coords, c) for rho, c in zip(rhos, coords))
+        assert isinstance(stack[1:3], lueders.DensityStack) and len(stack[1:3]) == 2
+
+    def test_instance_checks_its_densities_once(self, checked):
+        inst = instances.qutrit_instance(seed=11)
+        assert checked == [len(inst.densities)]
+
+    def test_condition_checks_its_conditional_once(self, checked):
+        rho = density_from(jordan.diag("C", [0.7, 0.3]))
+        checked.clear()
+        condition(rho, qubit_e())
+        assert checked == [1]
 
 
 class TestStackedEvents:

@@ -604,7 +604,7 @@ class TestExactSweepsMatchFractionReferences:
             generators = [l for l in range(synth.n_states) if synth.pairing[l, e] != 0]
             expansions = [[F(int(rng.integers(-5, 6)), int(rng.integers(1, 9))) for _ in range(synth.n_states)]
                           for _ in generators]
-            got = build_compression(synth, e, generators, expansions)
+            got = build_compression(synth, [(e, generators)], [expansions])[e]
             matrix, *want = reference.compression(synth, e, generators, expansions)
             assert np.array_equal(got.matrix, matrix)
             residuals = [got.idempotency, got.unit_image, got.invariance]
@@ -658,6 +658,69 @@ class TestExtremePoints:
         (verdict,) = check_matrix_extremes(stub, events=[0])
         assert not verdict.extreme
         assert verdict.direction is not None
+
+
+def reference_matrix_extremes(elements, tol=FLOAT_TOL):
+    """(extreme, direction) of each element, one spectral decomposition each: spectrum in {0, 1},
+    else min(lam, 1 - lam) times the eigenprojection of the first eigenvalue inside (tol, 1 - tol)."""
+    out = []
+    for x in elements:
+        spec = jordan.spectral_decomposition(x)
+        middle = next(((i, lam) for i, lam in enumerate(spec.values) if tol < lam < 1 - tol), None)
+        extreme = middle is None and all(abs(lam) <= tol or abs(lam - 1) <= tol for lam in spec.values)
+        direction = None if middle is None else min(middle[1], 1 - middle[1]) * spec.frame[middle[0]]
+        out.append((extreme, direction))
+    return out
+
+
+def extreme_families():
+    """Projection families (a qubit, a qutrit, a quaternionic 3x3) and stubs with non-projections."""
+    import types
+
+    rng = np.random.default_rng(23)
+    h_frame = jordan.random_frame("H", 3, rng)
+    h_family = instances.instance_from_projections(
+        "H", 3, [jordan.zero("H", 3), jordan.identity("H", 3)] + instances._frame_events(h_frame))
+    o_frame = jordan.random_frame("O3", 3, rng)
+    o_elements = instances._frame_events(o_frame) + [
+        0.5 * o_frame[0] + 0.25 * o_frame[1],  # eigenvalues 0.5, 0.25, 0: two inside (0, 1)
+        o_frame[0] + 2.0 * o_frame[2],  # eigenvalue 2: neither extreme nor with a direction
+        jordan.random_hermitian("O3", 3, rng, 0.3) + 0.5 * jordan.identity("O3", 3),
+    ]
+    mixed = 0.2 * jordan.diag("C", [1, 0]) + 0.4 * jordan.identity("C", 2)
+    return {
+        "qubit": instances.qubit_instance(),
+        "qutrit": instances.qutrit_instance(seed=11),
+        "H": h_family,
+        "O3": types.SimpleNamespace(tag="O3", n=3, elements=o_elements),
+        "mixed-stub": types.SimpleNamespace(tag="C", n=2, elements=[mixed, jordan.identity("C", 2)]),
+    }
+
+
+class TestStackedExtremes:
+    """check_matrix_extremes (one batched spectrum) against one spectral decomposition per event."""
+
+    @pytest.mark.parametrize("name", ["qubit", "qutrit", "H", "O3", "mixed-stub"])
+    def test_verdicts_and_directions_match_per_event_reference(self, name):
+        family = extreme_families()[name]
+        got = check_matrix_extremes(family)
+        want = reference_matrix_extremes(family.elements)
+        assert [v.event for v in got] == list(range(len(family.elements)))
+        assert [v.extreme for v in got] == [extreme for extreme, _ in want]
+        for v, (_, direction) in zip(got, want):
+            assert (v.direction is None) == (direction is None)
+            if direction is not None:
+                assert np.array_equal(v.direction.coords, direction.coords)
+        if name in ("O3", "mixed-stub"):
+            assert any(d is not None for _, d in want) and not all(extreme for extreme, _ in want)
+
+    def test_event_subset_in_given_order(self):
+        family = extreme_families()["O3"]
+        events = [len(family.elements) - 1, 0, len(family.elements) - 3]
+        got = check_matrix_extremes(family, events=events)
+        want = reference_matrix_extremes([family.elements[e] for e in events])
+        assert [v.event for v in got] == events
+        assert [v.extreme for v in got] == [extreme for extreme, _ in want]
 
 
 class TestHull:
@@ -819,6 +882,47 @@ def reference_lueders_expansions(instance, e_id):
             outside = l
         out[l] = c
     return out, outside
+
+
+def reference_float_compression(synth, e, generators, expansions):
+    """(U_e, idempotency, unit image, invariance) of one event, each residual from per-event products."""
+    pairing = synth.pairing
+    u = np.zeros((synth.n_states, synth.n_states))
+    if generators:
+        u[generators] = pairing[generators, e][:, None] * np.asarray(expansions)
+    drift = 0.0
+    for l in np.flatnonzero(np.abs(pairing[:, e] - 1.0) <= 1e-10):
+        drift = max(drift, float(np.max(np.abs(u[l] @ pairing - pairing[l]))))
+    return u, float(np.max(np.abs(u @ u - u))), float(np.max(np.abs(u @ synth.unit_coords() - synth.pi(e)))), drift
+
+
+class TestStackedFloatCompressions:
+    """build_compression's (E, n, n) stack against one event at a time."""
+
+    @pytest.mark.parametrize("family_seed", [None, 11, 7671])
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_residuals_match_per_event_reference(self, family_seed, noise):
+        # the oracle's own expansions (residuals near 0), then perturbed ones (residuals of every kind)
+        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+        synth = matrix_synthetic_space(inst)
+        massive = ~(synth.pairing <= MASS_THRESHOLD)
+        requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in synth.space.events() if massive[:, e].any()]
+        rng = np.random.default_rng(5)
+        expansions = [x + noise * rng.normal(size=x.shape) for x in lueders_expansion_oracle(synth, inst)(requests)]
+        got = build_compression(synth, requests, expansions)
+        answers = {e: (generators, x) for (e, generators), x in zip(requests, expansions)}
+        assert sorted(got) == list(synth.space.events())
+        seen = []
+        for e in synth.space.events():
+            u, *want = reference_float_compression(synth, e, *answers.get(e, ([], [])))
+            report = got[e]
+            assert report.event == e
+            assert np.array_equal(report.matrix, u)
+            residuals = [report.idempotency, report.unit_image, report.invariance]
+            assert all(type(v) is float for v in residuals)
+            assert max(abs(a - b) for a, b in zip(residuals, want)) <= 1e-12
+            seen.append(want)
+        assert all((max(kind) > 1e-3) == bool(noise) for kind in zip(*seen))
 
 
 class TestStackedLuedersOracle:
