@@ -234,19 +234,12 @@ def cmd_verify(args):
     return (PASS if ok else FAIL), report, lines
 
 
-def _witnesses_hold(slc, rec):
-    """A MULTIPLE record's two witnesses are states, meet the slice's targets and differ at its
-    witness_event; checked with is_state and the targets alone, no solver."""
-    space = slc.polytope.space
-    nus = [statespace.State(tuple(fileio._parse_value(v, 0) for v in w)) for w in rec.get("witnesses", [])]
-    at = rec.get("witness_event")
-    return (
-        len(nus) == 2
-        and all(statespace.is_state(space, nu)[0] for nu in nus)
-        and all(nu[f] == t for nu in nus for f, t in zip(slc.constraint_events, slc.targets))
-        and isinstance(at, int) and 0 <= at < space.n_events
-        and nus[0][at] != nus[1][at]
-    )
+def _witnesses_hold(slc, witnesses):
+    """A MULTIPLE record's witnesses (nu1, nu2, event), as _report_records parsed them, lie in
+    the slice and differ at the event.  `satisfied_by` checks the range, the state equations
+    of state_rows and the targets, in integers and with no solver."""
+    nu1, nu2, at = witnesses
+    return slc.satisfied_by(nu1) and slc.satisfied_by(nu2) and nu1[at] != nu2[at]
 
 
 def _event_index(space, value, what):
@@ -256,16 +249,24 @@ def _event_index(space, value, what):
     return value
 
 
-def _report_records(prev, space):
-    """A --replay report's (tag, witness) pairs and (state, event, verdict, record) tuples.
+def _exact_state(space, values, what):
+    """`values` as a State of the space: a list of n_events strings, each an integer or p/q."""
+    if isinstance(values, list) and len(values) == space.n_events and all(isinstance(v, str) for v in values):
+        state = statespace.State(tuple(fileio._parse_value(v, 0) for v in values))
+        if state.exact:
+            return state
+    raise ParseError(f"{what} must be {space.n_events} exact values (integer or p/q strings), got {values!r}")
 
-    A report of any other shape is a ParseError, so exit 1 stays for witnesses that
-    do not reproduce.
+
+def _report_records(prev, space):
+    """A --replay report's (tag, witness) pairs and (state, event, verdict, record, witnesses) tuples.
+
+    `witnesses` is (nu1, nu2, event) for a MULTIPLE record, else None.  A report of any
+    other shape is a ParseError, so exit 1 stays for witnesses that do not reproduce.
     """
     try:
         axioms = [(tag, tuple(w)) for tag, data in (prev.get("axioms") or {}).items() for w in data.get("witnesses", [])]
-        records = [(statespace.State(tuple(fileio._parse_value(v, 0) for v in rec["state"])), rec["event"],
-                    rec["verdict"], rec) for rec in prev.get("uniqueness") or []]
+        records = [(rec["state"], rec["event"], rec["verdict"], rec) for rec in prev.get("uniqueness") or []]
     except (AttributeError, KeyError, TypeError) as exc:
         raise ParseError(f"malformed report: {type(exc).__name__}: {exc}") from None
     for tag, w in axioms:
@@ -276,14 +277,22 @@ def _report_records(prev, space):
             raise ParseError(f"{tag} witness {list(w)} must have {length} entries")
         for v in w[:events]:
             _event_index(space, v, f"{tag} witness entry")
-    for mu, e, *_ in records:
+    parsed = []
+    for state, e, verdict, rec in records:
+        mu = _exact_state(space, state, "uniqueness record state")
         _event_index(space, e, "uniqueness record event")
-        if len(mu) != space.n_events:
-            raise ParseError(f"uniqueness record state has {len(mu)} values for {space.n_events} events")
         if mu[e] == 0:
             # `verify` writes no record for an event of zero mass: nothing to condition on
             raise ParseError(f"uniqueness record event {e} has zero mass under its state")
-    return axioms, records
+        witnesses = None
+        if verdict == statespace.MULTIPLE:
+            nus = rec.get("witnesses")
+            if not isinstance(nus, list) or len(nus) != 2:
+                raise ParseError(f"a MULTIPLE record needs two witnesses, got {nus!r}")
+            witnesses = (*(_exact_state(space, nu, "MULTIPLE witness") for nu in nus),
+                         _event_index(space, rec.get("witness_event"), "MULTIPLE witness_event"))
+        parsed.append((mu, e, verdict, rec, witnesses))
+    return axioms, parsed
 
 
 def cmd_replay(args):
@@ -305,14 +314,14 @@ def cmd_replay(args):
         reproduced += bool(hit)
         lines.append(f"axiom {tag} witness {list(w)}: {'reproduced' if hit else 'STALE'}")
     polytope = _load_polytope(space, args.states) if args.states not in (None, "full") else None
-    for mu, e, want, rec in records:
+    for mu, e, want, rec, witnesses in records:
         total += 1
         if polytope is None:
             polytope = statespace.build_state_polytope(space, with_vertices=False)
         verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
         hit = verdict.verdict == want
         if hit and verdict.verdict == statespace.MULTIPLE:
-            hit = _witnesses_hold(statespace.conditional_slice(polytope, mu, e), rec)
+            hit = _witnesses_hold(statespace.conditional_slice(polytope, mu, e), witnesses)
         reproduced += bool(hit)
         lines.append(
             f"uniqueness witness (state {rec.get('state_index')}, event {e}): "
@@ -414,19 +423,9 @@ def cmd_condition(args):
 # synthesize
 
 
-def _law_lines(laws, lines):
-    lines.append(
-        "laws: jordan "
-        + _g(laws.jordan_identity)
-        + ", square-norm "
-        + _g(laws.square_norm)
-        + ", square-sum slack "
-        + _g(laws.square_sum_slack)
-        + ", power-assoc "
-        + _g(laws.power_associativity)
-        + ", unit "
-        + _g(laws.unit_residual)
-    )
+# the law residuals of a synthesize report, by field, with their labels in the text report
+_LAWS = {"jordan_identity": "jordan", "square_norm": "square-norm", "square_sum_slack": "square-sum slack",
+         "power_associativity": "power-assoc", "unit_residual": "unit"}
 
 
 def _density_summary(synth, instance, rng, report, lines):
@@ -498,14 +497,8 @@ def cmd_synthesize(args):
     lines.append(f"well-definedness worst: {_g(wd_worst)}")
 
     laws = synthesis.check_laws_on_reconstruction(model, pairs=args.samples, rng=rng)
-    report["laws"] = {
-        "jordan_identity": float(laws.jordan_identity),
-        "square_norm": float(laws.square_norm),
-        "square_sum_slack": float(laws.square_sum_slack),
-        "power_associativity": float(laws.power_associativity),
-        "unit_residual": float(laws.unit_residual),
-    }
-    _law_lines(laws, lines)
+    report["laws"] = {name: float(getattr(laws, name)) for name in _LAWS}
+    lines.append("laws: " + ", ".join(f"{label} {_g(getattr(laws, name))}" for name, label in _LAWS.items()))
 
     comp_worst = max(max(c.idempotency, c.unit_image, c.invariance) for c in model.compressions.values())
     report["compression_worst"] = float(comp_worst)

@@ -6,8 +6,9 @@ states are `fractions.Fraction` vectors, the full state polytope is cut out by
 the state equations plus box bounds, vertices are enumerated exactly, and
 uniqueness questions are settled by bound propagation where it pins the
 conditional, else by the in-repo rational simplex.  The state equations are
-integer rows of events at +1 and at -1 (`state_rows`), so bound propagation and
-the replay of its point run on integers; row reductions are `linsolve`'s.
+integer rows of events at +1 and at -1, listed once by `state_rows`: `is_state`,
+bound propagation and the replay of its point all read that list, the last two
+on integers; row reductions are `linsolve`'s.
 
 A full polytope has one parametrization x = x0 + B t, its state equations
 reduced once; pins substitute into it (only for a slice that propagation leaves
@@ -91,27 +92,33 @@ class State:
 def is_state(space, state):
     """Exact state check. Returns (ok, violations); each violation is replayable.
 
-    Violation shapes: ("length", got, want), ("unit", value),
+    It checks the length, the unit, the [0, 1] range of every event, then each
+    additivity equation of state_rows once: a violated equation is reported
+    once, named by the first orthogonal pair e <= f that gives it, however many
+    pairs give it.  Violation shapes: ("length", got, want), ("unit", value),
     ("range", event, value), ("additivity", e, f, value, expected).
     """
     n = space.n_events
-    viol = []
     if len(state) != n:
         return False, [("length", len(state), n)]
     vals = [_frac(v) for v in state.values]
-    if vals[space.unit] != 1:
-        viol.append(("unit", vals[space.unit]))
-    for e in range(n):
-        if not (0 <= vals[e] <= 1):
-            viol.append(("range", e, vals[e]))
-    st = space.sum_table
-    for e in range(n):
-        for f in range(e, n):
-            if space.ortho[e, f] and st[e, f] >= 0:
-                s = int(st[e, f])
-                if vals[e] + vals[f] != vals[s]:
-                    viol.append(("additivity", e, f, vals[e] + vals[f], vals[s]))
+    viol = [("unit", vals[space.unit])] if vals[space.unit] != 1 else []
+    viol += [("range", e, v) for e, v in enumerate(vals) if not 0 <= v <= 1]
+    viol += [("additivity", e, f, vals[e] + vals[f], vals[s])
+             for e, f, s in _additivity(space).values() if vals[e] + vals[f] != vals[s]]
     return not viol, viol
+
+
+def _additivity(space):
+    """Each distinct additivity equation (events at +1, events at -1), with the first
+    orthogonal pair e <= f, in np.triu order, that gives it, as (e, f, e + f)."""
+    st = space.sum_table
+    es, fs = np.nonzero(np.triu(space.ortho & (st >= 0)))
+    eqs = {}
+    for e, f, s in zip(es.tolist(), fs.tolist(), st[es, fs].tolist()):
+        # when e + f is e or f itself, x_e + x_f - x_{e+f} cancels to the other one
+        eqs.setdefault(((e, f), (s,)) if s not in (e, f) else ((f if s == e else e,), ()), (e, f, s))
+    return eqs
 
 
 def state_rows(space):
@@ -119,15 +126,10 @@ def state_rows(space):
 
     The unit row x_unit = 1, then x_e + x_f - x_{e+f} = 0 for each orthogonal
     pair e <= f with a defined sum, cancelled within the row and kept at its
-    first occurrence.  An event at coefficient 2 is listed twice: only a nonzero
-    event orthogonal to itself with e + e != e gives one.
+    first occurrence (`_additivity`).  An event at coefficient 2 is listed
+    twice: only a nonzero event orthogonal to itself with e + e != e gives one.
     """
-    st = space.sum_table
-    es, fs = np.nonzero(np.triu(space.ortho & (st >= 0)))
-    # when e + f is e or f itself, x_e + x_f - x_{e+f} cancels to the other one
-    additivity = dict.fromkeys(((e, f), (s,)) if s not in (e, f) else ((f if s == e else e,), ())
-                               for e, f, s in zip(es.tolist(), fs.tolist(), st[es, fs].tolist()))
-    return [((space.unit,), (), 1)] + [(plus, minus, 0) for plus, minus in additivity]
+    return [((space.unit,), (), 1)] + [(plus, minus, 0) for plus, minus in _additivity(space)]
 
 
 def _dense(plus, minus, n):
@@ -144,9 +146,6 @@ def _dense(plus, minus, n):
 class StatePolytope:
     space: orthospace.OrthoSpace
     mode: str
-    # FULL mode: the state equations, as state_rows gives them; dense rows are built
-    # only for a row reduction (_parametrization) and an EMPTY certificate (_slice_rows)
-    rows: list | None = None
     generators: list | None = field(default=None)
     # check_conditional_uniqueness verdicts by (event, constraint events, targets): one per slice
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -156,6 +155,11 @@ class StatePolytope:
     @property
     def exact(self):
         return self.generators is None or all(g.exact for g in self.generators)
+
+    @functools.cached_property
+    def rows(self):
+        """The state equations as state_rows gives them, in either mode, built once."""
+        return state_rows(self.space)
 
     @functools.cached_property
     def _parametrization(self):
@@ -183,7 +187,7 @@ class StatePolytope:
 
 def build_state_polytope(space, with_vertices=True):
     """FULL polytope; vertices enumerated exactly when the space is small enough."""
-    poly = StatePolytope(space=space, mode=FULL, rows=state_rows(space))
+    poly = StatePolytope(space=space, mode=FULL)
     if with_vertices and space.n_events <= _VERTEX_EVENT_CAP:
         poly.generators = [State(tuple(v)) for v in _enumerate_vertices(poly._parametrization)]
     return poly

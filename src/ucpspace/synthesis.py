@@ -240,9 +240,8 @@ def _check_state_rows(space, rows, exact):
     out_of_range = (
         (np.abs(r[:, space.unit] - 1.0) > FLOAT_TOL) | (r.min(axis=1) < -FLOAT_TOL) | (r.max(axis=1) > 1 + FLOAT_TOL)
     )
-    # every defined sum e + f = s, in (e, f) order
-    e, f = np.nonzero(space.sum_table >= 0)
-    s = space.sum_table[e, f]
+    # the first pair (e, f) and sum s of each state equation, as state_rows lists them
+    e, f, s = np.array(list(statespace._additivity(space).values()), dtype=np.int64).reshape(-1, 3).T
     not_additive = np.abs(r[:, e] + r[:, f] - r[:, s]) > FLOAT_TOL
     for ix in range(len(r)):
         if out_of_range[ix]:

@@ -36,6 +36,29 @@ def equality_rows(space):
     return rows
 
 
+def reference_is_state(space, state):
+    """statespace.is_state as an n^2 walk over the event pairs: one additivity violation per
+    orthogonal pair e <= f with a defined sum, however many pairs give the same equation."""
+    n = space.n_events
+    viol = []
+    if len(state) != n:
+        return False, [("length", len(state), n)]
+    vals = [statespace._frac(v) for v in state.values]
+    if vals[space.unit] != 1:
+        viol.append(("unit", vals[space.unit]))
+    for e in range(n):
+        if not (0 <= vals[e] <= 1):
+            viol.append(("range", e, vals[e]))
+    st = space.sum_table
+    for e in range(n):
+        for f in range(e, n):
+            if space.ortho[e, f] and st[e, f] >= 0:
+                s = int(st[e, f])
+                if vals[e] + vals[f] != vals[s]:
+                    viol.append(("additivity", e, f, vals[e] + vals[f], vals[s]))
+    return not viol, viol
+
+
 # The exact-lane synthesis sweeps in Fraction arithmetic, on the model's Fraction
 # multipliers and pairing: the integer-numerator sweeps must give the same values
 # and consume the same draws.

@@ -54,6 +54,9 @@ def files(tmp_path_factory):
     coefficient_two = fileio.format_orthospace(orthospace.boolean_orthospace(3)).rstrip("\n")
     paths["coefficient_two"] = put("coefficient_two.txt", coefficient_two + "\northo 1 1\nsum 1 1 6\n")
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
+    paths["bool2"] = put("bool2.txt", fileio.format_orthospace(orthospace.boolean_orthospace(2)))
+    # a decimal token where a state value must be exact
+    paths["decimal_states"] = put("decimal_states.txt", "states v1\nn_events 4\nstate 0 0.5 0.5 1\n")
 
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
     paths["mu3"] = put("mu3.txt", fileio.format_states([mu]))
@@ -239,6 +242,18 @@ class TestVerify:
         assert out == ""
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--states", "{states}", "separation"],
+        ["condition", "--states", "{states}", "1"],
+        ["synthesize", "--states", "{states}"],
+    ], ids=["verify", "condition", "synthesize"])
+    def test_decimal_state_value_is_bad_input(self, files, argv):
+        argv = [a.format(states=files["decimal_states"]) for a in argv]
+        code, out, err = invoke([argv[0], "--input", files["bool2"], *argv[1:]])
+        assert code == 2
+        assert out == ""
+        assert "input error: line 3: " in err and "decimal" in err
+
     def test_missing_file(self, files):
         code, _, err = invoke(["verify", "--input", files["bool3"] + ".nope"])
         assert code == 2
@@ -250,6 +265,13 @@ class TestVerify:
         )
         assert code == 2
         assert "unknown check" in err
+
+
+def first_record(report, edit):
+    """The report as JSON with only its first uniqueness record (a MULTIPLE one on MO_2), edited."""
+    rec = json.loads(json.dumps(report["uniqueness"][0]))
+    edit(rec)
+    return json.dumps(report | {"uniqueness": [rec]})
 
 
 class TestReplay:
@@ -320,8 +342,17 @@ class TestReplay:
         lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[1, 99]]}}}),
         lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[-1, 2]]}}}),
         lambda report: json.dumps(report | {"axioms": {"sum-associativity": {"passed": False, "witnesses": [[1, 2]]}}}),
+        lambda report: first_record(report, lambda rec: rec["state"].__setitem__(-1, "1.0")),
+        lambda report: first_record(report, lambda rec: rec["witnesses"][0].__setitem__(0, 0)),
+        lambda report: first_record(report, lambda rec: rec["witnesses"].__setitem__(0, None)),
+        lambda report: first_record(report, lambda rec: rec["witnesses"][0].__setitem__(-1, "1.0")),
+        lambda report: first_record(report, lambda rec: rec["witnesses"][0].pop()),
+        lambda report: first_record(report, lambda rec: rec.pop("witnesses")),
+        lambda report: first_record(report, lambda rec: rec.update(witness_event=99)),
     ], ids=["not-json", "record-without-event", "event-out-of-range", "event-zero-mass", "unknown-axiom-tag",
-            "witness-out-of-range", "witness-negative", "witness-short"])
+            "witness-out-of-range", "witness-negative", "witness-short", "state-decimal", "multiple-witness-integer",
+            "multiple-witness-null", "multiple-witness-decimal", "multiple-witness-one-short",
+            "multiple-without-witnesses", "multiple-witness-event-out-of-range"])
     def test_malformed_report_is_bad_input(self, files, tmp_path, corrupt):
         # exit 1 is for witnesses that do not reproduce; a report that cannot be read is exit 2
         report, _ = self.run_structured(files)
@@ -331,6 +362,17 @@ class TestReplay:
         assert code == 2
         assert out == ""
         assert "input error" in err
+
+    def test_generated_report_replays(self, files, tmp_path):
+        # GENERATED mode: the witnesses are checked against the state equations as in FULL mode
+        argv = ["verify", "--input", files["mo3"], "--states", files["mo3_generated"], "uniqueness"]
+        code, out, _ = invoke(argv + ["--format", "structured"])
+        assert code == 1
+        path = tmp_path / "generated.json"
+        path.write_text(out)
+        code, out, _ = invoke(["verify", "--replay", str(path), "--states", files["mo3_generated"]])
+        assert code == 0
+        assert "STALE" not in out and "replay: 26/26 witnesses reproduced" in out
 
     def test_replay_enumerates_no_vertices(self, files, tmp_path, monkeypatch):
         _, text = self.run_structured(files)
@@ -666,6 +708,18 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "verify: PASS" in proc.stdout
+
+    def test_decimal_state_file_exits_2(self, files):
+        # in a real process an uncaught exception exits 1, which would read as a verified failure
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucpspace.cli", "verify", "--input", files["bool2"],
+             "--states", files["decimal_states"], "separation"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "input error: line 3: " in proc.stderr
 
     def test_numpy_is_the_only_dependency_imported(self):
         # the CLI, the clique search and the matrix kernel import nothing

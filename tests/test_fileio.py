@@ -59,6 +59,12 @@ class TestStatesFormat:
         with pytest.raises(ParseError, match=r"line"):
             fileio.parse_states("states v1\nstate 1/0\n")
 
+    @pytest.mark.parametrize("token", ["0.5", "5e-1", "1.0"])
+    def test_decimal_value_is_bad_input(self, token):
+        # a state is exact; an observable still takes decimals (TestObservableFormat.test_float_values)
+        with pytest.raises(ParseError, match=r"^line 3: .*decimal"):
+            fileio.parse_states(f"states v1\nn_events 4\nstate 0 {token} 1/2 1\n")
+
 
 class TestElementsFormat:
     def test_matrix_roundtrip(self):

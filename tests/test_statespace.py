@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import equality_rows
+from reference import equality_rows, reference_is_state
 from ucpspace import exactlp, fileio, instances, linsolve, orthospace, statespace, synthesis
 from ucpspace.errors import CapacityError, ConditioningUndefinedError, PreconditionError, UcpError
 from ucpspace.statespace import (
@@ -700,9 +700,34 @@ class TestStateRows:
     @given(points_near_slices())
     def test_membership_equals_is_state_and_targets(self, case):
         slc, nu = case
-        expected = is_state(slc.polytope.space, nu)[0] and all(nu[f] == t for f, t in zip(slc.constraint_events,
-                                                                                             slc.targets))
+        expected = reference_is_state(slc.polytope.space, nu)[0] and all(
+            nu[f] == t for f, t in zip(slc.constraint_events, slc.targets))
         assert slc.satisfied_by(nu) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(points_near_slices())
+    def test_is_state_reports_each_violated_equation_once(self, case):
+        # the pair walk reports a violation per pair; is_state keeps the first pair of each equation
+        space, nu = case[0].polytope.space, case[1]
+        ok, viol = is_state(space, nu)
+        want_ok, want = reference_is_state(space, nu)
+        assert ok == want_ok and viol[:1] == want[:1]
+        first = {}
+        for v in want:
+            if v[0] == "additivity":
+                e, f, s = v[1], v[2], space.sum_of(v[1], v[2])
+                first.setdefault(tuple(statespace._dense((e, f), (s,), space.n_events)), v)
+        assert viol == [v for v in want if v[0] != "additivity"] + list(first.values())
+
+    def test_coefficient_two_equation_violated_once(self):
+        # 2 x_1 - x_6 = 0 and the zero's x_0 = 0, which the pairs (0, f) all give, each fail once
+        space = coefficient_two_space()
+        vals = list(instances.boolean_state([F(1, 4), F(1, 4), F(1, 2)]).values)
+        vals[0] = F(1, 2)
+        ok, viol = is_state(space, State(tuple(vals)))
+        assert not ok
+        assert viol == [("additivity", 0, 0, F(1), F(1, 2)), ("additivity", 1, 1, F(1, 2), F(3, 4))]
+        assert len(reference_is_state(space, State(tuple(vals)))[1]) > len(viol)
 
 
 def _fields(v):

@@ -193,17 +193,20 @@ def reference_state_row_error(space, rows):
 
 class TestStateRows:
     @pytest.mark.parametrize(
-        "edits",
-        [[(4, 3, 0.01)], [(2, 5, -0.02), (6, 1, 5.0)], [(1, 2, 2.0), (3, 4, 0.01)], [(7, 0, 0.5)], [(5, 6, 1e-3)]],
+        "family, edits",
+        [("qubit", [(4, 3, 0.01)]), ("qubit", [(2, 5, -0.02), (6, 1, 5.0)]), ("qubit", [(1, 2, 2.0), (3, 4, 0.01)]),
+         ("qubit", [(7, 0, 0.5)]), ("qubit", [(5, 6, 1e-3)]), ("qutrit", [(3, 9, 1e-3), (20, 2, 0.01)])],
+        ids=[f"edits{i}" for i in range(5)] + ["qutrit"],
     )
-    def test_float_rows_report_the_first_problem_in_order(self, qubit, edits):
-        rows = np.array(qubit.value_rows(), dtype=np.float64)
+    def test_float_rows_report_the_first_problem_in_order(self, family, edits, request):
+        inst = request.getfixturevalue(family)
+        rows = np.array(inst.value_rows(), dtype=np.float64)
         for ix, e, delta in edits:
             rows[ix, e] += delta
-        want = reference_state_row_error(qubit.space, rows)
+        want = reference_state_row_error(inst.space, rows)
         assert want is not None
         with pytest.raises(SynthesisError) as got:
-            build_synthetic_space(qubit.space, rows, exact=False)
+            build_synthetic_space(inst.space, rows, exact=False)
         assert str(got.value) == want
 
 
