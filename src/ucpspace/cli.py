@@ -252,8 +252,11 @@ def _event_index(space, value, what):
 def _exact_state(space, values, what):
     """`values` as a State of the space: a list of n_events strings, each an integer or p/q."""
     if isinstance(values, list) and len(values) == space.n_events and all(isinstance(v, str) for v in values):
-        state = statespace.State(tuple(fileio._parse_value(v, 0) for v in values))
-        if state.exact:
+        try:
+            state = statespace.State(tuple(fileio._parse_value(v, 0) for v in values))
+        except ParseError:  # its message names a line, which a JSON report does not have
+            state = None
+        if state is not None and state.exact:
             return state
     raise ParseError(f"{what} must be {space.n_events} exact values (integer or p/q strings), got {values!r}")
 

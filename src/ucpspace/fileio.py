@@ -7,6 +7,7 @@ is JSON so regression diffs stay readable.
 """
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -87,6 +88,8 @@ def format_orthospace(space):
 def parse_orthospace(text):
     lines = _expect_header(_lines(text), ORTHOSPACE_HEADER)
     n = _keyed_int(lines, 0, "n_events")
+    if not 1 <= n <= orthospace.MAX_EVENTS:
+        raise ParseError(f"n_events must be in 1..{orthospace.MAX_EVENTS}, got {n}")
     zero = _keyed_int(lines, 1, "zero")
     unit = _keyed_int(lines, 2, "unit")
     ortho = np.zeros((n, n), dtype=bool)
@@ -134,7 +137,10 @@ def _parse_value(token, lineno):
         if "/" in token:
             return Fraction(token)
         if "." in token or "e" in token or "E" in token:
-            return float(token)
+            v = float(token)
+            if not math.isfinite(v):
+                raise ValueError(token)
+            return v
         return Fraction(int(token))
     except (ValueError, ZeroDivisionError):
         _fail(lineno, f"bad value '{token}'")
@@ -204,6 +210,8 @@ def _parse_tag_n(lines):
     if tag not in ("R", "C", "H", "O3"):
         _fail(lineno, f"unknown algebra tag '{tag}'")
     n = _keyed_int(lines, 1, "n")
+    if n < 1:
+        _fail(lines[1][0], "n must be at least 1")
     return tag, n, lines[2:]
 
 
@@ -218,6 +226,8 @@ def _parse_element(tag, n, rows):
             vals = [float(p) for p in parts]
         except ValueError:
             _fail(lineno, "bad real entry")
+        if not all(map(math.isfinite, vals)):
+            _fail(lineno, "non-finite real entry")
         coords[i] = np.array(vals).reshape(n, k)
     return jordan.element(tag, coords)
 
@@ -234,6 +244,8 @@ def parse_elements(text):
     elif header == PROJECTIONS_HEADER:
         tag, n, rest = _parse_tag_n(lines[1:])
         count = _keyed_int(rest, 0, "count")
+        if count < 1:
+            _fail(rest[0][0], "count must be at least 1")
         rest = rest[1:]
     else:
         raise ParseError(f"expected a matrix or projections header, got '{header}'")

@@ -91,7 +91,7 @@ def element(tag, coords, tol=1e-8):
     """Wrap and validate hermitian coordinates."""
     e = JordanElement(tag, np.asarray(coords).shape[0], coords)
     d = np.max(np.abs(e.coords - kernels.hermitize(e.coords)))
-    if d > tol:
+    if not d <= tol:  # a NaN or infinite entry fails too
         raise SizeError(f"coordinates are not hermitian (defect {d:.2e})")
     return e
 

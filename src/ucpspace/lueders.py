@@ -48,9 +48,10 @@ def _density_errors(tag, coords):
     floors = jordan.batched_eigenvalues(tag, coords)[:, 0].tolist()
     errors = []
     for tr, w in zip(traces, floors):
-        if abs(tr - 1.0) > 1e-12:
+        # negated comparisons, so that a NaN fails them
+        if not abs(tr - 1.0) <= 1e-12:
             errors.append(PreconditionError(f"density trace is {tr!r}, not 1"))
-        elif w < -1e-10:
+        elif not w >= -1e-10:
             errors.append(PreconditionError(f"density has negative eigenvalue {w:.2e}"))
         else:
             errors.append(None)

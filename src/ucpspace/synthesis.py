@@ -33,14 +33,16 @@ x o y = sum_kl cx_k cy_l S[k, l].  The product takes one pair or a stack of
 pairs; a stack is one coordinate map and one contraction, and the law sweep
 and the product comparison pass every sampled pair at once.
 
-The exact lane runs on integers end to end.  The pairing, the compressions,
-the stacked multipliers, the coordinate map and the structure constants are
-each held as Python-int numerators over one common denominator (`_scaled`).
-The law sweep draws its primitives as integer numerators and chains every law
-term as products on numerators, each reduced by one gcd.  The
-well-definedness sweep, the symmetry residuals and the compression residuals
-are integer matrix products too.  A norm is the largest |numerator| over the
-denominator, and a Fraction is built only for a value that is reported.
+Both lanes run one body on (values, denominator) pairs (`_scaled`): Python-int
+numerators over an int denominator on the exact lane, float arrays over a
+power-of-two float denominator on the float lane, so that no float bit is
+lost.  The pairing, the compressions, the stacked multipliers, the coordinate
+map and the structure constants are each held as such a pair.  The law sweep
+chains every law term as products on pairs, each reduced by one gcd on the
+exact lane; the well-definedness sweep, the symmetry residuals and the
+compression residuals are matrix products on the values.  A norm is the
+largest |value| over the denominator, and a Fraction is built only for a
+value that is reported.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
@@ -82,58 +84,85 @@ def _independent_columns_float(mat, tol=FLOAT_TOL):
     return picked
 
 
+# A (values, d) pair holds Python-int numerators over an int d on the exact lane,
+# and a float array over a float d on the float lane.  Every float d is a product
+# of 1.0 and 2.0, so every scaling by it is exact (barring overflow and underflow).
+# Only _scaled, _unscaled, _reduced and _worst tell the two forms apart.
+
+
 def _scaled(arr):
-    """(numerators, d): arr's entries as Python ints over the lcm d of their denominators, in an object array."""
-    arr = np.asarray(arr, dtype=object)
+    """(values, d) of an array.
+
+    Floats, in a float or an object array, give a float array over 1.0; any
+    other entries give Python ints over the lcm d of their denominators, in an
+    object array.
+    """
+    arr = np.asarray(arr)
+    if arr.dtype.kind == "f" or any(isinstance(v, float) for v in arr.flat[:1]):
+        return arr.astype(np.float64, copy=False), 1.0
+    arr = arr.astype(object, copy=False)
     d = math.lcm(*(v.denominator for v in arr.flat))
     return np.frompyfunc(lambda v: v.numerator * (d // v.denominator), 1, 1)(arr), d
 
 
-# _unscaled(numerators, d): the Fraction array numerators / d
-_unscaled = np.frompyfunc(Fraction, 2, 1)
+_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
-def _reduced(numerators, d):
-    """(numerators, d) divided by the gcd of d and every numerator: the same values, in lowest common terms."""
-    g = math.gcd(d, *numerators.flat)
-    return (numerators, d) if g == 1 else (numerators // g, d // g)
+def _unscaled(values, d):
+    """The array values / d: floats over a float d, Fractions over an int d."""
+    return values / d if isinstance(d, float) else _fractions(values, d)
 
 
-def _top(numerators, axis=None):
-    """max |numerator| of an integer object array, or of each slice along axis (0 when empty)."""
-    return np.max(np.abs(numerators), axis=axis, initial=0)
+def _reduced(values, d):
+    """(values, d) divided by the gcd of d and every numerator: the same values, in lowest common terms.
+
+    A float pair passes through unchanged.
+    """
+    if isinstance(d, float):
+        return values, d
+    g = math.gcd(d, *values.flat)
+    return (values, d) if g == 1 else (values // g, d // g)
+
+
+def _top(values, axis=None):
+    """max |value| of an array, or of each slice along axis (0 when empty)."""
+    return np.max(np.abs(values), axis=axis, initial=0)
 
 
 def _sub(a, b):
-    """a - b of two (numerators, denominator) pairs."""
+    """a - b of two (values, denominator) pairs."""
     (an, ad), (bn, bd) = a, b
     return (an - bn, ad) if ad == bd else (an * bd - bn * ad, ad * bd)
 
 
 def _add(a, b):
-    """a + b of two (numerators, denominator) pairs."""
+    """a + b of two (values, denominator) pairs."""
     (an, ad), (bn, bd) = a, b
     return (an + bn, ad) if ad == bd else (an * bd + bn * ad, ad * bd)
 
 
 def _row_norms(a):
-    """Order-unit norm of each row of a (numerators, denominator) stack, as a pair over the same denominator."""
+    """Order-unit norm of each row of a (values, denominator) stack, as a pair over the same denominator."""
     return _top(a[0], axis=-1), a[1]
 
 
-def _worst(a):
-    """max |entry| of a (numerators, denominator) pair, as the Fraction that is reported."""
-    return Fraction(_top(a[0]), a[1])
+def _worst(a, axis=None):
+    """max |entry| of a pair, or the list of it per slice along axis, as the values that are reported.
+
+    Python floats on the float lane, exact Fractions on the exact lane.
+    """
+    return np.asarray(_unscaled(_top(a[0], axis), a[1])).tolist()
 
 
 def _left_inverse(cols, exact):
     """(rows, inv) with inv @ cols[rows] = I, so inv @ x[rows] gives the coordinates of x.
 
-    Float lane: the pseudoinverse over every row.  Exact lane: the inverse of
-    an independent block of rows, as _scaled numerators and denominator.
+    Float lane: the pseudoinverse over every row, over 1.0.  Exact lane: the
+    inverse of an independent block of rows, as _scaled numerators and
+    denominator.
     """
     if not exact:
-        return slice(None), np.linalg.pinv(cols)
+        return slice(None), (np.linalg.pinv(cols), 1.0)
     dim = cols.shape[1]
     rows = linsolve.independent_subset([list(r) for r in cols])
     aug = [list(cols[i]) + [Fraction(int(i == j)) for j in rows] for i in rows]
@@ -151,13 +180,12 @@ class SyntheticSpace:
     dim: int  # rank of the pairing matrix
     basis_events: tuple  # event ids whose pi-columns are independent
     basis_cols: np.ndarray  # (n_states, dim): the pi-columns of basis_events
-    coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols); exact lane: inv as _scaled numerators and denominator
-    # exact lane: the pairing as _scaled numerators and denominator; basis_cols are its basis_events columns
-    scaled_pairing: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols), inv as a (values, denominator) pair
+    # the pairing as a (values, denominator) pair; basis_cols are its basis_events columns
+    scaled_pairing: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.exact:
-            self.scaled_pairing = _scaled(self.pairing)
+        self.scaled_pairing = _scaled(self.pairing)
 
     @property
     def n_states(self):
@@ -181,32 +209,36 @@ class SyntheticSpace:
         return all(v >= bound for v in x)
 
     def zeros(self):
-        return _unscaled(np.zeros(self.n_states, dtype=object), 1) if self.exact else np.zeros(self.n_states)
+        pn, dp = self.scaled_pairing
+        return _unscaled(np.zeros_like(pn[:, 0]), dp)
 
     def event_coords(self, x, tol=FLOAT_TOL):
         """Coefficients over basis_events reproducing x (n,), or each row of a stack (P, n).
 
         Raises SynthesisError if x, or any one row of the stack, lies outside the span.
         """
-        if self.exact:
-            return _unscaled(*self.scaled_coords(_scaled(x)))
-        rows, inv = self.coord_map
-        x = np.asarray(x, dtype=np.float64)
-        c = x[..., rows] @ inv.T
-        # ||back - x|| > tol * max(1, ||x||) row by row, compared in squares
-        r = c @ self.basis_cols.T - x
-        if np.any(np.sum(r * r, axis=-1) > tol * tol * np.maximum(1.0, np.sum(x * x, axis=-1))):
-            raise SynthesisError("element lies outside the event span")
-        return c
+        return _unscaled(*self.scaled_coords(_scaled(x), tol))
 
-    def scaled_coords(self, x):
-        """Exact-lane event_coords of a _scaled pair x, one row (n,) or a stack (P, n), as a _scaled pair."""
+    def scaled_coords(self, x, tol=FLOAT_TOL):
+        """event_coords of a (values, denominator) pair x, one row (n,) or a stack (P, n), as such a pair.
+
+        The span check is basis_cols @ c == x, on the exact lane's integers, and
+        ||basis_cols @ c - x|| <= tol * max(1, ||x||) row by row on the float
+        lane; both sides are cleared of the denominators d_pairing and dx * d_inv.
+        """
         xn, dx = x
         rows, (inv_n, d_inv) = self.coord_map
         pairing_n, d_pairing = self.scaled_pairing
         cn = xn[..., rows] @ inv_n.T
-        # basis_cols @ c == x, cleared of the denominators d_pairing and dx * d_inv
-        if np.any(cn @ pairing_n[:, list(self.basis_events)].T != xn * (d_inv * d_pairing)):
+        back, want = cn @ pairing_n[:, list(self.basis_events)].T, xn * (d_inv * d_pairing)
+        if self.exact:
+            outside = np.any(back != want)
+        else:
+            # compared in squares, against the scale dx * d_inv * d_pairing of 1; the residual overwrites back
+            r, scale = np.subtract(back, want, out=back), dx * d_inv * d_pairing
+            bound = tol * tol * np.maximum(scale * scale, np.einsum("...i,...i->...", want, want))
+            outside = np.any(np.einsum("...i,...i->...", r, r) > bound)
+        if outside:
             raise SynthesisError("element lies outside the event span")
         return cn, dx * d_inv
 
@@ -366,61 +398,38 @@ class CompressionReport:
         return max(self.idempotency, self.unit_image, self.invariance) <= tol
 
 
-def _max_abs(arr):
-    """max |entry| of a float array."""
-    return float(np.max(np.abs(arr), initial=0.0))
-
-
 def build_compression(synth, requests, expansions):
     """U_e of every event, as {event: CompressionReport}.
 
     Row l of U_e is mu_l(e) times the expansion of the conditional of mu_l under e.
     `requests` lists (e, generators) as the oracle took them and `expansions`
     its answers, in the same order; every other row (zero mass on e) stays
-    zero.  The float lane builds all U_e as one (E, n, n) stack and takes each
-    residual from stacked products.  The exact lane builds each U_e and its
-    residuals on integer numerators.
+    zero.  All U_e are one (E, n, n) stack of values over one denominator, the
+    expansions' common one times the pairing's, and each residual is taken
+    from stacked products.
     """
     events = synth.space.events()
-    if synth.exact:
-        answers = {e: (generators, x) for (e, generators), x in zip(requests, expansions)}
-        return {e: _exact_compression(synth, e, *answers.get(e, ([], []))) for e in events}
-    pairing = synth.pairing
-    us = np.zeros((len(events), synth.n_states, synth.n_states))
+    pn, dp = synth.scaled_pairing
+    # U_e = un[e] / du
+    un, du = np.zeros((len(events), synth.n_states, synth.n_states), dtype=pn.dtype), dp
     rows = [(e, l) for e, generators in requests for l in generators]
     if rows:
         es, ls = np.array(rows).T
-        us[es, ls] = pairing[ls, es][:, None] * np.concatenate(expansions)
-    idem = np.max(np.abs(us @ us - us), axis=(1, 2), initial=0.0)
-    unit_image = np.max(np.abs(us @ synth.unit_coords() - pairing.T), axis=1, initial=0.0)
-    # row l of U_e @ pairing - pairing[l] on the generators of mass one on e
-    mass_one = (np.abs(pairing - 1.0) <= 1e-10).T
-    drifts = np.max(np.abs(us @ pairing - pairing), axis=2, initial=0.0)
-    invariance = np.max(drifts, axis=1, where=mass_one, initial=0.0)
+        xn, dx = _scaled(np.concatenate(expansions))
+        un[es, ls] = pn[ls, es][:, None] * xn
+        du = dp * dx
+    # the drift of row l of U_e @ pairing from pairing[l], kept on the generators l of mass one on e
+    mass_one = pn == dp if synth.exact else np.abs(pn - 1.0) <= 1e-10
+    drifts = np.where(mass_one.T, _top(un @ pn - pn * du, axis=2), 0)
+    idem = _worst((un @ un - un * du, du * du), axis=(1, 2))
+    unit_image = _worst((un @ pn[:, synth.space.unit] - pn.T * du, du * dp), axis=1)
+    invariance = _worst((drifts, du * dp), axis=1)
+    us = _unscaled(un, du)
     return {
-        e: CompressionReport(event=e, matrix=us[e], idempotency=float(idem[e]), unit_image=float(unit_image[e]),
-                             invariance=float(invariance[e]))
+        e: CompressionReport(event=e, matrix=us[e], idempotency=idem[e], unit_image=unit_image[e],
+                             invariance=invariance[e])
         for e in events
     }
-
-
-def _exact_compression(synth, e, generators, expansions):
-    pn, dp = synth.scaled_pairing
-    n_states = synth.n_states
-    # U_e = un / du
-    un, du = np.zeros((n_states, n_states), dtype=object), dp
-    if generators:
-        xn, dx = _scaled(expansions)
-        un[generators] = pn[generators, e][:, None] * xn
-        du = dp * dx
-    mass_one = pn[:, e] == dp
-    return CompressionReport(
-        event=e,
-        matrix=_unscaled(un, du),
-        idempotency=Fraction(_top(un @ un - un * du), du * du),
-        unit_image=Fraction(_top(un @ pn[:, synth.space.unit] - pn[:, e] * du), du * dp),
-        invariance=Fraction(_top(un[mass_one] @ pn - pn[mass_one] * du), du * dp),
-    )
 
 
 @dataclass
@@ -430,24 +439,22 @@ class ProductModel:
     synth: SyntheticSpace
     compressions: dict  # event -> CompressionReport
     multipliers: dict  # event -> T_e matrix; Fractions on the exact lane
-    # S[k, l] = b_k o b_l over basis_events, flattened over (k, l): (dim * dim, n_states);
-    # built from the multipliers; exact lane: a _scaled pair in lowest terms
-    table: np.ndarray | tuple = field(default=None, init=False, repr=False, compare=False)
-    # exact lane: the T_e stacked in event order, as _scaled numerators (n_events, n, n) and denominator
-    scaled_multipliers: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # S[k, l] = b_k o b_l over basis_events, flattened over (k, l): (dim * dim, n_states), built from the
+    # multipliers as a (values, denominator) pair on both lanes: in lowest terms on the exact lane, over a
+    # power of two on the float lane (the halving in T_e and S), so the float values keep their bits
+    table: tuple = field(default=None, init=False, repr=False, compare=False)
+    # the T_e stacked in event order as a (values, denominator) pair: (n_events, n, n) and denominator
+    # (1.0 on the float lane, where T_e = (I + U_e - U_e')/2 is exact)
+    scaled_multipliers: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         synth = self.synth
         basis = list(synth.basis_events)
-        if synth.exact:
-            self.scaled_multipliers = tn, dt = _scaled(np.stack([self.multipliers[e] for e in synth.space.events()]))
-            pn, dp = synth.scaled_pairing
-            # a[k, l] = T_{b_k} pi(b_l) = an[k, l] / (dt dp); S is its symmetrization over (k, l)
-            an = (tn[basis] @ pn[:, basis]).transpose(0, 2, 1)
-            self.table = _reduced((an + an.transpose(1, 0, 2)).reshape(-1, synth.n_states), 2 * dt * dp)
-        else:
-            a = (np.stack([self.multipliers[e] for e in basis]) @ synth.basis_cols).transpose(0, 2, 1)
-            self.table = ((a + a.transpose(1, 0, 2)) * 0.5).reshape(-1, synth.n_states)
+        self.scaled_multipliers = tn, dt = _scaled(np.stack([self.multipliers[e] for e in synth.space.events()]))
+        pn, dp = synth.scaled_pairing
+        # a[k, l] = T_{b_k} pi(b_l) = an[k, l] / (dt dp); S is its symmetrization over (k, l)
+        an = (tn[basis] @ pn[:, basis]).transpose(0, 2, 1)
+        self.table = _reduced((an + an.transpose(1, 0, 2)).reshape(-1, synth.n_states), 2 * dt * dp)
 
     def u_apply(self, e, x):
         return self.compressions[e].matrix @ x
@@ -455,24 +462,16 @@ class ProductModel:
     def product(self, x, y):
         """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n).
 
-        On the exact lane x and y are Fraction arrays, or both _scaled pairs
-        (numerators, denominator); the product comes back in the same form.
+        x and y are arrays, or both (values, denominator) pairs; the product
+        comes back in the same form.
         """
         synth = self.synth
         scaled = isinstance(x, tuple)
-        if synth.exact:
-            (cx, dx), (cy, dy) = (synth.scaled_coords(v if scaled else _scaled(v)) for v in (x, y))
-            table, d = self.table
-        else:
-            cx, cy = synth.event_coords(x), synth.event_coords(y)
-            table = self.table
-        # the outer products cx cy^T against S flattened over (k, l): one matmul for the whole stack;
-        # the exact lane contracts integer numerators and reduces by one gcd
+        (cx, dx), (cy, dy) = (synth.scaled_coords(v if scaled else _scaled(v)) for v in (x, y))
+        table, d = self.table
+        # the outer products cx cy^T against S flattened over (k, l): one matmul for the whole stack
         outer = cx[..., :, None] * cy[..., None, :]
-        out = outer.reshape(*outer.shape[:-2], -1) @ table
-        if not synth.exact:
-            return out
-        out = _reduced(out, dx * dy * d)
+        out = _reduced(outer.reshape(*outer.shape[:-2], -1) @ table, dx * dy * d)
         return out if scaled else _unscaled(*out)
 
     def power(self, x, m):
@@ -482,21 +481,17 @@ class ProductModel:
         return acc
 
     def worst_symmetry(self):
-        """Largest |T_e pi(f) - T_f pi(e)| over e < f (exact on the exact lane), and its first pair in row-major order."""
+        """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""
         synth = self.synth
         es, fs = np.triu_indices(synth.space.n_events, 1)
+        (tn, dt), (pn, dp) = self.scaled_multipliers, synth.scaled_pairing
         # images[e, :, f] = T_e pi(f), for every pair in one stacked product
-        if synth.exact:
-            (tn, dt), (pn, dp) = self.scaled_multipliers, synth.scaled_pairing
-            images = tn @ pn
-            residuals = _top(images[es, :, fs] - images[fs, :, es], axis=-1)
-        else:
-            images = np.stack([self.multipliers[e] for e in synth.space.events()]) @ synth.pairing
-            residuals = synth.norm(images[es, :, fs] - images[fs, :, es])
+        images = tn @ pn
+        residuals = _top(images[es, :, fs] - images[fs, :, es], axis=-1)
+        worst = _worst((residuals, dt * dp))
         if not (residuals > 0).any():
-            return (Fraction(0) if synth.exact else 0.0), None
+            return worst, None
         i = int(np.argmax(residuals))
-        worst = Fraction(residuals[i], dt * dp) if synth.exact else float(residuals[i])
         return worst, (int(es[i]), int(fs[i]))
 
 
@@ -509,15 +504,11 @@ def build_product_model(synth, oracle):
     massive = synth.pairing != 0 if synth.exact else ~(synth.pairing <= MASS_THRESHOLD)
     requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in space.events() if massive[:, e].any()]
     comps = build_compression(synth, requests, oracle(requests))
-    # T_e = (I + U_e - U_e')/2, stacked over the events; the exact lane forms it on the compressions' numerators
-    us = np.stack([comps[e].matrix for e in space.events()])
+    # T_e = (I + U_e - U_e')/2, stacked over the events and formed on the compressions' values
+    un, du = _scaled(np.stack([comps[e].matrix for e in space.events()]))
     comp = [space.comp(e) for e in space.events()]
-    if synth.exact:
-        un, du = _scaled(us)
-        mults = dict(zip(space.events(), _unscaled(np.eye(synth.n_states, dtype=object) * du + un - un[comp], 2 * du)))
-    else:
-        mults = dict(zip(space.events(), (np.eye(synth.n_states) + us - us[comp]) * 0.5))
-    return ProductModel(synth=synth, compressions=comps, multipliers=mults)
+    tn = np.eye(synth.n_states, dtype=un.dtype) * du + un - un[comp]
+    return ProductModel(synth=synth, compressions=comps, multipliers=dict(zip(space.events(), _unscaled(tn, 2 * du))))
 
 
 # ---------------------------------------------------------------------------
@@ -539,30 +530,23 @@ class WellDefinednessReport:
 def check_well_definedness(model, samples=50, rng=None):
     """Multipliers must not care how an element is cut into orthogonal pieces.
 
-    The exact lane works on the multipliers' integer numerators.
+    Both residuals are taken on the multipliers' values over their denominator.
     """
     rng = rng or np.random.default_rng(0)
     synth = model.synth
     space = synth.space
-    if synth.exact:
-        (mults, dt), (pn, dp) = model.scaled_multipliers, synth.scaled_pairing
-        cols, top, zero, coeff = pn[:, list(synth.basis_events)], _top, 0, (lambda c: c)
-    else:
-        mults = np.stack([model.multipliers[e] for e in space.events()])
-        cols, top, zero, coeff = synth.basis_cols, _max_abs, 0.0, (lambda c: c / 2)
+    (mults, dt), (pn, dp) = model.scaled_multipliers, synth.scaled_pairing
+    cols = pn[:, list(synth.basis_events)]
     # (T_e + T_f - T_{e+f}) pi(b) over every defined sum e + f, e <= f, both nonzero,
     # stacked _PAIR_BLOCK sums at a time
     es, fs = np.nonzero(np.triu(space.sum_table >= 0))
     keep = (es != space.zero) & (fs != space.zero)
     es, fs = es[keep], fs[keep]
     ss = space.sum_table[es, fs]
-    worst_triple = zero
-    for b in orthospace.pair_blocks(len(es), 1):
-        delta = mults[es[b]] + mults[fs[b]] - mults[ss[b]]
-        worst_triple = max(worst_triple, top(delta @ cols))
+    triples = [_top((mults[es[b]] + mults[fs[b]] - mults[ss[b]]) @ cols) for b in orthospace.pair_blocks(len(es), 1)]
     families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
-    worst_regroup, used, skipped = zero, 0, 0
-    menu = [2, 2, -2, 1, 4]  # twice {1, 1, -1, 1/2, 2}: integers on the exact lane, halved on the float lane
+    regroups, used, skipped = [], 0, 0
+    menu = [2, 2, -2, 1, 4]  # twice {1, 1, -1, 1/2, 2}, so the residual is over twice the denominator
     for _ in range(samples):
         if not families:
             break
@@ -583,14 +567,13 @@ def check_well_definedness(model, samples=50, rng=None):
             skipped += 1
             continue
         used += 1
-        direct = sum((mults[g] * coeff(c) for g, c in zip(fam, coeffs)))
-        grouped = sum((mults[g] * coeff(c) for c, g in merged))
-        worst_regroup = max(worst_regroup, top((direct - grouped) @ cols))
-    if synth.exact:
-        worst_triple, worst_regroup = Fraction(worst_triple, dt * dp), Fraction(worst_regroup, 2 * dt * dp)
+        direct = sum((mults[g] * c for g, c in zip(fam, coeffs)))
+        grouped = sum((mults[g] * c for c, g in merged))
+        regroups.append(_top((direct - grouped) @ cols))
+    # object arrays, so that the exact lane's Python-int tops never pass through a fixed-width integer
     return WellDefinednessReport(
-        sum_triple_residual=worst_triple,
-        regroup_residual=worst_regroup,
+        sum_triple_residual=_worst((np.array(triples, dtype=object), dt * dp)),
+        regroup_residual=_worst((np.array(regroups, dtype=object), 2 * dt * dp)),
         samples=used,
         skipped=skipped,
     )
@@ -630,53 +613,29 @@ class SyntheticLawReport:
 def check_laws_on_reconstruction(model, pairs=200, rng=None):
     """Jordan identity, norm laws, power associativity on sampled primitives.
 
-    All pairs are drawn first (x then y, pair by pair); each law term is then
-    one product over the (pairs, n) stacks, and each residual a row-wise norm.
+    All pairs are drawn first (x then y, pair by pair) as (values, denominator)
+    stacks; each law term is then one product over the (pairs, n) stacks, and
+    each residual a row-wise norm.  The exact lane draws random_primitive's
+    primitives, in its order, as numerators over 4 dp.
     """
     rng = rng or np.random.default_rng(0)
     synth = model.synth
     fams = orthospace.maximal_orthogonal_families(synth.space)
-    if synth.exact:
-        return _exact_laws(model, pairs, rng, fams)
-    draws = [random_primitive(synth, rng, fams)[0] for _ in range(2 * pairs)]
-    x = np.array(draws[0::2]).reshape(pairs, synth.n_states)
-    y = np.array(draws[1::2]).reshape(pairs, synth.n_states)
-    unit = np.broadcast_to(synth.unit_coords(), x.shape)
-    norm = synth.norm
-    x2, y2 = model.product(x, x), model.product(y, y)
-    lhs = model.product(x2, model.product(x, y))
-    rhs = model.product(x, model.product(x2, y))
-    x3 = model.power(x, 3)
-    x4_gap = norm(model.product(x2, x2) - model.power(x, 4))
-    x6_gap = norm(model.product(x3, x3) - model.power(x, 6))
-    slack = norm(x2 + y2) - norm(x2)
-
-    def worst(rows):
-        return float(np.max(rows, initial=0))
-
-    return SyntheticLawReport(
-        jordan_identity=worst(norm(lhs - rhs)),
-        square_norm=worst(np.abs(norm(y2) - norm(y) ** 2)),
-        square_sum_slack=float(slack.min()) if pairs else 0.0,
-        power_associativity=max(worst(x4_gap), worst(x6_gap)),
-        unit_residual=worst(norm(model.product(unit, x) - x)),
-        pairs=pairs,
-    )
-
-
-def _exact_laws(model, pairs, rng, fams):
-    """The law sweep on (numerators, denominator) stacks, with random_primitive's draws in its order."""
-    synth = model.synth
     pn, dp = synth.scaled_pairing
-
-    def draw():
-        # random_primitive's sum of (k/4) pi(g) over a random family, as numerators over 4 dp
-        fam = fams[rng.integers(len(fams))]
-        return sum(int(rng.integers(-8, 9)) * pn[:, g] for g in fam)
-
-    draws = np.array([draw() for _ in range(2 * pairs)], dtype=object).reshape(2 * pairs, synth.n_states)
-    x, y = (draws[0::2], 4 * dp), (draws[1::2], 4 * dp)
-    unit = (np.broadcast_to(pn[:, synth.space.unit], x[0].shape), dp)
+    if synth.exact:
+        def draw():
+            # random_primitive's sum of (k/4) pi(g) over a random family, as numerators over 4 dp
+            fam = fams[rng.integers(len(fams))]
+            return sum(int(rng.integers(-8, 9)) * pn[:, g] for g in fam)
+        d = 4 * dp
+    else:
+        def draw():
+            return random_primitive(synth, rng, fams)[0]
+        d = dp
+    draws = np.array([draw() for _ in range(2 * pairs)], dtype=pn.dtype).reshape(2 * pairs, synth.n_states)
+    x, y = (draws[0::2], d), (draws[1::2], d)
+    unit_n, d_unit = _scaled(synth.unit_coords())
+    unit = (np.broadcast_to(unit_n, x[0].shape), d_unit)
     product, power = model.product, model.power
     x2, y2 = product(x, x), product(y, y)
     lhs = product(x2, product(x, y))
@@ -685,11 +644,11 @@ def _exact_laws(model, pairs, rng, fams):
     x4_gap = _sub(product(x2, x2), power(x, 4))
     x6_gap = _sub(product(x3, x3), power(x, 6))
     ny = _row_norms(y)
-    slack_n, slack_d = _sub(_row_norms(_add(x2, y2)), _row_norms(x2))
+    slack = _unscaled(*_sub(_row_norms(_add(x2, y2)), _row_norms(x2))).tolist()
     return SyntheticLawReport(
         jordan_identity=_worst(_sub(lhs, rhs)),
         square_norm=_worst(_sub(_row_norms(y2), (ny[0] * ny[0], ny[1] * ny[1]))),
-        square_sum_slack=Fraction(min(slack_n, default=0), slack_d),
+        square_sum_slack=min(slack, default=_unscaled(0, d)),
         power_associativity=max(_worst(x4_gap), _worst(x6_gap)),
         unit_residual=_worst(_sub(product(unit, x), x)),
         pairs=pairs,

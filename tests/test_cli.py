@@ -343,6 +343,7 @@ class TestReplay:
         lambda report: json.dumps(report | {"axioms": {"ortho-symmetry": {"passed": False, "witnesses": [[-1, 2]]}}}),
         lambda report: json.dumps(report | {"axioms": {"sum-associativity": {"passed": False, "witnesses": [[1, 2]]}}}),
         lambda report: first_record(report, lambda rec: rec["state"].__setitem__(-1, "1.0")),
+        lambda report: first_record(report, lambda rec: rec["state"].__setitem__(0, "abc")),
         lambda report: first_record(report, lambda rec: rec["witnesses"][0].__setitem__(0, 0)),
         lambda report: first_record(report, lambda rec: rec["witnesses"].__setitem__(0, None)),
         lambda report: first_record(report, lambda rec: rec["witnesses"][0].__setitem__(-1, "1.0")),
@@ -350,9 +351,9 @@ class TestReplay:
         lambda report: first_record(report, lambda rec: rec.pop("witnesses")),
         lambda report: first_record(report, lambda rec: rec.update(witness_event=99)),
     ], ids=["not-json", "record-without-event", "event-out-of-range", "event-zero-mass", "unknown-axiom-tag",
-            "witness-out-of-range", "witness-negative", "witness-short", "state-decimal", "multiple-witness-integer",
-            "multiple-witness-null", "multiple-witness-decimal", "multiple-witness-one-short",
-            "multiple-without-witnesses", "multiple-witness-event-out-of-range"])
+            "witness-out-of-range", "witness-negative", "witness-short", "state-decimal", "state-not-a-number",
+            "multiple-witness-integer", "multiple-witness-null", "multiple-witness-decimal",
+            "multiple-witness-one-short", "multiple-without-witnesses", "multiple-witness-event-out-of-range"])
     def test_malformed_report_is_bad_input(self, files, tmp_path, corrupt):
         # exit 1 is for witnesses that do not reproduce; a report that cannot be read is exit 2
         report, _ = self.run_structured(files)
@@ -362,6 +363,7 @@ class TestReplay:
         assert code == 2
         assert out == ""
         assert "input error" in err
+        assert "line 0" not in err  # a JSON report has no lines; the message names the field
 
     def test_generated_report_replays(self, files, tmp_path):
         # GENERATED mode: the witnesses are checked against the state equations as in FULL mode
@@ -720,6 +722,28 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "input error: line 3: " in proc.stderr
+
+    @pytest.mark.parametrize("command, text, where", [
+        (["spectrum"], "matrix v1\ntag R\nn 2\n1 nan\nnan 0\n", "line 4: non-finite"),
+        (["spectrum"], "matrix v1\ntag R\nn 2\n1 1e999\n1e999 0\n", "line 4: non-finite"),
+        (["condition", "1", "2"], "projections v1\ntag R\nn 2\ncount 3\nnan 0\n0 0.5\n1 0\n0 0\n0 0\n0 1\n",
+         "line 5: non-finite"),
+        (["spectrum"], "observable v1\nterm 1e999 1\n", "line 2: bad value"),
+        (["verify"], "orthospace v1\nn_events -1\nzero 0\nunit 0\n", "n_events must be in 1.."),
+        (["spectrum"], "matrix v1\ntag R\nn 0\n", "line 3: n must be"),
+        (["synthesize"], "matrix v1\ntag R\nn 0\n", "line 3: n must be"),
+        (["spectrum"], "projections v1\ntag R\nn 2\ncount 0\n", "line 4: count must be"),
+    ], ids=["matrix-nan", "matrix-overflow", "density-nan", "observable-overflow", "n-events-negative",
+            "spectrum-n-zero", "synthesize-n-zero", "count-zero"])
+    def test_non_finite_or_bad_size_exits_2(self, tmp_path, command, text, where):
+        # each of these once printed nan or inf and passed, or raised an uncaught error (exit 1)
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        proc = subprocess.run([sys.executable, "-m", "ucpspace.cli", command[0], "--input", str(path), *command[1:]],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"input error: {where}" in proc.stderr
 
     def test_numpy_is_the_only_dependency_imported(self):
         # the CLI, the clique search and the matrix kernel import nothing

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ucpspace import fileio, instances, jordan, synthesis
+from ucpspace import fileio, instances, jordan, orthospace, synthesis
 from ucpspace.errors import ParseError
 from ucpspace.statespace import build_state_polytope
 
@@ -42,6 +42,11 @@ class TestOrthospaceFormat:
     def test_wrong_header(self):
         with pytest.raises(ParseError):
             fileio.parse_orthospace("states v1\n")
+
+    @pytest.mark.parametrize("n", [-1, 0, orthospace.MAX_EVENTS + 1])
+    def test_event_count_out_of_range(self, n):
+        with pytest.raises(ParseError, match=r"n_events must be in 1\.\."):
+            fileio.parse_orthospace(f"orthospace v1\nn_events {n}\nzero 0\nunit 0\n")
 
 
 class TestStatesFormat:
@@ -98,6 +103,17 @@ class TestElementsFormat:
         with pytest.raises(ParseError):
             fileio.parse_elements("matrix v1\nalgebra X 2\n")
 
+    @pytest.mark.parametrize("text, line", [
+        ("matrix v1\ntag R\nn 2\n1 nan\nnan 0\n", 4),
+        ("matrix v1\ntag R\nn 2\n1 0\n0 1e999\n", 5),
+        ("matrix v1\ntag R\nn 0\n", 3),
+        ("matrix v1\ntag R\nn -2\n", 3),
+        ("projections v1\ntag R\nn 2\ncount 0\n", 4),
+    ], ids=["nan", "overflow", "n-zero", "n-negative", "count-zero"])
+    def test_bad_entries_and_sizes_line_numbered(self, text, line):
+        with pytest.raises(ParseError, match=rf"^line {line}: "):
+            fileio.parse_elements(text)
+
     def test_octonion_tag(self):
         el = jordan.diag("O3", [1, 0, 0])
         tag, n, (back,) = fileio.parse_elements(fileio.format_elements([el]))
@@ -117,6 +133,11 @@ class TestObservableFormat:
         support = ((0.5, 1), (-3.25, 2))
         back = fileio.parse_observable(fileio.format_observable(support))
         assert tuple(back) == support
+
+    @pytest.mark.parametrize("token", ["1e999", "-1.5e400"])
+    def test_non_finite_value_rejected(self, token):
+        with pytest.raises(ParseError, match=rf"^line 2: bad value '{token}'"):
+            fileio.parse_observable(f"observable v1\nterm {token} 1\n")
 
 
 class TestSniff:

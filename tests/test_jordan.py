@@ -236,6 +236,15 @@ class TestValidation:
         with pytest.raises(SizeError):
             element("C", c)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # a NaN defect compares false against any tolerance, so the check is written to fail on it
+        c = np.zeros((2, 2, 1))
+        c[0, 0, 0] = bad
+        with pytest.raises(SizeError):
+            element("R", c)
+
     def test_octonion_size_pinned(self):
         with pytest.raises(SizeError):
             zero("O3", 2)

@@ -55,6 +55,13 @@ class TestDensity:
         with pytest.raises(PreconditionError):
             DensityState(jordan.diag("C", [1.5, -0.5]))
 
+    def test_nan_trace_is_an_error(self):
+        # the real eigensolver returns finite eigenvalues for this stack; the trace check must still fail
+        coords = np.zeros((1, 2, 2, 1))
+        coords[0, 0, 0, 0], coords[0, 1, 1, 0] = np.nan, 0.5
+        (error,) = lueders._density_errors("R", coords)
+        assert isinstance(error, PreconditionError) and "density trace is nan" in str(error)
+
     def test_density_from_normalizes(self):
         rho = density_from(jordan.diag("C", [2, 2]))
         assert jordan.trace(rho.element) == pytest.approx(1.0)

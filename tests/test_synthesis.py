@@ -597,24 +597,57 @@ class TestExactSweepsMatchFractionReferences:
             assert min(wd.sum_triple_residual, wd.regroup_residual) > 0, name
             assert model.worst_symmetry()[0] > 0, name
 
-    @pytest.mark.parametrize("name", ["bool3", "bool4", "mo1", "bool3-mixed"])
-    def test_compression_residuals(self, name):
-        # the oracle's expansions give zero residuals; random ones give nonzero residuals of every kind
+    @pytest.mark.parametrize("name, one_call", [
+        ("bool3", False), ("bool4", False), ("mo1", False), ("bool3-mixed", False), ("bool3-mixed", True),
+    ], ids=["bool3", "bool4", "mo1", "bool3-mixed", "bool3-mixed-one-call"])
+    def test_compression_residuals(self, name, one_call):
+        # the oracle's expansions give zero residuals; random ones give nonzero residuals of every kind;
+        # in one call every event's expansions go over one common denominator
         synth = exact_model(name).synth
         rng = np.random.default_rng(3)
-        seen = []
+        requests, answers = [], []
         for e in synth.space.events():
             generators = [l for l in range(synth.n_states) if synth.pairing[l, e] != 0]
-            expansions = [[F(int(rng.integers(-5, 6)), int(rng.integers(1, 9))) for _ in range(synth.n_states)]
-                          for _ in generators]
-            got = build_compression(synth, [(e, generators)], [expansions])[e]
+            requests.append((e, generators))
+            answers.append([[F(int(rng.integers(-5, 6)), int(rng.integers(1, 9))) for _ in range(synth.n_states)]
+                            for _ in generators])
+        if one_call:
+            # as build_product_model asks: only the events that some generator gives mass
+            massive = [i for i, (_, generators) in enumerate(requests) if generators]
+            got = build_compression(synth, [requests[i] for i in massive], [answers[i] for i in massive])
+        else:
+            got = {e: build_compression(synth, [(e, generators)], [x])[e]
+                   for (e, generators), x in zip(requests, answers)}
+        seen = []
+        for (e, generators), expansions in zip(requests, answers):
             matrix, *want = reference.compression(synth, e, generators, expansions)
-            assert np.array_equal(got.matrix, matrix)
-            residuals = [got.idempotency, got.unit_image, got.invariance]
+            assert np.array_equal(got[e].matrix, matrix)
+            residuals = [got[e].idempotency, got[e].unit_image, got[e].invariance]
             assert all(type(v) is F for v in residuals)
             assert residuals == want
             seen.append(residuals)
         assert all(max(kind) > 0 for kind in zip(*seen))
+
+
+class TestFloatSweepsMatchReferences:
+    """The float-lane sweeps against the reference sweeps on float arrays: equal to the bit, equal draws.
+
+    family_seed None is the qubit, any other the qutrit family of that seed.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("family_seed", [None, 5, 11])
+    def test_laws(self, family_seed, seed):
+        model = float_model(family_seed)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = check_laws_on_reconstruction(model, pairs=20, rng=rng_got)
+        assert dataclasses.asdict(got) == dataclasses.asdict(reference.laws(model, 20, rng_want))
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("family_seed", [None, 5, 11])
+    def test_worst_symmetry(self, family_seed):
+        model = float_model(family_seed)
+        assert model.worst_symmetry() == reference.worst_symmetry(model)
 
 
 class TestExtremePoints:
