@@ -490,38 +490,53 @@ def cmd_synthesize(args):
     report["n_states"] = synth.n_states
     lines.append(f"dim {synth.dim} over {synth.space.n_events} events, {synth.n_states} generators")
 
-    worst_sym, arg = model.worst_symmetry()
-    report["worst_symmetry"] = float(worst_sym)
-    lines.append(f"worst multiplier symmetry: {_g(worst_sym)} at {arg}")
+    # a SynthesisError from here on is a check the built model fails, not bad input
+    stage = "symmetry"
+    try:
+        worst_sym, arg = model.worst_symmetry()
+        report["worst_symmetry"] = float(worst_sym)
+        lines.append(f"worst multiplier symmetry: {_g(worst_sym)} at {arg}")
 
-    wd = synthesis.check_well_definedness(model, rng=rng)
-    wd_worst = max(wd.sum_triple_residual, wd.regroup_residual)
-    report["well_definedness"] = float(wd_worst)
-    lines.append(f"well-definedness worst: {_g(wd_worst)}")
+        stage = "well-definedness"
+        wd = synthesis.check_well_definedness(model, rng=rng)
+        wd_worst = max(wd.sum_triple_residual, wd.regroup_residual)
+        report["well_definedness"] = float(wd_worst)
+        lines.append(f"well-definedness worst: {_g(wd_worst)}")
 
-    laws = synthesis.check_laws_on_reconstruction(model, pairs=args.samples, rng=rng)
-    report["laws"] = {name: float(getattr(laws, name)) for name in _LAWS}
-    lines.append("laws: " + ", ".join(f"{label} {_g(getattr(laws, name))}" for name, label in _LAWS.items()))
+        stage = "laws"
+        laws = synthesis.check_laws_on_reconstruction(model, pairs=args.samples, rng=rng)
+        report["laws"] = {name: float(getattr(laws, name)) for name in _LAWS}
+        lines.append("laws: " + ", ".join(f"{label} {_g(getattr(laws, name))}" for name, label in _LAWS.items()))
 
-    comp_worst = max(max(c.idempotency, c.unit_image, c.invariance) for c in model.compressions.values())
-    report["compression_worst"] = float(comp_worst)
-    lines.append(f"compression residual worst: {_g(comp_worst)}")
+        comp_worst = max(max(c.idempotency, c.unit_image, c.invariance) for c in model.compressions.values())
+        report["compression_worst"] = float(comp_worst)
+        lines.append(f"compression residual worst: {_g(comp_worst)}")
 
-    ok = _density_summary(synth, instance, rng, report, lines)
-    # the exact lane keeps every residual exact and passes only on exact zeros
-    # (and a nonnegative square-sum slack); the float lane allows --tol
-    tol = 0 if synth.exact else args.tol
-    if instance is not None:
-        lue = synthesis.compare_with_lueders(model, instance)
-        prod = synthesis.compare_products(model, instance)
-        report["match_lueders"] = lue
-        report["match_product"] = prod
-        lines.append(f"matches: lueders {_g(lue)}, product {_g(prod)}")
-        ok &= lue <= tol and prod <= tol
-    ok &= worst_sym <= tol and wd_worst <= tol and comp_worst <= tol
-    ok &= laws.passed(tol)
+        stage = "density"
+        ok = _density_summary(synth, instance, rng, report, lines)
+        # the exact lane keeps every residual exact and passes only on exact zeros
+        # (and a nonnegative square-sum slack); the float lane allows --tol
+        tol = 0 if synth.exact else args.tol
+        if instance is not None:
+            stage = "comparison"
+            lue = synthesis.compare_with_lueders(model, instance)
+            prod = synthesis.compare_products(model, instance)
+            report["match_lueders"] = lue
+            report["match_product"] = prod
+            lines.append(f"matches: lueders {_g(lue)}, product {_g(prod)}")
+            ok &= lue <= tol and prod <= tol
+        ok &= worst_sym <= tol and wd_worst <= tol and comp_worst <= tol
+        ok &= laws.passed(tol)
 
-    payload = fileio.synth_dump(model)
+        stage = "dump"
+        payload = fileio.synth_dump(model)
+    except SynthesisError as exc:
+        report["failed_check"] = {"stage": stage, "message": str(exc)}
+        report["passed"] = False
+        lines.append(f"{stage} check failed: {exc}")
+        lines.append("synthesize: FAIL")
+        return FAIL, report, lines
+
     if args.format == "structured":
         report["dump"] = payload
     else:

@@ -3,7 +3,10 @@
 Every format is line-based with a versioned header, skips blank lines and
 '#' comments, and round-trips bit-exactly: integers as decimals, rationals
 as p/q strings, reals as shortest-repr decimals.  The synthetic-space dump
-is JSON so regression diffs stay readable.
+is JSON so regression diffs stay readable.  Its format "synthetic-space v2"
+writes each compression U_e as a dim x dim matrix W_e over basis_events
+(column k holds the coordinates of U_e pi(b_k)), checked on the way to lie in
+the event span; v1, which wrote U_e over the generators, is no longer read.
 """
 
 import json
@@ -20,7 +23,7 @@ STATES_HEADER = "states v1"
 MATRIX_HEADER = "matrix v1"
 PROJECTIONS_HEADER = "projections v1"
 OBSERVABLE_HEADER = "observable v1"
-DUMP_FORMAT = "synthetic-space v1"
+DUMP_FORMAT = "synthetic-space v2"
 
 
 def _lines(text):
@@ -306,7 +309,13 @@ def _matrix_payload(mat):
 
 
 def synth_dump(model):
-    """Regression-diffable payload: space shape, pairing, compression matrices."""
+    """Regression-diffable payload: space shape, pairing, and each compression over basis_events.
+
+    Compression e is written as its dim x dim matrix W_e from
+    `ProductModel.basis_compressions`: column k holds the coordinates of
+    U_e pi(b_k) over basis_events.  Building it checks that U_e maps the span
+    of the events into itself, and raises SynthesisError when it does not.
+    """
     synth = model.synth
     return {
         "format": DUMP_FORMAT,
@@ -316,10 +325,7 @@ def synth_dump(model):
         "n_states": synth.n_states,
         "basis_events": list(synth.basis_events),
         "pairing": _matrix_payload(synth.pairing),
-        "compressions": {
-            str(e): _matrix_payload(model.compressions[e].matrix)
-            for e in sorted(model.compressions)
-        },
+        "compressions": {str(e): _matrix_payload(w) for e, w in enumerate(model.basis_compressions())},
     }
 
 
@@ -400,10 +406,10 @@ def _entry(v):
 
 
 def parse_dump(text):
-    """Dict with pairing/compressions as arrays (Fractions when dumped exact)."""
+    """Dict with pairing/compressions as arrays (Fractions when dumped exact); only the current format is read."""
     payload = json.loads(text)
     if payload.get("format") != DUMP_FORMAT:
-        raise ParseError("not a synthetic-space dump")
+        raise ParseError(f"expected a '{DUMP_FORMAT}' dump, got format {payload.get('format')!r}")
     def arr(rows):
         if payload["exact"]:
             m = np.empty((len(rows), len(rows[0])), dtype=object)

@@ -41,11 +41,19 @@ def compression_matrix(e):
 def _density_errors(tag, coords):
     """Per density of a stack: the PreconditionError of its first failed check, or None.
 
-    A density has trace 1 within 1e-12 and no eigenvalue below -1e-10.
+    A density has trace 1 within 1e-12 and no eigenvalue below -1e-10.  Only
+    densities with finite entries go to the eigensolver, which may fail to
+    converge on a NaN; any other takes a NaN floor.  So a NaN entry gives the
+    same error on every tag: a trace of nan when it lies on the diagonal, a
+    negative eigenvalue of nan when it does not.
     """
     d = np.arange(coords.shape[-2])
     traces = coords[:, d, d, 0].sum(axis=1).tolist()
-    floors = jordan.batched_eigenvalues(tag, coords)[:, 0].tolist()
+    finite = np.isfinite(coords).reshape(len(coords), -1).all(axis=1)
+    floors = np.full(len(coords), np.nan)
+    if finite.any():
+        floors[finite] = jordan.batched_eigenvalues(tag, coords[finite])[:, 0]
+    floors = floors.tolist()
     errors = []
     for tr, w in zip(traces, floors):
         # negated comparisons, so that a NaN fails them

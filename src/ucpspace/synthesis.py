@@ -32,6 +32,12 @@ structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
 x o y = sum_kl cx_k cy_l S[k, l].  The product takes one pair or a stack of
 pairs; a stack is one coordinate map and one contraction, and the law sweep
 and the product comparison pass every sampled pair at once.
+The model dump writes each U_e over basis_events instead of the generators, as
+the dim x dim matrix W_e of `ProductModel.basis_compressions`: column k holds
+the coordinates of U_e pi(b_k).  Its one `scaled_coords` call over every image
+checks that U_e maps A into A, which building the model does not assume: a
+model whose compressions leave the event span still builds, and only the dump
+raises.
 
 Both lanes run one body on (values, denominator) pairs (`_scaled`): Python-int
 numerators over an int denominator on the exact lane, float arrays over a
@@ -109,8 +115,10 @@ _fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def _unscaled(values, d):
-    """The array values / d: floats over a float d, Fractions over an int d."""
-    return values / d if isinstance(d, float) else _fractions(values, d)
+    """The array values / d: floats over a float d (values itself over 1.0), Fractions over an int d."""
+    if isinstance(d, float):
+        return values if d == 1.0 else values / d
+    return _fractions(values, d)
 
 
 def _reduced(values, d):
@@ -421,7 +429,7 @@ def build_compression(synth, requests, expansions):
     # the drift of row l of U_e @ pairing from pairing[l], kept on the generators l of mass one on e
     mass_one = pn == dp if synth.exact else np.abs(pn - 1.0) <= 1e-10
     drifts = np.where(mass_one.T, _top(un @ pn - pn * du, axis=2), 0)
-    idem = _worst((un @ un - un * du, du * du), axis=(1, 2))
+    idem = _worst(_sub((un @ un, du * du), (un, du)), axis=(1, 2))
     unit_image = _worst((un @ pn[:, synth.space.unit] - pn.T * du, du * dp), axis=1)
     invariance = _worst((drifts, du * dp), axis=1)
     us = _unscaled(un, du)
@@ -479,6 +487,31 @@ class ProductModel:
         for _ in range(m - 1):
             acc = self.product(acc, x)
         return acc
+
+    def basis_compressions(self):
+        """W_e of every event, stacked in event order: U_e as a (dim, dim) matrix over basis_events.
+
+        Column k of W_e holds the coordinates of U_e pi(b_k).  All n_events * dim
+        images are written over basis_events by one `scaled_coords` call, whose
+        span check verifies that U_e maps A into A; an image outside the event
+        span raises SynthesisError naming the first such event.
+        """
+        synth = self.synth
+        events = synth.space.events()
+        un, du = _scaled(np.stack([self.compressions[e].matrix for e in events]))
+        pn, dp = synth.scaled_pairing
+        # images[e, k] = U_e pi(b_k), over du * dp
+        images = (un @ pn[:, list(synth.basis_events)]).transpose(0, 2, 1)
+        try:
+            cn, d = synth.scaled_coords((images.reshape(-1, synth.n_states), du * dp))
+        except SynthesisError:
+            for e in events:
+                try:
+                    synth.scaled_coords((images[e], du * dp))
+                except SynthesisError:
+                    raise SynthesisError(f"compression of event {e} maps A outside the event span") from None
+            raise
+        return _unscaled(cn.reshape(len(events), synth.dim, synth.dim).transpose(0, 2, 1), d)
 
     def worst_symmetry(self):
         """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""

@@ -13,7 +13,8 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from ucpspace import cli, fileio, instances, jordan, orthospace, statespace
+from ucpspace import cli, fileio, instances, jordan, orthospace, statespace, synthesis
+from ucpspace.errors import SynthesisError
 
 
 def invoke(argv):
@@ -92,6 +93,11 @@ def files(tmp_path_factory):
     paths["qubit_projs"] = put(
         "qubit_projs.txt", fileio.format_elements(family, header="projections v1")
     )
+
+    # the default qutrit family (seed 5): 35 generators, 26 events, dim 9
+    paths["qutrit5"] = put("qutrit5.txt", fileio.format_elements(instances.qutrit_instance(seed=5).elements))
+    # compressing its generic rank-1 event by the rank-2 diagonal one leaves the event span
+    paths["sparse"] = put("sparse.txt", fileio.format_elements(instances.sparse_conditioning_instance().elements))
 
     paths["obs"] = put(
         "obs.txt", fileio.format_observable([(F(1, 2), 1), (F(-3), 2), (F(1), 4)])
@@ -610,7 +616,7 @@ class TestSynthesize:
         report = json.loads(out)
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "f383f56db5a6ffaeb71cf47532dbdcccd0bdcdc68b62a29b2c0ac4cab42ddd4d"
+        assert digest == "5d15aa0e91f824b4a5e8759f74bca5d96ce450b44c4c05f496a07aa583837390"
 
     def test_boolean4_report_is_unchanged(self, files):
         # dimension 4 and larger denominators than Boolean 3: a second pin on
@@ -622,7 +628,7 @@ class TestSynthesize:
         report = json.loads(out)
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "6b9bf86a9b1e3dee9463489d3b115f227fe33e84f7b64798755a0c2b07ddffca"
+        assert digest == "b11f527d5d4f6c658e360855922630bc6151a1a4e6ccb3acb21046a05ebdccde"
 
     def test_boolean5_report_is_unchanged(self, files):
         # dimension 5 and larger numerators again: a third pin on the exact lane's integer sweeps
@@ -633,7 +639,46 @@ class TestSynthesize:
         report = json.loads(out)
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "fce7ae895c89924c9501d16fb2824f90f78922466e998758779407c3fac25515"
+        assert digest == "01d81d211c6a09fb646c0b1e74308c8dcf5244503145fa16a831d1235de98ccc"
+
+    def test_qutrit_dump_is_over_basis_events(self, files):
+        # each compression is written as dim x dim over basis_events: about 98 KB here, where
+        # n_states x n_states over the generators (35 x 35) made a 1.0 MB report
+        code, out, _ = invoke(["synthesize", "--input", files["qutrit5"], "--seed", "7", "--format", "structured"])
+        assert code == 0
+        report = json.loads(out)
+        dim = report["dim"]
+        assert (dim, report["n_states"]) == (9, 35)
+        compressions = report["dump"]["compressions"]
+        assert len(compressions) == report["n_events"]
+        assert all(np.shape(m) == (dim, dim) for m in compressions.values())
+        assert len(out.encode()) < 150_000
+
+    def test_failed_check_after_the_build_exits_1(self, files):
+        # the model builds, but a law-sweep product leaves the event span: a failed check, not bad input
+        code, out, err = invoke(["synthesize", "--input", files["sparse"], "--seed", "7", "--format", "structured"])
+        assert code == 1
+        assert "input error" not in err
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["failed_check"] == {"stage": "laws", "message": "element lies outside the event span"}
+        assert "laws" not in report and "dump" not in report
+        code, out, _ = invoke(["synthesize", "--input", files["sparse"], "--seed", "7"])
+        assert code == 1
+        assert out.splitlines()[-2:] == ["laws check failed: element lies outside the event span", "synthesize: FAIL"]
+
+    @pytest.mark.parametrize("stage", ["dump", "density"])
+    def test_failed_check_names_its_stage(self, files, monkeypatch, stage):
+        def fails(*args, **kwargs):
+            raise SynthesisError(f"stand-in {stage} failure")
+
+        target = (synthesis.ProductModel, "basis_compressions") if stage == "dump" else (synthesis, "check_hull_density")
+        monkeypatch.setattr(*target, fails)
+        code, out, _ = invoke(["synthesize", "--input", files["qubit_projs"], "--format", "structured"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["passed"] is False
+        assert report["failed_check"] == {"stage": stage, "message": f"stand-in {stage} failure"}
 
     @pytest.mark.parametrize("residual", ["symmetry", "slack"])
     def test_exact_lane_passes_only_on_exact_zeros(self, files, monkeypatch, residual):
@@ -710,6 +755,17 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "verify: PASS" in proc.stdout
+
+    def test_failed_check_after_the_build_exits_1(self, files):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ucpspace.cli", "synthesize", "--input", files["sparse"], "--seed", "7",
+             "--format", "structured"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "input error" not in proc.stderr
+        assert json.loads(proc.stdout)["failed_check"]["stage"] == "laws"
 
     def test_decimal_state_file_exits_2(self, files):
         # in a real process an uncaught exception exits 1, which would read as a verified failure

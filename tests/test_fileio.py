@@ -170,6 +170,11 @@ class TestSynthDump:
         assert back["pairing"].tolist() == [
             [F(v) for v in row] for row in payload["pairing"]
         ]
+        # each compression comes back as its dim x dim matrix over basis_events
+        basis = model.basis_compressions()
+        assert sorted(back["compressions"]) == list(bool2.events())
+        for e, mat in back["compressions"].items():
+            assert mat.shape == (back["dim"], back["dim"]) and np.array_equal(mat, basis[e])
         # deterministic serialization
         assert fileio.dump_to_json(payload) == text
 
@@ -183,7 +188,20 @@ class TestSynthDump:
         assert back["dim"] == 4
         key = next(iter(back["compressions"]))
         mat = np.array(back["compressions"][key], dtype=np.float64)
-        assert mat.shape == (synth.n_states, synth.n_states)
+        assert mat.shape == (synth.dim, synth.dim)
+        # shortest-repr floats read back bit for bit
+        basis = model.basis_compressions()
+        assert all(np.array_equal(m, basis[e]) for e, m in back["compressions"].items())
+
+    def test_v1_dump_is_rejected(self, qubit):
+        # v1 wrote each compression over the generators; a v1 text must not read as a v2 one
+        synth = synthesis.matrix_synthetic_space(qubit)
+        model = synthesis.build_product_model(synth, synthesis.lueders_expansion_oracle(synth, qubit))
+        payload = fileio.synth_dump(model)
+        assert payload["format"] == fileio.DUMP_FORMAT == "synthetic-space v2"
+        payload["format"] = "synthetic-space v1"
+        with pytest.raises(ParseError, match="expected a 'synthetic-space v2' dump, got format 'synthetic-space v1'"):
+            fileio.parse_dump(fileio.dump_to_json(payload))
 
 
 class TestMatrixPayload:

@@ -62,6 +62,20 @@ class TestDensity:
         (error,) = lueders._density_errors("R", coords)
         assert isinstance(error, PreconditionError) and "density trace is nan" in str(error)
 
+    @pytest.mark.parametrize("tag", ["R", "C", "H", "O3"])
+    def test_nan_entry_gives_the_same_error_on_every_tag(self, tag):
+        # the complex and quaternion eigensolvers raise on a NaN instead of returning one;
+        # a NaN on the diagonal is a trace error, off it a NaN eigenvalue, on every tag
+        n, k = (3 if tag == "O3" else 2), jordan.coord_dim(tag)
+        coords = np.zeros((3, n, n, k))
+        coords[:, 0, 0, 0] = 1.0
+        coords[0, 1, 1, 0] = np.nan
+        coords[1, 0, 1, k - 1] = coords[1, 1, 0, k - 1] = np.nan
+        diagonal, off_diagonal, clean = lueders._density_errors(tag, coords)
+        assert str(diagonal) == "density trace is nan, not 1"
+        assert str(off_diagonal) == "density has negative eigenvalue nan"
+        assert clean is None
+
     def test_density_from_normalizes(self):
         rho = density_from(jordan.diag("C", [2, 2]))
         assert jordan.trace(rho.element) == pytest.approx(1.0)

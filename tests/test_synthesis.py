@@ -1073,3 +1073,47 @@ class TestStackedLuedersOracle:
         blocked = build_product_model(synth, lueders_expansion_oracle(synth, inst))
         for e in synth.space.events():
             assert np.array_equal(whole.compressions[e].matrix, blocked.compressions[e].matrix)
+
+
+class TestBasisCompressions:
+    """W_e, the compressions over basis_events that the model dump writes."""
+
+    @pytest.mark.parametrize("atoms", [3, 4, 5])
+    def test_boolean_matches_generator_form(self, atoms):
+        # the pairing of a Boolean space's vertices is the identity on its atoms, so W_e is U_e
+        space = orthospace.boolean_orthospace(atoms)
+        poly = build_state_polytope(space)
+        synth = abstract_synthetic_space(space, poly.generators)
+        model = build_product_model(synth, polytope_expansion_oracle(synth, poly))
+        basis = model.basis_compressions()
+        assert basis.shape == (space.n_events, synth.dim, synth.dim)
+        for e in space.events():
+            assert all(type(v) is Fraction for v in basis[e].flat)
+            assert np.array_equal(basis[e], model.compressions[e].matrix)
+
+    @pytest.mark.parametrize("family_seed", [None, 5, 11])
+    def test_float_lane_reproduces_the_images(self, family_seed):
+        inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
+        synth = matrix_synthetic_space(inst)
+        model = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        basis = model.basis_compressions()
+        assert basis.shape == (synth.space.n_events, synth.dim, synth.dim)
+        for e in synth.space.events():
+            u = model.compressions[e].matrix
+            assert np.max(np.abs(synth.basis_cols @ basis[e] - u @ synth.basis_cols)) <= FLOAT_TOL
+            assert np.max(np.abs(basis[e] @ basis[e] - basis[e])) <= FLOAT_TOL
+
+    def test_image_outside_the_span_names_its_event(self):
+        # compressing the generic rank-1 event by the rank-2 diagonal one (event 2) leaves the span
+        inst = instances.sparse_conditioning_instance()
+        synth = matrix_synthetic_space(inst)
+        model = build_product_model(synth, lueders_expansion_oracle(synth, inst))
+        cols = synth.basis_cols
+
+        def leaves_span(u):
+            images = u @ cols
+            return np.linalg.norm(cols @ np.linalg.lstsq(cols, images, rcond=None)[0] - images) > FLOAT_TOL
+
+        assert [e for e in synth.space.events() if leaves_span(model.compressions[e].matrix)][0] == 2
+        with pytest.raises(SynthesisError, match="^compression of event 2 maps A outside the event span$"):
+            model.basis_compressions()
