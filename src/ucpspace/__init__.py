@@ -52,7 +52,6 @@ from .jordan import (
     jordan_product,
     random_projection,
     spectral_decomposition,
-    triple_product,
 )
 from .lueders import DensityState, condition, conditional_probability
 from .synthesis import (
@@ -130,7 +129,6 @@ __all__ = [
     "replay_axiom_witness",
     "spectral_decomposition",
     "spectral_radius",
-    "triple_product",
     "unique_conditional",
     "verify_orthospace",
 ]

@@ -406,10 +406,30 @@ def _entry(v):
 
 
 def parse_dump(text):
-    """Dict with pairing/compressions as arrays (Fractions when dumped exact); only the current format is read."""
-    payload = json.loads(text)
+    """Dict with pairing/compressions as arrays (Fractions when dumped exact); only the current format is read.
+
+    Every malformed dump raises ParseError: text that is not JSON, JSON that
+    is not an object, a missing field, a compression key that is not an
+    event index, and a matrix that is not a rectangle of numbers.
+    """
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"dump is not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ParseError(f"expected a JSON object, got {type(payload).__name__}")
     if payload.get("format") != DUMP_FORMAT:
         raise ParseError(f"expected a '{DUMP_FORMAT}' dump, got format {payload.get('format')!r}")
+    missing = next((key for key in ("exact", "pairing", "compressions") if key not in payload), None)
+    if missing is not None:
+        raise ParseError(f"dump has no {missing!r} field")
+    compressions = payload["compressions"]
+    if not isinstance(compressions, dict):
+        raise ParseError("'compressions' is not an object")
+    bad = next((e for e in compressions if not e.isdecimal()), None)
+    if bad is not None:
+        raise ParseError(f"compression key {bad!r} is not an event index")
+
     def arr(rows):
         if payload["exact"]:
             m = np.empty((len(rows), len(rows[0])), dtype=object)
@@ -418,6 +438,10 @@ def parse_dump(text):
                     m[i, j] = _entry(v)
             return m
         return np.array(rows, dtype=np.float64)
-    payload["pairing"] = arr(payload["pairing"])
-    payload["compressions"] = {int(e): arr(m) for e, m in payload["compressions"].items()}
+
+    try:
+        payload["pairing"] = arr(payload["pairing"])
+        payload["compressions"] = {int(e): arr(m) for e, m in compressions.items()}
+    except (TypeError, ValueError, IndexError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed dump matrix: {exc}") from None
     return payload

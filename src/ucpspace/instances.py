@@ -164,7 +164,7 @@ def enriched_conditioning_instance(seed=13):
     """The sparse instance extended by the spectral projections of {e,f,e}."""
     base = sparse_conditioning_instance(seed)
     e, f = base.elements[2], base.elements[4]
-    compressed = jordan.triple_product(e, f, e)
+    compressed = jordan.quadratic(e, f)
     spec = jordan.spectral_decomposition(compressed)
     ident = jordan.identity(base.tag, base.n)
     g = None

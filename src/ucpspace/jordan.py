@@ -6,11 +6,11 @@ symmetrized product).  Coordinates live in an (n, n, k) float array against
 the Cayley-Dickson basis; the diagonal is real and opposite entries are
 conjugate.
 
-The product is a o b = (ab + ba) / 2 and the triple product is
+The product is a o b = (ab + ba) / 2 and the quadratic map is
 
-    {a, b, c} = a o (b o c) - b o (c o a) + c o (a o b)
+    U_a b = {a, b, a} = 2 a o (a o b) - (a o a) o b
 
-which for associative tags collapses to (abc + cba) / 2.  Spectral theory:
+which for associative tags collapses to aba.  Spectral theory:
 
     R/C/H   real symmetric embedding by left-multiplication blocks, then
             LAPACK eigh; eigenvalues arrive k-fold and cluster projectors are
@@ -121,10 +121,10 @@ def jordan_product(a, b):
     return JordanElement(a.tag, a.n, kernels.jordan_mul(a.coords, b.coords))
 
 
-def triple_product(a, b, c):
+def quadratic(a, b):
+    """U_a b = {a, b, a}."""
     _same(a, b)
-    _same(a, c)
-    return JordanElement(a.tag, a.n, kernels.triple(a.coords, b.coords, c.coords))
+    return JordanElement(a.tag, a.n, kernels.quadratic(a.coords, b.coords))
 
 
 def trace(a):

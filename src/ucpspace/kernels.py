@@ -7,6 +7,11 @@ the product ab is that block matrix times b laid out as an (n k, n) real
 matrix: one batched `@`.  The product is bilinear in the entries, so the
 same path serves every tag, the octonions included.  An unbatched left
 factor against a batched right one builds its block matrix once.
+
+The quadratic map U_a b = {a, b, a} is the one kernel that depends on the
+tag.  Over R, C and H the algebra is associative and U_a b = a b a: two
+block products.  Over the octonions a b a is not U_a b, and the map comes
+from Jordan products, U_a b = 2 a o (a o b) - (a o a) o b: three of them.
 """
 
 import numpy as np
@@ -40,9 +45,11 @@ def jordan_mul(a, b):
     return 0.5 * (ab + ba)
 
 
-def triple(a, b, c):
-    """Jordan triple {a, b, c} = a o (b o c) - b o (c o a) + c o (a o b)."""
-    return jordan_mul(a, jordan_mul(b, c)) - jordan_mul(b, jordan_mul(c, a)) + jordan_mul(c, jordan_mul(a, b))
+def quadratic(a, b):
+    """Quadratic map U_a b = {a, b, a}: a b a for the associative tags (k <= 4), Jordan products for octonions."""
+    if a.shape[-1] <= 4:
+        return matmul(a, matmul(b, a))
+    return 2.0 * jordan_mul(a, jordan_mul(a, b)) - jordan_mul(jordan_mul(a, a), b)
 
 
 def embed_real(a):

@@ -35,7 +35,7 @@ def _require_idempotent(e, tol=IDEMPOTENT_TOL):
 def compression_matrix(e):
     """U_e as a real matrix over the orthonormal hermitian basis."""
     _require_idempotent(e)
-    return jordan.operator_matrix(lambda x: jordan.triple_product(e, x, e), e.tag, e.n)
+    return jordan.operator_matrix(lambda x: jordan.quadratic(e, x), e.tag, e.n)
 
 
 def _density_errors(tag, coords):
@@ -135,21 +135,36 @@ def density_from(el):
     return DensityState(el * (1.0 / tr))
 
 
+def _stacked_idempotents(events, shape):
+    """The events' coordinates as one (E, n, n, k) stack, each checked idempotent and of the given shape.
+
+    Raises what checking the events one by one raises, event by event in
+    order: PreconditionError for one that is not idempotent, then SizeError
+    for one of another shape.  The events before the first of another shape
+    are checked as one stacked Jordan square, within IDEMPOTENT_TOL entrywise.
+    """
+    s = next((i for i, e in enumerate(events) if e.coords.shape != shape), len(events))
+    es = np.stack([e.coords for e in events[:s]]) if s else np.empty((0,) + shape)
+    # negated, so that a NaN fails
+    if not np.all(np.abs(kernels.jordan_mul(es, es) - es) <= IDEMPOTENT_TOL):
+        raise PreconditionError("compression requires an idempotent element")
+    if s < len(events):
+        _require_idempotent(events[s])
+        raise SizeError("operands live in different algebras")
+    return es
+
+
 def _compressions(coords, events, threshold):
     """(conditionals, masses, traces) over every (event, density) pair; see `condition_stack`.
 
     The conditionals are {e, rho, e} / tr, not yet checked as densities, and
     hold the unnormalized compression where `_undefined` names an error.
     """
-    for e in events:
-        _require_idempotent(e)
-        if coords.shape[1:] != e.coords.shape:
-            raise SizeError("operands live in different algebras")
-    es = np.stack([e.coords for e in events])[:, None]
+    es = _stacked_idempotents(events, coords.shape[1:])[:, None]
     masses = np.sum(coords * es, axis=(2, 3, 4))
     comp = np.empty(masses.shape + coords.shape[1:])
     for block in orthospace.pair_blocks(len(es), len(coords)):
-        comp[block] = kernels.triple(es[block], coords, es[block])
+        comp[block] = kernels.quadratic(es[block], coords)
     d = np.arange(coords.shape[1])
     traces = comp[:, :, d, d, 0].sum(axis=-1)
     live = (masses > threshold) & (traces > MASS_THRESHOLD)
@@ -171,13 +186,16 @@ def condition_stack(coords, events, threshold=MASS_THRESHOLD):
     Returns (conditionals, errors): the (E, B, n, n, k) stack of {e, rho, e} / tr
     over every (event, density) pair, and errors[i][l], the exception of the
     first failed check of density l under event i, or None.  The pairs are
-    compressed by `kernels.triple` calls over blocks of events, each block
-    holding at most `orthospace._PAIR_BLOCK` pairs (or one event).  In order
-    the checks are: mass <rho, e> above `threshold`, compression trace above
-    MASS_THRESHOLD, and the density checks of the result.  The idempotency of
-    each event is checked once and raises.  Each compression is normalized by
-    its own trace, which equals the mass in exact arithmetic; dividing by the
-    separately rounded mass leaves a trace error that grows as the mass shrinks.
+    compressed by `kernels.quadratic` calls over blocks of events, each block
+    holding at most `orthospace._PAIR_BLOCK` pairs (or one event): e rho e,
+    two block matmuls, on the associative tags, and three Jordan products on
+    the octonions.  In order the checks are: mass <rho, e> above `threshold`,
+    compression trace above MASS_THRESHOLD, and the density checks of the
+    result.  The idempotency of the events is checked once, by one stacked
+    Jordan square, and the first event that fails raises.  Each compression
+    is normalized by its own trace, which equals the mass in exact arithmetic;
+    dividing by the separately rounded mass leaves a trace error that grows as
+    the mass shrinks.
     """
     conds, masses, traces = _compressions(coords, events, threshold)
     undefined = (masses <= threshold) | (traces <= MASS_THRESHOLD)
@@ -203,7 +221,7 @@ def conditional_probability(rho, f, e, threshold=MASS_THRESHOLD):
     mass = rho.expect(e)
     if mass <= threshold:
         raise ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {threshold:.0e}")
-    return rho.expect(jordan.triple_product(e, f, e)) / mass
+    return rho.expect(jordan.quadratic(e, f)) / mass
 
 
 LEQ = "leq"
@@ -266,16 +284,16 @@ def check_compression_identities(e, f, tol=IDEMPOTENT_TOL):
         relation=relation,
         compose_left=float(np.linalg.norm(ue @ uf - target_ops, 2)),
         compose_right=float(np.linalg.norm(uf @ ue - target_ops, 2)),
-        image_f=jordan.operator_norm(jordan.triple_product(e, f, e) - tf),
-        image_e=jordan.operator_norm(jordan.triple_product(f, e, f) - te),
+        image_f=jordan.operator_norm(jordan.quadratic(e, f) - tf),
+        image_e=jordan.operator_norm(jordan.quadratic(f, e) - te),
     )
 
 
 def symmetry_sides(e, f):
     """({e,f,e} + {e',f',e'},  {f,e,f} + {f',e',f'}) for complement-primed pairs."""
     ec, fc = jordan.complement_projection(e), jordan.complement_projection(f)
-    lhs = jordan.triple_product(e, f, e) + jordan.triple_product(ec, fc, ec)
-    rhs = jordan.triple_product(f, e, f) + jordan.triple_product(fc, ec, fc)
+    lhs = jordan.quadratic(e, f) + jordan.quadratic(ec, fc)
+    rhs = jordan.quadratic(f, e) + jordan.quadratic(fc, ec)
     return lhs, rhs
 
 
@@ -284,8 +302,8 @@ def batched_symmetry_residual(tag, es, fs):
     n = es.shape[-3]
     ident = jordan.identity(tag, n).coords
     ecs, fcs = ident - es, ident - fs
-    lhs = kernels.triple(es, fs, es) + kernels.triple(ecs, fcs, ecs)
-    rhs = kernels.triple(fs, es, fs) + kernels.triple(fcs, ecs, fcs)
+    lhs = kernels.quadratic(es, fs) + kernels.quadratic(ecs, fcs)
+    rhs = kernels.quadratic(fs, es) + kernels.quadratic(fcs, ecs)
     return jordan.batched_operator_norm(tag, lhs - rhs)
 
 

@@ -420,9 +420,10 @@ def build_compression(synth, requests, expansions):
     pn, dp = synth.scaled_pairing
     # U_e = un[e] / du
     un, du = np.zeros((len(events), synth.n_states, synth.n_states), dtype=pn.dtype), dp
-    rows = [(e, l) for e, generators in requests for l in generators]
-    if rows:
-        es, ls = np.array(rows).T
+    counts = [len(generators) for _, generators in requests]
+    if sum(counts):
+        es = np.repeat([e for e, _ in requests], counts)
+        ls = np.concatenate([generators for _, generators in requests]).astype(np.intp, copy=False)
         xn, dx = _scaled(np.concatenate(expansions))
         un[es, ls] = pn[ls, es][:, None] * xn
         du = dp * dx
@@ -481,12 +482,6 @@ class ProductModel:
         outer = cx[..., :, None] * cy[..., None, :]
         out = _reduced(outer.reshape(*outer.shape[:-2], -1) @ table, dx * dy * d)
         return out if scaled else _unscaled(*out)
-
-    def power(self, x, m):
-        acc = x
-        for _ in range(m - 1):
-            acc = self.product(acc, x)
-        return acc
 
     def basis_compressions(self):
         """W_e of every event, stacked in event order: U_e as a (dim, dim) matrix over basis_events.
@@ -669,13 +664,16 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
     x, y = (draws[0::2], d), (draws[1::2], d)
     unit_n, d_unit = _scaled(synth.unit_coords())
     unit = (np.broadcast_to(unit_n, x[0].shape), d_unit)
-    product, power = model.product, model.power
+    product = model.product
     x2, y2 = product(x, x), product(y, y)
     lhs = product(x2, product(x, y))
     rhs = product(x, product(x2, y))
-    x3 = power(x, 3)
-    x4_gap = _sub(product(x2, x2), power(x, 4))
-    x6_gap = _sub(product(x3, x3), power(x, 6))
+    # the powers x^m as ((x x) x) ... x, each formed once
+    x3 = product(x2, x)
+    x4 = product(x3, x)
+    x6 = product(product(x4, x), x)
+    x4_gap = _sub(product(x2, x2), x4)
+    x6_gap = _sub(product(x3, x3), x6)
     ny = _row_norms(y)
     slack = _unscaled(*_sub(_row_norms(_add(x2, y2)), _row_norms(x2))).tolist()
     return SyntheticLawReport(
@@ -813,9 +811,10 @@ def hull_membership(synth, x):
 def compare_with_lueders(model, instance):
     """Worst gap between synthetic compressions and {e, ., e} on a spanning set.
 
-    Every (event, basis element) pair is compressed by `kernels.triple` calls
-    over blocks of events, each holding at most `orthospace._PAIR_BLOCK` pairs
-    (or one event), and each block is compared in one stacked product.
+    Every (event, basis element) pair is compressed by `kernels.quadratic`
+    calls over blocks of events, each holding at most `orthospace._PAIR_BLOCK`
+    pairs (or one event): U_e b = e b e on the associative tags, from Jordan
+    products on the octonions.  Each block is compared in one stacked product.
     """
     densities = density_matrix(instance)
     basis = np.stack([h.coords for h in jordan.hermitian_basis(instance.tag, instance.n)])
@@ -824,7 +823,7 @@ def compare_with_lueders(model, instance):
     us = np.stack([model.compressions[e].matrix for e in range(len(es))])
     worst = 0.0
     for block in orthospace.pair_blocks(len(es), len(basis)):
-        comp = kernels.triple(es[block], basis, es[block])
+        comp = kernels.quadratic(es[block], basis)
         rhs = densities @ comp.reshape(comp.shape[:2] + (-1,)).swapaxes(1, 2)
         worst = max(worst, float(np.max(np.abs(us[block] @ basis_evals - rhs))))
     return worst

@@ -204,6 +204,45 @@ class TestSynthDump:
             fileio.parse_dump(fileio.dump_to_json(payload))
 
 
+class TestMalformedDump:
+    """Every malformed dump is a ParseError, not the exception of whatever step met it first."""
+
+    @pytest.fixture()
+    def payload(self, qubit):
+        synth = synthesis.matrix_synthetic_space(qubit)
+        model = synthesis.build_product_model(synth, synthesis.lueders_expansion_oracle(synth, qubit))
+        return json.loads(fileio.dump_to_json(fileio.synth_dump(model)))
+
+    def test_not_an_object(self):
+        with pytest.raises(ParseError, match="^expected a JSON object, got list$"):
+            fileio.parse_dump("[]")
+
+    def test_missing_field(self):
+        with pytest.raises(ParseError, match="^dump has no 'exact' field$"):
+            fileio.parse_dump('{"format": "synthetic-space v2"}')
+
+    def test_missing_pairing(self, payload):
+        del payload["pairing"]
+        with pytest.raises(ParseError, match="^dump has no 'pairing' field$"):
+            fileio.parse_dump(json.dumps(payload))
+
+    def test_non_integer_compression_key(self, payload):
+        payload["compressions"]["x"] = payload["compressions"].pop("0")
+        with pytest.raises(ParseError, match="^compression key 'x' is not an event index$"):
+            fileio.parse_dump(json.dumps(payload))
+
+    def test_not_json(self):
+        with pytest.raises(ParseError, match="^dump is not JSON: "):
+            fileio.parse_dump("synthetic-space v2\n")
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matrix_of_non_numbers(self, payload, exact):
+        payload["exact"] = exact
+        payload["pairing"] = [["a"]]
+        with pytest.raises(ParseError, match="^malformed dump matrix: "):
+            fileio.parse_dump(json.dumps(payload))
+
+
 class TestMatrixPayload:
     def test_float_array_is_native_tolist(self, rng):
         mat = rng.normal(size=(4, 5))

@@ -18,11 +18,11 @@ from ucpspace.jordan import (
     is_idempotent,
     jordan_product,
     operator_norm,
+    quadratic,
     random_hermitian,
     random_projection,
     spectral_decomposition,
     trace,
-    triple_product,
     zero,
 )
 
@@ -69,9 +69,11 @@ class TestProduct:
 
 
 class TestTriple:
+    """The triple {a, b, a} with equal outer slots, as the quadratic map U_a b."""
+
     def test_worked_triple(self):
         # {e, f, e} = efe = [[1/2, 0], [0, 0]]
-        t = triple_product(qubit_e(), qubit_f(), qubit_e())
+        t = quadratic(qubit_e(), qubit_f())
         expect = np.zeros((2, 2, 2))
         expect[0, 0, 0] = 0.5
         assert np.allclose(t.coords, expect, atol=1e-12)
@@ -79,21 +81,21 @@ class TestTriple:
     def test_unit_outer(self, rng):
         b = random_hermitian("C", 3, rng)
         i = identity("C", 3)
-        assert np.allclose(triple_product(i, b, i).coords, b.coords, atol=1e-12)
+        assert np.allclose(quadratic(i, b).coords, b.coords, atol=1e-12)
 
     def test_idempotent_middle_unit(self):
         e = qubit_e()
-        t = triple_product(e, identity("C", 2), e)
+        t = quadratic(e, identity("C", 2))
         assert np.allclose(t.coords, e.coords, atol=1e-12)
 
     def test_matches_associative_oracle(self, rng):
-        # over C the triple is literally efe in complex arithmetic
+        # over C the quadratic map is literally aba in complex arithmetic
         a = random_hermitian("C", 3, rng)
         b = random_hermitian("C", 3, rng)
         am = a.coords[..., 0] + 1j * a.coords[..., 1]
         bm = b.coords[..., 0] + 1j * b.coords[..., 1]
         ref = am @ bm @ am
-        t = triple_product(a, b, a)
+        t = quadratic(a, b)
         assert np.allclose(t.coords[..., 0], ref.real, atol=1e-10)
         assert np.allclose(t.coords[..., 1], ref.imag, atol=1e-10)
 

@@ -57,11 +57,14 @@ def test_matmul_and_jordan_match_einsum(k, batches, scale, rng):
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 @pytest.mark.parametrize("batches", SHAPES)
 def test_triple_matches_einsum(k, batches, rng):
-    # the conditioning shape: an unbatched event around a batched or single middle
-    e = kernels.hermitize(random_coord_matrix(rng, 3, k, batch=batches[0]))
-    x = kernels.hermitize(random_coord_matrix(rng, 3, k, batch=batches[1]))
-    assert_matches(kernels.triple(e, x, e), einsum_triple(e, x, e))
-    assert_matches(kernels.triple(x, e, x), einsum_triple(x, e, x))
+    # kernels.quadratic(e, x) is the triple {e, x, e}: e x e on the associative tags, Jordan products
+    # on the octonions.  The conditioning shape: an unbatched event around a batched or single middle,
+    # and the reverse.
+    for scale in (1e-3, 1.0, 1e4):
+        e = scale * kernels.hermitize(random_coord_matrix(rng, 3, k, batch=batches[0]))
+        x = scale * kernels.hermitize(random_coord_matrix(rng, 3, k, batch=batches[1]))
+        assert_matches(kernels.quadratic(e, x), einsum_triple(e, x, e))
+        assert_matches(kernels.quadratic(x, e), einsum_triple(x, e, x))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
@@ -103,17 +106,11 @@ def test_jordan_mul_symmetric(rng):
 
 
 def test_triple_linear_in_outer_slots(rng):
-    a = kernels.hermitize(random_coord_matrix(rng, 2, 4))
-    b = kernels.hermitize(random_coord_matrix(rng, 2, 4))
-    c = kernels.hermitize(random_coord_matrix(rng, 2, 4))
-    lhs = kernels.triple(a + c, b, a + c)
-    rhs = (
-        kernels.triple(a, b, a)
-        + kernels.triple(a, b, c)
-        + kernels.triple(c, b, a)
-        + kernels.triple(c, b, c)
-    )
-    assert np.allclose(lhs, rhs, atol=1e-10)
+    # polarization of the quadratic map: U_{a+c} b - U_a b - U_c b = {a, b, c} + {c, b, a}
+    for k in (1, 2, 4, 8):
+        a, b, c = (kernels.hermitize(random_coord_matrix(rng, 3, k)) for _ in range(3))
+        lhs = kernels.quadratic(a + c, b) - kernels.quadratic(a, b) - kernels.quadratic(c, b)
+        assert_matches(lhs, einsum_triple(a, b, c) + einsum_triple(c, b, a))
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])

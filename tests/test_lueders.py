@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ucpspace import instances, jordan, lueders, orthospace
-from ucpspace.errors import ConditioningUndefinedError, PreconditionError
+from ucpspace import instances, jordan, kernels, lueders, orthospace
+from ucpspace.errors import ConditioningUndefinedError, PreconditionError, SizeError
 from ucpspace.lueders import (
     DensityState,
     check_compression_identities,
@@ -28,18 +28,18 @@ def qubit_f():
 class TestCompression:
     def test_unit_argument(self):
         e = qubit_e()
-        out = jordan.triple_product(e, jordan.identity("C", 2), e)
+        out = jordan.quadratic(e, jordan.identity("C", 2))
         assert np.allclose(out.coords, e.coords, atol=1e-12)
 
     def test_worked_compression(self):
-        out = jordan.triple_product(qubit_e(), qubit_f(), qubit_e())
+        out = jordan.quadratic(qubit_e(), qubit_f())
         expect = np.zeros((2, 2, 2))
         expect[0, 0, 0] = 0.5
         assert np.allclose(out.coords, expect, atol=1e-12)
 
     def test_fixed_point(self):
         e = qubit_e()
-        assert np.allclose(jordan.triple_product(e, e, e).coords, e.coords, atol=1e-12)
+        assert np.allclose(jordan.quadratic(e, e).coords, e.coords, atol=1e-12)
 
     def test_requires_idempotent(self):
         with pytest.raises(PreconditionError):
@@ -188,6 +188,52 @@ class TestConditionStack:
         e = jordan.random_projection("C", 3, rng)
         with pytest.raises(PreconditionError, match="idempotent"):
             lueders.condition_stack(self.densities(rng, 2), [e, 0.5 * jordan.identity("C", 3)])
+
+    @staticmethod
+    def first_event_error(events, shape):
+        """The error type of checking the events one by one: idempotency, then shape."""
+        for e in events:
+            if not jordan.is_idempotent(e):
+                return PreconditionError
+            if e.coords.shape != shape:
+                return SizeError
+        return None
+
+    @pytest.mark.parametrize("order", ["non-idempotent-middle", "non-idempotent-then-shape",
+                                       "shape-then-non-idempotent", "non-idempotent-of-wrong-shape"])
+    def test_first_failing_event_raises_what_checking_in_turn_raises(self, order, rng):
+        e, f = (jordan.random_projection("C", 3, rng) for _ in range(2))
+        half = 0.5 * jordan.identity("C", 3)
+        small = jordan.diag("C", [1, 0])
+        events = {
+            "non-idempotent-middle": [e, half, f],
+            "non-idempotent-then-shape": [e, half, small, f],
+            "shape-then-non-idempotent": [e, small, half],
+            "non-idempotent-of-wrong-shape": [e, 0.5 * small, half],
+        }[order]
+        densities = self.densities(rng, 2)
+        want = self.first_event_error(events, densities.shape[1:])
+        with pytest.raises(want) as got:
+            lueders.condition_stack(densities, events)
+        assert type(got.value) is want
+        assert str(got.value) == {
+            PreconditionError: "compression requires an idempotent element",
+            SizeError: "operands live in different algebras",
+        }[want]
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_block_products_per_call(self, block, rng, monkeypatch):
+        # one stacked Jordan square checks the events (two matmuls), then each block of events
+        # costs the two products of e rho e; the general triple took twelve a block
+        if block is not None:
+            monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)  # 4 densities: one event a block
+        events = [jordan.random_projection("C", 3, rng) for _ in range(3)]
+        densities = self.densities(rng, 4)
+        calls = []
+        matmul = kernels.matmul
+        monkeypatch.setattr(kernels, "matmul", lambda a, b: calls.append(1) or matmul(a, b))
+        lueders.condition_stack(densities, events)
+        assert len(calls) == 2 + 2 * (1 if block is None else len(events))
 
     def test_density_checks_per_entry(self):
         stack = np.stack([jordan.diag("C", [0.5, 0.5]).coords, jordan.diag("C", [1.5, -0.5]).coords,

@@ -172,7 +172,7 @@ class TestConditionedRepresentability:
         # independent oracle: {e,f,e} is rank one, so the resolved value is
         # its nonzero eigenvalue and the carrying event is that eigenprojection
         e, f = inst.elements[e_ix], inst.elements[f_ix]
-        lam = jordan.trace(jordan.triple_product(e, f, e))
+        lam = jordan.trace(jordan.quadratic(e, f))
         assert len(v.primitive.terms) == 1
         assert float(v.primitive.terms[0][0]) == pytest.approx(lam, abs=1e-8)
 

@@ -467,9 +467,9 @@ def reference_laws(model, pairs, rng):
         worst_sq = max(worst_sq, abs(synth.norm(y2) - synth.norm(y) ** 2))
         slack = min(slack, synth.norm(x2 + y2) - synth.norm(x2))
         x4 = model.product(x2, x2)
-        worst_pa = max(worst_pa, synth.norm(x4 - model.power(x, 4)))
-        x6 = model.product(model.power(x, 3), model.power(x, 3))
-        worst_pa = max(worst_pa, synth.norm(x6 - model.power(x, 6)))
+        worst_pa = max(worst_pa, synth.norm(x4 - reference.power(model, x, 4)))
+        x6 = model.product(reference.power(model, x, 3), reference.power(model, x, 3))
+        worst_pa = max(worst_pa, synth.norm(x6 - reference.power(model, x, 6)))
         worst_unit = max(worst_unit, synth.norm(model.product(unit, x) - x))
     return SyntheticLawReport(
         jordan_identity=worst_ji,
@@ -911,7 +911,7 @@ def reference_lueders_expansions(instance, e_id):
     for l, rho in enumerate(instance.densities):
         if rho.expect(e) <= MASS_THRESHOLD:
             continue
-        comp = jordan.triple_product(e, rho.element, e)
+        comp = jordan.quadratic(e, rho.element)
         target = (comp * (1.0 / jordan.trace(comp))).coords.reshape(-1)
         c = pinv @ target
         if np.linalg.norm(flat.T @ c - target) > FLOAT_TOL and outside is None:
