@@ -1,9 +1,9 @@
-"""Exact rational linear programming: dense two-phase simplex, Bland's rule.
+"""Exact rational linear programming: dense two-phase simplex on integer rows, Bland's rule.
 
-All verdict-bearing optimizations in the toolkit run through this solver with
-`fractions.Fraction` data, so results are exact and anti-cycling is guaranteed
-(Bland's rule).  Problems here are tiny (a few dozen variables), so a full
-dense tableau is the right tool.
+All verdict-bearing optimizations in the toolkit run through this solver, so
+results are exact and anti-cycling is guaranteed (Bland's rule).  Problems
+here are tiny (a few dozen variables), so a full dense tableau is the right
+tool.
 
 Interface:
 
@@ -11,9 +11,26 @@ Interface:
 
 minimizes (or maximizes) c.x subject to A x = b and x >= 0, the one form it
 takes: write a free variable as x+ - x-, a lower bound x >= lo as lo + x', and
-an upper bound x <= hi as a row x + s = hi with a slack s >= 0.  An infeasible
-problem carries a Farkas certificate y (y.A <= 0 on every column while
-y.b > 0), replayable via `verify_farkas`.
+an upper bound x <= hi as a row x + s = hi with a slack s >= 0.  Every entry
+of c, A and b must be a `numbers.Rational` (int, Fraction, numpy int); any
+other entry raises TypeError.  An infeasible problem carries a Farkas
+certificate y (y.A <= 0 on every column while y.b > 0), replayable via
+`verify_farkas`.
+
+The tableau holds no fraction (the integer-preserving pivoting of Edmonds
+1967 and Bareiss 1968, with gcd division in place of their exact divisor).
+Each row is a list of coprime ints, scaled once by `linsolve.scale_to_ints`:
+a positive multiple of the true tableau row, and the multiple is the row's
+entry in its basic column (where the true row holds 1).  The objective row is
+a pair [ints, den] with den > 0 that stands for ints / den.  A pivot on
+(r, c) first negates row r if its entry p at c is negative, then sets every
+other row to row * p - row[c] * row_r and divides it by the gcd of its
+entries (the objective by the gcd of its entries and den * p).  The ratio
+test compares rhs_i / a_i by cross-multiplication, both a_i > 0, and breaks
+ties on the lower basis index.  Since every comparison reads the sign of the
+true value, Bland's rule takes the pivots the Fraction tableau takes, and x,
+the objective and y come out the same.  Fractions are built only for the
+returned x, objective and Farkas y (and the rows the certificate replays).
 
 The start is the slack basis.  After rows with b < 0 are negated, a
 column that is a unit vector on a row starts basic on that row
@@ -27,10 +44,13 @@ y_i = -(reduced cost of the column it started on).  A certificate that fails
 `verify_farkas` raises UcpError; exact arithmetic never produces one.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import UcpError
+from .linsolve import scale_to_ints
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
@@ -68,111 +88,139 @@ def verify_farkas(cert):
     return True
 
 
-def _to_fraction(v):
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _primitive(row):
+    g = math.gcd(*row)
+    return row if g == 1 else [v // g for v in row]
 
 
-def _pivot(tab, basis, r, c):
-    """Pivot on (r, c); the other rows change only in the pivot row's nonzero columns."""
-    piv = tab[r][c]
-    prow = tab[r] = [v / piv if v else v for v in tab[r]]
-    nonzero = [(j, v) for j, v in enumerate(prow) if v]
-    for i, row in enumerate(tab):
-        f = row[c]
-        if i != r and f:
-            for j, v in nonzero:
-                row[j] -= f * v
+def _combine(row, prow, c):
+    """row * p - row[c] * prow with p = prow[c] > 0: zero at c, a positive multiple elsewhere."""
+    f, p = row[c], prow[c]
+    if p == 1:  # a unit pivot entry is common, and skipping the products pays on pivot-heavy LPs
+        return [v - f * w for v, w in zip(row, prow)]
+    return [v * p - f * w for v, w in zip(row, prow)]
+
+
+def _clear_objective(obj, prow, c):
+    """Clear column c of the objective pair [ints, den] with the row prow (prow[c] > 0)."""
+    if obj[0][c]:
+        ints, den = _combine(obj[0], prow, c), obj[1] * prow[c]
+        g = math.gcd(den, *ints)
+        obj[:] = ([v // g for v in ints], den // g) if g > 1 else (ints, den)
+
+
+def _pivot(rows, basis, obj, r, c):
+    """Pivot on (r, c); obj is the objective pair, or None when it is not kept."""
+    prow = rows[r]
+    if prow[c] < 0:
+        prow = rows[r] = [-v for v in prow]
+    for i, row in enumerate(rows):
+        if i != r and row[c]:
+            rows[i] = _primitive(_combine(row, prow, c))
+    if obj is not None:
+        _clear_objective(obj, prow, c)
     basis[r] = c
 
 
-def _simplex(tab, basis, ncols):
-    """Bland-rule simplex on a tableau whose last row is the objective (min)."""
+def _simplex(rows, basis, obj, ncols):
+    """Bland-rule simplex minimizing the objective pair over the first ncols columns."""
     while True:
-        obj = tab[-1]
-        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        costs = obj[0]
+        enter = next((j for j in range(ncols) if costs[j] < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
-        best = None
-        for i in range(len(tab) - 1):
-            a = tab[i][enter]
+        for i, row in enumerate(rows):
+            a = row[enter]
             if a > 0:
-                ratio = tab[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                # row[-1] / a against the best ratio so far, by cross-multiplication
+                # (both denominators are positive)
+                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
+        _pivot(rows, basis, obj, leave, enter)
 
 
 def solve_lp(c, a_eq, b_eq, maximize=False):
-    """Exact LP over Fractions: min (or max) c.x with A x = b, x >= 0. See module docstring."""
+    """Exact LP: min (or max) c.x with A x = b, x >= 0. See module docstring."""
     sign = -1 if maximize else 1
-    cost = [sign * _to_fraction(cj) for cj in c]
     ncols, m = len(c), len(a_eq)
-    a = [[_to_fraction(v) for v in coeffs] for coeffs in a_eq]
-    b = [_to_fraction(rhs) for rhs in b_eq]
-    for i in range(m):
-        if b[i] < 0:
-            a[i] = [-v for v in a[i]]
-            b[i] = -b[i]
+    cost, cost_den = scale_to_ints(c)
+    # each row with its rhs as ({column: int}, den), rhs at column ncols; flip negates b < 0
+    scaled = [scale_to_ints(chain(row, (rhs,))) for row, rhs in zip(a_eq, b_eq)]
+    flip = [-1 if nz.get(ncols, 0) < 0 else 1 for nz, _ in scaled]
 
     # starting basis: a unit column on a row (lowest index first) starts basic
     # there; every other row gets an artificial, which phase 1 drives to zero
+    hits = [[] for _ in range(ncols)]
+    for i, (nz, _) in enumerate(scaled):
+        for j in nz:
+            if j < ncols:
+                hits[j].append(i)
     start = [None] * m
-    for j in range(ncols):
-        hits = [i for i in range(m) if a[i][j] != 0]
-        if len(hits) == 1 and a[hits[0]][j] == 1 and start[hits[0]] is None:
-            start[hits[0]] = j
+    for j, rows_j in enumerate(hits):
+        if len(rows_j) == 1:
+            i = rows_j[0]
+            nz, den = scaled[i]
+            if start[i] is None and flip[i] * nz[j] == den:
+                start[i] = j
     art_rows = [i for i in range(m) if start[i] is None]
     for k, i in enumerate(art_rows):
         start[i] = ncols + k
     width = ncols + len(art_rows)
-    tab = [a[i] + [Fraction(int(start[i] == k)) for k in range(ncols, width)] + [b[i]] for i in range(m)]
+    rows = []
+    for (nz, den), f, j0 in zip(scaled, flip, start):
+        row = [0] * (width + 1)
+        for j, v in nz.items():
+            row[j if j < ncols else width] = f * v
+        if j0 >= ncols:
+            row[j0] = den  # the artificial's 1, times the row's multiple
+        rows.append(_primitive(row))
     basis = list(start)
     if art_rows:
-        # phase-1 objective: sum of artificials, expressed over nonbasic columns
-        obj = [Fraction(0)] * (width + 1)
+        # phase 1: the sum of the artificials, cleared on the basis (minus the
+        # sum of the artificial rows, zero on the artificials)
+        obj = [[int(j >= ncols) for j in range(width)] + [0], 1]
         for i in art_rows:
-            obj = [o - v for o, v in zip(obj, tab[i])]
-        for j in range(ncols, width):
-            obj[j] = Fraction(0)
-        tab.append(obj)
-        _simplex(tab, basis, width)
-        w = -tab[-1][-1]
-        if w > 0:
+            _clear_objective(obj, rows[i], start[i])
+        _simplex(rows, basis, obj, width)
+        ints, den = obj
+        if ints[-1] < 0:
             # the objective row keeps the form cost_row - y.rows, so y_i is read
             # off row i's starting column: 1 - entry under an artificial (cost 1),
             # minus the entry under an original column (cost 0)
-            y = [int(j >= ncols) - tab[-1][j] for j in start]
-            cert = Farkas(a_rows=a, b=b, y=y)
+            y = [int(j >= ncols) - Fraction(ints[j], den) for j in start]
+            a_rows = [[Fraction(f * nz.get(j, 0), q) for j in range(ncols)] for (nz, q), f in zip(scaled, flip)]
+            b = [Fraction(f * nz.get(ncols, 0), q) for (nz, q), f in zip(scaled, flip)]
+            cert = Farkas(a_rows=a_rows, b=b, y=y)
             if not verify_farkas(cert):
                 raise UcpError("phase 1 produced a Farkas certificate that does not verify")
             return LpResult(INFEASIBLE, None, None, cert)
 
-    # drive artificials out of the basis where possible
-    for i in range(m):
-        if basis[i] >= ncols:
-            pivot_col = next((j for j in range(ncols) if tab[i][j] != 0), None)
-            if pivot_col is not None:
-                _pivot(tab, basis, i, pivot_col)
-    # rows still basic in an artificial are identically zero: drop them
-    keep = [i for i in range(m) if basis[i] < ncols]
-    tab = [[tab[i][j] for j in range(ncols)] + [tab[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
+        # drive artificials out of the basis where possible
+        for i in range(m):
+            if basis[i] >= ncols:
+                pivot_col = next((j for j in range(ncols) if rows[i][j]), None)
+                if pivot_col is not None:
+                    _pivot(rows, basis, None, i, pivot_col)
+        # rows still basic in an artificial are identically zero: drop them
+        keep = [i for i in range(m) if basis[i] < ncols]
+        rows = [_primitive(rows[i][:ncols] + rows[i][-1:]) for i in keep]
+        basis = [basis[i] for i in keep]
 
     # phase 2
-    obj = cost + [Fraction(0)]
-    tab.append(obj)
-    for i, bi in enumerate(basis):
-        f = tab[-1][bi]
-        if f != 0:
-            tab[-1] = [a2 - f * b2 for a2, b2 in zip(tab[-1], tab[i])]
-    status = _simplex(tab, basis, ncols)
-    if status == UNBOUNDED:
+    obj = [[sign * cost.get(j, 0) for j in range(ncols + 1)], cost_den]
+    for row, bi in zip(rows, basis):
+        _clear_objective(obj, row, bi)
+    if _simplex(rows, basis, obj, ncols) == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [Fraction(0)] * ncols
-    for i, bi in enumerate(basis):
-        x[bi] = tab[i][-1]
-    return LpResult(OPTIMAL, x, -sign * tab[-1][-1])
+    for row, bi in zip(rows, basis):
+        x[bi] = Fraction(row[-1], row[bi])
+    ints, den = obj
+    return LpResult(OPTIMAL, x, -sign * Fraction(ints[-1], den))

@@ -13,7 +13,9 @@ rows.  The reduced row echelon form is canonical, so the order in which rows
 join does not change it, and a column's pivot is the leading entry of a row.
 
 Entries must be exact: int or Fraction (any `numbers.Rational`); any other
-entry raises TypeError.  There is no float mode.
+entry raises TypeError.  There is no float mode.  `scale_to_ints` is the one
+rational-to-integer scaling of the exact core; `exactlp` scales its rows with
+it too.
 """
 
 import math
@@ -23,17 +25,38 @@ from numbers import Rational
 _ZERO = Fraction(0)
 
 
-def _int_row(row):
-    """The row scaled to coprime integers, as {column: entry} over its nonzero entries."""
+def scale_to_ints(row):
+    """The row times den, the lcm of its denominators, as ({column: int} over its nonzero entries, den).
+
+    The one place where the exact core turns rationals into integers: every
+    entry must be a `numbers.Rational` (int, Fraction, numpy int), and any
+    other entry (float, numpy float, str, complex) raises TypeError.
+    """
     nz = {}
     for j, v in enumerate(row):
-        if not isinstance(v, Rational):
-            raise TypeError(f"exact rational required, got {type(v).__name__}")
-        if v:
-            nz[j] = (int(v.numerator), int(v.denominator))
+        # int and Fraction first: the ABC check of `Rational` is slow on the hot path
+        t = type(v)
+        if t is int:
+            if v:
+                nz[j] = (v, 1)
+        elif t is Fraction:
+            p, q = v.as_integer_ratio()
+            if p:
+                nz[j] = (p, q)
+        elif isinstance(v, Rational):
+            if v:
+                nz[j] = (int(v.numerator), int(v.denominator))
+        else:
+            raise TypeError(f"exact rational required, got {t.__name__}")
     den = math.lcm(*(q for _, q in nz.values()))
-    out = {j: p * (den // q) for j, (p, q) in nz.items()}
-    return _primitive(out)
+    if den == 1:
+        return {j: p for j, (p, _) in nz.items()}, 1
+    return {j: p * (den // q) for j, (p, q) in nz.items()}, den
+
+
+def _int_row(row):
+    """The row scaled to coprime integers, as {column: entry} over its nonzero entries."""
+    return _primitive(scale_to_ints(row)[0])
 
 
 def _primitive(row):

@@ -235,8 +235,8 @@ def optimize(param, cost, maximize=False):
     x0, basis = param
     cost = [Fraction(c) for c in cost]
     d, m = len(basis), len(ineq)
-    a_eq = [list(coeffs) + [Fraction(int(j == r)) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
-    c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [Fraction(0)] * m
+    a_eq = [list(coeffs) + [int(j == r) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
+    c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [0] * m
     res = solve_lp(c_t, a_eq, [beta for _, beta in ineq], maximize=maximize)
     if res.status != OPTIMAL:
         return LpResult(res.status, None, None, res.farkas)

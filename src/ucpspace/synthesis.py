@@ -59,6 +59,7 @@ orthogonal decompositions of the same element.
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -374,17 +375,22 @@ def lueders_expansion_oracle(synth, instance):
         if not requests:
             return []
         conds, errors = lueders.condition_stack(coords, [instance.elements[e] for e, _ in requests])
-        pairs = [(i, l) for i, (_, generators) in enumerate(requests) for l in generators]
-        picked = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        targets = conds[picked[:, 0], picked[:, 1]].reshape(len(pairs), flat.shape[1])
+        counts = [len(generators) for _, generators in requests]
+        # the (request, generator) pairs in request order, as two index arrays
+        ii = np.repeat(np.arange(len(requests)), counts)
+        ls = np.concatenate([generators for _, generators in requests]).astype(np.intp, copy=False)
+        targets = conds[ii, ls].reshape(len(ls), flat.shape[1])
         expansions = targets @ pinv_t
         residuals = np.linalg.norm(expansions @ flat - targets, axis=1)
-        for (i, l), r in zip(pairs, residuals):
-            if errors[i][l] is not None:
-                raise errors[i][l]
-            if r > FLOAT_TOL:
-                raise SynthesisError(f"conditional of generator {l} lies outside the density span")
-        return np.split(expansions, np.cumsum([len(generators) for _, generators in requests])[:-1])
+        error_stack = np.fromiter(chain.from_iterable(errors), object, len(requests) * len(coords))
+        failed = np.not_equal(error_stack.reshape(len(requests), len(coords))[ii, ls], None)
+        first = np.flatnonzero(failed | (residuals > FLOAT_TOL))
+        if first.size:
+            k = first[0]
+            if failed[k]:
+                raise errors[ii[k]][ls[k]]
+            raise SynthesisError(f"conditional of generator {ls[k]} lies outside the density span")
+        return np.split(expansions, np.cumsum(counts)[:-1])
 
     return oracle
 

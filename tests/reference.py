@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 
 from ucpspace import linsolve, orthospace, statespace, synthesis
-from ucpspace.errors import SynthesisError
+from ucpspace.errors import SynthesisError, UcpError
+from ucpspace.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, Farkas, LpResult, verify_farkas
 
 
 def equality_rows(space):
@@ -204,3 +205,97 @@ def span_representation(synth):
     ids = linsolve.independent_subset(rows)
     a_rows = [[rows[i][j] for i in ids] for j in range(synth.space.n_events)]
     return ids, np.array([linsolve.solve_affine(a_rows, row)[0] for row in rows], dtype=object)
+
+
+def fraction_pivot(tab, basis, r, c):
+    """Pivot a dense Fraction tableau on (r, c); the other rows change only in the pivot row's nonzero columns."""
+    piv = tab[r][c]
+    prow = tab[r] = [v / piv if v else v for v in tab[r]]
+    nonzero = [(j, v) for j, v in enumerate(prow) if v]
+    for i, row in enumerate(tab):
+        f = row[c]
+        if i != r and f:
+            for j, v in nonzero:
+                row[j] -= f * v
+    basis[r] = c
+
+
+def fraction_simplex(tab, basis, ncols):
+    """Bland-rule simplex on a Fraction tableau whose last row is the objective (min)."""
+    while True:
+        obj = tab[-1]
+        enter = next((j for j in range(ncols) if obj[j] < 0), None)
+        if enter is None:
+            return OPTIMAL
+        leave = None
+        best = None
+        for i in range(len(tab) - 1):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            return UNBOUNDED
+        fraction_pivot(tab, basis, leave, enter)
+
+
+def fraction_solve_lp(c, a_eq, b_eq, maximize=False):
+    """exactlp.solve_lp on a dense Fraction tableau: the same slack start, phases and Bland pivots."""
+    sign = -1 if maximize else 1
+    cost = [sign * Fraction(cj) for cj in c]
+    ncols, m = len(c), len(a_eq)
+    a = [[Fraction(v) for v in coeffs] for coeffs in a_eq]
+    b = [Fraction(rhs) for rhs in b_eq]
+    for i in range(m):
+        if b[i] < 0:
+            a[i] = [-v for v in a[i]]
+            b[i] = -b[i]
+
+    start = [None] * m
+    for j in range(ncols):
+        hits = [i for i in range(m) if a[i][j] != 0]
+        if len(hits) == 1 and a[hits[0]][j] == 1 and start[hits[0]] is None:
+            start[hits[0]] = j
+    art_rows = [i for i in range(m) if start[i] is None]
+    for k, i in enumerate(art_rows):
+        start[i] = ncols + k
+    width = ncols + len(art_rows)
+    tab = [a[i] + [Fraction(int(start[i] == k)) for k in range(ncols, width)] + [b[i]] for i in range(m)]
+    basis = list(start)
+    if art_rows:
+        obj = [Fraction(0)] * (width + 1)
+        for i in art_rows:
+            obj = [o - v for o, v in zip(obj, tab[i])]
+        for j in range(ncols, width):
+            obj[j] = Fraction(0)
+        tab.append(obj)
+        fraction_simplex(tab, basis, width)
+        if -tab[-1][-1] > 0:
+            y = [int(j >= ncols) - tab[-1][j] for j in start]
+            cert = Farkas(a_rows=a, b=b, y=y)
+            if not verify_farkas(cert):
+                raise UcpError("phase 1 produced a Farkas certificate that does not verify")
+            return LpResult(INFEASIBLE, None, None, cert)
+
+    for i in range(m):
+        if basis[i] >= ncols:
+            pivot_col = next((j for j in range(ncols) if tab[i][j] != 0), None)
+            if pivot_col is not None:
+                fraction_pivot(tab, basis, i, pivot_col)
+    keep = [i for i in range(m) if basis[i] < ncols]
+    tab = [[tab[i][j] for j in range(ncols)] + [tab[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+
+    tab.append(cost + [Fraction(0)])
+    for i, bi in enumerate(basis):
+        f = tab[-1][bi]
+        if f != 0:
+            tab[-1] = [a2 - f * b2 for a2, b2 in zip(tab[-1], tab[i])]
+    if fraction_simplex(tab, basis, ncols) == UNBOUNDED:
+        return LpResult(UNBOUNDED, None, None)
+    x = [Fraction(0)] * ncols
+    for i, bi in enumerate(basis):
+        x[bi] = tab[i][-1]
+    return LpResult(OPTIMAL, x, -sign * tab[-1][-1])

@@ -1,10 +1,12 @@
 """Exact rational simplex: optima, certificates, the slack start, and the classic cycling trap."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import reference
 from ucpspace import exactlp, instances, statespace
 from ucpspace.errors import UcpError
 
@@ -110,7 +112,7 @@ def _slack_start_rows(a_rows):
 def _all_artificial_lp(c, a_eq, b_eq, maximize):
     """Reference: the textbook two-phase simplex with one artificial on every row.
 
-    Returns (status, objective); pivots and Bland's rule are shared with `solve_lp`,
+    Returns (status, objective); pivots and Bland's rule are the Fraction reference's,
     only the starting basis differs.
     """
     sign = -1 if maximize else 1
@@ -122,14 +124,14 @@ def _all_artificial_lp(c, a_eq, b_eq, maximize):
     tab.append([-sum(col) for col in zip(*tab)])
     tab[-1][ncols : ncols + m] = [F(0)] * m
     basis = list(range(ncols, ncols + m))
-    exactlp._simplex(tab, basis, ncols + m)
+    reference.fraction_simplex(tab, basis, ncols + m)
     if tab[-1][-1] != 0:
         return exactlp.INFEASIBLE, None
     for i in range(m):
         if basis[i] >= ncols:
             j = next((j for j in range(ncols) if tab[i][j] != 0), None)
             if j is not None:
-                exactlp._pivot(tab, basis, i, j)
+                reference.fraction_pivot(tab, basis, i, j)
     keep = [i for i in range(m) if basis[i] < ncols]
     tab = [tab[i][:ncols] + [tab[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
@@ -138,7 +140,7 @@ def _all_artificial_lp(c, a_eq, b_eq, maximize):
         f = obj[bi]
         obj = [o - f * v for o, v in zip(obj, tab[i])]
     tab.append(obj)
-    if exactlp._simplex(tab, basis, ncols) == exactlp.UNBOUNDED:
+    if reference.fraction_simplex(tab, basis, ncols) == exactlp.UNBOUNDED:
         return exactlp.UNBOUNDED, None
     return exactlp.OPTIMAL, -sign * tab[-1][-1]
 
@@ -251,3 +253,107 @@ def test_feasible_slack_start_skips_phase_one(monkeypatch):
     assert set(verdicts) == {statespace.UNIQUE, statespace.MULTIPLE}
     assert len(runs) == 16
     assert set(runs) == {1}
+
+
+def _recording(monkeypatch, module, name):
+    """Record the (row, column) of every call to module.<name>, a pivot taking them last."""
+    seen, original = [], getattr(module, name)
+
+    def recording(*args):
+        seen.append(args[-2:])
+        return original(*args)
+
+    monkeypatch.setattr(module, name, recording)
+    return seen
+
+
+def _big_denominators(rng, c, a_eq, b_eq):
+    """The LP with rows (rhs too) and columns (cost too) scaled by positive rationals with terms up to 10^12.
+
+    About half the rows and half the columns are scaled, so a slack column scaled
+    by neither stays a unit column and can still start basic.
+    """
+    def ratio():
+        return F(int(rng.integers(1, 10**12)), int(rng.integers(1, 10**12)))
+
+    cols = [ratio() if rng.integers(2) else F(1) for _ in c]
+    rows = [ratio() if rng.integers(2) else F(1) for _ in a_eq]
+    a_eq = [[r * s * v for s, v in zip(cols, row)] for r, row in zip(rows, a_eq)]
+    return [s * v for s, v in zip(cols, c)], a_eq, [r * v for r, v in zip(rows, b_eq)]
+
+
+def _assert_same_as_reference(lp, maximize, pivots):
+    int_pivots, ref_pivots = pivots
+    int_pivots.clear()
+    ref_pivots.clear()
+    res = exactlp.solve_lp(*lp, maximize=maximize)
+    ref = reference.fraction_solve_lp(*lp, maximize=maximize)
+    assert (res.status, res.x, res.objective) == (ref.status, ref.x, ref.objective), lp
+    assert int_pivots == ref_pivots, lp
+    if res.status == exactlp.OPTIMAL:
+        assert all(type(v) is F for v in res.x) and type(res.objective) is F
+    if res.status == exactlp.INFEASIBLE:
+        assert (res.farkas.y, res.farkas.a_rows, res.farkas.b) == (ref.farkas.y, ref.farkas.a_rows, ref.farkas.b)
+        assert all(type(v) is F for v in res.farkas.y)
+    return res.status
+
+
+def test_integer_rows_match_fraction_reference(monkeypatch):
+    # the same status, x, objective, Farkas vector and the same pivots, in order,
+    # as the dense Fraction tableau: on small random LPs, and on the same LPs
+    # rescaled to denominators up to 10^12
+    pivots = (_recording(monkeypatch, exactlp, "_pivot"), _recording(monkeypatch, reference, "fraction_pivot"))
+    rng = np.random.default_rng(20261020)
+    seen = {exactlp.OPTIMAL: 0, exactlp.INFEASIBLE: 0, exactlp.UNBOUNDED: 0}
+    for k in range(3000):
+        c, a_eq, b_eq, maximize, _, _ = _random_lp(rng)
+        seen[_assert_same_as_reference((c, a_eq, b_eq), maximize, pivots)] += 1
+        if k % 10 == 0:
+            _assert_same_as_reference(_big_denominators(rng, c, a_eq, b_eq), maximize, pivots)
+    assert min(seen.values()) >= 300, seen
+
+
+def test_tableau_rows_stay_coprime_and_positive_at_their_basis(monkeypatch):
+    # after every pivot each row is primitive and positive in its basic column,
+    # zero in every other basic column, and the objective pair is reduced with
+    # den > 0 and zero in every basic column
+    pivot, checked = exactlp._pivot, []
+
+    def checking_pivot(rows, basis, obj, r, c):
+        pivot(rows, basis, obj, r, c)
+        for i, row in enumerate(rows):
+            assert math.gcd(*row) == 1
+            assert row[basis[i]] > 0
+            assert all(row[b] == 0 for k, b in enumerate(basis) if k != i)
+        if obj is not None:
+            ints, den = obj
+            assert den > 0 and math.gcd(den, *ints) == 1
+            assert all(ints[b] == 0 for b in basis)
+        checked.append(obj is None)
+
+    monkeypatch.setattr(exactlp, "_pivot", checking_pivot)
+    rng = np.random.default_rng(20261021)
+    for _ in range(600):
+        c, a_eq, b_eq, maximize, _, _ = _random_lp(rng)
+        exactlp.solve_lp(c, a_eq, b_eq, maximize=maximize)
+        exactlp.solve_lp(*_big_denominators(rng, c, a_eq, b_eq), maximize=maximize)
+    # both kinds of pivot ran: simplex pivots and pivots that drive an artificial out
+    assert checked.count(False) >= 1000 and checked.count(True) >= 20, (checked.count(False), checked.count(True))
+
+
+@pytest.mark.parametrize("bad", [0.1, np.float64(0.5), "1/2", complex(1, 0)], ids=["float", "float64", "str", "complex"])
+@pytest.mark.parametrize("where", ["c", "a", "b"])
+def test_inexact_entry_raises(bad, where):
+    # a float is not turned into its binary fraction: every non-Rational entry is a TypeError
+    lp = {"c": [F(0)], "a": [[F(1)]], "b": [F(1, 10)]}
+    lp[where] = [bad] if where != "a" else [[bad]]
+    with pytest.raises(TypeError, match="exact rational required"):
+        exactlp.solve_lp(lp["c"], lp["a"], lp["b"])
+
+
+def test_numpy_integers_are_exact():
+    res = exactlp.solve_lp([np.int64(1), np.int32(3)], [[np.int64(2), np.int64(3)]], [np.int64(7)], maximize=True)
+    assert res.status == exactlp.OPTIMAL
+    assert res.x == [F(0), F(7, 3)] and res.objective == 7
+    assert all(type(v) is F for v in res.x) and type(res.objective) is F
+    assert res == exactlp.solve_lp([F(1), F(3)], [[F(2), F(3)]], [F(7)], maximize=True)

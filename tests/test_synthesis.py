@@ -1052,6 +1052,59 @@ class TestStackedLuedersOracle:
         with pytest.raises(SynthesisError, match=f"generator {outside} lies outside"):
             oracle([(e_id, [outside, other]), unit])
 
+    def test_first_failing_pair_over_request_orders(self, monkeypatch):
+        # conditioning failures on some (event, generator) pairs and conditionals outside
+        # the density span on others: over shuffled events and generator orders, the
+        # call raises what the first pair in request order raises on its own
+        base = instances.sparse_conditioning_instance()
+        spanning = len(instances._spanning_densities(base.tag, base.n))
+        inst = instances.MatrixInstance(base.tag, base.n, base.system, base.densities[: len(base.densities) - spanning])
+        synth = matrix_synthetic_space(inst)
+        oracle = lueders_expansion_oracle(synth, inst)
+        event_of = {id(inst.elements[e]): e for e in inst.space.events()}
+        live = {e: [l for l in range(synth.n_states) if synth.pairing[l, e] > MASS_THRESHOLD]
+                for e in inst.space.events()}
+        live = {e: ls for e, ls in live.items() if ls}
+        rng = np.random.default_rng(26)
+        failing = {(e, int(rng.choice(ls))) for e, ls in live.items() if rng.integers(3) == 0}
+        stack = lueders.condition_stack
+
+        def with_failures(coords, events, threshold=lueders.MASS_THRESHOLD):
+            conds, errors = stack(coords, events, threshold)
+            for i, ev in enumerate(events):
+                for l in range(len(errors[i])):
+                    if (event_of[id(ev)], l) in failing:
+                        errors[i][l] = lueders.ConditioningUndefinedError(f"stand-in failure at {event_of[id(ev)]}, {l}")
+            return conds, errors
+
+        monkeypatch.setattr(lueders, "condition_stack", with_failures)
+
+        def alone(e, l):
+            """What the pair raises on its own, as (type, message), or None."""
+            try:
+                oracle([(e, [l])])
+            except (SynthesisError, lueders.ConditioningUndefinedError) as err:
+                return type(err), str(err)
+            return None
+
+        outcome = {(e, l): alone(e, l) for e, ls in live.items() for l in ls}
+        kinds = {None if v is None else v[0] for v in outcome.values()}
+        assert kinds == {None, SynthesisError, lueders.ConditioningUndefinedError}
+        seen = set()
+        for _ in range(40):
+            events = [e for e in rng.permutation(list(live)) if rng.integers(2)]
+            requests = [(int(e), [int(l) for l in rng.permutation(live[e])[: int(rng.integers(1, len(live[e]) + 1))]])
+                        for e in events]
+            expected = next((outcome[e, l] for e, ls in requests for l in ls if outcome[e, l] is not None), None)
+            seen.add(None if expected is None else expected[0])
+            if expected is None:
+                assert len(oracle(requests)) == len(requests)
+            else:
+                with pytest.raises(expected[0]) as err:
+                    oracle(requests)
+                assert str(err.value) == expected[1]
+        assert seen == kinds
+
     @pytest.mark.parametrize("family_seed", [None, 11, 7671])
     def test_compare_with_lueders_blocks_equal_one_block(self, family_seed, monkeypatch):
         inst = instances.qubit_instance() if family_seed is None else instances.qutrit_instance(seed=family_seed)
