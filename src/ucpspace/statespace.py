@@ -10,13 +10,18 @@ integer rows of events at +1 and at -1, listed once by `state_rows`: `is_state`,
 bound propagation and the replay of its point all read that list, the last two
 on integers; row reductions are `linsolve`'s.
 
-A full polytope has one parametrization x = x0 + B t, its state equations
-reduced once; pins substitute into it (only for a slice that propagation leaves
-open), and vertex enumeration and every exact LP run over its [0, 1] box rows
-in t.  Vertices come from the double description method over those rows, in
-integer arithmetic, and are listed in the order of each vertex's
-lexicographically smallest independent set of tight box rows.  The LP that finds a slice EMPTY also gives its Farkas
-certificate, moved into event coordinates so it replays without a row reduction.
+A full polytope has one parametrization x = (X0 + B t) / D, its state equations
+reduced once and held as integer numerators X0, B over one positive
+denominator D, the (values, denominator) form `synthesis` uses.  Pins
+substitute into it (only for a slice that propagation leaves open) and give a
+slice the same form; vertex enumeration and every exact LP run over its
+[0, 1] box rows in t, each slice's LP rows built once.  An LP optimum t = T / L
+or a vertex maps back with one Fraction per event, (X0 L + B T) / (D L).
+Vertices come from the double description method over those rows, in integer
+arithmetic, and are listed in the order of each vertex's lexicographically
+smallest independent set of tight box rows.  The LP that finds a slice EMPTY
+also gives its Farkas certificate, moved into event coordinates so it replays
+without a row reduction.
 
 Two polytope modes:
 
@@ -32,6 +37,7 @@ here once; no runtime check exists for it.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -45,7 +51,7 @@ from .errors import (
     PreconditionError,
     UcpError,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, Farkas, LpResult, solve_lp, verify_farkas
+from .exactlp import INFEASIBLE, OPTIMAL, Farkas, solve_lp, verify_farkas
 
 FULL = "FULL"
 GENERATED = "GENERATED"
@@ -147,7 +153,8 @@ class StatePolytope:
     space: orthospace.OrthoSpace
     mode: str
     generators: list | None = field(default=None)
-    # check_conditional_uniqueness verdicts by (event, constraint events, targets): one per slice
+    # check_conditional_uniqueness verdicts by (event, constraint events, (mu(e), mu(f), ...) as coprime
+    # integers): one per slice
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # FULL mode: rank of the pin rows over the parametrization's nullspace basis, by constraint events
     _pin_ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -163,26 +170,39 @@ class StatePolytope:
 
     @functools.cached_property
     def _parametrization(self):
-        """FULL mode: all solutions of the state equations as (x0, nullspace basis), or None."""
+        """FULL mode: all solutions of the state equations as (X0, B, D), x = (X0 + B t) / D, or None."""
         n = self.space.n_events
-        return linsolve.solve_affine([_dense(plus, minus, n) for plus, minus, _ in self.rows],
-                                     [b for *_, b in self.rows])
+        sol = linsolve.solve_affine([_dense(plus, minus, n) for plus, minus, _ in self.rows],
+                                    [b for *_, b in self.rows])
+        # D is the lcm of the reduced denominators, so the numerators and D are coprime
+        return None if sol is None else _integer_form(*sol)
 
     def pin(self, events=(), values=()):
-        """FULL mode: (x0, B) of the solutions with x_f = v on the given events, or None.
+        """FULL mode: the solutions with x_f = v on the given events as (X0', B', D'), or None.
 
-        Row reduction is canonical: this equals reducing the state equations plus the pin rows.
+        The targets go into the parametrization's rows over t, B_f t = D v_f - X0_f,
+        and one row reduction gives t = (T0 + C s) / L over integers.  Then
+        X0' = X0 L + B T0, B' = B C and D' = D L, divided by their common gcd.  Row
+        reduction is canonical: this equals reducing the state equations plus the pin
+        rows, so each direction is still D' at its own free event, where X0' and the
+        other directions are 0.
         """
         sol = self._parametrization
         if sol is None or not events:
             return sol
-        x0, basis = sol
-        rows = [[v[f] for v in basis] for f in events]
-        sub = linsolve.solve_affine(rows, [t - x0[f] for f, t in zip(events, values)])
+        x0, basis, den = sol
+        rows = [[bvec[f] for bvec in basis] for f in events]
+        sub = linsolve.solve_affine(rows, [v * den - x0[f] for f, v in zip(events, values)])
         if sub is None:
             return None
-        t0, dirs = sub
-        return _point(x0, basis, t0), [_point([0] * len(x0), basis, c) for c in dirs]
+        t0, dirs, scale = _integer_form(*sub)
+        x0 = _combine([v * scale for v in x0], basis, t0)
+        dirs = [_combine([0] * len(x0), basis, c) for c in dirs]
+        den *= scale
+        g = math.gcd(den, *x0, *itertools.chain(*dirs))
+        if g > 1:
+            x0, dirs, den = [v // g for v in x0], [[v // g for v in bvec] for bvec in dirs], den // g
+        return x0, dirs, den
 
 
 def build_state_polytope(space, with_vertices=True):
@@ -198,56 +218,91 @@ def generated_polytope(space, states):
     return StatePolytope(space=space, mode=GENERATED, generators=list(states))
 
 
-def _point(x0, basis, t):
-    """x0 + B t, in event coordinates (most entries of B and t are zero)."""
-    terms = [(bvec, tv) for bvec, tv in zip(basis, t) if tv]
-    return [x0[i] + sum(bvec[i] * tv for bvec, tv in terms if bvec[i]) for i in range(len(x0))]
+def _integers(vals):
+    """Rational values as (integers, L): their numerators over L, the lcm of their denominators."""
+    pairs = [v.as_integer_ratio() for v in vals]
+    scale = math.lcm(*(q for _, q in pairs))
+    return [p * (scale // q) for p, q in pairs], scale
 
 
-def _box_rows(x0, basis):
-    """The [0, 1] box as rows alpha.t <= beta over t; None when a fixed coordinate leaves it."""
-    ineq = []
-    for i in range(len(x0)):
-        coeffs = tuple(bvec[i] for bvec in basis)
-        if all(c == 0 for c in coeffs):
-            if not (0 <= x0[i] <= 1):
-                return None
-            continue
-        ineq.append((coeffs, 1 - x0[i]))
-        ineq.append((tuple(-c for c in coeffs), x0[i]))
-    return ineq
+def _integer_form(x0, vectors):
+    """A rational point and vectors of one length n as (X0, B, L): integers over one denominator L."""
+    flat, scale = _integers(list(itertools.chain(x0, *vectors)))
+    n = len(x0)
+    return flat[:n], [flat[n * j:n * j + n] for j in range(1, len(vectors) + 1)], scale
 
 
-def optimize(param, cost, maximize=False):
-    """Exact LP: minimize (or maximize) cost.x over {x = x0 + B t in [0, 1]^n}.
+def _combine(acc, basis, ints):
+    """acc + B T for an integer vector T, updated in place."""
+    for bvec, tv in zip(basis, ints):
+        if tv:
+            for i, b in enumerate(bvec):
+                if b:
+                    acc[i] += b * tv
+    return acc
 
-    `param` is (x0, B), or None for an empty set.  The variables are t plus one
-    slack per box row, slacks last, all >= 0 as `solve_lp` takes them.  That
-    adds no constraint: each t_k is the event coordinate at the k-th free
-    column, where direction k is 1 and x0 and the other directions are 0 (the
-    form `pin` keeps), so the box row -x_f <= 0 already bounds t_k below.  The
-    LpResult carries x and the objective in event coordinates, or the Farkas
-    vector of an infeasible LP.
+
+def _event_point(param, ints, scale):
+    """The events at t = T / L, one Fraction each: (X0 L + B T) / (D L)."""
+    x0, basis, den = param
+    return tuple(Fraction(v, den * scale) for v in _combine([v * scale for v in x0], basis, ints))
+
+
+def _moving(param):
+    """(B_i, X0_i) of each event that some direction moves, in event order, or None.
+
+    An event that no direction moves is fixed at X0_i / D; one outside [0, 1] gives None.
     """
-    ineq = None if param is None else _box_rows(*param)
-    if ineq is None:
-        return LpResult(INFEASIBLE, None, None)
-    x0, basis = param
-    cost = [Fraction(c) for c in cost]
-    d, m = len(basis), len(ineq)
-    a_eq = [list(coeffs) + [int(j == r) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
-    c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [0] * m
-    res = solve_lp(c_t, a_eq, [beta for _, beta in ineq], maximize=maximize)
-    if res.status != OPTIMAL:
-        return LpResult(res.status, None, None, res.farkas)
-    offset = sum(c * v for c, v in zip(cost, x0) if c)
-    return LpResult(OPTIMAL, _point(x0, basis, res.x[:d]), res.objective + offset)
+    x0, basis, den = param
+    rows = []
+    for i, v in enumerate(x0):
+        coeffs = [bvec[i] for bvec in basis]
+        if any(coeffs):
+            rows.append((coeffs, v))
+        elif not 0 <= v <= den:
+            return None
+    return rows
+
+
+def _box_lp(param):
+    """A slice's [0, 1] box as LP rows over (t, one slack per box row): (a_eq, rhs), or None.
+
+    Each event that some direction moves gives the rows B_i t / D + s = 1 - X0_i / D
+    and -B_i t / D + s' = X0_i / D, in event order; a fixed event outside [0, 1]
+    gives None.  The rows hold the box's rational values, plain ints when D = 1,
+    not the rows times D: `solve_lp` starts a row basic on its slack only where
+    that slack's entry is 1.
+    """
+    moving = _moving(param)
+    if moving is None:
+        return None
+    den = param[2]
+    ineq = [row for coeffs, v in moving for row in ((coeffs, den - v), ([-c for c in coeffs], v))]
+    if den > 1:
+        ineq = [([Fraction(c, den) if c else 0 for c in coeffs], Fraction(beta, den)) for coeffs, beta in ineq]
+    m = len(ineq)
+    a_eq = [coeffs + [int(j == r) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
+    return a_eq, [beta for _, beta in ineq]
+
+
+def optimize(lp, cost, maximize=False):
+    """Exact LP: minimize (or maximize) cost.t over a slice's box, the rows `_box_lp` built for it.
+
+    The variables are t plus one slack per box row, slacks last, all >= 0 as
+    `solve_lp` takes them.  That adds no constraint: each t_k is the event
+    coordinate x_f at direction k's free event f, where direction k is D and X0
+    and the other directions are 0 (the form `pin` keeps), so the box row
+    -x_f <= 0 already bounds t_k below.  Returns `solve_lp`'s LpResult over
+    (t, slacks): its x maps to events by `_event_point`, and an infeasible LP
+    carries its Farkas vector.
+    """
+    a_eq, rhs = lp
+    return solve_lp(list(cost) + [0] * len(a_eq), a_eq, rhs, maximize=maximize)
 
 
 def _primitive(vals):
     """The positive multiple of a nonzero rational vector with coprime integer entries."""
-    den = math.lcm(*(v.denominator for v in vals))
-    ints = [v.numerator * (den // v.denominator) for v in vals]
+    ints = _integers(vals)[0]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 
@@ -305,20 +360,21 @@ def _double_description(rows, dim):
 
 
 def _enumerate_vertices(param):
-    """Exact vertex enumeration of {x0 + B t in [0,1]^n}, by double description.
+    """Exact vertex enumeration of {(X0 + B t) / D in [0,1]^n}, by double description.
 
-    The box rows, scaled to primitive integer rows with repeats dropped, are
-    homogenized with s >= 0: a.t - beta s <= 0.  The box is bounded, so this
-    cone is pointed, and every extreme ray has s > 0 and is a vertex
-    t = y[:d] / s (an empty box leaves the cone {0}, with no rays).  Vertices
-    come in the order of their lexicographically smallest independent d-subset
-    of tight box rows: the order in which a scan of all d-subsets of the box
-    rows, solving each, first meets them.
+    The box rows, times D as integer rows, scaled to primitive rows with repeats
+    dropped, are homogenized with s >= 0: B_i t - (D - X0_i) s <= 0 and
+    -B_i t - X0_i s <= 0.  The box is bounded, so this cone is pointed, and
+    every extreme ray (y, s) has s > 0 and is a vertex t = y / s (an empty box
+    leaves the cone {0}, with no rays).  Vertices come in the order of their
+    lexicographically smallest independent d-subset of tight box rows: the
+    order in which a scan of all d-subsets of the box rows, solving each, first
+    meets them.
     """
-    ineq = None if param is None else _box_rows(*param)
-    if ineq is None:
+    moving = None if param is None else _moving(param)
+    if moving is None:
         return []
-    x0, basis = param
+    x0, basis, den = param
     n, d = len(x0), len(basis)
     if d == n:
         # no constraints beyond the box itself: the vertices are the corners
@@ -329,18 +385,19 @@ def _enumerate_vertices(param):
             for mask in range(2**n)
         ]
     if d == 0:
-        return [tuple(x0)]
+        return [tuple(Fraction(v, den) for v in x0)]
     index, row_of = {}, []
-    for coeffs, beta in ineq:
-        row_of.append(index.setdefault(_primitive((*coeffs, -beta)), len(index)))
+    for coeffs, v in moving:
+        row_of.append(index.setdefault(_primitive((*coeffs, v - den)), len(index)))
+        row_of.append(index.setdefault(_primitive((*(-c for c in coeffs), -v)), len(index)))
     rows = list(index) + [(0,) * d + (-1,)]
     keyed = []
     for y, z in _double_description(rows, d + 1):
         tight = [k for k, j in enumerate(row_of) if z >> j & 1]
         picked = linsolve.independent_subset([rows[row_of[k]][:d] for k in tight])
-        keyed.append(([tight[i] for i in picked], [Fraction(v, y[d]) for v in y[:d]]))
-    keyed.sort(key=lambda kt: kt[0])
-    return [tuple(_point(x0, basis, t)) for _, t in keyed]
+        keyed.append(([tight[i] for i in picked], y))
+    keyed.sort(key=lambda ky: ky[0])
+    return [_event_point(param, y[:d], y[d]) for _, y in keyed]
 
 
 @dataclass
@@ -380,16 +437,28 @@ class ConditionalSlice:
     targets: list
 
     def satisfied_by(self, nu):
-        """Exact membership, in integers: nu times the lcm of its denominators is in
-        [0, lcm] and meets every state equation and every target."""
-        vals = [_frac(v) for v in nu.values]
-        scale = math.lcm(*(v.denominator for v in vals))
-        x = [v.numerator * (scale // v.denominator) for v in vals]
+        """Exact membership: nu, as integers over the lcm of its denominators, replayed by `_holds`."""
+        return self._holds(*_integers([_frac(v) for v in nu.values]))
+
+    def _holds(self, x, scale):
+        """Is x / scale (integers x, scale > 0) in [0, 1], on every state equation and on every target?"""
         return (len(x) == self.polytope.space.n_events and all(0 <= v <= scale for v in x)
                 and all(sum(x[j] for j in plus) - sum(x[j] for j in minus) == b * scale
                         for plus, minus, b in self.polytope.rows)
                 and all(x[f] * t.denominator == t.numerator * scale
                         for f, t in zip(self.constraint_events, self.targets)))
+
+
+def _conditioning(polytope, mu, e, family):
+    """(mu(e), the constrained events): by default every f that precedes e.  Zero mass on e is an error."""
+    me = _frac(mu[e])
+    if me == 0:
+        raise ConditioningUndefinedError(f"event {e} has zero probability under the given state")
+    if family is None:
+        # f precedes e iff f is orthogonal to the complement of e: one column of the table
+        space = polytope.space
+        family = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
+    return me, list(family)
 
 
 def conditional_slice(polytope, mu, e, family=None):
@@ -398,15 +467,8 @@ def conditional_slice(polytope, mu, e, family=None):
     `family` optionally overrides the constrained events (default: every f that
     precedes e in the orthogonality sense).  Zero mass on e is an error.
     """
-    space = polytope.space
-    me = _frac(mu[e])
-    if me == 0:
-        raise ConditioningUndefinedError(f"event {e} has zero probability under the given state")
-    if family is None:
-        # f precedes e iff f is orthogonal to the complement of e: one column of the table
-        family = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
-    targets = [_frac(mu[f]) / me for f in family]
-    return ConditionalSlice(polytope, e, list(family), targets)
+    me, family = _conditioning(polytope, mu, e, family)
+    return ConditionalSlice(polytope, e, family, [_frac(mu[f]) / me for f in family])
 
 
 @dataclass(frozen=True)
@@ -437,8 +499,8 @@ def _propagate(slc):
     at -1, so each update is an integer add and nothing rounds.  An event listed
     twice (coefficient 2) is bounded as two variables with the same bounds: that
     relaxes the row, so every bound it derives still holds for the event.
-    Returns the point when a fixpoint pins every coordinate, else None: a
-    contradiction, a coordinate left free, or no fixpoint within
+    Returns the point as (integers, D) when a fixpoint pins every coordinate,
+    else None: a contradiction, a coordinate left free, or no fixpoint within
     _PROPAGATION_SWEEPS sweeps.
     """
     scale = math.lcm(*(t.denominator for t in slc.targets))
@@ -475,7 +537,7 @@ def _propagate(slc):
                     if lo[j] > hi[j]:
                         return None
         if not changed:
-            return [Fraction(v, scale) for v in lo] if lo == hi else None
+            return (lo, scale) if lo == hi else None
     return None
 
 
@@ -499,7 +561,8 @@ def _empty_verdict(slc, sub, farkas, d):
     up, down = [Fraction(0)] * n, [Fraction(0)] * n
     yb = Fraction(1)
     if sub is not None:
-        x0, basis = sub
+        x0, basis, den = sub
+        x0, basis = [Fraction(v, den) for v in x0], [[Fraction(v, den) for v in bvec] for bvec in basis]
         free = [i for i in range(n) if any(bvec[i] for bvec in basis)]
         if farkas is None:
             i = next(i for i, v in enumerate(x0) if not 0 <= v <= 1 and i not in free)
@@ -534,13 +597,14 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
 
     FULL mode first propagates interval bounds through the state equations
     and the conditioning targets inside the [0, 1] box, in integers.  When that
-    pins every event, the pinned point is replayed against the slice in integers
+    pins every event, the pinned integers are replayed against the slice
     (range, every state equation, the targets) and returned as UNIQUE with no LP
     and no pinned parametrization: `slice_dim` is then the rank deficit of the
     pin rows over the polytope's nullspace basis.  Otherwise (a contradiction,
     a coordinate left free, or no fixpoint) it pins the targets in the polytope's one
-    parametrization and bounds each remaining free coordinate by exact LPs;
-    the event evaluations are affine and injective in those coordinates, so
+    integer parametrization, builds the slice's box LP rows once and bounds each
+    remaining free coordinate by a min and a max LP over them, which differ only in
+    the unit cost; the event evaluations are affine and injective in those coordinates, so
     "every free coordinate pinned" is equivalent to the per-event min = max
     criterion.  Only the LPs give MULTIPLE witnesses.  The slice is EMPTY when
     the pins are inconsistent, a fixed coordinate leaves [0, 1] or the first
@@ -553,12 +617,15 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     is a function of the slice: of e, the constrained events and their targets
     mu(f)/mu(e), and of mu through nothing else.  So each distinct slice is
     decided once per polytope, and every later call on it returns the same
-    frozen verdict.
+    frozen verdict.  The slice is looked up by e, the constrained events and
+    (mu(e), mu(f), ...) as coprime integers, a canonical form of the targets;
+    their Fractions are built only for a slice not decided yet.
     """
-    slc = conditional_slice(polytope, mu, e, family)
-    key = (e, tuple(slc.constraint_events), tuple(slc.targets))
+    me, family = _conditioning(polytope, mu, e, family)
+    key = (e, tuple(family), _primitive([me, *(_frac(mu[f]) for f in family)]))
     verdict = polytope._verdicts.get(key)
     if verdict is None:
+        slc = ConditionalSlice(polytope, e, family, [_frac(mu[f]) / me for f in family])
         verdict = _uc_generated(slc) if polytope.mode == GENERATED else _uc_full(slc)
         polytope._verdicts[key] = verdict
     return verdict
@@ -567,8 +634,7 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
 def _uc_full(slc):
     pinned = _propagate(slc)
     if pinned is not None:
-        nu = State(tuple(pinned))
-        if not slc.satisfied_by(nu):
+        if not slc._holds(*pinned):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
         # the pins are consistent, so the slice's nullity is the parametrization's
         # less the rank of the pin rows over it, which depends on the constrained events only
@@ -578,32 +644,33 @@ def _uc_full(slc):
         if family not in ranks:
             ranks[family] = linsolve.rank([[v[f] for v in basis] for f in family])
         d = len(basis) - ranks[family]
-        return ConditionalVerdict(UNIQUE, conditional=nu, slice_dim=d)
+        x, scale = pinned
+        return ConditionalVerdict(UNIQUE, conditional=State(tuple(Fraction(v, scale) for v in x)), slice_dim=d)
     sub = slc.polytope.pin(slc.constraint_events, slc.targets)
     d = -1 if sub is None else len(sub[1])
-    n = slc.polytope.space.n_events
     # inconsistent pins or a fixed coordinate outside [0, 1] empty the slice with no
-    # LP; with no free direction the slice is x0 alone
-    if sub is None or _box_rows(*sub) is None:
+    # LP; with no free direction the slice is X0 / D alone
+    lp = None if sub is None else _box_lp(sub)
+    if lp is None:
         return _empty_verdict(slc, sub, None, d)
-    x = sub[0]
-    for bvec in sub[1]:
-        # an rref direction is 1 on its own free event, which is its last nonzero entry
-        cost = [0] * n
-        cost[max(i for i, v in enumerate(bvec) if v != 0)] = 1
-        lo = optimize(sub, cost)
+    t = [], 1
+    for k in range(d):
+        # direction k is D at its free event and the other directions are 0 there, so t_k is that event
+        cost = [int(j == k) for j in range(d)]
+        lo = optimize(lp, cost)
         if lo.status == INFEASIBLE:
             return _empty_verdict(slc, sub, lo.farkas, d)
-        hi = optimize(sub, cost, maximize=True)
+        hi = optimize(lp, cost, maximize=True)
         if lo.status != OPTIMAL or hi.status != OPTIMAL:
             raise UcpError("bounded slice reported unbounded; inconsistent tables")
         if lo.objective != hi.objective:
-            nu1, nu2 = State(tuple(lo.x)), State(tuple(hi.x))
-            g = next(i for i in range(n) if nu1[i] != nu2[i])
+            nu1 = State(_event_point(sub, *_integers(lo.x[:d])))
+            nu2 = State(_event_point(sub, *_integers(hi.x[:d])))
+            g = next(i for i in range(len(nu1)) if nu1[i] != nu2[i])
             return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
-        x = lo.x
+        t = _integers(lo.x[:d])
     # every free coordinate is pinned, so the slice is the single point found
-    return ConditionalVerdict(UNIQUE, conditional=State(tuple(x)), slice_dim=d)
+    return ConditionalVerdict(UNIQUE, conditional=State(_event_point(sub, *t)), slice_dim=d)
 
 
 def _uc_generated(slc):

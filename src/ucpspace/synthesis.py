@@ -783,8 +783,9 @@ def check_box_equality(synth):
         raise SynthesisError("box equality needs the exact lane")
     pairing = synth.pairing
     n_states, n_events = pairing.shape
-    # the box points of span pi(E): x = 0 + B t over the independent event columns
-    span = ([Fraction(0)] * n_states, [list(col) for col in synth.basis_cols.T])
+    # the box points of span pi(E): x = (0 + B t) / D over the independent event columns, B / D of them
+    pn, dp = synth.scaled_pairing
+    span = ([0] * n_states, pn[:, list(synth.basis_events)].T.tolist(), dp)
     verts = statespace._enumerate_vertices(span)
     cols = {tuple(pairing[l, e] for l in range(n_states)) for e in range(n_events)}
     on_events = sum(1 for v in verts if tuple(v) in cols)

@@ -1,6 +1,8 @@
 """Dense Fraction references that the package's integer forms are compared against."""
 
+import math
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -299,3 +301,114 @@ def fraction_solve_lp(c, a_eq, b_eq, maximize=False):
     for i, bi in enumerate(basis):
         x[bi] = tab[i][-1]
     return LpResult(OPTIMAL, x, -sign * tab[-1][-1])
+
+
+# The FULL slice path on the Fraction parametrization x = x0 + B t, which the
+# integer form (X0, B, D) with x = (X0 + B t) / D replaced: pin, box rows, the
+# LPs over them and the point map, each slice's rows rebuilt for every LP.
+
+
+def fraction_param(param):
+    """An integer parametrization (X0, B, D) as the Fraction pair (X0 / D, B / D), or None."""
+    if param is None:
+        return None
+    x0, basis, den = param
+    return [Fraction(v, den) for v in x0], [[Fraction(v, den) for v in bvec] for bvec in basis]
+
+
+def integer_param(param):
+    """A Fraction pair (x0, B) as (X0, B, D) over the lcm D of its denominators, or None."""
+    if param is None:
+        return None
+    x0, basis = param
+    den = math.lcm(*(Fraction(v).denominator for v in chain(x0, *basis)))
+    return [int(v * den) for v in x0], [[int(v * den) for v in bvec] for bvec in basis], den
+
+
+def fraction_parametrization(poly):
+    """All solutions of the polytope's state equations as (x0, nullspace basis) over Fractions, or None."""
+    n = poly.space.n_events
+    return linsolve.solve_affine([statespace._dense(plus, minus, n) for plus, minus, _ in poly.rows],
+                                 [b for *_, b in poly.rows])
+
+
+def fraction_point(x0, basis, t):
+    """x0 + B t, in event coordinates (most entries of B and t are zero)."""
+    terms = [(bvec, tv) for bvec, tv in zip(basis, t) if tv]
+    return [x0[i] + sum(bvec[i] * tv for bvec, tv in terms if bvec[i]) for i in range(len(x0))]
+
+
+def fraction_box_rows(x0, basis):
+    """The [0, 1] box as rows alpha.t <= beta over t; None when a fixed coordinate leaves it."""
+    ineq = []
+    for i in range(len(x0)):
+        coeffs = tuple(bvec[i] for bvec in basis)
+        if all(c == 0 for c in coeffs):
+            if not (0 <= x0[i] <= 1):
+                return None
+            continue
+        ineq.append((coeffs, 1 - x0[i]))
+        ineq.append((tuple(-c for c in coeffs), x0[i]))
+    return ineq
+
+
+def fraction_pin(poly, events=(), values=()):
+    """(x0, B) of the solutions with x_f = v on the given events, or None, by Fraction points."""
+    sol = fraction_parametrization(poly)
+    if sol is None or not events:
+        return sol
+    x0, basis = sol
+    rows = [[v[f] for v in basis] for f in events]
+    sub = linsolve.solve_affine(rows, [t - x0[f] for f, t in zip(events, values)])
+    if sub is None:
+        return None
+    t0, dirs = sub
+    return fraction_point(x0, basis, t0), [fraction_point([0] * len(x0), basis, c) for c in dirs]
+
+
+def fraction_optimize(param, cost, maximize=False):
+    """min (or max) cost.x over {x = x0 + B t in [0, 1]^n} by fraction_solve_lp over (t, slacks); x in events."""
+    ineq = None if param is None else fraction_box_rows(*param)
+    if ineq is None:
+        return LpResult(INFEASIBLE, None, None)
+    x0, basis = param
+    cost = [Fraction(c) for c in cost]
+    d, m = len(basis), len(ineq)
+    a_eq = [list(coeffs) + [int(j == r) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
+    c_t = [sum(c * b for c, b in zip(cost, bvec) if c) for bvec in basis] + [0] * m
+    res = fraction_solve_lp(c_t, a_eq, [beta for _, beta in ineq], maximize=maximize)
+    if res.status != OPTIMAL:
+        return LpResult(res.status, None, None, res.farkas)
+    offset = sum(c * v for c, v in zip(cost, x0) if c)
+    return LpResult(OPTIMAL, fraction_point(x0, basis, res.x[:d]), res.objective + offset)
+
+
+def fraction_uc_full(slc, pinned):
+    """The FULL verdict of a slice on the Fraction path; `pinned` is the point propagation pinned, or None.
+
+    A pinned point is UNIQUE, of the pinned slice's nullity.  Otherwise a min and
+    a max LP bound each free coordinate; EMPTY goes through the fold of
+    `statespace._empty_verdict`, which takes the integer form.
+    """
+    sub = fraction_pin(slc.polytope, slc.constraint_events, slc.targets)
+    d = -1 if sub is None else len(sub[1])
+    if pinned is not None:
+        return statespace.ConditionalVerdict(statespace.UNIQUE, conditional=statespace.State(tuple(pinned)),
+                                             slice_dim=d)
+    if sub is None or fraction_box_rows(*sub) is None:
+        return statespace._empty_verdict(slc, integer_param(sub), None, d)
+    n = slc.polytope.space.n_events
+    x = sub[0]
+    for bvec in sub[1]:
+        cost = [0] * n
+        cost[max(i for i, v in enumerate(bvec) if v != 0)] = 1
+        lo = fraction_optimize(sub, cost)
+        if lo.status == INFEASIBLE:
+            return statespace._empty_verdict(slc, integer_param(sub), lo.farkas, d)
+        hi = fraction_optimize(sub, cost, maximize=True)
+        if lo.objective != hi.objective:
+            nu1, nu2 = statespace.State(tuple(lo.x)), statespace.State(tuple(hi.x))
+            g = next(i for i in range(n) if nu1[i] != nu2[i])
+            return statespace.ConditionalVerdict(statespace.MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
+        x = lo.x
+    return statespace.ConditionalVerdict(statespace.UNIQUE, conditional=statespace.State(tuple(x)), slice_dim=d)

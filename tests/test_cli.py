@@ -47,6 +47,7 @@ def files(tmp_path_factory):
     )
     paths["mo2"] = put("mo2.txt", fileio.format_orthospace(instances.mo_orthospace(2)))
     paths["mo3"] = put("mo3.txt", fileio.format_orthospace(instances.mo_orthospace(3)))
+    paths["mo4"] = put("mo4.txt", fileio.format_orthospace(instances.mo_orthospace(4)))
     paths["mo31"] = put("mo31.txt", fileio.format_orthospace(instances.mo_orthospace(31)))
     paths["mo32"] = put("mo32.txt", fileio.format_orthospace(instances.mo_orthospace(32)))
     paths["bool4"] = put("bool4.txt", fileio.format_orthospace(orthospace.boolean_orthospace(4)))
@@ -66,6 +67,14 @@ def files(tmp_path_factory):
     # the others at (1/2, 1/2)), then the vertex (1, 1, 1) and the point (1, 0, 1/2)
     def mo3_state(ps):
         return statespace.State((F(0), *(v for p in ps for v in (F(p), 1 - F(p))), F(1)))
+
+    paths["mo3_mixed"] = put("mo3_mixed.txt", fileio.format_states([mo3_state([F(1, 3), F(2, 5), F(5, 7)])]))
+    # two Boolean 3 blocks glued along 0 and 1, and a mixture of three of its vertices
+    b3b3 = orthospace.horizontal_sum([orthospace.boolean_orthospace(3)] * 2)
+    paths["b3b3"] = put("b3b3.txt", fileio.format_orthospace(b3b3))
+    g = statespace.build_state_polytope(b3b3).generators
+    mixed = statespace.mix_states(g[0], statespace.mix_states(g[2], g[4], F(2, 5)), F(1, 3))
+    paths["b3b3_mixed"] = put("b3b3_mixed.txt", fileio.format_states([mixed]))
 
     half = F(1, 2)
     cross = [mo3_state([half] * i + [v] + [half] * (2 - i)) for i in range(3) for v in (1, 0)]
@@ -432,6 +441,31 @@ class TestReplay:
                               "--samples", "10", *checks, "--format", "structured"])
         assert got == code
         report = json.loads(out)
+        del report["input"]
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
+
+    def test_mo4_report_is_unchanged(self, files):
+        # the MO_4 verify of the mo-multiple benchmark: its vertices, MULTIPLE witnesses and UNIQUE slices
+        code, out, _ = invoke(["verify", "--input", files["mo4"], "--states", "full", "axioms", "separation",
+                               "uniqueness", "--format", "structured"])
+        assert code == 1
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "fec8038e8b3f057e1d68b209aa48a32ff7c5596549004ed19ac225267c8458c2"
+
+    @pytest.mark.parametrize("input_name, states, event, want", [
+        # an atom pins its block at (1, 0), so the slice has D' = 1
+        ("mo3", "mo3_mixed", 3, "03a6db0e79f4d0ecdbf5d190208afd8c7259b424dd5ebd10b9c8d5197402e308"),
+        # a two-atom event pins its block at (5/11, 6/11): D' = 11 and fractional witnesses
+        ("b3b3", "b3b3_mixed", 9, "7f08cd832be942164c24ec978479544aee2c815643198203f6f2bd7a8a8a5466"),
+    ], ids=["mo3", "b3b3"])
+    def test_multiple_condition_report_is_unchanged(self, files, input_name, states, event, want):
+        code, out, _ = invoke(["condition", "--input", files[input_name], "--states", files[states],
+                               "--format", "structured", str(event)])
+        assert code == 1
+        report = json.loads(out)
+        assert report["verdict"] == "MULTIPLE"
         del report["input"]
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
 

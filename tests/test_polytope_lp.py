@@ -130,7 +130,7 @@ def test_empty_exactly_when_reference_infeasible(monkeypatch):
         if v.verdict == statespace.EMPTY:
             assert len(calls) <= 1, pins
             sub = poly.pin(family, targets)
-            sources["pins" if sub is None else "fixed" if statespace._box_rows(*sub) is None else "lp"] += 1
+            sources["pins" if sub is None else "fixed" if statespace._box_lp(sub) is None else "lp"] += 1
             assert (v.certificate.a_rows, v.certificate.b) == reference_system(space, pins), pins
             assert verify_farkas(v.certificate), pins
         else:

@@ -1,8 +1,11 @@
 """Exact state polytopes, conditionals, and the uniqueness verdicts."""
 
+import collections
 import dataclasses
 import functools
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -11,7 +14,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reference import equality_rows, reference_is_state
+from reference import (
+    equality_rows,
+    fraction_box_rows,
+    fraction_param,
+    fraction_point,
+    fraction_uc_full,
+    reference_is_state,
+)
 from ucpspace import exactlp, fileio, instances, linsolve, orthospace, statespace, synthesis
 from ucpspace.errors import CapacityError, ConditioningUndefinedError, PreconditionError, UcpError
 from ucpspace.statespace import (
@@ -105,9 +115,11 @@ class TestPolytope:
 def reference_vertices(param):
     """The enumeration before double description, caps aside: the C(m, d) subset loop.
 
-    Every d box rows with a unique solution inside the box give a vertex, in subset order.
+    Every d box rows with a unique solution inside the box give a vertex, in subset order,
+    on the Fraction form of the integer parametrization.
     """
-    ineq = None if param is None else statespace._box_rows(*param)
+    param = fraction_param(param)
+    ineq = None if param is None else fraction_box_rows(*param)
     if ineq is None:
         return []
     x0, basis = param
@@ -124,7 +136,7 @@ def reference_vertices(param):
         t = sol[0]
         if any(sum(c * tv for c, tv in zip(coeffs, t)) > beta for coeffs, beta in ineq):
             continue
-        x = tuple(statespace._point(x0, basis, t))
+        x = tuple(fraction_point(x0, basis, t))
         if x not in seen:
             seen.add(x)
             out.append(x)
@@ -135,8 +147,8 @@ def _full_param(space):
     return build_state_polytope(space, with_vertices=False)._parametrization
 
 
-def _box_span(space, monkeypatch):
-    # the span that check_box_equality enumerates, recorded on its way in
+def _box_span(space, monkeypatch, states=None):
+    # the span that check_box_equality enumerates, recorded on its way in; the vertices' by default
     spans = []
     enumerate_vertices = statespace._enumerate_vertices
 
@@ -144,7 +156,7 @@ def _box_span(space, monkeypatch):
         spans.append(param)
         return enumerate_vertices(param)
 
-    synth = synthesis.abstract_synthetic_space(space, build_state_polytope(space).generators)
+    synth = synthesis.abstract_synthetic_space(space, states or build_state_polytope(space).generators)
     with monkeypatch.context() as m:
         m.setattr(statespace, "_enumerate_vertices", recording)
         synthesis.check_box_equality(synth)
@@ -155,6 +167,18 @@ def _box_span(space, monkeypatch):
 def _b4_pinned():
     # mu({a, b}) = 0: the box then forces x_a = x_b = 0, an equality no row states
     return build_state_polytope(orthospace.boolean_orthospace(4), with_vertices=False).pin([0b0011], [F(0)])
+
+
+def _b4_third():
+    # mu({a, b}) = 1/3: a slice whose integer form has D' = 3
+    return build_state_polytope(orthospace.boolean_orthospace(4), with_vertices=False).pin([0b0011], [F(1, 3)])
+
+
+def _mo2_cross():
+    # the four cross-polytope states of MO_2: one block at (1, 0) or (0, 1), the other at (1/2, 1/2)
+    half = F(1, 2)
+    blocks = [[p, half] for p in (F(1), F(0))] + [[half, p] for p in (F(1), F(0))]
+    return [State((F(0), *(v for p in ps for v in (p, 1 - p)), F(1))) for ps in blocks]
 
 
 def _b5_empty_case():
@@ -184,12 +208,22 @@ class TestVertexEnumeration:
         "make",
         [lambda k=k: _full_param(orthospace.boolean_orthospace(k)) for k in (2, 3, 4)]
         + [lambda k=k: _full_param(instances.mo_orthospace(k)) for k in (2, 3, 4, 5)]
-        + [_b4_pinned, _b5_empty_slice, _stateless],
-        ids=["bool2", "bool3", "bool4", "mo2", "mo3", "mo4", "mo5", "bool4-pinned", "bool5-empty", "stateless"],
+        + [_b4_pinned, _b4_third, _b5_empty_slice, _stateless],
+        ids=["bool2", "bool3", "bool4", "mo2", "mo3", "mo4", "mo5", "bool4-pinned", "bool4-third", "bool5-empty",
+             "stateless"],
     )
     def test_same_vertices_as_subset_loop(self, make):
         param = make()
         assert statespace._enumerate_vertices(param) == reference_vertices(param)
+
+    def test_non_integral_forms(self, monkeypatch):
+        # D' = 3 on the pinned Boolean 4 slice, whose vertices are in thirds, and D = 2 on the
+        # span of MO_2's cross-polytope states, whose box vertices are 0/1 points
+        third, span = _b4_third(), _box_span(instances.mo_orthospace(2), monkeypatch, _mo2_cross())
+        assert third[2] == 3 and span[2] == 2
+        for param in (third, span):
+            assert statespace._enumerate_vertices(param) == reference_vertices(param)
+        assert any(v.denominator == 3 for x in statespace._enumerate_vertices(third) for v in x)
 
     @pytest.mark.parametrize(
         "space",
@@ -232,11 +266,11 @@ FORM_SPACES = {
 }
 
 
-def _assert_unit_free_columns(x0, basis):
-    """Each direction is 1 at its last nonzero event, which is 0 in x0 and in every other direction."""
+def _assert_unit_free_columns(x0, basis, den):
+    """Each direction is D (that is, 1) at its last nonzero event, which is 0 in X0 and in every other direction."""
     for k, bvec in enumerate(basis):
         f = max(i for i, v in enumerate(bvec) if v)
-        assert bvec[f] == 1
+        assert bvec[f] == den
         assert x0[f] == 0
         assert all(other[f] == 0 for j, other in enumerate(basis) if j != k)
 
@@ -423,7 +457,7 @@ class TestBoundPropagation:
         poly = build_state_polytope(space, with_vertices=False)
         slc = statespace.conditional_slice(poly, mu, space.unit, family)
         assert statespace._propagate(slc) is None
-        assert statespace._box_rows(*poly.pin(family, slc.targets)) is not None
+        assert statespace._box_lp(poly.pin(family, slc.targets)) is not None
         costs, calls = [], []
         optimize, solve = statespace.optimize, statespace.solve_lp
 
@@ -449,7 +483,7 @@ class TestBoundPropagation:
         # in event coordinates.
         space, mu, family = _b5_empty_case()
         poly = build_state_polytope(space, with_vertices=False)
-        x0, (bvec,) = poly.pin(family, [mu[f] for f in family])
+        x0, (bvec,), _ = poly.pin(family, [mu[f] for f in family])
         free = [i for i, v in enumerate(bvec) if v]
         up_row = 2 * free.index(free[-1])  # the box rows come in (up, down) pairs
         optimize = statespace.optimize
@@ -478,6 +512,12 @@ class TestBoundPropagation:
         v = check_conditional_uniqueness(poly, mu, 1)
         assert v.verdict == UNIQUE and v.slice_dim == 2
         assert v.conditional[1] == 1 and v.conditional[bool4.unit - 1] == 0
+
+
+def propagated(slc):
+    """statespace._propagate's pinned point (integers over D) as Fractions, or None."""
+    pinned = statespace._propagate(slc)
+    return None if pinned is None else [F(v, pinned[1]) for v in pinned[0]]
 
 
 def fraction_propagate(slc):
@@ -568,13 +608,13 @@ class TestIntegerPropagation:
     @settings(max_examples=200, deadline=None)
     @given(propagation_slices())
     def test_equals_fraction_propagation(self, slc):
-        assert statespace._propagate(slc) == fraction_propagate(slc)
+        assert propagated(slc) == fraction_propagate(slc)
 
     @pytest.mark.parametrize("name", sorted(PROPAGATION_SPACES))
     def test_equals_fraction_propagation_on_oracle_cases(self, name):
         poly = _propagation_poly(name)
         slices = [statespace.conditional_slice(poly, mu, e) for mu, e in _oracle_cases(poly.space, poly)]
-        results = [statespace._propagate(slc) for slc in slices]
+        results = [propagated(slc) for slc in slices]
         assert results == [fraction_propagate(slc) for slc in slices]
         # both outcomes occur: pinned points and slices left to the LPs
         assert any(r is None for r in results) == name.startswith("mo")
@@ -584,7 +624,7 @@ class TestIntegerPropagation:
         # atoms 1/2 and 1/3 pin the third at 1/6: the unit of the integer bounds is 1/6,
         # a multiple of neither target's denominator
         slc = statespace.ConditionalSlice(bool3_poly, 7, [1, 2], [F(1, 2), F(1, 3)])
-        point = statespace._propagate(slc)
+        point = propagated(slc)
         assert point == fraction_propagate(slc)
         assert point[1:5] == [F(1, 2), F(1, 3), F(5, 6), F(1, 6)]
 
@@ -597,7 +637,7 @@ class TestIntegerPropagation:
         pinned = 0
         for (mu, e), v in zip(cases, verdicts):
             slc = statespace.conditional_slice(poly, mu, e)
-            point, reference = statespace._propagate(slc), fraction_propagate(slc)
+            point, reference = propagated(slc), fraction_propagate(slc)
             # where the Fraction propagation pins a point, the verdict has the same one
             if reference is not None:
                 assert v.verdict == UNIQUE and list(v.conditional.values) == reference
@@ -636,6 +676,91 @@ class TestIntegerPropagation:
                 assert v.slice_dim == (-1 if sub is None else len(sub[1]))
         assert len(calls) == len(open_slices)
         assert bool(open_slices) == some_open
+
+
+def _random_pins(poly, rng):
+    """Pins on 1-4 random events, their targets read off an affine combination of the vertices.
+
+    The weights are small or up to 10^12, so the targets' denominators reach 10^12 and the
+    pinned form has D' > 1; negative weights may put a target outside [0, 1], one target may
+    be shifted off the combination, and a quarter of the draws are random fractions instead.
+    """
+    space, gens = poly.space, poly.generators
+    events = rng.sample(range(space.n_events), rng.randint(1, 4))
+    if rng.random() < 0.25:
+        return events, [F(rng.randint(-10**12, 2 * 10**12), rng.randint(1, 10**12)) for _ in events]
+    low = rng.choice([0, 0, -2])
+    weights = [rng.choice([rng.randint(low, 6), rng.randint(low, 10**12)]) for _ in gens]
+    if not sum(weights):
+        weights[0] += 1
+    targets = [sum(F(w, sum(weights)) * g[f] for w, g in zip(weights, gens)) for f in events]
+    if rng.random() < 0.2:
+        targets[rng.randrange(len(targets))] += rng.choice([F(1, 10**12), F(-1, 3)])
+    return events, targets
+
+
+def _b5_lp_pins(rng):
+    """x_ab >= 1/2, x_bc >= 1/2 and x_bd < 1/2 on four random atoms of Boolean 5: often empty, and only an LP sees it."""
+    a, b, c, d = (1 << i for i in rng.sample(range(5), 4))
+    return [a | b, b | c, b | d], [F(rng.randint(4, 8), 8), F(rng.randint(4, 8), 8), F(rng.randint(0, 3), 8)]
+
+
+class TestIntegerSlices:
+    """The FULL slice path on the integer form (X0, B, D) against the Fraction path it replaced."""
+
+    def test_verdicts_equal_fraction_path(self):
+        rng = random.Random(20261020)
+        slices = []
+        for name in sorted(PROPAGATION_SPACES):
+            poly = _propagation_poly(name)
+            gens = poly.generators
+            for _ in range(60):
+                if rng.random() < 0.25:
+                    mu = mix_states(rng.choice(gens), mix_states(rng.choice(gens), rng.choice(gens), F(2, 7)),
+                                    F(rng.randint(1, 10**12 - 1), 10**12))
+                    slices.append(statespace.conditional_slice(
+                        poly, mu, rng.choice([e for e in poly.space.events() if mu[e] != 0])))
+                else:
+                    slices.append(statespace.ConditionalSlice(poly, poly.space.unit, *_random_pins(poly, rng)))
+        b5 = build_state_polytope(orthospace.boolean_orthospace(5), with_vertices=False)
+        slices += [statespace.ConditionalSlice(b5, b5.space.unit, *_b5_lp_pins(rng)) for _ in range(12)]
+        seen = collections.Counter()
+        for slc in slices:
+            v = statespace._uc_full(slc)
+            assert _fields(v) == _fields(fraction_uc_full(slc, fraction_propagate(slc))), (slc.constraint_events,
+                                                                                          slc.targets)
+            sub = slc.polytope.pin(slc.constraint_events, slc.targets)
+            if v.verdict == EMPTY:
+                seen["pins" if sub is None else "fixed" if statespace._box_lp(sub) is None else "lp"] += 1
+            elif statespace._propagate(slc) is None:
+                seen[v.verdict, sub[2] > 1] += 1
+        # every source of EMPTY, and MULTIPLE slices in the LP's hands with D' > 1
+        assert min(seen["pins"], seen["fixed"], seen["lp"], seen[MULTIPLE, True]) >= 5, seen
+
+    def test_horizontal_sum_verdicts_are_unchanged(self):
+        # two Boolean 3 blocks glued: conditioning a mixed state on a two-atom event pins its block at
+        # fractions and leaves the other free, so the slice goes to the LPs with D' > 1 and its MULTIPLE
+        # witnesses are fractional; a change to the slice arithmetic keeps every verdict byte-identical
+        space = orthospace.horizontal_sum([orthospace.boolean_orthospace(3)] * 2)
+        poly = build_state_polytope(space)
+        g = poly.generators
+        states = [mix_states(g[0], mix_states(g[2], g[4], F(2, 5)), F(1, 3)),
+                  mix_states(g[1], mix_states(g[5], g[8], F(3, 7)), F(5, 11)), mix_states(g[3], g[6], F(1, 10**6))]
+        verdicts = [check_conditional_uniqueness(poly, mu, e) for mu in states for e in space.events()
+                    if e != space.zero and mu[e] != 0]
+        assert any(v.verdict == MULTIPLE and any(x.denominator > 1 for x in v.witnesses[0].values) for v in verdicts)
+
+        def vals(nu):
+            return [str(x) for x in nu.values]
+
+        def text(v):
+            wit = v.witnesses and [vals(v.witnesses[0]), vals(v.witnesses[1]), v.witnesses[2]]
+            cert = v.certificate and [[[str(x) for x in r] for r in v.certificate.a_rows],
+                                      [str(x) for x in v.certificate.b], [str(x) for x in v.certificate.y]]
+            return [v.verdict, v.conditional and vals(v.conditional), wit, v.slice_dim, cert]
+
+        digest = hashlib.sha256(json.dumps([text(v) for v in verdicts]).encode()).hexdigest()
+        assert digest == "e4299f32fa06888362d53d64f38f0a93200cc8517b5ac2cc689f6b0c32a4635c"
 
 
 ROW_SPACES = {
