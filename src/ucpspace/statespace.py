@@ -2,7 +2,11 @@
 
 A state assigns a rational probability to every event: 1 on the unit, additive
 on orthogonal pairs, values in [0, 1].  Everything in this module is exact:
-states are `fractions.Fraction` vectors, the full state polytope is cut out by
+a state's values are Fractions, and each exact state has one integer form, its
+values as integer numerators over L, the lcm of their denominators, built once
+(`State.integers`).  Mixing, the mixture identity, the slice lookup and the
+replay of a point against a slice run on that form and build one Fraction per
+event of a state they return.  The full state polytope is cut out by
 the state equations plus box bounds, vertices are enumerated exactly, and
 uniqueness questions are settled by bound propagation where it pins the
 conditional, else by the in-repo rational simplex.  The state equations are
@@ -80,7 +84,12 @@ def _frac(v):
 
 @dataclass(frozen=True)
 class State:
-    """Event-indexed probability vector. Exact when every value is a Fraction."""
+    """Event-indexed probability vector. Exact when every value is a Fraction or an int.
+
+    An exact state's `integers` hold the same values as (numerators, L), a
+    tuple of ints over L > 0, the lcm of their denominators: one canonical
+    integer form per state, built on first use and kept.
+    """
 
     values: tuple
 
@@ -93,6 +102,24 @@ class State:
     @property
     def exact(self):
         return all(isinstance(v, (Fraction, int)) for v in self.values)
+
+    @functools.cached_property
+    def integers(self):
+        """The values as (numerators, L), numerators a tuple; a value that is not exact raises TypeError."""
+        ints, scale = _integers([_frac(v) for v in self.values])
+        return tuple(ints), scale
+
+    @classmethod
+    def from_integers(cls, ints, den):
+        """The state with values ints / den (den != 0), one Fraction per event, its integer form kept."""
+        g = math.gcd(den, *ints)
+        if den < 0:
+            g = -g
+        ints, den = tuple(v // g for v in ints), den // g
+        state = cls(tuple(Fraction(v, den) for v in ints))
+        # the form `integers` would build: numerators and L coprime make L the lcm of the denominators
+        state.__dict__["integers"] = ints, den
+        return state
 
 
 def is_state(space, state):
@@ -369,7 +396,9 @@ def _enumerate_vertices(param):
     leaves the cone {0}, with no rays).  Vertices come in the order of their
     lexicographically smallest independent d-subset of tight box rows: the
     order in which a scan of all d-subsets of the box rows, solving each, first
-    meets them.
+    meets them.  A simple vertex, with exactly d distinct tight rows, has them
+    independent (its tight rows have rank d), so that subset is the first box
+    row of each; only a degenerate vertex takes a row reduction for it.
     """
     moving = None if param is None else _moving(param)
     if moving is None:
@@ -394,8 +423,14 @@ def _enumerate_vertices(param):
     keyed = []
     for y, z in _double_description(rows, d + 1):
         tight = [k for k, j in enumerate(row_of) if z >> j & 1]
-        picked = linsolve.independent_subset([rows[row_of[k]][:d] for k in tight])
-        keyed.append(([tight[i] for i in picked], y))
+        if z.bit_count() == d:
+            first = {}
+            for k in tight:
+                first.setdefault(row_of[k], k)
+            keyed.append((list(first.values()), y))
+        else:
+            picked = linsolve.independent_subset([rows[row_of[k]][:d] for k in tight])
+            keyed.append(([tight[i] for i in picked], y))
     keyed.sort(key=lambda ky: ky[0])
     return [_event_point(param, y[:d], y[d]) for _, y in keyed]
 
@@ -437,8 +472,8 @@ class ConditionalSlice:
     targets: list
 
     def satisfied_by(self, nu):
-        """Exact membership: nu, as integers over the lcm of its denominators, replayed by `_holds`."""
-        return self._holds(*_integers([_frac(v) for v in nu.values]))
+        """Exact membership: nu's integer form, replayed by `_holds`."""
+        return self._holds(*nu.integers)
 
     def _holds(self, x, scale):
         """Is x / scale (integers x, scale > 0) in [0, 1], on every state equation and on every target?"""
@@ -450,15 +485,23 @@ class ConditionalSlice:
 
 
 def _conditioning(polytope, mu, e, family):
-    """(mu(e), the constrained events): by default every f that precedes e.  Zero mass on e is an error."""
-    me = _frac(mu[e])
-    if me == 0:
+    """((mu(e), mu(f), ...) as coprime integers, the constrained events f): by default every f that
+    precedes e.  Read off mu's integer form; zero mass on e is an error."""
+    x = mu.integers[0]
+    if x[e] == 0:
         raise ConditioningUndefinedError(f"event {e} has zero probability under the given state")
     if family is None:
         # f precedes e iff f is orthogonal to the complement of e: one column of the table
         space = polytope.space
         family = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
-    return me, list(family)
+    masses = [x[e], *(x[f] for f in family)]
+    g = math.gcd(*masses)
+    return tuple(v // g for v in masses), list(family)
+
+
+def _slice(polytope, e, family, masses):
+    """The slice of the coprime masses (mu(e), mu(f), ...): targets mu(f) / mu(e), one Fraction each."""
+    return ConditionalSlice(polytope, e, family, [Fraction(m, masses[0]) for m in masses[1:]])
 
 
 def conditional_slice(polytope, mu, e, family=None):
@@ -467,8 +510,8 @@ def conditional_slice(polytope, mu, e, family=None):
     `family` optionally overrides the constrained events (default: every f that
     precedes e in the orthogonality sense).  Zero mass on e is an error.
     """
-    me, family = _conditioning(polytope, mu, e, family)
-    return ConditionalSlice(polytope, e, family, [_frac(mu[f]) / me for f in family])
+    masses, family = _conditioning(polytope, mu, e, family)
+    return _slice(polytope, e, family, masses)
 
 
 @dataclass(frozen=True)
@@ -618,14 +661,15 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     mu(f)/mu(e), and of mu through nothing else.  So each distinct slice is
     decided once per polytope, and every later call on it returns the same
     frozen verdict.  The slice is looked up by e, the constrained events and
-    (mu(e), mu(f), ...) as coprime integers, a canonical form of the targets;
-    their Fractions are built only for a slice not decided yet.
+    (mu(e), mu(f), ...) as coprime integers, a canonical form of the targets
+    read off mu's integer form; their Fractions are built only for a slice not
+    decided yet.
     """
-    me, family = _conditioning(polytope, mu, e, family)
-    key = (e, tuple(family), _primitive([me, *(_frac(mu[f]) for f in family)]))
+    masses, family = _conditioning(polytope, mu, e, family)
+    key = (e, tuple(family), masses)
     verdict = polytope._verdicts.get(key)
     if verdict is None:
-        slc = ConditionalSlice(polytope, e, family, [_frac(mu[f]) / me for f in family])
+        slc = _slice(polytope, e, family, masses)
         verdict = _uc_generated(slc) if polytope.mode == GENERATED else _uc_full(slc)
         polytope._verdicts[key] = verdict
     return verdict
@@ -644,8 +688,7 @@ def _uc_full(slc):
         if family not in ranks:
             ranks[family] = linsolve.rank([[v[f] for v in basis] for f in family])
         d = len(basis) - ranks[family]
-        x, scale = pinned
-        return ConditionalVerdict(UNIQUE, conditional=State(tuple(Fraction(v, scale) for v in x)), slice_dim=d)
+        return ConditionalVerdict(UNIQUE, conditional=State.from_integers(*pinned), slice_dim=d)
     sub = slc.polytope.pin(slc.constraint_events, slc.targets)
     d = -1 if sub is None else len(sub[1])
     # inconsistent pins or a fixed coordinate outside [0, 1] empty the slice with no
@@ -720,9 +763,24 @@ class MixtureReport:
     rhs: State
 
 
+def _mixture(mu, nu, s):
+    """(s mu + (1 - s) nu, the numerators (a, b) of mu and nu, their integer weights (wa, wb)).
+
+    With mu = a / la, nu = b / lb and s = p / q, the mixture is (wa a + wb b) /
+    (q la lb) for wa = p lb and wb = (q - p) la.  States of different lengths
+    raise PreconditionError.
+    """
+    if len(mu) != len(nu):
+        raise PreconditionError(f"cannot mix states of {len(mu)} and {len(nu)} events")
+    (a, la), (b, lb) = mu.integers, nu.integers
+    p, q = _frac(s).as_integer_ratio()
+    wa, wb = p * lb, (q - p) * la
+    return State.from_integers([wa * x + wb * y for x, y in zip(a, b)], q * la * lb), (a, b), (wa, wb)
+
+
 def mix_states(mu, nu, s):
-    s = _frac(s)
-    return State(tuple(s * _frac(a) + (1 - s) * _frac(b) for a, b in zip(mu.values, nu.values)))
+    """s mu + (1 - s) nu, mixed on the integer forms.  States of different lengths raise PreconditionError."""
+    return _mixture(mu, nu, s)[0]
 
 
 def check_mixture_identity(polytope, mu, nu, s, e):
@@ -731,22 +789,25 @@ def check_mixture_identity(polytope, mu, nu, s, e):
     The conditional of s mu + (1-s) nu under e equals the mixture of the two
     conditionals reweighted by s mu(e) and (1-s) nu(e); a component with zero
     mass on e contributes nothing.  Conditionals must be unique wherever the
-    relevant mass is positive, else PreconditionError.
+    relevant mass is positive, else PreconditionError.  The weights, the
+    reweighted sum and its division by the mass of e run on integer forms,
+    and the right-hand side gets one Fraction per event.
     """
     s = _frac(s)
     if not (0 < s < 1):
         raise PreconditionError("mixing weight must be strictly between 0 and 1")
-    mix = mix_states(mu, nu, s)
-    total = s * _frac(mu[e]) + (1 - s) * _frac(nu[e])
+    mix, (a, b), (wa, wb) = _mixture(mu, nu, s)
+    # s mu(e) and (1 - s) nu(e), and their sum, over one common denominator
+    masses = wa * a[e], wb * b[e]
+    total = sum(masses)
     if total == 0:
         raise ConditioningUndefinedError("mixture puts zero mass on the conditioning event")
     lhs = unique_conditional(polytope, mix, e)
-    n = polytope.space.n_events
-    acc = [Fraction(0)] * n
-    for state, w in ((mu, s * _frac(mu[e])), (nu, (1 - s) * _frac(nu[e]))):
+    acc, den = [0] * len(mix), 1
+    for state, w in zip((mu, nu), masses):
         if w != 0:
-            cond = unique_conditional(polytope, state, e)
-            for i in range(n):
-                acc[i] += w * _frac(cond[i])
-    rhs = State(tuple(v / total for v in acc))
+            cond, lc = unique_conditional(polytope, state, e).integers
+            acc = [v * lc + w * den * c for v, c in zip(acc, cond)]
+            den *= lc
+    rhs = State.from_integers(acc, den * total)
     return MixtureReport(lhs.values == rhs.values, mix, lhs, rhs)

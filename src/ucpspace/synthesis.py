@@ -344,7 +344,8 @@ def polytope_expansion_oracle(synth, polytope):
             err.generator, err.event, err.verdict = l, e, verdict
             raise err
         try:
-            return _unscaled(*synth.generator_coords(_scaled(verdict.conditional.values)))
+            xn, dx = verdict.conditional.integers
+            return _unscaled(*synth.generator_coords((np.array(xn, dtype=object), dx)))
         except SynthesisError:
             raise SynthesisError(f"conditional of generator {l} lies outside the generator span") from None
 
@@ -799,16 +800,24 @@ def check_box_equality(synth):
 
 
 def hull_membership(synth, x):
-    """Exact lane: is x a convex combination of the pi(e)?  LP feasibility."""
+    """Exact lane: is x a convex combination of the pi(e)?  LP feasibility on integer rows.
+
+    x is a (numerators, d) pair over the generators, one point (n_states,) or a
+    stack (P, n_states), answered by a bool or a list of bools.  With the
+    pairing pn / dp and g = gcd(d, dp), a point's LP reads (d / g) pn.lambda =
+    (dp / g) x_n and sum(lambda) = 1 over lambda >= 0: the rows are built once
+    a call, and only the right-hand side changes from point to point.
+    """
     if not synth.exact:
         raise SynthesisError("hull membership needs the exact lane")
-    pairing = synth.pairing
-    n_states, n_events = pairing.shape
-    a_eq = [[pairing[l, e] for e in range(n_events)] for l in range(n_states)]
-    a_eq.append([Fraction(1)] * n_events)
-    b_eq = [Fraction(v) for v in x] + [Fraction(1)]
-    res = solve_lp([Fraction(0)] * n_events, a_eq, b_eq)
-    return res.status == OPTIMAL
+    xn, d = x
+    pn, dp = synth.scaled_pairing
+    g = math.gcd(d, dp)
+    rows = (pn * (d // g)).tolist() + [[1] * pn.shape[1]]
+    cost = [0] * pn.shape[1]
+    member = [solve_lp(cost, rows, [*(v * (dp // g) for v in point), 1]).status == OPTIMAL
+              for point in np.atleast_2d(xn).tolist()]
+    return member if np.ndim(xn) > 1 else member[0]
 
 
 # ---------------------------------------------------------------------------
@@ -913,10 +922,13 @@ def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL
 
     Exact lane: vertex comparison of [0, 1] against conv(pi(E)), LP membership
     for rejection-sampled interval points, extremality of every pi(e) in the
-    generator box.  Matrix lane (an instance given): extremality in the
-    operator interval, plus a support-function certificate that a fresh
-    projection escapes the hull of the finitely many sampled events, so density
-    holds only in the limit.  A float-lane model without its instance raises
+    generator box.  Each sample is held as integers over 4 dp, the pairing's
+    denominator dp times the 4 of its coefficients k / 4, and tested on them:
+    the [0, 1] range, then the membership LP, whose integer rows are built
+    once.  Matrix lane (an instance given): extremality in the operator
+    interval, plus a support-function certificate that a fresh projection
+    escapes the hull of the finitely many sampled events, so density holds
+    only in the limit.  A float-lane model without its instance raises
     SynthesisError.
     """
     rng = np.random.default_rng(0) if rng is None else rng
@@ -936,18 +948,15 @@ def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL
         raise SynthesisError("hull density needs the exact lane or a matrix instance")
     report = DensityReport(lane="exact", extremes=check_extreme_points(synth))
     report.box = check_box_equality(synth)
+    pn, dp = synth.scaled_pairing
     r = len(synth.basis_events)
-    for _ in range(samples):
-        coeffs = [Fraction(int(rng.integers(-2, 7)), 4) for _ in range(r)]
-        x = synth.zeros()
-        for c, e in zip(coeffs, synth.basis_events):
-            x = x + synth.pi(e) * c
-        if not all(0 <= v <= 1 for v in x):
-            continue
-        if hull_membership(synth, x):
-            report.samples_member += 1
-        else:
-            report.samples_outside += 1
+    # each sample is sum_i (k_i / 4) pi(e_i) over the basis events, as integers over 4 dp
+    draws = [[int(rng.integers(-2, 7)) for _ in range(r)] for _ in range(samples)]
+    xn = np.array(draws, dtype=object).reshape(samples, r) @ pn[:, list(synth.basis_events)].T
+    inside = xn[[all(0 <= v <= 4 * dp for v in point) for point in xn.tolist()]]
+    member = hull_membership(synth, (inside, 4 * dp))
+    report.samples_member = sum(member)
+    report.samples_outside = len(member) - report.samples_member
     if report.box.equal and report.samples_outside:
         raise SynthesisError("box equality contradicts a failed membership sample")
     return report

@@ -7,7 +7,7 @@ from itertools import chain
 import numpy as np
 
 from ucpspace import linsolve, orthospace, statespace, synthesis
-from ucpspace.errors import SynthesisError, UcpError
+from ucpspace.errors import ConditioningUndefinedError, PreconditionError, SynthesisError, UcpError
 from ucpspace.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, Farkas, LpResult, verify_farkas
 
 
@@ -412,3 +412,63 @@ def fraction_uc_full(slc, pinned):
             return statespace.ConditionalVerdict(statespace.MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
         x = lo.x
     return statespace.ConditionalVerdict(statespace.UNIQUE, conditional=statespace.State(tuple(x)), slice_dim=d)
+
+
+# Mixing, the mixture identity and the exact hull-density samples on Fractions,
+# one value at a time, which the integer forms of `State` and of
+# `synthesis.check_hull_density` replaced.
+
+
+def fraction_mix(mu, nu, s):
+    """s mu + (1 - s) nu, one Fraction sum per event (zip truncates to the shorter state)."""
+    s = Fraction(s)
+    return statespace.State(tuple(s * Fraction(a) + (1 - s) * Fraction(b) for a, b in zip(mu.values, nu.values)))
+
+
+def fraction_mixture_identity(polytope, mu, nu, s, e):
+    """statespace.check_mixture_identity on Fractions: (passed, mixture, lhs, rhs) of its report."""
+    s = Fraction(s)
+    if not (0 < s < 1):
+        raise PreconditionError("mixing weight must be strictly between 0 and 1")
+    mix = fraction_mix(mu, nu, s)
+    total = s * mu[e] + (1 - s) * nu[e]
+    if total == 0:
+        raise ConditioningUndefinedError("mixture puts zero mass on the conditioning event")
+    lhs = statespace.unique_conditional(polytope, mix, e)
+    n = polytope.space.n_events
+    acc = [Fraction(0)] * n
+    for state, w in ((mu, s * mu[e]), (nu, (1 - s) * nu[e])):
+        if w != 0:
+            cond = statespace.unique_conditional(polytope, state, e)
+            for i in range(n):
+                acc[i] += w * cond[i]
+    rhs = statespace.State(tuple(v / total for v in acc))
+    return lhs.values == rhs.values, mix, lhs, rhs
+
+
+def fraction_hull_membership(synth, x):
+    """Is the Fraction point x a convex combination of the pi(e)?  fraction_solve_lp on the pairing's Fractions."""
+    pairing = synth.pairing
+    n_states, n_events = pairing.shape
+    a_eq = [[pairing[l, e] for e in range(n_events)] for l in range(n_states)]
+    a_eq.append([Fraction(1)] * n_events)
+    b_eq = [Fraction(v) for v in x] + [Fraction(1)]
+    return fraction_solve_lp([Fraction(0)] * n_events, a_eq, b_eq).status == OPTIMAL
+
+
+def fraction_density_samples(synth, samples, rng):
+    """(members, outside) of check_hull_density's exact samples: each sum_i (k_i / 4) pi(e_i) as a Fraction
+    array, drawn in the same order, kept when inside [0, 1] and tested by fraction_hull_membership."""
+    members = outside = 0
+    for _ in range(samples):
+        coeffs = [Fraction(int(rng.integers(-2, 7)), 4) for _ in synth.basis_events]
+        x = synth.zeros()
+        for c, e in zip(coeffs, synth.basis_events):
+            x = x + synth.pi(e) * c
+        if not all(0 <= v <= 1 for v in x):
+            continue
+        if fraction_hull_membership(synth, x):
+            members += 1
+        else:
+            outside += 1
+    return members, outside

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from reference import (
     equality_rows,
     fraction_box_rows,
+    fraction_mix,
+    fraction_mixture_identity,
     fraction_param,
     fraction_point,
     fraction_uc_full,
@@ -143,6 +145,28 @@ def reference_vertices(param):
     return out
 
 
+def reduction_path_vertices(param):
+    """`_enumerate_vertices` for 0 < d < n with one row reduction per vertex, simple or not: the keys
+    before simple vertices skipped the reduction."""
+    moving = statespace._moving(param)
+    if moving is None:
+        return []
+    x0, basis, den = param
+    d = len(basis)
+    index, row_of = {}, []
+    for coeffs, v in moving:
+        row_of.append(index.setdefault(statespace._primitive((*coeffs, v - den)), len(index)))
+        row_of.append(index.setdefault(statespace._primitive((*(-c for c in coeffs), -v)), len(index)))
+    rows = list(index) + [(0,) * d + (-1,)]
+    keyed = []
+    for y, z in statespace._double_description(rows, d + 1):
+        tight = [k for k, j in enumerate(row_of) if z >> j & 1]
+        picked = linsolve.independent_subset([rows[row_of[k]][:d] for k in tight])
+        keyed.append(([tight[i] for i in picked], y))
+    keyed.sort(key=lambda ky: ky[0])
+    return [statespace._event_point(param, y[:d], y[d]) for _, y in keyed]
+
+
 def _full_param(space):
     return build_state_polytope(space, with_vertices=False)._parametrization
 
@@ -234,6 +258,42 @@ class TestVertexEnumeration:
     def test_box_span_same_as_subset_loop(self, space, monkeypatch):
         span = _box_span(space, monkeypatch)
         assert statespace._enumerate_vertices(span) == reference_vertices(span)
+
+    def test_simple_vertex_keys_equal_the_row_reduction(self, monkeypatch):
+        # a simple vertex takes its key without a row reduction; every ordering equals the one that
+        # reduces the tight rows of each vertex, on degenerate (Boolean) and simple (MO) polytopes
+        params = [_full_param(orthospace.boolean_orthospace(k)) for k in (3, 4, 5)]
+        params += [_full_param(instances.mo_orthospace(k)) for k in (2, 3, 4, 5)]
+        params += [_b4_third()] + [_box_span(space, monkeypatch) for space in (
+            orthospace.boolean_orthospace(2), orthospace.boolean_orthospace(3), instances.mo_orthospace(2),
+            instances.mo_orthospace(3))]
+        params.append(_box_span(instances.mo_orthospace(2), monkeypatch, _mo2_cross()))
+        reduced = 0
+        for param in params:
+            x0, basis, _ = param
+            if 0 < len(basis) < len(x0):
+                reduced += 1
+                assert statespace._enumerate_vertices(param) == reduction_path_vertices(param)
+        assert reduced >= 10
+
+    @pytest.mark.parametrize("space, calls", [(instances.mo_orthospace(4), 1), (orthospace.boolean_orthospace(4), 5)],
+                             ids=["mo4", "bool4"])
+    def test_row_reductions_only_for_degenerate_vertices(self, space, calls, monkeypatch):
+        # MO_4's 16 vertices are simple: the double description's first rows are the one reduction;
+        # Boolean 4's 4 vertices are degenerate and take one each
+        param = _full_param(space)
+        seen = []
+        independent_subset = linsolve.independent_subset
+
+        def counting(vectors):
+            seen.append(len(vectors))
+            return independent_subset(vectors)
+
+        monkeypatch.setattr(linsolve, "independent_subset", counting)
+        verts = statespace._enumerate_vertices(param)
+        monkeypatch.setattr(linsolve, "independent_subset", independent_subset)
+        assert len(seen) == calls and len(verts) == {1: 16, 5: 4}[calls]
+        assert verts == reduction_path_vertices(param)
 
     def test_special_cases(self):
         assert len(statespace._enumerate_vertices(_b4_pinned())) == 2
@@ -984,3 +1044,83 @@ def test_mix_states_convexity():
     b = State(tuple(F(v) for v in [1, 0]))
     m = mix_states(a, b, F(1, 4))
     assert m.values == (F(3, 4), F(1, 4))
+
+
+def test_mix_states_refuses_states_of_different_lengths():
+    b3, b2 = (build_state_polytope(orthospace.boolean_orthospace(k)).generators[0] for k in (3, 2))
+    with pytest.raises(PreconditionError, match="8 and 4 events"):
+        mix_states(b3, b2, F(1, 2))
+    with pytest.raises(PreconditionError, match="4 and 8 events"):
+        mix_states(b2, b3, F(1, 2))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type of the UcpError it raises."""
+    try:
+        return fn(*args)
+    except UcpError as exc:
+        return type(exc)
+
+
+class TestIntegerStates:
+    """State values in one integer form: mixing and the mixture identity against the Fraction path."""
+
+    @pytest.mark.parametrize("name", ["bool3", "bool4", "mo3"])
+    def test_mixing_equals_fraction_path(self, name):
+        rng = random.Random(20261021)
+        space = {"bool3": orthospace.boolean_orthospace(3), "bool4": orthospace.boolean_orthospace(4),
+                 "mo3": instances.mo_orthospace(3)}[name]
+        poly = build_state_polytope(space)
+        states = list(poly.generators)
+        weights = [F(1, 10**6), F(10**6 - 1, 10**6), F(1, 2)]
+        outcomes = collections.Counter()
+        for _ in range(120):
+            mu, nu = rng.choice(states), rng.choice(states)
+            s = rng.choice(weights + [F(rng.randint(1, 10**12 - 1), 10**12), F(rng.randint(1, 3), 4)])
+            mix = mix_states(mu, nu, s)
+            assert mix.values == fraction_mix(mu, nu, s).values
+            # the kept integer form is the one the values give
+            assert mix.integers == State(mix.values).integers
+            e = rng.choice([e for e in space.events() if e != space.zero])
+            got = _outcome(check_mixture_identity, poly, mu, nu, s, e)
+            want = _outcome(fraction_mixture_identity, poly, mu, nu, s, e)
+            if isinstance(want, tuple):
+                assert (got.passed, got.mixture, got.lhs, got.rhs) == want
+                assert got.rhs.integers == State(got.rhs.values).integers
+                outcomes["checked", got.passed] += 1
+            else:
+                assert got is want
+                outcomes[want] += 1
+            if rng.random() < 0.5:
+                # mixtures of mixtures carry denominators up to 10^24 and more
+                states.append(mix)
+        assert max(q for st in states for q in (v.denominator for v in st.values)) >= 10**12
+        assert outcomes["checked", True] >= 10 and not outcomes["checked", False], outcomes
+        assert outcomes[ConditioningUndefinedError] >= 1, outcomes
+        if name == "mo3":
+            # MO_3 has MULTIPLE conditionals, which unique_conditional refuses
+            assert outcomes[PreconditionError] >= 1, outcomes
+
+    def test_slice_keys_equal_fraction_primitive(self, bool4_poly):
+        rng = random.Random(7)
+        gens = bool4_poly.generators
+        for _ in range(40):
+            mu = mix_states(rng.choice(gens), mix_states(rng.choice(gens), rng.choice(gens), F(3, 10**6)),
+                            F(rng.randint(1, 10**12 - 1), 10**12))
+            e = rng.choice([e for e in bool4_poly.space.events() if mu[e] != 0])
+            masses, family = statespace._conditioning(bool4_poly, mu, e, None)
+            assert masses == statespace._primitive([mu[e], *(mu[f] for f in family)])
+            slc = statespace.conditional_slice(bool4_poly, mu, e)
+            assert slc.targets == [mu[f] / mu[e] for f in family]
+
+    def test_integer_form(self):
+        mu = State((F(0), F(1, 6), F(5, 6), 1))
+        assert mu.integers == ((0, 1, 5, 6), 6)
+        assert State.from_integers([0, 2, 10, 12], 12).integers == ((0, 1, 5, 6), 6)
+        assert State.from_integers([0, -2, -10, -12], -12).integers == mu.integers
+        assert State(("1/3", F(2, 3))).integers == ((1, 2), 3)
+
+    @pytest.mark.parametrize("values", [(0.5, 0.5), (F(1, 2), 0.5), (F(1, 2), complex(0.5))])
+    def test_float_state_has_no_integer_form(self, values):
+        with pytest.raises(TypeError, match="exact rational required"):
+            State(values).integers

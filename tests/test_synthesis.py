@@ -780,9 +780,48 @@ class TestHull:
 
     def test_bool2_membership(self, bool2_session):
         synth, _ = bool2_session
-        # midpoint of zero and unit lies in the hull
-        mid = (synth.pi(synth.space.zero) + synth.pi(synth.space.unit)) * F(1, 2)
-        assert hull_membership(synth, mid)
+        # midpoint of zero and unit lies in the hull: pi(zero) + pi(unit) over 2 dp
+        pn, dp = synth.scaled_pairing
+        mid = pn[:, synth.space.zero] + pn[:, synth.space.unit]
+        assert hull_membership(synth, (mid, 2 * dp))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_density_samples_equal_fraction_path(self, seed):
+        # the cross-polytope states of MO_k: one block at (1, 0) or (0, 1), the others at (1/2, 1/2);
+        # their hull is smaller than the interval, so samples fall on both sides of it
+        half = F(1, 2)
+        counts = []
+        for k in (2, 3, 4):
+            space = instances.mo_orthospace(k)
+            blocks = [[half] * i + [p] + [half] * (k - 1 - i) for i in range(k) for p in (F(1), F(0))]
+            cross = [statespace.State((F(0), *(v for p in ps for v in (p, 1 - p)), F(1))) for ps in blocks]
+            synth = abstract_synthetic_space(space, cross)
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            rep = check_hull_density(synth, rng=rng)
+            counts.append((rep.samples_member, rep.samples_outside))
+            assert counts[-1] == reference.fraction_density_samples(synth, 25, ref_rng)
+            # the same draws, in the same order
+            assert rng.integers(2**62) == ref_rng.integers(2**62)
+        assert sum(m for m, _ in counts) > 0 and sum(o for _, o in counts) > 0, counts
+
+    def test_membership_on_a_stack(self, bool3_session):
+        synth, _ = bool3_session
+        pn, dp = synth.scaled_pairing
+        # pi(unit) / 2 and pi(unit) inside, -pi(unit) / 2 and 2 pi(unit) outside, over 2 dp
+        unit = pn[:, synth.space.unit]
+        stack = np.stack([unit, 2 * unit, -unit, 4 * unit])
+        assert hull_membership(synth, (stack, 2 * dp)) == [True, True, False, False]
+        assert [reference.fraction_hull_membership(synth, [F(v, 2 * dp) for v in x]) for x in stack.tolist()] == [
+            True, True, False, False]
+        assert hull_membership(synth, (unit, 2 * dp)) is True
+        # over a denominator that dp does not divide: MO_2's cross states hold halves (dp = 2), and
+        # 2 pi(unit) as integers over 1 lies outside while pi(unit) lies inside
+        half = F(1, 2)
+        cross = [statespace.State((F(0), *(v for p in ps for v in (p, 1 - p)), F(1)))
+                 for ps in ([F(1), half], [F(0), half], [half, F(1)], [half, F(0)])]
+        synth = abstract_synthetic_space(instances.mo_orthospace(2), cross)
+        assert synth.scaled_pairing[1] == 2
+        assert hull_membership(synth, (np.array([[2] * 4, [1] * 4], dtype=object), 1)) == [False, True]
 
     def test_density_report_exact(self, bool2_session, rng):
         synth, _ = bool2_session
