@@ -120,14 +120,14 @@ def qubit_instance(bases=3):
     return instance_from_projections(tag, n, projections)
 
 
-def qutrit_instance(generic_frames=3, seed=5):
-    """3x3 complex projections: the diagonal frame plus generic frames, all closed up."""
+def qutrit_instance(seed=5):
+    """3x3 complex projections: the diagonal frame plus three generic frames, all closed up."""
     tag, n = "C", 3
     rng = np.random.default_rng(seed)
     projections = [jordan.zero(tag, n), jordan.identity(tag, n)]
     diag_frame = [jordan.diag(tag, [1.0 if i == j else 0.0 for i in range(n)]) for j in range(n)]
     projections.extend(_frame_events(diag_frame))
-    for _ in range(generic_frames):
+    for _ in range(3):
         projections.extend(_frame_events(jordan.random_frame(tag, n, rng)))
     return instance_from_projections(tag, n, projections)
 
@@ -142,7 +142,7 @@ def _rank1_from_vector(tag, v):
     return jordan.JordanElement(tag, n, c)
 
 
-def sparse_conditioning_instance(seed=13):
+def sparse_conditioning_instance():
     """3x3 instance too poor to represent a compressed event.
 
     Events: 0, identity, the rank-2 diagonal e, its complement, one generic
@@ -150,7 +150,7 @@ def sparse_conditioning_instance(seed=13):
     every orthogonal family available here.
     """
     tag, n = "C", 3
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(13)
     e = jordan.diag(tag, [1.0, 1.0, 0.0])
     v = rng.normal(size=(n, 2))
     v /= np.sqrt(np.sum(v * v))
@@ -160,9 +160,9 @@ def sparse_conditioning_instance(seed=13):
     return instance_from_projections(tag, n, projections)
 
 
-def enriched_conditioning_instance(seed=13):
+def enriched_conditioning_instance():
     """The sparse instance extended by the spectral projections of {e,f,e}."""
-    base = sparse_conditioning_instance(seed)
+    base = sparse_conditioning_instance()
     e, f = base.elements[2], base.elements[4]
     compressed = jordan.quadratic(e, f)
     spec = jordan.spectral_decomposition(compressed)

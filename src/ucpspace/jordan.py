@@ -23,9 +23,9 @@ which for associative tags collapses to aba.  Spectral theory:
 
 Both tolerances are relative to the element's spectral radius, so a
 decomposition behaves the same at every scale: nearby eigenvalues merge
-within `cluster_tol` (default 1e-9) of it; if the frame fails to reconstruct
-the element within `residual_tol` (default 1e-7) of it the decomposition
-raises DecompositionError rather than returning junk.
+within CLUSTER_TOL (1e-9) of it; if the frame fails to reconstruct the
+element within RESIDUAL_TOL (1e-7) of it the decomposition raises
+DecompositionError rather than returning junk.
 """
 
 from dataclasses import dataclass
@@ -41,6 +41,8 @@ _TAG_DIM = {"R": 1, "C": 2, "H": 4, "O3": 8}
 
 CLUSTER_TOL = 1e-9
 RESIDUAL_TOL = 1e-7
+# entrywise bound on a o a - a for an idempotent a
+IDEMPOTENT_TOL = 1e-8
 
 
 def coord_dim(tag):
@@ -87,11 +89,11 @@ def _same(a, b):
         raise SizeError("operands live in different algebras")
 
 
-def element(tag, coords, tol=1e-8):
-    """Wrap and validate hermitian coordinates."""
+def element(tag, coords):
+    """Wrap and validate hermitian coordinates, within 1e-8 entrywise."""
     e = JordanElement(tag, np.asarray(coords).shape[0], coords)
     d = np.max(np.abs(e.coords - kernels.hermitize(e.coords)))
-    if not d <= tol:  # a NaN or infinite entry fails too
+    if not d <= 1e-8:  # a NaN or infinite entry fails too
         raise SizeError(f"coordinates are not hermitian (defect {d:.2e})")
     return e
 
@@ -141,9 +143,9 @@ def max_abs(a):
     return float(np.max(np.abs(a.coords))) if a.coords.size else 0.0
 
 
-def is_idempotent(a, tol=1e-8):
-    """a o a = a within entrywise tolerance."""
-    return float(np.max(np.abs(kernels.jordan_mul(a.coords, a.coords) - a.coords))) <= tol
+def is_idempotent(a):
+    """a o a = a within IDEMPOTENT_TOL entrywise."""
+    return float(np.max(np.abs(kernels.jordan_mul(a.coords, a.coords) - a.coords))) <= IDEMPOTENT_TOL
 
 
 def hermitian_basis(tag, n):
@@ -207,17 +209,17 @@ def _radius(sorted_vals):
     return max(abs(float(sorted_vals[0])), abs(float(sorted_vals[-1])))
 
 
-def _check_residual(a, spectrum, residual_tol):
+def _check_residual(a, spectrum):
     acc = np.zeros_like(a.coords)
     for v, p in zip(spectrum.values, spectrum.frame):
         acc += v * p.coords
     resid = float(np.max(np.abs(acc - a.coords)))
-    if resid > residual_tol * _radius(spectrum.values):
+    if resid > RESIDUAL_TOL * _radius(spectrum.values):
         raise DecompositionError(f"frame reconstruction residual {resid:.2e}")
     return spectrum
 
 
-def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, residual_tol=RESIDUAL_TOL):
+def spectral_decomposition(a):
     k = coord_dim(a.tag)
     n = a.n
     off = a.coords.copy()
@@ -225,18 +227,18 @@ def spectral_decomposition(a, cluster_tol=CLUSTER_TOL, residual_tol=RESIDUAL_TOL
         off[i, i, :] = 0.0
     diag_imag = a.coords[np.arange(n), np.arange(n), 1:]
     if np.max(np.abs(off)) == 0.0 and (diag_imag.size == 0 or np.max(np.abs(diag_imag)) == 0.0):
-        return _spectral_diagonal(a, cluster_tol)
+        return _spectral_diagonal(a)
     spectral = _spectral_octonion if a.tag == "O3" else _spectral_embedded
-    return _check_residual(a, spectral(a, cluster_tol), residual_tol)
+    return _check_residual(a, spectral(a))
 
 
-def _spectral_diagonal(a, cluster_tol):
+def _spectral_diagonal(a):
     # exact path: eigenvalues are the diagonal entries themselves
     d = a.coords[np.arange(a.n), np.arange(a.n), 0]
     order = np.argsort(d, kind="stable")
     svals = d[order]
     values, frame, mult = [], [], []
-    for s, e in _cluster(svals, cluster_tol * _radius(svals)):
+    for s, e in _cluster(svals, CLUSTER_TOL * _radius(svals)):
         members = order[s:e]
         c = np.zeros_like(a.coords)
         for i in members:
@@ -247,12 +249,12 @@ def _spectral_diagonal(a, cluster_tol):
     return Spectrum(np.array(values), frame, mult)
 
 
-def _spectral_embedded(a, cluster_tol):
+def _spectral_embedded(a):
     k = coord_dim(a.tag)
     m = kernels.embed_real(a.coords)
     w, v = np.linalg.eigh(m)
     values, frame, mult = [], [], []
-    for s, e in _cluster(w, cluster_tol * _radius(w)):
+    for s, e in _cluster(w, CLUSTER_TOL * _radius(w)):
         if (e - s) % k:
             # eigenvalues of the embedding always arrive k-fold; a ragged
             # cluster means two true eigenvalues straddle the tolerance
@@ -315,10 +317,10 @@ def _cubic_roots(t1, s2, d3):
     return roots
 
 
-def _spectral_octonion(a, cluster_tol):
+def _spectral_octonion(a):
     t1, s2, d3 = characteristic_cubic(a)
     roots = _cubic_roots(t1, s2, d3)
-    groups = _cluster(roots, cluster_tol * _radius(roots))
+    groups = _cluster(roots, CLUSTER_TOL * _radius(roots))
     ident = identity(a.tag, a.n)
     reps = [float(np.mean(roots[s:e])) for s, e in groups]
     mult = [e - s for s, e in groups]
@@ -340,21 +342,12 @@ def _spectral_octonion(a, cluster_tol):
 
 def operator_norm(a):
     """Largest absolute eigenvalue."""
-    if a.tag == "O3":
-        if np.max(np.abs(a.coords)) == 0.0:
-            return 0.0
-        return float(np.max(np.abs(_cubic_roots(*characteristic_cubic(a)))))
-    w = np.linalg.eigvalsh(kernels.embed_real(a.coords))
-    return float(np.max(np.abs(w))) if w.size else 0.0
+    return float(batched_operator_norm(a.tag, a.coords[None])[0])
 
 
 def eigenvalues(a):
     """Distinct-with-multiplicity eigenvalue array, ascending, without the frame."""
-    if a.tag == "O3":
-        return _cubic_roots(*characteristic_cubic(a))
-    k = coord_dim(a.tag)
-    w = np.linalg.eigvalsh(kernels.embed_real(a.coords))
-    return w[::k]
+    return batched_eigenvalues(a.tag, a.coords[None])[0]
 
 
 @dataclass
@@ -445,4 +438,4 @@ def batched_eigenvalues(tag, coords):
 
 
 def batched_operator_norm(tag, coords):
-    return np.max(np.abs(batched_eigenvalues(tag, coords)), axis=-1)
+    return np.max(np.abs(batched_eigenvalues(tag, coords)), axis=-1, initial=0.0)

@@ -23,12 +23,13 @@ import numpy as np
 from . import jordan, kernels, orthospace
 from .errors import ConditioningUndefinedError, PreconditionError, SizeError
 
-IDEMPOTENT_TOL = 1e-8
+# mass <rho, e> or compression trace at or below which conditioning is undefined;
+# synthesis.build_product_model requests conditionals only of the pairs above it
 MASS_THRESHOLD = 1e-12
 
 
-def _require_idempotent(e, tol=IDEMPOTENT_TOL):
-    if not jordan.is_idempotent(e, tol):
+def _require_idempotent(e):
+    if not jordan.is_idempotent(e):
         raise PreconditionError("compression requires an idempotent element")
 
 
@@ -141,12 +142,12 @@ def _stacked_idempotents(events, shape):
     Raises what checking the events one by one raises, event by event in
     order: PreconditionError for one that is not idempotent, then SizeError
     for one of another shape.  The events before the first of another shape
-    are checked as one stacked Jordan square, within IDEMPOTENT_TOL entrywise.
+    are checked as one stacked Jordan square, within jordan.IDEMPOTENT_TOL entrywise.
     """
     s = next((i for i, e in enumerate(events) if e.coords.shape != shape), len(events))
     es = np.stack([e.coords for e in events[:s]]) if s else np.empty((0,) + shape)
     # negated, so that a NaN fails
-    if not np.all(np.abs(kernels.jordan_mul(es, es) - es) <= IDEMPOTENT_TOL):
+    if not np.all(np.abs(kernels.jordan_mul(es, es) - es) <= jordan.IDEMPOTENT_TOL):
         raise PreconditionError("compression requires an idempotent element")
     if s < len(events):
         _require_idempotent(events[s])
@@ -154,7 +155,7 @@ def _stacked_idempotents(events, shape):
     return es
 
 
-def _compressions(coords, events, threshold):
+def _compressions(coords, events):
     """(conditionals, masses, traces) over every (event, density) pair; see `condition_stack`.
 
     The conditionals are {e, rho, e} / tr, not yet checked as densities, and
@@ -167,20 +168,20 @@ def _compressions(coords, events, threshold):
         comp[block] = kernels.quadratic(es[block], coords)
     d = np.arange(coords.shape[1])
     traces = comp[:, :, d, d, 0].sum(axis=-1)
-    live = (masses > threshold) & (traces > MASS_THRESHOLD)
+    live = (masses > MASS_THRESHOLD) & (traces > MASS_THRESHOLD)
     return comp * (1.0 / np.where(live, traces, 1.0))[..., None, None, None], masses, traces
 
 
-def _undefined(mass, trace, threshold):
+def _undefined(mass, trace):
     """The ConditioningUndefinedError of a pair with this mass and compression trace, or None."""
-    if mass <= threshold:
-        return ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {threshold:.0e}")
+    if mass <= MASS_THRESHOLD:
+        return ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {MASS_THRESHOLD:.0e}")
     if trace <= MASS_THRESHOLD:
         return ConditioningUndefinedError("element has (near-)zero trace")
     return None
 
 
-def condition_stack(coords, events, threshold=MASS_THRESHOLD):
+def condition_stack(coords, events):
     """Lüders conditionals of a (B, n, n, k) stack of densities under each of a list of events.
 
     Returns (conditionals, errors): the (E, B, n, n, k) stack of {e, rho, e} / tr
@@ -189,38 +190,38 @@ def condition_stack(coords, events, threshold=MASS_THRESHOLD):
     compressed by `kernels.quadratic` calls over blocks of events, each block
     holding at most `orthospace._PAIR_BLOCK` pairs (or one event): e rho e,
     two block matmuls, on the associative tags, and three Jordan products on
-    the octonions.  In order the checks are: mass <rho, e> above `threshold`,
-    compression trace above MASS_THRESHOLD, and the density checks of the
+    the octonions.  In order the checks are: mass <rho, e> above MASS_THRESHOLD,
+    compression trace above it too, and the density checks of the
     result.  The idempotency of the events is checked once, by one stacked
     Jordan square, and the first event that fails raises.  Each compression
     is normalized by its own trace, which equals the mass in exact arithmetic;
     dividing by the separately rounded mass leaves a trace error that grows as
     the mass shrinks.
     """
-    conds, masses, traces = _compressions(coords, events, threshold)
-    undefined = (masses <= threshold) | (traces <= MASS_THRESHOLD)
+    conds, masses, traces = _compressions(coords, events)
+    undefined = (masses <= MASS_THRESHOLD) | (traces <= MASS_THRESHOLD)
     errors = np.full(masses.shape, None, dtype=object)
     errors[~undefined] = _density_errors(events[0].tag, conds[~undefined])
     for i, l in zip(*np.nonzero(undefined)):
-        errors[i, l] = _undefined(masses[i, l], traces[i, l], threshold)
+        errors[i, l] = _undefined(masses[i, l], traces[i, l])
     return conds, errors.tolist()
 
 
-def condition(rho, e, threshold=MASS_THRESHOLD):
+def condition(rho, e):
     """Lüders conditional rho_e = {e, rho, e} / <rho, e>, checked once, as a one-density DensityStack."""
-    conds, masses, traces = _compressions(rho.element.coords[None], [e], threshold)
-    error = _undefined(masses[0, 0], traces[0, 0], threshold)
+    conds, masses, traces = _compressions(rho.element.coords[None], [e])
+    error = _undefined(masses[0, 0], traces[0, 0])
     if error is not None:
         raise error
     return DensityStack(e.tag, conds[0])[0]
 
 
-def conditional_probability(rho, f, e, threshold=MASS_THRESHOLD):
+def conditional_probability(rho, f, e):
     """mu(f|e) without materializing the conditional state."""
     _require_idempotent(e)
     mass = rho.expect(e)
-    if mass <= threshold:
-        raise ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {threshold:.0e}")
+    if mass <= MASS_THRESHOLD:
+        raise ConditioningUndefinedError(f"event mass {mass:.2e} at or below threshold {MASS_THRESHOLD:.0e}")
     return rho.expect(jordan.quadratic(e, f)) / mass
 
 
@@ -229,13 +230,14 @@ GEQ = "geq"
 ORTHOGONAL = "orthogonal"
 
 
-def classify_pair(e, f, tol=IDEMPOTENT_TOL):
+def classify_pair(e, f):
     """leq / geq / orthogonal, or None when no compression identity applies.
 
     Order is the cone order (f - e positive); orthogonality is a vanishing
     product.  For idempotents e <= f and e _|_ f are mutually exclusive unless
     e = 0, where the orthogonal reading is used.
     """
+    tol = jordan.IDEMPOTENT_TOL
     if jordan.max_abs(jordan.jordan_product(e, f)) <= tol:
         return ORTHOGONAL
     diff = f - e
@@ -264,11 +266,11 @@ class CompressionIdentityReport:
         return self.worst() <= tol
 
 
-def check_compression_identities(e, f, tol=IDEMPOTENT_TOL):
+def check_compression_identities(e, f):
     """Verify the comparable/orthogonal composition identities for (e, f)."""
     _require_idempotent(e)
     _require_idempotent(f)
-    relation = classify_pair(e, f, tol)
+    relation = classify_pair(e, f)
     if relation is None:
         raise PreconditionError("elements are neither comparable nor orthogonal")
     if relation == GEQ:
@@ -307,7 +309,7 @@ def batched_symmetry_residual(tag, es, fs):
     return jordan.batched_operator_norm(tag, lhs - rhs)
 
 
-def random_positive(tag, n, rng, scale=1.0):
+def random_positive(tag, n, rng):
     """Random element of the positive cone (a square)."""
-    h = jordan.random_hermitian(tag, n, rng, scale)
+    h = jordan.random_hermitian(tag, n, rng)
     return jordan.jordan_product(h, h)

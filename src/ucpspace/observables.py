@@ -129,7 +129,7 @@ def expectation(x, mu):
     return sum(v * mu[e] for v, e in x.support)
 
 
-def representing_element(synth, x, tol=synthesis.FLOAT_TOL):
+def representing_element(synth, x):
     """Dual-space element with matching expectations; norm = spectral radius.
 
     The norm identity is verified against the synthetic sup-norm (exactly on
@@ -150,7 +150,7 @@ def representing_element(synth, x, tol=synthesis.FLOAT_TOL):
             )
     else:
         attained = synth.norm(coords)
-        if abs(attained - float(radius)) > tol:
+        if abs(attained - float(radius)) > synthesis.FLOAT_TOL:
             raise SynthesisError(
                 f"synthetic norm {attained} differs from the spectral radius {radius}"
             )
@@ -178,7 +178,7 @@ class RepresentabilityVerdict:
         return self.verdict == REPRESENTABLE
 
 
-def _solve_over_family(synth, family, target, tol):
+def _solve_over_family(synth, family, target):
     """Coefficients expanding target over the family's pi-columns, or None."""
     cols = [synth.pi(g) for g in family]
     if synth.exact:
@@ -188,20 +188,20 @@ def _solve_over_family(synth, family, target, tol):
     mat = np.stack([np.asarray(c, dtype=np.float64) for c in cols], axis=1)
     b = np.asarray(target, dtype=np.float64)
     s, *_ = np.linalg.lstsq(mat, b, rcond=None)
-    if np.linalg.norm(mat @ s - b) > tol * max(1.0, np.linalg.norm(b)):
+    if np.linalg.norm(mat @ s - b) > synthesis.FLOAT_TOL * max(1.0, np.linalg.norm(b)):
         return None
     return s
 
 
-def _span_diagnostic(synth, target, tol):
+def _span_diagnostic(synth, target):
     try:
-        synth.event_coords(target, tol=tol)
+        synth.event_coords(target)
         return True
     except SynthesisError:
         return False
 
 
-def check_conditioned_representability(model, e, f, tol=synthesis.FLOAT_TOL):
+def check_conditioned_representability(model, e, f):
     """Does the compressed image U_e pi(f) resolve over some orthogonal family?
 
     Tries every maximal orthogonal family with an exact (or residual-checked)
@@ -212,11 +212,11 @@ def check_conditioned_representability(model, e, f, tol=synthesis.FLOAT_TOL):
     synth = model.synth
     target = model.u_apply(e, synth.pi(f))
     for family in orthospace.maximal_orthogonal_families(synth.space):
-        coeffs = _solve_over_family(synth, family, target, tol)
+        coeffs = _solve_over_family(synth, family, target)
         if coeffs is None:
             continue
         terms = tuple(
-            (c, g) for c, g in zip(coeffs, family) if (c != 0 if synth.exact else abs(c) > tol)
+            (c, g) for c, g in zip(coeffs, family) if (c != 0 if synth.exact else abs(c) > synthesis.FLOAT_TOL)
         )
         return RepresentabilityVerdict(
             verdict=REPRESENTABLE,
@@ -228,11 +228,11 @@ def check_conditioned_representability(model, e, f, tol=synthesis.FLOAT_TOL):
     return RepresentabilityVerdict(
         verdict=NOT_REPRESENTABLE,
         target=target,
-        in_event_span=_span_diagnostic(synth, target, tol),
+        in_event_span=_span_diagnostic(synth, target),
     )
 
 
-def check_sum_representability(model, obs_y, obs_z, tol=synthesis.FLOAT_TOL):
+def check_sum_representability(model, obs_y, obs_z):
     """Is there an observable whose expectations are those of obs_y + obs_z?
 
     The representing element of the sum must resolve over an orthogonal
@@ -246,7 +246,7 @@ def check_sum_representability(model, obs_y, obs_z, tol=synthesis.FLOAT_TOL):
     for family in orthospace.maximal_orthogonal_families(space):
         if orthospace.iterated_sum(space, family) != space.unit:
             continue
-        coeffs = _solve_over_family(synth, family, target, tol)
+        coeffs = _solve_over_family(synth, family, target)
         if coeffs is None:
             continue
         try:
@@ -258,7 +258,7 @@ def check_sum_representability(model, obs_y, obs_z, tol=synthesis.FLOAT_TOL):
             row = statespace.State(tuple(synth.pairing[l, :]))
             gap = expectation(obs_y, row) + expectation(obs_z, row) - expectation(obs, row)
             worst = max(worst, abs(float(gap)))
-        if worst > tol:
+        if worst > synthesis.FLOAT_TOL:
             continue
         return RepresentabilityVerdict(
             verdict=REPRESENTABLE,
@@ -271,7 +271,7 @@ def check_sum_representability(model, obs_y, obs_z, tol=synthesis.FLOAT_TOL):
     return RepresentabilityVerdict(
         verdict=NOT_REPRESENTABLE,
         target=target,
-        in_event_span=_span_diagnostic(synth, target, tol),
+        in_event_span=_span_diagnostic(synth, target),
     )
 
 
@@ -295,18 +295,19 @@ class CertaintyOrderVerdict:
         return (not self.hypothesis_holds) or bool(self.order_holds)
 
 
-def check_certainty_order(synth, polytope, e, f, tol=synthesis.FLOAT_TOL):
+def check_certainty_order(synth, polytope, e, f):
     """If every state certain of e is certain of f, the order must agree.
 
     mu(e) <= 1 holds on the whole polytope, so {mu : mu(e) = 1} is a face of
     it, and mu(f) takes its minimum over that face at a vertex: a scan of the
     generators decides the hypothesis in either polytope mode.  Exact
-    generators compare exactly; `tol` applies to float generators only.
+    generators compare exactly, float generators within synthesis.FLOAT_TOL.
     """
     gens = polytope.generators
     if gens is None:
         raise PreconditionError("certainty order needs generators (vertices or an explicit list)")
     exact = polytope.exact
+    tol = synthesis.FLOAT_TOL
     certain = [g for g in gens if (g[e] == 1 if exact else float(g[e]) >= 1 - tol)]
     if not certain:
         return CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True)
@@ -314,16 +315,16 @@ def check_certainty_order(synth, polytope, e, f, tol=synthesis.FLOAT_TOL):
     holds = low == 1 if exact else float(low) >= 1 - tol
     verdict = CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False, min_value=low)
     if holds:
-        verdict.order_holds = synth.is_positive(synth.pi(f) - synth.pi(e), tol=tol)
+        verdict.order_holds = synth.is_positive(synth.pi(f) - synth.pi(e))
     return verdict
 
 
-def check_certainty_order_all(synth, polytope, tol=synthesis.FLOAT_TOL):
+def check_certainty_order_all(synth, polytope):
     """Every ordered pair of events, aggregated: (verdicts, all_passed)."""
     verdicts = []
     for e in synth.space.events():
         for f in synth.space.events():
             if e == f:
                 continue
-            verdicts.append(check_certainty_order(synth, polytope, e, f, tol=tol))
+            verdicts.append(check_certainty_order(synth, polytope, e, f))
     return verdicts, all(v.passed for v in verdicts)

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import jordan, kernels
 from .errors import SizeError, StructuralError
 
 MAX_EVENTS = 4096
@@ -395,21 +396,22 @@ def _distances(targets, coords):
     return np.max(np.abs(targets[:, None] - coords[None]), axis=(2, 3, 4))
 
 
-def _matches(coords, count, targets, tol):
-    """Per target t < count: the first family member closest to it, or -1 if none is within tol.
+def _matches(coords, count, targets):
+    """Per target t < count: the first family member closest to it, or -1 if none is within the tolerance.
 
-    `targets(block)` builds the targets of a slice of range(count); each block
-    compares at most _PAIR_BLOCK (target, member) pairs.
+    The tolerance is jordan.IDEMPOTENT_TOL, entrywise.  `targets(block)` builds
+    the targets of a slice of range(count); each block compares at most
+    _PAIR_BLOCK (target, member) pairs.
     """
     out = np.empty(count, dtype=np.int64)
     for block in pair_blocks(count, len(coords)):
         d = _distances(targets(block), coords)
         i = np.argmin(d, axis=1)
-        out[block] = np.where(d[np.arange(len(i)), i] <= tol, i, -1)
+        out[block] = np.where(d[np.arange(len(i)), i] <= jordan.IDEMPOTENT_TOL, i, -1)
     return out
 
 
-def projection_orthospace(elements, tol=1e-8):
+def projection_orthospace(elements):
     """Build the event tables of a finite family of projections.
 
     `elements` must be same-shape hermitian idempotents containing 0 and the
@@ -417,12 +419,11 @@ def projection_orthospace(elements, tol=1e-8):
     under triple sums whenever all pairwise sums are present.  Orthogonality
     of p and q is "p + q is idempotent" (equivalently the Jordan product
     vanishes).  Violations raise StructuralError, naming the first offending
-    index, pair or triple in row-major order; tolerance is entrywise.  Every
-    check is a stacked comparison against the whole family, _PAIR_BLOCK
-    (element, member) pairs at a time.
+    index, pair or triple in row-major order; the tolerance is
+    jordan.IDEMPOTENT_TOL, entrywise.  Every check is a stacked comparison
+    against the whole family, _PAIR_BLOCK (element, member) pairs at a time.
     """
-    from . import jordan, kernels  # local import: jordan is a heavier module
-
+    tol = jordan.IDEMPOTENT_TOL
     if not elements:
         raise StructuralError("empty projection family")
     n = len(elements)
@@ -448,7 +449,7 @@ def projection_orthospace(elements, tol=1e-8):
 
     ident = jordan.identity(tag, dim).coords
     ends = np.stack([np.zeros_like(ident), ident])
-    zero, unit = _matches(coords, 2, lambda b: ends[b], tol).tolist()
+    zero, unit = _matches(coords, 2, lambda b: ends[b]).tolist()
     if zero < 0 or unit < 0:
         raise StructuralError("family must contain 0 and the identity")
 
@@ -460,13 +461,13 @@ def projection_orthospace(elements, tol=1e-8):
         ortho[block] = (defect <= tol).reshape(-1, n)
     st = np.full((n, n), -1, dtype=np.int64)
     pi, pj = np.nonzero(ortho)
-    found = _matches(coords, len(pi), lambda b: coords[pi[b]] + coords[pj[b]], tol)
+    found = _matches(coords, len(pi), lambda b: coords[pi[b]] + coords[pj[b]])
     if (found < 0).any():
         t = int(np.argmax(found < 0))
         raise StructuralError(f"sum of orthogonal pair ({pi[t]}, {pj[t]}) missing from family")
     st[pi, pj] = found
 
-    comp = _matches(coords, n, lambda b: ident - coords[b], tol)
+    comp = _matches(coords, n, lambda b: ident - coords[b])
     if (comp < 0).any():
         raise StructuralError(f"complement of projection {int(np.argmax(comp < 0))} missing from family")
 
@@ -477,7 +478,7 @@ def projection_orthospace(elements, tol=1e-8):
         i, j = pi[block], pj[block]
         p, k = np.nonzero(ortho[i] & ortho[j] & (ids > j[:, None]))
         i, j = i[p], j[p]
-        found = _matches(coords, len(k), lambda b: coords[i[b]] + coords[j[b]] + coords[k[b]], tol)
+        found = _matches(coords, len(k), lambda b: coords[i[b]] + coords[j[b]] + coords[k[b]])
         if (found < 0).any():
             t = int(np.argmax(found < 0))
             raise StructuralError(f"triple sum ({i[t]}, {j[t]}, {k[t]}) missing from family")

@@ -654,7 +654,8 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     LP is infeasible; EMPTY carries a Farkas certificate over the slice's rows
     and the box in event coordinates, derived from that LP with one exact solve.
     `slice_dim` is the nullity of the slice's equality rows either way.
-    GENERATED mode runs the per-event LPs in convex-coefficient space directly.
+    GENERATED mode runs the per-event LPs in convex-coefficient space directly;
+    the first event's min LP also decides EMPTY, with its own Farkas vector.
 
     The verdict, with its conditional, witnesses, certificate and `slice_dim`,
     is a function of the slice: of e, the constrained events and their targets
@@ -728,21 +729,21 @@ def _uc_generated(slc):
         a_eq.append([_frac(gen[f]) for gen in gens])
         b_eq.append(t)
 
-    feas = solve_lp([Fraction(0)] * g, a_eq, b_eq)
-    if feas.status == INFEASIBLE:
-        return ConditionalVerdict(EMPTY, certificate=feas.farkas, slice_dim=None)
-
     def to_state(lam):
         return State(tuple(sum(_frac(gen[i]) * l for gen, l in zip(gens, lam)) for i in range(n)))
 
     for ev in range(n):
         c = [_frac(gen[ev]) for gen in gens]
         lo = solve_lp(c, a_eq, b_eq)
+        # the first min LP runs phase 1 on these rows: its Farkas vector certifies an empty slice
+        if lo.status == INFEASIBLE:
+            return ConditionalVerdict(EMPTY, certificate=lo.farkas, slice_dim=None)
         hi = solve_lp(c, a_eq, b_eq, maximize=True)
         if lo.objective != hi.objective:
             nu1, nu2 = to_state(lo.x), to_state(hi.x)
             return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, ev), slice_dim=None)
-    return ConditionalVerdict(UNIQUE, conditional=to_state(feas.x), slice_dim=None)
+    # every event is pinned, so the slice is the one point any optimum gives
+    return ConditionalVerdict(UNIQUE, conditional=to_state(lo.x), slice_dim=None)
 
 
 def unique_conditional(polytope, mu, e):

@@ -68,7 +68,6 @@ from .errors import SynthesisError
 from .exactlp import OPTIMAL, solve_lp
 
 FLOAT_TOL = 1e-8
-MASS_THRESHOLD = 1e-12
 
 
 def _pairing_array(rows, exact):
@@ -77,7 +76,7 @@ def _pairing_array(rows, exact):
     return np.asarray(rows, dtype=np.float64)
 
 
-def _independent_columns_float(mat, tol=FLOAT_TOL):
+def _independent_columns_float(mat):
     """Greedy left-to-right Gram-Schmidt column selection."""
     picked, basis = [], []
     for j in range(mat.shape[1]):
@@ -85,7 +84,7 @@ def _independent_columns_float(mat, tol=FLOAT_TOL):
         scale = max(1.0, float(np.linalg.norm(v)))
         for b in basis:
             v -= (b @ v) * b
-        if np.linalg.norm(v) > tol * scale:
+        if np.linalg.norm(v) > FLOAT_TOL * scale:
             basis.append(v / np.linalg.norm(v))
             picked.append(j)
     return picked
@@ -213,26 +212,26 @@ class SyntheticSpace:
         """
         return np.max(np.abs(x), axis=-1, initial=0)
 
-    def is_positive(self, x, tol=FLOAT_TOL):
-        bound = 0 if self.exact else -tol
+    def is_positive(self, x):
+        bound = 0 if self.exact else -FLOAT_TOL
         return all(v >= bound for v in x)
 
     def zeros(self):
         pn, dp = self.scaled_pairing
         return _unscaled(np.zeros_like(pn[:, 0]), dp)
 
-    def event_coords(self, x, tol=FLOAT_TOL):
+    def event_coords(self, x):
         """Coefficients over basis_events reproducing x (n,), or each row of a stack (P, n).
 
         Raises SynthesisError if x, or any one row of the stack, lies outside the span.
         """
-        return _unscaled(*self.scaled_coords(_scaled(x), tol))
+        return _unscaled(*self.scaled_coords(_scaled(x)))
 
-    def scaled_coords(self, x, tol=FLOAT_TOL):
+    def scaled_coords(self, x):
         """event_coords of a (values, denominator) pair x, one row (n,) or a stack (P, n), as such a pair.
 
         The span check is basis_cols @ c == x, on the exact lane's integers, and
-        ||basis_cols @ c - x|| <= tol * max(1, ||x||) row by row on the float
+        ||basis_cols @ c - x|| <= FLOAT_TOL * max(1, ||x||) row by row on the float
         lane; both sides are cleared of the denominators d_pairing and dx * d_inv.
         """
         xn, dx = x
@@ -245,7 +244,7 @@ class SyntheticSpace:
         else:
             # compared in squares, against the scale dx * d_inv * d_pairing of 1; the residual overwrites back
             r, scale = np.subtract(back, want, out=back), dx * d_inv * d_pairing
-            bound = tol * tol * np.maximum(scale * scale, np.einsum("...i,...i->...", want, want))
+            bound = FLOAT_TOL * FLOAT_TOL * np.maximum(scale * scale, np.einsum("...i,...i->...", want, want))
             outside = np.any(np.einsum("...i,...i->...", r, r) > bound)
         if outside:
             raise SynthesisError("element lies outside the event span")
@@ -536,7 +535,7 @@ def build_product_model(synth, oracle):
     The oracle is called once, for every event on which some generator has nonzero mass.
     """
     space = synth.space
-    massive = synth.pairing != 0 if synth.exact else ~(synth.pairing <= MASS_THRESHOLD)
+    massive = synth.pairing != 0 if synth.exact else ~(synth.pairing <= lueders.MASS_THRESHOLD)
     requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in space.events() if massive[:, e].any()]
     comps = build_compression(synth, requests, oracle(requests))
     # T_e = (I + U_e - U_e')/2, stacked over the events and formed on the compressions' values
@@ -711,14 +710,14 @@ class ExtremeVerdict:
     direction: np.ndarray = None  # evaluation vector of a feasible perturbation
 
 
-def check_extreme_points(synth, events=None):
+def check_extreme_points(synth):
     """Exact lane: each pi(e) must admit no two-sided perturbation inside [0, 1] within A."""
     if not synth.exact:
         raise SynthesisError("extreme points in the generator box need the exact lane")
     ids, b_mat = _span_representation(synth)
     r = len(ids)
     out = []
-    for e in events if events is not None else synth.space.events():
+    for e in synth.space.events():
         x = synth.pi(e)
         direction = None
         binding = [l for l in range(synth.n_states) if x[l] == 0 or x[l] == 1]
@@ -741,7 +740,7 @@ class MatrixExtremeVerdict:
     direction: "jordan.JordanElement" = None  # perturbation with x +- d still in [0, 1]
 
 
-def check_matrix_extremes(instance, events=None, tol=FLOAT_TOL):
+def check_matrix_extremes(instance, events=None):
     """Extreme-point test for matrix events, run in the operator interval.
 
     A finite family of densities cuts a box strictly larger than [0, 1] of the
@@ -751,9 +750,10 @@ def check_matrix_extremes(instance, events=None, tol=FLOAT_TOL):
     runs against the operator interval itself, where the extreme elements are
     exactly those with spectrum in {0, 1}.  The spectra of all events are one
     `jordan.batched_eigenvalues` call; only an event with an eigenvalue in
-    (tol, 1 - tol) is decomposed, for the eigenprojection of its first such
-    eigenvalue, which gives the direction.
+    (tol, 1 - tol), tol = FLOAT_TOL, is decomposed, for the eigenprojection
+    of its first such eigenvalue, which gives the direction.
     """
+    tol = FLOAT_TOL
     events = list(events if events is not None else range(len(instance.elements)))
     values = jordan.batched_eigenvalues(instance.tag, np.stack([instance.elements[e].coords for e in events]))
     middle = ((values > tol) & (values < 1 - tol)).any(axis=1)
@@ -880,8 +880,8 @@ class SeparationCertificate:
     def gap(self):
         return self.candidate_value - self.best_event_value
 
-    def separates(self, tol=FLOAT_TOL):
-        return self.gap > tol
+    def separates(self):
+        return self.gap > FLOAT_TOL
 
 
 def hull_separation_certificate(instance, candidate):
@@ -917,7 +917,7 @@ class DensityReport:
     note: str = ""
 
 
-def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL):
+def check_hull_density(synth, samples=25, rng=None, instance=None):
     """Interval-versus-hull report: extreme points plus coverage or its failure.
 
     Exact lane: vertex comparison of [0, 1] against conv(pi(E)), LP membership
@@ -933,13 +933,13 @@ def check_hull_density(synth, samples=25, rng=None, instance=None, tol=FLOAT_TOL
     """
     rng = np.random.default_rng(0) if rng is None else rng
     if instance is not None:
-        report = DensityReport(lane="matrix", extremes=check_matrix_extremes(instance, tol=tol))
+        report = DensityReport(lane="matrix", extremes=check_matrix_extremes(instance))
         for _ in range(samples):
             q = jordan.random_projection(instance.tag, instance.n, rng)
             if any(jordan.max_abs(q - p) <= 1e-6 for p in instance.elements):
                 continue
             cert = hull_separation_certificate(instance, q)
-            if cert.separates(tol):
+            if cert.separates():
                 report.separation = cert
                 report.note = "finite event sample: interval density holds only in the limit"
                 break

@@ -1,5 +1,6 @@
-"""Every name a module imports is referenced in that module, and every
-module-level definition of the package is reached from outside its tests."""
+"""Every name a module imports is referenced in that module, every
+module-level definition of the package is reached from outside its tests,
+and every optional parameter of a package def is passed by some call."""
 
 import ast
 import importlib
@@ -185,3 +186,90 @@ def test_traced_names_resolve():
         if owner is None:
             missing.append(f"{module}.{dotted}")
     assert missing == []
+
+
+# The files whose calls may pass a parameter of a package def.
+CALLERS = sorted(p for d in ("src", "perfbench", "tests") for p in (ROOT / d).rglob("*.py"))
+
+
+def parameters(fn):
+    """(name, positional index or None when keyword-only, has a default) of each named parameter."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    yield from ((arg.arg, i, i >= first) for i, arg in enumerate(positional))
+    yield from ((arg.arg, None, default is not None) for arg, default in zip(args.kwonlyargs, args.kw_defaults))
+
+
+def calls_in(node, fn=None):
+    """(call, the def whose body holds it or None) for every call under the node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, fn
+        yield from calls_in(child, child if isinstance(child, ast.FunctionDef) else fn)
+
+
+def passed_value(call, param, index):
+    """The expression a call passes for the parameter, True when a * or ** argument
+    may pass it, or None when it passes nothing.  `index` counts the call's own
+    arguments, so a method's self is already left out."""
+    for keyword in call.keywords:
+        if keyword.arg is None:
+            return True
+        if keyword.arg == param:
+            return keyword.value
+    for i, arg in enumerate(call.args if index is not None else ()):
+        if isinstance(arg, ast.Starred):
+            return True
+        if i == index:
+            return arg
+    return None
+
+
+def unpassed_parameters():
+    """"module.def(parameter)" for each optional parameter of a package def that
+    no call passes.  Calls match by the def's name (a class's name for __init__),
+    whatever object they go through, so the check errs towards "passed".  A call
+    that passes on a parameter of the package def it sits in, under the same
+    name, counts only if that parameter is passed in turn; a parameter with no
+    default and no matching call counts as passed, since its callers are unseen."""
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in CALLERS}
+    params = {}  # (def node, parameter) -> label, None for a parameter without a default
+    by_name = {}  # name a call uses -> [(def node, parameter, index in the call's arguments)]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner in ast.walk(trees[path]):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                method = isinstance(owner, ast.ClassDef)
+                shift = method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+                name = owner.name if method and fn.name == "__init__" else fn.name
+                for param, index, optional in parameters(fn):
+                    label = f"{path.stem}.{owner.name + '.' if method else ''}{fn.name}({param})"
+                    params[fn, param] = label if optional else None
+                    by_name.setdefault(name, []).append((fn, param, None if index is None else index - shift))
+    # (def node, parameter) -> the keys whose being passed makes it passed; None stands for always
+    sources = {key: [] for key in params}
+    for tree in trees.values():
+        for call, caller in calls_in(tree):
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            for fn, param, index in by_name.get(name, ()):
+                value = passed_value(call, param, index)
+                if value is not None:
+                    forwarded = (caller, getattr(value, "id", None))
+                    sources[fn, param].append(forwarded if forwarded in params else None)
+    passed = {key for key, label in params.items() if label is None and not sources[key]}
+    grown = True
+    while grown:
+        grown = False
+        for key, via in sources.items():
+            if key not in passed and any(v is None or v in passed for v in via):
+                passed.add(key)
+                grown = True
+    return sorted(label for key, label in params.items() if label is not None and key not in passed)
+
+
+def test_every_optional_parameter_is_passed():
+    # a parameter that nothing passes is a constant: its default belongs in the body
+    assert unpassed_parameters() == []

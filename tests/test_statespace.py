@@ -434,6 +434,23 @@ class TestConditionalUniqueness:
         assert v.verdict == UNIQUE
         assert v.conditional[1] == F(2, 5)
 
+    def test_generated_mode_lp_count(self, bool3, bool3_poly, monkeypatch):
+        # a min and a max LP per event and no separate feasibility LP: a UNIQUE
+        # slice takes 2n solves, and an EMPTY one stops at the first min LP,
+        # whose phase 1 certifies it
+        calls = []
+        solve = statespace.solve_lp
+        monkeypatch.setattr(statespace, "solve_lp", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        mu = instances.boolean_state([F(1, 5), F(3, 10), F(1, 2)])
+        v = check_conditional_uniqueness(generated_polytope(bool3, list(bool3_poly.generators)), mu, 3)
+        assert v.verdict == UNIQUE and v.conditional[1] == F(2, 5)
+        assert len(calls) == 2 * bool3.n_events
+        calls.clear()
+        two_atoms = instances.boolean_vertex_states(3)[:2]
+        v = check_conditional_uniqueness(generated_polytope(bool3, two_atoms), mu, bool3.unit)
+        assert v.verdict == EMPTY and exactlp.verify_farkas(v.certificate)
+        assert len(calls) == 1
+
     def test_vertex_states_uc_boolean4(self, bool4, bool4_poly):
         for mu in bool4_poly.generators:
             for e in bool4.events():

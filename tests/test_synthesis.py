@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 import reference
 from ucpspace import instances, jordan, linsolve, lueders, orthospace, statespace, synthesis
 from ucpspace.errors import SynthesisError
+from ucpspace.lueders import MASS_THRESHOLD
 from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
     FLOAT_TOL,
-    MASS_THRESHOLD,
     SyntheticLawReport,
     abstract_synthetic_space,
     build_compression,
@@ -1072,8 +1072,8 @@ class TestStackedLuedersOracle:
         stack = lueders.condition_stack
         failing = {}
 
-        def with_failure(coords, events, threshold=lueders.MASS_THRESHOLD):
-            conds, errors = stack(coords, events, threshold)
+        def with_failure(coords, events):
+            conds, errors = stack(coords, events)
             i, l = failing["at"]
             errors[i][l] = lueders.ConditioningUndefinedError("stand-in failure")
             return conds, errors
@@ -1108,8 +1108,8 @@ class TestStackedLuedersOracle:
         failing = {(e, int(rng.choice(ls))) for e, ls in live.items() if rng.integers(3) == 0}
         stack = lueders.condition_stack
 
-        def with_failures(coords, events, threshold=lueders.MASS_THRESHOLD):
-            conds, errors = stack(coords, events, threshold)
+        def with_failures(coords, events):
+            conds, errors = stack(coords, events)
             for i, ev in enumerate(events):
                 for l in range(len(errors[i])):
                     if (event_of[id(ev)], l) in failing:
