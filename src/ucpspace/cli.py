@@ -50,17 +50,22 @@ def _read(path):
         raise ParseError(f"cannot read {path}: {exc}")
 
 
-def _load_polytope(space, states_arg):
-    if states_arg == "full":
-        return statespace.build_state_polytope(space)
-    gens = fileio.parse_states(_read(states_arg))
-    if not gens:
+def _load_states(space, path):
+    """The states of a state file: at least one, each a state of the space, else a ParseError."""
+    states = fileio.parse_states(_read(path))
+    if not states:
         raise ParseError("state file holds no states")
-    for ix, g in enumerate(gens):
+    for ix, g in enumerate(states):
         ok, viol = statespace.is_state(space, g)
         if not ok:
             raise ParseError(f"state {ix} is invalid: {viol[0]}")
-    return statespace.generated_polytope(space, gens)
+    return states
+
+
+def _load_polytope(space, states_arg):
+    if states_arg == "full":
+        return statespace.build_state_polytope(space)
+    return statespace.generated_polytope(space, _load_states(space, states_arg))
 
 
 def _atoms(space):
@@ -102,12 +107,8 @@ def _verify_axioms(space, report, lines):
 
 
 def _generators(polytope):
-    """The polytope's generators; a FULL polytope past the vertex cap, or of no states, has none to check."""
-    if polytope.generators is None:
-        raise CapacityError(
-            f"the full state polytope of {polytope.space.n_events} events has no enumerated vertices "
-            f"(vertex enumeration is capped at {statespace._VERTEX_EVENT_CAP} events); nothing was checked"
-        )
+    """The polytope's generators, or PreconditionError for a space of no states; the full
+    polytope's read raises CapacityError past the vertex cap."""
     if not polytope.generators:
         raise PreconditionError("the orthospace has no states; nothing was checked")
     return polytope.generators
@@ -314,11 +315,9 @@ def cmd_replay(args):
         hit = orthospace.replay_axiom_witness(space, tag, w)
         reproduced += bool(hit)
         lines.append(f"axiom {tag} witness {list(w)}: {'reproduced' if hit else 'STALE'}")
-    polytope = _load_polytope(space, args.states) if args.states not in (None, "full") else None
+    polytope = _load_polytope(space, args.states or "full")
     for mu, e, want, rec, witnesses in records:
         total += 1
-        if polytope is None:
-            polytope = statespace.build_state_polytope(space, with_vertices=False)
         verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
         hit = verdict.verdict == want
         if hit and verdict.verdict == statespace.MULTIPLE:
@@ -344,19 +343,13 @@ def _condition_abstract(args, report, lines):
     space = fileio.parse_orthospace(_read(args.input))
     if not args.states:
         raise ParseError("abstract conditioning needs --states")
-    gens = fileio.parse_states(_read(args.states)) if args.states != "full" else None
-    if gens is not None and not gens:
-        raise ParseError("state file holds no states")
-    mu = gens[0] if gens is not None else None
-    if mu is None:
+    if args.states == "full":
         raise ParseError("abstract conditioning needs an explicit state file (first state is conditioned)")
-    ok, viol = statespace.is_state(space, mu)
-    if not ok:
-        raise ParseError(f"first state is invalid: {viol[0]}")
+    mu = _load_states(space, args.states)[0]
     e = _event_index(space, args.event, "event index")
     if args.observe is not None:
         _event_index(space, args.observe, "observe index")
-    polytope = statespace.build_state_polytope(space, with_vertices=False)
+    polytope = statespace.build_state_polytope(space)
     verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
     report["slice_dim"] = verdict.slice_dim
     if verdict.verdict != statespace.UNIQUE:
@@ -456,10 +449,7 @@ def cmd_synthesize(args):
         if not args.states:
             raise ParseError("abstract synthesis needs --states (a file or 'full')")
         polytope = _load_polytope(space, args.states)
-        gens = polytope.generators
-        if not gens:
-            raise ParseError("state polytope has no generators to synthesize from")
-        synth = synthesis.abstract_synthetic_space(space, gens)
+        synth = synthesis.abstract_synthetic_space(space, _generators(polytope))
         oracle = synthesis.polytope_expansion_oracle(synth, polytope)
     elif header in (fileio.MATRIX_HEADER, fileio.PROJECTIONS_HEADER):
         tag, n, blocks = fileio.parse_elements(_read(args.input))
@@ -652,28 +642,18 @@ def build_parser():
     return p
 
 
+_COMMANDS = {"verify": cmd_verify, "condition": cmd_condition, "synthesize": cmd_synthesize,
+             "spectrum": cmd_spectrum}
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    replay = args.command == "verify" and args.replay
     try:
-        if args.command == "verify":
-            if args.replay:
-                code, report, lines = cmd_replay(args)
-            else:
-                if not args.input:
-                    raise ParseError("verify needs --input")
-                code, report, lines = cmd_verify(args)
-        elif args.command == "condition":
-            if not args.input:
-                raise ParseError("condition needs --input")
-            code, report, lines = cmd_condition(args)
-        elif args.command == "synthesize":
-            if not args.input:
-                raise ParseError("synthesize needs --input")
-            code, report, lines = cmd_synthesize(args)
-        else:
-            if not args.input:
-                raise ParseError("spectrum needs --input")
-            code, report, lines = cmd_spectrum(args)
+        if not (args.input or replay):
+            raise ParseError(f"{args.command} needs --input")
+        command = cmd_replay if replay else _COMMANDS[args.command]
+        code, report, lines = command(args)
     except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return BAD_INPUT

@@ -300,12 +300,11 @@ def check_certainty_order(synth, polytope, e, f):
 
     mu(e) <= 1 holds on the whole polytope, so {mu : mu(e) = 1} is a face of
     it, and mu(f) takes its minimum over that face at a vertex: a scan of the
-    generators decides the hypothesis in either polytope mode.  Exact
-    generators compare exactly, float generators within synthesis.FLOAT_TOL.
+    generators decides the hypothesis, listed states or the full polytope's
+    vertices (CapacityError past the vertex cap).  Exact generators compare
+    exactly, float generators within synthesis.FLOAT_TOL.
     """
     gens = polytope.generators
-    if gens is None:
-        raise PreconditionError("certainty order needs generators (vertices or an explicit list)")
     exact = polytope.exact
     tol = synthesis.FLOAT_TOL
     certain = [g for g in gens if (g[e] == 1 if exact else float(g[e]) >= 1 - tol)]

@@ -27,12 +27,13 @@ smallest independent set of tight box rows.  The LP that finds a slice EMPTY
 also gives its Farkas certificate, moved into event coordinates so it replays
 without a row reduction.
 
-Two polytope modes:
-
-    FULL       all states of the orthospace (state equations + [0,1] box), with
-               optional exact vertex enumeration (event count <= 64)
-    GENERATED  the convex hull of an explicit list of states (restricted
-               state-space models)
+A `StatePolytope` is the convex hull of its listed states when it has them (a
+restricted state-space model), else the full polytope of all states.  The full
+polytope enumerates its vertices the first time its `generators` are read, up
+to _VERTEX_EVENT_CAP events; past that, the read raises CapacityError.  One LP
+loop, `_lp_verdict`, decides every slice that propagation leaves open in
+either kind: over the box rows in t for the full polytope, over convex
+coefficients of the listed states otherwise.
 
 Countable-additivity and continuity variants of the state axioms are vacuous
 at finite event counts: every state here is trivially countably additive and
@@ -56,9 +57,6 @@ from .errors import (
     UcpError,
 )
 from .exactlp import INFEASIBLE, OPTIMAL, Farkas, solve_lp, verify_farkas
-
-FULL = "FULL"
-GENERATED = "GENERATED"
 
 UNIQUE = "UNIQUE"
 MULTIPLE = "MULTIPLE"
@@ -177,27 +175,46 @@ def _dense(plus, minus, n):
 
 @dataclass
 class StatePolytope:
+    """The convex hull of the `listed` states, or with none listed every state of the space."""
+
     space: orthospace.OrthoSpace
-    mode: str
-    generators: list | None = field(default=None)
+    listed: list | None = None
     # check_conditional_uniqueness verdicts by (event, constraint events, (mu(e), mu(f), ...) as coprime
     # integers): one per slice
     _verdicts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # FULL mode: rank of the pin rows over the parametrization's nullspace basis, by constraint events
+    # the events that precede each event, by event: the default conditioning family
+    _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # full polytope: rank of the pin rows over the parametrization's nullspace basis, by constraint events
     _pin_ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def exact(self):
-        return self.generators is None or all(g.exact for g in self.generators)
+        return self.listed is None or all(g.exact for g in self.listed)
+
+    @functools.cached_property
+    def generators(self):
+        """The listed states, or the full polytope's vertices, enumerated exactly on first read.
+
+        Past _VERTEX_EVENT_CAP events the full polytope has none to give: CapacityError.
+        """
+        if self.listed is not None:
+            return self.listed
+        n = self.space.n_events
+        if n > _VERTEX_EVENT_CAP:
+            raise CapacityError(
+                f"the full state polytope of {n} events has no enumerated vertices "
+                f"(vertex enumeration is capped at {_VERTEX_EVENT_CAP} events); nothing was checked"
+            )
+        return [State(tuple(v)) for v in _enumerate_vertices(self._parametrization)]
 
     @functools.cached_property
     def rows(self):
-        """The state equations as state_rows gives them, in either mode, built once."""
+        """The state equations as state_rows gives them, built once."""
         return state_rows(self.space)
 
     @functools.cached_property
     def _parametrization(self):
-        """FULL mode: all solutions of the state equations as (X0, B, D), x = (X0 + B t) / D, or None."""
+        """All solutions of the state equations as (X0, B, D), x = (X0 + B t) / D, or None."""
         n = self.space.n_events
         sol = linsolve.solve_affine([_dense(plus, minus, n) for plus, minus, _ in self.rows],
                                     [b for *_, b in self.rows])
@@ -205,7 +222,7 @@ class StatePolytope:
         return None if sol is None else _integer_form(*sol)
 
     def pin(self, events=(), values=()):
-        """FULL mode: the solutions with x_f = v on the given events as (X0', B', D'), or None.
+        """The solutions with x_f = v on the given events as (X0', B', D'), or None.
 
         The targets go into the parametrization's rows over t, B_f t = D v_f - X0_f,
         and one row reduction gives t = (T0 + C s) / L over integers.  Then
@@ -232,17 +249,14 @@ class StatePolytope:
         return x0, dirs, den
 
 
-def build_state_polytope(space, with_vertices=True):
-    """FULL polytope; vertices enumerated exactly when the space is small enough."""
-    poly = StatePolytope(space=space, mode=FULL)
-    if with_vertices and space.n_events <= _VERTEX_EVENT_CAP:
-        poly.generators = [State(tuple(v)) for v in _enumerate_vertices(poly._parametrization)]
-    return poly
+def build_state_polytope(space):
+    """The full state polytope; its vertices are enumerated the first time `generators` is read."""
+    return StatePolytope(space=space)
 
 
 def generated_polytope(space, states):
     """Convex hull of an explicit generator list (restricted state spaces)."""
-    return StatePolytope(space=space, mode=GENERATED, generators=list(states))
+    return StatePolytope(space=space, listed=list(states))
 
 
 def _integers(vals):
@@ -298,7 +312,12 @@ def _box_lp(param):
     and -B_i t / D + s' = X0_i / D, in event order; a fixed event outside [0, 1]
     gives None.  The rows hold the box's rational values, plain ints when D = 1,
     not the rows times D: `solve_lp` starts a row basic on its slack only where
-    that slack's entry is 1.
+    that slack's entry is 1.  The slacks come last, and `solve_lp` takes every
+    variable >= 0.  That adds no constraint on t: each t_k is the event
+    coordinate x_f at direction k's free event f, where direction k is D and X0
+    and the other directions are 0 (the form `pin` keeps), so the box row
+    -x_f <= 0 already bounds t_k below.  An LP's x maps to events by
+    `_event_point`.
     """
     moving = _moving(param)
     if moving is None:
@@ -310,21 +329,6 @@ def _box_lp(param):
     m = len(ineq)
     a_eq = [coeffs + [int(j == r) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
     return a_eq, [beta for _, beta in ineq]
-
-
-def optimize(lp, cost, maximize=False):
-    """Exact LP: minimize (or maximize) cost.t over a slice's box, the rows `_box_lp` built for it.
-
-    The variables are t plus one slack per box row, slacks last, all >= 0 as
-    `solve_lp` takes them.  That adds no constraint: each t_k is the event
-    coordinate x_f at direction k's free event f, where direction k is D and X0
-    and the other directions are 0 (the form `pin` keeps), so the box row
-    -x_f <= 0 already bounds t_k below.  Returns `solve_lp`'s LpResult over
-    (t, slacks): its x maps to events by `_event_point`, and an infeasible LP
-    carries its Farkas vector.
-    """
-    a_eq, rhs = lp
-    return solve_lp(list(cost) + [0] * len(a_eq), a_eq, rhs, maximize=maximize)
 
 
 def _primitive(vals):
@@ -446,8 +450,6 @@ class SeparationReport:
 def check_separation(polytope):
     """States separate events: no two events agree on every generator."""
     gens = polytope.generators
-    if gens is None:
-        raise PreconditionError("separation check needs generators (vertices or an explicit list)")
     n = polytope.space.n_events
     seen = {}
     for e in range(n):
@@ -491,9 +493,12 @@ def _conditioning(polytope, mu, e, family):
     if x[e] == 0:
         raise ConditioningUndefinedError(f"event {e} has zero probability under the given state")
     if family is None:
-        # f precedes e iff f is orthogonal to the complement of e: one column of the table
-        space = polytope.space
-        family = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
+        families = polytope._families
+        if e not in families:
+            # f precedes e iff f is orthogonal to the complement of e: one column of the table
+            space = polytope.space
+            families[e] = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
+        family = families[e]
     masses = [x[e], *(x[f] for f in family)]
     g = math.gcd(*masses)
     return tuple(v // g for v in masses), list(family)
@@ -638,24 +643,24 @@ def _empty_verdict(slc, sub, farkas, d):
 def check_conditional_uniqueness(polytope, mu, e, family=None):
     """Is the conditional of mu under e unique within the polytope?
 
-    FULL mode first propagates interval bounds through the state equations
-    and the conditioning targets inside the [0, 1] box, in integers.  When that
-    pins every event, the pinned integers are replayed against the slice
-    (range, every state equation, the targets) and returned as UNIQUE with no LP
-    and no pinned parametrization: `slice_dim` is then the rank deficit of the
-    pin rows over the polytope's nullspace basis.  Otherwise (a contradiction,
-    a coordinate left free, or no fixpoint) it pins the targets in the polytope's one
-    integer parametrization, builds the slice's box LP rows once and bounds each
-    remaining free coordinate by a min and a max LP over them, which differ only in
-    the unit cost; the event evaluations are affine and injective in those coordinates, so
-    "every free coordinate pinned" is equivalent to the per-event min = max
-    criterion.  Only the LPs give MULTIPLE witnesses.  The slice is EMPTY when
-    the pins are inconsistent, a fixed coordinate leaves [0, 1] or the first
-    LP is infeasible; EMPTY carries a Farkas certificate over the slice's rows
-    and the box in event coordinates, derived from that LP with one exact solve.
-    `slice_dim` is the nullity of the slice's equality rows either way.
-    GENERATED mode runs the per-event LPs in convex-coefficient space directly;
-    the first event's min LP also decides EMPTY, with its own Farkas vector.
+    The full polytope first propagates interval bounds through the state
+    equations and the conditioning targets inside the [0, 1] box, in integers.
+    When that pins every event, the pinned integers are replayed against the
+    slice (range, every state equation, the targets) and returned as UNIQUE
+    with no LP and no pinned parametrization: `slice_dim` is then the rank
+    deficit of the pin rows over the polytope's nullspace basis.  Otherwise (a
+    contradiction, a coordinate left free, or no fixpoint) it pins the targets
+    in the polytope's one integer parametrization.  The slice is EMPTY with no
+    LP when the pins are inconsistent or a fixed coordinate leaves [0, 1];
+    else `_lp_verdict` decides it over the slice's box LP rows, built once,
+    with one unit cost per free coordinate.  The event evaluations are affine
+    and injective in those coordinates, so "every free coordinate pinned" is
+    equivalent to the per-event min = max criterion.  EMPTY carries a Farkas
+    certificate over the slice's rows and the box in event coordinates,
+    derived from the first LP's with one exact solve.  `slice_dim` is the
+    nullity of the slice's equality rows either way.  A polytope of listed
+    states gives `_lp_verdict` its rows in convex-coefficient space and one
+    cost per event, and its EMPTY keeps the first LP's Farkas vector.
 
     The verdict, with its conditional, witnesses, certificate and `slice_dim`,
     is a function of the slice: of e, the constrained events and their targets
@@ -671,9 +676,36 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     verdict = polytope._verdicts.get(key)
     if verdict is None:
         slc = _slice(polytope, e, family, masses)
-        verdict = _uc_generated(slc) if polytope.mode == GENERATED else _uc_full(slc)
+        verdict = _uc_full(slc) if polytope.listed is None else _uc_generated(slc)
         polytope._verdicts[key] = verdict
     return verdict
+
+
+def _lp_verdict(a_eq, rhs, costs, point, d):
+    """A slice's verdict from a min and a max LP per cost over one system a_eq x = rhs, x >= 0.
+
+    EMPTY when the first LP is infeasible, carrying its Farkas vector.  MULTIPLE
+    at the first cost whose two optima differ: both optima as states (`point`
+    maps an LP's x to one) and the first event where they differ.  UNIQUE
+    otherwise, the state at the last optimum (`point([])` with no cost at all).
+    `d` is the verdict's `slice_dim`.
+    """
+    x = []
+    for cost in costs:
+        lo = solve_lp(cost, a_eq, rhs)
+        # the first min LP runs phase 1 on these rows: its Farkas vector certifies an empty slice
+        if lo.status == INFEASIBLE:
+            return ConditionalVerdict(EMPTY, certificate=lo.farkas, slice_dim=d)
+        hi = solve_lp(cost, a_eq, rhs, maximize=True)
+        if lo.status != OPTIMAL or hi.status != OPTIMAL:
+            raise UcpError("bounded slice reported unbounded; inconsistent tables")
+        if lo.objective != hi.objective:
+            nu1, nu2 = point(lo.x), point(hi.x)
+            g = next(i for i, (a, b) in enumerate(zip(nu1.values, nu2.values)) if a != b)
+            return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
+        x = lo.x
+    # every cost is pinned, so the slice is the single point found
+    return ConditionalVerdict(UNIQUE, conditional=point(x), slice_dim=d)
 
 
 def _uc_full(slc):
@@ -697,53 +729,27 @@ def _uc_full(slc):
     lp = None if sub is None else _box_lp(sub)
     if lp is None:
         return _empty_verdict(slc, sub, None, d)
-    t = [], 1
-    for k in range(d):
-        # direction k is D at its free event and the other directions are 0 there, so t_k is that event
-        cost = [int(j == k) for j in range(d)]
-        lo = optimize(lp, cost)
-        if lo.status == INFEASIBLE:
-            return _empty_verdict(slc, sub, lo.farkas, d)
-        hi = optimize(lp, cost, maximize=True)
-        if lo.status != OPTIMAL or hi.status != OPTIMAL:
-            raise UcpError("bounded slice reported unbounded; inconsistent tables")
-        if lo.objective != hi.objective:
-            nu1 = State(_event_point(sub, *_integers(lo.x[:d])))
-            nu2 = State(_event_point(sub, *_integers(hi.x[:d])))
-            g = next(i for i in range(len(nu1)) if nu1[i] != nu2[i])
-            return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, g), slice_dim=d)
-        t = _integers(lo.x[:d])
-    # every free coordinate is pinned, so the slice is the single point found
-    return ConditionalVerdict(UNIQUE, conditional=State(_event_point(sub, *t)), slice_dim=d)
+    a_eq, rhs = lp
+    # direction k is D at its free event and the other directions are 0 there, so t_k is that
+    # event; the slacks cost 0
+    costs = ([int(j == k) for j in range(d + len(a_eq))] for k in range(d))
+    verdict = _lp_verdict(a_eq, rhs, costs, lambda x: State(_event_point(sub, *_integers(x[:d]))), d)
+    return _empty_verdict(slc, sub, verdict.certificate, d) if verdict.verdict == EMPTY else verdict
 
 
 def _uc_generated(slc):
+    """Over convex coefficients lambda >= 0 of the generators: sum 1 and each target met, one cost per event."""
     if not slc.polytope.exact:
         raise PreconditionError("generator-list uniqueness check needs exact rational generators")
     gens = slc.polytope.generators
     n = slc.polytope.space.n_events
-    g = len(gens)
-    a_eq = [[Fraction(1)] * g]
-    b_eq = [Fraction(1)]
-    for f, t in zip(slc.constraint_events, slc.targets):
-        a_eq.append([_frac(gen[f]) for gen in gens])
-        b_eq.append(t)
+    a_eq = [[Fraction(1)] * len(gens)] + [[_frac(gen[f]) for gen in gens] for f in slc.constraint_events]
 
     def to_state(lam):
         return State(tuple(sum(_frac(gen[i]) * l for gen, l in zip(gens, lam)) for i in range(n)))
 
-    for ev in range(n):
-        c = [_frac(gen[ev]) for gen in gens]
-        lo = solve_lp(c, a_eq, b_eq)
-        # the first min LP runs phase 1 on these rows: its Farkas vector certifies an empty slice
-        if lo.status == INFEASIBLE:
-            return ConditionalVerdict(EMPTY, certificate=lo.farkas, slice_dim=None)
-        hi = solve_lp(c, a_eq, b_eq, maximize=True)
-        if lo.objective != hi.objective:
-            nu1, nu2 = to_state(lo.x), to_state(hi.x)
-            return ConditionalVerdict(MULTIPLE, witnesses=(nu1, nu2, ev), slice_dim=None)
-    # every event is pinned, so the slice is the one point any optimum gives
-    return ConditionalVerdict(UNIQUE, conditional=to_state(lo.x), slice_dim=None)
+    costs = ([_frac(gen[ev]) for gen in gens] for ev in range(n))
+    return _lp_verdict(a_eq, [Fraction(1), *slc.targets], costs, to_state, None)
 
 
 def unique_conditional(polytope, mu, e):

@@ -553,6 +553,16 @@ class TestCondition:
         assert code == 2
         assert "event argument" in err
 
+    def test_invalid_later_state_is_bad_input(self, files, tmp_path):
+        # only the first state is conditioned, but every state in the file must be a state
+        mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
+        path = tmp_path / "second_invalid.txt"
+        path.write_text(fileio.format_states([mu, statespace.State(tuple(2 * v for v in mu.values))]))
+        code, out, err = invoke(["condition", "--input", files["bool3"], "--states", str(path), "3", "1"])
+        assert code == 2
+        assert out == ""
+        assert "state 1 is invalid" in err
+
 
 class TestSpectrum:
     def test_observable_radius(self, files):
@@ -584,6 +594,19 @@ class TestSpectrum:
 
 
 class TestSynthesize:
+    def test_past_vertex_cap_is_bad_input(self, files):
+        # MO_32 has 66 events, past the 64-event vertex cap: no generators to synthesize from
+        code, out, err = invoke(["synthesize", "--input", files["mo32"], "--states", "full"])
+        assert code == 2
+        assert out == ""
+        assert "66 events" in err and "capped at 64 events" in err
+
+    def test_space_without_states_is_bad_input(self, files):
+        code, out, err = invoke(["synthesize", "--input", files["stateless"], "--states", "full"])
+        assert code == 2
+        assert out == ""
+        assert "has no states; nothing was checked" in err
+
     def test_boolean_dimension(self, files):
         code, out, _ = invoke(
             ["synthesize", "--input", files["bool3"], "--states", "full"]
@@ -781,6 +804,13 @@ class TestOptions:
 
 
 class TestEntryPoint:
+    @pytest.mark.parametrize("command", ["verify", "condition", "synthesize", "spectrum"])
+    def test_input_required(self, command):
+        code, out, err = invoke([command])
+        assert code == 2
+        assert out == ""
+        assert f"input error: {command} needs --input" in err
+
     def test_module_invocation(self, files):
         proc = subprocess.run(
             [sys.executable, "-m", "ucpspace.cli", "verify", "--input", files["bool3"]],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ucpspace import instances, jordan
-from ucpspace.errors import PreconditionError, StructuralError
+from ucpspace.errors import CapacityError, PreconditionError, StructuralError
 from ucpspace.observables import (
     NOT_REPRESENTABLE,
     check_certainty_order,
@@ -264,7 +264,8 @@ class TestCertaintyOrder:
         v = check_certainty_order(synth, poly, 0b010, 0b011)
         assert v.hypothesis_holds and not v.hypothesis_vacuous and v.min_value == 1 and v.order_holds
 
-    def test_full_polytope_without_vertices_is_refused(self, bool3_setup, bool3):
+    def test_full_polytope_without_vertices_is_refused(self, bool3_setup):
+        # MO_32 has 66 events: its full polytope has no vertices to scan, whatever the model
         synth, _, _ = bool3_setup
-        with pytest.raises(PreconditionError):
-            check_certainty_order(synth, build_state_polytope(bool3, with_vertices=False), 1, 3)
+        with pytest.raises(CapacityError, match="66 events.*64 events"):
+            check_certainty_order(synth, build_state_polytope(instances.mo_orthospace(32)), 1, 3)

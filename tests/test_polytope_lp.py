@@ -115,7 +115,7 @@ def test_empty_exactly_when_reference_infeasible(monkeypatch):
         poly = statespace.build_state_polytope(space)
         draws += [(space, poly, *_state_or_arbitrary_pins(space, poly, rng)) for _ in range(count)]
     b5 = orthospace.boolean_orthospace(5)
-    poly = statespace.build_state_polytope(b5, with_vertices=False)
+    poly = statespace.build_state_polytope(b5)
     draws += [(b5, poly, *_b5_lp_pins(rng)) for _ in range(14)]
     sources = dict.fromkeys(("pins", "fixed", "lp"), 0)
     for space, poly, family, targets in draws:

@@ -112,6 +112,27 @@ class TestPolytope:
             ok, _ = is_state(mo2, g)
             assert ok
 
+    def test_vertices_enumerated_once_on_first_read(self, monkeypatch):
+        calls = []
+        enumerate_vertices = statespace._enumerate_vertices
+        monkeypatch.setattr(statespace, "_enumerate_vertices",
+                            lambda param: calls.append(1) or enumerate_vertices(param))
+        poly = build_state_polytope(orthospace.boolean_orthospace(4))
+        assert calls == []
+        assert poly.generators is poly.generators and len(poly.generators) == 4
+        assert calls == [1]
+
+    def test_past_vertex_cap_read_is_refused(self, monkeypatch):
+        # Boolean 7 atoms has 128 events: building its polytope enumerates nothing, and reading its
+        # vertices names the cap
+        def refuse(param):
+            raise AssertionError("vertices enumerated")
+
+        monkeypatch.setattr(statespace, "_enumerate_vertices", refuse)
+        poly = build_state_polytope(orthospace.boolean_orthospace(7))
+        with pytest.raises(CapacityError, match="128 events.*capped at 64 events"):
+            poly.generators
+
 
 
 def reference_vertices(param):
@@ -168,7 +189,7 @@ def reduction_path_vertices(param):
 
 
 def _full_param(space):
-    return build_state_polytope(space, with_vertices=False)._parametrization
+    return build_state_polytope(space)._parametrization
 
 
 def _box_span(space, monkeypatch, states=None):
@@ -190,12 +211,12 @@ def _box_span(space, monkeypatch, states=None):
 
 def _b4_pinned():
     # mu({a, b}) = 0: the box then forces x_a = x_b = 0, an equality no row states
-    return build_state_polytope(orthospace.boolean_orthospace(4), with_vertices=False).pin([0b0011], [F(0)])
+    return build_state_polytope(orthospace.boolean_orthospace(4)).pin([0b0011], [F(0)])
 
 
 def _b4_third():
     # mu({a, b}) = 1/3: a slice whose integer form has D' = 3
-    return build_state_polytope(orthospace.boolean_orthospace(4), with_vertices=False).pin([0b0011], [F(1, 3)])
+    return build_state_polytope(orthospace.boolean_orthospace(4)).pin([0b0011], [F(1, 3)])
 
 
 def _mo2_cross():
@@ -217,7 +238,7 @@ def _b5_empty_case():
 def _b5_empty_slice():
     # the slice of TestBoundPropagation.test_first_lp_decides_empty
     space, mu, family = _b5_empty_case()
-    return build_state_polytope(space, with_vertices=False).pin(family, [mu[f] for f in family])
+    return build_state_polytope(space).pin(family, [mu[f] for f in family])
 
 
 def _stateless():
@@ -336,7 +357,7 @@ def _assert_unit_free_columns(x0, basis, den):
 
 
 class TestParametrizationForm:
-    """t_k is the event coordinate at direction k's free event, so optimize may take t >= 0 as its LP form,
+    """t_k is the event coordinate at direction k's free event, so the box LP may take t >= 0 as its LP form,
     and _uc_full's cost on that event bounds t_k."""
 
     @pytest.mark.parametrize("name", list(FORM_SPACES))
@@ -371,11 +392,10 @@ class TestSeparation:
         e, f, _ = report.witness
         assert e != f
 
-    def test_needs_generators(self, mo2):
-        poly = build_state_polytope(mo2, with_vertices=False)
-        poly.generators = None
-        with pytest.raises(PreconditionError):
-            check_separation(poly)
+    def test_needs_generators(self):
+        # MO_32 has 66 events: its full polytope has no vertices to scan
+        with pytest.raises(CapacityError, match="66 events.*64 events"):
+            check_separation(build_state_polytope(instances.mo_orthospace(32)))
 
 
 class TestConditionalUniqueness:
@@ -520,7 +540,7 @@ class TestBoundPropagation:
         mu = State(tuple(vals))
         b5, mu5, family5 = _b5_empty_case()
         cases = [(build_state_polytope(bool3), mu, 3, None), (build_state_polytope(bool3), mu, 3, [1, 2]),
-                 (build_state_polytope(b5, with_vertices=False), mu5, b5.unit, family5)]
+                 (build_state_polytope(b5), mu5, b5.unit, family5)]
         monkeypatch.setattr(statespace, "verify_farkas", lambda cert: False)
         for poly, m, e, family in cases:
             with pytest.raises(UcpError, match="no Farkas certificate"):
@@ -531,26 +551,24 @@ class TestBoundPropagation:
         # x_b >= 1/2, while x_{bd} = 1/4 caps it at 1/4.  Every fixed coordinate
         # stays in [0, 1] and one direction is free, so only an LP sees it.
         space, mu, family = _b5_empty_case()
-        poly = build_state_polytope(space, with_vertices=False)
+        poly = build_state_polytope(space)
         slc = statespace.conditional_slice(poly, mu, space.unit, family)
         assert statespace._propagate(slc) is None
         assert statespace._box_lp(poly.pin(family, slc.targets)) is not None
-        costs, calls = [], []
-        optimize, solve = statespace.optimize, statespace.solve_lp
+        costs = []
+        solve = statespace.solve_lp
 
-        def recording_optimize(param, cost, maximize=False):
-            costs.append(cost)
-            return optimize(param, cost, maximize)
+        def recording_solve(c, a_eq, b_eq, maximize=False):
+            costs.append(c)
+            return solve(c, a_eq, b_eq, maximize)
 
-        monkeypatch.setattr(statespace, "optimize", recording_optimize)
-        monkeypatch.setattr(statespace, "solve_lp", lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+        monkeypatch.setattr(statespace, "solve_lp", recording_solve)
         v = check_conditional_uniqueness(poly, mu, space.unit, family)
         assert v.verdict == EMPTY and v.slice_dim == 1
         assert exactlp.verify_farkas(v.certificate)
         # the min LP of the one free coordinate reported it and certified it; no
         # feasibility LP ran first and no certificate LP after
         assert len(costs) == 1 and any(costs[0])
-        assert len(calls) == 1
 
     def test_certificate_resting_on_free_coordinate_sign(self, monkeypatch):
         # the LP's t >= 0 is part of its system, so its Farkas vector may lean on it
@@ -559,15 +577,15 @@ class TestBoundPropagation:
         # vector of that LP, with y.A < 0 on t.  EMPTY must still carry a certificate
         # in event coordinates.
         space, mu, family = _b5_empty_case()
-        poly = build_state_polytope(space, with_vertices=False)
+        poly = build_state_polytope(space)
         x0, (bvec,), _ = poly.pin(family, [mu[f] for f in family])
         free = [i for i, v in enumerate(bvec) if v]
         up_row = 2 * free.index(free[-1])  # the box rows come in (up, down) pairs
-        optimize = statespace.optimize
+        solve = statespace.solve_lp
         leaning = []
 
-        def leaning_optimize(param, cost, maximize=False):
-            res = optimize(param, cost, maximize)
+        def leaning_solve(c, a_eq, b_eq, maximize=False):
+            res = solve(c, a_eq, b_eq, maximize)
             cert = res.farkas
             y = list(cert.y)
             assert cert.a_rows[up_row][0] == 1 and cert.b[up_row] == 1
@@ -577,14 +595,14 @@ class TestBoundPropagation:
             leaning.append(sum(yi * row[0] for yi, row in zip(y, cert.a_rows)))
             return dataclasses.replace(res, farkas=cert)
 
-        monkeypatch.setattr(statespace, "optimize", leaning_optimize)
+        monkeypatch.setattr(statespace, "solve_lp", leaning_solve)
         v = check_conditional_uniqueness(poly, mu, space.unit, family)
         assert leaning[0] < 0
         assert v.verdict == EMPTY and v.slice_dim == 1
         assert exactlp.verify_farkas(v.certificate)
 
     def test_unique_without_vertices(self, bool4):
-        poly = build_state_polytope(bool4, with_vertices=False)
+        poly = build_state_polytope(bool4)
         mu = instances.boolean_state([F(1, 10), F(2, 10), F(3, 10), F(4, 10)])
         v = check_conditional_uniqueness(poly, mu, 1)
         assert v.verdict == UNIQUE and v.slice_dim == 2
@@ -799,7 +817,7 @@ class TestIntegerSlices:
                         poly, mu, rng.choice([e for e in poly.space.events() if mu[e] != 0])))
                 else:
                     slices.append(statespace.ConditionalSlice(poly, poly.space.unit, *_random_pins(poly, rng)))
-        b5 = build_state_polytope(orthospace.boolean_orthospace(5), with_vertices=False)
+        b5 = build_state_polytope(orthospace.boolean_orthospace(5))
         slices += [statespace.ConditionalSlice(b5, b5.space.unit, *_b5_lp_pins(rng)) for _ in range(12)]
         seen = collections.Counter()
         for slc in slices:
@@ -838,6 +856,35 @@ class TestIntegerSlices:
 
         digest = hashlib.sha256(json.dumps([text(v) for v in verdicts]).encode()).hexdigest()
         assert digest == "e4299f32fa06888362d53d64f38f0a93200cc8517b5ac2cc689f6b0c32a4635c"
+
+    def test_generated_verdicts_are_unchanged(self):
+        # hulls of random vertex subsets, each conditioning a mixture of two vertices drawn mostly from outside
+        # the subset: every verdict, its witnesses and its Farkas certificate stay byte-identical
+        rng = random.Random(20261020)
+        verdicts = []
+        for space in (orthospace.boolean_orthospace(3), orthospace.boolean_orthospace(4),
+                      instances.mo_orthospace(3), instances.mo_orthospace(4)):
+            gens = build_state_polytope(space).generators
+            for _ in range(70):
+                subset = rng.sample(gens, rng.randint(1, len(gens)))
+                pool = subset if rng.random() < 0.2 else gens
+                mu = mix_states(rng.choice(pool), rng.choice(pool), F(rng.randint(1, 6), 7))
+                e = rng.choice([e for e in space.events() if mu[e] != 0])
+                verdicts.append(check_conditional_uniqueness(generated_polytope(space, subset), mu, e))
+        seen = collections.Counter(v.verdict for v in verdicts)
+        assert min(seen[EMPTY], seen[UNIQUE], seen[MULTIPLE]) >= 50, seen
+
+        def vals(nu):
+            return [str(x) for x in nu.values]
+
+        def text(v):
+            wit = v.witnesses and [vals(v.witnesses[0]), vals(v.witnesses[1]), v.witnesses[2]]
+            cert = v.certificate and [[[str(x) for x in r] for r in v.certificate.a_rows],
+                                      [str(x) for x in v.certificate.b], [str(x) for x in v.certificate.y]]
+            return [v.verdict, v.conditional and vals(v.conditional), wit, v.slice_dim, cert]
+
+        digest = hashlib.sha256(json.dumps([text(v) for v in verdicts]).encode()).hexdigest()
+        assert digest == "33e79730e655e80f820bf69831072c55eb084eceb8321f986d7d787c8471568a"
 
 
 ROW_SPACES = {
@@ -945,7 +992,7 @@ class TestSliceCache:
         poly = build_state_polytope(space)
         cases = _oracle_cases(space, poly)
         cached = [check_conditional_uniqueness(poly, mu, e) for mu, e in cases]
-        fresh = build_state_polytope(space, with_vertices=False)
+        fresh = build_state_polytope(space)
         for (mu, e), v in zip(cases, cached):
             assert _fields(v) == _fields(statespace._uc_full(statespace.conditional_slice(fresh, mu, e))), (mu, e)
         # some slices repeat (every state conditioned on an atom of a Boolean space has the same one),
