@@ -24,6 +24,17 @@ def mo_orthospace(k):
     return orthospace.horizontal_sum([orthospace.boolean_orthospace(2)] * k)
 
 
+def cross_states(k):
+    """The 2k cross-polytope states of MO_k: one block at (1, 0) or (0, 1), every other block at (1/2, 1/2).
+
+    Block i at (1, 0) comes before block i at (0, 1), block by block.  They are
+    the rational points +-e_i of the spin factor's state ball.
+    """
+    half = Fraction(1, 2)
+    blocks = [[half] * i + [p] + [half] * (k - 1 - i) for i in range(k) for p in (Fraction(1), Fraction(0))]
+    return [statespace.State((Fraction(0), *(v for p in ps for v in (p, 1 - p)), Fraction(1))) for ps in blocks]
+
+
 def boolean_state(weights):
     """Classical state on boolean_orthospace(len(weights)) from atom weights."""
     w = [Fraction(x) for x in weights]

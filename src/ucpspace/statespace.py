@@ -5,14 +5,14 @@ on orthogonal pairs, values in [0, 1].  Everything in this module is exact:
 a state's values are Fractions, and each exact state has one integer form, its
 values as integer numerators over L, the lcm of their denominators, built once
 (`State.integers`).  Mixing, the mixture identity, the slice lookup and the
-replay of a point against a slice run on that form and build one Fraction per
-event of a state they return.  The full state polytope is cut out by
-the state equations plus box bounds, vertices are enumerated exactly, and
-uniqueness questions are settled by bound propagation where it pins the
-conditional, else by the in-repo rational simplex.  The state equations are
-integer rows of events at +1 and at -1, listed once by `state_rows`: `is_state`,
-bound propagation and the replay of its point all read that list, the last two
-on integers; row reductions are `linsolve`'s.
+replay of a point against a slice run on that form, and a state they return
+builds its one Fraction per event only when its values are read.  The full
+state polytope is cut out by the state equations plus box bounds, vertices are
+enumerated exactly, and uniqueness questions are settled by bound propagation
+where it pins the conditional, else by the in-repo rational simplex.  The
+state equations are integer rows of events at +1 and at -1, listed once by
+`state_rows`: `is_state`, bound propagation and the replay of its point all
+read that list, the last two on integers; row reductions are `linsolve`'s.
 
 A full polytope has one parametrization x = (X0 + B t) / D, its state equations
 reduced once and held as integer numerators X0, B over one positive
@@ -86,10 +86,20 @@ class State:
 
     An exact state's `integers` hold the same values as (numerators, L), a
     tuple of ints over L > 0, the lcm of their denominators: one canonical
-    integer form per state, built on first use and kept.
+    integer form per state, built on first use and kept.  A state made by
+    `from_integers` holds only that form, and builds its values on first read.
     """
 
     values: tuple
+
+    def __getattr__(self, name):
+        # reached only when the instance has no such attribute: the values of a
+        # from_integers state before their first read
+        if name != "values" or "integers" not in self.__dict__:
+            raise AttributeError(name)
+        ints, den = self.integers
+        values = self.__dict__["values"] = tuple(Fraction(v, den) for v in ints)
+        return values
 
     def __getitem__(self, e):
         return self.values[e]
@@ -109,14 +119,13 @@ class State:
 
     @classmethod
     def from_integers(cls, ints, den):
-        """The state with values ints / den (den != 0), one Fraction per event, its integer form kept."""
+        """The state with values ints / den (den != 0), held as its integer form until its values are read."""
         g = math.gcd(den, *ints)
         if den < 0:
             g = -g
-        ints, den = tuple(v // g for v in ints), den // g
-        state = cls(tuple(Fraction(v, den) for v in ints))
+        state = object.__new__(cls)
         # the form `integers` would build: numerators and L coprime make L the lcm of the denominators
-        state.__dict__["integers"] = ints, den
+        state.__dict__["integers"] = tuple(v // g for v in ints), den // g
         return state
 
 
@@ -817,4 +826,4 @@ def check_mixture_identity(polytope, mu, nu, s, e):
             acc = [v * lc + w * den * c for v, c in zip(acc, cond)]
             den *= lc
     rhs = State.from_integers(acc, den * total)
-    return MixtureReport(lhs.values == rhs.values, mix, lhs, rhs)
+    return MixtureReport(lhs.integers == rhs.integers, mix, lhs, rhs)

@@ -30,8 +30,8 @@ Both linear maps the product needs are built once per model: the left inverse
 of the basis-event columns (coordinates of x over basis_events) and the
 structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
 x o y = sum_kl cx_k cy_l S[k, l].  The product takes one pair or a stack of
-pairs; a stack is one coordinate map and one contraction, and the law sweep
-and the product comparison pass every sampled pair at once.
+pairs; a stack is one coordinate map and one contraction, and the sampled norm
+laws and the product comparison pass every pair at once.
 The model dump writes each U_e over basis_events instead of the generators, as
 the dim x dim matrix W_e of `ProductModel.basis_compressions`: column k holds
 the coordinates of U_e pi(b_k).  Its one `scaled_coords` call over every image
@@ -44,27 +44,33 @@ numerators over an int denominator on the exact lane, float arrays over a
 power-of-two float denominator on the float lane, so that no float bit is
 lost.  The pairing, the compressions, the stacked multipliers, the coordinate
 map and the structure constants are each held as such a pair.  The law sweep
-chains every law term as products on pairs, each reduced by one gcd on the
-exact lane; the well-definedness sweep, the symmetry residuals and the
-compression residuals are matrix products on the values.  A norm is the
-largest |value| over the denominator, and a Fraction is built only for a
-value that is reported.
+decides the polynomial laws on the coordinates C of the structure constants
+over basis_events: the Jordan identity through its full linearization on
+basis quadruples (McCrimmon, A Taste of Jordan Algebras, 2004), power
+associativity through the symmetrized linearization of x^2 x^2 - (x^2 x) x
+(Albert, On the power-associativity of rings, 1948) and the unit law on the
+basis, exactly on the exact lane.  Only the square-norm law and the square-sum
+slack are sampled, two product stacks.  The well-definedness sweep, the
+symmetry residuals and the compression residuals are matrix products on the
+values.  A norm is the largest |value| over the denominator, and a Fraction is
+built only for a value that is reported.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
 multiplier symmetry, and the well-definedness of T_y across different
-orthogonal decompositions of the same element.
+orthogonal decompositions of the same element, which the exhaustive
+sum-triple sweep decides.
 """
 
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement
 
 import numpy as np
 
 from . import jordan, kernels, linsolve, lueders, orthospace, statespace
-from .errors import SynthesisError
+from .errors import CapacityError, SynthesisError
 from .exactlp import OPTIMAL, solve_lp
 
 FLOAT_TOL = 1e-8
@@ -201,9 +207,6 @@ class SyntheticSpace:
 
     def pi(self, e):
         return self.pairing[:, e].copy()
-
-    def unit_coords(self):
-        return self.pi(self.space.unit)
 
     def norm(self, x):
         """Order-unit norm max_l |x_l| of x (n,), or of each row of a stack (P, n) as an array.
@@ -551,22 +554,26 @@ def build_product_model(synth, oracle):
 
 @dataclass
 class WellDefinednessReport:
-    # each residual: a float on the float lane, an exact Fraction on the exact lane
-    sum_triple_residual: float | Fraction  # worst ||(T_e + T_f - T_{e+f}) pi(g)||
-    regroup_residual: float | Fraction  # worst two-decomposition disagreement
-    samples: int
-    skipped: int
+    # a float on the float lane, an exact Fraction on the exact lane
+    sum_triple_residual: float | Fraction  # worst ||(T_e + T_f - T_{e+f}) pi(b)|| over the basis events b
 
     def passed(self, tol=FLOAT_TOL):
-        return max(self.sum_triple_residual, self.regroup_residual) <= tol
+        return self.sum_triple_residual <= tol
 
 
-def check_well_definedness(model, samples=50, rng=None):
+def check_well_definedness(model):
     """Multipliers must not care how an element is cut into orthogonal pieces.
 
-    Both residuals are taken on the multipliers' values over their denominator.
+    The sweep is exhaustive: T_e + T_f = T_{e+f} on the event span, for every
+    defined sum e + f of nonzero events, e <= f, taken on the multipliers'
+    values over their denominator.  That decides every regrouping too.  A
+    regrouping merges members of an orthogonal family F into their
+    `orthospace.iterated_sum`, each partial sum a defined sum of two nonzero
+    events, so sum_g c_g T_g - sum_c c T_{sum of its members} telescopes into
+    sum-triple terms.  On the exact lane a zero residual gives every regrouping
+    exactly; on the float lane a regrouping with coefficients |c| <= 2 is off
+    by at most 2 (|F| - 1) times the sum-triple residual.
     """
-    rng = rng or np.random.default_rng(0)
     synth = model.synth
     space = synth.space
     (mults, dt), (pn, dp) = model.scaled_multipliers, synth.scaled_pairing
@@ -578,53 +585,8 @@ def check_well_definedness(model, samples=50, rng=None):
     es, fs = es[keep], fs[keep]
     ss = space.sum_table[es, fs]
     triples = [_top((mults[es[b]] + mults[fs[b]] - mults[ss[b]]) @ cols) for b in orthospace.pair_blocks(len(es), 1)]
-    families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
-    regroups, used, skipped = [], 0, 0
-    menu = [2, 2, -2, 1, 4]  # twice {1, 1, -1, 1/2, 2}, so the residual is over twice the denominator
-    for _ in range(samples):
-        if not families:
-            break
-        fam = families[rng.integers(len(families))]
-        coeffs = [menu[rng.integers(len(menu))] for _ in fam]
-        groups = {}
-        for g, c in zip(fam, coeffs):
-            groups.setdefault(c, []).append(g)
-        merged = []
-        ok = True
-        for c, members in groups.items():
-            total = orthospace.iterated_sum(space, members)
-            if total is None:
-                ok = False
-                break
-            merged.append((c, total))
-        if not ok or len(merged) == len(fam):
-            skipped += 1
-            continue
-        used += 1
-        direct = sum((mults[g] * c for g, c in zip(fam, coeffs)))
-        grouped = sum((mults[g] * c for c, g in merged))
-        regroups.append(_top((direct - grouped) @ cols))
-    # object arrays, so that the exact lane's Python-int tops never pass through a fixed-width integer
-    return WellDefinednessReport(
-        sum_triple_residual=_worst((np.array(triples, dtype=object), dt * dp)),
-        regroup_residual=_worst((np.array(regroups, dtype=object), 2 * dt * dp)),
-        samples=used,
-        skipped=skipped,
-    )
-
-
-def random_primitive(synth, rng, families=None):
-    """Random coefficient combination over a random maximal orthogonal family."""
-    fams = families if families is not None else orthospace.maximal_orthogonal_families(synth.space)
-    fam = fams[rng.integers(len(fams))]
-    if not synth.exact:
-        coeffs = rng.uniform(-1.0, 1.0, size=len(fam))
-        return synth.pairing[:, fam] @ coeffs, list(zip(coeffs, fam))
-    coeffs = [Fraction(int(rng.integers(-8, 9)), 4) for _ in fam]
-    x = synth.zeros()
-    for c, g in zip(coeffs, fam):
-        x = x + synth.pi(g) * c
-    return x, list(zip(coeffs, fam))
+    # an object array, so that the exact lane's Python-int tops never pass through a fixed-width integer
+    return WellDefinednessReport(sum_triple_residual=_worst((np.array(triples, dtype=object), dt * dp)))
 
 
 @dataclass
@@ -644,50 +606,121 @@ class SyntheticLawReport:
         )
 
 
-def check_laws_on_reconstruction(model, pairs=200, rng=None):
-    """Jordan identity, norm laws, power associativity on sampled primitives.
+def _structure_constants(model):
+    """(C, u, d): the coordinates over basis_events of every S[k, l], as C[k, l] (dim, dim, dim), and of the
+    unit, as u (dim,), all numerators over one denominator d.
 
-    All pairs are drawn first (x then y, pair by pair) as (values, denominator)
-    stacks; each law term is then one product over the (pairs, n) stacks, and
-    each residual a row-wise norm.  The exact lane draws random_primitive's
-    primitives, in its order, as numerators over 4 dp.
+    One `scaled_coords` call on the stacked rows writes them and span-checks
+    every S[k, l]: a table that leaves the event span raises SynthesisError.
+    """
+    synth = model.synth
+    r = synth.dim
+    (sn, ds), (pn, dp) = model.table, synth.scaled_pairing
+    rows = np.concatenate([sn * dp, pn[:, synth.space.unit][None] * ds])
+    cn, d = _reduced(*synth.scaled_coords((rows, ds * dp)))
+    return cn[:-1].reshape(r, r, r), cn[-1], d
+
+
+def _decided_laws(model):
+    """(Jordan, power associativity, unit) residuals, decided on the structure constants.
+
+    With L_k the matrix of e_k o . (L_k[n, m] = C[k, m, n]) and L_ab that of
+    (e_a o e_b) o ., each law is a multilinear form on basis elements:
+    - J(a, b, c, .) = sum over the cyclic shifts of (a, b, c) of [L_c, L_ab],
+      whose value on d is ((a o b) o d) o c - (a o b) o (d o c): the full
+      linearization of (x^2 o y) o x = x^2 o (y o x), symmetric in a, b, c, so
+      taken on a <= b <= c and every d.  A commutative algebra over a field
+      of characteristic 0 is Jordan exactly when J vanishes on every basis
+      quadruple (McCrimmon, A Taste of Jordan Algebras, 2004).
+    - P(a, b, c, d), the symmetrization of x^2 o x^2 - (x^2 o x) o x over the
+      24 orders of its four factors, so that P(x, x, x, x) is that gap:
+      [4 sum_pairings (a o b) o (c o d) - sum_s L_s T(rest)] / 12, with T(u, v, w)
+      = (u o v) o w + (v o w) o u + (w o u) o v over the three factors other
+      than s.  Symmetric, so taken on a <= b <= c <= d.  A commutative algebra
+      over a field of characteristic 0 is power-associative exactly when
+      x^2 o x^2 = (x^2 o x) o x (Albert, On the power-associativity of rings,
+      1948).
+    - U(k) = u o e_k - e_k on the dim basis elements.
+    Each residual is the largest order-unit norm, over the generators, of a
+    form's values on the basis tuples.  Only tuples are indexed, never a full
+    dim^5 tensor.
+    """
+    synth = model.synth
+    r = synth.dim
+    cs, u, d = _structure_constants(model)
+    pn, dp = synth.scaled_pairing
+    basis_t = pn[:, list(synth.basis_events)].T
+    ops = cs.transpose(0, 2, 1)
+    flat = cs.reshape(r * r, r)
+    # pair_ops[a, b] = L_ab and left[p, q, s] = (e_p o e_q) o e_s, both over d^2
+    pair_ops = (flat @ ops.reshape(r, r * r)).reshape(r, r, r, r)
+    left = (flat @ cs.reshape(r, r * r)).reshape(r, r, r, r)
+
+    def tuples(k):
+        """The index arrays of every k-tuple i_1 <= ... <= i_k of basis elements."""
+        return np.array(list(combinations_with_replacement(range(r), k)), dtype=np.intp).T
+
+    def apply(mats, vecs):
+        return (mats @ vecs[..., None])[..., 0]
+
+    def worst(vecs, den):
+        """Largest order-unit norm of coordinate vectors (..., r) over den, taken on their generator values."""
+        return _worst((vecs @ basis_t, den * dp))
+
+    a, b, c = tuples(3)
+    # column e of each (r, r) block is J(a, b, c, e)
+    jordan_ops = sum(ops[z] @ pair_ops[x, y] - pair_ops[x, y] @ ops[z] for x, y, z in ((a, b, c), (b, c, a), (c, a, b)))
+    q = tuples(4)
+    pairings = sum(apply(pair_ops[q[i], q[j]], cs[q[k], q[m]])
+                   for i, j, k, m in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2)))
+    chains = 0
+    for s in range(4):
+        x, y, z = (q[i] for i in range(4) if i != s)
+        chains = chains + apply(ops[q[s]], left[x, y, z] + left[y, z, x] + left[z, x, y])
+    unit = (u @ cs.reshape(r, r * r)).reshape(r, r) - np.eye(r, dtype=cs.dtype) * (d * d)
+    return (worst(jordan_ops.transpose(0, 2, 1), d ** 3), worst(4 * pairings - chains, 12 * d ** 3),
+            worst(unit, d * d))
+
+
+def check_laws_on_reconstruction(model, pairs=200, rng=None):
+    """Jordan identity, power associativity and the unit law, decided; the norm laws on sampled primitives.
+
+    The three polynomial laws are decided on the structure constants
+    (`_decided_laws`): exactly on the exact lane, in floats on the float lane.
+    A table that leaves the event span raises SynthesisError.  The square-norm
+    law | ||y^2|| - ||y||^2 | and the square-sum slack ||x^2 + y^2|| - ||x^2||
+    are norm and order statements, not polynomial identities, so they stay
+    sampled, on `pairs` pairs (x, y) of random primitives: sum_g t_g pi(g) over
+    a random maximal orthogonal family, the families padded with the zero
+    event.  One rng call draws every family, one every coefficient: t = k / 4,
+    k in -8..8, held as numerators over 4 dp on the exact lane, and t uniform
+    in [-1, 1] on the float lane.  The x come first, then the y; x^2 and y^2 are
+    one product stack each.
     """
     rng = rng or np.random.default_rng(0)
     synth = model.synth
-    fams = orthospace.maximal_orthogonal_families(synth.space)
+    jordan_identity, power, unit = _decided_laws(model)
+    space = synth.space
+    fams = orthospace.maximal_orthogonal_families(space)
+    width = max(map(len, fams))
+    padded = np.array([fam + [space.zero] * (width - len(fam)) for fam in fams])
+    members = padded[rng.integers(len(fams), size=2 * pairs)]
     pn, dp = synth.scaled_pairing
     if synth.exact:
-        def draw():
-            # random_primitive's sum of (k/4) pi(g) over a random family, as numerators over 4 dp
-            fam = fams[rng.integers(len(fams))]
-            return sum(int(rng.integers(-8, 9)) * pn[:, g] for g in fam)
-        d = 4 * dp
+        coeffs, d = rng.integers(-8, 9, size=members.shape).astype(object), 4 * dp
     else:
-        def draw():
-            return random_primitive(synth, rng, fams)[0]
-        d = dp
-    draws = np.array([draw() for _ in range(2 * pairs)], dtype=pn.dtype).reshape(2 * pairs, synth.n_states)
-    x, y = (draws[0::2], d), (draws[1::2], d)
-    unit_n, d_unit = _scaled(synth.unit_coords())
-    unit = (np.broadcast_to(unit_n, x[0].shape), d_unit)
-    product = model.product
-    x2, y2 = product(x, x), product(y, y)
-    lhs = product(x2, product(x, y))
-    rhs = product(x, product(x2, y))
-    # the powers x^m as ((x x) x) ... x, each formed once
-    x3 = product(x2, x)
-    x4 = product(x3, x)
-    x6 = product(product(x4, x), x)
-    x4_gap = _sub(product(x2, x2), x4)
-    x6_gap = _sub(product(x3, x3), x6)
+        coeffs, d = rng.uniform(-1.0, 1.0, size=members.shape), dp
+    draws = (coeffs[..., None] * pn.T[members]).sum(axis=1)
+    x, y = (draws[:pairs], d), (draws[pairs:], d)
+    x2, y2 = model.product(x, x), model.product(y, y)
     ny = _row_norms(y)
     slack = _unscaled(*_sub(_row_norms(_add(x2, y2)), _row_norms(x2))).tolist()
     return SyntheticLawReport(
-        jordan_identity=_worst(_sub(lhs, rhs)),
+        jordan_identity=jordan_identity,
         square_norm=_worst(_sub(_row_norms(y2), (ny[0] * ny[0], ny[1] * ny[1]))),
         square_sum_slack=min(slack, default=_unscaled(0, d)),
-        power_associativity=max(_worst(x4_gap), _worst(x6_gap)),
-        unit_residual=_worst(_sub(product(unit, x), x)),
+        power_associativity=power,
+        unit_residual=unit,
         pairs=pairs,
     )
 
@@ -910,7 +943,7 @@ class DensityReport:
 
     lane: str  # "exact" or "matrix"
     extremes: list
-    box: BoxReport = None
+    box: BoxReport = None  # None on the matrix lane, and on the exact lane past the vertex cap (not checked)
     samples_member: int = 0
     samples_outside: int = 0
     separation: SeparationCertificate = None
@@ -925,7 +958,10 @@ def check_hull_density(synth, samples=25, rng=None, instance=None):
     generator box.  Each sample is held as integers over 4 dp, the pairing's
     denominator dp times the 4 of its coefficients k / 4, and tested on them:
     the [0, 1] range, then the membership LP, whose integer rows are built
-    once.  Matrix lane (an instance given): extremality in the operator
+    once.  An equal box contradicted by a sample outside the hull raises
+    SynthesisError.  When enumerating the interval's vertices would pass the
+    cap, box stays None, not checked, and the samples are still drawn and
+    tested.  Matrix lane (an instance given): extremality in the operator
     interval, plus a support-function certificate that a fresh projection
     escapes the hull of the finitely many sampled events, so density holds
     only in the limit.  A float-lane model without its instance raises
@@ -947,7 +983,10 @@ def check_hull_density(synth, samples=25, rng=None, instance=None):
     if not synth.exact:
         raise SynthesisError("hull density needs the exact lane or a matrix instance")
     report = DensityReport(lane="exact", extremes=check_extreme_points(synth))
-    report.box = check_box_equality(synth)
+    try:
+        report.box = check_box_equality(synth)
+    except CapacityError:
+        report.box = None  # not checked
     pn, dp = synth.scaled_pairing
     r = len(synth.basis_events)
     # each sample is sum_i (k_i / 4) pi(e_i) over the basis events, as integers over 4 dp
@@ -957,6 +996,6 @@ def check_hull_density(synth, samples=25, rng=None, instance=None):
     member = hull_membership(synth, (inside, 4 * dp))
     report.samples_member = sum(member)
     report.samples_outside = len(member) - report.samples_member
-    if report.box.equal and report.samples_outside:
+    if report.box is not None and report.box.equal and report.samples_outside:
         raise SynthesisError("box equality contradicts a failed membership sample")
     return report

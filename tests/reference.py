@@ -2,11 +2,11 @@
 
 import math
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations_with_replacement, permutations
 
 import numpy as np
 
-from ucpspace import linsolve, orthospace, statespace, synthesis
+from ucpspace import linsolve, orthospace, statespace
 from ucpspace.errors import ConditioningUndefinedError, PreconditionError, SynthesisError, UcpError
 from ucpspace.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, Farkas, LpResult, verify_farkas
 
@@ -81,7 +81,7 @@ def compression(synth, e, generators, expansions):
     drift = 0
     for l in np.flatnonzero(pairing[:, e] == 1):
         drift = max(drift, _max_abs(u[l] @ pairing - pairing[l]))
-    return u, _max_abs(u @ u - u), _max_abs(u @ synth.unit_coords() - synth.pi(e)), drift
+    return u, _max_abs(u @ u - u), _max_abs(u @ synth.pi(synth.space.unit) - synth.pi(e)), drift
 
 
 def worst_symmetry(model):
@@ -97,7 +97,14 @@ def worst_symmetry(model):
 
 
 def well_definedness(model, samples, rng):
-    """check_well_definedness with the menu {1, 1, -1, 1/2, 2} on the Fraction multipliers."""
+    """(sum-triple residual, [(regroup residual, family size), ...]) on the Fraction multipliers.
+
+    The sum-triple residual is check_well_definedness's, pair by pair.  The
+    regroupings are drawn as the sweep once drew them: a random maximal
+    family of two or more events, each member a coefficient from {1, 1, -1,
+    1/2, 2}, the members of each coefficient merged by orthospace.iterated_sum;
+    a draw that merges nothing, or whose sum is undefined, is skipped.
+    """
     synth = model.synth
     space = synth.space
     mults = model.multipliers
@@ -109,11 +116,9 @@ def well_definedness(model, samples, rng):
                 continue
             worst_triple = max(worst_triple, _max_abs((mults[e] + mults[f] - mults[s]) @ synth.basis_cols))
     families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
-    worst_regroup, used, skipped = 0, 0, 0
+    regroups = []
     menu = [Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
-    for _ in range(samples):
-        if not families:
-            break
+    for _ in range(samples if families else 0):
         fam = families[rng.integers(len(families))]
         coeffs = [menu[rng.integers(len(menu))] for _ in fam]
         groups = {}
@@ -121,51 +126,70 @@ def well_definedness(model, samples, rng):
             groups.setdefault(c, []).append(g)
         merged = [(c, orthospace.iterated_sum(space, members)) for c, members in groups.items()]
         if any(total is None for _, total in merged) or len(merged) == len(fam):
-            skipped += 1
             continue
-        used += 1
         direct = sum(mults[g] * c for g, c in zip(fam, coeffs))
         grouped = sum(mults[g] * c for c, g in merged)
-        worst_regroup = max(worst_regroup, _max_abs((direct - grouped) @ synth.basis_cols))
-    return synthesis.WellDefinednessReport(
-        sum_triple_residual=worst_triple, regroup_residual=worst_regroup, samples=used, skipped=skipped
-    )
+        regroups.append((_max_abs((direct - grouped) @ synth.basis_cols), len(fam)))
+    return worst_triple, regroups
 
 
-def power(model, x, m):
-    """x^m as the product chain ((x x) x) ... x."""
-    acc = x
-    for _ in range(m - 1):
-        acc = model.product(acc, x)
-    return acc
+def decided_laws(model):
+    """check_laws_on_reconstruction's (Jordan, power associativity, unit) residuals by brute force.
 
-
-def laws(model, pairs, rng):
-    """The stacked law sweep on Fraction arrays: random_primitive's draws, each law term one product."""
+    Each law in its literal form, by model.product on stacks of every basis
+    tuple: the Jordan form sum_cyc(a, b, c) ((a b) d) c - (a b)(d c) on a <= b
+    <= c and every d, the mean over all 24 orders (p, q, s, t) of the four
+    factors of (p q)(s t) - ((p q) s) t on a <= b <= c <= d, and u b - b on
+    every basis element b.  Each residual is the largest generator sup-norm.
+    """
     synth = model.synth
-    fams = orthospace.maximal_orthogonal_families(synth.space)
-    draws = [synthesis.random_primitive(synth, rng, fams)[0] for _ in range(2 * pairs)]
-    x = np.array(draws[0::2], dtype=object).reshape(pairs, synth.n_states)
-    y = np.array(draws[1::2], dtype=object).reshape(pairs, synth.n_states)
-    unit = np.broadcast_to(synth.unit_coords(), x.shape)
-    norm = synth.norm
-    x2, y2 = model.product(x, x), model.product(y, y)
-    lhs = model.product(x2, model.product(x, y))
-    rhs = model.product(x, model.product(x2, y))
-    x3 = power(model, x, 3)
+    basis = np.stack([synth.pi(b) for b in synth.basis_events])
+    r = len(basis)
+    prod = model.product
 
     def worst(rows):
-        return max(rows, default=0)
+        return max(synth.norm(rows), default=0)
 
-    return synthesis.SyntheticLawReport(
-        jordan_identity=worst(norm(lhs - rhs)),
-        square_norm=worst(abs(norm(y2) - norm(y) ** 2)),
-        square_sum_slack=min(norm(x2 + y2) - norm(x2), default=0),
-        power_associativity=max(worst(norm(model.product(x2, x2) - power(model, x, 4))),
-                                worst(norm(model.product(x3, x3) - power(model, x, 6)))),
-        unit_residual=worst(norm(model.product(unit, x) - x)),
-        pairs=pairs,
-    )
+    quads = [(a, b, c, d) for a, b, c in combinations_with_replacement(range(r), 3) for d in range(r)]
+    jordan = 0
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        x, y, z, w = (basis[[t[m] for t in quads]] for m in (i, j, k, 3))
+        xy = prod(x, y)
+        jordan = jordan + prod(prod(xy, w), z) - prod(xy, prod(w, z))
+    orders = [p for q in combinations_with_replacement(range(r), 4) for p in permutations(q)]
+    p, q, s, t = (basis[[o[m] for o in orders]] for m in range(4))
+    pq = prod(p, q)
+    gaps = (prod(pq, prod(s, t)) - prod(prod(pq, s), t)).reshape(-1, 24, synth.n_states).sum(axis=1) / 24
+    unit = prod(np.broadcast_to(synth.pi(synth.space.unit), basis.shape), basis) - basis
+    return worst(jordan), worst(gaps), worst(unit)
+
+
+def sampled_norm_laws(model, pairs, rng):
+    """check_laws_on_reconstruction's (square norm, square-sum slack) on the same draws, in Fractions.
+
+    Each primitive is sum_g t_g pi(g) over its family, built term by term: t =
+    k / 4 as a Fraction on the exact lane, a float on the float lane.  The
+    padding's coefficients would multiply the zero event, so they are drawn
+    and dropped.  x^2 and y^2 are one product call each, as in the sweep.
+    """
+    synth = model.synth
+    fams = orthospace.maximal_orthogonal_families(synth.space)
+    width = max(len(fam) for fam in fams)
+    picks = rng.integers(len(fams), size=2 * pairs)
+    if synth.exact:
+        coeffs = [[Fraction(int(k), 4) for k in row] for row in rng.integers(-8, 9, size=(2 * pairs, width))]
+    else:
+        coeffs = rng.uniform(-1.0, 1.0, size=(2 * pairs, width))
+    draws = []
+    for pick, row in zip(picks, coeffs):
+        x = synth.zeros()
+        for g, c in zip(fams[pick], row):
+            x = x + synth.pi(g) * c
+        draws.append(x)
+    x, y = np.array(draws[:pairs]), np.array(draws[pairs:])
+    x2, y2 = model.product(x, x), model.product(y, y)
+    norm = synth.norm
+    return max(abs(norm(y2) - norm(y) ** 2)), min(norm(x2 + y2) - norm(x2))
 
 
 # Expansions over the generators by one row reduction each: the coefficient

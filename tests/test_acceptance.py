@@ -222,10 +222,20 @@ def test_07_product_reconstruction(capfd, qubit, qutrit):
             failures.append(f"n={inst.n}: square norm {laws.square_norm:.2e}")
         if laws.square_sum_slack < -1e-8:
             failures.append(f"n={inst.n}: square sum slack {laws.square_sum_slack:.2e}")
-        wd = synthesis.check_well_definedness(model, rng=rng)
-        worst = max(wd.sum_triple_residual, wd.regroup_residual)
+        worst = synthesis.check_well_definedness(model).sum_triple_residual
         if worst > 1e-8:
             failures.append(f"n={inst.n}: well-definedness {worst:.2e}")
+    # the exact lane on a spin factor: MO_3 over its cross-polytope states rebuilds a product that is not
+    # associative, and every law holds exactly
+    space = instances.mo_orthospace(3)
+    polytope = statespace.generated_polytope(space, instances.cross_states(3))
+    synth = synthesis.abstract_synthetic_space(space, polytope.generators)
+    model = synthesis.build_product_model(synth, synthesis.polytope_expansion_oracle(synth, polytope))
+    laws = synthesis.check_laws_on_reconstruction(model, pairs=200, rng=rng)
+    if not laws.passed(0):
+        failures.append(f"MO_3 cross states: laws {laws}")
+    if synthesis.check_well_definedness(model).sum_triple_residual != 0:
+        failures.append("MO_3 cross states: well-definedness")
     conclude(capfd, "07 product-reconstruction", failures, time.perf_counter() - start, 120.0)
 
 

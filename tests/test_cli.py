@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ucpspace import cli, fileio, instances, jordan, orthospace, statespace, synthesis
-from ucpspace.errors import SynthesisError
+from ucpspace.errors import CapacityError, SynthesisError
 
 
 def invoke(argv):
@@ -63,8 +63,8 @@ def files(tmp_path_factory):
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
     paths["mu3"] = put("mu3.txt", fileio.format_states([mu]))
     paths["no_states"] = put("no_states.txt", "states v1\nn_events 8\n")
-    # GENERATED states on MO_3: the six cross-polytope states (one block at (1, 0) or (0, 1),
-    # the others at (1/2, 1/2)), then the vertex (1, 1, 1) and the point (1, 0, 1/2)
+    # GENERATED states on MO_3: the six cross-polytope states, then the vertex (1, 1, 1) and the
+    # point (1, 0, 1/2)
     def mo3_state(ps):
         return statespace.State((F(0), *(v for p in ps for v in (F(p), 1 - F(p))), F(1)))
 
@@ -76,10 +76,10 @@ def files(tmp_path_factory):
     mixed = statespace.mix_states(g[0], statespace.mix_states(g[2], g[4], F(2, 5)), F(1, 3))
     paths["b3b3_mixed"] = put("b3b3_mixed.txt", fileio.format_states([mixed]))
 
-    half = F(1, 2)
-    cross = [mo3_state([half] * i + [v] + [half] * (2 - i)) for i in range(3) for v in (1, 0)]
+    cross = instances.cross_states(3)
+    paths["mo3_cross"] = put("mo3_cross.txt", fileio.format_states(cross))
     paths["mo3_generated"] = put("mo3_generated.txt", fileio.format_states(
-        cross + [mo3_state([1, 1, 1]), mo3_state([1, 0, half])]))
+        cross + [mo3_state([1, 1, 1]), mo3_state([1, 0, F(1, 2)])]))
     # Boolean 2 with the unit 3 orthogonal to itself and 3 + 3 = 3: additivity
     # forces mu(3) = 0 against the unit row, so no state exists
     stateless = fileio.format_orthospace(orthospace.boolean_orthospace(2)).rstrip("\n")
@@ -673,7 +673,7 @@ class TestSynthesize:
         report = json.loads(out)
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "5d15aa0e91f824b4a5e8759f74bca5d96ce450b44c4c05f496a07aa583837390"
+        assert digest == "399a8362ed3d611151e8a70162a1bf01932c46512ef9add2bd6fd41eaa2fc8b2"
 
     def test_boolean4_report_is_unchanged(self, files):
         # dimension 4 and larger denominators than Boolean 3: a second pin on
@@ -685,7 +685,7 @@ class TestSynthesize:
         report = json.loads(out)
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "b11f527d5d4f6c658e360855922630bc6151a1a4e6ccb3acb21046a05ebdccde"
+        assert digest == "c55da8769bba32d32af30a69d898d055d646add78939337c0d8f2768cd05e375"
 
     def test_boolean5_report_is_unchanged(self, files):
         # dimension 5 and larger numerators again: a third pin on the exact lane's integer sweeps
@@ -696,7 +696,27 @@ class TestSynthesize:
         report = json.loads(out)
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        assert digest == "01d81d211c6a09fb646c0b1e74308c8dcf5244503145fa16a831d1235de98ccc"
+        assert digest == "178094400825d1cef0bb7f5ffb8f245a0466b2fb71076c7afb1e2f4cc6028342"
+
+    def test_box_past_the_vertex_cap_is_not_checked(self, files, monkeypatch):
+        # enumerating the interval's vertices would pass the cap: box equality is not checked (null), every
+        # other check runs, and pass or fail follows the extreme points (2 of 8 on the MO_3 cross states)
+        argv = ["synthesize", "--input", files["mo3"], "--states", files["mo3_cross"], "--format", "structured"]
+        code, out, _ = invoke(argv)
+        assert code == 1 and json.loads(out)["density"]["box_equal"] is False
+        monkeypatch.setattr(statespace, "_VERTEX_CAP", 10)
+        with pytest.raises(CapacityError):
+            synthesis.check_box_equality(synthesis.abstract_synthetic_space(
+                instances.mo_orthospace(3), instances.cross_states(3)))
+        code, out, err = invoke(argv)
+        assert code == 1 and err == ""
+        report = json.loads(out)
+        assert report["density"] == {**report["density"], "box_equal": None, "extreme": 2, "of": 8}
+        assert report["passed"] is False and "failed_check" not in report
+        assert set(report["laws"].values()) == {0.0} and "dump" in report
+        code, out, _ = invoke(argv[:-2])
+        assert code == 1
+        assert "interval equals hull: not checked" in out
 
     def test_qutrit_dump_is_over_basis_events(self, files):
         # each compression is written as dim x dim over basis_events: about 98 KB here, where

@@ -219,13 +219,6 @@ def _b4_third():
     return build_state_polytope(orthospace.boolean_orthospace(4)).pin([0b0011], [F(1, 3)])
 
 
-def _mo2_cross():
-    # the four cross-polytope states of MO_2: one block at (1, 0) or (0, 1), the other at (1/2, 1/2)
-    half = F(1, 2)
-    blocks = [[p, half] for p in (F(1), F(0))] + [[half, p] for p in (F(1), F(0))]
-    return [State((F(0), *(v for p in ps for v in (p, 1 - p)), F(1))) for ps in blocks]
-
-
 def _b5_empty_case():
     # Boolean 5 atoms with a state whose conditional under the unit on these three
     # events is empty, though only an LP sees it (TestBoundPropagation.test_first_lp_decides_empty)
@@ -264,7 +257,7 @@ class TestVertexEnumeration:
     def test_non_integral_forms(self, monkeypatch):
         # D' = 3 on the pinned Boolean 4 slice, whose vertices are in thirds, and D = 2 on the
         # span of MO_2's cross-polytope states, whose box vertices are 0/1 points
-        third, span = _b4_third(), _box_span(instances.mo_orthospace(2), monkeypatch, _mo2_cross())
+        third, span = _b4_third(), _box_span(instances.mo_orthospace(2), monkeypatch, instances.cross_states(2))
         assert third[2] == 3 and span[2] == 2
         for param in (third, span):
             assert statespace._enumerate_vertices(param) == reference_vertices(param)
@@ -288,7 +281,7 @@ class TestVertexEnumeration:
         params += [_b4_third()] + [_box_span(space, monkeypatch) for space in (
             orthospace.boolean_orthospace(2), orthospace.boolean_orthospace(3), instances.mo_orthospace(2),
             instances.mo_orthospace(3))]
-        params.append(_box_span(instances.mo_orthospace(2), monkeypatch, _mo2_cross()))
+        params.append(_box_span(instances.mo_orthospace(2), monkeypatch, instances.cross_states(2)))
         reduced = 0
         for param in params:
             x0, basis, _ = param

@@ -1,7 +1,9 @@
 """Rebuilding the product from conditionals, on exact and matrix lanes."""
 
+import copy
 import dataclasses
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +18,6 @@ from ucpspace.lueders import MASS_THRESHOLD
 from ucpspace.statespace import build_state_polytope
 from ucpspace.synthesis import (
     FLOAT_TOL,
-    SyntheticLawReport,
     abstract_synthetic_space,
     build_compression,
     build_product_model,
@@ -33,7 +34,6 @@ from ucpspace.synthesis import (
     lueders_expansion_oracle,
     matrix_synthetic_space,
     polytope_expansion_oracle,
-    random_primitive,
 )
 
 F = Fraction
@@ -113,7 +113,7 @@ class TestSpaceConstruction:
 
     def test_unit_coords_all_ones(self, bool3_session):
         synth, _ = bool3_session
-        assert all(v == 1 for v in synth.unit_coords())
+        assert all(v == 1 for v in synth.pi(synth.space.unit))
 
     def test_event_coords_roundtrip(self, qubit_synth):
         x = qubit_synth.pi(3)
@@ -305,14 +305,22 @@ def reference_product(model, x, y):
     return (multiplier_of(y) @ x + multiplier_of(x) @ y) * half
 
 
+def random_primitive(synth, rng):
+    """sum_g t_g pi(g) over a random maximal orthogonal family: t = k / 4, k in -8..8, on the exact lane, t
+    uniform in [-1, 1] on the float lane."""
+    fams = orthospace.maximal_orthogonal_families(synth.space)
+    fam = fams[rng.integers(len(fams))]
+    coeffs = [F(int(rng.integers(-8, 9)), 4) for _ in fam] if synth.exact else rng.uniform(-1.0, 1.0, size=len(fam))
+    return sum((synth.pi(g) * c for g, c in zip(fam, coeffs)), synth.zeros())
+
+
 def product_pairs(model, rng, samples=15):
     """Every pair of event images, then random primitives and products of them."""
     synth = model.synth
     pis = [synth.pi(e) for e in synth.space.events()]
     pairs = [(a, b) for a in pis for b in pis]
     for _ in range(samples):
-        x, _ = random_primitive(synth, rng)
-        y, _ = random_primitive(synth, rng)
+        x, y = random_primitive(synth, rng), random_primitive(synth, rng)
         pairs += [(x, y), (model.product(x, x), y), (x, model.product(y, x))]
     return pairs
 
@@ -423,13 +431,11 @@ class TestExactLaneFarScales:
 
 
 class TestWellDefinedness:
-    def test_boolean_exact(self, bool3_model, rng):
-        rep = check_well_definedness(bool3_model, samples=30, rng=rng)
-        assert rep.passed(0)
+    def test_boolean_exact(self, bool3_model):
+        assert check_well_definedness(bool3_model).passed(0)
 
-    def test_qubit(self, qubit_model, rng):
-        rep = check_well_definedness(qubit_model, samples=30, rng=rng)
-        assert rep.passed(1e-8)
+    def test_qubit(self, qubit_model):
+        assert check_well_definedness(qubit_model).passed(1e-8)
 
     @pytest.mark.parametrize("model_name", ["bool3_model", "qubit_model", "qutrit_model"])
     @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 1])
@@ -445,54 +451,31 @@ class TestWellDefinedness:
                 delta = (model.multipliers[e] + model.multipliers[f] - model.multipliers[s]) @ synth.basis_cols
                 want = max(want, max(abs(v) for v in delta.ravel()))
         monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
-        got = check_well_definedness(model, samples=0).sum_triple_residual
+        got = check_well_definedness(model).sum_triple_residual
         assert got == want
 
 
-def reference_laws(model, pairs, rng):
-    """The per-pair law sweep that the stacked sweep replaces."""
-    synth = model.synth
-    fams = orthospace.maximal_orthogonal_families(synth.space)
-    unit = synth.unit_coords()
-    worst_ji = worst_sq = worst_pa = worst_unit = 0.0
-    slack = float("inf")
-    for _ in range(pairs):
-        x, _ = random_primitive(synth, rng, fams)
-        y, _ = random_primitive(synth, rng, fams)
-        x2 = model.product(x, x)
-        y2 = model.product(y, y)
-        lhs = model.product(x2, model.product(x, y))
-        rhs = model.product(x, model.product(x2, y))
-        worst_ji = max(worst_ji, synth.norm(lhs - rhs))
-        worst_sq = max(worst_sq, abs(synth.norm(y2) - synth.norm(y) ** 2))
-        slack = min(slack, synth.norm(x2 + y2) - synth.norm(x2))
-        x4 = model.product(x2, x2)
-        worst_pa = max(worst_pa, synth.norm(x4 - reference.power(model, x, 4)))
-        x6 = model.product(reference.power(model, x, 3), reference.power(model, x, 3))
-        worst_pa = max(worst_pa, synth.norm(x6 - reference.power(model, x, 6)))
-        worst_unit = max(worst_unit, synth.norm(model.product(unit, x) - x))
-    return SyntheticLawReport(
-        jordan_identity=worst_ji,
-        square_norm=worst_sq,
-        square_sum_slack=slack if slack != float("inf") else 0.0,
-        power_associativity=worst_pa,
-        unit_residual=worst_unit,
-        pairs=pairs,
-    )
+def assert_laws_match_reference(model, decided, pairs, seed, tol):
+    """check_laws_on_reconstruction against the references: the decided residuals within tol of `decided`
+    (reference.decided_laws(model); tol 0 asks for equal Fractions), the sampled square-norm law and slack
+    equal to reference.sampled_norm_laws on the same draws, and the same draws taken from the seed."""
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = check_laws_on_reconstruction(model, pairs=pairs, rng=rng_got)
+    for name, value in zip(("jordan_identity", "power_associativity", "unit_residual"), decided):
+        if tol == 0:
+            assert type(getattr(got, name)) is F, name
+        assert abs(getattr(got, name) - value) <= tol, name
+    assert (got.square_norm, got.square_sum_slack) == reference.sampled_norm_laws(model, pairs, rng_want)
+    assert got.pairs == pairs
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 class TestLaws:
     @pytest.mark.parametrize("model_name, tol", [("bool3_model", 0), ("qubit_model", 1e-12), ("qutrit_model", 1e-12)])
     def test_stacked_sweep_matches_per_pair_reference(self, request, model_name, tol):
+        # the decided laws, stacked over the basis tuples, against model.product on every tuple
         model = request.getfixturevalue(model_name)
-        rng_stacked, rng_reference = np.random.default_rng(5), np.random.default_rng(5)
-        got = check_laws_on_reconstruction(model, pairs=25, rng=rng_stacked)
-        want = reference_laws(model, 25, rng_reference)
-        for name in ("jordan_identity", "square_norm", "square_sum_slack", "power_associativity", "unit_residual"):
-            assert abs(getattr(got, name) - getattr(want, name)) <= tol, name
-        assert got.pairs == want.pairs == 25
-        # the sweep consumed exactly the reference's draws
-        assert rng_stacked.integers(1 << 62) == rng_reference.integers(1 << 62)
+        assert_laws_match_reference(model, reference.decided_laws(model), 25, 5, tol)
 
     def test_boolean_laws_exact(self, bool3_model, rng):
         rep = check_laws_on_reconstruction(bool3_model, pairs=40, rng=rng)
@@ -505,6 +488,73 @@ class TestLaws:
     def test_qutrit_laws(self, qutrit_model, rng):
         rep = check_laws_on_reconstruction(qutrit_model, pairs=40, rng=rng)
         assert rep.passed(1e-8)
+
+    def test_two_products(self, bool3_model, qubit_model, monkeypatch):
+        # the three polynomial laws are decided on the structure constants: only x^2 and y^2 are products
+        calls = []
+        product = synthesis.ProductModel.product
+        monkeypatch.setattr(synthesis.ProductModel, "product", lambda *a: calls.append(1) or product(*a))
+        for model in (bool3_model, qubit_model):
+            calls.clear()
+            check_laws_on_reconstruction(model, pairs=7, rng=np.random.default_rng(0))
+            assert len(calls) == 2
+
+
+@functools.cache
+def cross_model(k):
+    """The exact-lane model of MO_k over its cross-polytope states: the spin factor of dim k + 1."""
+    space = instances.mo_orthospace(k)
+    poly = statespace.generated_polytope(space, instances.cross_states(k))
+    synth = abstract_synthetic_space(space, poly.generators)
+    return build_product_model(synth, polytope_expansion_oracle(synth, poly))
+
+
+def associator_failures(model):
+    """How many ordered basis triples (a, b, c) have (a b) c != a (b c)."""
+    basis = [model.synth.pi(b) for b in model.synth.basis_events]
+    prod = model.product
+    return sum(any(prod(prod(a, b), c) != prod(a, prod(b, c))) for a, b, c in itertools.product(basis, repeat=3))
+
+
+DECIDED_FIELDS = ("jordan_identity", "power_associativity", "unit_residual")
+
+
+class TestDecidedLaws:
+    """The Jordan identity, power associativity and the unit law, decided on the structure constants."""
+
+    @pytest.mark.parametrize("k, failures", [(2, 12), (3, 28), (4, None)])
+    def test_spin_factors_are_jordan_not_associative(self, k, failures):
+        model = cross_model(k)
+        assert model.synth.dim == k + 1
+        laws = check_laws_on_reconstruction(model, pairs=8, rng=np.random.default_rng(0))
+        assert [getattr(laws, name) for name in DECIDED_FIELDS] == [0, 0, 0]
+        assert all(type(getattr(laws, name)) is F for name in DECIDED_FIELDS)
+        if failures is not None:
+            assert associator_failures(model) == failures
+
+    @pytest.mark.parametrize("name", ["bool3", "bool4", "bool5"])
+    def test_boolean_algebras(self, name):
+        laws = check_laws_on_reconstruction(exact_model(name), pairs=8, rng=np.random.default_rng(0))
+        assert [getattr(laws, field) for field in DECIDED_FIELDS] == [0, 0, 0]
+
+    def test_random_commutative_table(self):
+        # symmetric random structure constants over the B3 basis: commutative, neither Jordan nor
+        # power-associative, and without the unit
+        model = copy.copy(exact_model("bool3"))
+        synth = model.synth
+        r = synth.dim
+        cs = np.random.default_rng(3).integers(-3, 4, size=(r, r, r))
+        cs = (cs + cs.transpose(1, 0, 2)).astype(object)
+        pn, dp = synth.scaled_pairing
+        model.table = (cs.reshape(r * r, r) @ pn[:, list(synth.basis_events)].T, dp)
+        laws = check_laws_on_reconstruction(model, pairs=8, rng=np.random.default_rng(0))
+        assert min(getattr(laws, name) for name in DECIDED_FIELDS) > 0
+        assert [getattr(laws, name) for name in DECIDED_FIELDS] == list(reference.decided_laws(model))
+
+    @pytest.mark.parametrize("family_seed", [None, 5, 7671])
+    def test_float_lane_within_rounding(self, family_seed):
+        laws = check_laws_on_reconstruction(float_model(family_seed), pairs=8, rng=np.random.default_rng(0))
+        assert max(getattr(laws, name) for name in DECIDED_FIELDS) <= 1e-12
 
 
 EXACT_SPACES = {
@@ -546,12 +596,10 @@ def exact_model(name):
     return build_product_model(synth, polytope_expansion_oracle(synth, poly))
 
 
-def assert_exact_report(got, want, fields):
-    """Each residual of got is a Fraction equal to want's; the counts are equal."""
-    for name in fields:
-        assert type(getattr(got, name)) is F, name
-        assert getattr(got, name) == getattr(want, name), name
-    assert dataclasses.asdict(got) == dataclasses.asdict(want)
+@functools.cache
+def decided_reference(name):
+    """reference.decided_laws of exact_model(name), or of float_model(name) for an int or None."""
+    return reference.decided_laws(exact_model(name) if isinstance(name, str) else float_model(name))
 
 
 EXACT_NAMES = ["bool3", "bool4", "bool5", "mo1", "bool3-mixed", "bool3-tampered", "bool4-tampered"]
@@ -559,26 +607,24 @@ LAW_FIELDS = ("jordan_identity", "square_norm", "square_sum_slack", "power_assoc
 
 
 class TestExactSweepsMatchFractionReferences:
-    """The integer-numerator sweeps against the Fraction sweeps they replace: equal values, equal draws."""
+    """The integer-numerator sweeps against Fraction references: equal values, equal draws."""
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("name", EXACT_NAMES)
     def test_laws(self, name, seed):
-        model = exact_model(name)
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = check_laws_on_reconstruction(model, pairs=8, rng=rng_got)
-        assert_exact_report(got, reference.laws(model, 8, rng_want), LAW_FIELDS)
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        assert_laws_match_reference(exact_model(name), decided_reference(name), 8, seed, 0)
 
     @pytest.mark.parametrize("seed", [0, 7, 2024])
     @pytest.mark.parametrize("name", EXACT_NAMES)
     def test_well_definedness(self, name, seed):
-        model = exact_model(name)
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = check_well_definedness(model, samples=30, rng=rng_got)
-        want = reference.well_definedness(model, 30, rng_want)
-        assert_exact_report(got, want, ("sum_triple_residual", "regroup_residual"))
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        # the sum-triple sweep bounds every regrouping: 2 (|F| - 1) times its residual, with coefficients
+        # |c| <= 2 on a family F, and exactly 0 when it is 0
+        got = check_well_definedness(exact_model(name)).sum_triple_residual
+        triple, regroups = reference.well_definedness(exact_model(name), 30, np.random.default_rng(seed))
+        assert type(got) is F and got == triple
+        assert regroups
+        for residual, size in regroups:
+            assert residual <= 2 * (size - 1) * triple
 
     @pytest.mark.parametrize("name", EXACT_NAMES)
     def test_worst_symmetry(self, name):
@@ -590,11 +636,12 @@ class TestExactSweepsMatchFractionReferences:
     def test_tampered_residuals_are_nonzero(self):
         for name in ("bool3-tampered", "bool4-tampered"):
             model = exact_model(name)
-            laws = check_laws_on_reconstruction(model, pairs=8, rng=np.random.default_rng(0))
-            wd = check_well_definedness(model, samples=30, rng=np.random.default_rng(0))
+            # the slack is a minimum over the pairs, and a pair with y = 0 gives 0 on any model: as many
+            # pairs as synthesize draws by default
+            laws = check_laws_on_reconstruction(model, pairs=60, rng=np.random.default_rng(0))
             assert min(getattr(laws, f) for f in LAW_FIELDS if f != "square_sum_slack") > 0, name
             assert laws.square_sum_slack != 0
-            assert min(wd.sum_triple_residual, wd.regroup_residual) > 0, name
+            assert check_well_definedness(model).sum_triple_residual > 0, name
             assert model.worst_symmetry()[0] > 0, name
 
     @pytest.mark.parametrize("name, one_call", [
@@ -630,7 +677,7 @@ class TestExactSweepsMatchFractionReferences:
 
 
 class TestFloatSweepsMatchReferences:
-    """The float-lane sweeps against the reference sweeps on float arrays: equal to the bit, equal draws.
+    """The float-lane sweeps against the reference sweeps on float arrays: equal draws.
 
     family_seed None is the qubit, any other the qutrit family of that seed.
     """
@@ -638,11 +685,8 @@ class TestFloatSweepsMatchReferences:
     @pytest.mark.parametrize("seed", [0, 7, 123])
     @pytest.mark.parametrize("family_seed", [None, 5, 11])
     def test_laws(self, family_seed, seed):
-        model = float_model(family_seed)
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = check_laws_on_reconstruction(model, pairs=20, rng=rng_got)
-        assert dataclasses.asdict(got) == dataclasses.asdict(reference.laws(model, 20, rng_want))
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+        # the decided laws' reference contracts in another order: equal up to rounding
+        assert_laws_match_reference(float_model(family_seed), decided_reference(family_seed), 20, seed, 1e-12)
 
     @pytest.mark.parametrize("family_seed", [None, 5, 11])
     def test_worst_symmetry(self, family_seed):
@@ -787,15 +831,11 @@ class TestHull:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_density_samples_equal_fraction_path(self, seed):
-        # the cross-polytope states of MO_k: one block at (1, 0) or (0, 1), the others at (1/2, 1/2);
-        # their hull is smaller than the interval, so samples fall on both sides of it
-        half = F(1, 2)
+        # the cross-polytope states of MO_k: their hull is smaller than the interval, so samples fall on
+        # both sides of it
         counts = []
         for k in (2, 3, 4):
-            space = instances.mo_orthospace(k)
-            blocks = [[half] * i + [p] + [half] * (k - 1 - i) for i in range(k) for p in (F(1), F(0))]
-            cross = [statespace.State((F(0), *(v for p in ps for v in (p, 1 - p)), F(1))) for ps in blocks]
-            synth = abstract_synthetic_space(space, cross)
+            synth = abstract_synthetic_space(instances.mo_orthospace(k), instances.cross_states(k))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             rep = check_hull_density(synth, rng=rng)
             counts.append((rep.samples_member, rep.samples_outside))
@@ -816,10 +856,7 @@ class TestHull:
         assert hull_membership(synth, (unit, 2 * dp)) is True
         # over a denominator that dp does not divide: MO_2's cross states hold halves (dp = 2), and
         # 2 pi(unit) as integers over 1 lies outside while pi(unit) lies inside
-        half = F(1, 2)
-        cross = [statespace.State((F(0), *(v for p in ps for v in (p, 1 - p)), F(1)))
-                 for ps in ([F(1), half], [F(0), half], [half, F(1)], [half, F(0)])]
-        synth = abstract_synthetic_space(instances.mo_orthospace(2), cross)
+        synth = abstract_synthetic_space(instances.mo_orthospace(2), instances.cross_states(2))
         assert synth.scaled_pairing[1] == 2
         assert hull_membership(synth, (np.array([[2] * 4, [1] * 4], dtype=object), 1)) == [False, True]
 
@@ -968,7 +1005,8 @@ def reference_float_compression(synth, e, generators, expansions):
     drift = 0.0
     for l in np.flatnonzero(np.abs(pairing[:, e] - 1.0) <= 1e-10):
         drift = max(drift, float(np.max(np.abs(u[l] @ pairing - pairing[l]))))
-    return u, float(np.max(np.abs(u @ u - u))), float(np.max(np.abs(u @ synth.unit_coords() - synth.pi(e)))), drift
+    unit_image = float(np.max(np.abs(u @ synth.pi(synth.space.unit) - synth.pi(e))))
+    return u, float(np.max(np.abs(u @ u - u))), unit_image, drift
 
 
 class TestStackedFloatCompressions:
