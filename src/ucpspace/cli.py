@@ -496,7 +496,7 @@ def cmd_synthesize(args):
         report["laws"] = {name: float(getattr(laws, name)) for name in _LAWS}
         lines.append("laws: " + ", ".join(f"{label} {_g(getattr(laws, name))}" for name, label in _LAWS.items()))
 
-        comp_worst = max(max(c.idempotency, c.unit_image, c.invariance) for c in model.compressions.values())
+        comp_worst = max(max(c.idempotency, c.unit_image, c.invariance) for c in model.compression_reports.values())
         report["compression_worst"] = float(comp_worst)
         lines.append(f"compression residual worst: {_g(comp_worst)}")
 

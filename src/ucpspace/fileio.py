@@ -324,7 +324,7 @@ def synth_dump(model):
         "n_events": synth.space.n_events,
         "n_states": synth.n_states,
         "basis_events": list(synth.basis_events),
-        "pairing": _matrix_payload(synth.pairing),
+        "pairing": _matrix_payload(synth.pairing_values()),
         "compressions": {str(e): _matrix_payload(w) for e, w in enumerate(model.basis_compressions())},
     }
 

@@ -13,9 +13,11 @@ rows.  The reduced row echelon form is canonical, so the order in which rows
 join does not change it, and a column's pivot is the leading entry of a row.
 
 Entries must be exact: int or Fraction (any `numbers.Rational`); any other
-entry raises TypeError.  There is no float mode.  `scale_to_ints` is the one
-rational-to-integer scaling of the exact core; `exactlp` scales its rows with
-it too.
+entry raises TypeError.  There is no float mode.  `scale_to_ints` is the
+sparse rational-to-integer scaling of the exact core; `exactlp` scales its rows
+with it too.  The dense forms are scaled where they are held:
+`statespace._integers` for states and parametrizations, `synthesis._scaled`
+for the synthesis matrices.
 """
 
 import math
@@ -28,7 +30,7 @@ _ZERO = Fraction(0)
 def scale_to_ints(row):
     """The row times den, the lcm of its denominators, as ({column: int} over its nonzero entries, den).
 
-    The one place where the exact core turns rationals into integers: every
+    The sparse rows of the exact core turn into integers here: every
     entry must be a `numbers.Rational` (int, Fraction, numpy int), and any
     other entry (float, numpy float, str, complex) raises TypeError.
     """

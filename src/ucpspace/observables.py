@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linsolve, orthospace, statespace, synthesis
+from . import linsolve, orthospace, synthesis
 from .errors import PreconditionError, StructuralError, SynthesisError
 # solve_lp is not called here; perfbench/tracing.py rebinds observables.solve_lp by name
 from .exactlp import solve_lp  # noqa: F401
@@ -133,8 +133,9 @@ def representing_element(synth, x):
     """Dual-space element with matching expectations; norm = spectral radius.
 
     The norm identity is verified against the synthetic sup-norm (exactly on
-    the rational lane) and a violation raises, since it signals a generator
-    family too poor to see the observable's extremes.
+    the rational lane, within FLOAT_TOL times max(1, radius) on the float lane)
+    and a violation raises, since it signals a generator family too poor to
+    see the observable's extremes.
     """
     if synth.space is not x.space:
         raise PreconditionError("observable lives on a different event system")
@@ -142,18 +143,9 @@ def representing_element(synth, x):
     for v, e in x.support:
         coords = coords + synth.pi(e) * v
     radius = spectral_radius(x)
-    if synth.exact:
-        attained = max((abs(v) for v in coords), default=Fraction(0))
-        if attained != radius:
-            raise SynthesisError(
-                f"synthetic norm {attained} differs from the spectral radius {radius}"
-            )
-    else:
-        attained = synth.norm(coords)
-        if abs(attained - float(radius)) > synthesis.FLOAT_TOL:
-            raise SynthesisError(
-                f"synthetic norm {attained} differs from the spectral radius {radius}"
-            )
+    attained = synth.norm(coords)
+    if abs(attained - radius) > (0 if synth.exact else synthesis.FLOAT_TOL * max(1.0, abs(float(radius)))):
+        raise SynthesisError(f"synthetic norm {attained} differs from the spectral radius {radius}")
     return coords
 
 
@@ -180,12 +172,10 @@ class RepresentabilityVerdict:
 
 def _solve_over_family(synth, family, target):
     """Coefficients expanding target over the family's pi-columns, or None."""
-    cols = [synth.pi(g) for g in family]
+    mat = np.stack([synth.pi(g) for g in family], axis=1)
     if synth.exact:
-        a_rows = [[cols[j][l] for j in range(len(family))] for l in range(synth.n_states)]
-        sol = linsolve.solve_affine(a_rows, list(target))
+        sol = linsolve.solve_affine(mat.tolist(), list(target))
         return None if sol is None else sol[0]
-    mat = np.stack([np.asarray(c, dtype=np.float64) for c in cols], axis=1)
     b = np.asarray(target, dtype=np.float64)
     s, *_ = np.linalg.lstsq(mat, b, rcond=None)
     if np.linalg.norm(mat @ s - b) > synthesis.FLOAT_TOL * max(1.0, np.linalg.norm(b)):
@@ -238,11 +228,13 @@ def check_sum_representability(model, obs_y, obs_z):
     The representing element of the sum must resolve over an orthogonal
     family summing to the unit; the resolved coefficients become the value
     list of the sum observable.  Verified against the generator expectations
-    before returning.
+    before returning: on the float lane within FLOAT_TOL times max(1, the sum
+    of the two spectral radii), which bounds every expectation.
     """
     synth = model.synth
     space = synth.space
     target = representing_element(synth, obs_y) + representing_element(synth, obs_z)
+    scale = 1.0 if synth.exact else max(1.0, float(spectral_radius(obs_y) + spectral_radius(obs_z)))
     for family in orthospace.maximal_orthogonal_families(space):
         if orthospace.iterated_sum(space, family) != space.unit:
             continue
@@ -254,11 +246,10 @@ def check_sum_representability(model, obs_y, obs_z):
         except StructuralError:
             continue
         worst = 0.0
-        for l in range(synth.n_states):
-            row = statespace.State(tuple(synth.pairing[l, :]))
+        for row in synth.pairing_values():
             gap = expectation(obs_y, row) + expectation(obs_z, row) - expectation(obs, row)
             worst = max(worst, abs(float(gap)))
-        if worst > synthesis.FLOAT_TOL:
+        if worst > synthesis.FLOAT_TOL * scale:
             continue
         return RepresentabilityVerdict(
             verdict=REPRESENTABLE,

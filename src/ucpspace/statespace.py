@@ -751,13 +751,16 @@ def _uc_generated(slc):
     if not slc.polytope.exact:
         raise PreconditionError("generator-list uniqueness check needs exact rational generators")
     gens = slc.polytope.generators
-    n = slc.polytope.space.n_events
     a_eq = [[Fraction(1)] * len(gens)] + [[_frac(gen[f]) for gen in gens] for f in slc.constraint_events]
+    # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L
+    den = math.lcm(*(gen.integers[1] for gen in gens))
+    rows = np.array([[v * (den // q) for v in ints] for ints, q in (gen.integers for gen in gens)], dtype=object)
 
     def to_state(lam):
-        return State(tuple(sum(_frac(gen[i]) * l for gen, l in zip(gens, lam)) for i in range(n)))
+        p, q = _integers(lam)
+        return State.from_integers((np.array(p, dtype=object) @ rows).tolist(), q * den)
 
-    costs = ([_frac(gen[ev]) for gen in gens] for ev in range(n))
+    costs = ([_frac(gen[ev]) for gen in gens] for ev in range(slc.polytope.space.n_events))
     return _lp_verdict(a_eq, [Fraction(1), *slc.targets], costs, to_state, None)
 
 

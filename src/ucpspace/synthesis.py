@@ -13,19 +13,20 @@ mu_l(e) times the expansion of the conditional of mu_l under e in the
 generators.  The conditionals come from an injected oracle called once per
 model, `oracle(requests)`, with requests [(e, generators), ...] in event
 order, one per event that some generator gives nonzero mass, listing those
-generators in order.  It returns, per request, the expansions of its
-generators in that order; the first failure in (event, generator) order
-raises.  The exact-lane oracle takes the LP-based unique conditional of the
-state polytope for one generator at a time and expands it through
-`SyntheticSpace.generator_coords`: the transpose of the coordinate map's
-integer inverse, checked exactly on integers.  The same map writes every
-generator over the first independent ones for the extreme-point test, so one
-inverse per model serves every exact expansion.  The float-lane oracle
-conditions every density under every requested event by the closed-form
-Lüders rule in one `lueders.condition_stack` call and expands all requested
-conditionals with one pseudoinverse product.  Event
-multipliers T_e = (I + U_e - U_e')/2 then recover the product: x o y = T_y x
-extended bilinearly from the events, symmetrized.
+generators in order.  It returns one (values, denominator) pair of the
+expansions of every requested (event, generator), in request order; the first
+failure in that order raises.  The exact-lane oracle decides the LP-based
+unique conditional of the state polytope for one generator at a time, then
+expands them all with one `SyntheticSpace.generator_coords` call on their
+stacked integer forms: the transpose of the coordinate map's integer inverse,
+checked exactly on integers.  The same map writes every generator over the
+first independent ones for the extreme-point test, so one inverse per model
+serves every exact expansion.  The float-lane oracle conditions every density
+under every requested event by the closed-form Lüders rule in one
+`lueders.condition_stack` call and expands all requested conditionals with one
+pseudoinverse product.  Event multipliers T_e = (I + U_e - U_e')/2 then
+recover the product: x o y = T_y x extended bilinearly from the events,
+symmetrized.
 Both linear maps the product needs are built once per model: the left inverse
 of the basis-event columns (coordinates of x over basis_events) and the
 structure constants S[k, l] = (T_{b_k} pi(b_l) + T_{b_l} pi(b_k))/2, so that
@@ -41,19 +42,21 @@ raises.
 
 Both lanes run one body on (values, denominator) pairs (`_scaled`): Python-int
 numerators over an int denominator on the exact lane, float arrays over a
-power-of-two float denominator on the float lane, so that no float bit is
-lost.  The pairing, the compressions, the stacked multipliers, the coordinate
-map and the structure constants are each held as such a pair.  The law sweep
-decides the polynomial laws on the coordinates C of the structure constants
-over basis_events: the Jordan identity through its full linearization on
-basis quadruples (McCrimmon, A Taste of Jordan Algebras, 2004), power
+power-of-two float denominator on the float lane, so that no float bit is lost.
+Each matrix is stored once, as such a pair: the pairing, the stacked
+compressions and multipliers, the coordinate map and the structure constants.
+The law sweep decides the polynomial laws on the coordinates C of the structure
+constants over basis_events: the Jordan identity through its full linearization
+on basis quadruples (McCrimmon, A Taste of Jordan Algebras, 2004), power
 associativity through the symmetrized linearization of x^2 x^2 - (x^2 x) x
 (Albert, On the power-associativity of rings, 1948) and the unit law on the
 basis, exactly on the exact lane.  Only the square-norm law and the square-sum
 slack are sampled, two product stacks.  The well-definedness sweep, the
 symmetry residuals and the compression residuals are matrix products on the
 values.  A norm is the largest |value| over the denominator, and a Fraction is
-built only for a value that is reported.
+built only for a value that is reported or read as a value: the residuals,
+`pairing_values` for the dump, and `pi`, `zeros`, `event_coords`, `u_apply` and
+the product of value inputs.
 
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
@@ -76,12 +79,6 @@ from .exactlp import OPTIMAL, solve_lp
 FLOAT_TOL = 1e-8
 
 
-def _pairing_array(rows, exact):
-    if exact:
-        return np.frompyfunc(Fraction, 1, 1)(np.array(rows, dtype=object))
-    return np.asarray(rows, dtype=np.float64)
-
-
 def _independent_columns_float(mat):
     """Greedy left-to-right Gram-Schmidt column selection."""
     picked, basis = [], []
@@ -99,7 +96,7 @@ def _independent_columns_float(mat):
 # A (values, d) pair holds Python-int numerators over an int d on the exact lane,
 # and a float array over a float d on the float lane.  Every float d is a product
 # of 1.0 and 2.0, so every scaling by it is exact (barring overflow and underflow).
-# Only _scaled, _unscaled, _reduced and _worst tell the two forms apart.
+# Only _scaled, _unscaled and _reduced tell the two forms apart.
 
 
 def _scaled(arr):
@@ -169,19 +166,22 @@ def _worst(a, axis=None):
 
 
 def _left_inverse(cols, exact):
-    """(rows, inv) with inv @ cols[rows] = I, so inv @ x[rows] gives the coordinates of x.
+    """(rows, inv) with inv @ c[rows] = I for the columns c of the pair cols, so inv @ x[rows] gives the coordinates
+    of x; inv is a (values, denominator) pair.
 
-    Float lane: the pseudoinverse over every row, over 1.0.  Exact lane: the
-    inverse of an independent block of rows, as _scaled numerators and
-    denominator.
+    Float lane: the pseudoinverse over every row.  Exact lane: the inverse of an
+    independent block of rows, found on the integer columns cn themselves.
     """
-    if not exact:
-        return slice(None), (np.linalg.pinv(cols), 1.0)
-    dim = cols.shape[1]
-    rows = linsolve.independent_subset([list(r) for r in cols])
-    aug = [list(cols[i]) + [Fraction(int(i == j)) for j in rows] for i in rows]
-    red, _ = linsolve.rref(aug)
-    return rows, _scaled([r[dim:] for r in red])
+    cn, d = cols
+    if exact:
+        dim = cn.shape[1]
+        rows = linsolve.independent_subset(cn.tolist())
+        red, _ = linsolve.rref([cn[i].tolist() + [int(i == j) for j in rows] for i in rows])
+        inv = _scaled([r[dim:] for r in red])
+    else:
+        rows, inv = slice(None), (np.linalg.pinv(cn), 1.0)
+    # the inverse of cn / d is d times the inverse of cn
+    return rows, _reduced(inv[0] * d, inv[1])
 
 
 @dataclass
@@ -189,24 +189,23 @@ class SyntheticSpace:
     """Finite event system modeled in the dual of its state span."""
 
     space: orthospace.OrthoSpace
-    pairing: np.ndarray  # (n_states, n_events); Fraction objects on the exact lane
+    pairing: tuple  # mu_l(e) as a (values, denominator) pair of shape (n_states, n_events)
     exact: bool
     dim: int  # rank of the pairing matrix
     basis_events: tuple  # event ids whose pi-columns are independent
-    basis_cols: np.ndarray  # (n_states, dim): the pi-columns of basis_events
-    coord_map: tuple  # (rows, inv) of _left_inverse(basis_cols), inv as a (values, denominator) pair
-    # the pairing as a (values, denominator) pair; basis_cols are its basis_events columns
-    scaled_pairing: tuple = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scaled_pairing = _scaled(self.pairing)
+    coord_map: tuple  # (rows, inv) of _left_inverse over the basis_events columns
 
     @property
     def n_states(self):
-        return self.pairing.shape[0]
+        return self.pairing[0].shape[0]
+
+    def pairing_values(self):
+        """The pairing as values: Fractions on the exact lane, floats on the float lane."""
+        return _unscaled(*self.pairing)
 
     def pi(self, e):
-        return self.pairing[:, e].copy()
+        pn, dp = self.pairing
+        return np.array(_unscaled(pn[:, e], dp))
 
     def norm(self, x):
         """Order-unit norm max_l |x_l| of x (n,), or of each row of a stack (P, n) as an array.
@@ -220,37 +219,38 @@ class SyntheticSpace:
         return all(v >= bound for v in x)
 
     def zeros(self):
-        pn, dp = self.scaled_pairing
+        pn, dp = self.pairing
         return _unscaled(np.zeros_like(pn[:, 0]), dp)
 
     def event_coords(self, x):
         """Coefficients over basis_events reproducing x (n,), or each row of a stack (P, n).
 
-        Raises SynthesisError if x, or any one row of the stack, lies outside the span.
+        Raises SynthesisError if x, or any one row of the stack, lies outside the
+        span, with the index of the first such row as its `row`.
         """
         return _unscaled(*self.scaled_coords(_scaled(x)))
 
     def scaled_coords(self, x):
         """event_coords of a (values, denominator) pair x, one row (n,) or a stack (P, n), as such a pair.
 
-        The span check is basis_cols @ c == x, on the exact lane's integers, and
-        ||basis_cols @ c - x|| <= FLOAT_TOL * max(1, ||x||) row by row on the float
-        lane; both sides are cleared of the denominators d_pairing and dx * d_inv.
+        With P the pi-columns of basis_events, the span check is P @ c == x, on
+        the exact lane's integers, and ||P @ c - x|| <= FLOAT_TOL * max(1, ||x||)
+        row by row on the float lane; both sides are cleared of the denominators
+        d_pairing and dx * d_inv.
         """
         xn, dx = x
         rows, (inv_n, d_inv) = self.coord_map
-        pairing_n, d_pairing = self.scaled_pairing
+        pairing_n, d_pairing = self.pairing
         cn = xn[..., rows] @ inv_n.T
         back, want = cn @ pairing_n[:, list(self.basis_events)].T, xn * (d_inv * d_pairing)
         if self.exact:
-            outside = np.any(back != want)
+            outside = np.any(back != want, axis=-1)
         else:
             # compared in squares, against the scale dx * d_inv * d_pairing of 1; the residual overwrites back
             r, scale = np.subtract(back, want, out=back), dx * d_inv * d_pairing
             bound = FLOAT_TOL * FLOAT_TOL * np.maximum(scale * scale, np.einsum("...i,...i->...", want, want))
-            outside = np.any(np.einsum("...i,...i->...", r, r) > bound)
-        if outside:
-            raise SynthesisError("element lies outside the event span")
+            outside = np.einsum("...i,...i->...", r, r) > bound
+        _raise_at_first(outside, "element lies outside the event span")
         return cn, dx * d_inv
 
     def generator_coords(self, x):
@@ -259,17 +259,26 @@ class SyntheticSpace:
         The coefficients are inv.T @ x[basis_events] on the rows of coord_map and
         zero elsewhere, as a _scaled pair: the solution of c @ pairing = x that
         is zero off the first independent generators.  Raises SynthesisError if
-        x, or any one row of the stack, lies outside the generator span.
+        x, or any one row of the stack, lies outside the generator span, with
+        the index of the first such row as its `row`.
         """
         xn, dx = x
         rows, (inv_n, d_inv) = self.coord_map
-        pairing_n, d_pairing = self.scaled_pairing
+        pairing_n, d_pairing = self.pairing
         cn = np.zeros((*xn.shape[:-1], self.n_states), dtype=object)
         cn[..., rows] = xn[..., list(self.basis_events)] @ inv_n
         # c @ pairing == x, cleared of the denominators d_pairing and dx * d_inv
-        if np.any(cn[..., rows] @ pairing_n[rows] != xn * (d_inv * d_pairing)):
-            raise SynthesisError("element lies outside the generator span")
+        outside = np.any(cn[..., rows] @ pairing_n[rows] != xn * (d_inv * d_pairing), axis=-1)
+        _raise_at_first(outside, "element lies outside the generator span")
         return cn, dx * d_inv
+
+
+def _raise_at_first(outside, message):
+    """Raise SynthesisError(message) when any row is outside; its `row` is the index of the first such row."""
+    if np.any(outside):
+        err = SynthesisError(message)
+        err.row = int(np.argmax(outside))
+        raise err
 
 
 def _check_state_rows(space, rows, exact):
@@ -300,24 +309,18 @@ def build_synthetic_space(space, value_rows, exact):
     if not rows:
         raise SynthesisError("no state generators")
     _check_state_rows(space, rows, exact)
-    pairing = _pairing_array(rows, exact)
-    if exact:
-        cols = [[pairing[i, j] for i in range(pairing.shape[0])] for j in range(pairing.shape[1])]
-        picked = linsolve.independent_subset(cols)
-    else:
-        picked = _independent_columns_float(pairing)
+    pn, dp = pairing = _scaled(np.array(rows, dtype=object if exact else np.float64))
+    picked = linsolve.independent_subset(pn.T.tolist()) if exact else _independent_columns_float(pn)
     dim = len(picked)
     if dim == 0:
         raise SynthesisError("pairing matrix has rank 0")
-    basis_cols = pairing[:, picked]
     return SyntheticSpace(
         space=space,
         pairing=pairing,
         exact=exact,
         dim=dim,
         basis_events=tuple(picked),
-        basis_cols=basis_cols,
-        coord_map=_left_inverse(basis_cols, exact),
+        coord_map=_left_inverse((pn[:, picked], dp), exact),
     )
 
 
@@ -334,25 +337,32 @@ def matrix_synthetic_space(instance):
 
 
 def polytope_expansion_oracle(synth, polytope):
-    """Exact-lane oracle: LP-unique conditionals, each expanded over the generators by `generator_coords`."""
-    pairing = synth.pairing
+    """Exact-lane oracle: LP-unique conditionals, all expanded over the generators by one `generator_coords` call.
 
-    def expand(l, e):
-        verdict = statespace.check_conditional_uniqueness(polytope, statespace.State(tuple(pairing[l])), e)
-        if verdict.verdict != statespace.UNIQUE:
-            err = SynthesisError(
-                f"conditional of generator {l} under event {e} is {verdict.verdict}"
-            )
-            err.generator, err.event, err.verdict = l, e, verdict
-            raise err
-        try:
-            xn, dx = verdict.conditional.integers
-            return _unscaled(*synth.generator_coords((np.array(xn, dtype=object), dx)))
-        except SynthesisError:
-            raise SynthesisError(f"conditional of generator {l} lies outside the generator span") from None
+    The verdicts are decided in request order, and the first one that is not
+    UNIQUE raises with its generator, event and verdict.  The conditionals'
+    integer forms are then stacked over one denominator; a stack outside the
+    generator span raises, naming the generator of its first such row.
+    """
+    states = [statespace.State.from_integers(row, synth.pairing[1]) for row in synth.pairing[0].tolist()]
 
     def oracle(requests):
-        return [[expand(l, e) for l in generators] for e, generators in requests]
+        pairs = [(l, e) for e, generators in requests for l in generators]
+        forms = []
+        for l, e in pairs:
+            verdict = statespace.check_conditional_uniqueness(polytope, states[l], e)
+            if verdict.verdict != statespace.UNIQUE:
+                err = SynthesisError(f"conditional of generator {l} under event {e} is {verdict.verdict}")
+                err.generator, err.event, err.verdict = l, e, verdict
+                raise err
+            forms.append(verdict.conditional.integers)
+        d = math.lcm(*(den for _, den in forms))
+        xn = np.array([[v * (d // den) for v in ints] for ints, den in forms], dtype=object)
+        try:
+            return synth.generator_coords((xn.reshape(len(forms), synth.space.n_events), d))
+        except SynthesisError as exc:
+            l = pairs[exc.row][0]
+            raise SynthesisError(f"conditional of generator {l} lies outside the generator span") from None
 
     return oracle
 
@@ -367,16 +377,15 @@ def lueders_expansion_oracle(synth, instance):
 
     One call conditions every density under every requested event in one
     `lueders.condition_stack` and expands the requested conditionals with one
-    pseudoinverse product.  The first (event, generator) pair, in request
-    order, whose conditioning or span check fails is the one that raises.
+    pseudoinverse product, returned over 1.0.  The first (event, generator)
+    pair, in request order, whose conditioning or span check fails is the one
+    that raises.
     """
     coords = instance.densities.coords
     flat = density_matrix(instance)
     pinv_t = np.linalg.pinv(flat.T).T
 
     def oracle(requests):
-        if not requests:
-            return []
         conds, errors = lueders.condition_stack(coords, [instance.elements[e] for e, _ in requests])
         counts = [len(generators) for _, generators in requests]
         # the (request, generator) pairs in request order, as two index arrays
@@ -393,7 +402,7 @@ def lueders_expansion_oracle(synth, instance):
             if failed[k]:
                 raise errors[ii[k]][ls[k]]
             raise SynthesisError(f"conditional of generator {ls[k]} lies outside the density span")
-        return np.split(expansions, np.cumsum(counts)[:-1])
+        return expansions, 1.0
 
     return oracle
 
@@ -404,78 +413,75 @@ def lueders_expansion_oracle(synth, instance):
 
 @dataclass
 class CompressionReport:
-    event: int
-    matrix: np.ndarray  # U_e: Fractions on the exact lane
+    """The residuals of one compression U_e."""
+
     # each residual: a float on the float lane, an exact Fraction on the exact lane
     idempotency: float | Fraction  # max |U^2 - U|
     unit_image: float | Fraction  # max |U pi(1) - pi(e)|
     invariance: float | Fraction  # worst mass-one generator drift on the events
 
-    def passed(self, tol=1e-10):
-        return max(self.idempotency, self.unit_image, self.invariance) <= tol
-
 
 def build_compression(synth, requests, expansions):
-    """U_e of every event, as {event: CompressionReport}.
+    """U_e of every event, as ((values, denominator), {event: CompressionReport}).
 
     Row l of U_e is mu_l(e) times the expansion of the conditional of mu_l under e.
     `requests` lists (e, generators) as the oracle took them and `expansions`
-    its answers, in the same order; every other row (zero mass on e) stays
-    zero.  All U_e are one (E, n, n) stack of values over one denominator, the
-    expansions' common one times the pairing's, and each residual is taken
-    from stacked products.
+    is its answer, one (values, denominator) pair of every expansion in that
+    order; every other row (zero mass on e) stays zero.  All U_e are one
+    (E, n, n) stack of values over the expansions' denominator times the
+    pairing's, in lowest terms, and each residual is taken from stacked
+    products.
     """
     events = synth.space.events()
-    pn, dp = synth.scaled_pairing
+    pn, dp = synth.pairing
+    xn, dx = expansions
+    un = np.zeros((len(events), synth.n_states, synth.n_states), dtype=pn.dtype)
+    es = np.repeat(np.array([e for e, _ in requests], dtype=np.intp), [len(generators) for _, generators in requests])
+    ls = np.fromiter(chain.from_iterable(generators for _, generators in requests), np.intp, len(es))
+    un[es, ls] = pn[ls, es][:, None] * xn
     # U_e = un[e] / du
-    un, du = np.zeros((len(events), synth.n_states, synth.n_states), dtype=pn.dtype), dp
-    counts = [len(generators) for _, generators in requests]
-    if sum(counts):
-        es = np.repeat([e for e, _ in requests], counts)
-        ls = np.concatenate([generators for _, generators in requests]).astype(np.intp, copy=False)
-        xn, dx = _scaled(np.concatenate(expansions))
-        un[es, ls] = pn[ls, es][:, None] * xn
-        du = dp * dx
+    un, du = _reduced(un, dp * dx)
     # the drift of row l of U_e @ pairing from pairing[l], kept on the generators l of mass one on e
     mass_one = pn == dp if synth.exact else np.abs(pn - 1.0) <= 1e-10
     drifts = np.where(mass_one.T, _top(un @ pn - pn * du, axis=2), 0)
     idem = _worst(_sub((un @ un, du * du), (un, du)), axis=(1, 2))
     unit_image = _worst((un @ pn[:, synth.space.unit] - pn.T * du, du * dp), axis=1)
     invariance = _worst((drifts, du * dp), axis=1)
-    us = _unscaled(un, du)
-    return {
-        e: CompressionReport(event=e, matrix=us[e], idempotency=idem[e], unit_image=unit_image[e],
-                             invariance=invariance[e])
-        for e in events
-    }
+    reports = {e: CompressionReport(idempotency=idem[e], unit_image=unit_image[e], invariance=invariance[e])
+               for e in events}
+    return (un, du), reports
 
 
 @dataclass
 class ProductModel:
-    """Synthetic compressions, multipliers, and the reconstructed product."""
+    """Synthetic compressions, multipliers, and the reconstructed product.
+
+    The compressions U_e and the multipliers T_e = (I + U_e - U_e')/2 are each
+    one (n_events, n, n) stack in event order, held as a (values, denominator)
+    pair: in lowest terms on the exact lane, over a power of two on the float
+    lane (the halving in T_e and S), so the float values keep their bits.
+    """
 
     synth: SyntheticSpace
-    compressions: dict  # event -> CompressionReport
-    multipliers: dict  # event -> T_e matrix; Fractions on the exact lane
+    compressions: tuple  # U_e stacked
+    compression_reports: dict  # event -> CompressionReport
+    multipliers: tuple  # T_e stacked
     # S[k, l] = b_k o b_l over basis_events, flattened over (k, l): (dim * dim, n_states), built from the
-    # multipliers as a (values, denominator) pair on both lanes: in lowest terms on the exact lane, over a
-    # power of two on the float lane (the halving in T_e and S), so the float values keep their bits
+    # multipliers as a (values, denominator) pair in the same form
     table: tuple = field(default=None, init=False, repr=False, compare=False)
-    # the T_e stacked in event order as a (values, denominator) pair: (n_events, n, n) and denominator
-    # (1.0 on the float lane, where T_e = (I + U_e - U_e')/2 is exact)
-    scaled_multipliers: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         synth = self.synth
         basis = list(synth.basis_events)
-        self.scaled_multipliers = tn, dt = _scaled(np.stack([self.multipliers[e] for e in synth.space.events()]))
-        pn, dp = synth.scaled_pairing
+        (tn, dt), (pn, dp) = self.multipliers, synth.pairing
         # a[k, l] = T_{b_k} pi(b_l) = an[k, l] / (dt dp); S is its symmetrization over (k, l)
         an = (tn[basis] @ pn[:, basis]).transpose(0, 2, 1)
         self.table = _reduced((an + an.transpose(1, 0, 2)).reshape(-1, synth.n_states), 2 * dt * dp)
 
     def u_apply(self, e, x):
-        return self.compressions[e].matrix @ x
+        """U_e x of an array x (n,)."""
+        (un, du), (xn, dx) = self.compressions, _scaled(x)
+        return _unscaled(un[e] @ xn, du * dx)
 
     def product(self, x, y):
         """Reconstructed x o y = sum_kl cx_k cy_l S[k, l], of one pair (n,) or row by row of two stacks (P, n).
@@ -502,26 +508,21 @@ class ProductModel:
         """
         synth = self.synth
         events = synth.space.events()
-        un, du = _scaled(np.stack([self.compressions[e].matrix for e in events]))
-        pn, dp = synth.scaled_pairing
+        (un, du), (pn, dp) = self.compressions, synth.pairing
         # images[e, k] = U_e pi(b_k), over du * dp
         images = (un @ pn[:, list(synth.basis_events)]).transpose(0, 2, 1)
         try:
             cn, d = synth.scaled_coords((images.reshape(-1, synth.n_states), du * dp))
-        except SynthesisError:
-            for e in events:
-                try:
-                    synth.scaled_coords((images[e], du * dp))
-                except SynthesisError:
-                    raise SynthesisError(f"compression of event {e} maps A outside the event span") from None
-            raise
+        except SynthesisError as exc:
+            e = exc.row // synth.dim
+            raise SynthesisError(f"compression of event {e} maps A outside the event span") from None
         return _unscaled(cn.reshape(len(events), synth.dim, synth.dim).transpose(0, 2, 1), d)
 
     def worst_symmetry(self):
         """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""
         synth = self.synth
         es, fs = np.triu_indices(synth.space.n_events, 1)
-        (tn, dt), (pn, dp) = self.scaled_multipliers, synth.scaled_pairing
+        (tn, dt), (pn, dp) = self.multipliers, synth.pairing
         # images[e, :, f] = T_e pi(f), for every pair in one stacked product
         images = tn @ pn
         residuals = _top(images[es, :, fs] - images[fs, :, es], axis=-1)
@@ -538,14 +539,15 @@ def build_product_model(synth, oracle):
     The oracle is called once, for every event on which some generator has nonzero mass.
     """
     space = synth.space
-    massive = synth.pairing != 0 if synth.exact else ~(synth.pairing <= lueders.MASS_THRESHOLD)
+    # a float pairing is over 1.0
+    massive = synth.pairing[0] != 0 if synth.exact else ~(synth.pairing[0] <= lueders.MASS_THRESHOLD)
     requests = [(e, np.flatnonzero(massive[:, e]).tolist()) for e in space.events() if massive[:, e].any()]
-    comps = build_compression(synth, requests, oracle(requests))
+    (un, du), reports = build_compression(synth, requests, oracle(requests))
     # T_e = (I + U_e - U_e')/2, stacked over the events and formed on the compressions' values
-    un, du = _scaled(np.stack([comps[e].matrix for e in space.events()]))
     comp = [space.comp(e) for e in space.events()]
     tn = np.eye(synth.n_states, dtype=un.dtype) * du + un - un[comp]
-    return ProductModel(synth=synth, compressions=comps, multipliers=dict(zip(space.events(), _unscaled(tn, 2 * du))))
+    return ProductModel(synth=synth, compressions=(un, du), compression_reports=reports,
+                        multipliers=_reduced(tn, 2 * du))
 
 
 # ---------------------------------------------------------------------------
@@ -576,7 +578,7 @@ def check_well_definedness(model):
     """
     synth = model.synth
     space = synth.space
-    (mults, dt), (pn, dp) = model.scaled_multipliers, synth.scaled_pairing
+    (mults, dt), (pn, dp) = model.multipliers, synth.pairing
     cols = pn[:, list(synth.basis_events)]
     # (T_e + T_f - T_{e+f}) pi(b) over every defined sum e + f, e <= f, both nonzero,
     # stacked _PAIR_BLOCK sums at a time
@@ -615,7 +617,7 @@ def _structure_constants(model):
     """
     synth = model.synth
     r = synth.dim
-    (sn, ds), (pn, dp) = model.table, synth.scaled_pairing
+    (sn, ds), (pn, dp) = model.table, synth.pairing
     rows = np.concatenate([sn * dp, pn[:, synth.space.unit][None] * ds])
     cn, d = _reduced(*synth.scaled_coords((rows, ds * dp)))
     return cn[:-1].reshape(r, r, r), cn[-1], d
@@ -648,7 +650,7 @@ def _decided_laws(model):
     synth = model.synth
     r = synth.dim
     cs, u, d = _structure_constants(model)
-    pn, dp = synth.scaled_pairing
+    pn, dp = synth.pairing
     basis_t = pn[:, list(synth.basis_events)].T
     ops = cs.transpose(0, 2, 1)
     flat = cs.reshape(r * r, r)
@@ -705,7 +707,7 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
     width = max(map(len, fams))
     padded = np.array([fam + [space.zero] * (width - len(fam)) for fam in fams])
     members = padded[rng.integers(len(fams), size=2 * pairs)]
-    pn, dp = synth.scaled_pairing
+    pn, dp = synth.pairing
     if synth.exact:
         coeffs, d = rng.integers(-8, 9, size=members.shape).astype(object), 4 * dp
     else:
@@ -732,7 +734,7 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
 def _span_representation(synth):
     """(independent row ids, B) with row_l = sum_i B[l, i] row_{ids[i]}: the pairing's rows through generator_coords."""
     ids = synth.coord_map[0]
-    cn, d = synth.generator_coords(synth.scaled_pairing)
+    cn, d = synth.generator_coords(synth.pairing)
     return ids, _unscaled(cn[:, ids], d)
 
 
@@ -815,15 +817,14 @@ def check_box_equality(synth):
     """Exact lane: does conv(pi(E)) exhaust the order interval [0, 1] in A?"""
     if not synth.exact:
         raise SynthesisError("box equality needs the exact lane")
-    pairing = synth.pairing
-    n_states, n_events = pairing.shape
     # the box points of span pi(E): x = (0 + B t) / D over the independent event columns, B / D of them
-    pn, dp = synth.scaled_pairing
-    span = ([0] * n_states, pn[:, list(synth.basis_events)].T.tolist(), dp)
+    pn, dp = synth.pairing
+    span = ([0] * synth.n_states, pn[:, list(synth.basis_events)].T.tolist(), dp)
     verts = statespace._enumerate_vertices(span)
-    cols = {tuple(pairing[l, e] for l in range(n_states)) for e in range(n_events)}
-    on_events = sum(1 for v in verts if tuple(v) in cols)
-    events_in_box = all(0 <= pairing[l, e] <= 1 for l in range(n_states) for e in range(n_events))
+    # a vertex is an event image when its values times dp are that event's pairing integers
+    cols = set(map(tuple, pn.T.tolist()))
+    on_events = sum(1 for v in verts if tuple(x * dp for x in v) in cols)
+    events_in_box = bool(((pn >= 0) & (pn <= dp)).all())
     return BoxReport(
         vertices=len(verts),
         vertices_on_events=on_events,
@@ -844,7 +845,7 @@ def hull_membership(synth, x):
     if not synth.exact:
         raise SynthesisError("hull membership needs the exact lane")
     xn, d = x
-    pn, dp = synth.scaled_pairing
+    pn, dp = synth.pairing
     g = math.gcd(d, dp)
     rows = (pn * (d // g)).tolist() + [[1] * pn.shape[1]]
     cost = [0] * pn.shape[1]
@@ -869,7 +870,7 @@ def compare_with_lueders(model, instance):
     basis = np.stack([h.coords for h in jordan.hermitian_basis(instance.tag, instance.n)])
     basis_evals = densities @ basis.reshape(len(basis), -1).T
     es = np.stack([e.coords for e in instance.elements])[:, None]
-    us = np.stack([model.compressions[e].matrix for e in range(len(es))])
+    us = _unscaled(*model.compressions)
     worst = 0.0
     for block in orthospace.pair_blocks(len(es), len(basis)):
         comp = kernels.quadratic(es[block], basis)
@@ -889,7 +890,7 @@ def compare_products(model, instance):
     n = len(coords)
     pairs = kernels.jordan_mul(np.repeat(coords, n, axis=0), np.tile(coords, (n, 1, 1, 1)))
     want = pairs.reshape(n * n, -1) @ densities.T
-    pis = model.synth.pairing[:, :n].T
+    pis = model.synth.pairing_values()[:, :n].T
     got = model.product(np.repeat(pis, n, axis=0), np.tile(pis, (n, 1)))
     return float(np.max(np.abs(got - want)))
 
@@ -987,7 +988,7 @@ def check_hull_density(synth, samples=25, rng=None, instance=None):
         report.box = check_box_equality(synth)
     except CapacityError:
         report.box = None  # not checked
-    pn, dp = synth.scaled_pairing
+    pn, dp = synth.pairing
     r = len(synth.basis_events)
     # each sample is sum_i (k_i / 4) pi(e_i) over the basis events, as integers over 4 dp
     draws = [[int(rng.integers(-2, 7)) for _ in range(r)] for _ in range(samples)]

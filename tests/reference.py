@@ -6,7 +6,7 @@ from itertools import chain, combinations_with_replacement, permutations
 
 import numpy as np
 
-from ucpspace import linsolve, orthospace, statespace
+from ucpspace import linsolve, orthospace, statespace, synthesis
 from ucpspace.errors import ConditioningUndefinedError, PreconditionError, SynthesisError, UcpError
 from ucpspace.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, Farkas, LpResult, verify_farkas
 
@@ -62,9 +62,15 @@ def reference_is_state(space, state):
     return not viol, viol
 
 
-# The exact-lane synthesis sweeps in Fraction arithmetic, on the model's Fraction
-# multipliers and pairing: the integer-numerator sweeps must give the same values
-# and consume the same draws.
+# The exact-lane synthesis sweeps in Fraction arithmetic, on the values of the
+# model's multipliers and pairing: the integer-numerator sweeps must give the same
+# values and consume the same draws.
+
+
+def values(pair):
+    """A (values, denominator) pair of the package as its values: Fractions on the exact lane, floats on the float
+    lane."""
+    return synthesis._unscaled(*pair)
 
 
 def _max_abs(arr):
@@ -74,7 +80,7 @@ def _max_abs(arr):
 
 def compression(synth, e, generators, expansions):
     """(U_e, idempotency, unit image, invariance) of build_compression, in Fractions."""
-    pairing = synth.pairing
+    pairing = synth.pairing_values()
     u = np.stack([synth.zeros() for _ in range(synth.n_states)])
     if generators:
         u[generators] = pairing[generators, e][:, None] * np.asarray(expansions, dtype=object)
@@ -87,7 +93,7 @@ def compression(synth, e, generators, expansions):
 def worst_symmetry(model):
     """Largest |T_e pi(f) - T_f pi(e)| over e < f, and its first pair in row-major order."""
     synth = model.synth
-    images = np.stack([model.multipliers[e] for e in synth.space.events()]) @ synth.pairing
+    images = values(model.multipliers) @ synth.pairing_values()
     es, fs = np.triu_indices(synth.space.n_events, 1)
     residuals = [_max_abs(r) for r in images[es, :, fs] - images[fs, :, es]]
     if not any(r > 0 for r in residuals):
@@ -107,14 +113,15 @@ def well_definedness(model, samples, rng):
     """
     synth = model.synth
     space = synth.space
-    mults = model.multipliers
+    mults = values(model.multipliers)
+    cols = synth.pairing_values()[:, list(synth.basis_events)]
     worst_triple = 0
     for e in space.events():
         for f in range(e, space.n_events):
             s = space.sum_of(e, f)
             if s is None or space.zero in (e, f):
                 continue
-            worst_triple = max(worst_triple, _max_abs((mults[e] + mults[f] - mults[s]) @ synth.basis_cols))
+            worst_triple = max(worst_triple, _max_abs((mults[e] + mults[f] - mults[s]) @ cols))
     families = [fam for fam in orthospace.maximal_orthogonal_families(space) if len(fam) > 1]
     regroups = []
     menu = [Fraction(1), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2)]
@@ -129,7 +136,7 @@ def well_definedness(model, samples, rng):
             continue
         direct = sum(mults[g] * c for g, c in zip(fam, coeffs))
         grouped = sum(mults[g] * c for c, g in merged)
-        regroups.append((_max_abs((direct - grouped) @ synth.basis_cols), len(fam)))
+        regroups.append((_max_abs((direct - grouped) @ cols), len(fam)))
     return worst_triple, regroups
 
 
@@ -198,17 +205,19 @@ def sampled_norm_laws(model, pairs, rng):
 
 def generator_expansion(synth, x):
     """The solve_affine solution c of c @ pairing = x that is zero on the free generators, or None."""
-    pairing = synth.pairing
+    pairing = synth.pairing_values()
     a_rows = [[pairing[m, j] for m in range(synth.n_states)] for j in range(synth.space.n_events)]
     sol = linsolve.solve_affine(a_rows, list(x))
     return None if sol is None else sol[0]
 
 
 def expansion_oracle(synth, polytope):
-    """polytope_expansion_oracle with one solve_affine per (event, generator)."""
+    """polytope_expansion_oracle with one solve_affine per (event, generator), interleaved with the verdicts:
+    every expansion as one row of Fractions, over 1."""
+    pairing = synth.pairing_values()
 
     def expand(l, e):
-        verdict = statespace.check_conditional_uniqueness(polytope, statespace.State(tuple(synth.pairing[l])), e)
+        verdict = statespace.check_conditional_uniqueness(polytope, statespace.State(tuple(pairing[l])), e)
         if verdict.verdict != statespace.UNIQUE:
             err = SynthesisError(f"conditional of generator {l} under event {e} is {verdict.verdict}")
             err.generator, err.event, err.verdict = l, e, verdict
@@ -219,14 +228,15 @@ def expansion_oracle(synth, polytope):
         return sol
 
     def oracle(requests):
-        return [[expand(l, e) for l in generators] for e, generators in requests]
+        rows = [expand(l, e) for e, generators in requests for l in generators]
+        return np.array(rows, dtype=object).reshape(len(rows), synth.n_states), 1
 
     return oracle
 
 
 def span_representation(synth):
     """(independent generator ids, B) with row_l = sum_i B[l, i] row_{ids[i]}, one solve_affine per generator."""
-    pairing = synth.pairing
+    pairing = synth.pairing_values()
     rows = [list(pairing[l]) for l in range(synth.n_states)]
     ids = linsolve.independent_subset(rows)
     a_rows = [[rows[i][j] for i in ids] for j in range(synth.space.n_events)]
@@ -472,7 +482,7 @@ def fraction_mixture_identity(polytope, mu, nu, s, e):
 
 def fraction_hull_membership(synth, x):
     """Is the Fraction point x a convex combination of the pi(e)?  fraction_solve_lp on the pairing's Fractions."""
-    pairing = synth.pairing
+    pairing = synth.pairing_values()
     n_states, n_events = pairing.shape
     a_eq = [[pairing[l, e] for e in range(n_events)] for l in range(n_states)]
     a_eq.append([Fraction(1)] * n_events)

@@ -698,6 +698,20 @@ class TestSynthesize:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "178094400825d1cef0bb7f5ffb8f245a0466b2fb71076c7afb1e2f4cc6028342"
 
+    @pytest.mark.parametrize("input_name, seed, want", [
+        # the float lane: Lüders oracle, compressions, decided and sampled laws, density certificate, dump
+        ("qubit_projs", "5", "96fb3cd9d0289ad7c6c32ce04f38ab92d37be68645274245203a89aad6b26bff"),
+        ("qutrit5", "7", "a19515f46cf507c3b0e9365df019a47ae31b9dfafecded5a8d8c7647c649ab88"),
+    ])
+    def test_float_report_is_unchanged(self, files, input_name, seed, want):
+        code, out, _ = invoke(
+            ["synthesize", "--input", files[input_name], "--seed", seed, "--format", "structured"]
+        )
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
+
     def test_box_past_the_vertex_cap_is_not_checked(self, files, monkeypatch):
         # enumerating the interval's vertices would pass the cap: box equality is not checked (null), every
         # other check runs, and pass or fail follows the extreme points (2 of 8 on the MO_3 cross states)

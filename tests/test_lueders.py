@@ -176,11 +176,12 @@ class TestConditionStack:
         synth = synthesis.matrix_synthetic_space(inst)
         oracle = synthesis.lueders_expansion_oracle(synth, inst)
         e = 2  # pz: the density of its complement has zero mass on it
-        zero = [l for l in range(synth.n_states) if synth.pairing[l, e] <= lueders.MASS_THRESHOLD]
+        zero = [l for l in range(synth.n_states) if synth.pi(e)[l] <= lueders.MASS_THRESHOLD]
         live = [l for l in range(synth.n_states) if l not in zero]
         assert zero and live
         unit = [(inst.space.unit, live)]
-        assert [len(x) for x in oracle(unit + [(e, live)])] == [len(live), len(live)]
+        expansions, d = oracle(unit + [(e, live)])
+        assert expansions.shape == (2 * len(live), synth.n_states) and d == 1.0
         with pytest.raises(ConditioningUndefinedError, match="event mass"):
             oracle(unit + [(e, [live[0], zero[0], live[-1]])])
 

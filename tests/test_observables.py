@@ -1,11 +1,14 @@
 """Finite observables: radii, expectations, representability, order checks."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ucpspace import instances, jordan
+from ucpspace import instances, jordan, orthospace
 from ucpspace.errors import CapacityError, PreconditionError, StructuralError
 from ucpspace.observables import (
     NOT_REPRESENTABLE,
@@ -21,6 +24,7 @@ from ucpspace.observables import (
 )
 from ucpspace.statespace import build_state_polytope, generated_polytope
 from ucpspace.synthesis import (
+    FLOAT_TOL,
     abstract_synthetic_space,
     build_product_model,
     lueders_expansion_oracle,
@@ -219,6 +223,35 @@ class TestSumRepresentability:
         got = sorted(float(val) for val in v.observable.values())
         expect = sorted([1 - 1 / np.sqrt(2), 1 + 1 / np.sqrt(2)])
         assert got == pytest.approx(expect, abs=1e-8)
+
+
+@functools.cache
+def qutrit_model(family_seed):
+    return matrix_model(instances.qutrit_instance(seed=family_seed))
+
+
+class TestFloatLaneScales:
+    """The float lane's norm identity and sum check, for observables far from 1 in size."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_tolerances_scale_with_the_observables(self, data):
+        # two observables on one unit-summing family, values of size 10^k for k in [-6, 12]: the
+        # representing element's norm is the spectral radius and the sum resolves over the family
+        model = qutrit_model(data.draw(st.sampled_from([5, 7671])))
+        synth, space = model.synth, model.synth.space
+        fams = [f for f in orthospace.maximal_orthogonal_families(space)
+                if orthospace.iterated_sum(space, f) == space.unit]
+        fam = data.draw(st.sampled_from(fams))
+        scale = 10.0 ** data.draw(st.floats(-6, 12))
+        value = st.floats(0.1, 1.0).flatmap(lambda v: st.sampled_from([v * scale, -v * scale]))
+        y, z = (observable(space, [(data.draw(value), e) for e in fam]) for _ in range(2))
+        radius = spectral_radius(y) + spectral_radius(z)
+        coords = representing_element(synth, y)
+        assert abs(synth.norm(coords) - spectral_radius(y)) <= FLOAT_TOL * spectral_radius(y)
+        v = check_sum_representability(model, y, z)
+        assert v.representable
+        assert v.residual <= FLOAT_TOL * radius
 
 
 class TestCertaintyOrder:
