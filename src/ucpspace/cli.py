@@ -69,18 +69,12 @@ def _load_polytope(space, states_arg):
 
 
 def _atoms(space):
-    """Minimal nonzero events."""
-    out = []
-    for e in space.events():
-        if e == space.zero:
-            continue
-        if any(
-            f not in (space.zero, e) and orthospace.precedes(space, f, e)
-            for f in space.events()
-        ):
-            continue
-        out.append(e)
-    return out
+    """Minimal nonzero events: those that no nonzero event other than themselves precedes."""
+    # below[f, e]: f precedes e, f ortho the complement of e (orthospace.precedes)
+    below = space.ortho[:, space.complement]
+    below[space.zero] = False
+    np.fill_diagonal(below, False)
+    return [e for e in np.flatnonzero(~below.any(axis=0)).tolist() if e != space.zero]
 
 
 # ---------------------------------------------------------------------------

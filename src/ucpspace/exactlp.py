@@ -1,9 +1,7 @@
-"""Exact rational linear programming: dense two-phase simplex on integer rows, Bland's rule.
+"""Exact rational linear programming: two-phase simplex on sparse integer rows, Bland's rule.
 
 All verdict-bearing optimizations in the toolkit run through this solver, so
-results are exact and anti-cycling is guaranteed (Bland's rule).  Problems
-here are tiny (a few dozen variables), so a full dense tableau is the right
-tool.
+results are exact and anti-cycling is guaranteed (Bland's rule).
 
 Interface:
 
@@ -18,14 +16,17 @@ certificate y (y.A <= 0 on every column while y.b > 0), replayable via
 `verify_farkas`.
 
 The tableau holds no fraction (the integer-preserving pivoting of Edmonds
-1967 and Bareiss 1968, with gcd division in place of their exact divisor).
-Each row is a list of coprime ints, scaled once by `linsolve.scale_to_ints`:
-a positive multiple of the true tableau row, and the multiple is the row's
-entry in its basic column (where the true row holds 1).  The objective row is
-a pair [ints, den] with den > 0 that stands for ints / den.  A pivot on
-(r, c) first negates row r if its entry p at c is negative, then sets every
-other row to row * p - row[c] * row_r and divides it by the gcd of its
-entries (the objective by the gcd of its entries and den * p).  The ratio
+1967 and Bareiss 1968, with gcd division in place of their exact divisor),
+and it runs on `linsolve`'s row kernel.  Each row is a {column: int} dict
+over its nonzero entries, built from the row `linsolve.scale_to_ints` scaled,
+its rhs under the reserved key _RHS, and primitive: a positive multiple
+of the true tableau row, and the multiple is the row's entry in its basic
+column (where the true row holds 1).  The objective row is one more such
+dict, which also keeps its denominator den > 0 under _DEN and stands for its
+entries / den.  A pivot on (r, c) first negates row r if its entry at c is
+negative, then clears column c of every other row and of the objective with
+`linsolve._clear` (r <- a r - b p, divided by the gcd of its entries; the
+objective's den is scaled by a, and divided by the same gcd).  The ratio
 test compares rhs_i / a_i by cross-multiplication, both a_i > 0, and breaks
 ties on the lower basis index.  Since every comparison reads the sign of the
 true value, Bland's rule takes the pivots the Fraction tableau takes, and x,
@@ -44,17 +45,19 @@ y_i = -(reduced cost of the column it started on).  A certificate that fails
 `verify_farkas` raises UcpError; exact arithmetic never produces one.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
 from .errors import UcpError
-from .linsolve import scale_to_ints
+from .linsolve import _clear, scale_to_ints
 
 OPTIMAL = "OPTIMAL"
 INFEASIBLE = "INFEASIBLE"
 UNBOUNDED = "UNBOUNDED"
+
+# reserved keys of a tableau row: its rhs, and the objective row's denominator
+_RHS, _DEN = -1, -2
 
 
 @dataclass
@@ -88,57 +91,35 @@ def verify_farkas(cert):
     return True
 
 
-def _primitive(row):
-    g = math.gcd(*row)
-    return row if g == 1 else [v // g for v in row]
-
-
-def _combine(row, prow, c):
-    """row * p - row[c] * prow with p = prow[c] > 0: zero at c, a positive multiple elsewhere."""
-    f, p = row[c], prow[c]
-    if p == 1:  # a unit pivot entry is common, and skipping the products pays on pivot-heavy LPs
-        return [v - f * w for v, w in zip(row, prow)]
-    return [v * p - f * w for v, w in zip(row, prow)]
-
-
-def _clear_objective(obj, prow, c):
-    """Clear column c of the objective pair [ints, den] with the row prow (prow[c] > 0)."""
-    if obj[0][c]:
-        ints, den = _combine(obj[0], prow, c), obj[1] * prow[c]
-        g = math.gcd(den, *ints)
-        obj[:] = ([v // g for v in ints], den // g) if g > 1 else (ints, den)
-
-
 def _pivot(rows, basis, obj, r, c):
-    """Pivot on (r, c); obj is the objective pair, or None when it is not kept."""
+    """Pivot on (r, c); obj is the objective row, or None when it is not kept."""
     prow = rows[r]
     if prow[c] < 0:
-        prow = rows[r] = [-v for v in prow]
+        prow = rows[r] = {j: -v for j, v in prow.items()}
     for i, row in enumerate(rows):
-        if i != r and row[c]:
-            rows[i] = _primitive(_combine(row, prow, c))
-    if obj is not None:
-        _clear_objective(obj, prow, c)
+        if i != r and c in row:
+            _clear(row, prow, c)
+    if obj is not None and c in obj:
+        _clear(obj, prow, c)
     basis[r] = c
 
 
 def _simplex(rows, basis, obj, ncols):
-    """Bland-rule simplex minimizing the objective pair over the first ncols columns."""
+    """Bland-rule simplex minimizing the objective row over the first ncols columns."""
     while True:
-        costs = obj[0]
-        enter = next((j for j in range(ncols) if costs[j] < 0), None)
+        enter = next((j for j in range(ncols) if obj.get(j, 0) < 0), None)
         if enter is None:
             return OPTIMAL
         leave = None
         for i, row in enumerate(rows):
-            a = row[enter]
+            a = row.get(enter, 0)
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                # row[-1] / a against the best ratio so far, by cross-multiplication
+                # rhs / a against the best ratio so far, by cross-multiplication
                 # (both denominators are positive)
-                lhs, rhs = row[-1] * rows[leave][enter], rows[leave][-1] * a
+                lhs, rhs = row.get(_RHS, 0) * rows[leave][enter], rows[leave].get(_RHS, 0) * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
@@ -172,29 +153,30 @@ def solve_lp(c, a_eq, b_eq, maximize=False):
     art_rows = [i for i in range(m) if start[i] is None]
     for k, i in enumerate(art_rows):
         start[i] = ncols + k
-    width = ncols + len(art_rows)
+    # fresh rows: _clear updates them in place, and the certificate is built from `scaled`.
+    # Each row holds den, at its artificial or its unit column, so it is primitive: for each
+    # prime power p^k of den, the entry whose denominator had p^k is not divisible by p.
     rows = []
     for (nz, den), f, j0 in zip(scaled, flip, start):
-        row = [0] * (width + 1)
-        for j, v in nz.items():
-            row[j if j < ncols else width] = f * v
+        row = {j if j < ncols else _RHS: f * v for j, v in nz.items()}
         if j0 >= ncols:
             row[j0] = den  # the artificial's 1, times the row's multiple
-        rows.append(_primitive(row))
+        rows.append(row)
     basis = list(start)
     if art_rows:
         # phase 1: the sum of the artificials, cleared on the basis (minus the
         # sum of the artificial rows, zero on the artificials)
-        obj = [[int(j >= ncols) for j in range(width)] + [0], 1]
+        width = ncols + len(art_rows)
+        obj = dict.fromkeys(range(ncols, width), 1)
+        obj[_DEN] = 1
         for i in art_rows:
-            _clear_objective(obj, rows[i], start[i])
+            _clear(obj, rows[i], start[i])
         _simplex(rows, basis, obj, width)
-        ints, den = obj
-        if ints[-1] < 0:
+        if obj.get(_RHS, 0) < 0:
             # the objective row keeps the form cost_row - y.rows, so y_i is read
             # off row i's starting column: 1 - entry under an artificial (cost 1),
             # minus the entry under an original column (cost 0)
-            y = [int(j >= ncols) - Fraction(ints[j], den) for j in start]
+            y = [int(j >= ncols) - Fraction(obj.get(j, 0), obj[_DEN]) for j in start]
             a_rows = [[Fraction(f * nz.get(j, 0), q) for j in range(ncols)] for (nz, q), f in zip(scaled, flip)]
             b = [Fraction(f * nz.get(ncols, 0), q) for (nz, q), f in zip(scaled, flip)]
             cert = Farkas(a_rows=a_rows, b=b, y=y)
@@ -205,22 +187,24 @@ def solve_lp(c, a_eq, b_eq, maximize=False):
         # drive artificials out of the basis where possible
         for i in range(m):
             if basis[i] >= ncols:
-                pivot_col = next((j for j in range(ncols) if rows[i][j]), None)
+                pivot_col = min((j for j in rows[i] if 0 <= j < ncols), default=None)
                 if pivot_col is not None:
                     _pivot(rows, basis, None, i, pivot_col)
-        # rows still basic in an artificial are identically zero: drop them
+        # rows still basic in an artificial are zero outside the artificials: drop
+        # them; phase 2 enters no artificial, so their columns stay out of the basis
         keep = [i for i in range(m) if basis[i] < ncols]
-        rows = [_primitive(rows[i][:ncols] + rows[i][-1:]) for i in keep]
+        rows = [rows[i] for i in keep]
         basis = [basis[i] for i in keep]
 
     # phase 2
-    obj = [[sign * cost.get(j, 0) for j in range(ncols + 1)], cost_den]
+    obj = {j: sign * v for j, v in cost.items()}
+    obj[_DEN] = cost_den
     for row, bi in zip(rows, basis):
-        _clear_objective(obj, row, bi)
+        if bi in obj:
+            _clear(obj, row, bi)
     if _simplex(rows, basis, obj, ncols) == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
     x = [Fraction(0)] * ncols
     for row, bi in zip(rows, basis):
-        x[bi] = Fraction(row[-1], row[bi])
-    ints, den = obj
-    return LpResult(OPTIMAL, x, -sign * Fraction(ints[-1], den))
+        x[bi] = Fraction(row.get(_RHS, 0), row[bi])
+    return LpResult(OPTIMAL, x, -sign * Fraction(obj.get(_RHS, 0), obj[_DEN]))

@@ -4,13 +4,15 @@
 Each input row is scaled once to coprime integers and kept as a dict over its
 nonzero columns.  Rows join one at a time: a row is cleared in the pivot
 columns found so far, its leading column becomes a new pivot, and that column
-is cleared from the earlier pivot rows.  An update r <- a r - b p touches only
-the nonzero entries of the pivot row p (and scales r when a is not 1), and the
-updated row is divided by the gcd of its entries, so no fraction is ever
-formed (the integer-preserving elimination of Bareiss 1968, with gcd division
-in place of his exact divisor).  Fractions are built once, from the reduced
-rows.  The reduced row echelon form is canonical, so the order in which rows
-join does not change it, and a column's pivot is the leading entry of a row.
+is cleared from the earlier pivot rows.  The update is `_clear`: r <- a r - b p
+in place, touching only the nonzero entries of the pivot row p (and scaling r
+when a is not 1), then `_primitive` divides the row by the gcd of its
+entries, so no fraction is ever formed (the integer-preserving elimination of
+Bareiss 1968, with gcd division in place of his exact divisor).  These two
+are the row kernel of the exact core: `exactlp`'s simplex pivots its tableau
+rows with them too.  Fractions are built once, from the reduced rows.  The
+reduced row echelon form is canonical, so the order in which rows join does
+not change it, and a column's pivot is the leading entry of a row.
 
 Entries must be exact: int or Fraction (any `numbers.Rational`); any other
 entry raises TypeError.  There is no float mode.  `scale_to_ints` is the
@@ -62,12 +64,16 @@ def _int_row(row):
 
 
 def _primitive(row):
+    """The row divided, in place, by the gcd of its entries; returned."""
     g = math.gcd(*row.values())
-    return row if g <= 1 else {j: v // g for j, v in row.items()}
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
 
 
 def _clear(r, p, c):
-    """r <- a r - b p with coprime a > 0 and b, so that r[c] = 0; returned primitive."""
+    """r <- a r - b p in place, with coprime a > 0 and b so that r[c] = 0; returned primitive."""
     g = math.gcd(r[c], p[c])
     a, b = p[c] // g, r[c] // g
     if a != 1:

@@ -14,7 +14,8 @@ error, and the sparse/enriched instance pairs exist to exhibit both answers.
 The certainty order asks whether every state certain of e is certain of f,
 and if so whether pi(f) - pi(e) is positive in the model.  The states certain
 of e form a face of the state polytope, so the generator list (the vertices,
-for a full polytope) answers the first question without an LP.
+for a full polytope) answers the first question without an LP, exactly: the
+generators are exact states.
 
 At finite dimension a bounded monotone sequence of primitive elements has
 finitely many distinct terms, so the countable monotone-continuity variants
@@ -292,17 +293,14 @@ def check_certainty_order(synth, polytope, e, f):
     mu(e) <= 1 holds on the whole polytope, so {mu : mu(e) = 1} is a face of
     it, and mu(f) takes its minimum over that face at a vertex: a scan of the
     generators decides the hypothesis, listed states or the full polytope's
-    vertices (CapacityError past the vertex cap).  Exact generators compare
-    exactly, float generators within synthesis.FLOAT_TOL.
+    vertices (CapacityError past the vertex cap).  The generators are exact
+    states, and their values compare exactly.
     """
-    gens = polytope.generators
-    exact = polytope.exact
-    tol = synthesis.FLOAT_TOL
-    certain = [g for g in gens if (g[e] == 1 if exact else float(g[e]) >= 1 - tol)]
+    certain = [g for g in polytope.generators if g[e] == 1]
     if not certain:
         return CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True)
     low = min(g[f] for g in certain)
-    holds = low == 1 if exact else float(low) >= 1 - tol
+    holds = low == 1
     verdict = CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False, min_value=low)
     if holds:
         verdict.order_holds = synth.is_positive(synth.pi(f) - synth.pi(e))

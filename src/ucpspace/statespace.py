@@ -145,11 +145,11 @@ def is_state(space, state):
     viol = [("unit", vals[space.unit])] if vals[space.unit] != 1 else []
     viol += [("range", e, v) for e, v in enumerate(vals) if not 0 <= v <= 1]
     viol += [("additivity", e, f, vals[e] + vals[f], vals[s])
-             for e, f, s in _additivity(space).values() if vals[e] + vals[f] != vals[s]]
+             for e, f, s in additivity(space).values() if vals[e] + vals[f] != vals[s]]
     return not viol, viol
 
 
-def _additivity(space):
+def additivity(space):
     """Each distinct additivity equation (events at +1, events at -1), with the first
     orthogonal pair e <= f, in np.triu order, that gives it, as (e, f, e + f)."""
     st = space.sum_table
@@ -166,10 +166,10 @@ def state_rows(space):
 
     The unit row x_unit = 1, then x_e + x_f - x_{e+f} = 0 for each orthogonal
     pair e <= f with a defined sum, cancelled within the row and kept at its
-    first occurrence (`_additivity`).  An event at coefficient 2 is listed
+    first occurrence (`additivity`).  An event at coefficient 2 is listed
     twice: only a nonzero event orthogonal to itself with e + e != e gives one.
     """
-    return [((space.unit,), (), 1)] + [(plus, minus, 0) for plus, minus in _additivity(space)]
+    return [((space.unit,), (), 1)] + [(plus, minus, 0) for plus, minus in additivity(space)]
 
 
 def _dense(plus, minus, n):
@@ -195,10 +195,6 @@ class StatePolytope:
     _families: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # full polytope: rank of the pin rows over the parametrization's nullspace basis, by constraint events
     _pin_ranks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    @property
-    def exact(self):
-        return self.listed is None or all(g.exact for g in self.listed)
 
     @functools.cached_property
     def generators(self):
@@ -748,8 +744,6 @@ def _uc_full(slc):
 
 def _uc_generated(slc):
     """Over convex coefficients lambda >= 0 of the generators: sum 1 and each target met, one cost per event."""
-    if not slc.polytope.exact:
-        raise PreconditionError("generator-list uniqueness check needs exact rational generators")
     gens = slc.polytope.generators
     a_eq = [[Fraction(1)] * len(gens)] + [[_frac(gen[f]) for gen in gens] for f in slc.constraint_events]
     # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L

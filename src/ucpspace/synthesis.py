@@ -281,26 +281,31 @@ def _raise_at_first(outside, message):
         raise err
 
 
-def _check_state_rows(space, rows, exact):
-    if exact:
-        for ix, row in enumerate(rows):
-            ok, viol = statespace.is_state(space, statespace.State(tuple(Fraction(v) for v in row)))
-            if not ok:
-                raise SynthesisError(f"generator {ix} is not a state: {viol[0]}")
-        return
-    r = np.asarray(rows, dtype=np.float64)
-    out_of_range = (
-        (np.abs(r[:, space.unit] - 1.0) > FLOAT_TOL) | (r.min(axis=1) < -FLOAT_TOL) | (r.max(axis=1) > 1 + FLOAT_TOL)
-    )
+def _check_state_rows(space, pairing, exact):
+    """Raise SynthesisError at the first generator row of the pairing that is not a state.
+
+    One stacked pass checks every row against the unit, the [0, 1] range and
+    each state equation (exactly on the integers over d, within FLOAT_TOL on
+    the floats).  On the exact lane the message carries `is_state`'s first
+    violation of the failing row.
+    """
+    pn, d = pairing
+    tol = 0 if exact else FLOAT_TOL
     # the first pair (e, f) and sum s of each state equation, as state_rows lists them
-    e, f, s = np.array(list(statespace._additivity(space).values()), dtype=np.int64).reshape(-1, 3).T
-    not_additive = np.abs(r[:, e] + r[:, f] - r[:, s]) > FLOAT_TOL
-    for ix in range(len(r)):
-        if out_of_range[ix]:
-            raise SynthesisError(f"generator {ix} is not a state (mass or range)")
-        if not_additive[ix].any():
-            t = int(np.argmax(not_additive[ix]))
-            raise SynthesisError(f"generator {ix} is not additive on ({e[t]}, {f[t]})")
+    e, f, s = np.array(list(statespace.additivity(space).values()), dtype=np.int64).reshape(-1, 3).T
+    out_of_range = (abs(pn[:, space.unit] - d) > tol) | (pn.min(axis=1) < -tol) | (pn.max(axis=1) > d + tol)
+    not_additive = abs(pn[:, e] + pn[:, f] - pn[:, s]) > tol
+    failed = np.flatnonzero(out_of_range | not_additive.any(axis=1))
+    if not len(failed):
+        return
+    ix = int(failed[0])
+    if exact:
+        _, viol = statespace.is_state(space, statespace.State.from_integers(pn[ix].tolist(), d))
+        raise SynthesisError(f"generator {ix} is not a state: {viol[0]}")
+    if out_of_range[ix]:
+        raise SynthesisError(f"generator {ix} is not a state (mass or range)")
+    t = int(np.argmax(not_additive[ix]))
+    raise SynthesisError(f"generator {ix} is not additive on ({e[t]}, {f[t]})")
 
 
 def build_synthetic_space(space, value_rows, exact):
@@ -308,8 +313,12 @@ def build_synthetic_space(space, value_rows, exact):
     rows = [list(r) for r in value_rows]
     if not rows:
         raise SynthesisError("no state generators")
-    _check_state_rows(space, rows, exact)
+    for ix, row in enumerate(rows):
+        if len(row) != space.n_events:
+            _, viol = statespace.is_state(space, statespace.State(tuple(row)))
+            raise SynthesisError(f"generator {ix} is not a state: {viol[0]}")
     pn, dp = pairing = _scaled(np.array(rows, dtype=object if exact else np.float64))
+    _check_state_rows(space, pairing, exact)
     picked = linsolve.independent_subset(pn.T.tolist()) if exact else _independent_columns_float(pn)
     dim = len(picked)
     if dim == 0:

@@ -486,6 +486,27 @@ class TestReplay:
         assert digest == "b63133fbf5f8daa3ffa04db239298241066250221dddb5aad809912101237575"
 
 
+def pairwise_atoms(space):
+    """Minimal nonzero events, asking orthospace.precedes of every pair."""
+    return [
+        e for e in space.events()
+        if e != space.zero
+        and not any(f not in (space.zero, e) and orthospace.precedes(space, f, e) for f in space.events())
+    ]
+
+
+@pytest.mark.parametrize(
+    "space",
+    [orthospace.boolean_orthospace(3), orthospace.boolean_orthospace(4), instances.mo_orthospace(3),
+     orthospace.horizontal_sum([orthospace.boolean_orthospace(2), orthospace.boolean_orthospace(3)])],
+    ids=["bool3", "bool4", "mo3", "hsum-2-3"],
+)
+def test_atoms_match_the_pair_loop(space):
+    atoms = cli._atoms(space)
+    assert atoms == pairwise_atoms(space) and atoms
+    assert all(type(a) is int for a in atoms)
+
+
 class TestCondition:
     def test_matrix_worked_example(self, files):
         code, out, _ = invoke(["condition", "--input", files["qubit_cond"], "1", "2"])

@@ -315,20 +315,19 @@ def test_integer_rows_match_fraction_reference(monkeypatch):
 
 def test_tableau_rows_stay_coprime_and_positive_at_their_basis(monkeypatch):
     # after every pivot each row is primitive and positive in its basic column,
-    # zero in every other basic column, and the objective pair is reduced with
+    # zero in every other basic column, and the objective row is reduced with
     # den > 0 and zero in every basic column
     pivot, checked = exactlp._pivot, []
 
     def checking_pivot(rows, basis, obj, r, c):
         pivot(rows, basis, obj, r, c)
         for i, row in enumerate(rows):
-            assert math.gcd(*row) == 1
-            assert row[basis[i]] > 0
-            assert all(row[b] == 0 for k, b in enumerate(basis) if k != i)
+            assert math.gcd(*row.values()) == 1
+            assert row.get(basis[i], 0) > 0
+            assert all(row.get(b, 0) == 0 for k, b in enumerate(basis) if k != i)
         if obj is not None:
-            ints, den = obj
-            assert den > 0 and math.gcd(den, *ints) == 1
-            assert all(ints[b] == 0 for b in basis)
+            assert obj[exactlp._DEN] > 0 and math.gcd(*obj.values()) == 1
+            assert all(obj.get(b, 0) == 0 for b in basis)
         checked.append(obj is None)
 
     monkeypatch.setattr(exactlp, "_pivot", checking_pivot)
@@ -339,6 +338,26 @@ def test_tableau_rows_stay_coprime_and_positive_at_their_basis(monkeypatch):
         exactlp.solve_lp(*_big_denominators(rng, c, a_eq, b_eq), maximize=maximize)
     # both kinds of pivot ran: simplex pivots and pivots that drive an artificial out
     assert checked.count(False) >= 1000 and checked.count(True) >= 20, (checked.count(False), checked.count(True))
+
+
+def test_starting_rows_are_primitive(monkeypatch):
+    # every row is primitive whenever a simplex phase starts; the starting rows need no gcd
+    # division: each holds its row's multiple den, at its artificial or its unit column,
+    # which leaves no common prime factor
+    simplex, checked = exactlp._simplex, []
+
+    def checking_simplex(rows, basis, obj, ncols):
+        assert all(math.gcd(*row.values()) == 1 for row in rows)
+        checked.append(obj)
+        return simplex(rows, basis, obj, ncols)
+
+    monkeypatch.setattr(exactlp, "_simplex", checking_simplex)
+    rng = np.random.default_rng(20261022)
+    for _ in range(600):
+        c, a_eq, b_eq, maximize, _, _ = _random_lp(rng)
+        exactlp.solve_lp(c, a_eq, b_eq, maximize=maximize)
+        exactlp.solve_lp(*_big_denominators(rng, c, a_eq, b_eq), maximize=maximize)
+    assert len(checked) >= 1200
 
 
 @pytest.mark.parametrize("bad", [0.1, np.float64(0.5), "1/2", complex(1, 0)], ids=["float", "float64", "str", "complex"])

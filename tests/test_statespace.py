@@ -447,6 +447,15 @@ class TestConditionalUniqueness:
         assert v.verdict == UNIQUE
         assert v.conditional[1] == F(2, 5)
 
+    def test_float_generators_raise_type_error(self, bool3, bool3_poly):
+        # listed states are exact: a float one reaching the LP is refused as State.integers refuses it
+        floats = [State(tuple(float(v) for v in g.values)) for g in bool3_poly.generators]
+        mu = instances.boolean_state([F(1, 5), F(3, 10), F(1, 2)])
+        with pytest.raises(TypeError, match="exact rational required, got float"):
+            check_conditional_uniqueness(generated_polytope(bool3, floats), mu, 3)
+        with pytest.raises(TypeError, match="exact rational required, got float"):
+            floats[0].integers
+
     def test_generated_mode_lp_count(self, bool3, bool3_poly, monkeypatch):
         # a min and a max LP per event and no separate feasibility LP: a UNIQUE
         # slice takes 2n solves, and an EMPTY one stops at the first min LP,

@@ -215,6 +215,61 @@ class TestStateRows:
         assert str(got.value) == want
 
 
+def reference_exact_row_error(space, rows):
+    """The message of the first generator row that `is_state` rejects, checked row by row, or None."""
+    for ix, row in enumerate(rows):
+        ok, viol = statespace.is_state(space, statespace.State(tuple(F(v) for v in row)))
+        if not ok:
+            return f"generator {ix} is not a state: {viol[0]}"
+    return None
+
+
+class TestExactStateRows:
+    # (generator, event, new value) edits on exact rows: a unit break, a range
+    # break (which also breaks additivity), additivity breaks inside [0, 1], and
+    # two broken generators, of which the first is named
+    @pytest.mark.parametrize(
+        "space_name, edits",
+        [("bool3", [(1, 7, F(1, 2))]), ("bool3", [(2, 4, F(-1, 3))]), ("bool3", [(0, 3, F(1, 2))]),
+         ("bool3", [(3, 6, F(4, 3)), (1, 5, F(1, 7))]), ("mo3", [(2, 1, F(2, 3))]), ("mo3", [(4, 0, F(1, 9))])],
+        ids=["unit", "range", "additivity", "two-rows", "mo3-additivity", "mo3-zero"],
+    )
+    def test_messages_are_is_state_first_violation(self, space_name, edits):
+        if space_name == "bool3":
+            space = orthospace.boolean_orthospace(3)
+            gens = build_state_polytope(space).generators
+            rows = [list(g.values) for g in gens + [statespace.mix_states(gens[0], gens[2], F(2, 5))]]
+        else:
+            space = instances.mo_orthospace(3)
+            rows = [list(g.values) for g in instances.cross_states(3)]
+        for ix, e, v in edits:
+            rows[ix][e] = v
+        want = reference_exact_row_error(space, rows)
+        assert want is not None
+        with pytest.raises(SynthesisError) as got:
+            build_synthetic_space(space, rows, exact=True)
+        assert str(got.value) == want
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("own", [0, 1], ids=["all-other", "mixed-lengths"])
+    def test_states_of_another_space(self, bool2, bool3_poly, own, exact):
+        # rows of another length are named with is_state's length violation, ragged lists too
+        rows = [list(g.values) for g in bool3_poly.generators[:own] + build_state_polytope(bool2).generators]
+        want = reference_exact_row_error(bool3_poly.space, rows)
+        assert want == f"generator {own} is not a state: ('length', 4, 8)"
+        with pytest.raises(SynthesisError) as got:
+            build_synthetic_space(bool3_poly.space, rows, exact=exact)
+        assert str(got.value) == want
+
+    def test_equations_listed_once(self, bool3_poly, monkeypatch):
+        # every row is checked in one pass: the state equations are listed once, not once per row
+        gens, calls = bool3_poly.generators, []
+        additivity = statespace.additivity
+        monkeypatch.setattr(statespace, "additivity", lambda space: calls.append(1) or additivity(space))
+        abstract_synthetic_space(bool3_poly.space, gens)
+        assert len(calls) == 1
+
+
 class TestCompressions:
     def test_unit_compression_is_identity(self, bool3_model):
         u = reference.values(bool3_model.compressions)[bool3_model.synth.space.unit]
@@ -582,6 +637,52 @@ class TestDecidedLaws:
     def test_float_lane_within_rounding(self, family_seed):
         laws = check_laws_on_reconstruction(float_model(family_seed), pairs=8, rng=np.random.default_rng(0))
         assert max(getattr(laws, name) for name in DECIDED_FIELDS) <= 1e-12
+
+
+class TestBothLanesOnTheQubit:
+    """One event system on both lanes: the qubit's events, with its six Pauli eigenstates listed exactly
+    on the exact lane, and its densities and the Lueders oracle on the float lane."""
+
+    @pytest.fixture(scope="class")
+    def models(self, qubit, qubit_model):
+        els = qubit.elements
+        # values tr(p e) of each rank-one projection p: 0, 1/2 and 1
+        states = [statespace.State(tuple(F(round(2 * jordan.inner(p, e)), 2) for e in els))
+                  for p in els if abs(jordan.trace(p) - 1) < 1e-12]
+        assert len(states) == 6 and all(v in (0, F(1, 2), 1) for s in states for v in s.values)
+        synth = abstract_synthetic_space(qubit.space, states)
+        poly = statespace.generated_polytope(qubit.space, states)
+        return build_product_model(synth, polytope_expansion_oracle(synth, poly)), qubit_model
+
+    def test_same_basis(self, models):
+        exact, floats = models
+        assert exact.synth.basis_events == floats.synth.basis_events == (1, 2, 4, 6)
+        assert exact.synth.dim == floats.synth.dim == 4
+
+    def test_compressions_agree(self, models):
+        exact, floats = models
+        w_exact, w_float = exact.basis_compressions(), floats.basis_compressions()
+        assert all(type(v) is F for v in w_exact.flat)
+        assert np.max(np.abs(w_exact.astype(np.float64) - w_float)) <= FLOAT_TOL
+
+    def test_products_agree(self, models):
+        # every event pair, read over basis_events
+        coords = []
+        for model in models:
+            synth = model.synth
+            es, fs = np.divmod(np.arange(synth.space.n_events ** 2), synth.space.n_events)
+            x, y = np.stack([synth.pi(e) for e in es]), np.stack([synth.pi(f) for f in fs])
+            coords.append(synth.event_coords(model.product(x, y)))
+        assert all(type(v) is F for v in coords[0].flat)
+        assert np.max(np.abs(coords[0].astype(np.float64) - coords[1])) <= FLOAT_TOL
+
+    def test_symmetry_and_laws(self, models):
+        exact, floats = models
+        assert exact.worst_symmetry() == (0, None)
+        assert floats.worst_symmetry()[0] <= FLOAT_TOL
+        laws = [check_laws_on_reconstruction(m, pairs=8, rng=np.random.default_rng(0)) for m in models]
+        assert [getattr(laws[0], name) for name in DECIDED_FIELDS] == [0, 0, 0]
+        assert max(getattr(laws[1], name) for name in DECIDED_FIELDS) <= FLOAT_TOL
 
 
 EXACT_SPACES = {
