@@ -333,8 +333,8 @@ def cmd_replay(args):
 # condition
 
 
-def _condition_abstract(args, report, lines):
-    space = fileio.parse_orthospace(_read(args.input))
+def _condition_abstract(args, text, report, lines):
+    space = fileio.parse_orthospace(text)
     if not args.states:
         raise ParseError("abstract conditioning needs --states")
     if args.states == "full":
@@ -369,8 +369,8 @@ def _condition_abstract(args, report, lines):
     return PASS
 
 
-def _condition_matrix(args, report, lines):
-    tag, n, blocks = fileio.parse_elements(_read(args.input))
+def _condition_matrix(args, text, report, lines):
+    tag, n, blocks = fileio.parse_elements(text)
     if len(blocks) < 2:
         raise ParseError("matrix conditioning needs a density block and at least one event block")
     rho = lueders.DensityState(blocks[0])
@@ -394,13 +394,14 @@ def _condition_matrix(args, report, lines):
 def cmd_condition(args):
     report = {"command": "condition", "input": args.input, "event": args.event}
     lines = []
-    header = fileio.sniff_header(_read(args.input))
+    text = _read(args.input)
+    header = fileio.sniff_header(text)
     if args.event is None:
         raise ParseError("condition needs an event argument")
     if header == fileio.ORTHOSPACE_HEADER:
-        code = _condition_abstract(args, report, lines)
+        code = _condition_abstract(args, text, report, lines)
     elif header in (fileio.MATRIX_HEADER, fileio.PROJECTIONS_HEADER):
-        code = _condition_matrix(args, report, lines)
+        code = _condition_matrix(args, text, report, lines)
     else:
         raise ParseError(f"cannot condition on a '{header}' file")
     report["passed"] = code == PASS
@@ -436,18 +437,19 @@ def _density_summary(synth, instance, rng, report, lines):
 def cmd_synthesize(args):
     report = {"command": "synthesize", "input": args.input}
     lines = []
-    header = fileio.sniff_header(_read(args.input))
+    text = _read(args.input)
+    header = fileio.sniff_header(text)
     rng = np.random.default_rng(args.seed)
     instance = None
     if header == fileio.ORTHOSPACE_HEADER:
-        space = fileio.parse_orthospace(_read(args.input))
+        space = fileio.parse_orthospace(text)
         if not args.states:
             raise ParseError("abstract synthesis needs --states (a file or 'full')")
         polytope = _load_polytope(space, args.states)
         synth = synthesis.abstract_synthetic_space(space, _generators(polytope))
         oracle = synthesis.polytope_expansion_oracle(synth, polytope)
     elif header in (fileio.MATRIX_HEADER, fileio.PROJECTIONS_HEADER):
-        tag, n, blocks = fileio.parse_elements(_read(args.input))
+        tag, n, blocks = fileio.parse_elements(text)
         instance = instances.instance_from_projections(tag, n, blocks)
         synth = synthesis.matrix_synthetic_space(instance)
         oracle = synthesis.lueders_expansion_oracle(synth, instance)

@@ -5,23 +5,25 @@ results are exact and anti-cycling is guaranteed (Bland's rule).
 
 Interface:
 
+    prepare(scaled, ncols) -> LpSystem
     solve_lp(c, a_eq, b_eq, maximize=False) -> LpResult
 
-minimizes (or maximizes) c.x subject to A x = b and x >= 0, the one form it
-takes: write a free variable as x+ - x-, a lower bound x >= lo as lo + x', and
-an upper bound x <= hi as a row x + s = hi with a slack s >= 0.  Every entry
-of c, A and b must be a `numbers.Rational` (int, Fraction, numpy int); any
-other entry raises TypeError.  An infeasible problem carries a Farkas
+`solve_lp` minimizes (or maximizes) c.x subject to A x = b and x >= 0, the one
+form it takes: write a free variable as x+ - x-, a lower bound x >= lo as lo +
+x', and an upper bound x <= hi as a row x + s = hi with a slack s >= 0.  Every
+entry of c, A and b must be a `numbers.Rational` (int, Fraction, numpy int);
+any other entry raises TypeError.  An infeasible problem carries a Farkas
 certificate y (y.A <= 0 on every column while y.b > 0), replayable via
-`verify_farkas`.
+`verify_farkas`.  Phase 1 reads only A and b: `prepare` runs it once for a
+system solved for many costs, and `solve_lp` takes that `LpSystem` as a_eq.
 
 The tableau holds no fraction (the integer-preserving pivoting of Edmonds
 1967 and Bareiss 1968, with gcd division in place of their exact divisor),
 and it runs on `linsolve`'s row kernel.  Each row is a {column: int} dict
-over its nonzero entries, built from the row `linsolve.scale_to_ints` scaled,
-its rhs under the reserved key _RHS, and primitive: a positive multiple
-of the true tableau row, and the multiple is the row's entry in its basic
-column (where the true row holds 1).  The objective row is one more such
+over its nonzero entries, built from the scaled row `prepare` takes, its rhs
+under the reserved key _RHS, and primitive: a positive multiple of the true
+tableau row, and the multiple is the row's entry in its basic column (where
+the true row holds 1).  The objective row is one more such
 dict, which also keeps its denominator den > 0 under _DEN and stands for its
 entries / den.  A pivot on (r, c) first negates row r if its entry at c is
 negative, then clears column c of every other row and of the objective with
@@ -33,14 +35,15 @@ true value, Bland's rule takes the pivots the Fraction tableau takes, and x,
 the objective and y come out the same.  Fractions are built only for the
 returned x, objective and Farkas y (and the rows the certificate replays).
 
-The start is the slack basis.  After rows with b < 0 are negated, a
-column that is a unit vector on a row starts basic on that row
-(the lowest such column wins), such as a slack of the caller's inequality
-rows.  Only the remaining rows get an artificial, and phase 1 minimizes their
-sum; with none, phase 1 is skipped.  A negated row's slack reads -1, so that
-row keeps its artificial.  At an infeasible phase-1 optimum the objective row
-holds cost - y.A, so y is read off each row's starting column:
-y_i = 1 - (reduced cost of its artificial), or
+The start is the slack basis, set in `prepare`.  After rows with b < 0 are
+negated, a column that is a unit vector on a row starts basic on that row (the
+lowest such column wins), such as a slack of the caller's inequality rows.
+Only the remaining rows get an artificial, and phase 1 minimizes their sum;
+with none, phase 1 is skipped.  A negated row's slack reads -1, so that row
+keeps its artificial.  The tableau after phase 1 is the `LpSystem`, which
+each phase 2 copies (`_clear` updates rows in place).  At an infeasible
+phase-1 optimum the objective row holds cost - y.A, so y is read off each
+row's starting column: y_i = 1 - (reduced cost of its artificial), or
 y_i = -(reduced cost of the column it started on).  A certificate that fails
 `verify_farkas` raises UcpError; exact arithmetic never produces one.
 """
@@ -127,14 +130,21 @@ def _simplex(rows, basis, obj, ncols):
         _pivot(rows, basis, obj, leave, enter)
 
 
-def solve_lp(c, a_eq, b_eq, maximize=False):
-    """Exact LP: min (or max) c.x with A x = b, x >= 0. See module docstring."""
-    sign = -1 if maximize else 1
-    ncols, m = len(c), len(a_eq)
-    cost, cost_den = scale_to_ints(c)
-    # each row with its rhs as ({column: int}, den), rhs at column ncols; flip negates b < 0
-    scaled = [scale_to_ints(chain(row, (rhs,))) for row, rhs in zip(a_eq, b_eq)]
-    flip = [-1 if nz.get(ncols, 0) < 0 else 1 for nz, _ in scaled]
+@dataclass
+class LpSystem:
+    """A x = b, x >= 0 after phase 1: the tableau rows and their basis, or the INFEASIBLE result."""
+
+    ncols: int
+    rows: list
+    basis: list
+    infeasible: LpResult | None
+
+
+def prepare(scaled, ncols):
+    """The system of the rows, each with its rhs at column ncols as ({column: int}, den), the
+    form `scale_to_ints` gives; phase 1 runs here, once. See module docstring."""
+    m = len(scaled)
+    flip = [-1 if nz.get(ncols, 0) < 0 else 1 for nz, _ in scaled]  # negates b < 0
 
     # starting basis: a unit column on a row (lowest index first) starts basic
     # there; every other row gets an artificial, which phase 1 drives to zero
@@ -182,7 +192,7 @@ def solve_lp(c, a_eq, b_eq, maximize=False):
             cert = Farkas(a_rows=a_rows, b=b, y=y)
             if not verify_farkas(cert):
                 raise UcpError("phase 1 produced a Farkas certificate that does not verify")
-            return LpResult(INFEASIBLE, None, None, cert)
+            return LpSystem(ncols, None, None, LpResult(INFEASIBLE, None, None, cert))
 
         # drive artificials out of the basis where possible
         for i in range(m):
@@ -195,16 +205,28 @@ def solve_lp(c, a_eq, b_eq, maximize=False):
         keep = [i for i in range(m) if basis[i] < ncols]
         rows = [rows[i] for i in keep]
         basis = [basis[i] for i in keep]
+    return LpSystem(ncols, rows, basis, None)
 
-    # phase 2
+
+def solve_lp(c, a_eq, b_eq, maximize=False):
+    """Exact LP: min (or max) c.x with A x = b, x >= 0, a_eq an `LpSystem` or rows. See module docstring."""
+    sign = -1 if maximize else 1
+    cost, cost_den = scale_to_ints(c)
+    system = a_eq if isinstance(a_eq, LpSystem) else prepare(
+        [scale_to_ints(chain(row, (rhs,))) for row, rhs in zip(a_eq, b_eq)], len(c))
+    if system.infeasible is not None:
+        return system.infeasible
+
+    # phase 2, on a copy of the system's tableau: _pivot and _clear update it in place
+    rows, basis = [dict(row) for row in system.rows], list(system.basis)
     obj = {j: sign * v for j, v in cost.items()}
     obj[_DEN] = cost_den
     for row, bi in zip(rows, basis):
         if bi in obj:
             _clear(obj, row, bi)
-    if _simplex(rows, basis, obj, ncols) == UNBOUNDED:
+    if _simplex(rows, basis, obj, system.ncols) == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
-    x = [Fraction(0)] * ncols
+    x = [Fraction(0)] * system.ncols
     for row, bi in zip(rows, basis):
         x[bi] = Fraction(row.get(_RHS, 0), row[bi])
     return LpResult(OPTIMAL, x, -sign * Fraction(obj.get(_RHS, 0), obj[_DEN]))

@@ -27,13 +27,11 @@ DUMP_FORMAT = "synthetic-space v2"
 
 
 def _lines(text):
-    """(line number, stripped content) pairs, comments and blanks removed."""
-    out = []
+    """(line number, stripped content) of each line in turn, comments and blanks skipped."""
     for i, raw in enumerate(text.splitlines(), start=1):
         s = raw.split("#", 1)[0].strip()
         if s:
-            out.append((i, s))
-    return out
+            yield i, s
 
 
 def _fail(lineno, msg):
@@ -41,9 +39,8 @@ def _fail(lineno, msg):
 
 
 def sniff_header(text):
-    """First meaningful line of the file, or an empty string."""
-    lines = _lines(text)
-    return lines[0][1] if lines else ""
+    """First meaningful line of the file, or an empty string; no line after it is read."""
+    return next(_lines(text), (0, ""))[1]
 
 
 def _expect_header(lines, want):
@@ -89,7 +86,7 @@ def format_orthospace(space):
 
 
 def parse_orthospace(text):
-    lines = _expect_header(_lines(text), ORTHOSPACE_HEADER)
+    lines = _expect_header(list(_lines(text)), ORTHOSPACE_HEADER)
     n = _keyed_int(lines, 0, "n_events")
     if not 1 <= n <= orthospace.MAX_EVENTS:
         raise ParseError(f"n_events must be in 1..{orthospace.MAX_EVENTS}, got {n}")
@@ -131,7 +128,7 @@ def parse_orthospace(text):
 
 def _format_value(v):
     if isinstance(v, (Fraction, int)):
-        return str(Fraction(v))
+        return str(v if isinstance(v, Fraction) else int(v))  # int() writes a bool as 1 or 0
     return repr(float(v))
 
 
@@ -158,7 +155,7 @@ def format_states(states):
 
 
 def parse_states(text):
-    lines = _expect_header(_lines(text), STATES_HEADER)
+    lines = _expect_header(list(_lines(text)), STATES_HEADER)
     n = _keyed_int(lines, 0, "n_events")
     out = []
     for lineno, s in lines[1:]:
@@ -237,7 +234,7 @@ def _parse_element(tag, n, rows):
 
 def parse_elements(text):
     """(tag, n, elements) from either the matrix or the projections header."""
-    lines = _lines(text)
+    lines = list(_lines(text))
     if not lines:
         raise ParseError("empty file")
     header = lines[0][1]
@@ -271,7 +268,7 @@ def format_observable(support):
 
 def parse_observable(text):
     """Raw (value, event) pairs; validation happens against a concrete space."""
-    lines = _expect_header(_lines(text), OBSERVABLE_HEADER)
+    lines = _expect_header(list(_lines(text)), OBSERVABLE_HEADER)
     out = []
     for lineno, s in lines:
         parts = s.split()

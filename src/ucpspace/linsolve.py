@@ -1,6 +1,6 @@
 """Exact row reduction: one fraction-free Gauss-Jordan elimination on sparse integer rows.
 
-`rref`, `rank`, `solve_affine` and `independent_subset` all run `_eliminate`.
+`rref`, `rank`, `solve_affine_ints` and `independent_subset` run `_eliminate`.
 Each input row is scaled once to coprime integers and kept as a dict over its
 nonzero columns.  Rows join one at a time: a row is cleared in the pivot
 columns found so far, its leading column becomes a new pivot, and that column
@@ -10,16 +10,16 @@ when a is not 1), then `_primitive` divides the row by the gcd of its
 entries, so no fraction is ever formed (the integer-preserving elimination of
 Bareiss 1968, with gcd division in place of his exact divisor).  These two
 are the row kernel of the exact core: `exactlp`'s simplex pivots its tableau
-rows with them too.  Fractions are built once, from the reduced rows.  The
-reduced row echelon form is canonical, so the order in which rows join does
-not change it, and a column's pivot is the leading entry of a row.
+rows with them too.  Fractions are built once, from the reduced rows (none by
+`solve_affine_ints`).  The reduced row echelon form is canonical, so the order
+in which rows join does not change it, and a column's pivot is the leading
+entry of a row.
 
 Entries must be exact: int or Fraction (any `numbers.Rational`); any other
 entry raises TypeError.  There is no float mode.  `scale_to_ints` is the
-sparse rational-to-integer scaling of the exact core; `exactlp` scales its rows
-with it too.  The dense forms are scaled where they are held:
-`statespace._integers` for states and parametrizations, `synthesis._scaled`
-for the synthesis matrices.
+sparse rational-to-integer scaling of the exact core, for `exactlp` too.  The
+dense forms are scaled where they are held: `statespace._integers` for states,
+`synthesis._scaled` for the synthesis matrices.
 """
 
 import math
@@ -136,10 +136,23 @@ def rank(rows):
 
 
 def solve_affine(a_rows, b):
-    """All solutions of A x = b as (x0, nullspace_basis), or None if inconsistent.
+    """All solutions of A x = b as (x0, nullspace_basis), or None if inconsistent: `solve_affine_ints` over L.
 
     x0 is a particular solution, zero on the free columns; the basis has one
     vector per free column, 1 there and 0 on the other free columns.
+    """
+    sol = solve_affine_ints(a_rows, b)
+    if sol is None:
+        return None
+    x0, basis, den = sol
+    return [Fraction(v, den) for v in x0], [[Fraction(v, den) for v in bvec] for bvec in basis]
+
+
+def solve_affine_ints(a_rows, b):
+    """The same solutions as (X0, B, L), x0 = X0 / L and the basis B / L over integers, or None.
+
+    L is the lcm of the pivot entries: each reduced row is primitive, so that is the
+    lcm of the solution's denominators, and X0, B and L have no common factor.
     """
     if not a_rows:
         return None
@@ -147,20 +160,17 @@ def solve_affine(a_rows, b):
     pivots, _ = _eliminate([list(r) + [bi] for r, bi in zip(a_rows, b)])
     if n in pivots:
         return None  # pivot in the rhs column: inconsistent
-    x0 = [_ZERO] * n
-    basis = {}
-    for fc in range(n):
-        if fc not in pivots:
-            basis[fc] = [_ZERO] * n
-            basis[fc][fc] = Fraction(1)
+    den = math.lcm(*(row[c] for c, row in pivots.items()))
+    x0 = [0] * n
+    basis = {fc: [den if j == fc else 0 for j in range(n)] for fc in range(n) if fc not in pivots}
     for c, row in pivots.items():
-        q = row[c]
+        scale = den // row[c]
         for j, v in row.items():
             if j == n:
-                x0[c] = Fraction(v, q)
+                x0[c] = v * scale
             elif j != c:
-                basis[j][c] = Fraction(-v, q)
-    return x0, list(basis.values())
+                basis[j][c] = -v * scale
+    return x0, list(basis.values()), den
 
 
 def independent_subset(vectors):

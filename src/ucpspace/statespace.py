@@ -15,12 +15,12 @@ state equations are integer rows of events at +1 and at -1, listed once by
 read that list, the last two on integers; row reductions are `linsolve`'s.
 
 A full polytope has one parametrization x = (X0 + B t) / D, its state equations
-reduced once and held as integer numerators X0, B over one positive
-denominator D, the (values, denominator) form `synthesis` uses.  Pins
-substitute into it (only for a slice that propagation leaves open) and give a
-slice the same form; vertex enumeration and every exact LP run over its
-[0, 1] box rows in t, each slice's LP rows built once.  An LP optimum t = T / L
-or a vertex maps back with one Fraction per event, (X0 L + B T) / (D L).
+reduced once by `linsolve.solve_affine_ints` into integer numerators X0, B over
+one positive denominator D, the (values, denominator) form `synthesis` uses.
+Pins solve into it the same way (only for a slice that propagation leaves
+open) and give a slice the same form; vertex enumeration and every exact LP
+run over its [0, 1] box rows in t, built from those integers with no Fraction.
+An LP optimum t = T / L or a vertex maps back with one Fraction per event.
 Vertices come from the double description method over those rows, in integer
 arithmetic, and are listed in the order of each vertex's lexicographically
 smallest independent set of tight box rows.  The LP that finds a slice EMPTY
@@ -32,8 +32,8 @@ restricted state-space model), else the full polytope of all states.  The full
 polytope enumerates its vertices the first time its `generators` are read, up
 to _VERTEX_EVENT_CAP events; past that, the read raises CapacityError.  One LP
 loop, `_lp_verdict`, decides every slice that propagation leaves open in
-either kind: over the box rows in t for the full polytope, over convex
-coefficients of the listed states otherwise.
+either kind, over one LP system per slice whose phase 1 runs once: the box
+rows in t for the full polytope, convex coefficients of the listed states otherwise.
 
 Countable-additivity and continuity variants of the state axioms are vacuous
 at finite event counts: every state here is trivially countably additive and
@@ -56,7 +56,7 @@ from .errors import (
     PreconditionError,
     UcpError,
 )
-from .exactlp import INFEASIBLE, OPTIMAL, Farkas, solve_lp, verify_farkas
+from .exactlp import INFEASIBLE, OPTIMAL, Farkas, prepare, solve_lp, verify_farkas
 
 UNIQUE = "UNIQUE"
 MULTIPLE = "MULTIPLE"
@@ -221,10 +221,8 @@ class StatePolytope:
     def _parametrization(self):
         """All solutions of the state equations as (X0, B, D), x = (X0 + B t) / D, or None."""
         n = self.space.n_events
-        sol = linsolve.solve_affine([_dense(plus, minus, n) for plus, minus, _ in self.rows],
-                                    [b for *_, b in self.rows])
-        # D is the lcm of the reduced denominators, so the numerators and D are coprime
-        return None if sol is None else _integer_form(*sol)
+        return linsolve.solve_affine_ints([_dense(plus, minus, n) for plus, minus, _ in self.rows],
+                                          [b for *_, b in self.rows])
 
     def pin(self, events=(), values=()):
         """The solutions with x_f = v on the given events as (X0', B', D'), or None.
@@ -241,10 +239,10 @@ class StatePolytope:
             return sol
         x0, basis, den = sol
         rows = [[bvec[f] for bvec in basis] for f in events]
-        sub = linsolve.solve_affine(rows, [v * den - x0[f] for f, v in zip(events, values)])
+        sub = linsolve.solve_affine_ints(rows, [v * den - x0[f] for f, v in zip(events, values)])
         if sub is None:
             return None
-        t0, dirs, scale = _integer_form(*sub)
+        t0, dirs, scale = sub
         x0 = _combine([v * scale for v in x0], basis, t0)
         dirs = [_combine([0] * len(x0), basis, c) for c in dirs]
         den *= scale
@@ -269,13 +267,6 @@ def _integers(vals):
     pairs = [v.as_integer_ratio() for v in vals]
     scale = math.lcm(*(q for _, q in pairs))
     return [p * (scale // q) for p, q in pairs], scale
-
-
-def _integer_form(x0, vectors):
-    """A rational point and vectors of one length n as (X0, B, L): integers over one denominator L."""
-    flat, scale = _integers(list(itertools.chain(x0, *vectors)))
-    n = len(x0)
-    return flat[:n], [flat[n * j:n * j + n] for j in range(1, len(vectors) + 1)], scale
 
 
 def _combine(acc, basis, ints):
@@ -311,29 +302,31 @@ def _moving(param):
 
 
 def _box_lp(param):
-    """A slice's [0, 1] box as LP rows over (t, one slack per box row): (a_eq, rhs), or None.
+    """A slice's [0, 1] box as an `exactlp.LpSystem` over (t, one slack per box row), or None.
 
     Each event that some direction moves gives the rows B_i t / D + s = 1 - X0_i / D
     and -B_i t / D + s' = X0_i / D, in event order; a fixed event outside [0, 1]
-    gives None.  The rows hold the box's rational values, plain ints when D = 1,
-    not the rows times D: `solve_lp` starts a row basic on its slack only where
-    that slack's entry is 1.  The slacks come last, and `solve_lp` takes every
-    variable >= 0.  That adds no constraint on t: each t_k is the event
-    coordinate x_f at direction k's free event f, where direction k is D and X0
-    and the other directions are 0 (the form `pin` keeps), so the box row
-    -x_f <= 0 already bounds t_k below.  An LP's x maps to events by
-    `_event_point`.
+    gives None.  Each row with rhs beta goes to `prepare` as integers, never as
+    Fractions: B_i / g, the slack's D / g and beta / g over D / g, for g the
+    gcd of D, beta and B_i.  That is what `scale_to_ints` makes of the rational
+    row, so a row with beta >= 0 starts basic on its slack.  The slacks come
+    last, and the LP takes every variable >= 0.  That adds no constraint on t:
+    each t_k is the event coordinate x_f at direction k's free event f, where
+    direction k is D and X0 and the other directions are 0 (the form `pin`
+    keeps), so the box row -x_f <= 0 already bounds t_k below.  An LP's x maps
+    to events by `_event_point`.
     """
     moving = _moving(param)
     if moving is None:
         return None
-    den = param[2]
-    ineq = [row for coeffs, v in moving for row in ((coeffs, den - v), ([-c for c in coeffs], v))]
-    if den > 1:
-        ineq = [([Fraction(c, den) if c else 0 for c in coeffs], Fraction(beta, den)) for coeffs, beta in ineq]
-    m = len(ineq)
-    a_eq = [coeffs + [int(j == r) for j in range(m)] for r, (coeffs, _) in enumerate(ineq)]
-    return a_eq, [beta for _, beta in ineq]
+    den, d, m = param[2], len(param[1]), 2 * len(moving)
+    scaled = []
+    for coeffs, v in moving:
+        for sign, beta in ((1, den - v), (-1, v)):
+            g = math.gcd(den, beta, *coeffs)
+            entries = zip((*range(d), d + len(scaled), d + m), (*(sign * c for c in coeffs), den, beta))
+            scaled.append(({j: a // g for j, a in entries if a}, den // g))
+    return prepare(scaled, d + m)
 
 
 def _primitive(vals):
@@ -686,8 +679,8 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     return verdict
 
 
-def _lp_verdict(a_eq, rhs, costs, point, d):
-    """A slice's verdict from a min and a max LP per cost over one system a_eq x = rhs, x >= 0.
+def _lp_verdict(system, costs, point, d):
+    """A slice's verdict from a min and a max LP per cost, each a phase 2 over one prepared `exactlp.LpSystem`.
 
     EMPTY when the first LP is infeasible, carrying its Farkas vector.  MULTIPLE
     at the first cost whose two optima differ: both optima as states (`point`
@@ -697,11 +690,11 @@ def _lp_verdict(a_eq, rhs, costs, point, d):
     """
     x = []
     for cost in costs:
-        lo = solve_lp(cost, a_eq, rhs)
-        # the first min LP runs phase 1 on these rows: its Farkas vector certifies an empty slice
+        lo = solve_lp(cost, system, None)
+        # phase 1 found the system infeasible: its Farkas vector certifies an empty slice
         if lo.status == INFEASIBLE:
             return ConditionalVerdict(EMPTY, certificate=lo.farkas, slice_dim=d)
-        hi = solve_lp(cost, a_eq, rhs, maximize=True)
+        hi = solve_lp(cost, system, None, maximize=True)
         if lo.status != OPTIMAL or hi.status != OPTIMAL:
             raise UcpError("bounded slice reported unbounded; inconsistent tables")
         if lo.objective != hi.objective:
@@ -731,21 +724,22 @@ def _uc_full(slc):
     d = -1 if sub is None else len(sub[1])
     # inconsistent pins or a fixed coordinate outside [0, 1] empty the slice with no
     # LP; with no free direction the slice is X0 / D alone
-    lp = None if sub is None else _box_lp(sub)
-    if lp is None:
+    system = None if sub is None else _box_lp(sub)
+    if system is None:
         return _empty_verdict(slc, sub, None, d)
-    a_eq, rhs = lp
     # direction k is D at its free event and the other directions are 0 there, so t_k is that
     # event; the slacks cost 0
-    costs = ([int(j == k) for j in range(d + len(a_eq))] for k in range(d))
-    verdict = _lp_verdict(a_eq, rhs, costs, lambda x: State(_event_point(sub, *_integers(x[:d]))), d)
+    costs = ([int(j == k) for j in range(system.ncols)] for k in range(d))
+    verdict = _lp_verdict(system, costs, lambda x: State(_event_point(sub, *_integers(x[:d]))), d)
     return _empty_verdict(slc, sub, verdict.certificate, d) if verdict.verdict == EMPTY else verdict
 
 
 def _uc_generated(slc):
     """Over convex coefficients lambda >= 0 of the generators: sum 1 and each target met, one cost per event."""
     gens = slc.polytope.generators
-    a_eq = [[Fraction(1)] * len(gens)] + [[_frac(gen[f]) for gen in gens] for f in slc.constraint_events]
+    # the rows sum_g lambda_g = 1 and sum_g lambda_g gen(f) = mu(f) / mu(e), scaled once
+    lp_rows = [(dict.fromkeys(range(len(gens) + 1), 1), 1)] + [
+        linsolve.scale_to_ints([*(_frac(gen[f]) for gen in gens), t]) for f, t in zip(slc.constraint_events, slc.targets)]
     # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L
     den = math.lcm(*(gen.integers[1] for gen in gens))
     rows = np.array([[v * (den // q) for v in ints] for ints, q in (gen.integers for gen in gens)], dtype=object)
@@ -755,7 +749,7 @@ def _uc_generated(slc):
         return State.from_integers((np.array(p, dtype=object) @ rows).tolist(), q * den)
 
     costs = ([_frac(gen[ev]) for gen in gens] for ev in range(slc.polytope.space.n_events))
-    return _lp_verdict(a_eq, [Fraction(1), *slc.targets], costs, to_state, None)
+    return _lp_verdict(prepare(lp_rows, len(gens)), costs, to_state, None)
 
 
 def unique_conditional(polytope, mu, e):

@@ -78,6 +78,9 @@ def files(tmp_path_factory):
 
     cross = instances.cross_states(3)
     paths["mo3_cross"] = put("mo3_cross.txt", fileio.format_states(cross))
+    paths["mo8"] = put("mo8.txt", fileio.format_orthospace(instances.mo_orthospace(8)))
+    for k in (4, 8):
+        paths[f"mo{k}_cross"] = put(f"mo{k}_cross.txt", fileio.format_states(instances.cross_states(k)))
     paths["mo3_generated"] = put("mo3_generated.txt", fileio.format_states(
         cross + [mo3_state([1, 1, 1]), mo3_state([1, 0, F(1, 2)])]))
     # Boolean 2 with the unit 3 orthogonal to itself and 3 + 3 = 3: additivity
@@ -485,6 +488,19 @@ class TestReplay:
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "b63133fbf5f8daa3ffa04db239298241066250221dddb5aad809912101237575"
 
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_cross_state_report_is_unchanged(self, files, k):
+        # the listed-state LP path: every conditional of the cross-polytope states is UNIQUE, so the
+        # report holds no uniqueness record and MO_4 and MO_8 give the same bytes; the synthesize
+        # guard on the same states pins the conditionals themselves
+        code, out, _ = invoke(["verify", "--input", files[f"mo{k}"], "--states", files[f"mo{k}_cross"],
+                               "axioms", "uniqueness", "--format", "structured"])
+        assert code == 0
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "a47be24d07ff1169d6894fab439e9c0ccd35b96ceff180584659beded5365d9a"
+
 
 def pairwise_atoms(space):
     """Minimal nonzero events, asking orthospace.precedes of every pair."""
@@ -718,6 +734,17 @@ class TestSynthesize:
         del report["input"]
         digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
         assert digest == "178094400825d1cef0bb7f5ffb8f245a0466b2fb71076c7afb1e2f4cc6028342"
+
+    def test_mo4_cross_report_is_unchanged(self, files):
+        # listed states: the oracle's conditionals come from the listed-state LPs; the density
+        # check fails (exit 1), and the laws and the dump are in the report too
+        code, out, _ = invoke(["synthesize", "--input", files["mo4"], "--states", files["mo4_cross"], "--seed", "7",
+                               "--format", "structured"])
+        assert code == 1
+        report = json.loads(out)
+        del report["input"]
+        digest = hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        assert digest == "49541d7cbc48761306ba8f68cc0e9c4fb4eae5df343afa1ea381eb75dd95e48b"
 
     @pytest.mark.parametrize("input_name, seed, want", [
         # the float lane: Lüders oracle, compressions, decided and sampled laws, density certificate, dump

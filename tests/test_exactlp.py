@@ -1,5 +1,7 @@
 """Exact rational simplex: optima, certificates, the slack start, and the classic cycling trap."""
 
+import collections
+import copy
 import math
 from fractions import Fraction
 
@@ -7,8 +9,9 @@ import numpy as np
 import pytest
 
 import reference
-from ucpspace import exactlp, instances, statespace
+from ucpspace import exactlp, instances, orthospace, statespace
 from ucpspace.errors import UcpError
+from ucpspace.linsolve import scale_to_ints
 
 F = Fraction
 
@@ -376,3 +379,94 @@ def test_numpy_integers_are_exact():
     assert res.x == [F(0), F(7, 3)] and res.objective == 7
     assert all(type(v) is F for v in res.x) and type(res.objective) is F
     assert res == exactlp.solve_lp([F(1), F(3)], [[F(2), F(3)]], [F(7)], maximize=True)
+
+
+def _prepared(c, a_eq, b_eq):
+    """The LP's rows as one prepared system, scaled as solve_lp scales them."""
+    return exactlp.prepare([scale_to_ints([*row, rhs]) for row, rhs in zip(a_eq, b_eq)], len(c))
+
+
+def _fields(res):
+    cert = res.farkas and (res.farkas.y, res.farkas.a_rows, res.farkas.b)
+    return res.status, res.x, res.objective, cert
+
+
+def test_shared_system_matches_one_shot():
+    # every min and max cost solved on one shared prepared system equals a fresh one-shot
+    # solve_lp: status, x, objective and the Farkas y, a_rows and b; the prepared rows and
+    # basis are left as they were, so the next cost starts from the same phase-1 tableau
+    rng = np.random.default_rng(20261023)
+    seen = {exactlp.OPTIMAL: 0, exactlp.INFEASIBLE: 0, exactlp.UNBOUNDED: 0}
+    for k in range(1500):
+        c, a_eq, b_eq, _, _, _ = _random_lp(rng)
+        lps = [(c, a_eq, b_eq)] + ([_big_denominators(rng, c, a_eq, b_eq)] if k % 10 == 0 else [])
+        for c, a_eq, b_eq in lps:
+            system = _prepared(c, a_eq, b_eq)
+            before = copy.deepcopy(system)
+            costs = [c] + [[F(int(v)) for v in rng.integers(-2, 3, size=len(c))] for _ in range(2)]
+            for cost in costs:
+                for maximize in (False, True):
+                    res = exactlp.solve_lp(cost, system, None, maximize=maximize)
+                    assert _fields(res) == _fields(exactlp.solve_lp(cost, a_eq, b_eq, maximize=maximize)), (cost, a_eq)
+                    seen[res.status] += 1
+            assert system == before
+    assert min(seen.values()) >= 500, seen
+
+
+def _phase_runs(monkeypatch):
+    """Count exactlp._simplex runs apart: inside a statespace.solve_lp call (phase 2) and outside one (phase 1
+    while a system is prepared); also count the solve_lp calls."""
+    runs = collections.Counter()
+    simplex, solve = exactlp._simplex, statespace.solve_lp
+
+    def counting_simplex(*args):
+        runs["inside" if runs["open"] else "outside"] += 1
+        return simplex(*args)
+
+    def counting_solve_lp(*args, **kwargs):
+        runs["calls"] += 1
+        runs["open"] += 1
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            runs["open"] -= 1
+
+    monkeypatch.setattr(exactlp, "_simplex", counting_simplex)
+    monkeypatch.setattr(statespace, "solve_lp", counting_solve_lp)
+    return runs
+
+
+def test_listed_state_slice_runs_phase_one_once(monkeypatch):
+    # a UNIQUE slice of listed states makes 2n solve_lp calls, each one phase 2, and its
+    # convex-coefficient rows need artificials, so phase 1 runs, once, when the system is
+    # prepared; an EMPTY slice stops at its first LP, after that one phase 1
+    runs = _phase_runs(monkeypatch)
+    space = orthospace.boolean_orthospace(3)
+    gens = statespace.build_state_polytope(space).generators
+    mu = instances.boolean_state([F(1, 5), F(3, 10), F(1, 2)])
+    v = statespace.check_conditional_uniqueness(statespace.generated_polytope(space, list(gens)), mu, 3)
+    assert v.verdict == statespace.UNIQUE
+    assert (runs["calls"], runs["inside"], runs["outside"]) == (2 * space.n_events, 2 * space.n_events, 1)
+    runs.clear()
+    v = statespace.check_conditional_uniqueness(statespace.generated_polytope(space, gens[:2]), mu, space.unit)
+    assert v.verdict == statespace.EMPTY
+    assert (runs["calls"], runs["inside"], runs["outside"]) == (1, 0, 1)
+
+
+def test_cross_state_slices_run_phase_one_once_each(monkeypatch):
+    # every slice of the MO_4 cross-polytope states: 2n solve_lp calls for each UNIQUE slice, and
+    # one phase 1 per slice, since convex-coefficient rows start on artificials
+    runs = _phase_runs(monkeypatch)
+    space = instances.mo_orthospace(4)
+    poly = statespace.generated_polytope(space, instances.cross_states(4))
+    slices = 0
+    for mu in poly.generators:
+        for e in space.events():
+            if mu[e] != 0:
+                before = runs["calls"]
+                v = statespace.check_conditional_uniqueness(poly, mu, e)
+                assert v.verdict == statespace.UNIQUE
+                slices += runs["calls"] > before
+    assert slices == len(poly._verdicts) > 1
+    assert runs["calls"] == runs["inside"] == slices * 2 * space.n_events
+    assert runs["outside"] == slices

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ucpspace import linsolve
 
 F = Fraction
@@ -42,6 +43,15 @@ def test_solve_affine_inconsistent():
 
 def test_solve_affine_empty_rows():
     assert linsolve.solve_affine([], []) is None
+    assert linsolve.solve_affine_ints([], []) is None
+
+
+def test_integer_solution_denominator_is_the_lcm_of_the_pivots():
+    # pivot entries 2, 2 and 3 (then 4 and 6): L is their lcm, not their product, so X0, B and L share no factor
+    assert linsolve.solve_affine_ints([[2, 0, 0], [0, 2, 0], [0, 0, 3]], [1, 1, 1]) == ([3, 3, 2], [], 6)
+    assert linsolve.solve_affine_ints([[4, 0, 1], [0, 6, 1]], [1, 1]) == ([3, 2, 0], [[-3, -2, 12]], 12)
+    assert linsolve.solve_affine_ints([[F(1, 2), 0], [0, 1]], [F(1, 3), 1]) == ([2, 3], [], 3)
+    assert linsolve.solve_affine_ints([[1, 1], [2, 2]], [1, 3]) is None
 
 
 def test_independent_subset():
@@ -204,6 +214,8 @@ def test_solve_affine_equals_dense_fraction_solve(rows, data):
     assert sol == dense_solve_affine(a_rows, b)
     if sol is not None:
         assert all(type(v) is F for vec in [sol[0], *sol[1]] for v in vec)
+    # the integer form: the same solutions over the lcm of their denominators
+    assert linsolve.solve_affine_ints(a_rows, b) == reference.integer_param(dense_solve_affine(a_rows, b))
 
 
 @pytest.mark.parametrize("bad", [0.5, np.float64(1.0), "1/2", complex(1, 0)], ids=["float", "float64", "str", "complex"])

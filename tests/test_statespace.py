@@ -20,8 +20,11 @@ from reference import (
     fraction_mix,
     fraction_mixture_identity,
     fraction_param,
+    fraction_parametrization,
+    fraction_pin,
     fraction_point,
     fraction_uc_full,
+    integer_param,
     reference_is_state,
 )
 from ucpspace import exactlp, fileio, instances, linsolve, orthospace, statespace, synthesis
@@ -804,6 +807,21 @@ def _b5_lp_pins(rng):
 
 class TestIntegerSlices:
     """The FULL slice path on the integer form (X0, B, D) against the Fraction path it replaced."""
+
+    @pytest.mark.parametrize("space", [orthospace.boolean_orthospace(k) for k in (3, 4, 5)]
+                             + [instances.mo_orthospace(k) for k in (3, 4)], ids=["b3", "b4", "b5", "mo3", "mo4"])
+    def test_pins_equal_fraction_reference(self, space):
+        # the parametrization and each pin, solved over integers, are the Fraction solutions over the
+        # lcm of their denominators: on the slices of every vertex and two mixtures, and on random pins
+        poly = build_state_polytope(space)
+        assert poly._parametrization == integer_param(fraction_parametrization(poly))
+        slices = [statespace.conditional_slice(poly, mu, e) for mu, e in _oracle_cases(space, poly)]
+        rng = random.Random(space.n_events)
+        pins = [(slc.constraint_events, slc.targets) for slc in slices] + [_random_pins(poly, rng) for _ in range(40)]
+        for events, values in pins:
+            assert poly.pin(events, values) == integer_param(fraction_pin(poly, events, values)), (events, values)
+        assert any(poly.pin(events, values) is None for events, values in pins)
+        assert any(sub is not None and sub[2] > 1 for sub in (poly.pin(*pin) for pin in pins))
 
     def test_verdicts_equal_fraction_path(self):
         rng = random.Random(20261020)
