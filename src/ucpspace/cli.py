@@ -246,11 +246,9 @@ def _exact_state(space, values, what):
     """`values` as a State of the space: a list of n_events strings, each an integer or p/q."""
     if isinstance(values, list) and len(values) == space.n_events and all(isinstance(v, str) for v in values):
         try:
-            state = statespace.State(tuple(fileio._parse_value(v, 0) for v in values))
-        except ParseError:  # its message names a line, which a JSON report does not have
-            state = None
-        if state is not None and state.exact:
-            return state
+            return statespace.State(tuple(fileio._parse_value(v, 0) for v in values))
+        except (ParseError, TypeError):  # a ParseError names a line, which a JSON report does not have
+            pass
     raise ParseError(f"{what} must be {space.n_events} exact values (integer or p/q strings), got {values!r}")
 
 

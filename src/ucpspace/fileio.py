@@ -164,10 +164,10 @@ def parse_states(text):
             _fail(lineno, f"unrecognized record '{s}'")
         if len(parts) != n + 1:
             _fail(lineno, f"state needs {n} values")
-        state = statespace.State(tuple(_parse_value(p, lineno) for p in parts[1:]))
-        if not state.exact:
+        try:
+            out.append(statespace.State(tuple(_parse_value(p, lineno) for p in parts[1:])))
+        except TypeError:
             _fail(lineno, "a state value is an integer or p/q, not a decimal")
-        out.append(state)
     return out
 
 

@@ -283,11 +283,13 @@ def octonion_det(a):
 
 
 def characteristic_cubic(a):
-    """(t1, s2, d3): coefficients of t^3 - t1 t^2 + s2 t - d3."""
-    t1 = trace(a)
-    t2 = trace(jordan_product(a, a))
+    """(t1, s2, d3): coefficients of t^3 - t1 t^2 + s2 t - d3, of an O3 element or of each in a coordinate stack."""
+    c = np.asarray(a.coords if isinstance(a, JordanElement) else a, dtype=np.float64)
+    d = np.arange(3)
+    t1 = c[..., d, d, 0].sum(axis=-1)
+    t2 = kernels.jordan_mul(c, c)[..., d, d, 0].sum(axis=-1)
     s2 = 0.5 * (t1 * t1 - t2)
-    return t1, s2, octonion_det(a)
+    return t1, s2, octonion_det(c)
 
 
 def _cubic_roots(t1, s2, d3):
@@ -421,17 +423,7 @@ def complement_projection(p):
 def batched_eigenvalues(tag, coords):
     """(B, n) ascending eigenvalues for a stacked coordinate array."""
     if tag == "O3":
-        b = coords.shape[0]
-        d = np.arange(3)
-        t1 = coords[:, d, d, 0].sum(axis=1)
-        sq = kernels.jordan_mul(coords, coords)
-        t2 = sq[:, d, d, 0].sum(axis=1)
-        s2 = 0.5 * (t1 * t1 - t2)
-        d3 = octonion_det(coords)
-        roots = np.empty((b, 3))
-        for i in range(b):
-            roots[i] = _cubic_roots(t1[i], s2[i], d3[i])
-        return roots
+        return np.array([_cubic_roots(*cubic) for cubic in zip(*characteristic_cubic(coords))]).reshape(-1, 3)
     k = coord_dim(tag)
     w = np.linalg.eigvalsh(kernels.embed_real(coords))
     return w[..., ::k]

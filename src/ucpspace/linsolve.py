@@ -18,8 +18,8 @@ entry of a row.
 Entries must be exact: int or Fraction (any `numbers.Rational`); any other
 entry raises TypeError.  There is no float mode.  `scale_to_ints` is the
 sparse rational-to-integer scaling of the exact core, for `exactlp` too.  The
-dense forms are scaled where they are held: `statespace._integers` for states,
-`synthesis._scaled` for the synthesis matrices.
+dense forms are scaled where they are built: a `statespace.State` is its
+integer form, and `synthesis._scaled` scales the synthesis value rows.
 """
 
 import math

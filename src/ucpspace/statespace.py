@@ -1,18 +1,18 @@
 """States on an orthospace, exactly.
 
 A state assigns a rational probability to every event: 1 on the unit, additive
-on orthogonal pairs, values in [0, 1].  Everything in this module is exact:
-a state's values are Fractions, and each exact state has one integer form, its
-values as integer numerators over L, the lcm of their denominators, built once
-(`State.integers`).  Mixing, the mixture identity, the slice lookup and the
-replay of a point against a slice run on that form, and a state they return
-builds its one Fraction per event only when its values are read.  The full
-state polytope is cut out by the state equations plus box bounds, vertices are
-enumerated exactly, and uniqueness questions are settled by bound propagation
-where it pins the conditional, else by the in-repo rational simplex.  The
-state equations are integer rows of events at +1 and at -1, listed once by
-`state_rows`: `is_state`, bound propagation and the replay of its point all
-read that list, the last two on integers; row reductions are `linsolve`'s.
+on orthogonal pairs, values in [0, 1].  Everything in this module is exact,
+in one form per object: a `State` is its values as integer numerators over L,
+the lcm of their denominators (`State.integers`), and a conditional slice is
+its coprime masses (mu(e), mu(f), ...); their Fractions are views, built on
+first read.  `is_state`, mixing, the mixture identity, the slice lookup, bound
+propagation and the replay of a point against a slice run on those integers.
+The full state polytope is cut out by the state equations plus box bounds,
+vertices are enumerated exactly, and uniqueness questions are settled by bound
+propagation where it pins the conditional, else by the in-repo rational
+simplex.  The state equations are integer rows of events at +1 and at -1,
+listed once by `state_rows` and read by `is_state`, bound propagation and the
+replay of its point; row reductions are `linsolve`'s.
 
 A full polytope has one parametrization x = (X0 + B t) / D, its state equations
 reduced once by `linsolve.solve_affine_ints` into integer numerators X0, B over
@@ -20,7 +20,7 @@ one positive denominator D, the (values, denominator) form `synthesis` uses.
 Pins solve into it the same way (only for a slice that propagation leaves
 open) and give a slice the same form; vertex enumeration and every exact LP
 run over its [0, 1] box rows in t, built from those integers with no Fraction.
-An LP optimum t = T / L or a vertex maps back with one Fraction per event.
+An LP optimum t = T / L or a vertex maps back to events as integers over D L.
 Vertices come from the double description method over those rows, in integer
 arithmetic, and are listed in the order of each vertex's lexicographically
 smallest independent set of tight box rows.  The LP that finds a slice EMPTY
@@ -80,53 +80,40 @@ def _frac(v):
     raise TypeError(f"exact rational required, got {type(v).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
-    """Event-indexed probability vector. Exact when every value is a Fraction or an int.
+    """An exact event-indexed probability vector, held as its one integer form.
 
-    An exact state's `integers` hold the same values as (numerators, L), a
-    tuple of ints over L > 0, the lcm of their denominators: one canonical
-    integer form per state, built on first use and kept.  A state made by
-    `from_integers` holds only that form, and builds its values on first read.
+    `integers` is (numerators, L): a tuple of ints over L > 0, the lcm of the
+    values' reduced denominators.  The form is canonical, so two states are
+    equal, and hash equal, exactly when their values are.  `State(values)`
+    takes Fractions, ints or p/q strings; any other value (a float, a numpy
+    number, a complex) raises TypeError.  `values` is a Fraction view of the
+    form, built on first read.
     """
 
-    values: tuple
+    integers: tuple
 
-    def __getattr__(self, name):
-        # reached only when the instance has no such attribute: the values of a
-        # from_integers state before their first read
-        if name != "values" or "integers" not in self.__dict__:
-            raise AttributeError(name)
+    def __init__(self, values):
+        object.__setattr__(self, "integers", _integers([_frac(v) for v in values]))
+
+    @classmethod
+    def from_integers(cls, ints, den):
+        """The state with values ints / den (den != 0)."""
+        state = cls.__new__(cls)
+        object.__setattr__(state, "integers", _lowest(ints, den))
+        return state
+
+    @functools.cached_property
+    def values(self):
         ints, den = self.integers
-        values = self.__dict__["values"] = tuple(Fraction(v, den) for v in ints)
-        return values
+        return tuple(Fraction(v, den) for v in ints)
 
     def __getitem__(self, e):
         return self.values[e]
 
     def __len__(self):
-        return len(self.values)
-
-    @property
-    def exact(self):
-        return all(isinstance(v, (Fraction, int)) for v in self.values)
-
-    @functools.cached_property
-    def integers(self):
-        """The values as (numerators, L), numerators a tuple; a value that is not exact raises TypeError."""
-        ints, scale = _integers([_frac(v) for v in self.values])
-        return tuple(ints), scale
-
-    @classmethod
-    def from_integers(cls, ints, den):
-        """The state with values ints / den (den != 0), held as its integer form until its values are read."""
-        g = math.gcd(den, *ints)
-        if den < 0:
-            g = -g
-        state = object.__new__(cls)
-        # the form `integers` would build: numerators and L coprime make L the lcm of the denominators
-        state.__dict__["integers"] = tuple(v // g for v in ints), den // g
-        return state
+        return len(self.integers[0])
 
 
 def is_state(space, state):
@@ -141,11 +128,11 @@ def is_state(space, state):
     n = space.n_events
     if len(state) != n:
         return False, [("length", len(state), n)]
-    vals = [_frac(v) for v in state.values]
-    viol = [("unit", vals[space.unit])] if vals[space.unit] != 1 else []
-    viol += [("range", e, v) for e, v in enumerate(vals) if not 0 <= v <= 1]
-    viol += [("additivity", e, f, vals[e] + vals[f], vals[s])
-             for e, f, s in additivity(space).values() if vals[e] + vals[f] != vals[s]]
+    x, den = state.integers
+    viol = [("unit", Fraction(x[space.unit], den))] if x[space.unit] != den else []
+    viol += [("range", e, Fraction(v, den)) for e, v in enumerate(x) if not 0 <= v <= den]
+    viol += [("additivity", e, f, Fraction(x[e] + x[f], den), Fraction(x[s], den))
+             for e, f, s in additivity(space).values() if x[e] + x[f] != x[s]]
     return not viol, viol
 
 
@@ -210,7 +197,7 @@ class StatePolytope:
                 f"the full state polytope of {n} events has no enumerated vertices "
                 f"(vertex enumeration is capped at {_VERTEX_EVENT_CAP} events); nothing was checked"
             )
-        return [State(tuple(v)) for v in _enumerate_vertices(self._parametrization)]
+        return [State.from_integers(*v) for v in _enumerate_vertices(self._parametrization)]
 
     @functools.cached_property
     def rows(self):
@@ -262,11 +249,17 @@ def generated_polytope(space, states):
     return StatePolytope(space=space, listed=list(states))
 
 
+def _lowest(ints, den):
+    """ints / den (den != 0) as (numerators, L), L > 0 coprime to them: the lcm of the reduced denominators."""
+    g = math.gcd(den, *ints) * (-1 if den < 0 else 1)
+    return tuple(v // g for v in ints), den // g
+
+
 def _integers(vals):
-    """Rational values as (integers, L): their numerators over L, the lcm of their denominators."""
+    """Rational values as (integers, L), a tuple of their numerators over L, the lcm of their denominators."""
     pairs = [v.as_integer_ratio() for v in vals]
     scale = math.lcm(*(q for _, q in pairs))
-    return [p * (scale // q) for p, q in pairs], scale
+    return tuple(p * (scale // q) for p, q in pairs), scale
 
 
 def _combine(acc, basis, ints):
@@ -280,9 +273,9 @@ def _combine(acc, basis, ints):
 
 
 def _event_point(param, ints, scale):
-    """The events at t = T / L, one Fraction each: (X0 L + B T) / (D L)."""
+    """The events at t = T / L as (numerators, denominator): (X0 L + B T, D L), not reduced."""
     x0, basis, den = param
-    return tuple(Fraction(v, den * scale) for v in _combine([v * scale for v in x0], basis, ints))
+    return _combine([v * scale for v in x0], basis, ints), den * scale
 
 
 def _moving(param):
@@ -400,7 +393,8 @@ def _enumerate_vertices(param):
     order in which a scan of all d-subsets of the box rows, solving each, first
     meets them.  A simple vertex, with exactly d distinct tight rows, has them
     independent (its tight rows have rank d), so that subset is the first box
-    row of each; only a degenerate vertex takes a row reduction for it.
+    row of each; only a degenerate vertex takes a row reduction for it.  Each
+    vertex comes as integers over one denominator, not reduced: no Fraction.
     """
     moving = None if param is None else _moving(param)
     if moving is None:
@@ -411,12 +405,9 @@ def _enumerate_vertices(param):
         # no constraints beyond the box itself: the vertices are the corners
         if 2**n > _VERTEX_CAP:
             raise CapacityError("vertex count exceeds the cap")
-        return [
-            tuple(Fraction((mask >> i) & 1) for i in range(n))
-            for mask in range(2**n)
-        ]
+        return [([(mask >> i) & 1 for i in range(n)], 1) for mask in range(2**n)]
     if d == 0:
-        return [tuple(Fraction(v, den) for v in x0)]
+        return [(list(x0), den)]
     index, row_of = {}, []
     for coeffs, v in moving:
         row_of.append(index.setdefault(_primitive((*coeffs, v - den)), len(index)))
@@ -462,14 +453,21 @@ def check_separation(polytope):
 class ConditionalSlice:
     """States compatible with conditioning mu on e: nu(f) = mu(f)/mu(e) on f < e.
 
-    It holds mu only through those targets, so every verdict on it is a function of
-    (event, constraint_events, targets).
+    It holds mu only through `masses`, (mu(e), mu(f), ...) as coprime integers
+    with mu(e) > 0, so every verdict on it is a function of (event,
+    constraint_events, masses).  mu(e) is the lcm of the reduced denominators
+    mu(e) / gcd(mu(e), mu(f)) of the targets: that is mu(e) / gcd(every mass).
     """
 
     polytope: StatePolytope
     event: int
     constraint_events: list
-    targets: list
+    masses: tuple
+
+    @property
+    def targets(self):
+        """The targets mu(f)/mu(e), one Fraction each."""
+        return [Fraction(m, self.masses[0]) for m in self.masses[1:]]
 
     def satisfied_by(self, nu):
         """Exact membership: nu's integer form, replayed by `_holds`."""
@@ -477,16 +475,16 @@ class ConditionalSlice:
 
     def _holds(self, x, scale):
         """Is x / scale (integers x, scale > 0) in [0, 1], on every state equation and on every target?"""
+        me, *mf = self.masses
         return (len(x) == self.polytope.space.n_events and all(0 <= v <= scale for v in x)
                 and all(sum(x[j] for j in plus) - sum(x[j] for j in minus) == b * scale
                         for plus, minus, b in self.polytope.rows)
-                and all(x[f] * t.denominator == t.numerator * scale
-                        for f, t in zip(self.constraint_events, self.targets)))
+                and all(x[f] * me == m * scale for f, m in zip(self.constraint_events, mf)))
 
 
 def _conditioning(polytope, mu, e, family):
-    """((mu(e), mu(f), ...) as coprime integers, the constrained events f): by default every f that
-    precedes e.  Read off mu's integer form; zero mass on e is an error."""
+    """((mu(e), mu(f), ...) as coprime integers with mu(e) > 0, the constrained events f): by default
+    every f that precedes e.  Read off mu's integer form; zero mass on e is an error."""
     x = mu.integers[0]
     if x[e] == 0:
         raise ConditioningUndefinedError(f"event {e} has zero probability under the given state")
@@ -497,14 +495,8 @@ def _conditioning(polytope, mu, e, family):
             space = polytope.space
             families[e] = np.flatnonzero(space.ortho[:, space.comp(e)]).tolist()
         family = families[e]
-    masses = [x[e], *(x[f] for f in family)]
-    g = math.gcd(*masses)
-    return tuple(v // g for v in masses), list(family)
-
-
-def _slice(polytope, e, family, masses):
-    """The slice of the coprime masses (mu(e), mu(f), ...): targets mu(f) / mu(e), one Fraction each."""
-    return ConditionalSlice(polytope, e, family, [Fraction(m, masses[0]) for m in masses[1:]])
+    fs, me = _lowest([x[f] for f in family], x[e])
+    return (me, *fs), list(family)
 
 
 def conditional_slice(polytope, mu, e, family=None):
@@ -514,7 +506,7 @@ def conditional_slice(polytope, mu, e, family=None):
     precedes e in the orthogonality sense).  Zero mass on e is an error.
     """
     masses, family = _conditioning(polytope, mu, e, family)
-    return _slice(polytope, e, family, masses)
+    return ConditionalSlice(polytope, e, family, masses)
 
 
 @dataclass(frozen=True)
@@ -541,20 +533,20 @@ def _propagate(slc):
     programming", 1995; Achterberg et al., "Presolve reductions in mixed integer
     programming", 2020): each equality row bounds every one of its coordinates
     by the activity range of the others.  Bounds are integers in units of 1/D,
-    D the lcm of the targets' denominators; each row lists its events at +1 and
-    at -1, so each update is an integer add and nothing rounds.  An event listed
-    twice (coefficient 2) is bounded as two variables with the same bounds: that
+    D = mu(e) of the slice's coprime masses, where each target event starts
+    pinned at its own mass; each row lists its events at +1 and at -1, so each
+    update is an integer add and nothing rounds.  An event listed twice
+    (coefficient 2) is bounded as two variables with the same bounds: that
     relaxes the row, so every bound it derives still holds for the event.
     Returns the point as (integers, D) when a fixpoint pins every coordinate,
     else None: a contradiction, a coordinate left free, or no fixpoint within
     _PROPAGATION_SWEEPS sweeps.
     """
-    scale = math.lcm(*(t.denominator for t in slc.targets))
+    scale, *masses = slc.masses
     n = slc.polytope.space.n_events
     lo = [0] * n
     hi = [scale] * n
-    for f, t in zip(slc.constraint_events, slc.targets):
-        t = t.numerator * (scale // t.denominator)
+    for f, t in zip(slc.constraint_events, masses):
         if not (lo[f] <= t <= hi[f]):
             return None
         lo[f] = hi[f] = t
@@ -665,15 +657,15 @@ def check_conditional_uniqueness(polytope, mu, e, family=None):
     mu(f)/mu(e), and of mu through nothing else.  So each distinct slice is
     decided once per polytope, and every later call on it returns the same
     frozen verdict.  The slice is looked up by e, the constrained events and
-    (mu(e), mu(f), ...) as coprime integers, a canonical form of the targets
-    read off mu's integer form; their Fractions are built only for a slice not
-    decided yet.
+    (mu(e), mu(f), ...) as coprime integers read off mu's integer form, the
+    masses the slice holds; Fraction targets are built only for the LPs of a
+    slice not decided yet.
     """
     masses, family = _conditioning(polytope, mu, e, family)
     key = (e, tuple(family), masses)
     verdict = polytope._verdicts.get(key)
     if verdict is None:
-        slc = _slice(polytope, e, family, masses)
+        slc = ConditionalSlice(polytope, e, family, masses)
         verdict = _uc_full(slc) if polytope.listed is None else _uc_generated(slc)
         polytope._verdicts[key] = verdict
     return verdict
@@ -730,7 +722,7 @@ def _uc_full(slc):
     # direction k is D at its free event and the other directions are 0 there, so t_k is that
     # event; the slacks cost 0
     costs = ([int(j == k) for j in range(system.ncols)] for k in range(d))
-    verdict = _lp_verdict(system, costs, lambda x: State(_event_point(sub, *_integers(x[:d]))), d)
+    verdict = _lp_verdict(system, costs, lambda x: State.from_integers(*_event_point(sub, *_integers(x[:d]))), d)
     return _empty_verdict(slc, sub, verdict.certificate, d) if verdict.verdict == EMPTY else verdict
 
 
@@ -739,7 +731,7 @@ def _uc_generated(slc):
     gens = slc.polytope.generators
     # the rows sum_g lambda_g = 1 and sum_g lambda_g gen(f) = mu(f) / mu(e), scaled once
     lp_rows = [(dict.fromkeys(range(len(gens) + 1), 1), 1)] + [
-        linsolve.scale_to_ints([*(_frac(gen[f]) for gen in gens), t]) for f, t in zip(slc.constraint_events, slc.targets)]
+        linsolve.scale_to_ints([*(gen[f] for gen in gens), t]) for f, t in zip(slc.constraint_events, slc.targets)]
     # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L
     den = math.lcm(*(gen.integers[1] for gen in gens))
     rows = np.array([[v * (den // q) for v in ints] for ints, q in (gen.integers for gen in gens)], dtype=object)
@@ -748,7 +740,7 @@ def _uc_generated(slc):
         p, q = _integers(lam)
         return State.from_integers((np.array(p, dtype=object) @ rows).tolist(), q * den)
 
-    costs = ([_frac(gen[ev]) for gen in gens] for ev in range(slc.polytope.space.n_events))
+    costs = ([gen[ev] for gen in gens] for ev in range(slc.polytope.space.n_events))
     return _lp_verdict(prepare(lp_rows, len(gens)), costs, to_state, None)
 
 
@@ -798,7 +790,7 @@ def check_mixture_identity(polytope, mu, nu, s, e):
     mass on e contributes nothing.  Conditionals must be unique wherever the
     relevant mass is positive, else PreconditionError.  The weights, the
     reweighted sum and its division by the mass of e run on integer forms,
-    and the right-hand side gets one Fraction per event.
+    and the right-hand side is built as its integer form.
     """
     s = _frac(s)
     if not (0 < s < 1):
@@ -817,4 +809,4 @@ def check_mixture_identity(polytope, mu, nu, s, e):
             acc = [v * lc + w * den * c for v, c in zip(acc, cond)]
             den *= lc
     rhs = State.from_integers(acc, den * total)
-    return MixtureReport(lhs.integers == rhs.integers, mix, lhs, rhs)
+    return MixtureReport(lhs == rhs, mix, lhs, rhs)

@@ -315,8 +315,7 @@ def build_synthetic_space(space, value_rows, exact):
         raise SynthesisError("no state generators")
     for ix, row in enumerate(rows):
         if len(row) != space.n_events:
-            _, viol = statespace.is_state(space, statespace.State(tuple(row)))
-            raise SynthesisError(f"generator {ix} is not a state: {viol[0]}")
+            raise SynthesisError(f"generator {ix} is not a state: {('length', len(row), space.n_events)}")
     pn, dp = pairing = _scaled(np.array(rows, dtype=object if exact else np.float64))
     _check_state_rows(space, pairing, exact)
     picked = linsolve.independent_subset(pn.T.tolist()) if exact else _independent_columns_float(pn)
@@ -334,7 +333,7 @@ def build_synthetic_space(space, value_rows, exact):
 
 
 def abstract_synthetic_space(space, states):
-    return build_synthetic_space(space, [list(s.values) for s in states], exact=True)
+    return build_synthetic_space(space, [s.values for s in states], exact=True)
 
 
 def matrix_synthetic_space(instance):
@@ -830,9 +829,9 @@ def check_box_equality(synth):
     pn, dp = synth.pairing
     span = ([0] * synth.n_states, pn[:, list(synth.basis_events)].T.tolist(), dp)
     verts = statespace._enumerate_vertices(span)
-    # a vertex is an event image when its values times dp are that event's pairing integers
-    cols = set(map(tuple, pn.T.tolist()))
-    on_events = sum(1 for v in verts if tuple(x * dp for x in v) in cols)
+    # a vertex is an event image when its lowest-terms form is that event's pairing column's
+    cols = {statespace._lowest(col, dp) for col in pn.T.tolist()}
+    on_events = sum(1 for v in verts if statespace._lowest(*v) in cols)
     events_in_box = bool(((pn >= 0) & (pn <= dp)).all())
     return BoxReport(
         vertices=len(verts),

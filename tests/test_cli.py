@@ -62,6 +62,11 @@ def files(tmp_path_factory):
 
     mu = instances.boolean_state((F(1, 5), F(3, 10), F(1, 2)))
     paths["mu3"] = put("mu3.txt", fileio.format_states([mu]))
+    mu = instances.boolean_state((F(1, 7), F(2, 7), F(3, 14), F(5, 14)))
+    paths["mu4"] = put("mu4.txt", fileio.format_states([mu]))
+    # a state of the coefficient-two space: its row 2 mu(1) = mu(6) holds at atoms (1/3, 1/6, 1/2)
+    paths["coefficient_two_mu"] = put("coefficient_two_mu.txt",
+                                      fileio.format_states([instances.boolean_state((F(1, 3), F(1, 6), F(1, 2)))]))
     paths["no_states"] = put("no_states.txt", "states v1\nn_events 8\n")
     # GENERATED states on MO_3: the six cross-polytope states, then the vertex (1, 1, 1) and the
     # point (1, 0, 1/2)
@@ -471,6 +476,29 @@ class TestReplay:
         assert report["verdict"] == "MULTIPLE"
         del report["input"]
         assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == want
+
+    @pytest.mark.parametrize("input_name, states, observe, codes, want", [
+        # every conditional of a Boolean 4 state with four unlike atoms is UNIQUE
+        ("bool4", "mu4", ["5"], {0}, "1c9965b14f91ecf194c0d0ad996b47c27ab17327b9984ca8de868369a584e098"),
+        # the coefficient-two row empties the slices where mu(1) / mu(e) and mu(6) / mu(e) break it
+        ("coefficient_two", "coefficient_two_mu", [], {0, 1},
+         "551a2e6ba1be6c5afdaf87ba82b6e1671ec7798640b2fd83ae72059db49982d3"),
+    ], ids=["bool4", "coefficient-two"])
+    def test_unique_and_empty_condition_reports_are_unchanged(self, files, input_name, states, observe, codes, want):
+        # one digest over (exit code, report less its input path) under every event of positive mass
+        with open(files[states], encoding="utf-8") as fh:
+            mu = fileio.parse_states(fh.read())[0]
+        runs = []
+        for e in range(len(mu)):
+            if mu[e] != 0:
+                code, out, _ = invoke(["condition", "--input", files[input_name], "--states", files[states],
+                                       "--format", "structured", str(e), *observe])
+                report = json.loads(out)
+                del report["input"]
+                assert report.get("verdict", "UNIQUE") == {0: "UNIQUE", 1: "EMPTY"}[code]
+                runs.append([code, report])
+        assert {code for code, _ in runs} == codes
+        assert hashlib.sha256(json.dumps(runs, sort_keys=True).encode()).hexdigest() == want
 
     def test_generated_report_is_unchanged(self, files):
         # GENERATED mode (states from a file): MULTIPLE records with their witnesses, and the

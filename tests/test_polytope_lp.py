@@ -134,7 +134,7 @@ def test_empty_exactly_when_reference_infeasible(monkeypatch):
             assert (v.certificate.a_rows, v.certificate.b) == reference_system(space, pins), pins
             assert verify_farkas(v.certificate), pins
         else:
-            slc = statespace.ConditionalSlice(poly, space.unit, family, targets)
+            slc = statespace.ConditionalSlice(poly, space.unit, family, statespace._primitive([1, *targets]))
             states = [v.conditional] if v.verdict == statespace.UNIQUE else v.witnesses[:2]
             assert all(slc.satisfied_by(nu) for nu in states), pins
         if n <= 16:

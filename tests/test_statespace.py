@@ -10,6 +10,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -191,6 +192,11 @@ def reduction_path_vertices(param):
     return [statespace._event_point(param, y[:d], y[d]) for _, y in keyed]
 
 
+def fraction_vertices(param):
+    """`_enumerate_vertices`, each (numerators, denominator) vertex as a tuple of Fractions."""
+    return [tuple(F(v, den) for v in ints) for ints, den in statespace._enumerate_vertices(param)]
+
+
 def _full_param(space):
     return build_state_polytope(space)._parametrization
 
@@ -255,7 +261,7 @@ class TestVertexEnumeration:
     )
     def test_same_vertices_as_subset_loop(self, make):
         param = make()
-        assert statespace._enumerate_vertices(param) == reference_vertices(param)
+        assert fraction_vertices(param) == reference_vertices(param)
 
     def test_non_integral_forms(self, monkeypatch):
         # D' = 3 on the pinned Boolean 4 slice, whose vertices are in thirds, and D = 2 on the
@@ -263,8 +269,8 @@ class TestVertexEnumeration:
         third, span = _b4_third(), _box_span(instances.mo_orthospace(2), monkeypatch, instances.cross_states(2))
         assert third[2] == 3 and span[2] == 2
         for param in (third, span):
-            assert statespace._enumerate_vertices(param) == reference_vertices(param)
-        assert any(v.denominator == 3 for x in statespace._enumerate_vertices(third) for v in x)
+            assert fraction_vertices(param) == reference_vertices(param)
+        assert any(v.denominator == 3 for x in fraction_vertices(third) for v in x)
 
     @pytest.mark.parametrize(
         "space",
@@ -274,7 +280,7 @@ class TestVertexEnumeration:
     )
     def test_box_span_same_as_subset_loop(self, space, monkeypatch):
         span = _box_span(space, monkeypatch)
-        assert statespace._enumerate_vertices(span) == reference_vertices(span)
+        assert fraction_vertices(span) == reference_vertices(span)
 
     def test_simple_vertex_keys_equal_the_row_reduction(self, monkeypatch):
         # a simple vertex takes its key without a row reduction; every ordering equals the one that
@@ -320,7 +326,7 @@ class TestVertexEnumeration:
     @pytest.mark.parametrize("space, count", [(orthospace.boolean_orthospace(5), 5), (instances.mo_orthospace(8), 256)],
                              ids=["bool5", "mo8"])
     def test_past_the_subset_loop(self, space, count):
-        verts = statespace._enumerate_vertices(_full_param(space))
+        verts = fraction_vertices(_full_param(space))
         assert len(verts) == len(set(verts)) == count
         assert all(is_state(space, State(v))[0] for v in verts)
 
@@ -450,14 +456,11 @@ class TestConditionalUniqueness:
         assert v.verdict == UNIQUE
         assert v.conditional[1] == F(2, 5)
 
-    def test_float_generators_raise_type_error(self, bool3, bool3_poly):
-        # listed states are exact: a float one reaching the LP is refused as State.integers refuses it
-        floats = [State(tuple(float(v) for v in g.values)) for g in bool3_poly.generators]
-        mu = instances.boolean_state([F(1, 5), F(3, 10), F(1, 2)])
-        with pytest.raises(TypeError, match="exact rational required, got float"):
-            check_conditional_uniqueness(generated_polytope(bool3, floats), mu, 3)
-        with pytest.raises(TypeError, match="exact rational required, got float"):
-            floats[0].integers
+    def test_float_generators_raise_type_error(self, bool3_poly):
+        # listed states are exact: a float one is refused where it is built, before any LP
+        for g in bool3_poly.generators:
+            with pytest.raises(TypeError, match="exact rational required, got float"):
+                State(tuple(float(v) for v in g.values))
 
     def test_generated_mode_lp_count(self, bool3, bool3_poly, monkeypatch):
         # a min and a max LP per event and no separate feasibility LP: a UNIQUE
@@ -699,7 +702,12 @@ def propagation_slices(draw):
             targets.append(mu[f] + draw(st.sampled_from([F(-1), F(1), F(1, 10**12), F(-1, 10**12)])))
         else:
             targets.append(draw(st.fractions(min_value=-1, max_value=2, max_denominator=10**12)))
-    return statespace.ConditionalSlice(poly, space.unit, events, targets)
+    return _pinned_slice(poly, events, targets)
+
+
+def _pinned_slice(poly, events, targets):
+    """The slice under the unit that pins each event at its target: masses (1, targets...) made coprime."""
+    return statespace.ConditionalSlice(poly, poly.space.unit, events, statespace._primitive([1, *targets]))
 
 
 class TestIntegerPropagation:
@@ -723,7 +731,7 @@ class TestIntegerPropagation:
     def test_targets_of_unlike_denominators(self, bool3_poly):
         # atoms 1/2 and 1/3 pin the third at 1/6: the unit of the integer bounds is 1/6,
         # a multiple of neither target's denominator
-        slc = statespace.ConditionalSlice(bool3_poly, 7, [1, 2], [F(1, 2), F(1, 3)])
+        slc = _pinned_slice(bool3_poly, [1, 2], [F(1, 2), F(1, 3)])
         point = propagated(slc)
         assert point == fraction_propagate(slc)
         assert point[1:5] == [F(1, 2), F(1, 3), F(5, 6), F(1, 6)]
@@ -836,9 +844,9 @@ class TestIntegerSlices:
                     slices.append(statespace.conditional_slice(
                         poly, mu, rng.choice([e for e in poly.space.events() if mu[e] != 0])))
                 else:
-                    slices.append(statespace.ConditionalSlice(poly, poly.space.unit, *_random_pins(poly, rng)))
+                    slices.append(_pinned_slice(poly, *_random_pins(poly, rng)))
         b5 = build_state_polytope(orthospace.boolean_orthospace(5))
-        slices += [statespace.ConditionalSlice(b5, b5.space.unit, *_b5_lp_pins(rng)) for _ in range(12)]
+        slices += [_pinned_slice(b5, *_b5_lp_pins(rng)) for _ in range(12)]
         seen = collections.Counter()
         for slc in slices:
             v = statespace._uc_full(slc)
@@ -952,7 +960,7 @@ def points_near_slices(draw):
         nu[i] = draw(st.sampled_from([F(-1, 2), F(3, 2), F(-1, 10**12), 1 + F(1, 10**12)]))
     elif kind == "random":
         nu[i] = draw(st.fractions(min_value=-1, max_value=2, max_denominator=10**12))
-    return statespace.ConditionalSlice(poly, space.unit, events, targets), State(tuple(nu))
+    return _pinned_slice(poly, events, targets), State(tuple(nu))
 
 
 class TestStateRows:
@@ -1185,17 +1193,27 @@ class TestIntegerStates:
             # MO_3 has MULTIPLE conditionals, which unique_conditional refuses
             assert outcomes[PreconditionError] >= 1, outcomes
 
-    def test_slice_keys_equal_fraction_primitive(self, bool4_poly):
-        rng = random.Random(7)
-        gens = bool4_poly.generators
-        for _ in range(40):
-            mu = mix_states(rng.choice(gens), mix_states(rng.choice(gens), rng.choice(gens), F(3, 10**6)),
-                            F(rng.randint(1, 10**12 - 1), 10**12))
-            e = rng.choice([e for e in bool4_poly.space.events() if mu[e] != 0])
-            masses, family = statespace._conditioning(bool4_poly, mu, e, None)
-            assert masses == statespace._primitive([mu[e], *(mu[f] for f in family)])
-            slc = statespace.conditional_slice(bool4_poly, mu, e)
-            assert slc.targets == [mu[f] / mu[e] for f in family]
+    def test_slice_keys_equal_fraction_primitive(self):
+        # over random mixtures, with the default family and a custom one: the slice key is the primitive
+        # of the masses, which the slice holds; mu(e) > 0 is the lcm of the target denominators, and the
+        # targets are mu(f)/mu(e)
+        rng, custom = random.Random(7), 0
+        for name in ("bool3", "bool4", "bool5", "mo3", "mo4"):
+            poly = build_state_polytope(FORM_SPACES[name]())
+            space, gens = poly.space, poly.generators
+            for _ in range(40):
+                mu = mix_states(rng.choice(gens), mix_states(rng.choice(gens), rng.choice(gens), F(3, 10**6)),
+                                F(rng.randint(1, 10**12 - 1), 10**12))
+                e = rng.choice([e for e in space.events() if mu[e] != 0])
+                for family in (None, rng.sample(range(space.n_events), rng.randint(1, 4))):
+                    masses, fs = statespace._conditioning(poly, mu, e, family)
+                    assert masses == statespace._primitive([mu[e], *(mu[f] for f in fs)])
+                    slc = statespace.conditional_slice(poly, mu, e, family)
+                    assert slc.masses == masses and math.gcd(*masses) == 1 and masses[0] > 0
+                    assert masses[0] == math.lcm(*(t.denominator for t in slc.targets))
+                    assert slc.targets == [mu[f] / mu[e] for f in fs]
+                    custom += family is not None and any(t.denominator > 1 for t in slc.targets)
+        assert custom >= 10
 
     def test_integer_form(self):
         mu = State((F(0), F(1, 6), F(5, 6), 1))
@@ -1204,7 +1222,35 @@ class TestIntegerStates:
         assert State.from_integers([0, -2, -10, -12], -12).integers == mu.integers
         assert State(("1/3", F(2, 3))).integers == ((1, 2), 3)
 
-    @pytest.mark.parametrize("values", [(0.5, 0.5), (F(1, 2), 0.5), (F(1, 2), complex(0.5))])
+    @pytest.mark.parametrize("values", [(0.5, 0.5), (F(1, 2), 0.5), (F(1, 2), complex(0.5)),
+                                        (F(1, 2), np.float64(0.5)), (F(1, 2), np.int64(1))])
     def test_float_state_has_no_integer_form(self, values):
+        # no inexact value makes a State: it raises at construction
         with pytest.raises(TypeError, match="exact rational required"):
-            State(values).integers
+            State(values)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equal_and_hash_equal_exactly_when_values_are(self, data):
+        fractions = st.fractions(min_value=-2, max_value=2, max_denominator=60)
+        vals = data.draw(st.lists(fractions, min_size=1, max_size=5))
+        other = data.draw(st.one_of(st.just(vals), st.lists(fractions, min_size=len(vals), max_size=len(vals)),
+                                    st.lists(fractions, min_size=1, max_size=5)))
+        a, b = State(tuple(vals)), State(tuple(other))
+        assert (a == b) == (vals == other)
+        assert a.values == tuple(vals) and b.values == tuple(other)
+        if vals == other:
+            assert hash(a) == hash(b)
+        # the same values as ints where integral and as p/q strings give the same state
+        for same in (State(tuple(int(v) if v.denominator == 1 else v for v in vals)),
+                     State(tuple(str(v) for v in vals))):
+            assert same == a and hash(same) == hash(a) and same.integers == a.integers
+        # any nonzero multiple of the form, a negative denominator too, is the same canonical state
+        ints, den = a.integers
+        k = data.draw(st.integers(-6, 6).filter(bool))
+        scaled = State.from_integers([v * k for v in ints], den * k)
+        assert scaled == a and hash(scaled) == hash(a) and scaled.integers == a.integers
+        assert den > 0 and math.gcd(den, *ints) == 1 and den == math.lcm(*(v.denominator for v in vals))
+        # a State is a frozen value: its form cannot be rebound
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.integers = b.integers
