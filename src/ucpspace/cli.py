@@ -55,8 +55,7 @@ def _load_states(space, path):
     states = fileio.parse_states(_read(path))
     if not states:
         raise ParseError("state file holds no states")
-    for ix, g in enumerate(states):
-        ok, viol = statespace.is_state(space, g)
+    for ix, (ok, viol) in enumerate(statespace.check_states(space, states)):
         if not ok:
             raise ParseError(f"state {ix} is invalid: {viol[0]}")
     return states
@@ -102,7 +101,7 @@ def _verify_axioms(space, report, lines):
 
 def _generators(polytope):
     """The polytope's generators, or PreconditionError for a space of no states; the full
-    polytope's read raises CapacityError past the vertex cap."""
+    polytope's read raises CapacityError past the state table cap."""
     if not polytope.generators:
         raise PreconditionError("the orthospace has no states; nothing was checked")
     return polytope.generators
@@ -230,7 +229,7 @@ def cmd_verify(args):
 def _witnesses_hold(slc, witnesses):
     """A MULTIPLE record's witnesses (nu1, nu2, event), as _report_records parsed them, lie in
     the slice and differ at the event.  `satisfied_by` checks the range, the state equations
-    of state_rows and the targets, in integers and with no solver."""
+    of the polytope's state table and the targets, in integers and with no solver."""
     nu1, nu2, at = witnesses
     return slc.satisfied_by(nu1) and slc.satisfied_by(nu2) and nu1[at] != nu2[at]
 

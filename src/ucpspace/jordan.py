@@ -421,9 +421,11 @@ def complement_projection(p):
 
 
 def batched_eigenvalues(tag, coords):
-    """(B, n) ascending eigenvalues for a stacked coordinate array."""
+    """(B, n) ascending eigenvalues for a stacked coordinate array; 'C' as complex n x n matrices."""
     if tag == "O3":
         return np.array([_cubic_roots(*cubic) for cubic in zip(*characteristic_cubic(coords))]).reshape(-1, 3)
+    if tag == "C":
+        return np.linalg.eigvalsh(coords[..., 0] + 1j * coords[..., 1])
     k = coord_dim(tag)
     w = np.linalg.eigvalsh(kernels.embed_real(coords))
     return w[..., ::k]

@@ -293,8 +293,8 @@ def check_certainty_order(synth, polytope, e, f):
     mu(e) <= 1 holds on the whole polytope, so {mu : mu(e) = 1} is a face of
     it, and mu(f) takes its minimum over that face at a vertex: a scan of the
     generators decides the hypothesis, listed states or the full polytope's
-    vertices (CapacityError past the vertex cap).  The generators are exact
-    states, and their values compare exactly.
+    vertices (CapacityError past the state table or enumeration work caps).
+    The generators are exact states, and their values compare exactly.
     """
     certain = [g for g in polytope.generators if g[e] == 1]
     if not certain:

@@ -64,6 +64,8 @@ class OrthoSpace:
     ortho: np.ndarray
     sum_table: np.ndarray
     complement: np.ndarray
+    # the state equations as one table, built by `statespace.state_table` on first use
+    state_table: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not (1 <= self.n_events <= MAX_EVENTS):

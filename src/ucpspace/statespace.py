@@ -10,9 +10,10 @@ propagation and the replay of a point against a slice run on those integers.
 The full state polytope is cut out by the state equations plus box bounds,
 vertices are enumerated exactly, and uniqueness questions are settled by bound
 propagation where it pins the conditional, else by the in-repo rational
-simplex.  The state equations are integer rows of events at +1 and at -1,
-listed once by `state_rows` and read by `is_state`, bound propagation and the
-replay of its point; row reductions are `linsolve`'s.
+simplex.  The state equations are one padded integer table per space,
+`state_table`.  One stacked check over it, `state_failures`, is `is_state`,
+the replay of a point against a slice and synthesis' check of its generator
+rows; every other reader of the equations reads that table too.
 
 A full polytope has one parametrization x = (X0 + B t) / D, its state equations
 reduced once by `linsolve.solve_affine_ints` into integer numerators X0, B over
@@ -29,8 +30,9 @@ without a row reduction.
 
 A `StatePolytope` is the convex hull of its listed states when it has them (a
 restricted state-space model), else the full polytope of all states.  The full
-polytope enumerates its vertices the first time its `generators` are read, up
-to _VERTEX_EVENT_CAP events; past that, the read raises CapacityError.  One LP
+polytope enumerates its vertices the first time its `generators` are read,
+when its state table has at most _TABLE_CAP entries; past that, the read
+raises CapacityError, and _VERTEX_CAP bounds the enumeration's own work.  One LP
 loop, `_lp_verdict`, decides every slice that propagation leaves open in
 either kind, over one LP system per slice whose phase 1 runs once: the box
 rows in t for the full polytope, convex coefficients of the listed states otherwise.
@@ -46,6 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +66,8 @@ MULTIPLE = "MULTIPLE"
 EMPTY = "EMPTY"
 
 _VERTEX_CAP = 1_000_000
-_VERTEX_EVENT_CAP = 64
+# entries (state equations times events) of the largest state table whose full polytope is enumerated
+_TABLE_CAP = 1_000_000
 # Bound-propagation sweeps before a slice goes to the LPs.  Every conditional
 # of Boolean 3 and 4 atoms reaches its fixpoint in two; rows whose bounds only
 # shrink geometrically would otherwise sweep without end.
@@ -116,57 +120,82 @@ class State:
         return len(self.integers[0])
 
 
+class StateTable(NamedTuple):
+    """The state equations as one padded table: row r is sum_k signs[r, k] x[events[r, k]] = rhs[r].
+
+    Row 0 is x_unit = 1; then each distinct additivity equation, in the
+    row-major order of the first orthogonal pair e <= f that gives it, with
+    events (e, f, e + f): that pair names it in `is_state`.  When e + f is e
+    or f the row cancels to the other one, whose sign alone is nonzero; an
+    event at coefficient 2 (e + e != e) is listed twice.
+    """
+
+    events: np.ndarray  # (R, 3) int64
+    signs: np.ndarray  # (R, 3) int64, each -1, 0 or +1
+    rhs: np.ndarray  # (R,) int64
+
+    def dense(self, n):
+        """The rows as an (R, n) integer array over the n events."""
+        out = np.zeros((len(self.rhs), n), dtype=np.int64)
+        np.add.at(out, (np.arange(len(self.rhs))[:, None], self.events), self.signs)
+        return out
+
+
+def state_table(space):
+    """The space's state equations as one `StateTable`, built on the first call and kept on the space."""
+    if space.state_table is None:
+        st = space.sum_table
+        es, fs = np.nonzero(space.ortho & (st >= 0))
+        eqs = {}
+        for e, f, s in zip(es.tolist(), fs.tolist(), st[es, fs].tolist()):
+            if e <= f:
+                # when e + f is e or f itself, x_e + x_f - x_{e+f} cancels to the other one
+                key, signs = ((e,), (1, 0, 0)) if s == f else ((f,), (0, 1, 0)) if s == e else ((e, f, s), (1, 1, -1))
+                eqs.setdefault(key, (e, f, s, *signs))
+        rows = np.array([(space.unit,) * 3 + (1, 0, 0), *eqs.values()], dtype=np.int64)
+        space.state_table = StateTable(rows[:, :3], rows[:, 3:], np.eye(1, len(rows), dtype=np.int64)[0])
+    return space.state_table
+
+
+def state_failures(table, x, den, tol):
+    """(k, n) and (k, R) masks: the events of each row of x outside [0, 1], and the state equations it breaks.
+
+    x is a (k, n) stack over den, a scalar or a (k, 1) column: Python-int
+    numerators in an object array, exact with tol 0, or floats within tol.
+    """
+    den = np.asarray(den, dtype=x.dtype)
+    residual = (x[:, table.events] * table.signs).sum(axis=2) - den * table.rhs
+    return (x < -tol) | (x > den + tol), abs(residual) > tol
+
+
+def check_states(space, states):
+    """`is_state` of each state, from one stacked `state_failures` call."""
+    n, table = space.n_events, state_table(space)
+    fit = [s.integers for s in states if len(s) == n]
+    x = np.array([ints for ints, _ in fit], dtype=object).reshape(-1, n)
+    den = np.array([scale for _, scale in fit], dtype=object).reshape(-1, 1)
+    out, broken = state_failures(table, x, den, 0)
+    viols = {}
+    for i in np.flatnonzero(out.any(axis=1) | broken.any(axis=1)).tolist():
+        v, d = x[i], den[i, 0]
+        viols[i] = [("unit", Fraction(v[space.unit], d))] if broken[i, 0] else []
+        viols[i] += [("range", e, Fraction(v[e], d)) for e in np.flatnonzero(out[i]).tolist()]
+        viols[i] += [("additivity", e, f, Fraction(v[e] + v[f], d), Fraction(v[s], d))
+                     for e, f, s in table.events[1:][broken[i, 1:]].tolist()]
+    rows = iter(range(len(fit)))
+    checked = [viols.get(next(rows), []) if len(s) == n else [("length", len(s), n)] for s in states]
+    return [(not viol, viol) for viol in checked]
+
+
 def is_state(space, state):
     """Exact state check. Returns (ok, violations); each violation is replayable.
 
-    It checks the length, the unit, the [0, 1] range of every event, then each
-    additivity equation of state_rows once: a violated equation is reported
-    once, named by the first orthogonal pair e <= f that gives it, however many
-    pairs give it.  Violation shapes: ("length", got, want), ("unit", value),
-    ("range", event, value), ("additivity", e, f, value, expected).
+    It checks the length, then the unit, the [0, 1] range of every event and
+    each equation of the `state_table` once: a violated equation is named by
+    its first orthogonal pair e <= f.  Violation shapes: ("length", got, want),
+    ("unit", value), ("range", event, value), ("additivity", e, f, value, expected).
     """
-    n = space.n_events
-    if len(state) != n:
-        return False, [("length", len(state), n)]
-    x, den = state.integers
-    viol = [("unit", Fraction(x[space.unit], den))] if x[space.unit] != den else []
-    viol += [("range", e, Fraction(v, den)) for e, v in enumerate(x) if not 0 <= v <= den]
-    viol += [("additivity", e, f, Fraction(x[e] + x[f], den), Fraction(x[s], den))
-             for e, f, s in additivity(space).values() if x[e] + x[f] != x[s]]
-    return not viol, viol
-
-
-def additivity(space):
-    """Each distinct additivity equation (events at +1, events at -1), with the first
-    orthogonal pair e <= f, in np.triu order, that gives it, as (e, f, e + f)."""
-    st = space.sum_table
-    es, fs = np.nonzero(np.triu(space.ortho & (st >= 0)))
-    eqs = {}
-    for e, f, s in zip(es.tolist(), fs.tolist(), st[es, fs].tolist()):
-        # when e + f is e or f itself, x_e + x_f - x_{e+f} cancels to the other one
-        eqs.setdefault(((e, f), (s,)) if s not in (e, f) else ((f if s == e else e,), ()), (e, f, s))
-    return eqs
-
-
-def state_rows(space):
-    """The state equations as integer rows (events at +1, events at -1, rhs).
-
-    The unit row x_unit = 1, then x_e + x_f - x_{e+f} = 0 for each orthogonal
-    pair e <= f with a defined sum, cancelled within the row and kept at its
-    first occurrence (`additivity`).  An event at coefficient 2 is listed
-    twice: only a nonzero event orthogonal to itself with e + e != e gives one.
-    """
-    return [((space.unit,), (), 1)] + [(plus, minus, 0) for plus, minus in additivity(space)]
-
-
-def _dense(plus, minus, n):
-    """A state equation as a dense integer row over the n events."""
-    row = [0] * n
-    for j in plus:
-        row[j] += 1
-    for j in minus:
-        row[j] -= 1
-    return row
+    return check_states(space, [state])[0]
 
 
 @dataclass
@@ -187,29 +216,29 @@ class StatePolytope:
     def generators(self):
         """The listed states, or the full polytope's vertices, enumerated exactly on first read.
 
-        Past _VERTEX_EVENT_CAP events the full polytope has none to give: CapacityError.
+        Past _TABLE_CAP state table entries the full polytope has none to give: CapacityError.
         """
         if self.listed is not None:
             return self.listed
-        n = self.space.n_events
-        if n > _VERTEX_EVENT_CAP:
-            raise CapacityError(
-                f"the full state polytope of {n} events has no enumerated vertices "
-                f"(vertex enumeration is capped at {_VERTEX_EVENT_CAP} events); nothing was checked"
-            )
+        n, rows = self.space.n_events, len(state_table(self.space).rhs)
+        if rows * n > _TABLE_CAP:
+            raise CapacityError(f"the full state polytope of {n} events has no enumerated vertices: its state table "
+                                f"of {rows} x {n} = {rows * n} entries is past the cap of {_TABLE_CAP} entries; "
+                                "nothing was checked")
         return [State.from_integers(*v) for v in _enumerate_vertices(self._parametrization)]
 
     @functools.cached_property
     def rows(self):
-        """The state equations as state_rows gives them, built once."""
-        return state_rows(self.space)
+        """The table's rows as (events at +1, events at -1, rhs) tuples: the view bound propagation sweeps."""
+        t = state_table(self.space)
+        return [((e, f), (s,), b) if c < 0 else ((e,) if a else (f,), (), b)
+                for (e, f, s), (a, _, c), b in zip(t.events.tolist(), t.signs.tolist(), t.rhs.tolist())]
 
     @functools.cached_property
     def _parametrization(self):
         """All solutions of the state equations as (X0, B, D), x = (X0 + B t) / D, or None."""
-        n = self.space.n_events
-        return linsolve.solve_affine_ints([_dense(plus, minus, n) for plus, minus, _ in self.rows],
-                                          [b for *_, b in self.rows])
+        table = state_table(self.space)
+        return linsolve.solve_affine_ints(table.dense(self.space.n_events).tolist(), table.rhs.tolist())
 
     def pin(self, events=(), values=()):
         """The solutions with x_f = v on the given events as (X0', B', D'), or None.
@@ -470,16 +499,13 @@ class ConditionalSlice:
         return [Fraction(m, self.masses[0]) for m in self.masses[1:]]
 
     def satisfied_by(self, nu):
-        """Exact membership: nu's integer form, replayed by `_holds`."""
-        return self._holds(*nu.integers)
-
-    def _holds(self, x, scale):
-        """Is x / scale (integers x, scale > 0) in [0, 1], on every state equation and on every target?"""
-        me, *mf = self.masses
-        return (len(x) == self.polytope.space.n_events and all(0 <= v <= scale for v in x)
-                and all(sum(x[j] for j in plus) - sum(x[j] for j in minus) == b * scale
-                        for plus, minus, b in self.polytope.rows)
-                and all(x[f] * me == m * scale for f, m in zip(self.constraint_events, mf)))
+        """Exact membership: is nu in [0, 1], on every state equation and on every target?"""
+        (x, scale), (me, *mf) = nu.integers, self.masses
+        if len(x) != self.polytope.space.n_events:
+            return False
+        out, broken = state_failures(state_table(self.polytope.space), np.array([x], dtype=object), scale, 0)
+        return not (out.any() or broken.any()) and all(x[f] * me == m * scale
+                                                       for f, m in zip(self.constraint_events, mf))
 
 
 def _conditioning(polytope, mu, e, family):
@@ -518,14 +544,6 @@ class ConditionalVerdict:
     slice_dim: int | None = None
 
 
-def _slice_rows(slc):
-    """The slice's equations as dense (row, rhs) pairs: the state equations, then one pin row per target."""
-    n = slc.polytope.space.n_events
-    rows = [(_dense(plus, minus, n), b) for plus, minus, b in slc.polytope.rows]
-    rows += [(_dense((f,), (), n), t) for f, t in zip(slc.constraint_events, slc.targets)]
-    return rows
-
-
 def _propagate(slc):
     """Exact interval bound propagation over the slice rows inside [0, 1]^n, on integers.
 
@@ -538,6 +556,7 @@ def _propagate(slc):
     update is an integer add and nothing rounds.  An event listed twice
     (coefficient 2) is bounded as two variables with the same bounds: that
     relaxes the row, so every bound it derives still holds for the event.
+    A row found with every coordinate pinned is left out of later sweeps.
     Returns the point as (integers, D) when a fixpoint pins every coordinate,
     else None: a contradiction, a coordinate left free, or no fixpoint within
     _PROPAGATION_SWEEPS sweeps.
@@ -550,9 +569,11 @@ def _propagate(slc):
         if not (lo[f] <= t <= hi[f]):
             return None
         lo[f] = hi[f] = t
+    rows = slc.polytope.rows
     for _ in range(_PROPAGATION_SWEEPS):
-        changed = False
-        for plus, minus, b in slc.polytope.rows:
+        changed, unpinned = False, []
+        for row in rows:
+            plus, minus, b = row
             # the row's activity range, less its rhs
             amin = amax = -b * scale
             for j in plus:
@@ -562,7 +583,8 @@ def _propagate(slc):
             if amin > 0 or amax < 0:
                 return None
             if amin == amax:
-                continue  # every coordinate of the row is pinned
+                continue  # every coordinate is pinned, and stays so (or propagation ends): later sweeps skip it
+            unpinned.append(row)
             # with the other coordinates in their bounds, x_j lies in
             # [hi_j - amax, lo_j - amin] at +1 and in [hi_j + amin, lo_j + amax] at -1
             for events, dlo, dhi in ((plus, -amax, -amin), (minus, amin, amax)):
@@ -576,6 +598,7 @@ def _propagate(slc):
                         return None
         if not changed:
             return (lo, scale) if lo == hi else None
+        rows = unpinned
     return None
 
 
@@ -594,8 +617,10 @@ def _empty_verdict(slc, sub, farkas, d):
     x, s >= 0} empty (Farkas' lemma; Schrijver 1986, 7.3).  A certificate that
     cannot be built or does not verify raises UcpError.
     """
-    rows = _slice_rows(slc)
-    n = slc.polytope.space.n_events
+    n, table = slc.polytope.space.n_events, state_table(slc.polytope.space)
+    # the slice's equations, scattered from the state table: the state equations, then one pin row per target
+    rows = [*table.dense(n).tolist(), *np.eye(n, dtype=np.int64)[slc.constraint_events].tolist()]
+    rhs = [*table.rhs.tolist(), *slc.targets]
     up, down = [Fraction(0)] * n, [Fraction(0)] * n
     yb = Fraction(1)
     if sub is not None:
@@ -618,12 +643,11 @@ def _empty_verdict(slc, sub, farkas, d):
                 f = max(i for i, v in enumerate(bvec) if v != 0)
                 down[f] += sum((a - b) * v for a, b, v in zip(up, down, bvec) if v)
         yb = sum((a - b) * v for a, b, v in zip(up, down, x0))
-    a_t = [*zip(*(r for r, _ in rows)), [b for _, b in rows]]
+    a_t = [*zip(*rows), rhs]
     sol = linsolve.solve_affine(a_t, [a - b for a, b in zip(up, down)] + [yb])
     if sol is not None:
         unit = [[Fraction(int(j == i)) for j in range(n)] * 2 for i in range(n)]
-        cert = Farkas(a_rows=[list(r) + [Fraction(0)] * n for r, _ in rows] + unit,
-                      b=[b for _, b in rows] + [Fraction(1)] * n,
+        cert = Farkas(a_rows=[r + [Fraction(0)] * n for r in rows] + unit, b=rhs + [Fraction(1)] * n,
                       y=sol[0] + [-v for v in up])
         if verify_farkas(cert):
             return ConditionalVerdict(EMPTY, certificate=cert, slice_dim=d)
@@ -701,7 +725,8 @@ def _lp_verdict(system, costs, point, d):
 def _uc_full(slc):
     pinned = _propagate(slc)
     if pinned is not None:
-        if not slc._holds(*pinned):
+        conditional = State.from_integers(*pinned)
+        if not slc.satisfied_by(conditional):
             raise UcpError("bound propagation pinned a point outside the conditional slice")
         # the pins are consistent, so the slice's nullity is the parametrization's
         # less the rank of the pin rows over it, which depends on the constrained events only
@@ -711,7 +736,7 @@ def _uc_full(slc):
         if family not in ranks:
             ranks[family] = linsolve.rank([[v[f] for v in basis] for f in family])
         d = len(basis) - ranks[family]
-        return ConditionalVerdict(UNIQUE, conditional=State.from_integers(*pinned), slice_dim=d)
+        return ConditionalVerdict(UNIQUE, conditional=conditional, slice_dim=d)
     sub = slc.polytope.pin(slc.constraint_events, slc.targets)
     d = -1 if sub is None else len(sub[1])
     # inconsistent pins or a fixed coordinate outside [0, 1] empty the slice with no

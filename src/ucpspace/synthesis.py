@@ -284,28 +284,25 @@ def _raise_at_first(outside, message):
 def _check_state_rows(space, pairing, exact):
     """Raise SynthesisError at the first generator row of the pairing that is not a state.
 
-    One stacked pass checks every row against the unit, the [0, 1] range and
-    each state equation (exactly on the integers over d, within FLOAT_TOL on
-    the floats).  On the exact lane the message carries `is_state`'s first
-    violation of the failing row.
+    One `statespace.state_failures` pass checks every row against the unit,
+    the [0, 1] range and each state equation (exactly on the integers over d,
+    within FLOAT_TOL on the floats).  On the exact lane the message carries
+    `is_state`'s first violation of the failing row.
     """
     pn, d = pairing
-    tol = 0 if exact else FLOAT_TOL
-    # the first pair (e, f) and sum s of each state equation, as state_rows lists them
-    e, f, s = np.array(list(statespace.additivity(space).values()), dtype=np.int64).reshape(-1, 3).T
-    out_of_range = (abs(pn[:, space.unit] - d) > tol) | (pn.min(axis=1) < -tol) | (pn.max(axis=1) > d + tol)
-    not_additive = abs(pn[:, e] + pn[:, f] - pn[:, s]) > tol
-    failed = np.flatnonzero(out_of_range | not_additive.any(axis=1))
+    table = statespace.state_table(space)
+    out, broken = statespace.state_failures(table, pn, d, 0 if exact else FLOAT_TOL)
+    failed = np.flatnonzero(out.any(axis=1) | broken.any(axis=1))
     if not len(failed):
         return
     ix = int(failed[0])
     if exact:
         _, viol = statespace.is_state(space, statespace.State.from_integers(pn[ix].tolist(), d))
         raise SynthesisError(f"generator {ix} is not a state: {viol[0]}")
-    if out_of_range[ix]:
+    if out[ix].any() or broken[ix, 0]:
         raise SynthesisError(f"generator {ix} is not a state (mass or range)")
-    t = int(np.argmax(not_additive[ix]))
-    raise SynthesisError(f"generator {ix} is not additive on ({e[t]}, {f[t]})")
+    e, f, _ = table.events[1 + int(np.argmax(broken[ix, 1:]))].tolist()
+    raise SynthesisError(f"generator {ix} is not additive on ({e}, {f})")
 
 
 def build_synthetic_space(space, value_rows, exact):

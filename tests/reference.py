@@ -360,10 +360,10 @@ def integer_param(param):
 
 
 def fraction_parametrization(poly):
-    """All solutions of the polytope's state equations as (x0, nullspace basis) over Fractions, or None."""
-    n = poly.space.n_events
-    return linsolve.solve_affine([statespace._dense(plus, minus, n) for plus, minus, _ in poly.rows],
-                                 [b for *_, b in poly.rows])
+    """All solutions of the polytope's state equations, from `equality_rows`, as (x0, nullspace basis) over
+    Fractions, or None."""
+    rows = equality_rows(poly.space)
+    return linsolve.solve_affine([[int(v) for v in row] for row, _ in rows], [int(b) for _, b in rows])
 
 
 def fraction_point(x0, basis, t):

@@ -168,14 +168,15 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", ["uniqueness", "mixture"])
     def test_past_vertex_cap_is_not_a_pass(self, files, check):
-        # MO_32 has 66 events, past the 64-event vertex cap: no generators to check
+        # MO_32 has 66 events and 2^32 vertices: the adjacency work cap refuses it, so no generators to check
         code, out, err = invoke(["verify", "--input", files["mo32"], "--states", "full", check])
         assert code == 2
         assert out == ""
-        assert "66 events" in err and "64 events" in err
+        assert "vertex enumeration" in err and "cap" in err
 
     def test_boolean10_past_vertex_cap_exits_promptly(self, tmp_path):
-        # 1,024 events: the state equations are built, but no vertex enumeration or row reduction runs
+        # 1,024 events and 28,503 state equations: the state table is built, but it is past the table cap,
+        # so no vertex enumeration or row reduction runs
         path = tmp_path / "bool10.txt"
         path.write_text(fileio.format_orthospace(orthospace.boolean_orthospace(10)))
         start = time.perf_counter()
@@ -183,10 +184,33 @@ class TestVerify:
         assert time.perf_counter() - start < 10
         assert code == 2
         assert out == ""
-        assert "1024 events" in err and "64 events" in err
+        assert "1024 events" in err and "past the cap of 1000000 entries" in err
+
+    def test_boolean9_past_table_cap_exits_promptly(self, tmp_path):
+        # 512 events and 9,332 state equations: 4.8M table entries, past the table cap
+        path = tmp_path / "bool9.txt"
+        path.write_text(fileio.format_orthospace(orthospace.boolean_orthospace(9)))
+        start = time.perf_counter()
+        code, out, err = invoke(["verify", "--input", str(path), "--states", "full", "uniqueness"])
+        assert time.perf_counter() - start < 10
+        assert code == 2
+        assert out == ""
+        assert "512 events" in err and "9332 x 512 = 4777984 entries" in err
+
+    def test_boolean7_full_polytope_under_the_table_cap(self, tmp_path):
+        # 128 events and 968 state equations: 123,904 table entries, under the table cap
+        path = tmp_path / "bool7.txt"
+        path.write_text(fileio.format_orthospace(orthospace.boolean_orthospace(7)))
+        code, out, _ = invoke(["verify", "--input", str(path), "--states", "full", "--seed", "0", "--samples", "10",
+                               "axioms", "separation", "uniqueness", "mixture"])
+        assert code == 0
+        lines = out.splitlines()
+        assert "separation: pass (7 generators)" in lines
+        assert "uniqueness: all conditionals UNIQUE" in lines
+        assert lines[-1] == "verify: PASS"
 
     def test_past_ray_work_cap_exits_promptly(self, files):
-        # MO_31 has 64 events, inside the event cap, and 2^31 vertices: the adjacency work cap refuses it
+        # MO_31 has 64 events, under the table cap, and 2^31 vertices: the adjacency work cap refuses it
         start = time.perf_counter()
         code, out, err = invoke(["verify", "--input", files["mo31"], "--states", "full"])
         assert time.perf_counter() - start < 30
@@ -660,11 +684,11 @@ class TestSpectrum:
 
 class TestSynthesize:
     def test_past_vertex_cap_is_bad_input(self, files):
-        # MO_32 has 66 events, past the 64-event vertex cap: no generators to synthesize from
+        # MO_32 has 66 events and 2^32 vertices: the adjacency work cap refuses it, so no generators to synthesize from
         code, out, err = invoke(["synthesize", "--input", files["mo32"], "--states", "full"])
         assert code == 2
         assert out == ""
-        assert "66 events" in err and "capped at 64 events" in err
+        assert "vertex enumeration" in err and "cap" in err
 
     def test_space_without_states_is_bad_input(self, files):
         code, out, err = invoke(["synthesize", "--input", files["stateless"], "--states", "full"])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucpspace import cayley, jordan
+from ucpspace import cayley, jordan, kernels
 from ucpspace.errors import SizeError
 from ucpspace.jordan import (
     check_norm_laws,
@@ -310,6 +310,18 @@ class TestSpectraAtEveryScale:
         assert got.multiplicity == ref.multiplicity
         assert np.max(np.abs(got.values / scale - ref.values)) <= 1e-9 * radius
         assert np.max(np.abs(eigenvalues(a * scale) / scale - eigenvalues(a))) <= 1e-9 * radius
+
+    @settings(max_examples=60, deadline=None)
+    @given(seeds, scales, st.integers(1, 4), st.integers(1, 8))
+    def test_complex_stack_spectra_equal_the_real_embedding(self, seed, scale, n, count):
+        # the complex n x n eigvalsh against the real 2n x 2n embedding, whose eigenvalues come in pairs
+        rng = np.random.default_rng(seed)
+        coords = np.stack([random_hermitian("C", n, rng).coords for _ in range(count)]) * scale
+        want = np.linalg.eigvalsh(kernels.embed_real(coords))[..., ::2]
+        got = jordan.batched_eigenvalues("C", coords)
+        radius = np.max(np.abs(want), axis=-1, keepdims=True)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * radius)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(jordan.TAGS), seeds, scales)

@@ -298,7 +298,7 @@ class TestCertaintyOrder:
         assert v.hypothesis_holds and not v.hypothesis_vacuous and v.min_value == 1 and v.order_holds
 
     def test_full_polytope_without_vertices_is_refused(self, bool3_setup):
-        # MO_32 has 66 events: its full polytope has no vertices to scan, whatever the model
+        # MO_32 has 66 events and 2^32 vertices: its full polytope has no vertices to scan, whatever the model
         synth, _, _ = bool3_setup
-        with pytest.raises(CapacityError, match="66 events.*64 events"):
+        with pytest.raises(CapacityError, match="vertex enumeration.*cap"):
             check_certainty_order(synth, build_state_polytope(instances.mo_orthospace(32)), 1, 3)

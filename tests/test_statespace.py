@@ -127,14 +127,14 @@ class TestPolytope:
         assert calls == [1]
 
     def test_past_vertex_cap_read_is_refused(self, monkeypatch):
-        # Boolean 7 atoms has 128 events: building its polytope enumerates nothing, and reading its
-        # vertices names the cap
+        # Boolean 9 atoms has 512 events and 9,332 state equations: building its polytope enumerates
+        # nothing, and reading its vertices names the table cap
         def refuse(param):
             raise AssertionError("vertices enumerated")
 
         monkeypatch.setattr(statespace, "_enumerate_vertices", refuse)
-        poly = build_state_polytope(orthospace.boolean_orthospace(7))
-        with pytest.raises(CapacityError, match="128 events.*capped at 64 events"):
+        poly = build_state_polytope(orthospace.boolean_orthospace(9))
+        with pytest.raises(CapacityError, match="512 events.*past the cap of 1000000 entries"):
             poly.generators
 
 
@@ -395,8 +395,8 @@ class TestSeparation:
         assert e != f
 
     def test_needs_generators(self):
-        # MO_32 has 66 events: its full polytope has no vertices to scan
-        with pytest.raises(CapacityError, match="66 events.*64 events"):
+        # MO_32 has 66 events and 2^32 vertices: its full polytope has no vertices to scan
+        with pytest.raises(CapacityError, match="vertex enumeration.*cap"):
             check_separation(build_state_polytope(instances.mo_orthospace(32)))
 
 
@@ -969,8 +969,8 @@ class TestStateRows:
     @pytest.mark.parametrize("name", list(ROW_SPACES))
     def test_dense_rows_equal_reference(self, name):
         space = ROW_SPACES[name]()
-        dense = [(tuple(statespace._dense(plus, minus, space.n_events)), b) for plus, minus, b in
-                 statespace.state_rows(space)]
+        table = statespace.state_table(space)
+        dense = [(tuple(row), b) for row, b in zip(table.dense(space.n_events).tolist(), table.rhs.tolist())]
         assert dense == equality_rows(space)
 
     @settings(max_examples=300, deadline=None)
@@ -993,7 +993,11 @@ class TestStateRows:
         for v in want:
             if v[0] == "additivity":
                 e, f, s = v[1], v[2], space.sum_of(v[1], v[2])
-                first.setdefault(tuple(statespace._dense((e, f), (s,), space.n_events)), v)
+                row = [0] * space.n_events
+                row[e] += 1
+                row[f] += 1
+                row[s] -= 1
+                first.setdefault(tuple(row), v)
         assert viol == [v for v in want if v[0] != "additivity"] + list(first.values())
 
     def test_coefficient_two_equation_violated_once(self):
@@ -1005,6 +1009,83 @@ class TestStateRows:
         assert not ok
         assert viol == [("additivity", 0, 0, F(1), F(1, 2)), ("additivity", 1, 1, F(1, 2), F(3, 4))]
         assert len(reference_is_state(space, State(tuple(vals)))[1]) > len(viol)
+
+
+STACK_SPACES = {
+    **{f"bool{k}": functools.partial(orthospace.boolean_orthospace, k) for k in range(3, 7)},
+    "mo3": functools.partial(instances.mo_orthospace, 3),
+    "coefficient-two": coefficient_two_space,
+}
+
+
+def _mixed_stack(space, seed):
+    """Affine combinations of the vertices, each kept or broken in one of five ways, and one state too short."""
+    gens = build_state_polytope(space).generators
+    n, rng = space.n_events, random.Random(seed)
+    stack = []
+    for i in range(30):
+        weights = [rng.choice([0, 1, 2, 5, 10**9]) for _ in gens]
+        weights[rng.randrange(len(gens))] += rng.choice([1, -1]) if i % 3 == 2 else 1
+        total = sum(weights) or 1
+        vals = [sum(F(w, total) * g[j] for w, g in zip(weights, gens)) for j in range(n)]
+        e = rng.randrange(n)
+        kind = i % 6
+        if kind == 1:
+            vals[e] += F(1, rng.choice([3, 7, 10**12]))
+        elif kind == 2:
+            vals[space.unit] = F(rng.randrange(2, 9), 9)
+        elif kind == 3:
+            vals[e] = rng.choice([F(-1, 5), F(6, 5), 1 + F(1, 10**12)])
+        elif kind == 4:
+            vals[e], vals[(e + 1) % n] = vals[(e + 1) % n], vals[e]
+        stack.append(State(tuple(vals)))
+    stack.insert(rng.randrange(len(stack)), State(tuple(stack[0].values[:-1])))
+    return stack
+
+
+class TestStackedCheck:
+    """One stacked residual check over the state table against the n^2 pair walk of the reference."""
+
+    @pytest.mark.parametrize("name", list(STACK_SPACES))
+    def test_stack_gives_each_row_the_reference_first_violation(self, name):
+        space = STACK_SPACES[name]()
+        stack = _mixed_stack(space, seed=len(name))
+        got = statespace.check_states(space, stack)
+        want = [reference_is_state(space, nu) for nu in stack]
+        assert [(ok, viol[:1]) for ok, viol in got] == [(ok, viol[:1]) for ok, viol in want]
+        # valid and invalid rows are mixed, and a row's verdict does not depend on its neighbours
+        assert {ok for ok, _ in got} == {True, False}
+        assert got == [is_state(space, nu) for nu in stack]
+
+    def test_float_rows_are_checked_within_the_tolerance(self, bool3_poly):
+        table = statespace.state_table(bool3_poly.space)
+        rows = np.array([[float(v) for v in g.values] for g in bool3_poly.generators])
+        rows[1] += 1e-9
+        rows[2, 3] += 1e-7
+        out, broken = statespace.state_failures(table, rows, 1.0, synthesis.FLOAT_TOL)
+        assert out.any(axis=1).tolist() == [False, False, False]
+        assert broken.any(axis=1).tolist() == [False, False, True]
+
+    def test_b6_membership_equals_reference(self):
+        poly = build_state_polytope(orthospace.boolean_orthospace(6))
+        space, rng = poly.space, random.Random(6)
+        gens = poly.generators
+        checked = 0
+        for _ in range(12):
+            weights = [rng.randrange(1, 9) for _ in gens]
+            mu = State(tuple(sum(F(w, sum(weights)) * g[j] for w, g in zip(weights, gens))
+                             for j in range(space.n_events)))
+            e = rng.choice([e for e in space.events() if mu[e] != 0 and e != space.zero])
+            slc = statespace.conditional_slice(poly, mu, e)
+            nu = list(check_conditional_uniqueness(poly, mu, e).conditional.values)
+            f = rng.randrange(space.n_events)
+            for shift in (0, F(1, 10**12), F(-1, 3)):
+                point = State(tuple(v + shift if j == f else v for j, v in enumerate(nu)))
+                want = reference_is_state(space, point)[0] and all(
+                    point[g] == t for g, t in zip(slc.constraint_events, slc.targets))
+                assert slc.satisfied_by(point) == want
+                checked += want
+        assert checked == 12
 
 
 def _fields(v):

@@ -264,8 +264,8 @@ class TestExactStateRows:
     def test_equations_listed_once(self, bool3_poly, monkeypatch):
         # every row is checked in one pass: the state equations are listed once, not once per row
         gens, calls = bool3_poly.generators, []
-        additivity = statespace.additivity
-        monkeypatch.setattr(statespace, "additivity", lambda space: calls.append(1) or additivity(space))
+        state_table = statespace.state_table
+        monkeypatch.setattr(statespace, "state_table", lambda space: calls.append(1) or state_table(space))
         abstract_synthetic_space(bool3_poly.space, gens)
         assert len(calls) == 1
 
