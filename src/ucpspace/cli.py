@@ -111,7 +111,9 @@ def _verify_uniqueness(space, polytope, report, lines):
     records = []
     all_unique = True
     # each state is formatted once, and so are the witnesses of each verdict: the polytope hands
-    # out one verdict object per distinct slice, shared by every record on that slice
+    # out one verdict object per distinct slice, shared by every record on that slice.  The
+    # records hold these lists themselves, not copies, so `fileio.json_text` writes each shared
+    # state and witness list once and repeats its text
     witness_values = {}
     for ix, mu in enumerate(_generators(polytope)):
         state = None

@@ -12,6 +12,7 @@ the event span; v1, which wrote U_e over the generators, is no longer read.
 import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -326,30 +327,57 @@ def synth_dump(model):
     }
 
 
-_NATIVE = frozenset((float, int, str, bool, type(None)))
-_ROW_SCALARS = _NATIVE - {str}
-# With indent unset the standard encoder runs in C: one call per scalar or per row of numbers.
-_encode = json.JSONEncoder().encode
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(v):
+    text = float.__repr__(v)
+    return _NON_FINITE.get(text, text)
+
+
+# The text of each native scalar, by exact type, through the functions the standard encoder calls itself.
+_SCALAR = {
+    str: _string,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+_ROW_SCALARS = frozenset(_SCALAR) - {str}
+# With indent unset the standard encoder runs in C: one call per row or matrix of numbers.
+_ENCODER = json.JSONEncoder()
 
 
 def json_text(obj):
     """`json.dumps(obj, sort_keys=True, indent=2)`, with Fractions as p/q strings and numpy values as natives.
 
     Dict keys go through `str` before they are sorted; tuples and arrays are
-    written as lists.  A row of plain numbers, and a list of non-empty such
-    rows, is encoded in one call and the indented separators are spliced in:
-    no number's text contains ", " or "], [".  Anything else raises json's
-    TypeError.
+    written as lists.  Each native scalar and key is written by the function
+    the standard encoder itself calls for its type (`encode_basestring_ascii`,
+    `int.__repr__`, `float.__repr__` with json's NaN and Infinity), with no
+    encoder call of its own.  A row of plain numbers, and a list of non-empty
+    such rows, is encoded in one C call and the indented separators are
+    spliced in: no number's text contains ", " or "], [".  A list of strings
+    is one join, and so is a list of non-empty lists that are each written in
+    one piece.  Anything else raises json's TypeError.
+
+    The text of each list written in one piece is memoized by (id, indent)
+    for the length of the call, so a list that a report holds in many places
+    is written once.  The memo keeps a reference to every list it has seen:
+    no temporary (an ndarray's `tolist()`) can be freed and its id reused by
+    another list while the call runs.  Every other list, a list of records
+    say, streams into the output.
     """
     out = []
-    _write_json(obj, "\n", out)
+    _write_json(obj, "\n", out, {})
     return "".join(out)
 
 
-def _write_json(obj, nl, out):
+def _write_json(obj, nl, out, memo):
     """Append obj's text to out; nl is the newline plus the indent of obj's own line."""
-    if type(obj) in _NATIVE:
-        out.append(_encode(obj))
+    scalar = _SCALAR.get(type(obj))
+    if scalar is not None:
+        out.append(scalar(obj))
     elif isinstance(obj, dict):
         items = {str(k): v for k, v in obj.items()}
         if not items:
@@ -358,38 +386,73 @@ def _write_json(obj, nl, out):
         inner = nl + "  "
         sep = "{" + inner
         for k in sorted(items):
-            out.append(sep + _encode(k) + ": ")
-            _write_json(items[k], inner, out)
+            v = items[k]
+            scalar = _SCALAR.get(type(v))
+            if scalar is None:
+                out.append(sep + _string(k) + ": ")
+                _write_json(v, inner, out, memo)
+            else:
+                out.append(sep + _string(k) + ": " + scalar(v))
             sep = "," + inner
         out.append(nl + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        text = _list_text(obj, nl, memo)
+        if text is not None:
+            out.append(text)
+            return
         inner = nl + "  "
-        if _ROW_SCALARS.issuperset(map(type, obj)):
-            out.append("[" + inner + _encode(obj)[1:-1].replace(", ", "," + inner) + nl + "]")
-            return
-        # a matrix of plain numbers; the first entry turns away the lists of records and of string rows cheaply
-        head = obj[0]
-        if type(head) in (list, tuple) and head and type(head[0]) in _ROW_SCALARS and all(
-            type(row) in (list, tuple) and row and _ROW_SCALARS.issuperset(map(type, row)) for row in obj
-        ):
-            # "[[a, b], [c, d]]": the separators between rows first, then those between entries
-            row = inner + "  "
-            body = _encode(obj)[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
-            out.append("[" + inner + "[" + row + body + inner + "]" + nl + "]")
-            return
         sep = "[" + inner
         for v in obj:
-            out.append(sep)
-            _write_json(v, inner, out)
+            scalar = _SCALAR.get(type(v))
+            if scalar is None:
+                out.append(sep)
+                _write_json(v, inner, out, memo)
+            else:
+                out.append(sep + scalar(v))
             sep = "," + inner
         out.append(nl + "]")
     elif isinstance(obj, np.ndarray):
-        _write_json(obj.tolist(), nl, out)
+        _write_json(obj.tolist(), nl, out, memo)
     else:
-        out.append(_encode(_jsonable(obj)))
+        v = _jsonable(obj)
+        scalar = _SCALAR.get(type(v))
+        if scalar is None:
+            _ENCODER.default(v)  # raises json's own TypeError
+        out.append(scalar(v))
+
+
+def _list_text(obj, nl, memo):
+    """The text of a non-empty list written in one piece, None for a list that streams; memoized by (id, indent).
+
+    In one piece are a row of numbers, a list of strings, and a list of
+    non-empty lists that are each in one piece (a matrix, a list of string rows).
+    """
+    key = (id(obj), nl)
+    if key in memo:
+        return memo[key][1]
+    inner = nl + "  "
+    types = set(map(type, obj))
+    text = None
+    if types <= _ROW_SCALARS:
+        text = "[" + inner + _ENCODER.encode(obj)[1:-1].replace(", ", "," + inner) + nl + "]"
+    elif types == {str}:
+        text = "[" + inner + ("," + inner).join(map(_string, obj)) + nl + "]"
+    elif types <= {list, tuple} and all(obj):
+        if all(_ROW_SCALARS.issuperset(map(type, row)) for row in obj):
+            # a matrix of numbers in one C call: "[[a, b], [c, d]]", the separators between rows first,
+            # then those between entries
+            row = inner + "  "
+            body = _ENCODER.encode(obj)[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
+            text = "[" + inner + "[" + row + body + inner + "]" + nl + "]"
+        else:
+            rows = [_list_text(row, inner, memo) for row in obj]
+            if None not in rows:
+                text = "[" + inner + ("," + inner).join(rows) + nl + "]"
+    memo[key] = (obj, text)
+    return text
 
 
 def dump_to_json(payload):

@@ -308,13 +308,36 @@ def _check_state_rows(space, pairing, exact):
 def build_synthetic_space(space, value_rows, exact):
     """Model from explicit generator value rows (one row per state, over all events)."""
     rows = [list(r) for r in value_rows]
+    _check_row_lengths(space, rows)
+    return _synthetic_space(space, _scaled(np.array(rows, dtype=object if exact else np.float64)), exact)
+
+
+def abstract_synthetic_space(space, states):
+    """Exact model from states: the pairing is their integer forms stacked over one denominator."""
+    forms = [s.integers for s in states]
+    _check_row_lengths(space, [ints for ints, _ in forms])
+    return _synthetic_space(space, _stacked(forms, space.n_events), exact=True)
+
+
+def _check_row_lengths(space, rows):
     if not rows:
         raise SynthesisError("no state generators")
     for ix, row in enumerate(rows):
         if len(row) != space.n_events:
             raise SynthesisError(f"generator {ix} is not a state: {('length', len(row), space.n_events)}")
-    pn, dp = pairing = _scaled(np.array(rows, dtype=object if exact else np.float64))
+
+
+def _stacked(forms, n):
+    """(values, d) of integer forms (ints, L) of length n: row i is ints_i * (d // L_i), d the lcm of the L_i."""
+    d = math.lcm(*(den for _, den in forms))
+    xn = np.array([[v * (d // den) for v in ints] for ints, den in forms], dtype=object)
+    return xn.reshape(len(forms), n), d
+
+
+def _synthetic_space(space, pairing, exact):
+    """Model from a pairing (values, d); SynthesisError at its first row that is not a state."""
     _check_state_rows(space, pairing, exact)
+    pn, dp = pairing
     picked = linsolve.independent_subset(pn.T.tolist()) if exact else _independent_columns_float(pn)
     dim = len(picked)
     if dim == 0:
@@ -327,10 +350,6 @@ def build_synthetic_space(space, value_rows, exact):
         basis_events=tuple(picked),
         coord_map=_left_inverse((pn[:, picked], dp), exact),
     )
-
-
-def abstract_synthetic_space(space, states):
-    return build_synthetic_space(space, [s.values for s in states], exact=True)
 
 
 def matrix_synthetic_space(instance):
@@ -361,10 +380,8 @@ def polytope_expansion_oracle(synth, polytope):
                 err.generator, err.event, err.verdict = l, e, verdict
                 raise err
             forms.append(verdict.conditional.integers)
-        d = math.lcm(*(den for _, den in forms))
-        xn = np.array([[v * (d // den) for v in ints] for ints, den in forms], dtype=object)
         try:
-            return synth.generator_coords((xn.reshape(len(forms), synth.space.n_events), d))
+            return synth.generator_coords(_stacked(forms, synth.space.n_events))
         except SynthesisError as exc:
             l = pairs[exc.row][0]
             raise SynthesisError(f"conditional of generator {l} lies outside the generator span") from None

@@ -892,6 +892,31 @@ class TestSynthesize:
         assert json.loads(out)["passed"] is False
 
 
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--input", "{mo3}", "--states", "full", "uniqueness"],
+    ["verify", "--input", "{mo4}", "--states", "full", "axioms", "separation", "uniqueness"],
+    ["verify", "--input", "{bool4}", "--states", "full", "--seed", "0", "--samples", "10",
+     "axioms", "separation", "uniqueness", "mixture"],
+    ["verify", "--input", "{mo4}", "--states", "{mo4_cross}", "axioms", "uniqueness"],
+    ["verify", "--input", "{mo3}", "--states", "{mo3_generated}", "uniqueness"],
+    ["condition", "--input", "{mo3}", "--states", "{mo3_mixed}", "3"],
+    ["condition", "--input", "{b3b3}", "--states", "{b3b3_mixed}", "9"],
+    ["condition", "--input", "{bool4}", "--states", "{mu4}", "3", "5"],
+    ["condition", "--input", "{qubit_cond}", "1", "2"],
+    ["synthesize", "--input", "{bool3}", "--states", "full", "--seed", "7"],
+    ["synthesize", "--input", "{mo4}", "--states", "{mo4_cross}", "--seed", "7"],
+    ["synthesize", "--input", "{qubit_projs}", "--seed", "5"],
+    ["synthesize", "--input", "{qutrit5}", "--seed", "7"],
+], ids=["verify-mo3", "verify-mo4", "verify-bool4", "verify-mo4-cross", "verify-mo3-generated", "condition-mo3",
+        "condition-b3b3", "condition-bool4", "condition-qubit", "synthesize-bool3", "synthesize-mo4-cross",
+        "synthesize-qubit", "synthesize-qutrit"])
+def test_structured_text_is_json_indent_2(files, argv):
+    # the sha256 guards hash a re-encoding of the report, so they cannot see the printed text's
+    # whitespace, separators or escapes: this pins those bytes to json's own sorted, indent-2 text
+    _, out, _ = invoke([a.format(**files) for a in argv] + ["--format", "structured"])
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
 class TestOptions:
     # argparse ends a call with bad options by exiting 2 after a usage message
     def usage_error(self, capsys, argv):

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucpspace import fileio, instances, jordan, orthospace, synthesis
 from ucpspace.errors import ParseError
@@ -306,6 +308,34 @@ CORPUS = [
     {"nested": {"matrix": [[1e300, -1e-300], [7, 8]]}, "arrays": [np.arange(2.0), np.arange(2.0) / 3]},
 ]
 
+# Lists held in many places: their memoized text must match at every indent they appear at.
+_ROW, _STRINGS, _PAIR, _TUPLE = [1, 2.5, None], ["a, b", "], [", 'say "hi"', "Lüders \u2014 ü"], [0.5, -1], (F(1, 2), 3)
+_MATRIX, _STRING_ROWS = [_PAIR, _PAIR], [_STRINGS, ["x"], _STRINGS]
+CORPUS += [
+    # one list at two indents, and twice at one indent
+    {"a": _ROW, "b": [_ROW, _ROW], "c": {"d": _ROW, "e": [[_ROW]]}},
+    {"s": _STRINGS, "t": [_STRINGS, {"u": _STRINGS}], "v": [[_STRINGS]]},
+    {"t": _TUPLE, "u": [_TUPLE, _TUPLE, [_TUPLE]], "w": ((1, 2), (1, 2))},
+    # a shared list inside a shared list: the matrix and its rows, the string rows and theirs
+    {"m": _MATRIX, "n": [_MATRIX, _PAIR, {"o": _MATRIX}], "p": _PAIR},
+    {"r": _STRING_ROWS, "s": [_STRING_ROWS, [_STRING_ROWS], _STRINGS], "mixed": [_STRINGS, _PAIR], "q": [_PAIR, [_PAIR]]},
+    # escapes: separators inside strings, quotes, backslashes, control and non-ASCII characters
+    ["a, b", "], [", '"', "\\", "tab\there\nnewline", "\u00e9\u2014\U0001f600", "\x00"],
+    [["a, b", "], ["], ['"], ["'], ["\u2014"]],
+    {'"key"': 1, "k\u00e9y": 2, "a, b": 3, "], [": 4},
+    # True beside 1: equal values of distinct types
+    [True, 1, False, 0, 1.0],
+    {"k": [1, True], "l": [[1, True], [True, 1]], True: 1, 1.5: True, "v": (True, "x", 1)},
+    # scalar nan, +-inf and -0.0, alone, as values and beside strings
+    float("nan"), float("inf"), -float("inf"), -0.0,
+    {"n": float("nan"), "i": float("inf"), "m": -float("inf"), "z": -0.0, "row": ["x", float("nan"), -0.0, np.float64("inf")]},
+    # sibling arrays: each tolist() temporary is freed after use unless the writer keeps it,
+    # and the next one can reuse its id
+    [np.arange(3.0) + i for i in range(40)],
+    {"m": [np.full((2, 2), i) for i in range(40)], "s": [np.array(["a", str(i)]) for i in range(40)]},
+    {str(i): np.arange(i % 3 + 1) * i for i in range(40)},
+]
+
 
 class TestJsonText:
     @pytest.mark.parametrize("obj", CORPUS, ids=range(len(CORPUS)))
@@ -322,7 +352,8 @@ class TestJsonText:
         assert back == {"a": [1.5, 2, "x", None, True], "b": 0.25, "c": "1/3", "d": [0, 1], "3": ["2"]}
         assert type(back["b"]) is float and type(back["d"][0]) is int
 
-    @pytest.mark.parametrize("bad", [object(), np.bool_(True), {"k": [1, {"deep": object()}]}])
+    @pytest.mark.parametrize("bad", [object(), np.bool_(True), {"k": [1, {"deep": object()}]}, [1, np.bool_(False)],
+                                     [[1, 2], [np.bool_(True)]], {"row": ["a", np.bool_(True)]}])
     def test_unserializable_raises_like_json(self, bad):
         with pytest.raises(TypeError) as want:
             json.dumps(reference_clean(bad), sort_keys=True, indent=2)
@@ -336,3 +367,41 @@ class TestJsonText:
         model = synthesis.build_product_model(synth, synthesis.lueders_expansion_oracle(synth, qubit))
         payload = fileio.synth_dump(model)
         assert fileio.dump_to_json(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_NUMBERS = st.one_of(st.integers(), st.floats(), st.booleans(), st.none())
+_SCALARS = st.one_of(
+    st.text(max_size=4),
+    _NUMBERS,
+    st.fractions(max_denominator=30),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.float64),
+)
+
+
+@st.composite
+def _shared_trees(draw):
+    """A list of dicts, lists and tuples, each built over scalars and the ones before it: one object sits at several depths.
+
+    Each container draws its scalars from one kind, and its children from the
+    scalars, the containers before it or both, so rows of numbers, lists of
+    strings and matrices are common.
+    """
+    pool = []
+    for _ in range(draw(st.integers(1, 6))):
+        kids = leaf = draw(st.sampled_from([st.text(max_size=4), _NUMBERS, _SCALARS]))
+        if pool:
+            earlier = st.sampled_from(pool)
+            kids = draw(st.sampled_from([leaf, earlier, st.one_of(leaf, earlier)]))
+        shape = draw(st.sampled_from([list, tuple, dict]))
+        if shape is dict:
+            pool.append(draw(st.dictionaries(st.one_of(st.text(max_size=3), st.integers(-3, 3)), kids, max_size=4)))
+        else:
+            pool.append(shape(draw(st.lists(kids, max_size=4))))
+    return pool
+
+
+@settings(max_examples=40, deadline=None)
+@given(_shared_trees())
+def test_json_text_matches_the_stdlib_on_shared_trees(tree):
+    assert fileio.json_text(tree) == json.dumps(reference_clean(tree), sort_keys=True, indent=2)

@@ -249,6 +249,10 @@ class TestExactStateRows:
         with pytest.raises(SynthesisError) as got:
             build_synthetic_space(space, rows, exact=True)
         assert str(got.value) == want
+        # the states' own integer forms, stacked by abstract_synthetic_space, fail with the same message
+        with pytest.raises(SynthesisError) as got:
+            abstract_synthetic_space(space, [statespace.State(tuple(row)) for row in rows])
+        assert str(got.value) == want
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     @pytest.mark.parametrize("own", [0, 1], ids=["all-other", "mixed-lengths"])
@@ -260,6 +264,30 @@ class TestExactStateRows:
         with pytest.raises(SynthesisError) as got:
             build_synthetic_space(bool3_poly.space, rows, exact=exact)
         assert str(got.value) == want
+        if exact:
+            with pytest.raises(SynthesisError) as got:
+                abstract_synthetic_space(bool3_poly.space, [statespace.State(tuple(row)) for row in rows])
+            assert str(got.value) == want
+
+    def test_no_generators(self, bool3_poly):
+        for build in (lambda: build_synthetic_space(bool3_poly.space, [], exact=True),
+                      lambda: abstract_synthetic_space(bool3_poly.space, [])):
+            with pytest.raises(SynthesisError, match="^no state generators$"):
+                build()
+
+    @pytest.mark.parametrize("space_name", ["bool3", "mo3", "b3b3"])
+    def test_integer_forms_give_the_pairing_of_the_values(self, space_name):
+        # abstract_synthetic_space stacks the states' integer forms over the lcm of their L; the
+        # Fraction values through _scaled are the reference, down to the common denominator
+        space = {"bool3": orthospace.boolean_orthospace(3), "mo3": instances.mo_orthospace(3),
+                 "b3b3": orthospace.horizontal_sum([orthospace.boolean_orthospace(3)] * 2)}[space_name]
+        gens = list(build_state_polytope(space).generators)
+        states = gens + [statespace.mix_states(gens[0], gens[-1], F(2, 7)), statespace.mix_states(gens[1], gens[2], F(5, 9))]
+        got = abstract_synthetic_space(space, states)
+        want = build_synthetic_space(space, [s.values for s in states], exact=True)
+        assert got.pairing[1] == want.pairing[1]
+        assert got.pairing[0].dtype == object and got.pairing[0].tolist() == want.pairing[0].tolist()
+        assert got.basis_events == want.basis_events
 
     def test_equations_listed_once(self, bool3_poly, monkeypatch):
         # every row is checked in one pass: the state equations are listed once, not once per row
