@@ -9,7 +9,6 @@ platform; reports named by --replay are re-verified witness by witness.
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -231,9 +230,11 @@ def cmd_verify(args):
 def _witnesses_hold(slc, witnesses):
     """A MULTIPLE record's witnesses (nu1, nu2, event), as _report_records parsed them, lie in
     the slice and differ at the event.  `satisfied_by` checks the range, the state equations
-    of the polytope's state table and the targets, in integers and with no solver."""
+    of the polytope's state table and the targets, in integers and with no solver, and on
+    listed states `in_polytope` their hull, one exact phase 1 a witness."""
     nu1, nu2, at = witnesses
-    return slc.satisfied_by(nu1) and slc.satisfied_by(nu2) and nu1[at] != nu2[at]
+    return nu1[at] != nu2[at] and all(slc.satisfied_by(nu) and statespace.in_polytope(slc.polytope, nu)
+                                      for nu in (nu1, nu2))
 
 
 def _event_index(space, value, what):
@@ -482,7 +483,7 @@ def cmd_synthesize(args):
         lines.append(f"worst multiplier symmetry: {_g(worst_sym)} at {arg}")
 
         stage = "well-definedness"
-        wd_worst = synthesis.check_well_definedness(model).sum_triple_residual
+        wd_worst = synthesis.check_well_definedness(model)
         report["well_definedness"] = float(wd_worst)
         lines.append(f"well-definedness worst: {_g(wd_worst)}")
 
@@ -497,9 +498,8 @@ def cmd_synthesize(args):
 
         stage = "density"
         ok = _density_summary(synth, instance, rng, report, lines)
-        # the exact lane keeps every residual exact and passes only on exact zeros
-        # (and a nonnegative square-sum slack); the float lane allows --tol
-        tol = 0 if synth.exact else args.tol
+        # each residual passes within the lane's bound: exact zeros (and a nonnegative slack) on the exact lane
+        tol = synth.tol
         if instance is not None:
             stage = "comparison"
             lue = synthesis.compare_with_lueders(model, instance)
@@ -576,12 +576,12 @@ def cmd_spectrum(args):
 # entry point
 
 
-def _checked(kind, ok, expected):
-    """An argparse type: kind(text) when ok(value) holds, else a usage error."""
+def _checked(ok, expected):
+    """An argparse type: int(text) when ok(value) holds, else a usage error."""
 
     def parse(text):
         try:
-            value = kind(text)
+            value = int(text)
         except ValueError:
             value = None
         if value is None or not ok(value):
@@ -612,11 +612,11 @@ def build_parser():
 
     def sampled(sp, samples, what):
         sp.add_argument(
-            "--seed", type=_checked(int, lambda v: v >= 0, "a non-negative integer"), default=0,
+            "--seed", type=_checked(lambda v: v >= 0, "a non-negative integer"), default=0,
             help="random seed",
         )
         sp.add_argument(
-            "--samples", type=_checked(int, lambda v: v > 0, "a positive integer"), default=samples,
+            "--samples", type=_checked(lambda v: v > 0, "a positive integer"), default=samples,
             help=f"{what} (default %(default)s)",
         )
 
@@ -629,10 +629,6 @@ def build_parser():
     condition.add_argument("observe", type=int, nargs="?", help="observed event")
     synthesize = command("synthesize", "build and check the synthetic model")
     sampled(synthesize, 60, "pairs sampled for the square-norm and square-sum-slack laws")
-    synthesize.add_argument(
-        "--tol", type=_checked(float, lambda v: 0 < v < math.inf, "a positive finite number"),
-        default=synthesis.FLOAT_TOL, help="float-lane tolerance (default %(default)s); the exact lane needs exact zeros",
-    )
     command("spectrum", "eigenvalues or spectral radius", states=False)
     return p
 

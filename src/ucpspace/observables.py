@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import linsolve, orthospace, synthesis
+from . import linsolve, orthospace
 from .errors import PreconditionError, StructuralError, SynthesisError
 # solve_lp is not called here; perfbench/tracing.py rebinds observables.solve_lp by name
 from .exactlp import solve_lp  # noqa: F401
@@ -133,8 +133,8 @@ def expectation(x, mu):
 def representing_element(synth, x):
     """Dual-space element with matching expectations; norm = spectral radius.
 
-    The norm identity is verified against the synthetic sup-norm (exactly on
-    the rational lane, within FLOAT_TOL times max(1, radius) on the float lane)
+    The norm identity is verified against the synthetic sup-norm within the
+    lane's bound `synth.tol` times max(1, radius), exactly on the rational lane,
     and a violation raises, since it signals a generator family too poor to
     see the observable's extremes.
     """
@@ -145,7 +145,7 @@ def representing_element(synth, x):
         coords = coords + synth.pi(e) * v
     radius = spectral_radius(x)
     attained = synth.norm(coords)
-    if abs(attained - radius) > (0 if synth.exact else synthesis.FLOAT_TOL * max(1.0, abs(float(radius)))):
+    if abs(attained - radius) > synth.tol * max(1.0, abs(float(radius))):
         raise SynthesisError(f"synthetic norm {attained} differs from the spectral radius {radius}")
     return coords
 
@@ -172,14 +172,14 @@ class RepresentabilityVerdict:
 
 
 def _solve_over_family(synth, family, target):
-    """Coefficients expanding target over the family's pi-columns, or None."""
+    """Coefficients expanding target over the family's pi-columns within the lane's bound `synth.tol`, or None."""
     mat = np.stack([synth.pi(g) for g in family], axis=1)
     if synth.exact:
         sol = linsolve.solve_affine(mat.tolist(), list(target))
         return None if sol is None else sol[0]
     b = np.asarray(target, dtype=np.float64)
     s, *_ = np.linalg.lstsq(mat, b, rcond=None)
-    if np.linalg.norm(mat @ s - b) > synthesis.FLOAT_TOL * max(1.0, np.linalg.norm(b)):
+    if np.linalg.norm(mat @ s - b) > synth.tol * max(1.0, np.linalg.norm(b)):
         return None
     return s
 
@@ -196,9 +196,10 @@ def check_conditioned_representability(model, e, f):
     """Does the compressed image U_e pi(f) resolve over some orthogonal family?
 
     Tries every maximal orthogonal family with an exact (or residual-checked)
-    linear solve and returns the first primitive decomposition found, or
-    NOT-REPRESENTABLE with a span diagnostic separating "outside the event
-    span entirely" from "in the span but never orthogonally".
+    linear solve and returns the first primitive decomposition found (its terms
+    the coefficients above the lane's bound `synth.tol`), or NOT-REPRESENTABLE
+    with a span diagnostic separating "outside the event span entirely" from
+    "in the span but never orthogonally".
     """
     synth = model.synth
     target = model.u_apply(e, synth.pi(f))
@@ -206,9 +207,7 @@ def check_conditioned_representability(model, e, f):
         coeffs = _solve_over_family(synth, family, target)
         if coeffs is None:
             continue
-        terms = tuple(
-            (c, g) for c, g in zip(coeffs, family) if (c != 0 if synth.exact else abs(c) > synthesis.FLOAT_TOL)
-        )
+        terms = tuple((c, g) for c, g in zip(coeffs, family) if abs(c) > synth.tol)
         return RepresentabilityVerdict(
             verdict=REPRESENTABLE,
             target=target,
@@ -229,13 +228,13 @@ def check_sum_representability(model, obs_y, obs_z):
     The representing element of the sum must resolve over an orthogonal
     family summing to the unit; the resolved coefficients become the value
     list of the sum observable.  Verified against the generator expectations
-    before returning: on the float lane within FLOAT_TOL times max(1, the sum
+    before returning: within the lane's bound `synth.tol` times max(1, the sum
     of the two spectral radii), which bounds every expectation.
     """
     synth = model.synth
     space = synth.space
     target = representing_element(synth, obs_y) + representing_element(synth, obs_z)
-    scale = 1.0 if synth.exact else max(1.0, float(spectral_radius(obs_y) + spectral_radius(obs_z)))
+    bound = synth.tol * max(1.0, float(spectral_radius(obs_y) + spectral_radius(obs_z)))
     for family in orthospace.maximal_orthogonal_families(space):
         if orthospace.iterated_sum(space, family) != space.unit:
             continue
@@ -250,7 +249,7 @@ def check_sum_representability(model, obs_y, obs_z):
         for row in synth.pairing_values():
             gap = expectation(obs_y, row) + expectation(obs_z, row) - expectation(obs, row)
             worst = max(worst, abs(float(gap)))
-        if worst > synthesis.FLOAT_TOL * scale:
+        if worst > bound:
             continue
         return RepresentabilityVerdict(
             verdict=REPRESENTABLE,

@@ -751,12 +751,23 @@ def _uc_full(slc):
     return _empty_verdict(slc, sub, verdict.certificate, d) if verdict.verdict == EMPTY else verdict
 
 
+def _generated_system(gens, events, targets):
+    """The LP system, phase 1 run, of convex coefficients of the generators meeting each target on its event."""
+    lp_rows = [(dict.fromkeys(range(len(gens) + 1), 1), 1)] + [
+        linsolve.scale_to_ints([*(gen[f] for gen in gens), t]) for f, t in zip(events, targets)]
+    return prepare(lp_rows, len(gens))
+
+
+def in_polytope(polytope, nu):
+    """Is the state nu in the polytope?  Always in the full one; in the hull of listed states exactly when
+    `_generated_system` with nu's value on every event is feasible, one exact phase 1."""
+    events = polytope.space.events()
+    return polytope.listed is None or _generated_system(polytope.listed, events, nu.values).infeasible is None
+
+
 def _uc_generated(slc):
     """Over convex coefficients lambda >= 0 of the generators: sum 1 and each target met, one cost per event."""
     gens = slc.polytope.generators
-    # the rows sum_g lambda_g = 1 and sum_g lambda_g gen(f) = mu(f) / mu(e), scaled once
-    lp_rows = [(dict.fromkeys(range(len(gens) + 1), 1), 1)] + [
-        linsolve.scale_to_ints([*(gen[f] for gen in gens), t]) for f, t in zip(slc.constraint_events, slc.targets)]
     # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L
     den = math.lcm(*(gen.integers[1] for gen in gens))
     rows = np.array([[v * (den // q) for v in ints] for ints, q in (gen.integers for gen in gens)], dtype=object)
@@ -766,7 +777,7 @@ def _uc_generated(slc):
         return State.from_integers((np.array(p, dtype=object) @ rows).tolist(), q * den)
 
     costs = ([gen[ev] for gen in gens] for ev in range(slc.polytope.space.n_events))
-    return _lp_verdict(prepare(lp_rows, len(gens)), costs, to_state, None)
+    return _lp_verdict(_generated_system(gens, slc.constraint_events, slc.targets), costs, to_state, None)
 
 
 def unique_conditional(polytope, mu, e):

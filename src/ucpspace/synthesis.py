@@ -58,6 +58,11 @@ built only for a value that is reported or read as a value: the residuals,
 `pairing_values` for the dump, and `pi`, `zeros`, `event_coords`, `u_apply` and
 the product of value inputs.
 
+Each lane has one bound, `lane_tol` (`SyntheticSpace.tol`): 0 on the exact
+lane, where only exact zeros pass, and FLOAT_TOL on the float lane.  Every
+lane-dependent comparison reads it (the state and span checks, positivity,
+`synthesize`'s residuals, `observables`); float-only steps keep their own.
+
 Everything the dual construction quietly assumes is verified, not trusted:
 compression idempotency, unit images, invariance on mass-one generators,
 multiplier symmetry, and the well-definedness of T_y across different
@@ -77,6 +82,11 @@ from .errors import CapacityError, SynthesisError
 from .exactlp import OPTIMAL, solve_lp
 
 FLOAT_TOL = 1e-8
+
+
+def lane_tol(exact):
+    """The one bound of a lane: 0 on the exact lane, FLOAT_TOL on the float lane."""
+    return 0 if exact else FLOAT_TOL
 
 
 def _independent_columns_float(mat):
@@ -214,9 +224,13 @@ class SyntheticSpace:
         """
         return np.max(np.abs(x), axis=-1, initial=0)
 
+    @property
+    def tol(self):
+        """The bound of this model's lane, `lane_tol(exact)`."""
+        return lane_tol(self.exact)
+
     def is_positive(self, x):
-        bound = 0 if self.exact else -FLOAT_TOL
-        return all(v >= bound for v in x)
+        return all(v >= -self.tol for v in x)
 
     def zeros(self):
         pn, dp = self.pairing
@@ -233,9 +247,9 @@ class SyntheticSpace:
     def scaled_coords(self, x):
         """event_coords of a (values, denominator) pair x, one row (n,) or a stack (P, n), as such a pair.
 
-        With P the pi-columns of basis_events, the span check is P @ c == x, on
-        the exact lane's integers, and ||P @ c - x|| <= FLOAT_TOL * max(1, ||x||)
-        row by row on the float lane; both sides are cleared of the denominators
+        With P the pi-columns of basis_events, the span check is ||P @ c - x|| <=
+        tol * max(1, ||x||) row by row, tol the lane's bound (P @ c == x on the
+        exact lane's integers); both sides are cleared of the denominators
         d_pairing and dx * d_inv.
         """
         xn, dx = x
@@ -248,7 +262,7 @@ class SyntheticSpace:
         else:
             # compared in squares, against the scale dx * d_inv * d_pairing of 1; the residual overwrites back
             r, scale = np.subtract(back, want, out=back), dx * d_inv * d_pairing
-            bound = FLOAT_TOL * FLOAT_TOL * np.maximum(scale * scale, np.einsum("...i,...i->...", want, want))
+            bound = self.tol ** 2 * np.maximum(scale * scale, np.einsum("...i,...i->...", want, want))
             outside = np.einsum("...i,...i->...", r, r) > bound
         _raise_at_first(outside, "element lies outside the event span")
         return cn, dx * d_inv
@@ -285,13 +299,13 @@ def _check_state_rows(space, pairing, exact):
     """Raise SynthesisError at the first generator row of the pairing that is not a state.
 
     One `statespace.state_failures` pass checks every row against the unit,
-    the [0, 1] range and each state equation (exactly on the integers over d,
-    within FLOAT_TOL on the floats).  On the exact lane the message carries
+    the [0, 1] range and each state equation within the lane's bound (exactly
+    on the integers over d).  On the exact lane the message carries
     `is_state`'s first violation of the failing row.
     """
     pn, d = pairing
     table = statespace.state_table(space)
-    out, broken = statespace.state_failures(table, pn, d, 0 if exact else FLOAT_TOL)
+    out, broken = statespace.state_failures(table, pn, d, lane_tol(exact))
     failed = np.flatnonzero(out.any(axis=1) | broken.any(axis=1))
     if not len(failed):
         return
@@ -576,17 +590,9 @@ def build_product_model(synth, oracle):
 # verification sweeps
 
 
-@dataclass
-class WellDefinednessReport:
-    # a float on the float lane, an exact Fraction on the exact lane
-    sum_triple_residual: float | Fraction  # worst ||(T_e + T_f - T_{e+f}) pi(b)|| over the basis events b
-
-    def passed(self, tol=FLOAT_TOL):
-        return self.sum_triple_residual <= tol
-
-
 def check_well_definedness(model):
-    """Multipliers must not care how an element is cut into orthogonal pieces.
+    """Multipliers must not care how an element is cut into orthogonal pieces: the worst residual
+    ||(T_e + T_f - T_{e+f}) pi(b)|| over the basis events b, a float or an exact Fraction.
 
     The sweep is exhaustive: T_e + T_f = T_{e+f} on the event span, for every
     defined sum e + f of nonzero events, e <= f, taken on the multipliers'
@@ -610,7 +616,7 @@ def check_well_definedness(model):
     ss = space.sum_table[es, fs]
     triples = [_top((mults[es[b]] + mults[fs[b]] - mults[ss[b]]) @ cols) for b in orthospace.pair_blocks(len(es), 1)]
     # an object array, so that the exact lane's Python-int tops never pass through a fixed-width integer
-    return WellDefinednessReport(sum_triple_residual=_worst((np.array(triples, dtype=object), dt * dp)))
+    return _worst((np.array(triples, dtype=object), dt * dp))
 
 
 @dataclass
@@ -623,7 +629,7 @@ class SyntheticLawReport:
     unit_residual: float | Fraction
     pairs: int
 
-    def passed(self, tol=FLOAT_TOL):
+    def passed(self, tol):
         return (
             max(self.jordan_identity, self.square_norm, self.power_associativity, self.unit_residual) <= tol
             and self.square_sum_slack >= -tol
@@ -753,48 +759,35 @@ def check_laws_on_reconstruction(model, pairs=200, rng=None):
 # geometry of [0, 1] in the model
 
 
-def _span_representation(synth):
-    """(independent row ids, B) with row_l = sum_i B[l, i] row_{ids[i]}: the pairing's rows through generator_coords."""
-    ids = synth.coord_map[0]
-    cn, d = synth.generator_coords(synth.pairing)
-    return ids, _unscaled(cn[:, ids], d)
-
-
 @dataclass
 class ExtremeVerdict:
     event: int
     extreme: bool
-    direction: np.ndarray = None  # evaluation vector of a feasible perturbation
+    # x +- eps d stays in [0, 1]: Python ints over the generators, or a JordanElement on the matrix lane
+    direction: "np.ndarray | jordan.JordanElement" = None
 
 
 def check_extreme_points(synth):
-    """Exact lane: each pi(e) must admit no two-sided perturbation inside [0, 1] within A."""
+    """Exact lane: each pi(e) must admit no two-sided perturbation inside [0, 1] within A.
+
+    A direction P t of A (P the integer pi-columns of basis_events) moves pi(e)
+    both ways exactly when it is 0 on every generator where pi(e) is 0 or 1.  So
+    pi(e) is extreme when those rows of P have full rank; else the first vector
+    t of their integer nullspace gives the direction P t.
+    """
     if not synth.exact:
         raise SynthesisError("extreme points in the generator box need the exact lane")
-    ids, b_mat = _span_representation(synth)
-    r = len(ids)
+    pn, dp = synth.pairing
+    cols = pn[:, list(synth.basis_events)]
+    binding = (pn == 0) | (pn == dp)
     out = []
     for e in synth.space.events():
-        x = synth.pi(e)
-        direction = None
-        binding = [l for l in range(synth.n_states) if x[l] == 0 or x[l] == 1]
-        rows = b_mat[binding].tolist()
-        extreme = bool(binding) and linsolve.rank(rows) == r
-        if not extreme:
-            if binding:
-                t = linsolve.solve_affine(rows, [Fraction(0)] * len(binding))[1][0]
-            else:
-                t = [Fraction(1 if i == 0 else 0) for i in range(r)]
-            direction = b_mat @ np.array(t, dtype=object)
-        out.append(ExtremeVerdict(event=e, extreme=extreme, direction=direction))
+        # an all-zero row stands for no binding row: every column is then free
+        rows = cols[binding[:, e]].tolist() or [[0] * synth.dim]
+        free = linsolve.solve_affine_ints(rows, [0] * len(rows))[1]
+        direction = cols @ np.array(free[0], dtype=object) if free else None
+        out.append(ExtremeVerdict(event=e, extreme=not free, direction=direction))
     return out
-
-
-@dataclass
-class MatrixExtremeVerdict:
-    event: int
-    extreme: bool
-    direction: "jordan.JordanElement" = None  # perturbation with x +- d still in [0, 1]
 
 
 def check_matrix_extremes(instance, events=None):
@@ -823,7 +816,7 @@ def check_matrix_extremes(instance, events=None):
             i, lam = next(((i, lam) for i, lam in enumerate(spec.values) if tol < lam < 1 - tol), (None, None))
             if i is not None:
                 direction = min(lam, 1 - lam) * spec.frame[i]
-        out.append(MatrixExtremeVerdict(event=e, extreme=is_extreme, direction=direction))
+        out.append(ExtremeVerdict(event=e, extreme=is_extreme, direction=direction))
     return out
 
 

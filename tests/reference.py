@@ -234,15 +234,6 @@ def expansion_oracle(synth, polytope):
     return oracle
 
 
-def span_representation(synth):
-    """(independent generator ids, B) with row_l = sum_i B[l, i] row_{ids[i]}, one solve_affine per generator."""
-    pairing = synth.pairing_values()
-    rows = [list(pairing[l]) for l in range(synth.n_states)]
-    ids = linsolve.independent_subset(rows)
-    a_rows = [[rows[i][j] for i in ids] for j in range(synth.space.n_events)]
-    return ids, np.array([linsolve.solve_affine(a_rows, row)[0] for row in rows], dtype=object)
-
-
 def fraction_pivot(tab, basis, r, c):
     """Pivot a dense Fraction tableau on (r, c); the other rows change only in the pivot row's nonzero columns."""
     piv = tab[r][c]

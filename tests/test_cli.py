@@ -57,6 +57,7 @@ def files(tmp_path_factory):
     paths["coefficient_two"] = put("coefficient_two.txt", coefficient_two + "\northo 1 1\nsum 1 1 6\n")
     paths["bad"] = put("bad.txt", "orthospace v1\nevents x\n")
     paths["bool2"] = put("bool2.txt", fileio.format_orthospace(orthospace.boolean_orthospace(2)))
+    paths["bool1"] = put("bool1.txt", fileio.format_orthospace(orthospace.boolean_orthospace(1)))
     # a decimal token where a state value must be exact
     paths["decimal_states"] = put("decimal_states.txt", "states v1\nn_events 4\nstate 0 0.5 0.5 1\n")
 
@@ -157,6 +158,15 @@ class TestVerify:
         assert "separation: pass" in out
         assert "uniqueness: all conditionals UNIQUE" in out
         assert "mixture identity:" in out and "0 failures" in out
+
+    def test_one_atom_has_one_state(self, files):
+        # Boolean 1: the full polytope is the one state (0, 1), and every check on it passes
+        code, out, _ = invoke(["verify", "--input", files["bool1"], "--states", "full", "axioms", "separation",
+                               "uniqueness"])
+        assert code == 0
+        assert "separation: pass (1 generators)" in out
+        assert "uniqueness: all conditionals UNIQUE" in out
+        assert out.rstrip().endswith("verify: PASS")
 
     def test_nonunique_conditionals_fail(self, files):
         code, out, _ = invoke(
@@ -422,6 +432,63 @@ class TestReplay:
         code, out, _ = invoke(["verify", "--replay", str(path), "--states", files["mo3_generated"]])
         assert code == 0
         assert "STALE" not in out and "replay: 26/26 witnesses reproduced" in out
+
+    def test_listed_witness_outside_the_hull_goes_stale(self, files, tmp_path):
+        # listed states: a witness must lie in their hull, not only in the slice of the whole state
+        # space.  MO_3's first five vertices leave its other three out; the first record whose slice
+        # holds two of those, differing at some event, is forged with them as its witnesses
+        space = instances.mo_orthospace(3)
+        verts = statespace.build_state_polytope(space).generators
+        listed = tmp_path / "listed.txt"
+        listed.write_text(fileio.format_states(verts[:5]))
+        code, out, _ = invoke(["verify", "--input", files["mo3"], "--states", str(listed), "uniqueness",
+                               "--format", "structured"])
+        assert code == 1
+        report = json.loads(out)
+        assert len(report["uniqueness"]) == 14
+        path = tmp_path / "listed.json"
+        path.write_text(out)
+        argv = ["verify", "--replay", str(path), "--states", str(listed)]
+        code, out, _ = invoke(argv)
+        assert code == 0
+        assert "STALE" not in out and "replay: 14/14 witnesses reproduced" in out
+
+        polytope = statespace.generated_polytope(space, verts[:5])
+        for rec in report["uniqueness"]:
+            mu = statespace.State(tuple(F(v) for v in rec["state"]))
+            slc = statespace.conditional_slice(polytope, mu, rec["event"])
+            outside = [v for v in verts[5:] if slc.satisfied_by(v)]
+            if len(outside) == 2 and outside[0] != outside[1]:
+                break
+        else:
+            pytest.fail("no record's slice holds two vertices that are not listed")
+        nu1, nu2 = outside
+        rec["witnesses"] = [[fileio._format_value(v) for v in nu.values] for nu in (nu1, nu2)]
+        rec["witness_event"] = next(i for i, (a, b) in enumerate(zip(nu1.values, nu2.values)) if a != b)
+        path.write_text(json.dumps(report))
+        code, out, _ = invoke(argv)
+        assert code == 1
+        stale = [line for line in out.splitlines() if "STALE" in line]
+        assert stale == [f"uniqueness witness (state {rec['state_index']}, event {rec['event']}): STALE"]
+        assert "replay: 13/14 witnesses reproduced" in out
+
+    def test_axiom_witnesses_replay(self, files, tmp_path):
+        # the stateless space fails two axioms, each with one witness: they reproduce on that space
+        # and go stale on Boolean 2, which passes every axiom
+        code, out, _ = invoke(["verify", "--input", files["stateless"], "axioms", "--format", "structured"])
+        assert code == 1
+        report = json.loads(out)
+        assert [tag for tag, v in sorted(report["axioms"].items()) if v["witnesses"]] == [
+            "difference-characterization", "unique-complement"]
+        path = tmp_path / "axioms.json"
+        path.write_text(out)
+        code, out, _ = invoke(["verify", "--replay", str(path)])
+        assert code == 0
+        assert "STALE" not in out and "replay: 2/2 witnesses reproduced" in out
+        code, out, _ = invoke(["verify", "--replay", str(path), "--input", files["bool2"]])
+        assert code == 1
+        assert sum("STALE" in line for line in out.splitlines()) == 2
+        assert "replay: 0/2 witnesses reproduced" in out
 
     def test_replay_enumerates_no_vertices(self, files, tmp_path, monkeypatch):
         _, text = self.run_structured(files)
@@ -931,9 +998,9 @@ class TestOptions:
             ("bool3", ["--samples", "-3"], "--samples: expected a positive integer"),
             ("qubit_projs", ["--samples", "-3"], "--samples: expected a positive integer"),
             ("bool3", ["--samples", "0"], "--samples: expected a positive integer"),
-            ("bool3", ["--tol", "0"], "--tol: expected a positive finite number"),
-            ("bool3", ["--tol", "-1"], "--tol: expected a positive finite number"),
-            ("bool3", ["--tol", "nan"], "--tol: expected a positive finite number"),
+            ("bool3", ["--samples", "1.5"], "--samples: expected a positive integer"),
+            ("bool3", ["--samples", "nan"], "--samples: expected a positive integer"),
+            ("bool3", ["--seed", "x"], "--seed: expected a non-negative integer"),
             ("bool3", ["--seed", "-1"], "--seed: expected a non-negative integer"),
         ],
     )
@@ -955,8 +1022,11 @@ class TestOptions:
             ["condition", "--input", "x", "1", "2", "--replay", "f.json"],
             ["condition", "--input", "x", "--samples", "5", "1"],
             ["verify", "--input", "x", "--tol", "1e-6"],
+            # the float lane's bound is synthesis.FLOAT_TOL, and no option sets it
+            ["synthesize", "--input", "x", "--tol", "1e-6"],
         ],
-        ids=["spectrum-all", "spectrum-seed", "condition-replay", "condition-samples", "verify-tol"],
+        ids=["spectrum-all", "spectrum-seed", "condition-replay", "condition-samples", "verify-tol",
+             "synthesize-tol"],
     )
     def test_unread_option(self, capsys, argv):
         assert "unrecognized arguments" in self.usage_error(capsys, argv)

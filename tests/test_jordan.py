@@ -138,6 +138,16 @@ class TestSpectra:
                 target = f.coords if i == j else 0 * prod.coords
                 assert np.allclose(prod.coords, target, atol=1e-8)
 
+    def test_albert_near_triple_root_is_one_eigenvalue(self):
+        # 2 I with an e3 entry of 1e-13 off the diagonal: the cubic's spread vanishes relative to its
+        # scale, so the three roots are one, and a single cluster's frame is the identity
+        c = identity("O3", 3).coords * 2.0
+        c[0, 1, 3], c[1, 0, 3] = 1e-13, -1e-13
+        s = spectral_decomposition(element("O3", c))
+        assert s.values.tolist() == [2.0]
+        assert s.multiplicity == [3]
+        assert len(s.frame) == 1 and np.array_equal(s.frame[0].coords, identity("O3", 3).coords)
+
     def test_multiplicity(self):
         s = spectral_decomposition(diag("C", [1, 1, 0]))
         assert s.multiplicity == [2, 1] or s.multiplicity == [1, 2]

@@ -111,6 +111,25 @@ class TestPolytope:
         assert len(bool3_poly.generators) == 3
         assert len(bool3_poly._parametrization[1]) == 2
 
+    def test_one_atom_is_one_point(self):
+        # Boolean 1: the state equations fix mu(0) = 0 and mu(1) = 1, so the parametrization has no
+        # direction and its one point is the polytope's only vertex
+        poly = build_state_polytope(orthospace.boolean_orthospace(1))
+        assert poly._parametrization[1] == []
+        assert [g.values for g in poly.generators] == [(F(0), F(1))]
+
+    def test_in_polytope(self):
+        # the hull of MO_3's first five vertices holds them and their mixtures, and none of the other
+        # three vertices, which lie in the full polytope
+        space = instances.mo_orthospace(3)
+        full = build_state_polytope(space)
+        verts = full.generators
+        listed = generated_polytope(space, verts[:5])
+        assert all(statespace.in_polytope(listed, v) for v in verts[:5])
+        assert statespace.in_polytope(listed, mix_states(verts[0], verts[4], F(1, 3)))
+        assert not any(statespace.in_polytope(listed, v) for v in verts[5:])
+        assert all(statespace.in_polytope(full, v) for v in verts)
+
     def test_vertices_are_states(self, mo2, mo2_poly):
         for g in mo2_poly.generators:
             ok, _ = is_state(mo2, g)
