@@ -109,22 +109,23 @@ def _generators(polytope):
 def _verify_uniqueness(space, polytope, report, lines):
     records = []
     all_unique = True
-    # each state is formatted once, and so are the witnesses of each verdict: the polytope hands
-    # out one verdict object per distinct slice, shared by every record on that slice.  The
-    # records hold these lists themselves, not copies, so `fileio.json_text` writes each shared
-    # state and witness list once and repeats its text
+    # each state is written once, from its integer form, and so are the witnesses of each
+    # verdict: the polytope hands out one verdict object per distinct slice, shared by every
+    # record on that slice.  The records hold these lists themselves, not copies, so
+    # `fileio.json_text` writes each shared state and witness list once and repeats its text
     witness_values = {}
     for ix, mu in enumerate(_generators(polytope)):
         state = None
+        numerators = mu.integers[0]
         for e in space.events():
-            if e == space.zero or mu[e] == 0:
+            if e == space.zero or numerators[e] == 0:
                 continue
             verdict = statespace.check_conditional_uniqueness(polytope, mu, e)
             if verdict.verdict == statespace.UNIQUE:
                 continue
             all_unique = False
             if state is None:
-                state = [fileio._format_value(v) for v in mu.values]
+                state = fileio.exact_texts(*mu.integers)
             rec = {
                 "state": state,
                 "state_index": ix,
@@ -134,7 +135,7 @@ def _verify_uniqueness(space, polytope, report, lines):
             if verdict.witnesses:
                 *nus, at = verdict.witnesses
                 if id(verdict) not in witness_values:
-                    witness_values[id(verdict)] = [[fileio._format_value(v) for v in nu.values] for nu in nus]
+                    witness_values[id(verdict)] = [fileio.exact_texts(*nu.integers) for nu in nus]
                 rec["witnesses"] = witness_values[id(verdict)]
                 rec["witness_event"] = at
                 lines.append(
@@ -351,7 +352,7 @@ def _condition_abstract(args, text, report, lines):
         lines.append(f"conditional under event {e} is {verdict.verdict}")
         return FAIL
     cond = verdict.conditional
-    report["conditional"] = [fileio._format_value(v) for v in cond.values]
+    report["conditional"] = fileio.exact_texts(*cond.integers)
     lines.append(
         "conditional values: (" + ", ".join(_g(v) for v in cond.values) + ")"
     )

@@ -147,11 +147,23 @@ def _parse_value(token, lineno):
         _fail(lineno, f"bad value '{token}'")
 
 
+def exact_texts(ints, den):
+    """The text of each value v / den (den > 0) of an integer form, as `str(Fraction(v, den))` writes it: the
+    numerator alone when the value is an integer, else "p/q" in lowest terms."""
+    if den == 1:  # a vertex of a Boolean or MO_k polytope: 0s and 1s
+        return [str(v) for v in ints]
+    out = []
+    for v in ints:
+        g = math.gcd(v, den)
+        out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+    return out
+
+
 def format_states(states):
     out = [STATES_HEADER]
     out.append(f"n_events {len(states[0]) if states else 0}")
     for st in states:
-        out.append("state " + " ".join(_format_value(v) for v in st.values))
+        out.append("state " + " ".join(exact_texts(*st.integers)))
     return "\n".join(out) + "\n"
 
 

@@ -24,10 +24,11 @@ of the state axioms hold vacuously; no runtime check exists for them.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from . import linsolve, orthospace
+from . import linsolve, orthospace, statespace
 from .errors import PreconditionError, StructuralError, SynthesisError
 # solve_lp is not called here; perfbench/tracing.py rebinds observables.solve_lp by name
 from .exactlp import solve_lp  # noqa: F401
@@ -286,32 +287,58 @@ class CertaintyOrderVerdict:
         return (not self.hypothesis_holds) or bool(self.order_holds)
 
 
-def check_certainty_order(synth, polytope, e, f):
+class CertaintyTable(NamedTuple):
+    """The polytope's generators as numerators over one denominator, by event: what `check_certainty_order` reads."""
+
+    den: int  # the lcm of the generators' denominators
+    low: list  # by event e: None when no generator is certain of e, else each event's least numerator over them
+
+
+def certainty_table(polytope):
+    """The `CertaintyTable` of the polytope's generators, from their integer forms.
+
+    A generator is certain of e when its numerator of e equals its
+    denominator.  Stacked over the lcm of the denominators, the values of
+    every generator compare as integers: one row minimum per event that some
+    generator is certain of.
+    """
+    n = polytope.space.n_events
+    values, den = statespace.stack_integers([g.integers for g in polytope.generators], n)
+    certain = values == den
+    return CertaintyTable(den, [values[certain[:, e]].min(axis=0).tolist() if certain[:, e].any() else None
+                                for e in range(n)])
+
+
+def check_certainty_order(synth, polytope, e, f, table=None):
     """If every state certain of e is certain of f, the order must agree.
 
     mu(e) <= 1 holds on the whole polytope, so {mu : mu(e) = 1} is a face of
     it, and mu(f) takes its minimum over that face at a vertex: a scan of the
     generators decides the hypothesis, listed states or the full polytope's
     vertices (CapacityError past the state table or enumeration work caps).
-    The generators are exact states, and their values compare exactly.
+    The scan is the polytope's `certainty_table`, built here unless `table`
+    is given: the generators are exact states, and the least value of f is a
+    numerator over the table's denominator, read as one Fraction.  When the
+    hypothesis holds, pi(f) - pi(e) is positive when the pairing's numerators
+    of f are those of e or more, within the lane's bound.
     """
-    certain = [g for g in polytope.generators if g[e] == 1]
-    if not certain:
+    if table is None:
+        table = certainty_table(polytope)
+    low = table.low[e]
+    if low is None:
         return CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True)
-    low = min(g[f] for g in certain)
-    holds = low == 1
-    verdict = CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False, min_value=low)
+    holds = low[f] == table.den
+    verdict = CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=holds, hypothesis_vacuous=False,
+                                    min_value=Fraction(low[f], table.den))
     if holds:
-        verdict.order_holds = synth.is_positive(synth.pi(f) - synth.pi(e))
+        pn, dp = synth.pairing
+        verdict.order_holds = bool(np.all(pn[:, f] - pn[:, e] >= -synth.tol * dp))
     return verdict
 
 
 def check_certainty_order_all(synth, polytope):
-    """Every ordered pair of events, aggregated: (verdicts, all_passed)."""
-    verdicts = []
-    for e in synth.space.events():
-        for f in synth.space.events():
-            if e == f:
-                continue
-            verdicts.append(check_certainty_order(synth, polytope, e, f))
+    """Every ordered pair of events, aggregated: (verdicts, all_passed).  One `certainty_table` serves every pair."""
+    table = certainty_table(polytope)
+    events = synth.space.events()
+    verdicts = [check_certainty_order(synth, polytope, e, f, table) for e in events for f in events if e != f]
     return verdicts, all(v.passed for v in verdicts)

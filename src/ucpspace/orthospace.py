@@ -121,116 +121,137 @@ class AxiomReport:
         return not self.structural and all(v.passed for v in self.axioms.values())
 
 
-def _add_witness(verdict, w):
-    verdict.passed = False
-    if len(verdict.witnesses) < _MAX_WITNESSES:
-        verdict.witnesses.append(w)
+def _fail(verdict, witnesses):
+    """Fail the verdict when there are witnesses (a list, in report order); it keeps the first _MAX_WITNESSES
+    in all."""
+    if witnesses:
+        verdict.passed = False
+        verdict.witnesses += witnesses[: _MAX_WITNESSES - len(verdict.witnesses)]
+
+
+def _rows(cells):
+    """The first _MAX_WITNESSES rows of an int array (k, w), as tuples of ints."""
+    return [tuple(w) for w in cells[:_MAX_WITNESSES].tolist()]
+
+
+def _sum_associativity(ok, st, verdict):
+    """Every (g, e, f) with g + e, g + f and e + f defined, stacked over blocks of consecutive g.
+
+    A row per (g, e) with g + e defined; its f are the events where ok[g] and
+    ok[e] both hold.  A block's mask is at most max(_PAIR_BLOCK, n * max deg(g))
+    entries, deg(g) the events that g + . is defined on: no larger than the
+    mask of the g with most of them (n^2 on a space whose zero sums with
+    everything), so memory stays at one g's bound.  The witnesses come in (g,
+    e, f) order per g, those where g + (e + f) or (g + e) + f is undefined
+    first, and the sweep stops once _MAX_WITNESSES are on record.
+    """
+    n = len(ok)
+    deg = ok.sum(axis=1)
+    gs, es = np.nonzero(ok)
+    starts = np.concatenate(([0], np.cumsum(deg)))
+    width = np.cumsum(deg * n)
+    cap = max(_PAIR_BLOCK, n * int(deg.max()))
+    g0 = 0
+    while g0 < n and len(verdict.witnesses) < _MAX_WITNESSES:
+        g1 = max(g0 + 1, int(np.searchsorted(width, cap + (width[g0 - 1] if g0 else 0), side="right")))
+        rows_g, rows_e = gs[starts[g0]:starts[g1]], es[starts[g0]:starts[g1]]
+        r, f = np.nonzero(ok[rows_g] & ok[rows_e])
+        g, e = rows_g[r], rows_e[r]
+        s_ef, s_ge = st[e, f], st[g, e]
+        # g + (e + f) and (g + e) + f defined and equal; the same cells replay_axiom_witness reads
+        good = ok[g, s_ef] & ok[s_ge, f]
+        bad = ~good
+        bad[good] = st[g[good], s_ef[good]] != st[s_ge[good], f[good]]
+        t = np.flatnonzero(bad)
+        t = t[np.lexsort((t, good[t], g[t]))]
+        _fail(verdict, _rows(np.stack([g[t], e[t], f[t]], axis=1)))
+        g0 = g1
 
 
 def verify_orthospace(space):
-    """Exhaustive axiom check. Structural issues are reported, never raised."""
+    """Exhaustive axiom check. Structural issues are reported, never raised.
+
+    Each axiom is one pass over the whole table: a mask for ortho-symmetry,
+    partial-sum, zero-event, unique-complement and difference-characterization,
+    and one stacked sweep of the (g, e, f) triples for sum-associativity, in
+    blocks of g (`_sum_associativity`).  A sum entry past the last event is
+    recorded as ("index-out-of-range",), and the axiom sweeps read it as
+    undefined.  Each axiom keeps its first _MAX_WITNESSES witnesses in (e, f)
+    order, or (g, e, f) for sum-associativity.
+    """
     n = space.n_events
     ortho = space.ortho
     st = space.sum_table
     comp = space.complement
     structural = []
-    defined = st >= 0
 
     if st.max(initial=-1) >= n or comp.max(initial=-1) >= n or comp.min(initial=0) < 0:
         structural.append(("index-out-of-range",))
-    bad = np.argwhere(defined & ~ortho)
+    bad = np.argwhere((st >= 0) & ~ortho)
     for e, f in bad[:_MAX_WITNESSES]:
         structural.append(("sum-defined-not-ortho", int(e), int(f)))
     if len(bad) > _MAX_WITNESSES:
         structural.append(("sum-defined-not-ortho-more", len(bad) - _MAX_WITNESSES))
 
     axioms = {tag: AxiomVerdict(True) for tag in AXIOMS}
+    defined = (st >= 0) & (st < n)
+    upper = np.triu(np.ones((n, n), dtype=bool))
 
-    # ortho-symmetry
-    for e, f in np.argwhere(ortho != ortho.T):
-        if e <= f:
-            _add_witness(axioms["ortho-symmetry"], (int(e), int(f)))
+    _fail(axioms["ortho-symmetry"], _rows(np.argwhere((ortho != ortho.T) & upper)))
 
     # partial-sum: defined on orthogonal pairs, commutative
-    for e, f in np.argwhere(ortho & ~defined):
-        _add_witness(axioms["partial-sum"], (int(e), int(f)))
-    both = defined & defined.T & ortho
-    for e, f in np.argwhere(both & (st != st.T)):
-        if e <= f:
-            _add_witness(axioms["partial-sum"], (int(e), int(f)))
+    _fail(axioms["partial-sum"], _rows(np.argwhere(ortho & ~defined)))
+    _fail(axioms["partial-sum"], _rows(np.argwhere(ortho & defined & defined.T & (st != st.T) & upper)))
 
-    # sum-associativity, scanned per first element g
     ok = ortho & defined
-    for g in range(n):
-        row = ok[g]
-        if not row.any():
-            continue
-        cand = np.flatnonzero(row)
-        pair = ok[np.ix_(cand, cand)]
-        ee, ff = np.nonzero(pair)
-        if len(ee) == 0:
-            continue
-        e_ids = cand[ee]
-        f_ids = cand[ff]
-        s_ef = st[e_ids, f_ids]
-        s_ge = st[g, e_ids]
-        # g + (e + f) and (g + e) + f defined; the same cells replay_axiom_witness reads
-        good = ok[g, s_ef] & ok[s_ge, f_ids]
-        for t in np.flatnonzero(~good)[:_MAX_WITNESSES]:
-            _add_witness(axioms["sum-associativity"], (int(g), int(e_ids[t]), int(f_ids[t])))
-        idx = np.flatnonzero(good)
-        if len(idx):
-            lhs = st[g, s_ef[idx]]
-            rhs = st[s_ge[idx], f_ids[idx]]
-            for t in idx[lhs != rhs][:_MAX_WITNESSES]:
-                _add_witness(axioms["sum-associativity"], (int(g), int(e_ids[t]), int(f_ids[t])))
+    _sum_associativity(ok, st, axioms["sum-associativity"])
 
-    # zero-event
+    # zero-event: 0 ortho e, and e + 0 = e wherever it is defined
     z = space.zero
-    for e in range(n):
-        if not ortho[z, e]:
-            _add_witness(axioms["zero-event"], (e,))
-        elif ortho[e, z] and st[e, z] >= 0 and st[e, z] != e:
-            _add_witness(axioms["zero-event"], (e,))
+    events = np.arange(n)
+    _fail(axioms["zero-event"], _rows(np.flatnonzero(~ortho[z] | (ok[:, z] & (st[:, z] != events)))[:, None]))
 
     # unique-complement: exactly one candidate, matching the table
-    for e in range(n):
-        cands = np.flatnonzero(ortho[e] & (st[e] == space.unit))
-        if len(cands) != 1 or comp[e] != cands[0]:
-            _add_witness(axioms["unique-complement"], (e, tuple(int(c) for c in cands)))
+    cands = ortho & (st == space.unit)
+    lonely = (cands.sum(axis=1) != 1) | (comp != cands.argmax(axis=1))
+    _fail(axioms["unique-complement"],
+          [(e, tuple(np.flatnonzero(cands[e]).tolist())) for e in np.flatnonzero(lonely)[:_MAX_WITNESSES].tolist()])
 
     # difference-characterization: solvability of e + d = f iff e ortho comp(f)
     exists = np.zeros((n, n), dtype=bool)
-    for e in range(n):
-        ds = np.flatnonzero(ok[e])
-        if len(ds):
-            exists[e, st[e, ds]] = True
+    es, ds = np.nonzero(ok)
+    exists[es, st[es, ds]] = True
     if comp.min(initial=0) >= 0 and comp.max(initial=-1) < n:
-        rhs = ortho[:, comp]
-        for e, f in np.argwhere(exists != rhs):
-            _add_witness(axioms["difference-characterization"], (int(e), int(f)))
+        _fail(axioms["difference-characterization"], _rows(np.argwhere(exists != ortho[:, comp])))
 
     return AxiomReport(structural=structural, axioms=axioms)
 
 
 def replay_axiom_witness(space, tag, witness):
-    """Re-check one witness; True means the violation is reproduced."""
+    """Re-check one witness; True means the violation is reproduced.
+
+    A sum entry past the last event reads as undefined, as in `verify_orthospace`.
+    """
     ortho = space.ortho
     st = space.sum_table
     n = space.n_events
+
+    def defined(a, b):
+        return bool(0 <= st[a, b] < n)
+
     if tag == "ortho-symmetry":
         e, f = witness
         return bool(ortho[e, f] != ortho[f, e])
     if tag == "partial-sum":
         e, f = witness
-        if ortho[e, f] and st[e, f] < 0:
+        if ortho[e, f] and not defined(e, f):
             return True
-        return bool(ortho[e, f] and st[f, e] >= 0 and st[e, f] != st[f, e])
+        return bool(ortho[e, f] and defined(f, e) and st[e, f] != st[f, e])
     if tag == "sum-associativity":
         g, e, f = witness
 
         def ok(a, b):
-            return bool(ortho[a, b] and st[a, b] >= 0)
+            return bool(ortho[a, b]) and defined(a, b)
 
         # the cells verify_orthospace reads: g + e, g + f and e + f defined,
         # then g + (e + f) and (g + e) + f defined and equal
@@ -245,7 +266,7 @@ def replay_axiom_witness(space, tag, witness):
         z = space.zero
         if not ortho[z, e]:
             return True
-        return bool(st[e, z] >= 0 and st[e, z] != e)
+        return defined(e, z) and bool(st[e, z] != e)
     if tag == "unique-complement":
         e = witness[0]
         cands = np.flatnonzero(ortho[e] & (st[e] == space.unit))

@@ -284,6 +284,14 @@ def _lowest(ints, den):
     return tuple(v // g for v in ints), den // g
 
 
+def stack_integers(forms, n):
+    """(values, d) of integer forms (ints, L) of length n: row i of the object array is ints_i * (d // L_i), d the
+    lcm of the L_i."""
+    d = math.lcm(*(den for _, den in forms))
+    xn = np.array([[v * (d // den) for v in ints] for ints, den in forms], dtype=object)
+    return xn.reshape(len(forms), n), d
+
+
 def _integers(vals):
     """Rational values as (integers, L), a tuple of their numerators over L, the lcm of their denominators."""
     pairs = [v.as_integer_ratio() for v in vals]
@@ -466,15 +474,20 @@ class SeparationReport:
 
 
 def check_separation(polytope):
-    """States separate events: no two events agree on every generator."""
+    """States separate events: no two events agree on every generator.
+
+    Each event is keyed by its numerators on the generators: the values of a
+    generator share its one denominator, so equal numerators are equal
+    values.  The witness is (e, f, the values of f on the generators), for
+    the first f whose key an earlier event e has.
+    """
     gens = polytope.generators
-    n = polytope.space.n_events
+    keys = list(zip(*(g.integers[0] for g in gens))) if gens else [()] * polytope.space.n_events
     seen = {}
-    for e in range(n):
-        key = tuple(g[e] for g in gens)
-        if key in seen:
-            return SeparationReport(False, (seen[key], e, key))
-        seen[key] = e
+    for f, key in enumerate(keys):
+        e = seen.setdefault(key, f)
+        if e != f:
+            return SeparationReport(False, (e, f, tuple(g[f] for g in gens)))
     return SeparationReport(True)
 
 
@@ -769,8 +782,7 @@ def _uc_generated(slc):
     """Over convex coefficients lambda >= 0 of the generators: sum 1 and each target met, one cost per event."""
     gens = slc.polytope.generators
     # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L
-    den = math.lcm(*(gen.integers[1] for gen in gens))
-    rows = np.array([[v * (den // q) for v in ints] for ints, q in (gen.integers for gen in gens)], dtype=object)
+    rows, den = stack_integers([gen.integers for gen in gens], slc.polytope.space.n_events)
 
     def to_state(lam):
         p, q = _integers(lam)

@@ -229,9 +229,6 @@ class SyntheticSpace:
         """The bound of this model's lane, `lane_tol(exact)`."""
         return lane_tol(self.exact)
 
-    def is_positive(self, x):
-        return all(v >= -self.tol for v in x)
-
     def zeros(self):
         pn, dp = self.pairing
         return _unscaled(np.zeros_like(pn[:, 0]), dp)
@@ -330,7 +327,7 @@ def abstract_synthetic_space(space, states):
     """Exact model from states: the pairing is their integer forms stacked over one denominator."""
     forms = [s.integers for s in states]
     _check_row_lengths(space, [ints for ints, _ in forms])
-    return _synthetic_space(space, _stacked(forms, space.n_events), exact=True)
+    return _synthetic_space(space, statespace.stack_integers(forms, space.n_events), exact=True)
 
 
 def _check_row_lengths(space, rows):
@@ -339,13 +336,6 @@ def _check_row_lengths(space, rows):
     for ix, row in enumerate(rows):
         if len(row) != space.n_events:
             raise SynthesisError(f"generator {ix} is not a state: {('length', len(row), space.n_events)}")
-
-
-def _stacked(forms, n):
-    """(values, d) of integer forms (ints, L) of length n: row i is ints_i * (d // L_i), d the lcm of the L_i."""
-    d = math.lcm(*(den for _, den in forms))
-    xn = np.array([[v * (d // den) for v in ints] for ints, den in forms], dtype=object)
-    return xn.reshape(len(forms), n), d
 
 
 def _synthetic_space(space, pairing, exact):
@@ -395,7 +385,7 @@ def polytope_expansion_oracle(synth, polytope):
                 raise err
             forms.append(verdict.conditional.integers)
         try:
-            return synth.generator_coords(_stacked(forms, synth.space.n_events))
+            return synth.generator_coords(statespace.stack_integers(forms, synth.space.n_events))
         except SynthesisError as exc:
             l = pairs[exc.row][0]
             raise SynthesisError(f"conditional of generator {l} lies outside the generator span") from None

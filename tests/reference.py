@@ -6,7 +6,7 @@ from itertools import chain, combinations_with_replacement, permutations
 
 import numpy as np
 
-from ucpspace import linsolve, orthospace, statespace, synthesis
+from ucpspace import linsolve, observables, orthospace, statespace, synthesis
 from ucpspace.errors import ConditioningUndefinedError, PreconditionError, SynthesisError, UcpError
 from ucpspace.exactlp import INFEASIBLE, OPTIMAL, UNBOUNDED, Farkas, LpResult, verify_farkas
 
@@ -497,3 +497,95 @@ def fraction_density_samples(synth, samples, rng):
         else:
             outside += 1
     return members, outside
+
+
+# The event sweeps as per-event and per-pair scans: orthospace.verify_orthospace, the certainty
+# order and the separation check must give the same reports.
+
+
+def per_g_axioms(space):
+    """orthospace.verify_orthospace as a scan per event, and per first element g for sum-associativity.
+
+    Each witness is appended as it is found, up to orthospace._MAX_WITNESSES
+    per axiom.  A sum entry past the last event reads as undefined.
+    """
+    n = space.n_events
+    ortho, st, comp = space.ortho, space.sum_table, space.complement
+    cap = orthospace._MAX_WITNESSES
+    structural = []
+    if st.max(initial=-1) >= n or comp.max(initial=-1) >= n or comp.min(initial=0) < 0:
+        structural.append(("index-out-of-range",))
+    bad = np.argwhere((st >= 0) & ~ortho)
+    for e, f in bad[:cap]:
+        structural.append(("sum-defined-not-ortho", int(e), int(f)))
+    if len(bad) > cap:
+        structural.append(("sum-defined-not-ortho-more", len(bad) - cap))
+    axioms = {tag: orthospace.AxiomVerdict(True) for tag in orthospace.AXIOMS}
+
+    def add(tag, w):
+        axioms[tag].passed = False
+        if len(axioms[tag].witnesses) < cap:
+            axioms[tag].witnesses.append(w)
+
+    defined = (st >= 0) & (st < n)
+    for e, f in np.argwhere(ortho != ortho.T):
+        if e <= f:
+            add("ortho-symmetry", (int(e), int(f)))
+    for e, f in np.argwhere(ortho & ~defined):
+        add("partial-sum", (int(e), int(f)))
+    for e, f in np.argwhere(defined & defined.T & ortho & (st != st.T)):
+        if e <= f:
+            add("partial-sum", (int(e), int(f)))
+    ok = ortho & defined
+    for g in range(n):
+        cand = np.flatnonzero(ok[g])
+        ee, ff = np.nonzero(ok[np.ix_(cand, cand)])
+        e_ids, f_ids = cand[ee], cand[ff]
+        s_ef, s_ge = st[e_ids, f_ids], st[g, e_ids]
+        good = ok[g, s_ef] & ok[s_ge, f_ids]
+        for t in np.flatnonzero(~good):
+            add("sum-associativity", (g, int(e_ids[t]), int(f_ids[t])))
+        for t in np.flatnonzero(good):
+            if st[g, s_ef[t]] != st[s_ge[t], f_ids[t]]:
+                add("sum-associativity", (g, int(e_ids[t]), int(f_ids[t])))
+    z = space.zero
+    for e in range(n):
+        if not ortho[z, e] or (ok[e, z] and st[e, z] != e):
+            add("zero-event", (e,))
+    for e in range(n):
+        cands = np.flatnonzero(ortho[e] & (st[e] == space.unit))
+        if len(cands) != 1 or comp[e] != cands[0]:
+            add("unique-complement", (e, tuple(int(c) for c in cands)))
+    exists = np.zeros((n, n), dtype=bool)
+    for e in range(n):
+        for d in np.flatnonzero(ok[e]):
+            exists[e, st[e, d]] = True
+    if comp.min(initial=0) >= 0 and comp.max(initial=-1) < n:
+        for e, f in np.argwhere(exists != ortho[:, comp]):
+            add("difference-characterization", (int(e), int(f)))
+    return orthospace.AxiomReport(structural=structural, axioms=axioms)
+
+
+def certainty_scan(synth, polytope, e, f):
+    """observables.check_certainty_order on the generators' Fraction values: the certain ones, the least value
+    of f among them, and pi(f) - pi(e) >= -tol on Fractions."""
+    certain = [g for g in polytope.generators if g[e] == 1]
+    if not certain:
+        return observables.CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=False, hypothesis_vacuous=True)
+    low = min(g[f] for g in certain)
+    verdict = observables.CertaintyOrderVerdict(e=e, f=f, hypothesis_holds=low == 1, hypothesis_vacuous=False,
+                                                min_value=low)
+    if low == 1:
+        verdict.order_holds = all(v >= -synth.tol for v in synth.pi(f) - synth.pi(e))
+    return verdict
+
+
+def separation_scan(polytope):
+    """statespace.check_separation keyed by each event's Fraction values on the generators."""
+    seen = {}
+    for e in range(polytope.space.n_events):
+        key = tuple(g[e] for g in polytope.generators)
+        if key in seen:
+            return statespace.SeparationReport(False, (seen[key], e, key))
+        seen[key] = e
+    return statespace.SeparationReport(True)

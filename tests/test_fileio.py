@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ucpspace import fileio, instances, jordan, orthospace, synthesis
 from ucpspace.errors import ParseError
-from ucpspace.statespace import build_state_polytope
+from ucpspace.statespace import State, build_state_polytope
 
 F = Fraction
 
@@ -66,6 +66,17 @@ class TestStatesFormat:
         # a Fraction or an int as itself, a bool as 1 or 0, anything else (numpy numbers too) as repr(float)
         values = (F(1, 3), F(2), -2, True, False, np.int64(1), np.float64(0.5), 0.25)
         assert [fileio._format_value(v) for v in values] == ["1/3", "2", "-2", "1", "0", "1.0", "0.5", "0.25"]
+
+    @pytest.mark.parametrize("den", [1, 2, 12, 3**41, 2**64 + 1])
+    def test_exact_texts_are_the_fraction_texts(self, den):
+        # 0, 1, integers, negatives, values in lowest terms and not, numerators and denominators past 64 bits
+        ints = [0, den, -den, 2 * den, 1, -1, 6, -9, 2**70, -(2**70) - 3, den - 1, 3**41 * 5]
+        assert fileio.exact_texts(ints, den) == [str(F(v, den)) for v in ints]
+
+    def test_state_text_from_the_integer_form(self):
+        mu = State.from_integers([0, 3, 2**69, 2**70], 2**70)
+        text = fileio.format_states([mu])
+        assert text.splitlines()[-1] == "state " + " ".join(str(v) for v in mu.values)
 
     def test_bad_fraction(self):
         with pytest.raises(ParseError, match=r"line"):

@@ -1,5 +1,6 @@
 """Finite observables: radii, expectations, representability, order checks."""
 
+import dataclasses
 import functools
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucpspace import instances, jordan, orthospace
+import reference
+from ucpspace import instances, jordan, observables, orthospace
 from ucpspace.errors import CapacityError, PreconditionError, StructuralError
 from ucpspace.observables import (
     NOT_REPRESENTABLE,
@@ -22,7 +24,7 @@ from ucpspace.observables import (
     representing_element,
     spectral_radius,
 )
-from ucpspace.statespace import build_state_polytope, generated_polytope
+from ucpspace.statespace import build_state_polytope, generated_polytope, stack_integers
 from ucpspace.synthesis import (
     FLOAT_TOL,
     abstract_synthetic_space,
@@ -302,3 +304,80 @@ class TestCertaintyOrder:
         synth, _, _ = bool3_setup
         with pytest.raises(CapacityError, match="vertex enumeration.*cap"):
             check_certainty_order(synth, build_state_polytope(instances.mo_orthospace(32)), 1, 3)
+
+
+def _tampered(synth, e, f):
+    """synth with generator 0's value of f pushed below its value of e in the pairing."""
+    pn, dp = synth.pairing
+    pn = pn.copy()
+    pn[0, f] = pn[0, e] - 1
+    return dataclasses.replace(synth, pairing=(pn, dp))
+
+
+CERTAINTY_CASES = {
+    "B3": lambda: build_state_polytope(orthospace.boolean_orthospace(3)),
+    "B4": lambda: build_state_polytope(orthospace.boolean_orthospace(4)),
+    "MO_3": lambda: build_state_polytope(instances.mo_orthospace(3)),
+    "MO_4": lambda: build_state_polytope(instances.mo_orthospace(4)),
+    "MO_4-cross": lambda: generated_polytope(instances.mo_orthospace(4), instances.cross_states(4)),
+}
+
+
+class TestCertaintyTableMatchesScan:
+    """check_certainty_order_all's one certainty table against the per-pair Fraction scan of
+    reference.certainty_scan: every verdict field equal, min_value and order_holds included."""
+
+    @pytest.mark.parametrize("case", list(CERTAINTY_CASES))
+    def test_every_verdict(self, case):
+        poly = CERTAINTY_CASES[case]()
+        synth = abstract_synthetic_space(poly.space, poly.generators)
+        verdicts, all_passed = check_certainty_order_all(synth, poly)
+        events = poly.space.events()
+        want = [reference.certainty_scan(synth, poly, e, f) for e in events for f in events if e != f]
+        assert verdicts == want
+        assert all_passed == all(v.passed for v in want)
+        assert all(type(v.min_value) is Fraction for v in verdicts if not v.hypothesis_vacuous)
+
+    def test_tampered_order_fails(self, bool3):
+        # 1 precedes 3 on B3, so every state certain of atom 1 is certain of 3; a pairing whose column 3
+        # drops below column 1 at generator 0 must fail the order there, and only for pairs holding there
+        poly = build_state_polytope(bool3)
+        synth = _tampered(abstract_synthetic_space(bool3, poly.generators), 1, 3)
+        verdicts, all_passed = check_certainty_order_all(synth, poly)
+        assert not all_passed
+        assert [(v.e, v.f) for v in verdicts if not v.passed] == [(1, 3)]
+        events = bool3.events()
+        assert verdicts == [reference.certainty_scan(synth, poly, e, f) for e in events for f in events if e != f]
+
+    def test_one_call_per_ordered_pair(self, monkeypatch):
+        # check_certainty_order is called by module attribute, once per ordered pair: 56 on MO_3
+        poly = CERTAINTY_CASES["MO_3"]()
+        synth = abstract_synthetic_space(poly.space, poly.generators)
+        calls = []
+        original = observables.check_certainty_order
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:4])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(observables, "check_certainty_order", counted)
+        verdicts, _ = check_certainty_order_all(synth, poly)
+        assert len(calls) == len(verdicts) == 56
+
+    def test_table_of_mixed_denominators(self, bool3):
+        # generators over denominators 1, 3 and 4: the values compare over their lcm 12
+        gens = [instances.boolean_state([F(1, 3), F(2, 3), 0]), instances.boolean_state([F(1, 4), 0, F(3, 4)]),
+                instances.boolean_state([1, 0, 0])]
+        poly = generated_polytope(bool3, gens)
+        table = observables.certainty_table(poly)
+        values, den = stack_integers([g.integers for g in gens], bool3.n_events)
+        assert table.den == den == 12
+        assert table.low[0b001] == values[2].tolist()
+        assert table.low[0b010] is None
+        synth = abstract_synthetic_space(bool3, gens)
+        # generators 0 and 2 are certain of atoms 0 and 1 together; atom 0 has 1/3 and 1 there
+        v = check_certainty_order(synth, poly, 0b011, 0b001, table)
+        assert not v.hypothesis_vacuous and v.min_value == F(1, 3) and not v.hypothesis_holds
+        v = check_certainty_order(synth, poly, 0b011, 0b111, table)
+        assert v.hypothesis_holds and v.min_value == 1 and v.order_holds
+        assert v == check_certainty_order(synth, poly, 0b011, 0b111)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import reference
 from ucpspace import instances, orthospace
 from ucpspace.errors import SizeError, StructuralError
 from ucpspace.orthospace import (
@@ -68,6 +69,72 @@ class TestVerify:
         assert not report.passed
         tags = [tag for tag, v in report.axioms.items() if not v.passed]
         assert "partial-sum" in tags or "sum-associativity" in tags
+
+    def test_sum_entry_past_the_last_event_is_reported_not_raised(self, bool2):
+        # B2 with 1 + 2 = 9: recorded as out of range, then read as undefined by every axiom sweep
+        st = bool2.sum_table.copy()
+        st[1, 2] = st[2, 1] = 9
+        bad = OrthoSpace(4, bool2.zero, bool2.unit, bool2.ortho, st, bool2.complement)
+        report = verify_orthospace(bad)
+        assert not report.passed
+        assert report.structural == [("index-out-of-range",)]
+        assert report.axioms["partial-sum"].witnesses == [(1, 2), (2, 1)]
+        assert report.axioms["difference-characterization"].witnesses == [(1, 3), (2, 3)]
+        assert report.axioms["sum-associativity"].passed
+        for tag, verdict in report.axioms.items():
+            for w in verdict.witnesses:
+                assert replay_axiom_witness(bad, tag, w), (tag, w)
+
+
+def corrupted(base, rng, edits):
+    """base with `edits` random edits: a flipped ortho cell, a rewritten sum or complement cell, or a sum
+    entry past the last event."""
+    n = base.n_events
+    st, ortho, comp = base.sum_table.copy(), base.ortho.copy(), base.complement.copy()
+    for _ in range(edits):
+        e, f = (int(v) for v in rng.integers(n, size=2))
+        kind = int(rng.integers(4))
+        if kind == 0:
+            ortho[e, f] = not ortho[e, f]
+        elif kind == 1:
+            st[e, f] = int(rng.integers(-1, n))
+        elif kind == 2:
+            comp[e] = int(rng.integers(n))
+        else:
+            st[e, f] = int(rng.integers(n, 2 * n))
+    return OrthoSpace(n, base.zero, base.unit, ortho, st, comp)
+
+
+class TestSweepsMatchPerEventScans:
+    """verify_orthospace's whole-table passes against the per-event, per-g scans of reference.per_g_axioms:
+    equal reports, field by field and witness by witness."""
+
+    @pytest.mark.parametrize("block", [orthospace._PAIR_BLOCK, 1], ids=["default-blocks", "one-g-blocks"])
+    def test_random_corruptions(self, block, monkeypatch):
+        # with _PAIR_BLOCK 1 a block's mask holds n * max deg(g) entries: B4 and MO_5 sweep in several blocks
+        monkeypatch.setattr(orthospace, "_PAIR_BLOCK", block)
+        bases = [boolean_orthospace(3), boolean_orthospace(4), instances.mo_orthospace(3), instances.mo_orthospace(5)]
+        rng = np.random.default_rng(39)
+        for trial in range(400):
+            mutant = corrupted(bases[trial % 4], rng, int(rng.integers(1, 6)))
+            report = verify_orthospace(mutant)
+            assert report == reference.per_g_axioms(mutant), trial
+            for verdict in report.axioms.values():
+                for w in verdict.witnesses:
+                    assert all(type(v) is int for v in w if not isinstance(v, tuple)), w
+
+    def test_many_blocks_and_full_witness_lists(self):
+        # B7: the sum-associativity sweep runs over several blocks of g; with many edits the witness lists
+        # fill and the sweep stops early
+        base = boolean_orthospace(7)
+        rng = np.random.default_rng(7)
+        for edits in (1, 2, 3, 200):
+            mutant = corrupted(base, rng, edits)
+            assert verify_orthospace(mutant) == reference.per_g_axioms(mutant), edits
+
+    def test_clean_spaces(self):
+        for space in (boolean_orthospace(5), instances.mo_orthospace(4), instances.qubit_instance().space):
+            assert verify_orthospace(space) == reference.per_g_axioms(space)
 
 
 class TestMutationHarness:

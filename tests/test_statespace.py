@@ -27,6 +27,7 @@ from reference import (
     fraction_uc_full,
     integer_param,
     reference_is_state,
+    separation_scan,
 )
 from ucpspace import exactlp, fileio, instances, linsolve, orthospace, statespace, synthesis
 from ucpspace.errors import CapacityError, ConditioningUndefinedError, PreconditionError, UcpError
@@ -412,6 +413,26 @@ class TestSeparation:
         assert not report.passed
         e, f, _ = report.witness
         assert e != f
+
+    @pytest.mark.parametrize("case", ["mo2-uniform", "b3-one-vertex", "b3-mixed"])
+    def test_witness_matches_fraction_scan(self, case, mo2, bool3):
+        # events keyed by numerators, generator by generator, give the Fraction scan's report and witness
+        third = [F(1, 3)] * 3
+        space, gens = {
+            "mo2-uniform": (mo2, [uniform_mo2(mo2)]),
+            "b3-one-vertex": (bool3, instances.boolean_vertex_states(3)[:1]),
+            "b3-mixed": (bool3, [instances.boolean_state(third), instances.boolean_state([F(1, 2), F(1, 2), 0])]),
+        }[case]
+        poly = generated_polytope(space, gens)
+        report = check_separation(poly)
+        assert not report.passed
+        assert report == separation_scan(poly)
+        e, f, values = report.witness
+        assert e < f and values == tuple(g[e] for g in gens) == tuple(g[f] for g in gens)
+        assert all(type(v) is Fraction for v in values)
+
+    def test_separating_generators_pass_as_the_scan_does(self, bool4_poly):
+        assert check_separation(bool4_poly) == separation_scan(bool4_poly) == statespace.SeparationReport(True)
 
     def test_needs_generators(self):
         # MO_32 has 66 events and 2^32 vertices: its full polytope has no vertices to scan
