@@ -83,15 +83,12 @@ def structure_tensor(k):
 def left_mult_mats(k):
     """(k, k, k) array L with L[c] the matrix of left multiplication by e_c.
 
-    L[c][r, m] is the e_r coefficient of e_c e_m, so for x with coordinates
-    x_c the matrix sum_c x_c L[c] sends y to x y.  Conjugation transposes:
-    L[conj] = L^T, which is what makes hermitian matrices embed symmetrically.
+    L[c][r, m] is the e_r coefficient of e_c e_m, the structure tensor's
+    T[c, m, r], so for x with coordinates x_c the matrix sum_c x_c L[c] sends
+    y to x y.  Conjugation transposes: L[conj] = L^T, which is what makes
+    hermitian matrices embed symmetrically.
     """
-    idx, sgn = mul_tables(k)
-    mats = np.zeros((k, k, k))
-    for c in range(k):
-        for m in range(k):
-            mats[c, idx[c, m], m] = sgn[c, m]
+    mats = np.ascontiguousarray(structure_tensor(k).transpose(0, 2, 1))
     mats.setflags(write=False)
     return mats
 

@@ -302,8 +302,13 @@ def cmd_replay(args):
         raise ParseError(f"report {args.replay} is not a JSON object: {exc}") from None
     if path is None:
         raise ParseError("replay needs --input or an input path inside the report")
+    if not isinstance(path, str):
+        # open() would read an int as a file descriptor
+        raise ParseError(f"the report's input must be a path string, got {path!r}")
     space = fileio.parse_orthospace(_read(path))
     axioms, records = _report_records(prev, space)
+    if not (axioms or records):
+        raise PreconditionError("the report holds no axiom witnesses and no uniqueness records; nothing was checked")
     total = reproduced = 0
     for tag, w in axioms:
         total += 1

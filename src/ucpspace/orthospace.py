@@ -12,8 +12,12 @@ checks the six defining axioms exhaustively and reports replayable witnesses:
     unique-complement           exactly one g with e ortho g, e + g = unit
     difference-characterization e + d = f solvable  iff  e ortho complement(f)
 
-Structural problems (a sum entry where the pair is not orthogonal, indices out
-of range) are reported separately from axiom failures.  The derived precedence
+Each axiom is defined once, as violation masks over rows of events (`_cells`)
+or, for sum-associativity, one triple test (`_regroup`): `verify_orthospace`
+reads them on every event, and `replay_axiom_witness` on one witness, so a
+witness reproduces exactly when verify would report it.  Structural problems
+(a sum entry where the pair is not orthogonal, indices out of range) are
+reported separately from axiom failures.  The derived precedence
 relation is `precedes(e, f) := e ortho complement(f)`.
 
 Tables are dense and capped at 4096 events, so every check is a finite scan.
@@ -134,6 +138,22 @@ def _rows(cells):
     return [tuple(w) for w in cells[:_MAX_WITNESSES].tolist()]
 
 
+def _defined(st, n):
+    """Where the sum is an event: an entry past the last event reads as undefined."""
+    return (st >= 0) & (st < n)
+
+
+def _regroup(ok, st, g, e, f):
+    """The sum-associativity test of triples (g, e, f) with g + e, g + f and e + f defined, as index arrays.
+
+    (good, bad): good where g + (e + f) and (g + e) + f are both defined, bad
+    where either is undefined or the two differ.
+    """
+    s_ef, s_ge = st[e, f], st[g, e]
+    good = ok[g, s_ef] & ok[s_ge, f]
+    return good, ~good | (st[g, s_ef] != st[s_ge, f])
+
+
 def _sum_associativity(ok, st, verdict):
     """Every (g, e, f) with g + e, g + f and e + f defined, stacked over blocks of consecutive g.
 
@@ -157,27 +177,71 @@ def _sum_associativity(ok, st, verdict):
         rows_g, rows_e = gs[starts[g0]:starts[g1]], es[starts[g0]:starts[g1]]
         r, f = np.nonzero(ok[rows_g] & ok[rows_e])
         g, e = rows_g[r], rows_e[r]
-        s_ef, s_ge = st[e, f], st[g, e]
-        # g + (e + f) and (g + e) + f defined and equal; the same cells replay_axiom_witness reads
-        good = ok[g, s_ef] & ok[s_ge, f]
-        bad = ~good
-        bad[good] = st[g[good], s_ef[good]] != st[s_ge[good], f[good]]
+        good, bad = _regroup(ok, st, g, e, f)
         t = np.flatnonzero(bad)
         t = t[np.lexsort((t, good[t], g[t]))]
         _fail(verdict, _rows(np.stack([g[t], e[t], f[t]], axis=1)))
         g0 = g1
 
 
+def _candidates(space, rows):
+    """The complement candidates of the events `rows`: g with e ortho g and e + g = unit, one row per e."""
+    return space.ortho[rows] & (space.sum_table[rows] == space.unit)
+
+
+def _cells(space, rows):
+    """The violation masks of every axiom but sum-associativity on the events `rows`, in report order.
+
+    `rows` indexes the events e (an index array, or a slice).  Each axiom maps
+    to its masks in the order its witnesses are listed: a (len(rows), n) mask
+    of the pairs (e, f) for ortho-symmetry, partial-sum (first the orthogonal
+    pairs with no sum, then the upper cells where e + f and f + e are defined
+    and differ) and difference-characterization, and a (len(rows),) mask for
+    zero-event and unique-complement.  Difference-characterization is read
+    only when every complement is an event; otherwise its mask is all False.
+    """
+    n = space.n_events
+    ortho, st, comp = space.ortho, space.sum_table, space.complement
+    ids = np.arange(n)[rows]
+    o, s = ortho[rows], st[rows]
+    s_t = st[:, rows].T
+    ok = o & _defined(s, n)
+    upper = ids[:, None] <= np.arange(n)
+
+    # zero-event: 0 ortho e, and e + 0 = e wherever it is defined
+    z = space.zero
+    zero = ~ortho[z, rows] | (ok[:, z] & (s[:, z] != ids))
+
+    # unique-complement: exactly one candidate, matching the table
+    cands = _candidates(space, rows)
+    lonely = (cands.sum(axis=1) != 1) | (comp[rows] != cands.argmax(axis=1))
+
+    # difference-characterization: solvability of e + d = f iff e ortho comp(f)
+    unsolved = np.zeros_like(o)
+    if comp.min(initial=0) >= 0 and comp.max(initial=-1) < n:
+        r, d = np.nonzero(ok)
+        unsolved[r, s[r, d]] = True
+        unsolved ^= o[:, comp]
+
+    return {
+        "ortho-symmetry": ((o != ortho[:, rows].T) & upper,),
+        "partial-sum": (o & ~ok, ok & _defined(s_t, n) & (s != s_t) & upper),
+        "zero-event": (zero,),
+        "unique-complement": (lonely,),
+        "difference-characterization": (unsolved,),
+    }
+
+
 def verify_orthospace(space):
     """Exhaustive axiom check. Structural issues are reported, never raised.
 
-    Each axiom is one pass over the whole table: a mask for ortho-symmetry,
-    partial-sum, zero-event, unique-complement and difference-characterization,
-    and one stacked sweep of the (g, e, f) triples for sum-associativity, in
-    blocks of g (`_sum_associativity`).  A sum entry past the last event is
-    recorded as ("index-out-of-range",), and the axiom sweeps read it as
-    undefined.  Each axiom keeps its first _MAX_WITNESSES witnesses in (e, f)
-    order, or (g, e, f) for sum-associativity.
+    Each axiom is one pass over the whole table: the masks `_cells` gives on
+    every event, and one stacked sweep of the (g, e, f) triples for
+    sum-associativity, in blocks of g (`_sum_associativity`).  A sum entry past
+    the last event is recorded as ("index-out-of-range",), and the axiom sweeps
+    read it as undefined.  Each axiom keeps its first _MAX_WITNESSES witnesses
+    in (e, f) order, or (g, e, f) for sum-associativity, its masks one after
+    the other; a unique-complement witness (e, candidates) lists e's candidates.
     """
     n = space.n_events
     ortho = space.ortho
@@ -194,100 +258,43 @@ def verify_orthospace(space):
         structural.append(("sum-defined-not-ortho-more", len(bad) - _MAX_WITNESSES))
 
     axioms = {tag: AxiomVerdict(True) for tag in AXIOMS}
-    defined = (st >= 0) & (st < n)
-    upper = np.triu(np.ones((n, n), dtype=bool))
-
-    _fail(axioms["ortho-symmetry"], _rows(np.argwhere((ortho != ortho.T) & upper)))
-
-    # partial-sum: defined on orthogonal pairs, commutative
-    _fail(axioms["partial-sum"], _rows(np.argwhere(ortho & ~defined)))
-    _fail(axioms["partial-sum"], _rows(np.argwhere(ortho & defined & defined.T & (st != st.T) & upper)))
-
-    ok = ortho & defined
-    _sum_associativity(ok, st, axioms["sum-associativity"])
-
-    # zero-event: 0 ortho e, and e + 0 = e wherever it is defined
-    z = space.zero
-    events = np.arange(n)
-    _fail(axioms["zero-event"], _rows(np.flatnonzero(~ortho[z] | (ok[:, z] & (st[:, z] != events)))[:, None]))
-
-    # unique-complement: exactly one candidate, matching the table
-    cands = ortho & (st == space.unit)
-    lonely = (cands.sum(axis=1) != 1) | (comp != cands.argmax(axis=1))
-    _fail(axioms["unique-complement"],
-          [(e, tuple(np.flatnonzero(cands[e]).tolist())) for e in np.flatnonzero(lonely)[:_MAX_WITNESSES].tolist()])
-
-    # difference-characterization: solvability of e + d = f iff e ortho comp(f)
-    exists = np.zeros((n, n), dtype=bool)
-    es, ds = np.nonzero(ok)
-    exists[es, st[es, ds]] = True
-    if comp.min(initial=0) >= 0 and comp.max(initial=-1) < n:
-        _fail(axioms["difference-characterization"], _rows(np.argwhere(exists != ortho[:, comp])))
-
+    for tag, masks in _cells(space, slice(None)).items():
+        for mask in masks:
+            if mask.any():
+                _fail(axioms[tag], _rows(np.argwhere(mask)))
+    lonely = axioms["unique-complement"].witnesses
+    if lonely:
+        cands = _candidates(space, [e for e, in lonely])
+        lonely[:] = [(e, tuple(np.flatnonzero(c).tolist())) for (e,), c in zip(lonely, cands)]
+    _sum_associativity(ortho & _defined(st, n), st, axioms["sum-associativity"])
     return AxiomReport(structural=structural, axioms=axioms)
 
 
 def replay_axiom_witness(space, tag, witness):
     """Re-check one witness; True means the violation is reproduced.
 
-    A sum entry past the last event reads as undefined, as in `verify_orthospace`.
+    A witness reproduces exactly when `verify_orthospace` would report it: its
+    cell in the `_cells` masks of its first event's row alone, O(n), or for
+    sum-associativity the `_regroup` test of a triple whose three pairwise sums
+    are defined, on the table of defined orthogonal sums.  A cell that verify
+    never reports (the mirror (f, e) of an upper-triangle pair, a difference
+    witness while some complement is not an event) does not reproduce.
     """
-    ortho = space.ortho
-    st = space.sum_table
-    n = space.n_events
-
-    def defined(a, b):
-        return bool(0 <= st[a, b] < n)
-
-    if tag == "ortho-symmetry":
-        e, f = witness
-        return bool(ortho[e, f] != ortho[f, e])
-    if tag == "partial-sum":
-        e, f = witness
-        if ortho[e, f] and not defined(e, f):
-            return True
-        return bool(ortho[e, f] and defined(f, e) and st[e, f] != st[f, e])
     if tag == "sum-associativity":
-        g, e, f = witness
-
-        def ok(a, b):
-            return bool(ortho[a, b]) and defined(a, b)
-
-        # the cells verify_orthospace reads: g + e, g + f and e + f defined,
-        # then g + (e + f) and (g + e) + f defined and equal
-        if not (ok(g, e) and ok(g, f) and ok(e, f)):
-            return False
-        s_ef, s_ge = st[e, f], st[g, e]
-        if not (ok(g, s_ef) and ok(s_ge, f)):
-            return True
-        return bool(st[g, s_ef] != st[s_ge, f])
-    if tag == "zero-event":
-        (e,) = witness
-        z = space.zero
-        if not ortho[z, e]:
-            return True
-        return defined(e, z) and bool(st[e, z] != e)
-    if tag == "unique-complement":
-        e = witness[0]
-        cands = np.flatnonzero(ortho[e] & (st[e] == space.unit))
-        return len(cands) != 1 or space.complement[e] != cands[0]
-    if tag == "difference-characterization":
-        e, f = witness
-        exists = bool(difference(space, e, f))
-        c = space.comp(f)
-        return exists != bool(ortho[e, c]) if 0 <= c < n else True
-    raise ValueError(f"unknown axiom tag {tag!r}")
+        st = space.sum_table
+        ok = space.ortho & _defined(st, space.n_events)
+        g, e, f = (np.array([v]) for v in witness)
+        # a triple the sweep reads has g + e, g + f and e + f defined
+        return bool(ok[g, e] & ok[g, f] & ok[e, f]) and bool(_regroup(ok, st, g, e, f)[1])
+    if tag not in WITNESS_SHAPES:
+        raise ValueError(f"unknown axiom tag {tag!r}")
+    masks = _cells(space, [witness[0]])[tag]
+    return any(bool(m[0, witness[1]] if m.ndim == 2 else m[0]) for m in masks)
 
 
 def precedes(space, e, f):
     """e precedes f iff e is orthogonal to the complement of f."""
     return bool(space.ortho[e, space.comp(f)])
-
-
-def difference(space, e, f):
-    """All d with e ortho d and e + d = f. Singleton on well-behaved spaces."""
-    ds = np.flatnonzero(space.ortho[e] & (space.sum_table[e] >= 0))
-    return [int(d) for d in ds if space.sum_table[e, d] == f]
 
 
 def maximal_orthogonal_families(space):

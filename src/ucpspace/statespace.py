@@ -764,32 +764,54 @@ def _uc_full(slc):
     return _empty_verdict(slc, sub, verdict.certificate, d) if verdict.verdict == EMPTY else verdict
 
 
-def _generated_system(gens, events, targets):
-    """The LP system, phase 1 run, of convex coefficients of the generators meeting each target on its event."""
-    lp_rows = [(dict.fromkeys(range(len(gens) + 1), 1), 1)] + [
-        linsolve.scale_to_ints([*(gen[f] for gen in gens), t]) for f, t in zip(events, targets)]
-    return prepare(lp_rows, len(gens))
+def hull_system(points, coords, target):
+    """The LP system, phase 1 run, of convex weights lambda >= 0 of the points that meet the target.
+
+    `points` is (values, d): row g of the object array is point g's numerators
+    over d.  `target` is an integer form (ints, L), one numerator per
+    coordinate in `coords`.  The rows are sum lambda = 1, then per coordinate
+    c sum_g lambda_g values[g, c] / d = t_c / L: over M = lcm(d, L), its
+    entries, its rhs and M divided by their gcd, which is the row
+    `linsolve.scale_to_ints` makes of the rational row.
+    """
+    (values, d), (ints, den) = points, target
+    k = len(values)
+    m = math.lcm(d, den)
+    a, b = m // d, m // den
+    rows = [(dict.fromkeys(range(k + 1), 1), 1)]
+    for col, t in zip(values[:, list(coords)].T.tolist(), ints):
+        entries = [v * a for v in col] + [t * b]
+        g = math.gcd(m, *entries)
+        rows.append(({j: v // g for j, v in enumerate(entries) if v}, m // g))
+    return prepare(rows, k)
 
 
 def in_polytope(polytope, nu):
     """Is the state nu in the polytope?  Always in the full one; in the hull of listed states exactly when
-    `_generated_system` with nu's value on every event is feasible, one exact phase 1."""
-    events = polytope.space.events()
-    return polytope.listed is None or _generated_system(polytope.listed, events, nu.values).infeasible is None
+    their `hull_system` at nu's integer form is feasible, one exact phase 1."""
+    if polytope.listed is None:
+        return True
+    n = polytope.space.n_events
+    points = stack_integers([gen.integers for gen in polytope.listed], n)
+    return hull_system(points, range(n), nu.integers).infeasible is None
 
 
 def _uc_generated(slc):
-    """Over convex coefficients lambda >= 0 of the generators: sum 1 and each target met, one cost per event."""
-    gens = slc.polytope.generators
-    # the generators' integer forms as rows over one denominator L: a conditional is sum_g lambda_g row_g / L
-    rows, den = stack_integers([gen.integers for gen in gens], slc.polytope.space.n_events)
+    """Over convex weights lambda >= 0 of the generators: sum 1 and each target met, one cost per event.
+
+    The costs are the columns of the generators' integer forms over their one
+    denominator, each a positive multiple of the event's values on them.
+    """
+    n = slc.polytope.space.n_events
+    # the generators' integer forms as rows over one denominator: a conditional is sum_g lambda_g rows_g / den
+    rows, den = stack_integers([gen.integers for gen in slc.polytope.generators], n)
 
     def to_state(lam):
         p, q = _integers(lam)
         return State.from_integers((np.array(p, dtype=object) @ rows).tolist(), q * den)
 
-    costs = ([gen[ev] for gen in gens] for ev in range(slc.polytope.space.n_events))
-    return _lp_verdict(_generated_system(gens, slc.constraint_events, slc.targets), costs, to_state, None)
+    system = hull_system((rows, den), slc.constraint_events, (slc.masses[1:], slc.masses[0]))
+    return _lp_verdict(system, rows.T.tolist(), to_state, None)
 
 
 def unique_conditional(polytope, mu, e):

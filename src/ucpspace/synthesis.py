@@ -842,19 +842,16 @@ def hull_membership(synth, x):
     """Exact lane: is x a convex combination of the pi(e)?  LP feasibility on integer rows.
 
     x is a (numerators, d) pair over the generators, one point (n_states,) or a
-    stack (P, n_states), answered by a bool or a list of bools.  With the
-    pairing pn / dp and g = gcd(d, dp), a point's LP reads (d / g) pn.lambda =
-    (dp / g) x_n and sum(lambda) = 1 over lambda >= 0: the rows are built once
-    a call, and only the right-hand side changes from point to point.
+    stack (P, n_states), answered by a bool or a list of bools.  Each point's
+    rows are `statespace.hull_system` of the event images pi(e), the columns
+    of the pairing, at the point.
     """
     if not synth.exact:
         raise SynthesisError("hull membership needs the exact lane")
     xn, d = x
     pn, dp = synth.pairing
-    g = math.gcd(d, dp)
-    rows = (pn * (d // g)).tolist() + [[1] * pn.shape[1]]
-    cost = [0] * pn.shape[1]
-    member = [solve_lp(cost, rows, [*(v * (dp // g) for v in point), 1]).status == OPTIMAL
+    images, cost = (pn.T, dp), [0] * pn.shape[1]
+    member = [solve_lp(cost, statespace.hull_system(images, range(len(point)), (point, d)), None).status == OPTIMAL
               for point in np.atleast_2d(xn).tolist()]
     return member if np.ndim(xn) > 1 else member[0]
 

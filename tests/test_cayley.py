@@ -105,6 +105,19 @@ def test_left_mult_mats_agree_with_multiply():
         assert np.allclose(lx @ y, cayley.multiply(x, y), atol=1e-12)
 
 
+def test_left_mult_mats_match_tables():
+    # L[c, r, m] is sign[c, m] at r = index[c, m] and 0 elsewhere; the array is read-only
+    for k in (1, 2, 4, 8):
+        idx, sgn = cayley.mul_tables(k)
+        mats = cayley.left_mult_mats(k)
+        want = np.zeros((k, k, k))
+        for c in range(k):
+            for m in range(k):
+                want[c, idx[c, m], m] = sgn[c, m]
+        assert np.array_equal(mats, want)
+        assert not mats.flags.writeable
+
+
 def test_structure_tensor_consistent_with_tables():
     for k in (2, 4, 8):
         idx, sgn = cayley.mul_tables(k)

@@ -490,6 +490,33 @@ class TestReplay:
         assert sum("STALE" in line for line in out.splitlines()) == 2
         assert "replay: 0/2 witnesses reproduced" in out
 
+    @pytest.mark.parametrize("value", [0, 1, ["a"]], ids=["fd-zero", "fd-one", "list"])
+    def test_report_input_that_is_not_a_string_is_bad_input(self, files, tmp_path, value):
+        # open() would read 0 as stdin and close fd 1 of this process; a list raised TypeError
+        report, _ = self.run_structured(files)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(report | {"input": value}))
+        code, out, err = invoke(["verify", "--replay", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "input error: the report's input must be a path string" in err
+        os.fstat(1)
+
+    @pytest.mark.parametrize("report", ["passing", "input-only"])
+    def test_report_with_nothing_to_replay_is_bad_input(self, files, tmp_path, report):
+        # a report with no witness and no record would replay 0/0: nothing was checked, so no PASS
+        if report == "passing":
+            code, text, _ = invoke(["verify", "--input", files["bool2"], "--format", "structured"])
+            assert code == 0
+        else:
+            text = json.dumps({"input": files["bool2"]})
+        path = tmp_path / "empty.json"
+        path.write_text(text)
+        code, out, err = invoke(["verify", "--replay", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "no axiom witnesses and no uniqueness records; nothing was checked" in err
+
     def test_replay_enumerates_no_vertices(self, files, tmp_path, monkeypatch):
         _, text = self.run_structured(files)
         path = tmp_path / "report.json"

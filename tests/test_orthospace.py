@@ -259,6 +259,72 @@ class TestWitnessReplay:
         assert replayed_any
 
 
+class TestReplayReadsTheReportedCells:
+    """replay_axiom_witness reproduces a witness exactly when verify_orthospace reports it."""
+
+    def test_replay_is_true_exactly_on_reported_cells(self):
+        # every cell of every tag whose witness list is not cut at _MAX_WITNESSES: the pairs (e, f), the
+        # triples (g, e, f), or the single events; a unique-complement witness is read by its event
+        bases = [boolean_orthospace(2), boolean_orthospace(3), instances.mo_orthospace(2), instances.mo_orthospace(3)]
+        rng = np.random.default_rng(40)
+        for trial in range(200):
+            mutant = corrupted(bases[trial % 4], rng, int(rng.integers(1, 5)))
+            n = mutant.n_events
+            for tag, verdict in verify_orthospace(mutant).axioms.items():
+                if len(verdict.witnesses) >= orthospace._MAX_WITNESSES:
+                    continue
+                events = WITNESS_SHAPES[tag][1]
+                cells = [tuple(int(v) for v in c) for c in np.ndindex(*(n,) * events)]
+                if tag == "unique-complement":
+                    reported = {w[:1] for w in verdict.witnesses}
+                    replayed = {c for c in cells if replay_axiom_witness(mutant, tag, (*c, ()))}
+                else:
+                    reported = set(verdict.witnesses)
+                    replayed = {c for c in cells if replay_axiom_witness(mutant, tag, c)}
+                assert replayed == reported, (trial, tag)
+
+    def test_zero_event_verify_passes_does_not_replay(self, bool2):
+        # B2 with 1 not orthogonal to 0 but 1 + 0 = 2: e + 0 is read only where e ortho 0, so verify
+        # reports no zero-event witness, and (1,) does not reproduce
+        ortho, st = bool2.ortho.copy(), bool2.sum_table.copy()
+        ortho[1, 0] = False
+        st[1, 0] = 2
+        mutant = OrthoSpace(4, bool2.zero, bool2.unit, ortho, st, bool2.complement)
+        assert verify_orthospace(mutant).axioms["zero-event"].passed
+        assert not replay_axiom_witness(mutant, "zero-event", (1,))
+
+    def test_mirror_of_an_upper_pair_is_stale(self, bool2):
+        # ortho-symmetry and commutativity are reported at the upper cell (e, f), e <= f, only
+        ortho, st = bool2.ortho.copy(), bool2.sum_table.copy()
+        ortho[2, 1] = False
+        mutant = OrthoSpace(4, bool2.zero, bool2.unit, ortho, st, bool2.complement)
+        assert verify_orthospace(mutant).axioms["ortho-symmetry"].witnesses == [(1, 2)]
+        assert replay_axiom_witness(mutant, "ortho-symmetry", (1, 2))
+        assert not replay_axiom_witness(mutant, "ortho-symmetry", (2, 1))
+        st = bool2.sum_table.copy()
+        st[2, 1] = bool2.zero
+        mutant = OrthoSpace(4, bool2.zero, bool2.unit, bool2.ortho, st, bool2.complement)
+        assert verify_orthospace(mutant).axioms["partial-sum"].witnesses == [(1, 2)]
+        assert replay_axiom_witness(mutant, "partial-sum", (1, 2))
+        assert not replay_axiom_witness(mutant, "partial-sum", (2, 1))
+
+    def test_difference_witness_on_out_of_range_complement_is_stale(self, bool2):
+        # with a complement past the last event, difference-characterization is not read at all
+        comp = bool2.complement.copy()
+        comp[1] = 9
+        mutant = OrthoSpace(4, bool2.zero, bool2.unit, bool2.ortho, bool2.sum_table, comp)
+        report = verify_orthospace(mutant)
+        assert report.structural == [("index-out-of-range",)]
+        assert report.axioms["difference-characterization"].passed
+        for e in mutant.events():
+            for f in mutant.events():
+                assert not replay_axiom_witness(mutant, "difference-characterization", (e, f))
+
+    def test_unknown_tag_raises(self, bool2):
+        with pytest.raises(ValueError, match="unknown axiom tag"):
+            replay_axiom_witness(bool2, "no-such-axiom", (0,))
+
+
 class TestQueries:
     def test_precedes_zero_and_self(self, bool3):
         for e in bool3.events():
@@ -268,15 +334,6 @@ class TestQueries:
     def test_precedes_mo2(self, mo2):
         a, b = 1, 3
         assert not orthospace.precedes(mo2, a, b)
-
-    def test_difference(self, bool3):
-        # difference(0, f) = f and difference(e, unit) = complement
-        for f in bool3.events():
-            assert orthospace.difference(bool3, bool3.zero, f) == [f]
-        for e in bool3.events():
-            assert orthospace.difference(bool3, e, bool3.unit) == [bool3.comp(e)]
-        # atoms: difference(a, a+b) = b with bitmask events
-        assert orthospace.difference(bool3, 1, 3) == [2]
 
     def test_maximal_families_boolean(self, bool2):
         fams = maximal_orthogonal_families(bool2)
